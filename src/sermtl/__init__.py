@@ -27,5 +27,5 @@ from .experiment import PipelineConfig, run_experiment, run_grid  # noqa: F401
 from .features import FeatureConfig, extract_features  # noqa: F401
 from .hlf import compute_hlf  # noqa: F401
 from .metrics import confusion_matrix, unweighted_accuracy, wilcoxon_signed_rank  # noqa: F401
-from .mtl import MTLNetworkConfig, TrainConfig, build_model, emotion_posteriors, train  # noqa: F401
+from .mtl import MTLNetworkConfig, MultiTaskModel, TrainConfig, train  # noqa: F401
 from .tsne import TsneConfig, compute_affinities, tsne_embed  # noqa: F401

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +19,7 @@ from . import hlf as hlf_mod
 from . import metrics as metrics_mod
 from . import mtl as mtl_mod
 from . import tsne as tsne_mod
+from .codec import from_dict
 from .corpus import (
     CorpusManifest,
     EmotionLabel,
@@ -26,21 +28,18 @@ from .corpus import (
     generate_synthetic,
     load_manifest,
     merge_records,
-    read_wav,
     stratified_split,
 )
-from .elm import ELMConfig, elm_fit, elm_predict, load_elm, save_elm
+from .elm import ELMConfig, elm_fit, elm_predict, save_elm
 from .features import (
     FeatureConfig,
+    Standardizer,
     apply_standardizer,
-    extract_features,
-    fit_standardizer,
     write_feature_csv,
     write_feature_file,
 )
-from .mtl import LabeledFeatures, MTLNetworkConfig, TrainConfig
+from .mtl import MTLNetworkConfig, TrainConfig
 from .nn import one_hot
-from .seeding import derive_seed
 
 
 def _write_config(out_dir: Path, payload: dict) -> None:
@@ -60,35 +59,25 @@ def _parse_sizes(text: str) -> tuple[int, ...]:
     return sizes
 
 
-def _network_config(args, defaults: MTLNetworkConfig) -> MTLNetworkConfig:
-    return MTLNetworkConfig(
-        trunk=args.trunk if args.trunk is not None else defaults.trunk,
-        layer_sizes=args.layer_sizes if args.layer_sizes is not None else defaults.layer_sizes,
-        subtask_mode=_subtask_mode(args.subtasks) if args.subtasks is not None else defaults.subtask_mode,
-        subtask_weight=args.subtask_weight if args.subtask_weight is not None else defaults.subtask_weight,
-    )
+def _given(args, **flags) -> dict:
+    """Config field -> flag value, for each flag that was given on the command line."""
+    return {name: getattr(args, flag) for name, flag in flags.items()
+            if getattr(args, flag, None) is not None}
 
 
-def _subtask_mode(flag: str) -> str:
-    return {"all": "all", "gender": "gender", "naturalness": "naturalness", "none": "none"}[flag]
+def _network_config(args, base: MTLNetworkConfig) -> MTLNetworkConfig:
+    overrides = _given(args, trunk="trunk", layer_sizes="layer_sizes",
+                       subtask_mode="subtasks", subtask_weight="subtask_weight")
+    if overrides.get("trunk", base.trunk) != base.trunk:
+        overrides["context_frames"] = 0  # re-derive the context width for the new trunk
+    return replace(base, **overrides)
 
 
-def _train_config(args, defaults: TrainConfig, seed: int) -> TrainConfig:
-    def pick(arg_name, field_name):
-        value = getattr(args, arg_name, None)
-        return getattr(defaults, field_name) if value is None else value
-
-    return TrainConfig(
-        batch_size=pick("batch_size", "batch_size"),
-        lr=pick("lr", "lr"),
-        dropout_p=pick("dropout", "dropout_p"),
-        max_epochs=pick("max_epochs", "max_epochs"),
-        patience=pick("patience", "patience"),
-        seed=seed,
-        lstm_chunk_frames=pick("chunk_frames", "lstm_chunk_frames"),
-        dnn_window_stride=pick("window_stride", "dnn_window_stride"),
-        clip_norm=defaults.clip_norm,
-    )
+def _train_config(args, base: TrainConfig, seed: int) -> TrainConfig:
+    return replace(base, seed=seed, **_given(
+        args, batch_size="batch_size", lr="lr", dropout_p="dropout", max_epochs="max_epochs",
+        patience="patience", lstm_chunk_frames="chunk_frames", dnn_window_stride="window_stride",
+    ))
 
 
 def _add_network_flags(sub):
@@ -142,8 +131,7 @@ def cmd_features(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     index_lines = ["utterance_id,feature_path,n_frames"]
     for rec in manifest.records:
-        samples, sr = read_wav(rec.audio_path)
-        matrix = extract_features(samples, sr, feature_config)
+        matrix = exp_mod.record_features(rec, feature_config, manifest.sample_rate)
         rel = f"{rec.utterance_id}.pmtl"
         write_feature_file(out_dir / rel, matrix)
         if args.csv:
@@ -160,23 +148,14 @@ def cmd_train(args) -> int:
     out_dir = Path(args.out)
     network = _network_config(args, MTLNetworkConfig())
     training = _train_config(args, TrainConfig(), args.seed)
-    feature_config = FeatureConfig()
 
-    plan = stratified_split([manifest], seed=args.seed)
-    fold = plan.folds[0]
-    records = merge_records([manifest])
-    feats = exp_mod.extract_feature_cache(records, feature_config, manifest.sample_rate)
+    # features for the train/validation utterances only; the test split is just counted
+    fold = stratified_split([manifest], seed=args.seed).folds[0]
+    used = set(fold.train_ids) | set(fold.validation_ids)
+    records = [r for r in manifest.records if r.utterance_id in used]
+    feats = exp_mod.extract_feature_cache(records, FeatureConfig(), manifest.sample_rate)
     labels_by_id = {r.utterance_id: exp_mod.record_labels(r) for r in records}
-    standardizer = fit_standardizer([feats[uid] for uid in fold.train_ids])
-
-    def dataset(ids):
-        return [
-            LabeledFeatures(uid, apply_standardizer(standardizer, feats[uid]), labels_by_id[uid])
-            for uid in ids
-        ]
-
-    model = mtl_mod.build_model(network, seed=args.seed)
-    trained = mtl_mod.train(model, dataset(fold.train_ids), dataset(fold.validation_ids), training)
+    trained, standardizer, _ = exp_mod.fit_fold(fold, feats, labels_by_id, network, training)
     mtl_mod.save_model(
         out_dir / "model.ckpt",
         trained,
@@ -186,8 +165,8 @@ def cmd_train(args) -> int:
     _write_config(out_dir, {
         "command": "train",
         "manifest": str(Path(args.manifest).resolve()),
-        "network": mtl_mod.network_config_to_dict(network),
-        "training": mtl_mod.train_config_to_dict(training),
+        "network": asdict(network),
+        "training": asdict(training),
         "seed": args.seed,
         "split": {"train": len(fold.train_ids), "val": len(fold.validation_ids),
                   "test": len(fold.test_ids)},
@@ -198,9 +177,7 @@ def cmd_train(args) -> int:
 
 
 def _load_model_with_standardizer(path: Path):
-    from .features import Standardizer
-
-    model, header, extras = mtl_mod.load_model(path)
+    model, _, extras = mtl_mod.load_model(path)
     if "standardizer.mean" not in extras or "standardizer.std" not in extras:
         raise ValueError(f"checkpoint {path} carries no standardizer statistics")
     standardizer = Standardizer(mean=extras["standardizer.mean"], std=extras["standardizer.std"])
@@ -213,9 +190,8 @@ def cmd_hlf(args) -> int:
     feature_config = FeatureConfig()
     rows = []
     for rec in manifest.records:
-        samples, sr = read_wav(rec.audio_path)
-        matrix = apply_standardizer(standardizer, extract_features(samples, sr, feature_config))
-        posteriors = model.emotion_posteriors(matrix)
+        features = exp_mod.record_features(rec, feature_config, manifest.sample_rate)
+        posteriors = model.emotion_posteriors(apply_standardizer(standardizer, features))
         rows.append((rec.utterance_id, hlf_mod.compute_hlf(posteriors, args.theta), rec))
     out_path = Path(args.out)
     hlf_mod.write_hlf_csv(out_path, rows)
@@ -246,23 +222,17 @@ def cmd_elm(args) -> int:
 
 def cmd_xval(args) -> int:
     if args.config is not None:
-        base = exp_mod.PipelineConfig.from_dict(
-            json.loads(Path(args.config).read_text(encoding="utf-8"))["pipeline"]
-        )
+        saved = json.loads(Path(args.config).read_text(encoding="utf-8"))["pipeline"]
+        base = from_dict(exp_mod.PipelineConfig, saved)
     else:
         base = exp_mod.PipelineConfig()
     seed = args.seed if args.seed is not None else base.seed
-    network = _network_config(args, base.network)
-    training = _train_config(args, base.training, seed)
-    config = exp_mod.PipelineConfig(
-        protocol=args.protocol if args.protocol is not None else base.protocol,
-        network=network,
-        training=training,
-        features=base.features,
-        elm=base.elm,
-        hlf_theta=base.hlf_theta,
+    config = replace(
+        base,
+        network=_network_config(args, base.network),
+        training=_train_config(args, base.training, seed),
         seed=seed,
-        group_key=args.group_key if args.group_key is not None else base.group_key,
+        **_given(args, protocol="protocol", group_key="group_key"),
     )
     manifests = [load_manifest(path) for path in args.manifest]
     if config.protocol == "within" and args.corpus is not None:
@@ -273,7 +243,7 @@ def cmd_xval(args) -> int:
 
     out_dir = Path(args.out)
     _write_config(out_dir, {"command": "xval", "grid": bool(args.grid),
-                            "jobs": args.jobs, "pipeline": config.to_dict()})
+                            "jobs": args.jobs, "pipeline": asdict(config)})
     if args.grid:
         grid = exp_mod.run_grid(manifests, config, jobs=args.jobs)
         exp_mod.write_grid_report(grid, out_dir)
@@ -312,8 +282,10 @@ def cmd_embed(args) -> int:
 
 def cmd_report(args) -> int:
     if args.compare is not None:
-        report_a = exp_mod.report_from_dict(json.loads(Path(args.compare[0]).read_text(encoding="utf-8")))
-        report_b = exp_mod.report_from_dict(json.loads(Path(args.compare[1]).read_text(encoding="utf-8")))
+        report_a, report_b = (
+            from_dict(exp_mod.ExperimentReport, json.loads(Path(path).read_text(encoding="utf-8")))
+            for path in args.compare
+        )
         result = exp_mod.compare_reports(report_a, report_b)
         print(json.dumps(result, sort_keys=True, indent=2))
         return 0

@@ -119,9 +119,6 @@ class CorpusManifest:
     def speakers(self) -> tuple[str, ...]:
         return tuple(sorted({r.speaker_id for r in self.records}))
 
-    def by_id(self) -> dict[str, UtteranceRecord]:
-        return {r.utterance_id: r for r in self.records}
-
     def label_counts(self) -> dict[str, dict[str, Counter]]:
         """Per-corpus counts of emotion/gender/naturalness values and speakers."""
         table: dict[str, dict[str, Counter]] = {}

@@ -2,13 +2,14 @@
 sigmoid hidden layer plus ridge-regularized least-squares output weights."""
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from . import nn
+from .codec import from_dict
 from .seeding import derive_seed
 
 
@@ -89,34 +90,21 @@ def elm_predict(model: ELMModel, x: np.ndarray):
 
 
 def save_elm(path: str | Path, model: ELMModel) -> Path:
-    header = {
-        "kind": "elm",
-        "n_hidden": model.config.n_hidden,
-        "activation": model.config.activation,
-        "ridge": model.config.ridge,
-        "seed": model.config.seed,
-    }
     params = {
         "input_weights": model.input_weights,
         "input_bias": model.input_bias,
         "output_weights": model.output_weights,
     }
-    return nn.save_checkpoint(path, params, header)
+    return nn.save_checkpoint(path, params, {"kind": "elm", **asdict(model.config)})
 
 
 def load_elm(path: str | Path) -> ELMModel:
     params, header = nn.load_checkpoint(path)
-    if header.get("kind") != "elm":
+    if header.pop("kind", None) != "elm":
         raise ValueError(f"not an ELM checkpoint: {path}")
-    config = ELMConfig(
-        n_hidden=header["n_hidden"],
-        activation=header["activation"],
-        ridge=header["ridge"],
-        seed=header["seed"],
-    )
     return ELMModel(
         input_weights=params["input_weights"],
         input_bias=params["input_bias"],
         output_weights=params["output_weights"],
-        config=config,
+        config=from_dict(ELMConfig, header),
     )

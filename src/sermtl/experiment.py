@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -27,20 +27,15 @@ from .corpus import (
     stratified_split,
 )
 from .elm import ELMConfig, elm_fit, elm_predict
-from .features import FeatureConfig, apply_standardizer, extract_features, fit_standardizer
-from .hlf import compute_hlf
-from .mtl import (
-    LabeledFeatures,
-    MTLNetworkConfig,
-    TrainConfig,
-    build_model,
-    emotion_posteriors,
-    network_config_from_dict,
-    network_config_to_dict,
-    train,
-    train_config_from_dict,
-    train_config_to_dict,
+from .features import (
+    FeatureConfig,
+    Standardizer,
+    apply_standardizer,
+    extract_features,
+    fit_standardizer,
 )
+from .hlf import compute_hlf
+from .mtl import LabeledFeatures, MTLNetworkConfig, MultiTaskModel, TrainConfig, TrainedModel, train
 from .nn import one_hot
 from .seeding import derive_seed
 
@@ -79,51 +74,6 @@ class PipelineConfig:
         if self.protocol not in PROTOCOLS:
             raise ValueError(f"unknown protocol: {self.protocol!r}")
 
-    def to_dict(self) -> dict:
-        return {
-            "protocol": self.protocol,
-            "network": network_config_to_dict(self.network),
-            "training": train_config_to_dict(self.training),
-            "features": {
-                "window_ms": self.features.window_ms,
-                "hop_ms": self.features.hop_ms,
-                "n_mfcc": self.features.n_mfcc,
-                "n_mel_filters": self.features.n_mel_filters,
-                "fft_size": self.features.fft_size,
-                "pre_emphasis": self.features.pre_emphasis,
-                "f0_min_hz": self.features.f0_min_hz,
-                "f0_max_hz": self.features.f0_max_hz,
-                "delta_window": self.features.delta_window,
-                "voicing_threshold": self.features.voicing_threshold,
-                "mel_low_hz": self.features.mel_low_hz,
-                "mel_high_hz": self.features.mel_high_hz,
-            },
-            "elm": {
-                "n_hidden": self.elm.n_hidden,
-                "activation": self.elm.activation,
-                "ridge": self.elm.ridge,
-                "seed": self.elm.seed,
-            },
-            "hlf_theta": self.hlf_theta,
-            "seed": self.seed,
-            "group_key": self.group_key,
-            "fractions": list(self.fractions),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "PipelineConfig":
-        return cls(
-            protocol=data["protocol"],
-            network=network_config_from_dict(data["network"]),
-            training=train_config_from_dict(data["training"]),
-            features=FeatureConfig(**data["features"]),
-            elm=ELMConfig(**data["elm"]),
-            hlf_theta=data["hlf_theta"],
-            seed=data["seed"],
-            group_key=data.get("group_key", "corpus"),
-            fractions=tuple(data.get("fractions", (0.8, 0.1, 0.1))),
-        )
-
 
 @dataclass
 class FoldResult:
@@ -137,8 +87,7 @@ class FoldResult:
     per_class_recall: list[float | None]
     best_epoch: int
     epochs_run: int
-    best_val_total: float
-    history: list[dict] = field(default_factory=list)
+    best_val_total: float | None
     error: str | None = None
 
 
@@ -146,13 +95,9 @@ class FoldResult:
 class ExperimentReport:
     protocol: str
     seed: int
-    config: dict
+    config: PipelineConfig
     folds: list[FoldResult]
     mean_ua: float | None
-    comparisons: list[dict] = field(default_factory=list)
-
-    def fold_uas(self) -> list[float | None]:
-        return [f.ua for f in self.folds]
 
 
 def record_labels(rec: UtteranceRecord) -> dict[str, int]:
@@ -163,16 +108,19 @@ def record_labels(rec: UtteranceRecord) -> dict[str, int]:
     }
 
 
+def record_features(rec: UtteranceRecord, feature_config: FeatureConfig,
+                    sample_rate: int) -> np.ndarray:
+    """The 32-dim feature matrix of one utterance; its WAV must be at the manifest's rate."""
+    samples, sr = read_wav(rec.audio_path)
+    if sr != sample_rate:
+        raise ValueError(f"{rec.audio_path}: sample rate {sr} != manifest {sample_rate}")
+    return extract_features(samples, sr, feature_config)
+
+
 def extract_feature_cache(records, feature_config: FeatureConfig,
                           sample_rate: int) -> dict[str, np.ndarray]:
     """Extract the 32-dim feature matrix once per utterance."""
-    cache: dict[str, np.ndarray] = {}
-    for rec in records:
-        samples, sr = read_wav(rec.audio_path)
-        if sr != sample_rate:
-            raise ValueError(f"{rec.audio_path}: sample rate {sr} != manifest {sample_rate}")
-        cache[rec.utterance_id] = extract_features(samples, sr, feature_config)
-    return cache
+    return {rec.utterance_id: record_features(rec, feature_config, sample_rate) for rec in records}
 
 
 def build_fold_plan(manifests, config: PipelineConfig) -> FoldPlan:
@@ -183,28 +131,34 @@ def build_fold_plan(manifests, config: PipelineConfig) -> FoldPlan:
     return stratified_split(manifests, config.fractions, seed=config.seed)
 
 
+def fit_fold(fold: Fold, feats: dict[str, np.ndarray], labels_by_id: dict[str, dict[str, int]],
+             network: MTLNetworkConfig, training: TrainConfig
+             ) -> tuple[TrainedModel, Standardizer, dict[str, LabeledFeatures]]:
+    """Fit the standardizer on the fold's training utterances, standardize each
+    utterance in ``feats`` once, and train a model seeded with ``training.seed``
+    on the fold's train/validation split."""
+    standardizer = fit_standardizer([feats[uid] for uid in fold.train_ids])
+    data = {
+        uid: LabeledFeatures(uid, apply_standardizer(standardizer, matrix), labels_by_id[uid])
+        for uid, matrix in feats.items()
+    }
+    model = MultiTaskModel(network, seed=training.seed)
+    trained = train(model, [data[uid] for uid in fold.train_ids],
+                    [data[uid] for uid in fold.validation_ids], training)
+    return trained, standardizer, data
+
+
 def _run_fold(fold_index: int, fold: Fold, labels_by_id: dict[str, dict[str, int]],
               feats: dict[str, np.ndarray], config: PipelineConfig) -> FoldResult:
     fold_seed = derive_seed(config.seed, "fold", fold_index)
-    standardizer = fit_standardizer([feats[uid] for uid in fold.train_ids])
-
-    def dataset(ids):
-        return [
-            LabeledFeatures(uid, apply_standardizer(standardizer, feats[uid]), labels_by_id[uid])
-            for uid in ids
-        ]
-
-    model = build_model(config.network, seed=fold_seed)
-    tc = replace(config.training, seed=fold_seed)
-    trained = train(model, dataset(fold.train_ids), dataset(fold.validation_ids), tc)
+    trained, _, data = fit_fold(fold, feats, labels_by_id, config.network,
+                                replace(config.training, seed=fold_seed))
 
     def hlf_matrix(ids):
-        rows = [
-            compute_hlf(emotion_posteriors(trained, apply_standardizer(standardizer, feats[uid])),
-                        config.hlf_theta)
+        return np.stack([
+            compute_hlf(trained.model.emotion_posteriors(data[uid].features), config.hlf_theta)
             for uid in ids
-        ]
-        return np.stack(rows)
+        ])
 
     y_train = np.array([labels_by_id[uid]["emotion"] for uid in fold.train_ids], dtype=np.int64)
     y_test = np.array([labels_by_id[uid]["emotion"] for uid in fold.test_ids], dtype=np.int64)
@@ -244,7 +198,7 @@ def _fold_worker(payload) -> FoldResult:
             per_class_recall=[None] * 4,
             best_epoch=-1,
             epochs_run=0,
-            best_val_total=float("nan"),
+            best_val_total=None,
             error=f"{type(exc).__name__}: {exc}",
         )
 
@@ -280,7 +234,7 @@ def run_experiment(manifests, config: PipelineConfig, jobs: int = 1,
     return ExperimentReport(
         protocol=config.protocol,
         seed=config.seed,
-        config=config.to_dict(),
+        config=config,
         folds=results,
         mean_ua=float(np.mean(uas)) if uas else None,
     )
@@ -315,69 +269,12 @@ def compare_reports(report_a: ExperimentReport, report_b: ExperimentReport,
     }
 
 
-# ---------------------------------------------------------------------------
-# Report serialization
-# ---------------------------------------------------------------------------
-
-def report_to_dict(report: ExperimentReport) -> dict:
-    return {
-        "protocol": report.protocol,
-        "seed": report.seed,
-        "config": report.config,
-        "mean_ua": report.mean_ua,
-        "folds": [
-            {
-                "fold": f.fold,
-                "test_group": f.test_group,
-                "n_train": f.n_train,
-                "n_val": f.n_val,
-                "n_test": f.n_test,
-                "confusion": f.confusion,
-                "ua": f.ua,
-                "per_class_recall": f.per_class_recall,
-                "best_epoch": f.best_epoch,
-                "epochs_run": f.epochs_run,
-                "best_val_total": None if f.best_val_total != f.best_val_total else f.best_val_total,
-                "error": f.error,
-            }
-            for f in report.folds
-        ],
-    }
-
-
-def report_from_dict(data: dict) -> ExperimentReport:
-    folds = [
-        FoldResult(
-            fold=f["fold"],
-            test_group=f["test_group"],
-            n_train=f["n_train"],
-            n_val=f["n_val"],
-            n_test=f["n_test"],
-            confusion=f["confusion"],
-            ua=f["ua"],
-            per_class_recall=f["per_class_recall"],
-            best_epoch=f["best_epoch"],
-            epochs_run=f["epochs_run"],
-            best_val_total=float("nan") if f["best_val_total"] is None else f["best_val_total"],
-            error=f.get("error"),
-        )
-        for f in data["folds"]
-    ]
-    return ExperimentReport(
-        protocol=data["protocol"],
-        seed=data["seed"],
-        config=data["config"],
-        folds=folds,
-        mean_ua=data["mean_ua"],
-    )
-
-
 def write_report(report: ExperimentReport, out_dir: str | Path) -> Path:
     """Emit report.json, report.csv, and one confusion CSV per fold."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "report.json").write_text(
-        json.dumps(report_to_dict(report), sort_keys=True, indent=2) + "\n", encoding="utf-8"
+        json.dumps(asdict(report), sort_keys=True, indent=2) + "\n", encoding="utf-8"
     )
     emotion_names = [label.value for label in corpus_mod.EMOTION_CLASSES]
     lines = ["fold,test_group,n_test,ua," + ",".join(f"recall_{n}" for n in emotion_names)]
@@ -424,13 +321,8 @@ def run_grid(manifests, base_config: PipelineConfig, jobs: int = 1) -> GridRepor
     for trunk, mode in GRID_CONFIGS:
         name = grid_config_name(trunk, mode)
         names.append(name)
-        network = MTLNetworkConfig(
-            trunk=trunk,
-            layer_sizes=base_config.network.layer_sizes,
-            subtask_mode=mode,
-            subtask_weight=base_config.network.subtask_weight,
-            n_features=base_config.network.n_features,
-        )
+        # context_frames=0 re-derives the context width for each trunk
+        network = replace(base_config.network, trunk=trunk, subtask_mode=mode, context_frames=0)
         cfg = replace(base_config, network=network)
         reports[name] = run_experiment(manifests, cfg, jobs=jobs, feature_cache=feature_cache)
 
@@ -464,24 +356,11 @@ def run_grid(manifests, base_config: PipelineConfig, jobs: int = 1) -> GridRepor
     )
 
 
-def grid_report_to_dict(grid: GridReport) -> dict:
-    return {
-        "protocol": grid.protocol,
-        "seed": grid.seed,
-        "config_names": grid.config_names,
-        "test_groups": grid.test_groups,
-        "ua_table": grid.ua_table,
-        "mean_ua": grid.mean_ua,
-        "comparisons": grid.comparisons,
-        "errors": grid.errors,
-    }
-
-
 def write_grid_report(grid: GridReport, out_dir: str | Path) -> Path:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "grid_report.json").write_text(
-        json.dumps(grid_report_to_dict(grid), sort_keys=True, indent=2) + "\n", encoding="utf-8"
+        json.dumps(asdict(grid), sort_keys=True, indent=2) + "\n", encoding="utf-8"
     )
     lines = ["test_group," + ",".join(grid.config_names)]
     for group in grid.test_groups:

@@ -5,12 +5,13 @@ in checkpoints but never used at inference).
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import nn
+from .codec import from_dict
 from .seeding import derive_seed
 
 TASK_EMOTION = "emotion"
@@ -96,6 +97,8 @@ class TrainConfig:
             raise ValueError("require 0 <= patience < max_epochs")
         if self.lstm_chunk_frames < 1 or self.dnn_window_stride < 1:
             raise ValueError("chunk length and window stride must be >= 1")
+        if not 0.0 <= self.dropout_p < 1.0:
+            raise ValueError("dropout_p must be in [0, 1)")
 
 
 @dataclass(frozen=True)
@@ -162,18 +165,15 @@ class MultiTaskModel:
                 params[f"head.{head.name}.{key}"] = arr
         return params
 
-    def n_parameters(self) -> int:
-        return sum(arr.size for arr in self.parameters().values())
-
     # -- forward/backward -------------------------------------------------
 
     def _trunk_forward(self, x, dropout_p: float, rng, train: bool):
-        spec = nn.DropoutSpec(p=dropout_p, mode="train" if train else "eval")
+        p = dropout_p if train else 0.0
         caches = []
         h = x
         for layer in self.trunk_layers:
             h, cache = layer.forward(h)
-            h, mask = nn.dropout(h, spec, rng)
+            h, mask = nn.dropout(h, p, rng)
             caches.append((cache, mask))
         return h, caches
 
@@ -279,10 +279,6 @@ class MultiTaskModel:
         return _stable_softmax(logits)
 
 
-def build_model(config: MTLNetworkConfig, seed: int = 0) -> MultiTaskModel:
-    return MultiTaskModel(config, seed)
-
-
 # ---------------------------------------------------------------------------
 # Training
 # ---------------------------------------------------------------------------
@@ -299,56 +295,50 @@ class EpochStats:
 @dataclass
 class TrainedModel:
     model: MultiTaskModel
-    network_config: MTLNetworkConfig
     train_config: TrainConfig
     history: list[EpochStats]
     best_epoch: int
     best_val_total: float
 
-    def emotion_posteriors(self, features: np.ndarray) -> np.ndarray:
-        return self.model.emotion_posteriors(features)
 
-
-def _dnn_index(dataset, context: int, stride: int):
+def _sample_index(config: MTLNetworkConfig, dataset, tc: TrainConfig) -> list[tuple[int, int, int]]:
+    """(utterance, first frame, frame count) of every sample in ``dataset``: DNN
+    context windows every ``dnn_window_stride`` frames, or LSTM chunks of up to
+    ``lstm_chunk_frames`` frames."""
     index = []
     for u, item in enumerate(dataset):
         n = item.features.shape[0]
-        for start in range(0, n - context + 1, stride):
-            index.append((u, start))
+        if config.trunk == "dnn":
+            context = config.context_frames
+            index += [(u, s, context) for s in range(0, n - context + 1, tc.dnn_window_stride)]
+        else:
+            chunk = tc.lstm_chunk_frames
+            index += [(u, s, min(chunk, n - s)) for s in range(0, n, chunk)]
     return index
 
 
-def _lstm_index(dataset, chunk: int):
-    index = []
-    for u, item in enumerate(dataset):
-        n = item.features.shape[0]
-        for start in range(0, n, chunk):
-            index.append((u, start, min(chunk, n - start)))
-    return index
+def _batches(config: MTLNetworkConfig, dataset, index, order, batch_size: int):
+    """Yield (position in ``order``, batch) over consecutive slices of ``order``.
 
-
-def _collate_dnn(dataset, index, picks, context, heads):
-    x = np.stack([dataset[u].features[s : s + context].reshape(-1) for u, s in (index[i] for i in picks)])
-    targets = {
-        h.name: np.array([dataset[index[i][0]].labels[h.name] for i in picks], dtype=np.int64)
-        for h in heads
-    }
-    return {"x": x, "targets": targets}
-
-
-def _collate_lstm(dataset, index, picks, heads, n_features):
-    items = [index[i] for i in picks]
-    max_len = max(length for _, _, length in items)
-    x = np.zeros((len(items), max_len, n_features))
-    mask = np.zeros((len(items), max_len), dtype=bool)
-    for row, (u, start, length) in enumerate(items):
-        x[row, :length] = dataset[u].features[start : start + length]
-        mask[row, :length] = True
-    targets = {
-        h.name: np.array([dataset[u].labels[h.name] for u, _, _ in items], dtype=np.int64)
-        for h in heads
-    }
-    return {"x": x, "mask": mask, "targets": targets}
+    DNN batches flatten each context window into one input row; LSTM batches
+    zero-pad chunks to the longest one and carry a (B, T) validity mask.
+    """
+    for start in range(0, len(order), batch_size):
+        items = [index[i] for i in order[start : start + batch_size]]
+        batch = {"targets": {
+            h.name: np.array([dataset[u].labels[h.name] for u, _, _ in items], dtype=np.int64)
+            for h in config.heads
+        }}
+        if config.trunk == "dnn":
+            batch["x"] = np.stack([dataset[u].features[s : s + n].reshape(-1) for u, s, n in items])
+        else:
+            x = np.zeros((len(items), max(n for _, _, n in items), config.n_features))
+            mask = np.zeros(x.shape[:2], dtype=bool)
+            for row, (u, s, n) in enumerate(items):
+                x[row, :n] = dataset[u].features[s : s + n]
+                mask[row, :n] = True
+            batch["x"], batch["mask"] = x, mask
+        yield start, batch
 
 
 def _batch_weight(batch) -> int:
@@ -357,30 +347,25 @@ def _batch_weight(batch) -> int:
     return int(batch["x"].shape[0])
 
 
-def _dataset_losses(model, dataset, tc: TrainConfig):
-    """Weighted per-task losses over a dataset in eval mode (no dropout)."""
-    heads = model.config.heads
-    if model.config.trunk == "dnn":
-        index = _dnn_index(dataset, model.config.context_frames, tc.dnn_window_stride)
-    else:
-        index = _lstm_index(dataset, tc.lstm_chunk_frames)
-    if not index:
-        raise ValueError("dataset produced no evaluation samples")
+def _mean_losses(weighted, heads) -> dict[str, float]:
+    """Per-task losses averaged over (losses, weight) pairs, one per batch."""
     sums = {h.name: 0.0 for h in heads}
     weight_total = 0
-    for start in range(0, len(index), tc.batch_size):
-        picks = range(start, min(start + tc.batch_size, len(index)))
-        if model.config.trunk == "dnn":
-            batch = _collate_dnn(dataset, index, picks, model.config.context_frames, heads)
-        else:
-            batch = _collate_lstm(dataset, index, picks, heads, model.config.n_features)
-        losses, _, _ = model.loss_and_grads(batch, dropout_p=0.0, rng=None, train=False)
-        w = _batch_weight(batch)
+    for losses, w in weighted:
         weight_total += w
         for name, value in losses.items():
             sums[name] += value * w
-    mean_losses = {name: value / weight_total for name, value in sums.items()}
-    return mean_losses, total_loss(mean_losses, heads)
+    return {name: value / weight_total for name, value in sums.items()}
+
+
+def _dataset_losses(model, dataset, index, tc: TrainConfig):
+    """Weighted per-task losses over a dataset in eval mode (no dropout)."""
+    weighted = []
+    for _, batch in _batches(model.config, dataset, index, range(len(index)), tc.batch_size):
+        losses, _, _ = model.loss_and_grads(batch, dropout_p=0.0, rng=None, train=False)
+        weighted.append((losses, _batch_weight(batch)))
+    mean_losses = _mean_losses(weighted, model.config.heads)
+    return mean_losses, total_loss(mean_losses, model.config.heads)
 
 
 def train(model: MultiTaskModel, train_set, val_set, tc: TrainConfig) -> TrainedModel:
@@ -395,17 +380,18 @@ def train(model: MultiTaskModel, train_set, val_set, tc: TrainConfig) -> Trained
     if overlap:
         raise ValueError(f"train/validation overlap: {sorted(overlap)[:3]}")
 
-    heads = model.config.heads
+    config = model.config
+    heads = config.heads
     params = model.parameters()
     adam = nn.AdamState.for_params(params, lr=tc.lr)
     rng = np.random.default_rng(derive_seed(tc.seed, "train"))
 
-    if model.config.trunk == "dnn":
-        index = _dnn_index(train_set, model.config.context_frames, tc.dnn_window_stride)
-    else:
-        index = _lstm_index(train_set, tc.lstm_chunk_frames)
+    index = _sample_index(config, train_set, tc)
     if not index:
         raise ValueError("training set produced no samples (all utterances too short?)")
+    val_index = _sample_index(config, val_set, tc)
+    if not val_index:
+        raise ValueError("dataset produced no evaluation samples")
 
     history: list[EpochStats] = []
     best_val = np.inf
@@ -414,15 +400,9 @@ def train(model: MultiTaskModel, train_set, val_set, tc: TrainConfig) -> Trained
     since_best = 0
 
     for epoch in range(tc.max_epochs):
-        order = rng.permutation(len(index))
-        sums = {h.name: 0.0 for h in heads}
-        weight_total = 0
-        for start in range(0, len(order), tc.batch_size):
-            picks = [int(i) for i in order[start : start + tc.batch_size]]
-            if model.config.trunk == "dnn":
-                batch = _collate_dnn(train_set, index, picks, model.config.context_frames, heads)
-            else:
-                batch = _collate_lstm(train_set, index, picks, heads, model.config.n_features)
+        weighted = []
+        for start, batch in _batches(config, train_set, index, rng.permutation(len(index)),
+                                     tc.batch_size):
             losses, batch_total, grads = model.loss_and_grads(
                 batch, dropout_p=tc.dropout_p, rng=rng, train=True
             )
@@ -432,12 +412,9 @@ def train(model: MultiTaskModel, train_set, val_set, tc: TrainConfig) -> Trained
                 )
             nn.clip_global_norm(grads, tc.clip_norm)
             nn.adam_step(adam, params, grads)
-            w = _batch_weight(batch)
-            weight_total += w
-            for name, value in losses.items():
-                sums[name] += value * w
-        train_losses = {name: value / weight_total for name, value in sums.items()}
-        val_losses, val_total = _dataset_losses(model, val_set, tc)
+            weighted.append((losses, _batch_weight(batch)))
+        train_losses = _mean_losses(weighted, heads)
+        val_losses, val_total = _dataset_losses(model, val_set, val_index, tc)
         history.append(
             EpochStats(
                 epoch=epoch,
@@ -462,7 +439,6 @@ def train(model: MultiTaskModel, train_set, val_set, tc: TrainConfig) -> Trained
         arr[...] = best_params[name]
     return TrainedModel(
         model=model,
-        network_config=model.config,
         train_config=tc,
         history=history,
         best_epoch=best_epoch,
@@ -470,70 +446,23 @@ def train(model: MultiTaskModel, train_set, val_set, tc: TrainConfig) -> Trained
     )
 
 
-def emotion_posteriors(trained: TrainedModel | MultiTaskModel, features: np.ndarray) -> np.ndarray:
-    model = trained.model if isinstance(trained, TrainedModel) else trained
-    return model.emotion_posteriors(features)
-
-
 # ---------------------------------------------------------------------------
 # Run-directory artifacts
 # ---------------------------------------------------------------------------
-
-def network_config_to_dict(config: MTLNetworkConfig) -> dict:
-    return {
-        "trunk": config.trunk,
-        "layer_sizes": list(config.layer_sizes),
-        "context_frames": config.context_frames,
-        "subtask_mode": config.subtask_mode,
-        "subtask_weight": config.subtask_weight,
-        "n_features": config.n_features,
-    }
-
-
-def network_config_from_dict(data: dict) -> MTLNetworkConfig:
-    return MTLNetworkConfig(
-        trunk=data["trunk"],
-        layer_sizes=tuple(data["layer_sizes"]),
-        context_frames=data["context_frames"],
-        subtask_mode=data["subtask_mode"],
-        subtask_weight=data["subtask_weight"],
-        n_features=data.get("n_features", 32),
-    )
-
-
-def train_config_to_dict(tc: TrainConfig) -> dict:
-    return {
-        "batch_size": tc.batch_size,
-        "lr": tc.lr,
-        "dropout_p": tc.dropout_p,
-        "max_epochs": tc.max_epochs,
-        "patience": tc.patience,
-        "seed": tc.seed,
-        "lstm_chunk_frames": tc.lstm_chunk_frames,
-        "dnn_window_stride": tc.dnn_window_stride,
-        "clip_norm": tc.clip_norm,
-    }
-
-
-def train_config_from_dict(data: dict) -> TrainConfig:
-    return TrainConfig(**data)
-
 
 def save_model(path: str | Path, trained: TrainedModel,
                extra_params: dict[str, np.ndarray] | None = None) -> Path:
     params = dict(trained.model.parameters())
     if extra_params:
         params.update(extra_params)
+    config = trained.model.config
     header = {
-        "network": network_config_to_dict(trained.network_config),
-        "training": train_config_to_dict(trained.train_config),
+        "network": asdict(config),
+        "training": asdict(trained.train_config),
         "model_seed": trained.model.seed,
         "best_epoch": trained.best_epoch,
         "best_val_total": trained.best_val_total,
-        "heads": [
-            {"name": h.name, "n_classes": h.n_classes, "loss_weight": h.loss_weight}
-            for h in trained.network_config.heads
-        ],
+        "heads": [asdict(h) for h in config.heads],
     }
     return nn.save_checkpoint(path, params, header)
 
@@ -541,8 +470,7 @@ def save_model(path: str | Path, trained: TrainedModel,
 def load_model(path: str | Path):
     """Load a model checkpoint. Returns (MultiTaskModel, header, extra_params)."""
     params, header = nn.load_checkpoint(path)
-    config = network_config_from_dict(header["network"])
-    model = MultiTaskModel(config, seed=header.get("model_seed", 0))
+    model = MultiTaskModel(from_dict(MTLNetworkConfig, header["network"]), seed=header["model_seed"])
     own = model.parameters()
     extras: dict[str, np.ndarray] = {}
     for name, values in params.items():

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -90,27 +90,6 @@ class LSTMLayer:
         self.w_h = _glorot((4 * n_hidden, n_hidden), rng)
         self.b = np.zeros(4 * n_hidden)
         self.b[n_hidden : 2 * n_hidden] = forget_bias
-
-    def _gate_slice(self, gate: str) -> slice:
-        order = {"i": 0, "f": 1, "g": 2, "o": 3}[gate]
-        return slice(order * self.n_hidden, (order + 1) * self.n_hidden)
-
-    @property
-    def w_xi(self): return self.w_x[self._gate_slice("i")]
-    @property
-    def w_xf(self): return self.w_x[self._gate_slice("f")]
-    @property
-    def w_xg(self): return self.w_x[self._gate_slice("g")]
-    @property
-    def w_xo(self): return self.w_x[self._gate_slice("o")]
-    @property
-    def w_hi(self): return self.w_h[self._gate_slice("i")]
-    @property
-    def w_hf(self): return self.w_h[self._gate_slice("f")]
-    @property
-    def w_hg(self): return self.w_h[self._gate_slice("g")]
-    @property
-    def w_ho(self): return self.w_h[self._gate_slice("o")]
 
     def parameters(self) -> dict[str, np.ndarray]:
         return {"w_x": self.w_x, "w_h": self.w_h, "b": self.b}
@@ -223,26 +202,17 @@ def softmax_xent(logits: np.ndarray, targets: np.ndarray):
     return loss, probs, dlogits
 
 
-@dataclass(frozen=True)
-class DropoutSpec:
-    p: float = 0.5
-    mode: str = "train"
-
-    def __post_init__(self):
-        if not (0.0 <= self.p < 1.0):
-            raise ValueError("drop probability must be in [0, 1)")
-        if self.mode not in ("train", "eval"):
-            raise ValueError("mode must be 'train' or 'eval'")
-
-
-def dropout(x: np.ndarray, spec: DropoutSpec, rng: np.random.Generator | None = None):
-    """Inverted dropout. Returns (output, scale_mask); the mask is None in eval mode."""
-    if spec.mode == "eval" or spec.p == 0.0:
+def dropout(x: np.ndarray, p: float, rng: np.random.Generator | None = None):
+    """Inverted dropout with drop probability ``p``. Returns (output, scale_mask);
+    at ``p == 0`` (evaluation) the input passes through and the mask is None."""
+    if not 0.0 <= p < 1.0:
+        raise ValueError("drop probability must be in [0, 1)")
+    if p == 0.0:
         return x, None
     if rng is None:
-        raise ValueError("train-mode dropout needs an rng")
-    keep = rng.random(x.shape) >= spec.p
-    mask = keep / (1.0 - spec.p)
+        raise ValueError("dropout needs an rng")
+    keep = rng.random(x.shape) >= p
+    mask = keep / (1.0 - p)
     return x * mask, mask
 
 
@@ -368,13 +338,15 @@ def save_checkpoint(path: str | Path, params: dict[str, np.ndarray], header: dic
 
 
 def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
+    """Returns (params, header), the header as it was given to `save_checkpoint`."""
     with open(path, "rb") as fh:
         (head_len,) = struct.unpack("<I", fh.read(4))
         header = json.loads(fh.read(head_len).decode("utf-8"))
-        if header.get("format") != CHECKPOINT_FORMAT:
+        if header.pop("format", None) != CHECKPOINT_FORMAT:
             raise ValueError(f"not a {CHECKPOINT_FORMAT} checkpoint: {path}")
+        del header["dtype"]
         params: dict[str, np.ndarray] = {}
-        for entry in header["params"]:
+        for entry in header.pop("params"):
             shape = tuple(entry["shape"])
             count = int(np.prod(shape)) if shape else 1
             data = np.frombuffer(fh.read(4 * count), dtype="<f4")

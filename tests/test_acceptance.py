@@ -21,7 +21,7 @@ from sermtl.elm import ELMConfig, elm_fit
 from sermtl.features import FEATURE_COLUMNS, extract_features
 from sermtl.hlf import HLF_DIM, compute_hlf
 from sermtl.metrics import _average_ranks, unweighted_accuracy, wilcoxon_signed_rank
-from sermtl.mtl import MTLNetworkConfig, TrainConfig, build_model, total_loss
+from sermtl.mtl import MTLNetworkConfig, MultiTaskModel, TrainConfig, total_loss
 from sermtl.seeding import derive_seed
 from sermtl.tsne import TsneConfig, compute_affinities, kl_and_gradient, kl_divergence, tsne_embed
 
@@ -87,10 +87,10 @@ def test_criterion_02_weighted_loss_reduction():
 
         # lambda = 0: training gradients of the shared parameters match the
         # single-task model bitwise, dropout masks included
-        mtl = build_model(MTLNetworkConfig(trunk="lstm", layer_sizes=(8, 8),
-                                           subtask_mode="all", subtask_weight=0.0), seed=3)
-        stl = build_model(MTLNetworkConfig(trunk="lstm", layer_sizes=(8, 8),
-                                           subtask_mode="none"), seed=3)
+        mtl = MultiTaskModel(MTLNetworkConfig(trunk="lstm", layer_sizes=(8, 8),
+                                              subtask_mode="all", subtask_weight=0.0), seed=3)
+        stl = MultiTaskModel(MTLNetworkConfig(trunk="lstm", layer_sizes=(8, 8),
+                                              subtask_mode="none"), seed=3)
         stl_batch = {"x": batch["x"], "mask": batch["mask"],
                      "targets": {"emotion": batch["targets"]["emotion"]}}
         rng_a = np.random.default_rng(11)
@@ -101,8 +101,8 @@ def test_criterion_02_weighted_loss_reduction():
             assert grads_mtl[name].tobytes() == grad.tobytes(), name
 
         # lambda = 0.1: the total equals main + 0.1 * (gender + naturalness)
-        weighted = build_model(MTLNetworkConfig(trunk="lstm", layer_sizes=(8, 8),
-                                                subtask_mode="all", subtask_weight=0.1), seed=3)
+        weighted = MultiTaskModel(MTLNetworkConfig(trunk="lstm", layer_sizes=(8, 8),
+                                                   subtask_mode="all", subtask_weight=0.1), seed=3)
         losses, total, _ = weighted.loss_and_grads(batch, train=False)
         same_order = losses["emotion"] + 0.1 * losses["gender"] + 0.1 * losses["naturalness"]
         assert total == same_order
@@ -176,8 +176,8 @@ def test_criterion_03_gradient_suite():
                         "naturalness": r2.integers(0, 2, 5),
                     },
                 }
-            model = build_model(MTLNetworkConfig(trunk=trunk, layer_sizes=(8, 8),
-                                                 subtask_mode="all"), seed=4)
+            model = MultiTaskModel(MTLNetworkConfig(trunk=trunk, layer_sizes=(8, 8),
+                                                    subtask_mode="all"), seed=4)
             _, _, grads = model.loss_and_grads(batch, train=False)
             report = nn.grad_check(
                 lambda: model.loss_and_grads(batch, train=False)[1],
@@ -212,12 +212,12 @@ def test_criterion_04_dimensional_contract():
         tone = 0.3 * np.sin(2 * np.pi * 180 * np.arange(16000) / 16000)
         assert extract_features(tone, 16000).shape == (98, 32)
 
-        dnn = build_model(MTLNetworkConfig(trunk="dnn", subtask_mode="all"), seed=0)
+        dnn = MultiTaskModel(MTLNetworkConfig(trunk="dnn", subtask_mode="all"), seed=0)
         assert dnn.config.input_width == 800
         assert [layer.n_in for layer in dnn.trunk_layers] == [800, 256, 256]
         assert [layer.n_out for layer in dnn.trunk_layers] == [256, 256, 256]
 
-        lstm = build_model(MTLNetworkConfig(trunk="lstm", subtask_mode="all"), seed=0)
+        lstm = MultiTaskModel(MTLNetworkConfig(trunk="lstm", subtask_mode="all"), seed=0)
         assert [layer.n_hidden for layer in lstm.trunk_layers] == [256, 256]
         assert lstm.trunk_layers[0].n_in == 32
 

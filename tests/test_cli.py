@@ -1,15 +1,25 @@
 from __future__ import annotations
 
 import json
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from sermtl.cli import main
-from sermtl.corpus import load_manifest
+from sermtl.corpus import (
+    CorpusManifest,
+    load_manifest,
+    read_wav,
+    stratified_split,
+    write_manifest,
+    write_wav,
+)
+from sermtl.experiment import PipelineConfig
 from sermtl.features import read_feature_file
 from sermtl.hlf import read_hlf_csv
+from sermtl.mtl import MTLNetworkConfig, TrainConfig
 
 
 def _tree_bytes(root: Path) -> dict[str, bytes]:
@@ -97,6 +107,26 @@ class TestTrainAndHlf:
         assert (rerun / "history.csv").read_text() == (run / "history.csv").read_text()
 
 
+    def test_reads_no_test_split_audio(self, cli_workspace, tmp_path):
+        _, data, run, _ = cli_workspace
+        manifest = load_manifest(data / "manifest.csv")
+        test_ids = set(stratified_split([manifest], seed=3).folds[0].test_ids)
+        samples, sr = read_wav(manifest.records[0].audio_path)
+        write_wav(tmp_path / "slow.wav", samples[::2], sample_rate=sr // 2)  # fails the rate check
+        records = tuple(replace(r, audio_path=tmp_path / "slow.wav") if r.utterance_id in test_ids
+                        else r for r in manifest.records)
+        path = write_manifest(CorpusManifest(records=records), tmp_path / "manifest.csv")
+        rc = main([
+            "train", "--manifest", str(path), "--out", str(tmp_path / "run"),
+            "--trunk", "lstm", "--layer-sizes", "8,8", "--subtasks", "all",
+            "--max-epochs", "3", "--patience", "2", "--seed", "3",
+        ])
+        assert rc == 0
+        assert (tmp_path / "run" / "model.ckpt").read_bytes() == (run / "model.ckpt").read_bytes()
+        split = json.loads((tmp_path / "run" / "config.json").read_text())["split"]
+        assert split["test"] == len(test_ids)
+
+
 class TestElm:
     def test_fit_and_eval(self, cli_workspace, tmp_path, capsys):
         _, _, _, hlf_csv = cli_workspace
@@ -130,6 +160,50 @@ class TestXval:
                    "--config", str(out1 / "config.json"), "--out", str(out2)])
         assert rc == 0
         assert (out2 / "report.json").read_bytes() == (out1 / "report.json").read_bytes()
+
+    def test_config_replay_keeps_every_field(self, cli_workspace, tmp_path):
+        _, data, _, _ = cli_workspace
+        saved = PipelineConfig(
+            protocol="aggregated",
+            network=MTLNetworkConfig(trunk="dnn", layer_sizes=(8,), context_frames=11),
+            training=TrainConfig(max_epochs=2, patience=1, dnn_window_stride=4),
+            fractions=(0.6, 0.2, 0.2),
+        )
+        config_path = tmp_path / "saved.json"
+        config_path.write_text(json.dumps({"pipeline": asdict(saved)}))
+        out = tmp_path / "replayed"
+        rc = main(["xval", "--manifest", str(data / "manifest.csv"), "--config", str(config_path),
+                   "--seed", "5", "--out", str(out)])
+        assert rc == 0
+        pipeline = json.loads((out / "config.json").read_text())["pipeline"]
+        assert pipeline["network"]["context_frames"] == 11
+        assert pipeline["fractions"] == [0.6, 0.2, 0.2]
+        # a given flag overrides its field alone
+        assert pipeline["seed"] == 5 and pipeline["training"]["seed"] == 5
+        assert pipeline["training"]["dnn_window_stride"] == 4
+        report = json.loads((out / "report.json").read_text())
+        assert report["folds"][0]["n_train"] == 29  # 0.6 of 48 utterances
+
+    @pytest.mark.parametrize("section, key", [(None, "hlf_thetta"), ("network", "context_frame")])
+    def test_config_unknown_key_rejected(self, cli_workspace, tmp_path, capsys, section, key):
+        _, data, _, _ = cli_workspace
+        pipeline = asdict(PipelineConfig())
+        (pipeline if section is None else pipeline[section])[key] = 1
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"pipeline": pipeline}))
+        rc = main(["xval", "--manifest", str(data / "manifest.csv"), "--config", str(config_path),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert f"unknown key {key!r}" in capsys.readouterr().err
+
+    def test_dropout_one_rejected_before_extraction(self, cli_workspace, tmp_path, capsys):
+        _, data, _, _ = cli_workspace
+        out = tmp_path / "out"
+        rc = main(["xval", "--manifest", str(data / "manifest.csv"), "--out", str(out),
+                   "--dropout", "1.0"])
+        assert rc == 1
+        assert "dropout_p must be in [0, 1)" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_within_with_corpus_filter(self, cli_workspace, tmp_path):
         _, data, _, _ = cli_workspace
@@ -185,6 +259,30 @@ class TestEmbedAndReport:
         assert main(["report", "--compare", str(out / "report.json"), str(out / "report.json")]) == 0
         compared = capsys.readouterr().out
         assert "all differences zero" in compared
+
+
+class TestSampleRateCheck:
+    @pytest.fixture()
+    def mixed_rate_manifest(self, cli_workspace, tmp_path):
+        """A 16 kHz manifest whose first utterance is stored at 8 kHz."""
+        _, data, _, _ = cli_workspace
+        records = list(load_manifest(data / "manifest.csv").records[:4])
+        samples, sr = read_wav(records[0].audio_path)
+        write_wav(tmp_path / "slow.wav", samples[::2], sample_rate=sr // 2)
+        records[0] = replace(records[0], audio_path=tmp_path / "slow.wav")
+        return write_manifest(CorpusManifest(records=tuple(records)), tmp_path / "manifest.csv")
+
+    def test_features_rejects_mismatch(self, mixed_rate_manifest, tmp_path, capsys):
+        rc = main(["features", "--manifest", str(mixed_rate_manifest), "--out", str(tmp_path / "f")])
+        assert rc == 1
+        assert "sample rate 8000 != manifest 16000" in capsys.readouterr().err
+
+    def test_hlf_rejects_mismatch(self, cli_workspace, mixed_rate_manifest, tmp_path, capsys):
+        _, _, run, _ = cli_workspace
+        rc = main(["hlf", "--model", str(run / "model.ckpt"), "--manifest", str(mixed_rate_manifest),
+                   "--out", str(tmp_path / "hlf.csv")])
+        assert rc == 1
+        assert "sample rate 8000 != manifest 16000" in capsys.readouterr().err
 
 
 class TestCliErrors:

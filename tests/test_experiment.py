@@ -1,17 +1,18 @@
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
+from sermtl.codec import from_dict
 from sermtl.experiment import (
     GRID_CONFIGS,
+    ExperimentReport,
     PipelineConfig,
     compare_reports,
     grid_config_name,
-    report_from_dict,
-    report_to_dict,
     run_experiment,
     run_grid,
     write_grid_report,
@@ -74,7 +75,7 @@ class TestRunExperiment:
         config = _tiny_config()
         serial = run_experiment([manifest], config, jobs=1)
         parallel = run_experiment([manifest], config, jobs=2)
-        assert report_to_dict(serial) == report_to_dict(parallel)
+        assert asdict(serial) == asdict(parallel)
 
     def test_fold_failure_recorded(self, small_synth):
         manifest, _, _ = small_synth
@@ -89,12 +90,13 @@ class TestRunExperiment:
         assert all(f.error is not None for f in report.folds)
         assert all(f.ua is None for f in report.folds)
         assert report.mean_ua is None
+        assert all(f.best_val_total is None for f in report.folds)
 
     def test_report_round_trip(self, small_synth):
         manifest, _, _ = small_synth
         report = run_experiment([manifest], _tiny_config())
-        again = report_from_dict(json.loads(json.dumps(report_to_dict(report))))
-        assert report_to_dict(again) == report_to_dict(report)
+        again = from_dict(ExperimentReport, json.loads(json.dumps(asdict(report))))
+        assert again == report
 
 
 class TestCompare:

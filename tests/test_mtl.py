@@ -7,11 +7,9 @@ from sermtl import nn
 from sermtl.mtl import (
     LabeledFeatures,
     MTLNetworkConfig,
+    MultiTaskModel,
     TrainConfig,
-    TrainedModel,
     TrainingDivergedError,
-    build_model,
-    emotion_posteriors,
     save_model,
     load_model,
     total_loss,
@@ -41,7 +39,7 @@ def _blob_dataset(n_utts=24, n_frames=30, seed=0, scale=2.0):
 
 class TestBuildModel:
     def test_lstm_all_topology(self):
-        model = build_model(MTLNetworkConfig(trunk="lstm", subtask_mode="all"), seed=0)
+        model = MultiTaskModel(MTLNetworkConfig(trunk="lstm", subtask_mode="all"), seed=0)
         assert len(model.trunk_layers) == 2
         assert all(layer.n_hidden == 256 for layer in model.trunk_layers)
         assert {name: head.n_out for name, head in model.heads.items()} == {
@@ -49,13 +47,13 @@ class TestBuildModel:
         }
 
     def test_dnn_input_width(self):
-        model = build_model(MTLNetworkConfig(trunk="dnn", subtask_mode="all"), seed=0)
+        model = MultiTaskModel(MTLNetworkConfig(trunk="dnn", subtask_mode="all"), seed=0)
         assert model.config.input_width == 800
         assert model.trunk_layers[0].n_in == 800
         assert [l.n_out for l in model.trunk_layers] == [256, 256, 256]
 
     def test_stl_single_head(self):
-        model = build_model(MTLNetworkConfig(trunk="lstm", subtask_mode="none"), seed=0)
+        model = MultiTaskModel(MTLNetworkConfig(trunk="lstm", subtask_mode="none"), seed=0)
         assert list(model.heads) == ["emotion"]
 
     def test_unknown_trunk(self):
@@ -101,11 +99,11 @@ class TestSTLEquivalence:
     def test_zero_lambda_gradients_match_stl_bitwise(self):
         rng = np.random.default_rng(42)
         batch = _lstm_batch(rng)
-        mtl = build_model(
+        mtl = MultiTaskModel(
             MTLNetworkConfig(trunk="lstm", layer_sizes=(8, 8), subtask_mode="all", subtask_weight=0.0),
             seed=5,
         )
-        stl = build_model(
+        stl = MultiTaskModel(
             MTLNetworkConfig(trunk="lstm", layer_sizes=(8, 8), subtask_mode="none"),
             seed=5,
         )
@@ -118,11 +116,20 @@ class TestSTLEquivalence:
             assert grads_mtl[name].tobytes() == grad.tobytes(), name
 
     def test_shared_initialization(self):
-        mtl = build_model(MTLNetworkConfig(trunk="dnn", layer_sizes=(8,), subtask_mode="all"), seed=3)
-        stl = build_model(MTLNetworkConfig(trunk="dnn", layer_sizes=(8,), subtask_mode="none"), seed=3)
+        mtl = MultiTaskModel(MTLNetworkConfig(trunk="dnn", layer_sizes=(8,), subtask_mode="all"), seed=3)
+        stl = MultiTaskModel(MTLNetworkConfig(trunk="dnn", layer_sizes=(8,), subtask_mode="none"), seed=3)
         shared = stl.parameters()
         for name, arr in shared.items():
             assert np.array_equal(mtl.parameters()[name], arr)
+
+    def test_eval_mode_ignores_dropout(self):
+        batch = _lstm_batch(np.random.default_rng(3))
+        model = MultiTaskModel(MTLNetworkConfig(trunk="lstm", layer_sizes=(8, 8)), seed=5)
+        losses_a, total_a, grads_a = model.loss_and_grads(batch, dropout_p=0.5, train=False)
+        losses_b, total_b, grads_b = model.loss_and_grads(batch, dropout_p=0.0, train=False)
+        assert losses_a == losses_b and total_a == total_b
+        for name, grad in grads_b.items():
+            assert grads_a[name].tobytes() == grad.tobytes(), name
 
     def test_lambda_linearity(self):
         rng = np.random.default_rng(1)
@@ -130,7 +137,7 @@ class TestSTLEquivalence:
         losses = None
         totals = {}
         for weight in (0.0, 0.1, 0.2):
-            model = build_model(
+            model = MultiTaskModel(
                 MTLNetworkConfig(trunk="lstm", layer_sizes=(8, 8), subtask_mode="all",
                                  subtask_weight=weight),
                 seed=5,
@@ -141,6 +148,17 @@ class TestSTLEquivalence:
         slope = losses["gender"] + losses["naturalness"]
         assert totals[0.1] == pytest.approx(totals[0.0] + 0.1 * slope, rel=1e-12)
         assert totals[0.2] == pytest.approx(totals[0.0] + 0.2 * slope, rel=1e-12)
+
+
+class TestTrainConfig:
+    @pytest.mark.parametrize("p", [1.0, 1.5, -0.1])
+    def test_dropout_outside_unit_interval_rejected(self, p):
+        with pytest.raises(ValueError, match="dropout_p"):
+            TrainConfig(dropout_p=p)
+
+    def test_dropout_bounds_accepted(self):
+        assert TrainConfig(dropout_p=0.0).dropout_p == 0.0
+        assert TrainConfig(dropout_p=0.99).dropout_p == 0.99
 
 
 class TestTraining:
@@ -155,7 +173,7 @@ class TestTraining:
         cfg = MTLNetworkConfig(trunk="lstm", layer_sizes=(8, 8), subtask_mode="all")
         outputs = []
         for run in range(2):
-            model = build_model(cfg, seed=11)
+            model = MultiTaskModel(cfg, seed=11)
             trained = train(model, data[:18], data[18:], self._quick_tc(seed=11))
             path = save_model(tmp_path / f"m{run}.ckpt", trained)
             hist = write_history_csv(tmp_path / f"h{run}.csv", trained.history, cfg.heads)
@@ -165,7 +183,7 @@ class TestTraining:
     def test_best_epoch_restoration(self):
         data = _blob_dataset()
         cfg = MTLNetworkConfig(trunk="lstm", layer_sizes=(8, 8), subtask_mode="all")
-        model = build_model(cfg, seed=2)
+        model = MultiTaskModel(cfg, seed=2)
         trained = train(model, data[:18], data[18:], self._quick_tc(seed=2, max_epochs=6, patience=3))
         vals = [row.val_total for row in trained.history]
         assert trained.best_val_total == min(vals)
@@ -176,12 +194,12 @@ class TestTraining:
     def test_learns_separable_set(self):
         data = _blob_dataset(n_utts=32, seed=4)
         cfg = MTLNetworkConfig(trunk="lstm", layer_sizes=(32, 32), subtask_mode="all")
-        model = build_model(cfg, seed=4)
+        model = MultiTaskModel(cfg, seed=4)
         tc = TrainConfig(batch_size=16, max_epochs=30, patience=29, seed=4, dropout_p=0.2)
         trained = train(model, data[:24], data[24:], tc)
         hits = total = 0
         for item in data[:24]:
-            post = emotion_posteriors(trained, item.features)
+            post = trained.model.emotion_posteriors(item.features)
             hits += int(np.sum(post.argmax(axis=1) == item.labels["emotion"]))
             total += post.shape[0]
         assert hits / total >= 0.95
@@ -189,7 +207,7 @@ class TestTraining:
     def test_divergence_aborts_with_diagnostic(self):
         data = _blob_dataset()
         cfg = MTLNetworkConfig(trunk="dnn", layer_sizes=(8, 8), subtask_mode="none", context_frames=5)
-        model = build_model(cfg, seed=1)
+        model = MultiTaskModel(cfg, seed=1)
         tc = TrainConfig(batch_size=16, max_epochs=5, patience=2, seed=1,
                          lr=1e150, clip_norm=0.0, dropout_p=0.0)
         with np.errstate(all="ignore"), pytest.raises((TrainingDivergedError, nn.NumericsError)):
@@ -198,7 +216,7 @@ class TestTraining:
     def test_empty_sets_rejected(self):
         data = _blob_dataset()
         cfg = MTLNetworkConfig(trunk="lstm", layer_sizes=(4,), subtask_mode="none")
-        model = build_model(cfg, seed=0)
+        model = MultiTaskModel(cfg, seed=0)
         with pytest.raises(ValueError):
             train(model, data, [], self._quick_tc())
 
@@ -206,24 +224,24 @@ class TestTraining:
 class TestPosteriors:
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(6)
-        model = build_model(MTLNetworkConfig(trunk="lstm", layer_sizes=(8, 8)), seed=6)
+        model = MultiTaskModel(MTLNetworkConfig(trunk="lstm", layer_sizes=(8, 8)), seed=6)
         post = model.emotion_posteriors(rng.normal(size=(40, 32)))
         assert post.shape == (40, 4)
         assert np.all(np.abs(post.sum(axis=1) - 1.0) < 1e-6)
 
     def test_dnn_window_count(self):
         rng = np.random.default_rng(7)
-        model = build_model(MTLNetworkConfig(trunk="dnn", layer_sizes=(8,)), seed=7)
+        model = MultiTaskModel(MTLNetworkConfig(trunk="dnn", layer_sizes=(8,)), seed=7)
         post = model.emotion_posteriors(rng.normal(size=(98, 32)))
         assert post.shape == (74, 4)
 
     def test_dnn_too_few_frames(self):
-        model = build_model(MTLNetworkConfig(trunk="dnn", layer_sizes=(8,)), seed=7)
+        model = MultiTaskModel(MTLNetworkConfig(trunk="dnn", layer_sizes=(8,)), seed=7)
         with pytest.raises(ValueError, match="too few frames"):
             model.emotion_posteriors(np.zeros((10, 32)))
 
     def test_zero_head_gives_uniform(self):
-        model = build_model(MTLNetworkConfig(trunk="lstm", layer_sizes=(8, 8)), seed=8)
+        model = MultiTaskModel(MTLNetworkConfig(trunk="lstm", layer_sizes=(8, 8)), seed=8)
         model.heads["emotion"].w[:] = 0.0
         model.heads["emotion"].b[:] = 0.0
         post = model.emotion_posteriors(np.random.default_rng(0).normal(size=(12, 32)))
@@ -231,7 +249,7 @@ class TestPosteriors:
 
     def test_subtask_heads_do_not_touch_inference(self):
         rng = np.random.default_rng(9)
-        model = build_model(MTLNetworkConfig(trunk="lstm", layer_sizes=(8, 8), subtask_mode="all"), seed=9)
+        model = MultiTaskModel(MTLNetworkConfig(trunk="lstm", layer_sizes=(8, 8), subtask_mode="all"), seed=9)
         feats = rng.normal(size=(20, 32))
         before = model.emotion_posteriors(feats).tobytes()
         model.heads["gender"].w[:] = 0.0
@@ -244,7 +262,7 @@ class TestModelCheckpoint:
     def test_round_trip(self, tmp_path):
         data = _blob_dataset(n_utts=12, n_frames=10)
         cfg = MTLNetworkConfig(trunk="lstm", layer_sizes=(6, 6), subtask_mode="gender")
-        model = build_model(cfg, seed=3)
+        model = MultiTaskModel(cfg, seed=3)
         tc = TrainConfig(batch_size=8, max_epochs=2, patience=1, seed=3)
         trained = train(model, data[:9], data[9:], tc)
         extra = {"standardizer.mean": np.arange(32.0), "standardizer.std": np.ones(32)}
@@ -260,3 +278,18 @@ class TestModelCheckpoint:
         a = trained.model.emotion_posteriors(feats)
         b = loaded.emotion_posteriors(feats)
         assert np.allclose(a, b, atol=1e-5)
+
+    @pytest.mark.parametrize("edit, named", [
+        (lambda net: net.update(context_frame=11), "unknown key 'context_frame'"),
+        (lambda net: net.pop("n_features"), "missing key 'n_features'"),
+    ])
+    def test_network_header_keys_checked(self, tmp_path, edit, named):
+        model = MultiTaskModel(MTLNetworkConfig(trunk="lstm", layer_sizes=(4,)), seed=1)
+        trained = train(model, _blob_dataset(n_utts=6, n_frames=8)[:4],
+                        _blob_dataset(n_utts=6, n_frames=8)[4:],
+                        TrainConfig(batch_size=8, max_epochs=2, patience=1))
+        params, header = nn.load_checkpoint(save_model(tmp_path / "m.ckpt", trained))
+        edit(header["network"])
+        nn.save_checkpoint(tmp_path / "bad.ckpt", params, header)
+        with pytest.raises(ValueError, match=named):
+            load_model(tmp_path / "bad.ckpt")

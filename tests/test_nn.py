@@ -176,13 +176,13 @@ class TestAdam:
 class TestDropout:
     def test_eval_mode_identity(self):
         x = np.random.default_rng(0).normal(size=(10, 10))
-        y, mask = nn.dropout(x, nn.DropoutSpec(p=0.5, mode="eval"))
+        y, mask = nn.dropout(x, 0.0)
         assert y is x and mask is None
 
     def test_surviving_fraction(self):
         rng = np.random.default_rng(8)
         x = np.ones((500, 200))
-        y, mask = nn.dropout(x, nn.DropoutSpec(p=0.5, mode="train"), rng)
+        y, mask = nn.dropout(x, 0.5, rng)
         frac = np.count_nonzero(y) / y.size
         assert abs(frac - 0.5) < 0.02
         assert np.all(np.unique(y) == np.array([0.0, 2.0]))
@@ -192,11 +192,17 @@ class TestDropout:
         x = rng.normal(1.0, 0.5, size=(50, 16))
         col_means = x.mean(axis=0)
         sampled = np.stack([
-            nn.dropout(x, nn.DropoutSpec(p=0.5, mode="train"), rng)[0].mean(axis=0)
+            nn.dropout(x, 0.5, rng)[0].mean(axis=0)
             for _ in range(100)
         ])
         se = sampled.std(axis=0) / np.sqrt(100)
         assert np.all(np.abs(sampled.mean(axis=0) - col_means) < 3.0 * se + 1e-9)
+
+
+    @pytest.mark.parametrize("p", [1.0, -0.1])
+    def test_probability_outside_unit_interval_rejected(self, p):
+        with pytest.raises(ValueError, match="drop probability"):
+            nn.dropout(np.ones((2, 2)), p, np.random.default_rng(0))
 
 
 class TestGradCheckHarness:
