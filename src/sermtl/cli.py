@@ -69,7 +69,9 @@ def _network_config(args, base: MTLNetworkConfig) -> MTLNetworkConfig:
     overrides = _given(args, trunk="trunk", layer_sizes="layer_sizes",
                        subtask_mode="subtasks", subtask_weight="subtask_weight")
     if overrides.get("trunk", base.trunk) != base.trunk:
-        overrides["context_frames"] = 0  # re-derive the context width for the new trunk
+        # re-derive the context width and, unless given, the layer sizes for the new trunk
+        overrides["context_frames"] = 0
+        overrides.setdefault("layer_sizes", ())
     return replace(base, **overrides)
 
 
@@ -176,23 +178,22 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _load_model_with_standardizer(path: Path):
-    model, _, extras = mtl_mod.load_model(path)
+def cmd_hlf(args) -> int:
+    path = Path(args.model)
+    model, header, extras = mtl_mod.load_model(path)
     if "standardizer.mean" not in extras or "standardizer.std" not in extras:
         raise ValueError(f"checkpoint {path} carries no standardizer statistics")
     standardizer = Standardizer(mean=extras["standardizer.mean"], std=extras["standardizer.std"])
-    return model, standardizer
-
-
-def cmd_hlf(args) -> int:
-    model, standardizer = _load_model_with_standardizer(Path(args.model))
     manifest = load_manifest(args.manifest)
     feature_config = FeatureConfig()
-    rows = []
-    for rec in manifest.records:
-        features = exp_mod.record_features(rec, feature_config, manifest.sample_rate)
-        posteriors = model.emotion_posteriors(apply_standardizer(standardizer, features))
-        rows.append((rec.utterance_id, hlf_mod.compute_hlf(posteriors, args.theta), rec))
+    matrices = (
+        apply_standardizer(standardizer, exp_mod.record_features(rec, feature_config, manifest.sample_rate))
+        for rec in manifest.records
+    )
+    # scored in blocks of the training batch size, so the working set stays one block
+    posteriors = mtl_mod.posteriors_in_blocks(model, matrices, header["training"]["batch_size"])
+    rows = [(rec.utterance_id, hlf_mod.compute_hlf(post, args.theta), rec)
+            for rec, post in zip(manifest.records, posteriors)]
     out_path = Path(args.out)
     hlf_mod.write_hlf_csv(out_path, rows)
     print(f"wrote {len(rows)} high-level feature vectors to {out_path}")
@@ -222,8 +223,11 @@ def cmd_elm(args) -> int:
 
 def cmd_xval(args) -> int:
     if args.config is not None:
-        saved = json.loads(Path(args.config).read_text(encoding="utf-8"))["pipeline"]
-        base = from_dict(exp_mod.PipelineConfig, saved)
+        saved = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        if "pipeline" not in saved:
+            raise ValueError(f"{args.config} has no 'pipeline' section; "
+                             "xval --config takes the config.json of an xval run")
+        base = from_dict(exp_mod.PipelineConfig, saved["pipeline"])
     else:
         base = exp_mod.PipelineConfig()
     seed = args.seed if args.seed is not None else base.seed

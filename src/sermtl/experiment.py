@@ -35,7 +35,15 @@ from .features import (
     fit_standardizer,
 )
 from .hlf import compute_hlf
-from .mtl import LabeledFeatures, MTLNetworkConfig, MultiTaskModel, TrainConfig, TrainedModel, train
+from .mtl import (
+    LabeledFeatures,
+    MTLNetworkConfig,
+    MultiTaskModel,
+    TrainConfig,
+    TrainedModel,
+    posteriors_in_blocks,
+    train,
+)
 from .nn import one_hot
 from .seeding import derive_seed
 
@@ -155,10 +163,9 @@ def _run_fold(fold_index: int, fold: Fold, labels_by_id: dict[str, dict[str, int
                                 replace(config.training, seed=fold_seed))
 
     def hlf_matrix(ids):
-        return np.stack([
-            compute_hlf(trained.model.emotion_posteriors(data[uid].features), config.hlf_theta)
-            for uid in ids
-        ])
+        posteriors = posteriors_in_blocks(trained.model, (data[uid].features for uid in ids),
+                                          config.training.batch_size)
+        return np.stack([compute_hlf(p, config.hlf_theta) for p in posteriors])
 
     y_train = np.array([labels_by_id[uid]["emotion"] for uid in fold.train_ids], dtype=np.int64)
     y_test = np.array([labels_by_id[uid]["emotion"] for uid in fold.test_ids], dtype=np.int64)

@@ -10,6 +10,7 @@ range implied by the configured F0 band; MFCCs use a 26-filter mel bank over
 """
 from __future__ import annotations
 
+import functools
 import math
 import struct
 from dataclasses import dataclass
@@ -95,8 +96,11 @@ def _hz_from_mel(mel):
     return 700.0 * (10.0 ** (np.asarray(mel, dtype=np.float64) / 2595.0) - 1.0)
 
 
+@functools.lru_cache(maxsize=16)
 def mel_filterbank(config: FeatureConfig, sample_rate: int) -> np.ndarray:
-    """Triangular mel filters on FFT bins, shape (n_mel_filters, fft_size//2 + 1)."""
+    """Triangular mel filters on FFT bins, shape (n_mel_filters, fft_size//2 + 1).
+
+    Built once per (config, sample rate); the shared array is read-only."""
     high = min(config.mel_high_hz, sample_rate / 2.0)
     mels = np.linspace(_mel_from_hz(config.mel_low_hz), _mel_from_hz(high), config.n_mel_filters + 2)
     bins = np.floor((config.fft_size + 1) * _hz_from_mel(mels) / sample_rate).astype(int)
@@ -107,14 +111,19 @@ def mel_filterbank(config: FeatureConfig, sample_rate: int) -> np.ndarray:
             bank[j, i] = (i - left) / max(center - left, 1)
         for i in range(center, right):
             bank[j, i] = (right - i) / max(right - center, 1)
+    bank.flags.writeable = False
     return bank
 
 
+@functools.lru_cache(maxsize=16)
 def _dct_rows(n_mfcc: int, n_filters: int) -> np.ndarray:
-    # Orthonormal DCT-II rows k = 1..n_mfcc (k = 0 is dropped with energy kept separately).
+    # Orthonormal DCT-II rows k = 1..n_mfcc (k = 0 is dropped with energy kept separately);
+    # cached and shared, so read-only.
     k = np.arange(1, n_mfcc + 1)[:, None]
     m = np.arange(n_filters)[None, :]
-    return math.sqrt(2.0 / n_filters) * np.cos(np.pi * k * (2 * m + 1) / (2.0 * n_filters))
+    rows = math.sqrt(2.0 / n_filters) * np.cos(np.pi * k * (2 * m + 1) / (2.0 * n_filters))
+    rows.flags.writeable = False
+    return rows
 
 
 def _descriptor_matrix(frames: np.ndarray, sample_rate: int, config: FeatureConfig) -> np.ndarray:

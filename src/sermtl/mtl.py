@@ -5,6 +5,8 @@ in checkpoints but never used at inference).
 from __future__ import annotations
 
 import csv
+import itertools
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -254,15 +256,33 @@ class MultiTaskModel:
 
     # -- inference ---------------------------------------------------------
 
-    def emotion_posteriors(self, features: np.ndarray) -> np.ndarray:
-        """Emotion posterior sequence for one utterance's standardized features.
+    def emotion_posteriors(self, features: np.ndarray, lengths: Sequence[int] | None = None):
+        """Emotion posteriors from standardized features. Subtask heads produce no
+        output here.
 
-        LSTM trunks emit one row per frame; DNN trunks one row per 25-frame
-        context window. Subtask heads produce no output here.
+        Without ``lengths``, ``features`` is one utterance and the result is its
+        posterior sequence: LSTM trunks emit one row per frame, DNN trunks one row
+        per context window. With ``lengths``, ``features`` holds that many
+        utterances stacked along the frame axis and the result is the list of
+        their posterior sequences, equal to scoring each alone up to float
+        rounding.
         """
         features = np.asarray(features, dtype=np.float64)
         if features.ndim != 2 or features.shape[1] != self.config.n_features:
             raise nn.ShapeError(f"features must be (n, {self.config.n_features})")
+        if lengths is None:
+            return self._utterance_posteriors(features)
+        lengths = np.asarray(lengths, dtype=np.int64)
+        if lengths.ndim != 1 or lengths.size == 0 or np.any(lengths < 1):
+            raise ValueError("lengths must be a non-empty list of positive frame counts")
+        if int(lengths.sum()) != features.shape[0]:
+            raise ValueError(f"lengths sum to {int(lengths.sum())}, features have {features.shape[0]} rows")
+        if self.config.trunk == "lstm":
+            return self._lstm_block_posteriors(features, lengths)
+        # one window GEMM per utterance: windows of a whole block would be context_frames times its size
+        return [self._utterance_posteriors(u) for u in np.split(features, np.cumsum(lengths)[:-1])]
+
+    def _utterance_posteriors(self, features):
         if self.config.trunk == "dnn":
             context = self.config.context_frames
             n = features.shape[0]
@@ -277,6 +297,46 @@ class MultiTaskModel:
             h = h[0]
         logits, _ = self.heads[TASK_EMOTION].forward(h)
         return _stable_softmax(logits)
+
+    def _lstm_block_posteriors(self, features, lengths):
+        """Time-major LSTM pass over a block of stacked utterances.
+
+        Utterances are ordered by length (descending, stable), so those still
+        running at step t are a prefix of that order: each step advances every
+        layer, then the emotion head, on that prefix alone. Nothing is padded and
+        no training cache is kept; the state is (block, hidden) per layer.
+        """
+        if not np.all(np.isfinite(features)):
+            raise nn.NumericsError("non-finite input to LSTM")
+        order = np.argsort(-lengths, kind="stable")
+        starts = (np.cumsum(lengths) - lengths)[order]
+        by_length = lengths[order]
+        head = self.heads[TASK_EMOTION]
+        state = [(np.zeros((order.size, layer.n_hidden)), np.zeros((order.size, layer.n_hidden)))
+                 for layer in self.trunk_layers]
+        logits = np.empty((features.shape[0], head.n_out))
+        for t in range(int(by_length[0])):
+            active = int(np.count_nonzero(by_length > t))
+            rows = starts[:active] + t
+            x = features[rows]
+            for k, layer in enumerate(self.trunk_layers):
+                h, c = state[k]
+                _, _, _, _, c, _, x = layer.step(x @ layer.w_x.T, h[:active], c[:active])
+                state[k] = (x, c)
+            logits[rows] = x @ head.w.T + head.b
+        return np.split(_stable_softmax(logits), np.cumsum(lengths)[:-1])
+
+
+def posteriors_in_blocks(model: MultiTaskModel, matrices, block_size: int):
+    """Yield the emotion posteriors of each standardized matrix in ``matrices``,
+    in order, scoring ``block_size`` utterances per `emotion_posteriors` call.
+    ``matrices`` may be a generator; it is consumed one block at a time."""
+    matrices = iter(matrices)
+    while block := list(itertools.islice(matrices, block_size)):
+        lengths = [m.shape[0] for m in block]
+        features = np.concatenate(block)
+        del block  # where the list holds the only references (as in `hlf`), the pass reuses that memory
+        yield from model.emotion_posteriors(features, lengths)
 
 
 # ---------------------------------------------------------------------------

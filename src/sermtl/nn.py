@@ -2,6 +2,9 @@
 inverted dropout, Adam, a finite-difference gradient checker, and checkpoint I/O.
 
 All math runs in float64; checkpoints serialize parameters as float32 LE.
+`LSTMLayer.step` is the one home of the LSTM gate math: the training `forward`
+(which caches every step for BPTT) and the cache-free, time-major inference
+pass in `mtl.MultiTaskModel.emotion_posteriors` both advance the cell with it.
 """
 from __future__ import annotations
 
@@ -94,6 +97,20 @@ class LSTMLayer:
     def parameters(self) -> dict[str, np.ndarray]:
         return {"w_x": self.w_x, "w_h": self.w_h, "b": self.b}
 
+    def step(self, xw_t: np.ndarray, h: np.ndarray, c: np.ndarray):
+        """One cell update for a block of rows: the gate pre-activations from the
+        input projection ``xw_t = x_t @ w_x.T`` (rows, 4H) and the previous state
+        (h, c), then the new state. Returns (i, f, g, o, c, tanh(c), h)."""
+        hsz = self.n_hidden
+        a = xw_t + h @ self.w_h.T + self.b
+        i = 1.0 / (1.0 + np.exp(-a[:, :hsz]))
+        f = 1.0 / (1.0 + np.exp(-a[:, hsz : 2 * hsz]))
+        g = np.tanh(a[:, 2 * hsz : 3 * hsz])
+        o = 1.0 / (1.0 + np.exp(-a[:, 3 * hsz :]))
+        c = f * c + i * g
+        tc = np.tanh(c)
+        return i, f, g, o, c, tc, o * tc
+
     def forward(self, x: np.ndarray, h0: np.ndarray | None = None, c0: np.ndarray | None = None):
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 3 or x.shape[2] != self.n_in:
@@ -104,25 +121,16 @@ class LSTMLayer:
         hsz = self.n_hidden
         h = np.zeros((batch, hsz)) if h0 is None else np.array(h0, dtype=np.float64)
         c = np.zeros((batch, hsz)) if c0 is None else np.array(c0, dtype=np.float64)
+        h_init, c_init = h, c
 
         xw = x @ self.w_x.T  # (batch, time, 4H), hoisted out of the loop
         gates = np.empty((batch, time, 4 * hsz))
         cells = np.empty((batch, time, hsz))
         cell_tanh = np.empty((batch, time, hsz))
         hidden = np.empty((batch, time, hsz))
-        h_prev = np.empty((batch, time, hsz))
-        c_prev0 = c.copy()
 
         for t in range(time):
-            h_prev[:, t] = h
-            a = xw[:, t] + h @ self.w_h.T + self.b
-            i = 1.0 / (1.0 + np.exp(-a[:, :hsz]))
-            f = 1.0 / (1.0 + np.exp(-a[:, hsz : 2 * hsz]))
-            g = np.tanh(a[:, 2 * hsz : 3 * hsz])
-            o = 1.0 / (1.0 + np.exp(-a[:, 3 * hsz :]))
-            c = f * c + i * g
-            tc = np.tanh(c)
-            h = o * tc
+            i, f, g, o, c, tc, h = self.step(xw[:, t], h, c)
             gates[:, t, :hsz] = i
             gates[:, t, hsz : 2 * hsz] = f
             gates[:, t, 2 * hsz : 3 * hsz] = g
@@ -130,11 +138,12 @@ class LSTMLayer:
             cells[:, t] = c
             cell_tanh[:, t] = tc
             hidden[:, t] = h
-        cache = (x, gates, cells, cell_tanh, h_prev, c_prev0)
+        # `hidden` is also the recurrent input of the next step; `backward` shifts it
+        cache = (x, gates, cells, cell_tanh, hidden, h_init, c_init)
         return hidden, cache
 
     def backward(self, dh_seq: np.ndarray, cache):
-        x, gates, cells, cell_tanh, h_prev, c_prev0 = cache
+        x, gates, cells, cell_tanh, hidden, h_init, c_init = cache
         batch, time, hsz = cells.shape
         da_all = np.empty((batch, time, 4 * hsz))
         dh = np.zeros((batch, hsz))
@@ -145,7 +154,7 @@ class LSTMLayer:
             g = gates[:, t, 2 * hsz : 3 * hsz]
             o = gates[:, t, 3 * hsz :]
             tc = cell_tanh[:, t]
-            c_before = cells[:, t - 1] if t > 0 else c_prev0
+            c_before = cells[:, t - 1] if t > 0 else c_init
             dh = dh + dh_seq[:, t]
             do = dh * tc
             dc = dc + dh * o * (1.0 - tc * tc)
@@ -160,6 +169,7 @@ class LSTMLayer:
             dh = da @ self.w_h
             dc = dc * f
         flat_da = da_all.reshape(-1, 4 * hsz)
+        h_prev = np.concatenate([h_init[:, None], hidden[:, :-1]], axis=1)
         grads = {
             "w_x": flat_da.T @ x.reshape(-1, self.n_in),
             "w_h": flat_da.T @ h_prev.reshape(-1, hsz),

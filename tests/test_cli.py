@@ -16,10 +16,10 @@ from sermtl.corpus import (
     write_manifest,
     write_wav,
 )
-from sermtl.experiment import PipelineConfig
-from sermtl.features import read_feature_file
-from sermtl.hlf import read_hlf_csv
-from sermtl.mtl import MTLNetworkConfig, TrainConfig
+from sermtl.experiment import PipelineConfig, record_features
+from sermtl.features import FeatureConfig, Standardizer, apply_standardizer, read_feature_file
+from sermtl.hlf import compute_hlf, read_hlf_csv
+from sermtl.mtl import MTLNetworkConfig, TrainConfig, load_model
 
 
 def _tree_bytes(root: Path) -> dict[str, bytes]:
@@ -127,6 +127,37 @@ class TestTrainAndHlf:
         assert split["test"] == len(test_ids)
 
 
+    def test_dnn_default_layer_sizes(self, cli_workspace, tmp_path):
+        _, data, _, _ = cli_workspace
+        out = tmp_path / "dnn_run"
+        rc = main(["train", "--manifest", str(data / "manifest.csv"), "--out", str(out),
+                   "--trunk", "dnn", "--max-epochs", "2", "--patience", "1", "--seed", "3"])
+        assert rc == 0
+        network = json.loads((out / "config.json").read_text())["network"]
+        assert network["layer_sizes"] == [256, 256, 256]
+        assert network["context_frames"] == 25
+
+    def test_hlf_blocks_match_per_utterance(self, cli_workspace, tmp_path):
+        _, data, _, _ = cli_workspace
+        run = tmp_path / "run"
+        rc = main(["train", "--manifest", str(data / "manifest.csv"), "--out", str(run),
+                   "--trunk", "lstm", "--layer-sizes", "8,8", "--batch-size", "4",
+                   "--max-epochs", "2", "--patience", "1", "--seed", "3"])
+        assert rc == 0
+        manifest = CorpusManifest(records=load_manifest(data / "manifest.csv").records[:10])
+        manifest_path = write_manifest(manifest, tmp_path / "manifest.csv")
+        rc = main(["hlf", "--model", str(run / "model.ckpt"), "--manifest", str(manifest_path),
+                   "--out", str(tmp_path / "hlf.csv")])  # blocks of 4, 4 and 2 utterances
+        assert rc == 0
+        ids, matrix, _ = read_hlf_csv(tmp_path / "hlf.csv")
+        model, _, extras = load_model(run / "model.ckpt")
+        standardizer = Standardizer(mean=extras["standardizer.mean"], std=extras["standardizer.std"])
+        assert ids == [r.utterance_id for r in manifest.records]
+        for rec, row in zip(manifest.records, matrix):
+            feats = apply_standardizer(standardizer, record_features(rec, FeatureConfig(), manifest.sample_rate))
+            np.testing.assert_allclose(row, compute_hlf(model.emotion_posteriors(feats)), rtol=0, atol=1e-12)
+
+
 class TestElm:
     def test_fit_and_eval(self, cli_workspace, tmp_path, capsys):
         _, _, _, hlf_csv = cli_workspace
@@ -195,6 +226,14 @@ class TestXval:
                    "--out", str(tmp_path / "out")])
         assert rc == 1
         assert f"unknown key {key!r}" in capsys.readouterr().err
+
+    def test_config_without_pipeline_named(self, cli_workspace, tmp_path, capsys):
+        _, data, run, _ = cli_workspace
+        config_path = run / "config.json"  # written by train: no pipeline section
+        rc = main(["xval", "--manifest", str(data / "manifest.csv"), "--config", str(config_path),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert f"{config_path} has no 'pipeline' section" in capsys.readouterr().err
 
     def test_dropout_one_rejected_before_extraction(self, cli_workspace, tmp_path, capsys):
         _, data, _, _ = cli_workspace

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from sermtl.corpus import SynthConfig, generate_synthetic, read_wav
+from sermtl.features import _dct_rows
 from sermtl.features import (
     FEATURE_COLUMNS,
     FeatureConfig,
@@ -14,6 +15,7 @@ from sermtl.features import (
     fit_standardizer,
     frame_descriptors,
     frame_signal,
+    mel_filterbank,
     normalize_gain,
     read_feature_file,
     write_feature_csv,
@@ -197,3 +199,15 @@ class TestFeatureFiles:
         path = write_feature_csv(tmp_path / "x.csv", matrix)
         header = path.read_text().splitlines()[0]
         assert header == ",".join(FEATURE_COLUMNS)
+
+
+class TestConstantTables:
+    @pytest.mark.parametrize("build, args", [
+        (mel_filterbank, (FeatureConfig(), SR)),
+        (_dct_rows, (CFG.n_mfcc, CFG.n_mel_filters)),
+    ])
+    def test_built_once_and_read_only(self, build, args):
+        table = build(*args)
+        assert build(*args) is table
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0] = 1.0

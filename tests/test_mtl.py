@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sermtl import nn
 from sermtl.mtl import (
@@ -256,6 +258,63 @@ class TestPosteriors:
         model.heads["naturalness"].b[:] = 123.0
         after = model.emotion_posteriors(feats).tobytes()
         assert before == after
+
+
+_BLOCK_MODELS = {
+    "lstm": MultiTaskModel(MTLNetworkConfig(trunk="lstm", layer_sizes=(8, 6)), seed=12),
+    "dnn": MultiTaskModel(MTLNetworkConfig(trunk="dnn", layer_sizes=(8,), context_frames=5), seed=13),
+}
+_MIN_FRAMES = {"lstm": 1, "dnn": 5}
+
+
+def _block_lengths(trunk):
+    low = _MIN_FRAMES[trunk]
+    return st.lists(st.integers(low, low + 39), min_size=1, max_size=9)
+
+
+def _utterances(seed, lengths):
+    rng = np.random.default_rng(seed)
+    return [rng.normal(size=(n, 32)) for n in lengths]
+
+
+class TestBlockPosteriors:
+    @pytest.mark.parametrize("trunk", ["lstm", "dnn"])
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data(), seed=st.integers(0, 2**32 - 1))
+    def test_block_equals_per_utterance(self, trunk, data, seed):
+        model = _BLOCK_MODELS[trunk]
+        lengths = data.draw(_block_lengths(trunk))
+        utts = _utterances(seed, lengths)
+        block = model.emotion_posteriors(np.concatenate(utts), lengths)
+        assert len(block) == len(utts)
+        for got, utt in zip(block, utts):
+            np.testing.assert_allclose(got, model.emotion_posteriors(utt), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("trunk", ["lstm", "dnn"])
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data(), seed=st.integers(0, 2**32 - 1))
+    def test_block_order_does_not_matter(self, trunk, data, seed):
+        model = _BLOCK_MODELS[trunk]
+        lengths = data.draw(_block_lengths(trunk))
+        perm = data.draw(st.permutations(range(len(lengths))))
+        utts = _utterances(seed, lengths)
+        block = model.emotion_posteriors(np.concatenate(utts), lengths)
+        permuted = model.emotion_posteriors(np.concatenate([utts[i] for i in perm]),
+                                            [lengths[i] for i in perm])
+        for got, i in zip(permuted, perm):
+            np.testing.assert_allclose(got, block[i], rtol=0, atol=1e-12)
+
+    def test_dnn_block_with_short_utterance_raises(self):
+        utts = _utterances(0, [30, 4, 12])
+        with pytest.raises(ValueError, match="too few frames for DNN context"):
+            _BLOCK_MODELS["dnn"].emotion_posteriors(np.concatenate(utts), [30, 4, 12])
+
+    @pytest.mark.parametrize("lengths, named", [
+        ([], "non-empty"), ([0, 10], "positive"), ([4, 5], "sum to 9, features have 10 rows"),
+    ])
+    def test_bad_lengths_rejected(self, lengths, named):
+        with pytest.raises(ValueError, match=named):
+            _BLOCK_MODELS["lstm"].emotion_posteriors(np.zeros((10, 32)), lengths)
 
 
 class TestModelCheckpoint:
