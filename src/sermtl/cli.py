@@ -114,14 +114,7 @@ def cmd_synth(args) -> int:
     )
     out_dir = Path(args.out)
     manifest = generate_synthetic(config, out_dir)
-    _write_config(out_dir, {
-        "command": "synth",
-        "n_corpora": config.n_corpora,
-        "speakers_per_corpus": config.speakers_per_corpus,
-        "utterances_per_speaker": config.utterances_per_speaker,
-        "duration_s": config.duration_s,
-        "seed": config.seed,
-    })
+    _write_config(out_dir, {"command": "synth", **asdict(config)})
     print(f"wrote {len(manifest)} utterances across {len(manifest.corpora())} corpora to {out_dir}")
     return 0
 

@@ -1,6 +1,10 @@
 """Shared-trunk multi-task model: assembly, weighted total loss, training loop
 with early stopping, and emotion posterior extraction (subtask heads are kept
 in checkpoints but never used at inference).
+
+A model trains in its dtype (float32 by default) and scores in float64 from
+those same weights, so a model reloaded from its float32 checkpoint scores
+exactly like the model that wrote it.
 """
 from __future__ import annotations
 
@@ -139,23 +143,28 @@ class MultiTaskModel:
     Heads are created in a fixed order (emotion first, then subtasks), so a
     subtask-free model shares its trunk and emotion-head initialization with
     the multi-task variants built from the same seed.
+
+    ``dtype`` is the training dtype: parameters, activations, caches, dropout
+    masks, gradients and Adam moments all use it. Losses are computed in
+    float64, and `emotion_posteriors` always scores in float64.
     """
 
-    def __init__(self, config: MTLNetworkConfig, seed: int = 0):
+    def __init__(self, config: MTLNetworkConfig, seed: int = 0, dtype=np.float32):
         self.config = config
         self.seed = int(seed)
+        self.dtype = np.dtype(dtype)
         rng = np.random.default_rng(derive_seed(seed, "init"))
         self.trunk_layers = []
         width = config.input_width
         for size in config.layer_sizes:
             if config.trunk == "dnn":
-                self.trunk_layers.append(nn.DenseLayer(width, size, "relu", rng))
+                self.trunk_layers.append(nn.DenseLayer(width, size, "relu", rng, dtype=dtype))
             else:
-                self.trunk_layers.append(nn.LSTMLayer(width, size, rng))
+                self.trunk_layers.append(nn.LSTMLayer(width, size, rng, dtype=dtype))
             width = size
         self.heads = {}
         for head in config.heads:
-            self.heads[head.name] = nn.DenseLayer(width, head.n_classes, "linear", rng)
+            self.heads[head.name] = nn.DenseLayer(width, head.n_classes, "linear", rng, dtype=dtype)
 
     def parameters(self) -> dict[str, np.ndarray]:
         params: dict[str, np.ndarray] = {}
@@ -248,7 +257,7 @@ class MultiTaskModel:
         }
         grads: dict[str, np.ndarray] = {}
         losses, dh_rows = self._head_pass(h_rows, frame_targets, grads)
-        dh = np.zeros((batch_size * time, hsz))
+        dh = np.zeros((batch_size * time, hsz), h.dtype)
         dh[valid] = dh_rows
         _, trunk_grads = self._trunk_backward(dh.reshape(batch_size, time, hsz), caches)
         grads.update(trunk_grads)
@@ -266,39 +275,46 @@ class MultiTaskModel:
         utterances stacked along the frame axis and the result is the list of
         their posterior sequences, equal to scoring each alone up to float
         rounding.
+
+        Scoring runs in float64 whatever the model's dtype: the trunk and the
+        emotion head are upcast once per call (exactly), not at every product.
         """
         features = np.asarray(features, dtype=np.float64)
         if features.ndim != 2 or features.shape[1] != self.config.n_features:
             raise nn.ShapeError(f"features must be (n, {self.config.n_features})")
+        trunk = [nn.with_dtype(layer, np.float64) for layer in self.trunk_layers]
+        head = nn.with_dtype(self.heads[TASK_EMOTION], np.float64)
         if lengths is None:
-            return self._utterance_posteriors(features)
+            return self._utterance_posteriors(trunk, head, features)
         lengths = np.asarray(lengths, dtype=np.int64)
         if lengths.ndim != 1 or lengths.size == 0 or np.any(lengths < 1):
             raise ValueError("lengths must be a non-empty list of positive frame counts")
         if int(lengths.sum()) != features.shape[0]:
             raise ValueError(f"lengths sum to {int(lengths.sum())}, features have {features.shape[0]} rows")
         if self.config.trunk == "lstm":
-            return self._lstm_block_posteriors(features, lengths)
+            return self._lstm_block_posteriors(trunk, head, features, lengths)
         # one window GEMM per utterance: windows of a whole block would be context_frames times its size
-        return [self._utterance_posteriors(u) for u in np.split(features, np.cumsum(lengths)[:-1])]
+        return [self._utterance_posteriors(trunk, head, u)
+                for u in np.split(features, np.cumsum(lengths)[:-1])]
 
-    def _utterance_posteriors(self, features):
+    def _utterance_posteriors(self, trunk, head, features):
         if self.config.trunk == "dnn":
             context = self.config.context_frames
             n = features.shape[0]
             if n < context:
                 raise ValueError(f"too few frames for DNN context: {n} < {context}")
             windows = np.lib.stride_tricks.sliding_window_view(features, (context, features.shape[1]))
-            x = windows.reshape(n - context + 1, context * features.shape[1])
+            h = windows.reshape(n - context + 1, context * features.shape[1])
         else:
-            x = features[None, :, :]
-        h, _ = self._trunk_forward(x, 0.0, None, train=False)
+            h = features[None, :, :]
+        for layer in trunk:
+            h, _ = layer.forward(h)
         if self.config.trunk == "lstm":
             h = h[0]
-        logits, _ = self.heads[TASK_EMOTION].forward(h)
+        logits, _ = head.forward(h)
         return _stable_softmax(logits)
 
-    def _lstm_block_posteriors(self, features, lengths):
+    def _lstm_block_posteriors(self, trunk, head, features, lengths):
         """Time-major LSTM pass over a block of stacked utterances.
 
         Utterances are ordered by length (descending, stable), so those still
@@ -311,15 +327,14 @@ class MultiTaskModel:
         order = np.argsort(-lengths, kind="stable")
         starts = (np.cumsum(lengths) - lengths)[order]
         by_length = lengths[order]
-        head = self.heads[TASK_EMOTION]
         state = [(np.zeros((order.size, layer.n_hidden)), np.zeros((order.size, layer.n_hidden)))
-                 for layer in self.trunk_layers]
+                 for layer in trunk]
         logits = np.empty((features.shape[0], head.n_out))
         for t in range(int(by_length[0])):
             active = int(np.count_nonzero(by_length > t))
             rows = starts[:active] + t
             x = features[rows]
-            for k, layer in enumerate(self.trunk_layers):
+            for k, layer in enumerate(trunk):
                 h, c = state[k]
                 _, _, _, _, c, _, x = layer.step(x @ layer.w_x.T, h[:active], c[:active])
                 state[k] = (x, c)
@@ -377,12 +392,14 @@ def _sample_index(config: MTLNetworkConfig, dataset, tc: TrainConfig) -> list[tu
     return index
 
 
-def _batches(config: MTLNetworkConfig, dataset, index, order, batch_size: int):
-    """Yield (position in ``order``, batch) over consecutive slices of ``order``.
+def _batches(model: MultiTaskModel, dataset, index, order, batch_size: int):
+    """Yield (position in ``order``, batch) over consecutive slices of ``order``,
+    the inputs gathered straight into the model's dtype.
 
     DNN batches flatten each context window into one input row; LSTM batches
     zero-pad chunks to the longest one and carry a (B, T) validity mask.
     """
+    config = model.config
     for start in range(0, len(order), batch_size):
         items = [index[i] for i in order[start : start + batch_size]]
         batch = {"targets": {
@@ -390,9 +407,10 @@ def _batches(config: MTLNetworkConfig, dataset, index, order, batch_size: int):
             for h in config.heads
         }}
         if config.trunk == "dnn":
-            batch["x"] = np.stack([dataset[u].features[s : s + n].reshape(-1) for u, s, n in items])
+            batch["x"] = np.stack([dataset[u].features[s : s + n].reshape(-1) for u, s, n in items],
+                                  dtype=model.dtype)
         else:
-            x = np.zeros((len(items), max(n for _, _, n in items), config.n_features))
+            x = np.zeros((len(items), max(n for _, _, n in items), config.n_features), model.dtype)
             mask = np.zeros(x.shape[:2], dtype=bool)
             for row, (u, s, n) in enumerate(items):
                 x[row, :n] = dataset[u].features[s : s + n]
@@ -421,7 +439,7 @@ def _mean_losses(weighted, heads) -> dict[str, float]:
 def _dataset_losses(model, dataset, index, tc: TrainConfig):
     """Weighted per-task losses over a dataset in eval mode (no dropout)."""
     weighted = []
-    for _, batch in _batches(model.config, dataset, index, range(len(index)), tc.batch_size):
+    for _, batch in _batches(model, dataset, index, range(len(index)), tc.batch_size):
         losses, _, _ = model.loss_and_grads(batch, dropout_p=0.0, rng=None, train=False)
         weighted.append((losses, _batch_weight(batch)))
     mean_losses = _mean_losses(weighted, model.config.heads)
@@ -461,7 +479,7 @@ def train(model: MultiTaskModel, train_set, val_set, tc: TrainConfig) -> Trained
 
     for epoch in range(tc.max_epochs):
         weighted = []
-        for start, batch in _batches(config, train_set, index, rng.permutation(len(index)),
+        for start, batch in _batches(model, train_set, index, rng.permutation(len(index)),
                                      tc.batch_size):
             losses, batch_total, grads = model.loss_and_grads(
                 batch, dropout_p=tc.dropout_p, rng=rng, train=True
@@ -528,9 +546,13 @@ def save_model(path: str | Path, trained: TrainedModel,
 
 
 def load_model(path: str | Path):
-    """Load a model checkpoint. Returns (MultiTaskModel, header, extra_params)."""
+    """Load a model checkpoint. Returns (MultiTaskModel, header, extra_params).
+
+    The model is float64: it only scores, and a float64 model needs no upcast
+    copy to do so. Its weights are the checkpoint's float32 values."""
     params, header = nn.load_checkpoint(path)
-    model = MultiTaskModel(from_dict(MTLNetworkConfig, header["network"]), seed=header["model_seed"])
+    model = MultiTaskModel(from_dict(MTLNetworkConfig, header["network"]), seed=header["model_seed"],
+                           dtype=np.float64)
     own = model.parameters()
     extras: dict[str, np.ndarray] = {}
     for name, values in params.items():

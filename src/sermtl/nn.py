@@ -1,14 +1,21 @@
 """Minimal trainable neural core: dense and LSTM layers, softmax cross-entropy,
 inverted dropout, Adam, a finite-difference gradient checker, and checkpoint I/O.
 
-All math runs in float64; checkpoints serialize parameters as float32 LE.
+Layers compute in the dtype of their parameters (float64 unless built with
+another ``dtype``); the multi-task model trains in float32 and scores in
+float64, see `mtl.MultiTaskModel`. Softmax cross-entropy computes its loss in
+float64 and returns its gradient in the dtype of the logits. Checkpoints
+serialize parameters as float32 LE.
+
 `LSTMLayer.step` is the one home of the LSTM gate math: the training `forward`
 (which caches every step for BPTT) and the cache-free, time-major inference
 pass in `mtl.MultiTaskModel.emotion_posteriors` both advance the cell with it.
 """
 from __future__ import annotations
 
+import copy
 import json
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -26,12 +33,25 @@ class NumericsError(FloatingPointError):
     """Raised on non-finite inputs or gradients."""
 
 
-def _glorot(shape: tuple[int, int], rng: np.random.Generator | None) -> np.ndarray:
+def _glorot(shape: tuple[int, int], rng: np.random.Generator | None, dtype) -> np.ndarray:
     if rng is None:
-        return np.zeros(shape)
+        return np.zeros(shape, dtype)
     fan_out, fan_in = shape
     limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, shape)
+    # the same float64 draws for every dtype, so a float32 layer is the rounded float64 one
+    return rng.uniform(-limit, limit, shape).astype(dtype, copy=False)
+
+
+def with_dtype(layer, dtype):
+    """``layer`` itself if its parameters are already ``dtype``, else a shallow
+    copy whose parameters are cast to ``dtype``."""
+    params = layer.parameters()
+    if all(arr.dtype == dtype for arr in params.values()):
+        return layer
+    out = copy.copy(layer)
+    for name, arr in params.items():
+        setattr(out, name, arr.astype(dtype))
+    return out
 
 
 class DenseLayer:
@@ -40,20 +60,20 @@ class DenseLayer:
     ACTIVATIONS = ("relu", "sigmoid", "linear")
 
     def __init__(self, n_in: int, n_out: int, activation: str = "linear",
-                 rng: np.random.Generator | None = None):
+                 rng: np.random.Generator | None = None, dtype=np.float64):
         if activation not in self.ACTIVATIONS:
             raise ValueError(f"unknown activation: {activation!r}")
         self.n_in = n_in
         self.n_out = n_out
         self.activation = activation
-        self.w = _glorot((n_out, n_in), rng)
-        self.b = np.zeros(n_out)
+        self.w = _glorot((n_out, n_in), rng, dtype)
+        self.b = np.zeros(n_out, dtype)
 
     def parameters(self) -> dict[str, np.ndarray]:
         return {"w": self.w, "b": self.b}
 
     def forward(self, x: np.ndarray):
-        x = np.asarray(x, dtype=np.float64)
+        x = np.asarray(x, dtype=self.w.dtype)
         if x.ndim != 2 or x.shape[1] != self.n_in:
             raise ShapeError(f"expected (batch, {self.n_in}), got {x.shape}")
         z = x @ self.w.T + self.b
@@ -86,12 +106,12 @@ class LSTMLayer:
     """
 
     def __init__(self, n_in: int, n_hidden: int, rng: np.random.Generator | None = None,
-                 forget_bias: float = 1.0):
+                 forget_bias: float = 1.0, dtype=np.float64):
         self.n_in = n_in
         self.n_hidden = n_hidden
-        self.w_x = _glorot((4 * n_hidden, n_in), rng)
-        self.w_h = _glorot((4 * n_hidden, n_hidden), rng)
-        self.b = np.zeros(4 * n_hidden)
+        self.w_x = _glorot((4 * n_hidden, n_in), rng, dtype)
+        self.w_h = _glorot((4 * n_hidden, n_hidden), rng, dtype)
+        self.b = np.zeros(4 * n_hidden, dtype)
         self.b[n_hidden : 2 * n_hidden] = forget_bias
 
     def parameters(self) -> dict[str, np.ndarray]:
@@ -112,22 +132,23 @@ class LSTMLayer:
         return i, f, g, o, c, tc, o * tc
 
     def forward(self, x: np.ndarray, h0: np.ndarray | None = None, c0: np.ndarray | None = None):
-        x = np.asarray(x, dtype=np.float64)
+        dtype = self.w_x.dtype
+        x = np.asarray(x, dtype=dtype)
         if x.ndim != 3 or x.shape[2] != self.n_in:
             raise ShapeError(f"expected (batch, time, {self.n_in}), got {x.shape}")
         if not np.all(np.isfinite(x)):
             raise NumericsError("non-finite input to LSTM")
         batch, time, _ = x.shape
         hsz = self.n_hidden
-        h = np.zeros((batch, hsz)) if h0 is None else np.array(h0, dtype=np.float64)
-        c = np.zeros((batch, hsz)) if c0 is None else np.array(c0, dtype=np.float64)
+        h = np.zeros((batch, hsz), dtype) if h0 is None else np.array(h0, dtype=dtype)
+        c = np.zeros((batch, hsz), dtype) if c0 is None else np.array(c0, dtype=dtype)
         h_init, c_init = h, c
 
         xw = x @ self.w_x.T  # (batch, time, 4H), hoisted out of the loop
-        gates = np.empty((batch, time, 4 * hsz))
-        cells = np.empty((batch, time, hsz))
-        cell_tanh = np.empty((batch, time, hsz))
-        hidden = np.empty((batch, time, hsz))
+        gates = np.empty((batch, time, 4 * hsz), dtype)
+        cells = np.empty((batch, time, hsz), dtype)
+        cell_tanh = np.empty((batch, time, hsz), dtype)
+        hidden = np.empty((batch, time, hsz), dtype)
 
         for t in range(time):
             i, f, g, o, c, tc, h = self.step(xw[:, t], h, c)
@@ -145,9 +166,10 @@ class LSTMLayer:
     def backward(self, dh_seq: np.ndarray, cache):
         x, gates, cells, cell_tanh, hidden, h_init, c_init = cache
         batch, time, hsz = cells.shape
-        da_all = np.empty((batch, time, 4 * hsz))
-        dh = np.zeros((batch, hsz))
-        dc = np.zeros((batch, hsz))
+        dtype = cells.dtype
+        da_all = np.empty((batch, time, 4 * hsz), dtype)
+        dh = np.zeros((batch, hsz), dtype)
+        dc = np.zeros((batch, hsz), dtype)
         for t in range(time - 1, -1, -1):
             i = gates[:, t, :hsz]
             f = gates[:, t, hsz : 2 * hsz]
@@ -189,11 +211,15 @@ def one_hot(labels: np.ndarray, n_classes: int) -> np.ndarray:
 
 
 def softmax_xent(logits: np.ndarray, targets: np.ndarray):
-    """Mean categorical cross-entropy with a log-sum-exp-stabilized softmax.
+    """Mean categorical cross-entropy with a log-sum-exp-stabilized softmax,
+    computed in float64.
 
-    Returns (loss, probs, dlogits) where dlogits = (probs - targets) / batch.
+    Returns (loss, probs, dlogits) where dlogits = (probs - targets) / batch,
+    in the dtype of ``logits`` (float64 for non-float logits).
     """
-    logits = np.asarray(logits, dtype=np.float64)
+    logits = np.asarray(logits)
+    grad_dtype = np.result_type(logits.dtype, np.float32)
+    logits = logits.astype(np.float64, copy=False)
     targets = np.asarray(targets, dtype=np.float64)
     if logits.ndim != 2 or logits.shape[1] < 2:
         raise ShapeError("logits must be (batch, K) with K >= 2")
@@ -208,13 +234,14 @@ def softmax_xent(logits: np.ndarray, targets: np.ndarray):
     log_probs = shifted - log_norm
     probs = np.exp(log_probs)
     loss = float(-np.sum(targets * log_probs) / batch)
-    dlogits = (probs - targets) / batch
+    dlogits = ((probs - targets) / batch).astype(grad_dtype, copy=False)
     return loss, probs, dlogits
 
 
 def dropout(x: np.ndarray, p: float, rng: np.random.Generator | None = None):
-    """Inverted dropout with drop probability ``p``. Returns (output, scale_mask);
-    at ``p == 0`` (evaluation) the input passes through and the mask is None."""
+    """Inverted dropout with drop probability ``p``. Returns (output, scale_mask),
+    the mask in the dtype of ``x`` (float64 for non-float ``x``); at ``p == 0``
+    (evaluation) the input passes through and the mask is None."""
     if not 0.0 <= p < 1.0:
         raise ValueError("drop probability must be in [0, 1)")
     if p == 0.0:
@@ -222,7 +249,7 @@ def dropout(x: np.ndarray, p: float, rng: np.random.Generator | None = None):
     if rng is None:
         raise ValueError("dropout needs an rng")
     keep = rng.random(x.shape) >= p
-    mask = keep / (1.0 - p)
+    mask = keep / np.asarray(1.0 - p, dtype=np.result_type(x.dtype, np.float32))
     return x * mask, mask
 
 
@@ -273,12 +300,12 @@ def clip_global_norm(grads: dict[str, np.ndarray], max_norm: float) -> float:
     total = 0.0
     for g in grads.values():
         total += float(np.sum(g * g))
-    norm = np.sqrt(total)
+    norm = float(np.sqrt(total))
     if max_norm > 0 and norm > max_norm:
-        scale = max_norm / norm
+        scale = max_norm / norm  # a Python float, so each gradient is scaled in its own dtype
         for g in grads.values():
             g *= scale
-    return float(norm)
+    return norm
 
 
 @dataclass(frozen=True)
@@ -348,9 +375,19 @@ def save_checkpoint(path: str | Path, params: dict[str, np.ndarray], header: dic
 
 
 def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
-    """Returns (params, header), the header as it was given to `save_checkpoint`."""
+    """Returns (params, header), the header as it was given to `save_checkpoint`.
+
+    Raises ValueError naming ``path`` for a foreign, truncated or overlong file:
+    a header length past the end of the file, or bytes after the parameter blob.
+    """
     with open(path, "rb") as fh:
-        (head_len,) = struct.unpack("<I", fh.read(4))
+        size = os.fstat(fh.fileno()).st_size
+        raw = fh.read(4)
+        if len(raw) < 4:
+            raise ValueError(f"truncated checkpoint: {path}")
+        (head_len,) = struct.unpack("<I", raw)
+        if 4 + head_len > size:
+            raise ValueError(f"checkpoint header length {head_len} exceeds the file size {size}: {path}")
         header = json.loads(fh.read(head_len).decode("utf-8"))
         if header.pop("format", None) != CHECKPOINT_FORMAT:
             raise ValueError(f"not a {CHECKPOINT_FORMAT} checkpoint: {path}")
@@ -363,4 +400,6 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
             if data.size != count:
                 raise ValueError(f"truncated checkpoint: {path}")
             params[entry["name"]] = data.reshape(shape).astype(np.float64)
+        if fh.read(1):
+            raise ValueError(f"trailing bytes after the parameter blob: {path}")
     return params, header

@@ -6,6 +6,10 @@ kernel, momentum, and early exaggeration. After the exaggeration phase a
 descent safeguard keeps the recorded KL trace non-increasing: a step that
 would raise the KL is retried with damped plain-gradient steps and rejected
 outright if none of them improves.
+
+Each point the optimizer tries costs one O(n^2) kernel evaluation: the KL of a
+step is taken from its Student-t kernel, and an accepted point's kernel is kept
+for the next gradient.
 """
 from __future__ import annotations
 
@@ -114,18 +118,31 @@ def compute_affinities(x: np.ndarray, perplexity: float, tol: float = 1e-4,
     return np.maximum(joint, 0.0)
 
 
-def kl_and_gradient(p: np.ndarray, y: np.ndarray):
-    """KL(P||Q) and its gradient with respect to the embedding rows."""
+def _kernel(y: np.ndarray):
+    """Student-t kernel ``w`` (zero diagonal) of embedding ``y`` and the floored
+    joint ``q = max(w / sum(w), floor)``."""
     d = _pairwise_sq_dists(y)
     w = 1.0 / (1.0 + d)
     np.fill_diagonal(w, 0.0)
     z = w.sum()
-    q = np.maximum(w / z, _Q_FLOOR)
-    mask = p > 0.0
-    kl = float(np.sum(p[mask] * np.log(p[mask] / q[mask])))
+    return w, np.maximum(w / z, _Q_FLOOR)
+
+
+def _kl(p_pos: np.ndarray, mask: np.ndarray, q: np.ndarray) -> float:
+    """KL(P||Q) from ``mask = p > 0`` and ``p_pos = p[mask]``."""
+    return float(np.sum(p_pos * np.log(p_pos / q[mask])))
+
+
+def _gradient(p: np.ndarray, y: np.ndarray, w: np.ndarray, q: np.ndarray) -> np.ndarray:
     m = (p - q) * w
-    grad = 4.0 * (m.sum(axis=1)[:, None] * y - m @ y)
-    return kl, grad
+    return 4.0 * (m.sum(axis=1)[:, None] * y - m @ y)
+
+
+def kl_and_gradient(p: np.ndarray, y: np.ndarray):
+    """KL(P||Q) and its gradient with respect to the embedding rows."""
+    w, q = _kernel(y)
+    mask = p > 0.0
+    return _kl(p[mask], mask, q), _gradient(p, y, w, q)
 
 
 def kl_divergence(p: np.ndarray, y: np.ndarray) -> float:
@@ -148,36 +165,39 @@ def tsne_embed(x: np.ndarray, config: TsneConfig | None = None):
     y = rng.normal(0.0, config.init_std, (n, config.out_dims))
     velocity = np.zeros_like(y)
     p_ex = p * config.early_exaggeration
+    mask = p > 0.0
+    p_pos = p[mask]
     trace = np.empty(config.n_iter)
+    w, q = _kernel(y)  # kernel of the current point, kept until a step is accepted
 
     for it in range(config.n_iter):
         exaggerating = it < config.exaggeration_iters
         p_used = p_ex if exaggerating else p
-        _, grad = kl_and_gradient(p_used, y)
+        grad = _gradient(p_used, y, w, q)
         momentum = config.momentum_early if exaggerating else config.momentum_late
         velocity = momentum * velocity - config.learning_rate * grad
         y_next = y + velocity
         y_next = y_next - y_next.mean(axis=0)
-        kl_next = kl_divergence(p, y_next)
+        w_next, q_next = _kernel(y_next)
+        kl_next = _kl(p_pos, mask, q_next)
 
         if not exaggerating and it > 0 and kl_next > trace[it - 1]:
             # Descent safeguard: damped plain-gradient retries, else reject.
-            accepted = False
             for shrink in range(1, 21):
                 candidate = y - (config.learning_rate * 0.5**shrink) * grad
                 candidate = candidate - candidate.mean(axis=0)
-                kl_candidate = kl_divergence(p, candidate)
+                w_next, q_next = _kernel(candidate)
+                kl_candidate = _kl(p_pos, mask, q_next)
                 if kl_candidate <= trace[it - 1]:
                     y_next, kl_next = candidate, kl_candidate
-                    accepted = True
                     break
-            if not accepted:
-                y_next, kl_next = y, trace[it - 1]
+            else:
+                y_next, kl_next, w_next, q_next = y, trace[it - 1], w, q
             velocity = np.zeros_like(y)
 
         if not np.isfinite(kl_next):
             raise TsneError(f"non-finite KL at iteration {it}")
-        y = y_next
+        y, w, q = y_next, w_next, q_next
         trace[it] = kl_next
     return y, trace
 

@@ -177,7 +177,7 @@ def test_criterion_03_gradient_suite():
                     },
                 }
             model = MultiTaskModel(MTLNetworkConfig(trunk=trunk, layer_sizes=(8, 8),
-                                                    subtask_mode="all"), seed=4)
+                                                    subtask_mode="all"), seed=4, dtype=np.float64)
             _, _, grads = model.loss_and_grads(batch, train=False)
             report = nn.grad_check(
                 lambda: model.loss_and_grads(batch, train=False)[1],

@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 
 from sermtl.cli import main
+from sermtl.codec import from_dict
 from sermtl.corpus import (
     CorpusManifest,
+    SynthConfig,
     load_manifest,
     read_wav,
     stratified_split,
@@ -68,6 +70,15 @@ class TestSynth:
         manifest = load_manifest(tmp_path / "a" / "manifest.csv")
         assert len(manifest) == 8
         assert (tmp_path / "a" / "config.json").exists()
+
+    def test_config_decodes_as_synth_config(self, tmp_path):
+        assert main(["synth", "--out", str(tmp_path), "--seed", "3", "--corpora", "1",
+                     "--speakers", "1", "--utts", "1", "--duration", "0.5"]) == 0
+        payload = json.loads((tmp_path / "config.json").read_text())
+        assert payload.pop("command") == "synth"
+        assert payload["class_balance"] is None
+        assert from_dict(SynthConfig, payload) == SynthConfig(
+            n_corpora=1, speakers_per_corpus=1, utterances_per_speaker=1, duration_s=0.5, seed=3)
 
 
 class TestFeatures:

@@ -152,6 +152,74 @@ class TestSTLEquivalence:
         assert totals[0.2] == pytest.approx(totals[0.0] + 0.2 * slope, rel=1e-12)
 
 
+def _dnn_batch(rng, batch=5):
+    targets = {
+        "emotion": rng.integers(0, 4, batch),
+        "gender": rng.integers(0, 4, batch),
+        "naturalness": rng.integers(0, 2, batch),
+    }
+    return {"x": rng.normal(size=(batch, 800)), "targets": targets}
+
+
+def _mini_batch(trunk, rng):
+    return _lstm_batch(rng) if trunk == "lstm" else _dnn_batch(rng)
+
+
+class TestDtypes:
+    CONFIGS = {trunk: MTLNetworkConfig(trunk=trunk, layer_sizes=(8, 8), subtask_mode="all")
+               for trunk in ("lstm", "dnn")}
+
+    @pytest.mark.parametrize("trunk", ["lstm", "dnn"])
+    def test_float32_training_stays_float32(self, trunk):
+        model = MultiTaskModel(self.CONFIGS[trunk], seed=2)
+        assert model.dtype == np.float32
+        params = model.parameters()
+        assert all(arr.dtype == np.float32 for arr in params.values())
+        batch = _mini_batch(trunk, np.random.default_rng(7))
+        batch["x"] = batch["x"].astype(np.float32)
+        _, _, grads = model.loss_and_grads(batch, dropout_p=0.5, rng=np.random.default_rng(8))
+        assert set(grads) == set(params)
+        for name, grad in grads.items():
+            assert grad.dtype == np.float32, name
+        adam = nn.AdamState.for_params(params)
+        nn.clip_global_norm(grads, 1e-3)
+        nn.adam_step(adam, params, grads)
+        for name, arr in model.parameters().items():
+            assert arr.dtype == np.float32, name
+            assert adam.m[name].dtype == adam.v[name].dtype == np.float32, name
+
+    @pytest.mark.parametrize("trunk", ["lstm", "dnn"])
+    def test_float32_gradients_match_float64(self, trunk):
+        small = MultiTaskModel(self.CONFIGS[trunk], seed=2)
+        wide = MultiTaskModel(self.CONFIGS[trunk], seed=2, dtype=np.float64)
+        for name, arr in wide.parameters().items():
+            assert np.array_equal(arr.astype(np.float32), small.parameters()[name]), name
+            arr[...] = small.parameters()[name]
+        batch = _mini_batch(trunk, np.random.default_rng(9))
+        batch["x"] = batch["x"].astype(np.float32).astype(np.float64)
+        _, _, got = small.loss_and_grads(batch, dropout_p=0.5, rng=np.random.default_rng(10))
+        _, _, want = wide.loss_and_grads(batch, dropout_p=0.5, rng=np.random.default_rng(10))
+        for name, grad in want.items():
+            scale = np.max(np.abs(grad))
+            if scale == 0.0:
+                assert not np.any(got[name]), name
+                continue
+            assert np.max(np.abs(got[name] - grad)) / scale < 1e-4, name
+
+    @pytest.mark.parametrize("trunk", ["lstm", "dnn"])
+    def test_float32_model_scores_in_float64(self, trunk):
+        config = MTLNetworkConfig(trunk=trunk, layer_sizes=(8,), context_frames=0 if trunk == "lstm" else 5)
+        model = MultiTaskModel(config, seed=4)
+        wide = MultiTaskModel(config, seed=4, dtype=np.float64)
+        for name, arr in wide.parameters().items():
+            arr[...] = model.parameters()[name]
+        feats = np.random.default_rng(11).normal(size=(12, 32))
+        got = model.emotion_posteriors(feats)
+        assert got.dtype == np.float64
+        assert np.array_equal(got, wide.emotion_posteriors(feats))
+        assert all(arr.dtype == np.float32 for arr in model.parameters().values())
+
+
 class TestTrainConfig:
     @pytest.mark.parametrize("p", [1.0, 1.5, -0.1])
     def test_dropout_outside_unit_interval_rejected(self, p):
@@ -337,6 +405,26 @@ class TestModelCheckpoint:
         a = trained.model.emotion_posteriors(feats)
         b = loaded.emotion_posteriors(feats)
         assert np.allclose(a, b, atol=1e-5)
+
+    @pytest.mark.parametrize("config", [
+        MTLNetworkConfig(trunk="lstm", layer_sizes=(6, 6), subtask_mode="all"),
+        MTLNetworkConfig(trunk="dnn", layer_sizes=(8, 8), context_frames=5, subtask_mode="all"),
+    ], ids=["lstm", "dnn"])
+    def test_reloaded_model_scores_exactly(self, tmp_path, config):
+        data = _blob_dataset(n_utts=12, n_frames=10)
+        trained = train(MultiTaskModel(config, seed=3), data[:9], data[9:],
+                        TrainConfig(batch_size=8, max_epochs=2, patience=1, seed=3))
+        loaded, _, _ = load_model(save_model(tmp_path / "m.ckpt", trained))
+        assert loaded.dtype == np.float64
+        rng = np.random.default_rng(1)
+        utts = [rng.normal(size=(n, 32)) for n in (15, 9, 12)]
+        for utt in utts:
+            assert np.array_equal(loaded.emotion_posteriors(utt), trained.model.emotion_posteriors(utt))
+        lengths = [u.shape[0] for u in utts]
+        block = np.concatenate(utts)
+        for got, want in zip(loaded.emotion_posteriors(block, lengths),
+                             trained.model.emotion_posteriors(block, lengths)):
+            assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("edit, named", [
         (lambda net: net.update(context_frame=11), "unknown key 'context_frame'"),

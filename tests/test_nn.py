@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -251,6 +253,25 @@ class TestCheckpoints:
         assert header["note"] == "x"
         for name in params:
             assert np.array_equal(loaded[name], params[name].astype(np.float32).astype(np.float64))
+
+    def _saved(self, tmp_path):
+        params = {"w": np.arange(6.0).reshape(2, 3)}
+        return nn.save_checkpoint(tmp_path / "m.ckpt", params, {"note": "x"})
+
+    def test_rejects_trailing_bytes(self, tmp_path):
+        path = self._saved(tmp_path)
+        path.write_bytes(path.read_bytes() + b"\x00")
+        with pytest.raises(ValueError, match="trailing bytes") as err:
+            nn.load_checkpoint(path)
+        assert str(path) in str(err.value)
+
+    def test_rejects_header_length_past_end_of_file(self, tmp_path):
+        path = self._saved(tmp_path)
+        data = path.read_bytes()
+        path.write_bytes(struct.pack("<I", len(data)) + data[4:])
+        with pytest.raises(ValueError, match="exceeds the file size") as err:
+            nn.load_checkpoint(path)
+        assert str(path) in str(err.value)
 
     def test_rejects_foreign_file(self, tmp_path):
         (tmp_path / "x.ckpt").write_bytes(b"\x02\x00\x00\x00{}")

@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from sermtl.seeding import derive_seed
 from sermtl.tsne import (
     TsneConfig,
     compute_affinities,
@@ -125,6 +126,45 @@ class TestEmbedding:
         y2, t2 = tsne_embed(x, config)
         assert np.array_equal(y1, y2)
         assert np.array_equal(t1, t2)
+
+    def test_matches_two_kernel_loop_bitwise(self):
+        """`tsne_embed` evaluates one kernel per point tried; this reference loop
+        evaluates the kernel twice per iteration (gradient at the current point,
+        KL at the next) through the public functions. Both must agree bit for
+        bit, safeguard retries included."""
+        x = np.random.default_rng(0).normal(size=(30, 4))
+        config = TsneConfig(perplexity=5.0, n_iter=150, exaggeration_iters=30, seed=0)
+        p = compute_affinities(x, config.perplexity, min_bandwidth=config.min_bandwidth)
+        rng = np.random.default_rng(derive_seed(config.seed, "tsne"))
+        y = rng.normal(0.0, config.init_std, (x.shape[0], config.out_dims))
+        velocity = np.zeros_like(y)
+        trace = np.empty(config.n_iter)
+        retries = 0
+        for it in range(config.n_iter):
+            exaggerating = it < config.exaggeration_iters
+            _, grad = kl_and_gradient(p * config.early_exaggeration if exaggerating else p, y)
+            momentum = config.momentum_early if exaggerating else config.momentum_late
+            velocity = momentum * velocity - config.learning_rate * grad
+            y_next = y + velocity
+            y_next = y_next - y_next.mean(axis=0)
+            kl_next = kl_divergence(p, y_next)
+            if not exaggerating and it > 0 and kl_next > trace[it - 1]:
+                retries += 1
+                y_next, kl_next = y, trace[it - 1]
+                for shrink in range(1, 21):
+                    candidate = y - (config.learning_rate * 0.5**shrink) * grad
+                    candidate = candidate - candidate.mean(axis=0)
+                    kl_candidate = kl_divergence(p, candidate)
+                    if kl_candidate <= trace[it - 1]:
+                        y_next, kl_next = candidate, kl_candidate
+                        break
+                velocity = np.zeros_like(y)
+            y = y_next
+            trace[it] = kl_next
+        assert retries >= 1
+        got_y, got_trace = tsne_embed(x, config)
+        assert np.array_equal(got_y, y)
+        assert np.array_equal(got_trace, trace)
 
     def test_out_dims_validation(self):
         with pytest.raises(ValueError):
