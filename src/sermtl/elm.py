@@ -6,7 +6,6 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from . import nn
 from .codec import from_dict
@@ -57,8 +56,9 @@ def _hidden(model_or_weights, bias, x):
 def elm_fit(x: np.ndarray, y_onehot: np.ndarray, config: ELMConfig) -> ELMModel:
     """Fit output weights by ridge-regularized normal equations.
 
-    Solves (H^T H + ridge I) B^T = H^T Y with a symmetric positive-definite
-    (Cholesky) solve, where H is the random sigmoid hidden activation of X.
+    Solves (H^T H + ridge I) B^T = H^T Y by its Cholesky factor L, one solve
+    against L and one against L^T, where H is the random sigmoid hidden
+    activation of X.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y_onehot, dtype=np.float64)
@@ -72,8 +72,9 @@ def elm_fit(x: np.ndarray, y_onehot: np.ndarray, config: ELMConfig) -> ELMModel:
     h = _hidden(a, bias, x)
     gram = h.T @ h + config.ridge * np.eye(config.n_hidden)
     try:
-        b_t = cho_solve(cho_factor(gram, lower=True), h.T @ y)
-    except LinAlgError as exc:
+        factor = np.linalg.cholesky(gram)
+        b_t = np.linalg.solve(factor.T, np.linalg.solve(factor, h.T @ y))
+    except np.linalg.LinAlgError as exc:
         raise ELMFitError(f"degenerate output-weight solve: {exc}") from exc
     if not np.all(np.isfinite(b_t)):
         raise ELMFitError("degenerate output-weight solve: non-finite weights")

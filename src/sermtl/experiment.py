@@ -10,8 +10,8 @@ from pathlib import Path
 
 import numpy as np
 
+from . import blas, metrics
 from . import corpus as corpus_mod
-from . import metrics
 from .corpus import (
     CorpusManifest,
     Fold,
@@ -41,6 +41,7 @@ from .mtl import (
     MultiTaskModel,
     TrainConfig,
     TrainedModel,
+    default_layer_sizes,
     posteriors_in_blocks,
     train,
 )
@@ -144,8 +145,13 @@ def fit_fold(fold: Fold, feats: dict[str, np.ndarray], labels_by_id: dict[str, d
              ) -> tuple[TrainedModel, Standardizer, dict[str, LabeledFeatures]]:
     """Fit the standardizer on the fold's training utterances, standardize each
     utterance in ``feats`` once, and train a model seeded with ``training.seed``
-    on the fold's train/validation split."""
-    standardizer = fit_standardizer([feats[uid] for uid in fold.train_ids])
+    on the fold's train/validation split.
+
+    The statistics are rounded to float32 values, which a checkpoint stores
+    exactly, so a saved model standardizes as its fold did."""
+    fitted = fit_standardizer([feats[uid] for uid in fold.train_ids])
+    standardizer = Standardizer(*(s.astype(np.float32).astype(np.float64)
+                                  for s in (fitted.mean, fitted.std)))
     data = {
         uid: LabeledFeatures(uid, apply_standardizer(standardizer, matrix), labels_by_id[uid])
         for uid, matrix in feats.items()
@@ -190,9 +196,13 @@ def _run_fold(fold_index: int, fold: Fold, labels_by_id: dict[str, dict[str, int
 
 
 def _fold_worker(payload) -> FoldResult:
+    """One fold, on one BLAS thread in a worker process or not: the workers then
+    share the cores instead of oversubscribing them, and a fold's results do not
+    depend on the job count or on the caller's BLAS thread count."""
     fold_index, fold, labels_by_id, feats, config = payload
     try:
-        return _run_fold(fold_index, fold, labels_by_id, feats, config)
+        with blas.one_thread():
+            return _run_fold(fold_index, fold, labels_by_id, feats, config)
     except Exception as exc:  # fold failure is recorded, not fatal
         return FoldResult(
             fold=fold_index,
@@ -214,9 +224,9 @@ def run_experiment(manifests, config: PipelineConfig, jobs: int = 1,
                    feature_cache: dict[str, np.ndarray] | None = None) -> ExperimentReport:
     """Run the configured protocol over the given manifests.
 
-    Folds are independent; with ``jobs > 1`` they run in worker processes and
-    the report is assembled in fold order either way, so results do not
-    depend on scheduling.
+    Folds are independent; with ``jobs > 1`` they run in worker processes.
+    Every fold runs on one BLAS thread and the report is assembled in fold
+    order either way, so results do not depend on scheduling.
     """
     if isinstance(manifests, CorpusManifest):
         manifests = [manifests]
@@ -316,6 +326,21 @@ class GridReport:
     errors: dict[str, list[str]]
 
 
+def grid_networks(base: MTLNetworkConfig) -> dict[str, MTLNetworkConfig]:
+    """The network of each grid configuration, by name.
+
+    Each trunk gets its own context width and, while ``base`` has its trunk's
+    default layer sizes, its own default sizes (DNN 3x256, LSTM 2x256). Other
+    sizes in ``base`` (``xval --grid --layer-sizes 32,32``) go to both trunks.
+    """
+    sizes = () if base.layer_sizes == default_layer_sizes(base.trunk) else base.layer_sizes
+    return {
+        grid_config_name(trunk, mode): replace(base, trunk=trunk, subtask_mode=mode,
+                                               context_frames=0, layer_sizes=sizes)
+        for trunk, mode in GRID_CONFIGS
+    }
+
+
 def run_grid(manifests, base_config: PipelineConfig, jobs: int = 1) -> GridReport:
     """Run every trunk/subtask configuration over the same folds and features."""
     if isinstance(manifests, CorpusManifest):
@@ -323,15 +348,12 @@ def run_grid(manifests, base_config: PipelineConfig, jobs: int = 1) -> GridRepor
     records = merge_records(manifests)
     feature_cache = extract_feature_cache(records, base_config.features, manifests[0].sample_rate)
 
-    reports: dict[str, ExperimentReport] = {}
-    names: list[str] = []
-    for trunk, mode in GRID_CONFIGS:
-        name = grid_config_name(trunk, mode)
-        names.append(name)
-        # context_frames=0 re-derives the context width for each trunk
-        network = replace(base_config.network, trunk=trunk, subtask_mode=mode, context_frames=0)
-        cfg = replace(base_config, network=network)
-        reports[name] = run_experiment(manifests, cfg, jobs=jobs, feature_cache=feature_cache)
+    reports = {
+        name: run_experiment(manifests, replace(base_config, network=network), jobs=jobs,
+                             feature_cache=feature_cache)
+        for name, network in grid_networks(base_config.network).items()
+    }
+    names = list(reports)
 
     test_groups = [f.test_group for f in reports[names[0]].folds]
     ua_table = {

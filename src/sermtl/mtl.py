@@ -44,6 +44,11 @@ class TaskHead:
             raise ValueError("task loss weight must be non-negative")
 
 
+def default_layer_sizes(trunk: str) -> tuple[int, ...]:
+    """The paper's trunk sizes: DNN 3x256, LSTM 2x256."""
+    return (256, 256, 256) if trunk == "dnn" else (256, 256)
+
+
 @dataclass(frozen=True)
 class MTLNetworkConfig:
     trunk: str = "lstm"
@@ -59,8 +64,7 @@ class MTLNetworkConfig:
         if self.subtask_mode not in SUBTASK_MODES:
             raise ValueError(f"unknown subtask_mode: {self.subtask_mode!r}")
         if not self.layer_sizes:
-            sizes = (256, 256, 256) if self.trunk == "dnn" else (256, 256)
-            object.__setattr__(self, "layer_sizes", sizes)
+            object.__setattr__(self, "layer_sizes", default_layer_sizes(self.trunk))
         else:
             object.__setattr__(self, "layer_sizes", tuple(int(s) for s in self.layer_sizes))
         if self.context_frames <= 0:
@@ -188,20 +192,18 @@ class MultiTaskModel:
             caches.append((cache, mask))
         return h, caches
 
-    def _trunk_backward(self, dh, caches):
+    def _trunk_backward(self, dh, caches) -> dict[str, np.ndarray]:
+        """Trunk parameter gradients; the gradient of the input is never formed."""
         grads: dict[str, np.ndarray] = {}
         for i in range(len(self.trunk_layers) - 1, -1, -1):
             layer = self.trunk_layers[i]
             cache, mask = caches[i]
             if mask is not None:
                 dh = dh * mask
-            if isinstance(layer, nn.LSTMLayer):
-                dh, layer_grads, _, _ = layer.backward(dh, cache)
-            else:
-                dh, layer_grads = layer.backward(dh, cache)
+            dh, layer_grads, *_ = layer.backward(dh, cache, input_grad=i > 0)
             for key, g in layer_grads.items():
                 grads[f"trunk.{i}.{key}"] = g
-        return dh, grads
+        return grads
 
     def loss_and_grads(self, batch: dict, dropout_p: float = 0.0,
                        rng: np.random.Generator | None = None, train: bool = True):
@@ -212,19 +214,48 @@ class MultiTaskModel:
         "targets": {task: (B,) ints}} with frame-broadcast chunk labels and
         padding excluded from every per-frame loss mean.
         """
-        if self.config.trunk == "dnn":
-            return self._loss_and_grads_dnn(batch, dropout_p, rng, train)
-        return self._loss_and_grads_lstm(batch, dropout_p, rng, train)
+        h, caches = self._trunk_forward(batch["x"], dropout_p, rng, train)
+        rows, targets = self._scored_rows(h, batch)
+        grads: dict[str, np.ndarray] = {}
+        losses, dh = self._head_pass(rows, targets, grads)
+        if "mask" in batch:
+            # scatter the row gradients back over the padded (B, T, H) trunk output
+            dh_rows, dh = dh, np.zeros(h.shape, h.dtype)
+            dh[batch["mask"]] = dh_rows
+        grads.update(self._trunk_backward(dh, caches))
+        return losses, total_loss(losses, self.config.heads), grads
 
-    def _head_pass(self, h_rows, targets_rows, grads):
+    def batch_losses(self, batch: dict) -> dict[str, float]:
+        """Per-task losses of one mini-batch in eval mode (no dropout), forward
+        only: equal to those of ``loss_and_grads(batch, train=False)``."""
+        h, _ = self._trunk_forward(batch["x"], 0.0, None, False)
+        losses, _ = self._head_pass(*self._scored_rows(h, batch))
+        return losses
+
+    def _scored_rows(self, h, batch):
+        """The trunk output as one row per scored sample, and the matching targets:
+        LSTM chunk labels are broadcast to every valid (unpadded) frame."""
+        if "mask" not in batch:
+            return h, batch["targets"]
+        mask = batch["mask"]
+        targets = {name: np.repeat(np.asarray(t, dtype=np.int64), mask.shape[1])[mask.reshape(-1)]
+                   for name, t in batch["targets"].items()}
+        return h[mask], targets
+
+    def _head_pass(self, h_rows, targets_rows, grads=None):
+        """Per-task losses over trunk output rows. With a ``grads`` dict, also
+        stores the head gradients in it and returns the gradient of ``h_rows``
+        (None otherwise)."""
         losses: dict[str, float] = {}
-        dh = np.zeros_like(h_rows)
+        dh = None if grads is None else np.zeros_like(h_rows)
         for head_spec in self.config.heads:
             head = self.heads[head_spec.name]
             logits, cache = head.forward(h_rows)
             onehot = nn.one_hot(targets_rows[head_spec.name], head_spec.n_classes)
             loss, _, dlogits = nn.softmax_xent(logits, onehot)
             losses[head_spec.name] = loss
+            if grads is None:
+                continue
             if head_spec.loss_weight != 0.0:
                 dx, head_grads = head.backward(dlogits * head_spec.loss_weight, cache)
                 dh += dx
@@ -233,35 +264,6 @@ class MultiTaskModel:
             for key, g in head_grads.items():
                 grads[f"head.{head_spec.name}.{key}"] = g
         return losses, dh
-
-    def _loss_and_grads_dnn(self, batch, dropout_p, rng, train):
-        x = batch["x"]
-        h, caches = self._trunk_forward(x, dropout_p, rng, train)
-        grads: dict[str, np.ndarray] = {}
-        losses, dh = self._head_pass(h, batch["targets"], grads)
-        _, trunk_grads = self._trunk_backward(dh, caches)
-        grads.update(trunk_grads)
-        return losses, total_loss(losses, self.config.heads), grads
-
-    def _loss_and_grads_lstm(self, batch, dropout_p, rng, train):
-        x = batch["x"]
-        mask = batch["mask"]
-        batch_size, time = mask.shape
-        h, caches = self._trunk_forward(x, dropout_p, rng, train)
-        hsz = h.shape[2]
-        valid = mask.reshape(-1)
-        h_rows = h.reshape(batch_size * time, hsz)[valid]
-        frame_targets = {
-            name: np.repeat(np.asarray(t, dtype=np.int64), time)[valid]
-            for name, t in batch["targets"].items()
-        }
-        grads: dict[str, np.ndarray] = {}
-        losses, dh_rows = self._head_pass(h_rows, frame_targets, grads)
-        dh = np.zeros((batch_size * time, hsz), h.dtype)
-        dh[valid] = dh_rows
-        _, trunk_grads = self._trunk_backward(dh.reshape(batch_size, time, hsz), caches)
-        grads.update(trunk_grads)
-        return losses, total_loss(losses, self.config.heads), grads
 
     # -- inference ---------------------------------------------------------
 
@@ -437,11 +439,10 @@ def _mean_losses(weighted, heads) -> dict[str, float]:
 
 
 def _dataset_losses(model, dataset, index, tc: TrainConfig):
-    """Weighted per-task losses over a dataset in eval mode (no dropout)."""
+    """Weighted per-task losses over a dataset in eval mode (no dropout), forward only."""
     weighted = []
     for _, batch in _batches(model, dataset, index, range(len(index)), tc.batch_size):
-        losses, _, _ = model.loss_and_grads(batch, dropout_p=0.0, rng=None, train=False)
-        weighted.append((losses, _batch_weight(batch)))
+        weighted.append((model.batch_losses(batch), _batch_weight(batch)))
     mean_losses = _mean_losses(weighted, model.config.heads)
     return mean_losses, total_loss(mean_losses, model.config.heads)
 

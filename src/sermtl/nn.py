@@ -85,7 +85,8 @@ class DenseLayer:
             y = z
         return y, (x, z, y)
 
-    def backward(self, dy: np.ndarray, cache):
+    def backward(self, dy: np.ndarray, cache, input_grad: bool = True):
+        """(dX, parameter gradients); dX is None when ``input_grad`` is false."""
         x, z, y = cache
         if self.activation == "relu":
             dz = dy * (z > 0.0)
@@ -94,7 +95,7 @@ class DenseLayer:
         else:
             dz = dy
         grads = {"w": dz.T @ x, "b": dz.sum(axis=0)}
-        return dz @ self.w, grads
+        return (dz @ self.w if input_grad else None), grads
 
 
 class LSTMLayer:
@@ -163,7 +164,8 @@ class LSTMLayer:
         cache = (x, gates, cells, cell_tanh, hidden, h_init, c_init)
         return hidden, cache
 
-    def backward(self, dh_seq: np.ndarray, cache):
+    def backward(self, dh_seq: np.ndarray, cache, input_grad: bool = True):
+        """(dX, parameter gradients, dh0, dc0); dX is None when ``input_grad`` is false."""
         x, gates, cells, cell_tanh, hidden, h_init, c_init = cache
         batch, time, hsz = cells.shape
         dtype = cells.dtype
@@ -197,7 +199,7 @@ class LSTMLayer:
             "w_h": flat_da.T @ h_prev.reshape(-1, hsz),
             "b": flat_da.sum(axis=0),
         }
-        dx = da_all @ self.w_x
+        dx = da_all @ self.w_x if input_grad else None
         return dx, grads, dh, dc
 
 

@@ -1,0 +1,69 @@
+from __future__ import annotations
+
+import multiprocessing
+import os
+import subprocess
+import sys
+from concurrent.futures import ProcessPoolExecutor
+from dataclasses import asdict
+from pathlib import Path
+
+import pytest
+
+from sermtl import blas, experiment
+from sermtl.experiment import PipelineConfig, run_experiment
+from sermtl.mtl import MTLNetworkConfig, TrainConfig
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def test_cli_loads_no_scipy():
+    """numpy's OpenBLAS is the only BLAS in a sermtl process."""
+    code = ("import sermtl.cli, sys; "
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "[]"
+
+
+@pytest.fixture
+def all_cores():
+    """This process's OpenBLAS set to one thread per core, as without OPENBLAS_NUM_THREADS;
+    the previous count is restored afterwards."""
+    if blas.threads() is None:
+        pytest.skip("no OpenBLAS symbol found")
+    get, set_ = blas._openblas()
+    previous = get()
+    cores = len(os.sched_getaffinity(0))
+    set_(cores)
+    yield cores
+    set_(previous)
+
+
+def _fake_fold(*payload):
+    return blas.threads()
+
+
+def test_folds_run_on_one_blas_thread(all_cores, monkeypatch):
+    monkeypatch.setattr(experiment, "_run_fold", _fake_fold)
+    payload = (0, None, None, None, None)
+    assert experiment._fold_worker(payload) == 1
+    assert blas.threads() == all_cores  # the caller's count is restored
+    with ProcessPoolExecutor(2, mp_context=multiprocessing.get_context("fork")) as pool:
+        assert list(pool.map(experiment._fold_worker, [payload] * 4)) == [1] * 4
+    assert blas.threads() == all_cores
+
+
+def test_parallel_matches_serial_on_every_core(all_cores, small_synth):
+    """An LSTM trunk's weight-gradient GEMMs have an inner dimension of batch x frames,
+    which rounds differently on one and on several BLAS threads."""
+    manifest, _, _ = small_synth
+    config = PipelineConfig(
+        protocol="cross",
+        network=MTLNetworkConfig(trunk="lstm", layer_sizes=(8, 8)),
+        training=TrainConfig(batch_size=32, max_epochs=3, patience=2, dropout_p=0.3),
+    )
+    serial = run_experiment([manifest], config, jobs=1)
+    assert blas.threads() == all_cores
+    assert asdict(serial) == asdict(run_experiment([manifest], config, jobs=2))

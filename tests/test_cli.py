@@ -18,10 +18,16 @@ from sermtl.corpus import (
     write_manifest,
     write_wav,
 )
-from sermtl.experiment import PipelineConfig, record_features
+from sermtl.experiment import (
+    PipelineConfig,
+    extract_feature_cache,
+    fit_fold,
+    record_features,
+    record_labels,
+)
 from sermtl.features import FeatureConfig, Standardizer, apply_standardizer, read_feature_file
 from sermtl.hlf import compute_hlf, read_hlf_csv
-from sermtl.mtl import MTLNetworkConfig, TrainConfig, load_model
+from sermtl.mtl import MTLNetworkConfig, TrainConfig, load_model, posteriors_in_blocks
 
 
 def _tree_bytes(root: Path) -> dict[str, bytes]:
@@ -167,6 +173,35 @@ class TestTrainAndHlf:
         for rec, row in zip(manifest.records, matrix):
             feats = apply_standardizer(standardizer, record_features(rec, FeatureConfig(), manifest.sample_rate))
             np.testing.assert_allclose(row, compute_hlf(model.emotion_posteriors(feats)), rtol=0, atol=1e-12)
+
+
+    def test_hlf_scores_like_the_trained_model(self, cli_workspace):
+        """`hlf` standardizes with the checkpoint's statistics exactly as the fold that
+        trained the model did, so its posteriors are the in-memory model's, bit for bit."""
+        _, data, run, hlf_csv = cli_workspace
+        manifest = load_manifest(data / "manifest.csv")
+        saved = json.loads((run / "config.json").read_text())
+        training = from_dict(TrainConfig, saved["training"])
+        # the fold `train` fit, refit in memory; every utterance is standardized with its statistics
+        fold = stratified_split([manifest], seed=saved["seed"]).folds[0]
+        feats = extract_feature_cache(manifest.records, FeatureConfig(), manifest.sample_rate)
+        labels = {r.utterance_id: record_labels(r) for r in manifest.records}
+        trained, _, fold_data = fit_fold(fold, feats, labels,
+                                         from_dict(MTLNetworkConfig, saved["network"]), training)
+        model, _, extras = load_model(run / "model.ckpt")
+        standardizer = Standardizer(mean=extras["standardizer.mean"], std=extras["standardizer.std"])
+        ids = [r.utterance_id for r in manifest.records]
+        for uid in ids:
+            assert np.array_equal(apply_standardizer(standardizer, feats[uid]), fold_data[uid].features), uid
+        in_memory = list(posteriors_in_blocks(trained.model, (fold_data[uid].features for uid in ids),
+                                              training.batch_size))
+        reloaded = posteriors_in_blocks(model, (apply_standardizer(standardizer, feats[uid]) for uid in ids),
+                                        training.batch_size)
+        for uid, want, got in zip(ids, in_memory, reloaded):
+            assert np.array_equal(got, want), uid
+        csv_ids, matrix, _ = read_hlf_csv(hlf_csv)
+        assert csv_ids == ids
+        assert np.array_equal(matrix, np.stack([compute_hlf(p) for p in in_memory]))
 
 
 class TestElm:

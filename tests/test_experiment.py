@@ -13,6 +13,7 @@ from sermtl.experiment import (
     PipelineConfig,
     compare_reports,
     grid_config_name,
+    grid_networks,
     run_experiment,
     run_grid,
     write_grid_report,
@@ -135,3 +136,22 @@ class TestGrid:
         csv_lines = (tmp_path / "grid_report.csv").read_text().splitlines()
         assert csv_lines[0] == "test_group," + ",".join(expected)
         assert csv_lines[-1].startswith("mean,")
+
+    @pytest.mark.parametrize("base_trunk", ["dnn", "lstm"])
+    def test_default_grid_uses_each_trunks_paper_sizes(self, base_trunk):
+        networks = grid_networks(MTLNetworkConfig(trunk=base_trunk))
+        assert list(networks) == [grid_config_name(t, m) for t, m in GRID_CONFIGS]
+        for (trunk, mode), network in zip(GRID_CONFIGS, networks.values()):
+            assert (network.trunk, network.subtask_mode) == (trunk, mode)
+            if trunk == "dnn":
+                assert (network.layer_sizes, network.context_frames) == ((256, 256, 256), 25)
+            else:
+                assert (network.layer_sizes, network.context_frames) == ((256, 256), 1)
+
+    @pytest.mark.parametrize("base_trunk", ["dnn", "lstm"])
+    def test_given_sizes_go_to_both_trunks(self, base_trunk):
+        base = MTLNetworkConfig(trunk=base_trunk, layer_sizes=(32, 16), subtask_weight=0.3)
+        for network in grid_networks(base).values():
+            assert network.layer_sizes == (32, 16)
+            assert network.context_frames == (25 if network.trunk == "dnn" else 1)
+            assert network.subtask_weight == 0.3

@@ -220,6 +220,17 @@ class TestDtypes:
         assert all(arr.dtype == np.float32 for arr in model.parameters().values())
 
 
+class TestBatchLosses:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("trunk", ["lstm", "dnn"])
+    def test_equal_eval_mode_loss_and_grads(self, trunk, dtype):
+        model = MultiTaskModel(TestDtypes.CONFIGS[trunk], seed=3, dtype=dtype)
+        batch = _mini_batch(trunk, np.random.default_rng(12))
+        batch["x"] = batch["x"].astype(dtype)
+        want, _, _ = model.loss_and_grads(batch, dropout_p=0.5, rng=None, train=False)
+        assert model.batch_losses(batch) == want
+
+
 class TestTrainConfig:
     @pytest.mark.parametrize("p", [1.0, 1.5, -0.1])
     def test_dropout_outside_unit_interval_rejected(self, p):

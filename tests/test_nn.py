@@ -92,6 +92,25 @@ class TestLSTM:
         assert report.max_rel_err < 1e-4
 
 
+@pytest.mark.parametrize("kind", ["dense", "lstm"])
+def test_backward_without_input_gradient(kind):
+    rng = np.random.default_rng(13)
+    if kind == "dense":
+        layer, x = nn.DenseLayer(6, 4, "relu", rng, dtype=np.float32), rng.normal(size=(5, 6))
+    else:
+        layer, x = nn.LSTMLayer(6, 4, rng, dtype=np.float32), rng.normal(size=(2, 5, 6))
+    y, cache = layer.forward(x)
+    dy = rng.normal(size=y.shape).astype(np.float32)
+    full = layer.backward(dy, cache)
+    skipped = layer.backward(dy, cache, input_grad=False)
+    assert full[0].shape == x.shape and skipped[0] is None
+    assert full[1].keys() == skipped[1].keys()
+    for name, grad in full[1].items():
+        assert np.array_equal(grad, skipped[1][name]), name
+    for want, got in zip(full[2:], skipped[2:]):  # LSTM: gradients of the initial state
+        assert np.array_equal(want, got)
+
+
 class TestSoftmaxXent:
     def test_uniform_at_zero_logits(self):
         logits = np.zeros((3, 4))
