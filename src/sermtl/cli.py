@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import blas
 from . import experiment as exp_mod
 from . import hlf as hlf_mod
 from . import metrics as metrics_mod
@@ -31,13 +32,7 @@ from .corpus import (
     stratified_split,
 )
 from .elm import ELMConfig, elm_fit, elm_predict, save_elm
-from .features import (
-    FeatureConfig,
-    Standardizer,
-    apply_standardizer,
-    write_feature_csv,
-    write_feature_file,
-)
+from .features import FeatureConfig, Standardizer, save_store, write_feature_csv
 from .mtl import MTLNetworkConfig, TrainConfig
 from .nn import one_hot
 
@@ -121,18 +116,12 @@ def cmd_synth(args) -> int:
 
 def cmd_features(args) -> int:
     manifest = load_manifest(args.manifest)
-    feature_config = FeatureConfig()
+    store = exp_mod.extract_feature_cache(manifest.records, FeatureConfig(), manifest.sample_rate)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    index_lines = ["utterance_id,feature_path,n_frames"]
-    for rec in manifest.records:
-        matrix = exp_mod.record_features(rec, feature_config, manifest.sample_rate)
-        rel = f"{rec.utterance_id}.pmtl"
-        write_feature_file(out_dir / rel, matrix)
-        if args.csv:
-            write_feature_csv(out_dir / f"{rec.utterance_id}.csv", matrix)
-        index_lines.append(f"{rec.utterance_id},{rel},{matrix.shape[0]}")
-    (out_dir / "features_index.csv").write_text("\n".join(index_lines) + "\n", encoding="utf-8")
+    save_store(out_dir, store)
+    if args.csv:
+        for i, uid in enumerate(store.ids):
+            write_feature_csv(out_dir / f"{uid}.csv", store.rows(i))
     _write_config(out_dir, {"command": "features", "manifest": str(Path(args.manifest).resolve())})
     print(f"extracted features for {len(manifest)} utterances to {out_dir}")
     return 0
@@ -148,9 +137,9 @@ def cmd_train(args) -> int:
     fold = stratified_split([manifest], seed=args.seed).folds[0]
     used = set(fold.train_ids) | set(fold.validation_ids)
     records = [r for r in manifest.records if r.utterance_id in used]
-    feats = exp_mod.extract_feature_cache(records, FeatureConfig(), manifest.sample_rate)
-    labels_by_id = {r.utterance_id: exp_mod.record_labels(r) for r in records}
-    trained, standardizer, _ = exp_mod.fit_fold(fold, feats, labels_by_id, network, training)
+    store = exp_mod.extract_feature_cache(records, FeatureConfig(), manifest.sample_rate)
+    with blas.one_thread():  # as an xval fold: the model does not depend on the BLAS thread count
+        trained, standardizer, _ = exp_mod.fit_fold(fold, store, network, training)
     mtl_mod.save_model(
         out_dir / "model.ckpt",
         trained,
@@ -178,13 +167,11 @@ def cmd_hlf(args) -> int:
         raise ValueError(f"checkpoint {path} carries no standardizer statistics")
     standardizer = Standardizer(mean=extras["standardizer.mean"], std=extras["standardizer.std"])
     manifest = load_manifest(args.manifest)
-    feature_config = FeatureConfig()
-    matrices = (
-        apply_standardizer(standardizer, exp_mod.record_features(rec, feature_config, manifest.sample_rate))
-        for rec in manifest.records
-    )
-    # scored in blocks of the training batch size, so the working set stays one block
-    posteriors = mtl_mod.posteriors_in_blocks(model, matrices, header["training"]["batch_size"])
+    records, size = manifest.records, header["training"]["batch_size"]
+    # extracted and scored in blocks of the training batch size, so the working set stays one block
+    blocks = (exp_mod.extract_feature_cache(records[i : i + size], FeatureConfig(), manifest.sample_rate)
+              for i in range(0, len(records), size))
+    posteriors = mtl_mod.posteriors_in_blocks(model, blocks, standardizer)
     rows = [(rec.utterance_id, hlf_mod.compute_hlf(post, args.theta), rec)
             for rec, post in zip(manifest.records, posteriors)]
     out_path = Path(args.out)
@@ -334,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--duration", type=float, default=1.0)
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("features", help="extract frame features for a manifest")
+    p = sub.add_parser("features", help="extract a manifest's frame features into a feature store")
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--csv", action="store_true", help="also write per-utterance CSVs")

@@ -207,11 +207,23 @@ def write_manifest(manifest: CorpusManifest, path: str | Path) -> Path:
     return path
 
 
+def _open_pcm16(path: str | Path) -> wave.Wave_read:
+    wf = wave.open(str(path), "rb")
+    if wf.getnchannels() != 1 or wf.getsampwidth() != 2:
+        wf.close()
+        raise ManifestError(f"expected mono PCM16 WAV: {path}")
+    return wf
+
+
+def read_wav_length(path: str | Path) -> tuple[int, int]:
+    """(sample count, sample rate) of a mono PCM16 WAV, from its header alone."""
+    with _open_pcm16(path) as wf:
+        return wf.getnframes(), wf.getframerate()
+
+
 def read_wav(path: str | Path) -> tuple[np.ndarray, int]:
     """Read a mono PCM16 WAV into float64 samples in [-1, 1)."""
-    with wave.open(str(path), "rb") as wf:
-        if wf.getnchannels() != 1 or wf.getsampwidth() != 2:
-            raise ManifestError(f"expected mono PCM16 WAV: {path}")
+    with _open_pcm16(path) as wf:
         sr = wf.getframerate()
         raw = wf.readframes(wf.getnframes())
     samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0

@@ -4,6 +4,7 @@ eight-configuration trunk/subtask grid."""
 from __future__ import annotations
 
 import json
+import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
@@ -24,19 +25,24 @@ from .corpus import (
     merge_records,
     naturalness_index,
     read_wav,
+    read_wav_length,
     stratified_split,
 )
 from .elm import ELMConfig, elm_fit, elm_predict
 from .features import (
+    N_FEATURES,
     FeatureConfig,
+    FeatureStore,
     Standardizer,
-    apply_standardizer,
+    Workspace,
     extract_features,
     fit_standardizer,
+    frame_count,
+    mapped_array,
+    standardized,
 )
 from .hlf import compute_hlf
 from .mtl import (
-    LabeledFeatures,
     MTLNetworkConfig,
     MultiTaskModel,
     TrainConfig,
@@ -117,19 +123,113 @@ def record_labels(rec: UtteranceRecord) -> dict[str, int]:
     }
 
 
-def record_features(rec: UtteranceRecord, feature_config: FeatureConfig,
-                    sample_rate: int) -> np.ndarray:
-    """The 32-dim feature matrix of one utterance; its WAV must be at the manifest's rate."""
-    samples, sr = read_wav(rec.audio_path)
+def _check_rate(rec: UtteranceRecord, sr: int, sample_rate: int) -> None:
     if sr != sample_rate:
         raise ValueError(f"{rec.audio_path}: sample rate {sr} != manifest {sample_rate}")
-    return extract_features(samples, sr, feature_config)
 
 
-def extract_feature_cache(records, feature_config: FeatureConfig,
-                          sample_rate: int) -> dict[str, np.ndarray]:
-    """Extract the 32-dim feature matrix once per utterance."""
-    return {rec.utterance_id: record_features(rec, feature_config, sample_rate) for rec in records}
+def record_features(rec: UtteranceRecord, feature_config: FeatureConfig, sample_rate: int,
+                    workspace: Workspace | None = None, out: np.ndarray | None = None) -> np.ndarray:
+    """The 32-dim feature matrix of one utterance (see `extract_features` for
+    ``workspace`` and ``out``); its WAV must be at the manifest's rate."""
+    samples, sr = read_wav(rec.audio_path)
+    _check_rate(rec, sr, sample_rate)
+    return extract_features(samples, sr, feature_config, workspace, out)
+
+
+# Utterances per front-end task. Each utterance is written to its own rows of the
+# store, so neither this nor the job count changes the store's bytes.
+EXTRACT_CHUNK = 16
+
+# The feature store of a fold-pool worker, inherited at fork (see `_Workers`).
+_worker_store: FeatureStore | None = None
+
+
+def _inherit(store: FeatureStore) -> None:
+    global _worker_store
+    _worker_store = store
+
+
+def _call_with_store(call):
+    fn, task = call
+    return fn(_worker_store, task)
+
+
+class _Workers:
+    """Runs ``fn(store, task)`` over a list of tasks and returns the results in
+    order: in this process with ``jobs <= 1``, else in a pool of ``jobs`` forked
+    workers. The workers inherit the store at fork, never pickled, so only tasks
+    and results cross between processes; a store that workers write into must
+    be shared memory (`_empty_store` with ``shared=True``)."""
+
+    def __init__(self, store: FeatureStore, jobs: int = 1):
+        self.store = store
+        self._pool = None
+        if jobs > 1:
+            self._pool = ProcessPoolExecutor(jobs, mp_context=multiprocessing.get_context("fork"),
+                                             initializer=_inherit, initargs=(store,))
+
+    def map(self, fn, tasks) -> list:
+        if self._pool is None:
+            return [fn(self.store, task) for task in tasks]
+        return list(self._pool.map(_call_with_store, [(fn, task) for task in tasks]))
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        if self._pool is not None:
+            self._pool.shutdown()
+
+
+def _empty_store(records, feature_config: FeatureConfig, sample_rate: int,
+                 shared: bool = False) -> FeatureStore:
+    """A packed store for ``records`` with its labels and row ranges set, sized
+    from the WAV headers; the matrix is left for `extract_feature_cache` to fill.
+    Forked workers write into and read from a ``shared`` one."""
+    lengths = []
+    for rec in records:
+        n_samples, sr = read_wav_length(rec.audio_path)
+        _check_rate(rec, sr, sample_rate)
+        lengths.append(frame_count(n_samples, sr, feature_config))
+    lengths = np.array(lengths, dtype=np.int64)
+    shape = (int(lengths.sum()), N_FEATURES)
+    labels = [record_labels(rec) for rec in records]
+    return FeatureStore(
+        ids=tuple(rec.utterance_id for rec in records),
+        matrix=mapped_array(shape, np.float32, shared=True) if shared else np.empty(shape, np.float32),
+        starts=np.cumsum(lengths) - lengths,
+        lengths=lengths,
+        labels={task: np.array([lab[task] for lab in labels], dtype=np.int64)
+                for task in ("emotion", "gender", "naturalness")},
+    )
+
+
+def _extract_chunk(store: FeatureStore, task) -> None:
+    """Write the features of a run of consecutive records into their store rows,
+    reusing one workspace (and one BLAS thread, as the folds)."""
+    first, records, feature_config, sample_rate = task
+    workspace = Workspace()
+    with blas.one_thread():
+        for position, rec in enumerate(records, first):
+            record_features(rec, feature_config, sample_rate, workspace, out=store.rows(position))
+
+
+def extract_feature_cache(records, feature_config: FeatureConfig, sample_rate: int,
+                          workers: _Workers | None = None) -> FeatureStore:
+    """Extract the 32-dim feature matrix of every record, once, into a packed
+    float32 store in record order, `EXTRACT_CHUNK` utterances per task.
+
+    With ``workers`` the tasks run there and fill ``workers.store`` (from
+    `_empty_store`); otherwise they run here, into a new store."""
+    records = list(records)
+    if workers is None:
+        workers = _Workers(_empty_store(records, feature_config, sample_rate))
+    workers.map(_extract_chunk, [
+        (first, tuple(records[first : first + EXTRACT_CHUNK]), feature_config, sample_rate)
+        for first in range(0, len(records), EXTRACT_CHUNK)
+    ])
+    return workers.store
 
 
 def build_fold_plan(manifests, config: PipelineConfig) -> FoldPlan:
@@ -140,44 +240,44 @@ def build_fold_plan(manifests, config: PipelineConfig) -> FoldPlan:
     return stratified_split(manifests, config.fractions, seed=config.seed)
 
 
-def fit_fold(fold: Fold, feats: dict[str, np.ndarray], labels_by_id: dict[str, dict[str, int]],
-             network: MTLNetworkConfig, training: TrainConfig
-             ) -> tuple[TrainedModel, Standardizer, dict[str, LabeledFeatures]]:
-    """Fit the standardizer on the fold's training utterances, standardize each
-    utterance in ``feats`` once, and train a model seeded with ``training.seed``
-    on the fold's train/validation split.
+def fit_fold(fold: Fold, store: FeatureStore, network: MTLNetworkConfig, training: TrainConfig
+             ) -> tuple[TrainedModel, Standardizer, FeatureStore]:
+    """Fit the standardizer on the fold's training utterances, standardize the
+    store once into float32, and train a model seeded with ``training.seed`` on
+    the fold's train/validation split. Returns the model, the standardizer and
+    the standardized store.
 
     The statistics are rounded to float32 values, which a checkpoint stores
     exactly, so a saved model standardizes as its fold did."""
-    fitted = fit_standardizer([feats[uid] for uid in fold.train_ids])
+    train_positions = store.positions(fold.train_ids)
+    fitted = fit_standardizer([store.rows(i) for i in train_positions])
     standardizer = Standardizer(*(s.astype(np.float32).astype(np.float64)
                                   for s in (fitted.mean, fitted.std)))
-    data = {
-        uid: LabeledFeatures(uid, apply_standardizer(standardizer, matrix), labels_by_id[uid])
-        for uid, matrix in feats.items()
-    }
+    data = standardized(store, standardizer)
     model = MultiTaskModel(network, seed=training.seed)
-    trained = train(model, [data[uid] for uid in fold.train_ids],
-                    [data[uid] for uid in fold.validation_ids], training)
+    trained = train(model, data.select(train_positions),
+                    data.select(store.positions(fold.validation_ids)), training)
     return trained, standardizer, data
 
 
-def _run_fold(fold_index: int, fold: Fold, labels_by_id: dict[str, dict[str, int]],
-              feats: dict[str, np.ndarray], config: PipelineConfig) -> FoldResult:
+def _run_fold(fold_index: int, fold: Fold, store: FeatureStore, config: PipelineConfig) -> FoldResult:
     fold_seed = derive_seed(config.seed, "fold", fold_index)
-    trained, _, data = fit_fold(fold, feats, labels_by_id, config.network,
-                                replace(config.training, seed=fold_seed))
+    trained, standardizer, _ = fit_fold(fold, store, config.network,
+                                        replace(config.training, seed=fold_seed))
 
-    def hlf_matrix(ids):
-        posteriors = posteriors_in_blocks(trained.model, (data[uid].features for uid in ids),
-                                          config.training.batch_size)
+    def hlf_matrix(positions):
+        size = config.training.batch_size
+        blocks = (store.select(positions[i : i + size]) for i in range(0, len(positions), size))
+        posteriors = posteriors_in_blocks(trained.model, blocks, standardizer)
         return np.stack([compute_hlf(p, config.hlf_theta) for p in posteriors])
 
-    y_train = np.array([labels_by_id[uid]["emotion"] for uid in fold.train_ids], dtype=np.int64)
-    y_test = np.array([labels_by_id[uid]["emotion"] for uid in fold.test_ids], dtype=np.int64)
+    train_positions = store.positions(fold.train_ids)
+    test_positions = store.positions(fold.test_ids)
+    y_train = store.labels["emotion"][train_positions]
+    y_test = store.labels["emotion"][test_positions]
     elm_cfg = replace(config.elm, seed=derive_seed(fold_seed, "elm"))
-    elm_model = elm_fit(hlf_matrix(fold.train_ids), one_hot(y_train, 4), elm_cfg)
-    _, predictions = elm_predict(elm_model, hlf_matrix(fold.test_ids))
+    elm_model = elm_fit(hlf_matrix(train_positions), one_hot(y_train, 4), elm_cfg)
+    _, predictions = elm_predict(elm_model, hlf_matrix(test_positions))
 
     cm = metrics.confusion_matrix(y_test, predictions)
     return FoldResult(
@@ -195,14 +295,14 @@ def _run_fold(fold_index: int, fold: Fold, labels_by_id: dict[str, dict[str, int
     )
 
 
-def _fold_worker(payload) -> FoldResult:
+def _fold_worker(store: FeatureStore, task) -> FoldResult:
     """One fold, on one BLAS thread in a worker process or not: the workers then
     share the cores instead of oversubscribing them, and a fold's results do not
     depend on the job count or on the caller's BLAS thread count."""
-    fold_index, fold, labels_by_id, feats, config = payload
+    fold_index, fold, config = task
     try:
         with blas.one_thread():
-            return _run_fold(fold_index, fold, labels_by_id, feats, config)
+            return _run_fold(fold_index, fold, store, config)
     except Exception as exc:  # fold failure is recorded, not fatal
         return FoldResult(
             fold=fold_index,
@@ -220,41 +320,47 @@ def _fold_worker(payload) -> FoldResult:
         )
 
 
-def run_experiment(manifests, config: PipelineConfig, jobs: int = 1,
-                   feature_cache: dict[str, np.ndarray] | None = None) -> ExperimentReport:
-    """Run the configured protocol over the given manifests.
+def _run_configs(manifests, configs: list[PipelineConfig], jobs: int) -> list[ExperimentReport]:
+    """One report per configuration, all over the same manifests and features
+    (those of ``configs[0].features``).
 
-    Folds are independent; with ``jobs > 1`` they run in worker processes.
-    Every fold runs on one BLAS thread and the report is assembled in fold
-    order either way, so results do not depend on scheduling.
+    The features are extracted once, then every fold of every configuration
+    runs as one task; with ``jobs > 1`` both run in one pool of forked workers
+    that share the feature store. Every fold runs on one BLAS thread and each
+    report is assembled in fold order, so results do not depend on scheduling.
     """
     if isinstance(manifests, CorpusManifest):
         manifests = [manifests]
     records = merge_records(manifests)
-    plan = build_fold_plan(manifests, config)
-    sample_rate = manifests[0].sample_rate
-    if feature_cache is None:
-        feature_cache = extract_feature_cache(records, config.features, sample_rate)
-    labels_by_id = {rec.utterance_id: record_labels(rec) for rec in records}
+    plans = [build_fold_plan(manifests, config) for config in configs]
+    tasks = [(i, fold, config) for config, plan in zip(configs, plans)
+             for i, fold in enumerate(plan.folds)]
+    features, sample_rate = configs[0].features, manifests[0].sample_rate
+    store = _empty_store(records, features, sample_rate, shared=jobs > 1)
+    with _Workers(store, jobs) as workers:
+        extract_feature_cache(records, features, sample_rate, workers)
+        results = iter(workers.map(_fold_worker, tasks))
+    reports = []
+    for config, plan in zip(configs, plans):
+        folds = [next(results) for _ in plan.folds]
+        uas = [r.ua for r in folds if r.ua is not None]
+        reports.append(ExperimentReport(
+            protocol=config.protocol,
+            seed=config.seed,
+            config=config,
+            folds=folds,
+            mean_ua=float(np.mean(uas)) if uas else None,
+        ))
+    return reports
 
-    payloads = [
-        (i, fold, labels_by_id, feature_cache, config) for i, fold in enumerate(plan.folds)
-    ]
-    if jobs > 1 and len(payloads) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_fold_worker, payloads))
-    else:
-        results = [_fold_worker(p) for p in payloads]
-    results.sort(key=lambda r: r.fold)
 
-    uas = [r.ua for r in results if r.ua is not None]
-    return ExperimentReport(
-        protocol=config.protocol,
-        seed=config.seed,
-        config=config,
-        folds=results,
-        mean_ua=float(np.mean(uas)) if uas else None,
-    )
+def run_experiment(manifests, config: PipelineConfig, jobs: int = 1) -> ExperimentReport:
+    """Run the configured protocol over the given manifests.
+
+    Folds are independent; with ``jobs > 1`` they run in worker processes, as
+    does the feature extraction before them. Results do not depend on ``jobs``.
+    """
+    return _run_configs(manifests, [config], jobs)[0]
 
 
 def compare_reports(report_a: ExperimentReport, report_b: ExperimentReport,
@@ -342,17 +448,11 @@ def grid_networks(base: MTLNetworkConfig) -> dict[str, MTLNetworkConfig]:
 
 
 def run_grid(manifests, base_config: PipelineConfig, jobs: int = 1) -> GridReport:
-    """Run every trunk/subtask configuration over the same folds and features."""
-    if isinstance(manifests, CorpusManifest):
-        manifests = [manifests]
-    records = merge_records(manifests)
-    feature_cache = extract_feature_cache(records, base_config.features, manifests[0].sample_rate)
-
-    reports = {
-        name: run_experiment(manifests, replace(base_config, network=network), jobs=jobs,
-                             feature_cache=feature_cache)
-        for name, network in grid_networks(base_config.network).items()
-    }
+    """Run every trunk/subtask configuration over the same folds and features,
+    all folds of all configurations in one pool."""
+    networks = grid_networks(base_config.network)
+    configs = [replace(base_config, network=network) for network in networks.values()]
+    reports = dict(zip(networks, _run_configs(manifests, configs, jobs)))
     names = list(reports)
 
     test_groups = [f.test_group for f in reports[names[0]].folds]

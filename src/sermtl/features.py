@@ -12,16 +12,14 @@ from __future__ import annotations
 
 import functools
 import math
-import struct
-from dataclasses import dataclass
+import mmap
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 _LOG_FLOOR = 1e-10
 _STD_FLOOR = 1e-8
-
-FEATURE_MAGIC = b"PMTL1"
 
 _STATIC_COLUMNS = ("f0", "voice_prob", "zcr", "log_energy") + tuple(
     f"mfcc{i:02d}" for i in range(1, 13)
@@ -64,28 +62,64 @@ class FeatureConfig:
         return int(round(self.hop_ms * sample_rate / 1000.0))
 
 
-def normalize_gain(samples: np.ndarray) -> np.ndarray:
-    """Peak-normalize to max |x| = 1; an all-zero signal passes through."""
+class Workspace:
+    """Scratch arrays for `extract_features`, reused from one utterance to the next.
+
+    Each array is allocated once, at the largest size asked for, so after the
+    first (or longest) utterance the front-end takes no fresh pages from the
+    kernel. Create one per extraction call over a group of utterances and drop
+    it afterwards: kept for a whole process, it would only raise the peak
+    resident set of whatever runs later."""
+
+    def __init__(self):
+        self._buffers: dict[str, np.ndarray] = {}
+
+    def array(self, name: str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
+        """A C-contiguous array of ``shape`` over buffer ``name``; its contents are undefined."""
+        size = math.prod(shape)
+        buf = self._buffers.get(name)
+        if buf is None or buf.dtype != dtype or buf.size < size:
+            buf = self._buffers[name] = np.empty(size, dtype)
+        return buf[:size].reshape(shape)
+
+
+def normalize_gain(samples: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Peak-normalize to max |x| = 1; an all-zero signal passes through.
+    The result goes to ``out`` (same length) when given."""
     x = np.asarray(samples, dtype=np.float64)
     if x.size == 0:
         raise FeatureError("empty sample vector")
-    peak = float(np.max(np.abs(x)))
+    if out is None:
+        out = np.empty_like(x)
+    peak = float(np.abs(x, out=out).max())
     if peak == 0.0:
-        return x.copy()
-    return x / peak
+        out[...] = x
+        return out
+    return np.divide(x, peak, out=out)
 
 
-def frame_signal(samples: np.ndarray, sample_rate: int, config: FeatureConfig) -> np.ndarray:
-    """Slice into overlapping analysis frames; the tail is dropped, never padded."""
-    x = np.asarray(samples, dtype=np.float64)
+def frame_count(n_samples: int, sample_rate: int, config: FeatureConfig) -> int:
+    """Analysis frames in a signal of ``n_samples``: 1 + (n - window) // hop."""
     win = config.window_samples(sample_rate)
-    hop = config.hop_samples(sample_rate)
     if config.fft_size < win:
         raise FeatureError(f"fft_size {config.fft_size} < window of {win} samples")
-    if x.size < win:
-        raise FeatureError(f"utterance too short: {x.size} samples < one {win}-sample window")
-    windows = np.lib.stride_tricks.sliding_window_view(x, win)[::hop]
-    return np.ascontiguousarray(windows)
+    if n_samples < win:
+        raise FeatureError(f"utterance too short: {n_samples} samples < one {win}-sample window")
+    return 1 + (n_samples - win) // config.hop_samples(sample_rate)
+
+
+def frame_signal(samples: np.ndarray, sample_rate: int, config: FeatureConfig,
+                 out: np.ndarray | None = None) -> np.ndarray:
+    """Slice into overlapping analysis frames; the tail is dropped, never padded.
+    The frames are copied into ``out`` when given."""
+    x = np.asarray(samples, dtype=np.float64)
+    frame_count(x.size, sample_rate, config)
+    win = config.window_samples(sample_rate)
+    windows = np.lib.stride_tricks.sliding_window_view(x, win)[:: config.hop_samples(sample_rate)]
+    if out is None:
+        return np.ascontiguousarray(windows)
+    out[...] = windows
+    return out
 
 
 def _mel_from_hz(hz):
@@ -126,34 +160,63 @@ def _dct_rows(n_mfcc: int, n_filters: int) -> np.ndarray:
     return rows
 
 
-def _descriptor_matrix(frames: np.ndarray, sample_rate: int, config: FeatureConfig) -> np.ndarray:
-    """Static 16-dim descriptors for a stack of frames, shape (n_frames, 16)."""
+@functools.lru_cache(maxsize=16)
+def _hamming(win: int) -> np.ndarray:
+    window = np.hamming(win)
+    window.flags.writeable = False
+    return window
+
+
+# Candidate divisors of the autocorrelation argmax lag when snapping subharmonics.
+_SUBHARMONICS = np.arange(2, 9)
+
+
+def _static_descriptors(frames: np.ndarray, sample_rate: int, config: FeatureConfig,
+                        ws: Workspace, out: np.ndarray) -> None:
+    """The 16 static descriptors of each frame into ``out`` (n_frames, 16):
+    [f0, voice_prob, zcr, log_energy, mfcc1..12]. Every intermediate the size of
+    the frames lives in ``ws``."""
     m, win = frames.shape
-
-    prod = frames[:, 1:] * frames[:, :-1]
-    zcr = np.count_nonzero(prod < 0, axis=1) / (win - 1)
-
-    energy = np.sum(frames * frames, axis=1)
-    log_e = np.log(np.maximum(energy, _LOG_FLOOR))
-
-    # F0 / voicing via normalized autocorrelation over the configured lag band.
-    y = frames - frames.mean(axis=1, keepdims=True)
     lag_min = int(math.ceil(sample_rate / config.f0_max_hz))
     lag_max = min(int(math.floor(sample_rate / config.f0_min_hz)), win - 1)
     if lag_min > lag_max:
         raise FeatureError("F0 search band is empty for this window length")
+    scratch = ws.array("scratch", (m, win))
+
+    # zero-crossing rate: sign changes between neighbouring samples
+    prod = np.multiply(frames[:, 1:], frames[:, :-1], out=scratch[:, :-1])
+    out[:, 2] = np.count_nonzero(np.less(prod, 0, out=ws.array("negative", prod.shape, bool)),
+                                 axis=1) / (win - 1)
+    out[:, 3] = np.log(np.maximum(np.sum(np.multiply(frames, frames, out=scratch), axis=1),
+                                  _LOG_FLOOR))
+
+    # F0 / voicing via normalized autocorrelation over the configured lag band.
+    y = np.subtract(frames, frames.mean(axis=1, keepdims=True), out=ws.array("centered", (m, win)))
     nfft = 1 << (2 * win - 1).bit_length()
-    spec = np.fft.rfft(y, nfft, axis=1)
-    raw = np.fft.irfft(spec * np.conj(spec), nfft, axis=1)[:, : win]
-    sq = np.cumsum(y * y, axis=1)
+    spec = np.fft.rfft(y, nfft, axis=1, out=ws.array("spec", (m, nfft // 2 + 1), np.complex128))
+    power = np.conj(spec, out=ws.array("power", spec.shape, np.complex128))
+    # The imaginary part of a complex product depends on the operand order (FMA).
+    # This keeps the order of `spec * np.conj(spec)`, in which numpy reuses a
+    # temporary conj(spec) of 256 KiB or more as the output and so swaps the operands.
+    if power.nbytes >= 256 * 1024:
+        np.multiply(power, spec, out=power)
+    else:
+        np.multiply(spec, power, out=power)
+    raw = np.fft.irfft(power, nfft, axis=1, out=ws.array("autocorr", (m, nfft)))
+    sq = np.cumsum(np.multiply(y, y, out=scratch), axis=1, out=scratch)
     total = sq[:, -1]
-    lags = np.arange(lag_min, lag_max + 1)
-    head = sq[:, win - lags - 1]
-    tail = total[:, None] - sq[:, lags - 1]
-    denom = np.sqrt(np.maximum(head * tail, 0.0))
+    band = slice(lag_min, lag_max + 1)
+    # energy of the leading (win - lag) and trailing samples, for lag = lag_min..lag_max
+    head = sq[:, win - lag_max - 1 : win - lag_min][:, ::-1]
+    denom = np.subtract(total[:, None], sq[:, lag_min - 1 : lag_max],
+                        out=ws.array("denom", (m, lag_max - lag_min + 1)))
+    np.multiply(head, denom, out=denom)
+    np.sqrt(np.maximum(denom, 0.0, out=denom), out=denom)
     voiced_rows = total > _LOG_FLOOR
-    corr = np.zeros((m, lags.size))
-    np.divide(raw[:, lags], np.maximum(denom, _LOG_FLOOR), out=corr, where=voiced_rows[:, None])
+    corr = ws.array("corr", denom.shape)
+    corr.fill(0.0)
+    np.divide(raw[:, band], np.maximum(denom, _LOG_FLOOR, out=denom), out=corr,
+              where=voiced_rows[:, None])
     rows = np.arange(m)
     argmax_idx = np.argmax(corr, axis=1)
     peak = np.clip(corr[rows, argmax_idx], 0.0, 1.0)
@@ -161,33 +224,41 @@ def _descriptor_matrix(frames: np.ndarray, sample_rate: int, config: FeatureConf
     # so the argmax may land on a subharmonic; snap to the smallest integer
     # sub-multiple of the argmax lag whose correlation is within a small slack.
     argmax_lag = argmax_idx + lag_min
-    best_lag = argmax_lag.copy()
-    for k in range(2, 9):
-        cand_lag = np.rint(argmax_lag / k).astype(np.int64)
-        idx = np.clip(cand_lag - lag_min, 0, corr.shape[1] - 1)
-        take = (cand_lag >= lag_min) & (corr[rows, idx] >= peak - 0.02) & (cand_lag < best_lag)
-        best_lag = np.where(take, cand_lag, best_lag)
+    cand_lag = np.rint(argmax_lag[:, None] / _SUBHARMONICS).astype(np.int64)
+    cand_corr = corr[rows[:, None], np.clip(cand_lag - lag_min, 0, corr.shape[1] - 1)]
+    valid = (cand_lag >= lag_min) & (cand_corr >= (peak - 0.02)[:, None])
+    best_lag = np.where(valid, cand_lag, argmax_lag[:, None]).min(axis=1)
     voice_prob = np.where(voiced_rows, peak, 0.0)
-    f0 = np.where(voice_prob >= config.voicing_threshold, sample_rate / best_lag, 0.0)
+    out[:, 0] = np.where(voice_prob >= config.voicing_threshold, sample_rate / best_lag, 0.0)
+    out[:, 1] = voice_prob
 
     # MFCC: pre-emphasis -> Hamming -> power spectrum -> mel -> log -> DCT-II (1..12).
-    pre = np.concatenate([frames[:, :1], frames[:, 1:] - config.pre_emphasis * frames[:, :-1]], axis=1)
-    window = np.hamming(win)
-    power = np.abs(np.fft.rfft(pre * window, config.fft_size, axis=1)) ** 2
+    pre = ws.array("centered", (m, win))
+    pre[:, 0] = frames[:, 0]
+    np.subtract(frames[:, 1:], np.multiply(frames[:, :-1], config.pre_emphasis, out=pre[:, 1:]),
+                out=pre[:, 1:])
+    np.multiply(pre, _hamming(win), out=pre)
+    spec = np.fft.rfft(pre, config.fft_size, axis=1,
+                       out=ws.array("spec", (m, config.fft_size // 2 + 1), np.complex128))
+    power = np.abs(spec, out=ws.array("mel_power", spec.shape))
+    np.square(power, out=power)
     mel = power @ mel_filterbank(config, sample_rate).T
     log_mel = np.log(np.maximum(mel, _LOG_FLOOR))
-    mfcc = log_mel @ _dct_rows(config.n_mfcc, config.n_mel_filters).T
-
-    return np.column_stack([f0, voice_prob, zcr, log_e, mfcc])
+    out[:, 4:] = log_mel @ _dct_rows(config.n_mfcc, config.n_mel_filters).T
 
 
-def frame_descriptors(frame: np.ndarray, sample_rate: int, config: FeatureConfig) -> np.ndarray:
-    """16 static descriptors [f0, voice_prob, zcr, log_energy, mfcc1..12] of one frame."""
-    frame = np.asarray(frame, dtype=np.float64)
-    win = config.window_samples(sample_rate)
-    if frame.shape != (win,):
-        raise FeatureError(f"frame must have {win} samples, got {frame.shape}")
-    return _descriptor_matrix(frame[None, :], sample_rate, config)[0]
+def _deltas(padded: np.ndarray, w: int, ws: Workspace, out: np.ndarray) -> None:
+    """Regression deltas over +/- w frames into ``out`` (n, d), from ``padded``
+    (n + 2w, d): the static rows with w copies of the first and last row on
+    either side (edge replication)."""
+    n = out.shape[0]
+    acc = ws.array("delta", out.shape)
+    acc.fill(0.0)
+    diff = ws.array("delta_diff", out.shape)
+    for k in range(1, w + 1):
+        np.subtract(padded[w + k : w + k + n], padded[w - k : w - k + n], out=diff)
+        acc += np.multiply(diff, k, out=diff)
+    np.divide(acc, 2.0 * sum(k * k for k in range(1, w + 1)), out=out)
 
 
 def compute_deltas(static: np.ndarray, config: FeatureConfig) -> np.ndarray:
@@ -196,30 +267,44 @@ def compute_deltas(static: np.ndarray, config: FeatureConfig) -> np.ndarray:
     if static.ndim != 2 or static.shape[0] < 1:
         raise FeatureError("need a non-empty 2-D matrix")
     w = config.delta_window
-    denom = 2.0 * sum(k * k for k in range(1, w + 1))
-    padded = np.pad(static, ((w, w), (0, 0)), mode="edge")
-    n = static.shape[0]
-    out = np.zeros_like(static)
-    for k in range(1, w + 1):
-        out += k * (padded[w + k : w + k + n] - padded[w - k : w - k + n])
-    return out / denom
+    padded = np.concatenate([static[:1].repeat(w, 0), static, static[-1:].repeat(w, 0)])
+    out = np.empty_like(static)
+    _deltas(padded, w, Workspace(), out)
+    return out
 
 
-def extract_features(samples: np.ndarray, sample_rate: int, config: FeatureConfig | None = None) -> np.ndarray:
+def extract_features(samples: np.ndarray, sample_rate: int, config: FeatureConfig | None = None,
+                     workspace: Workspace | None = None, out: np.ndarray | None = None) -> np.ndarray:
     """Full front-end: gain-normalize, frame, describe, append deltas.
 
-    Returns a float32 matrix of shape (n_frames, 32) with no NaN/Inf entries.
+    Returns a float32 matrix of shape (n_frames, 32) with no NaN/Inf entries,
+    written into ``out`` when given. Intermediates live in ``workspace``; pass
+    one workspace to every utterance of a group so they are allocated once.
     """
     if config is None:
         config = FeatureConfig()
-    gained = normalize_gain(samples)
-    frames = frame_signal(gained, sample_rate, config)
-    static = _descriptor_matrix(frames, sample_rate, config)
-    deltas = compute_deltas(static, config)
-    matrix = np.hstack([static, deltas]).astype(np.float32)
-    if not np.all(np.isfinite(matrix)):
+    ws = Workspace() if workspace is None else workspace
+    x = np.asarray(samples, dtype=np.float64)
+    gained = normalize_gain(x, out=ws.array("signal", x.shape))
+    m = frame_count(x.size, sample_rate, config)
+    frames = frame_signal(gained, sample_rate, config,
+                          out=ws.array("frames", (m, config.window_samples(sample_rate))))
+    w = config.delta_window
+    n_static = N_FEATURES // 2
+    # static columns with w edge-replicated rows either side (the deltas' padding), then the deltas
+    full = ws.array("full", (m + 2 * w, N_FEATURES))
+    _static_descriptors(frames, sample_rate, config, ws, full[w : w + m, :n_static])
+    full[:w, :n_static] = full[w, :n_static]
+    full[w + m :, :n_static] = full[w + m - 1, :n_static]
+    _deltas(full[:, :n_static], w, ws, full[w : w + m, n_static:])
+    if out is None:
+        out = np.empty((m, N_FEATURES), np.float32)
+    elif out.shape != (m, N_FEATURES) or out.dtype != np.float32:
+        raise FeatureError(f"output must be float32 ({m}, {N_FEATURES}), got {out.dtype} {out.shape}")
+    out[...] = full[w : w + m]
+    if not np.all(np.isfinite(out)):
         raise FeatureError("non-finite feature values")
-    return matrix
+    return out
 
 
 @dataclass(frozen=True)
@@ -233,11 +318,14 @@ class Standardizer:
 
 
 def fit_standardizer(matrices) -> Standardizer:
-    """Per-column z-statistics over the training-fold frames only."""
-    stacked = [np.asarray(m, dtype=np.float64) for m in matrices]
-    if not stacked:
+    """Per-column z-statistics over the training-fold frames only.
+
+    The frames are stacked straight into one float64 matrix: no float64 copy of
+    each input is kept beside it."""
+    matrices = list(matrices)
+    if not matrices:
         raise ValueError("empty training set")
-    data = np.concatenate(stacked, axis=0)
+    data = np.concatenate(matrices, axis=0, dtype=np.float64)
     if data.shape[0] < 2:
         raise ValueError("need at least 2 training frames")
     mean = data.mean(axis=0)
@@ -252,33 +340,118 @@ def apply_standardizer(standardizer: Standardizer, matrix: np.ndarray) -> np.nda
     return (matrix - standardizer.mean) / standardizer.std
 
 
+def mapped_array(shape: tuple[int, ...], dtype, shared: bool = False) -> np.ndarray:
+    """A zero-filled array in an anonymous memory mapping of its own, unmapped
+    when the array is freed; a ``shared`` one is shared with processes forked
+    after its creation.
+
+    Unlike ``np.empty``, it leaves malloc's adaptive thresholds alone: freeing
+    a malloc'd array of up to 32 MiB raises them so far that the heap then
+    keeps up to twice that much freed memory resident. For an array made and
+    freed once per fold, as `standardized` is, that memory stays resident."""
+    nbytes = math.prod(shape) * np.dtype(dtype).itemsize
+    buffer = mmap.mmap(-1, max(nbytes, 1), flags=mmap.MAP_SHARED if shared else mmap.MAP_PRIVATE)
+    return np.frombuffer(buffer, dtype, count=math.prod(shape)).reshape(shape)
+
+
+def standardized(store: FeatureStore, standardizer: Standardizer, block_rows: int = 1 << 14
+                 ) -> FeatureStore:
+    """``store`` with its matrix standardized into float32: the float64 values of
+    `apply_standardizer`, each rounded to float32, computed a block of rows at a
+    time so no float64 copy of the whole matrix is made."""
+    out = mapped_array(store.matrix.shape, np.float32)
+    for start in range(0, out.shape[0], block_rows):
+        out[start : start + block_rows] = apply_standardizer(
+            standardizer, store.matrix[start : start + block_rows])
+    return replace(store, matrix=out)
+
+
 # ---------------------------------------------------------------------------
-# Feature file format: magic, u32 n_frames, u32 width, row-major float32 LE.
+# Feature store: utterances as row ranges of one matrix
 # ---------------------------------------------------------------------------
 
-def write_feature_file(path: str | Path, matrix: np.ndarray) -> Path:
-    matrix = np.ascontiguousarray(matrix, dtype="<f4")
-    if matrix.ndim != 2:
-        raise FeatureError("feature matrix must be 2-D")
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "wb") as fh:
-        fh.write(FEATURE_MAGIC)
-        fh.write(struct.pack("<II", matrix.shape[0], matrix.shape[1]))
-        fh.write(matrix.tobytes())
-    return path
+@dataclass(frozen=True, eq=False)
+class FeatureStore:
+    """Utterances as row ranges of one (frames, width) matrix, with one label
+    array (an index per utterance) per task.
+
+    An extracted store is packed: utterance i holds rows ``starts[i]`` to
+    ``starts[i] + lengths[i]``, in order and without gaps. `select` takes a
+    subset that shares the matrix."""
+
+    ids: tuple[str, ...]
+    matrix: np.ndarray  # (frames, width)
+    starts: np.ndarray  # (utterances,) int64
+    lengths: np.ndarray  # (utterances,) int64
+    labels: dict[str, np.ndarray] = field(default_factory=dict)  # task -> (utterances,) int64
+
+    @classmethod
+    def pack(cls, ids, matrices, labels: dict | None = None) -> FeatureStore:
+        """A packed store of ``matrices`` in order; ``labels`` maps each task to one index per matrix."""
+        lengths = np.array([m.shape[0] for m in matrices], dtype=np.int64)
+        return cls(tuple(ids), np.concatenate(matrices), np.cumsum(lengths) - lengths, lengths,
+                   {task: np.asarray(v, dtype=np.int64) for task, v in (labels or {}).items()})
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def rows(self, i: int) -> np.ndarray:
+        """Utterance ``i``'s rows: a view of the matrix."""
+        return self.matrix[self.starts[i] : self.starts[i] + self.lengths[i]]
+
+    def gather(self, positions) -> np.ndarray:
+        """The rows of the utterances at ``positions``, stacked in that order (a copy)."""
+        return np.concatenate([self.rows(i) for i in positions])
+
+    def positions(self, ids) -> np.ndarray:
+        """The position of each utterance id in ``ids``."""
+        where = {uid: i for i, uid in enumerate(self.ids)}
+        return np.array([where[uid] for uid in ids], dtype=np.int64)
+
+    def select(self, positions) -> FeatureStore:
+        """The utterances at ``positions``, in that order, over the same matrix."""
+        positions = np.asarray(positions, dtype=np.int64)
+        return FeatureStore(tuple(self.ids[i] for i in positions), self.matrix,
+                            self.starts[positions], self.lengths[positions],
+                            {task: v[positions] for task, v in self.labels.items()})
 
 
-def read_feature_file(path: str | Path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        magic = fh.read(len(FEATURE_MAGIC))
-        if magic != FEATURE_MAGIC:
-            raise FeatureError(f"bad feature file magic in {path}")
-        n_frames, width = struct.unpack("<II", fh.read(8))
-        data = np.frombuffer(fh.read(4 * n_frames * width), dtype="<f4")
-    if data.size != n_frames * width:
-        raise FeatureError(f"truncated feature file: {path}")
-    return data.reshape(n_frames, width).copy()
+# On disk: the matrix as a little-endian float32 .npy and a CSV index of row ranges.
+STORE_MATRIX = "features.npy"
+STORE_INDEX = "features_index.csv"
+_INDEX_HEADER = "utterance_id,offset,n_frames"
+
+
+def save_store(directory: str | Path, store: FeatureStore) -> Path:
+    """Write ``features.npy`` and ``features_index.csv`` (utterance_id,offset,n_frames)."""
+    directory = Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
+    np.save(directory / STORE_MATRIX, np.ascontiguousarray(store.matrix, dtype="<f4"))
+    lines = [_INDEX_HEADER] + [f"{uid},{start},{n}" for uid, start, n
+                               in zip(store.ids, store.starts.tolist(), store.lengths.tolist())]
+    (directory / STORE_INDEX).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return directory / STORE_MATRIX
+
+
+def load_store(directory: str | Path) -> FeatureStore:
+    """Read a store written by `save_store` (without labels)."""
+    directory = Path(directory)
+    matrix = np.load(directory / STORE_MATRIX, allow_pickle=False)
+    lines = (directory / STORE_INDEX).read_text(encoding="utf-8").splitlines()
+    if not lines or lines[0] != _INDEX_HEADER:
+        raise FeatureError(f"{directory / STORE_INDEX}: header must be {_INDEX_HEADER!r}")
+    ids, starts, lengths = [], [], []
+    for line in lines[1:]:
+        uid, start, n = line.rsplit(",", 2)
+        ids.append(uid)
+        starts.append(int(start))
+        lengths.append(int(n))
+    starts = np.array(starts, dtype=np.int64)
+    lengths = np.array(lengths, dtype=np.int64)
+    if (matrix.ndim != 2 or matrix.dtype != np.float32
+            or np.any(starts < 0) or np.any(lengths < 1) or np.any(starts + lengths > matrix.shape[0])):
+        raise FeatureError(f"{directory}: index does not fit a 2-D float32 feature matrix")
+    return FeatureStore(tuple(ids), matrix, starts, lengths)
 
 
 def write_feature_csv(path: str | Path, matrix: np.ndarray) -> Path:

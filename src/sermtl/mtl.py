@@ -9,7 +9,6 @@ exactly like the model that wrote it.
 from __future__ import annotations
 
 import csv
-import itertools
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -18,6 +17,7 @@ import numpy as np
 
 from . import nn
 from .codec import from_dict
+from .features import FeatureStore, Standardizer, apply_standardizer
 from .seeding import derive_seed
 
 TASK_EMOTION = "emotion"
@@ -111,15 +111,6 @@ class TrainConfig:
             raise ValueError("dropout_p must be in [0, 1)")
 
 
-@dataclass(frozen=True)
-class LabeledFeatures:
-    """One utterance ready for training: standardized features + integer labels."""
-
-    utterance_id: str
-    features: np.ndarray  # (n_frames, n_features)
-    labels: dict[str, int]
-
-
 def total_loss(per_task_losses: dict[str, float], heads: tuple[TaskHead, ...]) -> float:
     """Weighted multi-task cost: main loss plus lambda-weighted subtask losses."""
     main = [h for h in heads if h.name == TASK_EMOTION]
@@ -200,7 +191,7 @@ class MultiTaskModel:
             cache, mask = caches[i]
             if mask is not None:
                 dh = dh * mask
-            dh, layer_grads, *_ = layer.backward(dh, cache, input_grad=i > 0)
+            dh, layer_grads = layer.backward(dh, cache, input_grad=i > 0)
             for key, g in layer_grads.items():
                 grads[f"trunk.{i}.{key}"] = g
         return grads
@@ -344,15 +335,15 @@ class MultiTaskModel:
         return np.split(_stable_softmax(logits), np.cumsum(lengths)[:-1])
 
 
-def posteriors_in_blocks(model: MultiTaskModel, matrices, block_size: int):
-    """Yield the emotion posteriors of each standardized matrix in ``matrices``,
-    in order, scoring ``block_size`` utterances per `emotion_posteriors` call.
-    ``matrices`` may be a generator; it is consumed one block at a time."""
-    matrices = iter(matrices)
-    while block := list(itertools.islice(matrices, block_size)):
-        lengths = [m.shape[0] for m in block]
-        features = np.concatenate(block)
-        del block  # where the list holds the only references (as in `hlf`), the pass reuses that memory
+def posteriors_in_blocks(model: MultiTaskModel, blocks, standardizer: Standardizer):
+    """Yield the emotion posteriors of every utterance of each store in ``blocks``,
+    in order. Each store is standardized in float64 and scored in one
+    `emotion_posteriors` call. ``blocks`` may be a generator: it is consumed one
+    store at a time, and a store it alone holds is freed before scoring."""
+    for block in blocks:
+        features = apply_standardizer(standardizer, block.gather(range(len(block))))
+        lengths = block.lengths
+        del block
         yield from model.emotion_posteriors(features, lengths)
 
 
@@ -378,45 +369,50 @@ class TrainedModel:
     best_val_total: float
 
 
-def _sample_index(config: MTLNetworkConfig, dataset, tc: TrainConfig) -> list[tuple[int, int, int]]:
-    """(utterance, first frame, frame count) of every sample in ``dataset``: DNN
-    context windows every ``dnn_window_stride`` frames, or LSTM chunks of up to
-    ``lstm_chunk_frames`` frames."""
-    index = []
-    for u, item in enumerate(dataset):
-        n = item.features.shape[0]
-        if config.trunk == "dnn":
-            context = config.context_frames
-            index += [(u, s, context) for s in range(0, n - context + 1, tc.dnn_window_stride)]
-        else:
-            chunk = tc.lstm_chunk_frames
-            index += [(u, s, min(chunk, n - s)) for s in range(0, n, chunk)]
-    return index
+def _sample_index(config: MTLNetworkConfig, dataset: FeatureStore, tc: TrainConfig):
+    """(utterance position, first row in ``dataset.matrix``, frame count) of every
+    sample in ``dataset``, as three arrays ordered by utterance, then by first
+    row: DNN context windows every ``dnn_window_stride`` frames, or LSTM chunks
+    of up to ``lstm_chunk_frames`` frames."""
+    n = dataset.lengths
+    if config.trunk == "dnn":
+        step = tc.dnn_window_stride
+        counts = np.where(n >= config.context_frames, (n - config.context_frames) // step + 1, 0)
+    else:
+        step = tc.lstm_chunk_frames
+        counts = -(-n // step)
+    utterance = np.repeat(np.arange(n.size), counts)
+    offset = step * (np.arange(utterance.size) - np.repeat(np.cumsum(counts) - counts, counts))
+    if config.trunk == "dnn":
+        frames = np.full(utterance.size, config.context_frames, dtype=np.int64)
+    else:
+        frames = np.minimum(step, n[utterance] - offset)
+    return utterance, dataset.starts[utterance] + offset, frames
 
 
-def _batches(model: MultiTaskModel, dataset, index, order, batch_size: int):
+def _batches(model: MultiTaskModel, dataset: FeatureStore, index, order, batch_size: int):
     """Yield (position in ``order``, batch) over consecutive slices of ``order``,
-    the inputs gathered straight into the model's dtype.
+    each gathered from ``dataset.matrix`` by index straight into the model's dtype.
 
-    DNN batches flatten each context window into one input row; LSTM batches
-    zero-pad chunks to the longest one and carry a (B, T) validity mask.
+    DNN batches are rows of context windows, flattened; LSTM batches zero-pad
+    chunks to the longest one and carry a (B, T) validity mask.
     """
     config = model.config
+    utterance, first_row, frames = index
+    order = np.asarray(order)
     for start in range(0, len(order), batch_size):
-        items = [index[i] for i in order[start : start + batch_size]]
-        batch = {"targets": {
-            h.name: np.array([dataset[u].labels[h.name] for u, _, _ in items], dtype=np.int64)
-            for h in config.heads
-        }}
+        samples = order[start : start + batch_size]
+        batch = {"targets": {h.name: dataset.labels[h.name][utterance[samples]] for h in config.heads}}
+        rows = first_row[samples]
         if config.trunk == "dnn":
-            batch["x"] = np.stack([dataset[u].features[s : s + n].reshape(-1) for u, s, n in items],
-                                  dtype=model.dtype)
+            windows = np.lib.stride_tricks.sliding_window_view(
+                dataset.matrix, (config.context_frames, config.n_features))[:, 0]
+            batch["x"] = windows[rows].reshape(rows.size, -1).astype(model.dtype, copy=False)
         else:
-            x = np.zeros((len(items), max(n for _, _, n in items), config.n_features), model.dtype)
-            mask = np.zeros(x.shape[:2], dtype=bool)
-            for row, (u, s, n) in enumerate(items):
-                x[row, :n] = dataset[u].features[s : s + n]
-                mask[row, :n] = True
+            steps = np.arange(frames[samples].max())
+            mask = steps < frames[samples][:, None]
+            x = np.zeros(mask.shape + (config.n_features,), model.dtype)
+            x[mask] = dataset.matrix[(rows[:, None] + steps)[mask]]
             batch["x"], batch["mask"] = x, mask
         yield start, batch
 
@@ -441,7 +437,7 @@ def _mean_losses(weighted, heads) -> dict[str, float]:
 def _dataset_losses(model, dataset, index, tc: TrainConfig):
     """Weighted per-task losses over a dataset in eval mode (no dropout), forward only."""
     weighted = []
-    for _, batch in _batches(model, dataset, index, range(len(index)), tc.batch_size):
+    for _, batch in _batches(model, dataset, index, np.arange(index[0].size), tc.batch_size):
         weighted.append((model.batch_losses(batch), _batch_weight(batch)))
     mean_losses = _mean_losses(weighted, model.config.heads)
     return mean_losses, total_loss(mean_losses, model.config.heads)
@@ -450,12 +446,13 @@ def _dataset_losses(model, dataset, index, tc: TrainConfig):
 def train(model: MultiTaskModel, train_set, val_set, tc: TrainConfig) -> TrainedModel:
     """Mini-batch Adam training with validation-based early stopping.
 
-    Stops after ``patience`` consecutive epochs without improving the
+    ``train_set`` and ``val_set`` hold standardized features; batches are
+    gathered from their matrices by index. Stops after ``patience`` consecutive epochs without improving the
     validation total loss and restores the best epoch's parameters.
     """
-    if not train_set or not val_set:
+    if not len(train_set) or not len(val_set):
         raise ValueError("train and validation sets must both be non-empty")
-    overlap = {u.utterance_id for u in train_set} & {u.utterance_id for u in val_set}
+    overlap = set(train_set.ids) & set(val_set.ids)
     if overlap:
         raise ValueError(f"train/validation overlap: {sorted(overlap)[:3]}")
 
@@ -466,10 +463,10 @@ def train(model: MultiTaskModel, train_set, val_set, tc: TrainConfig) -> Trained
     rng = np.random.default_rng(derive_seed(tc.seed, "train"))
 
     index = _sample_index(config, train_set, tc)
-    if not index:
+    if not index[0].size:
         raise ValueError("training set produced no samples (all utterances too short?)")
     val_index = _sample_index(config, val_set, tc)
-    if not val_index:
+    if not val_index[0].size:
         raise ValueError("dataset produced no evaluation samples")
 
     history: list[EpochStats] = []
@@ -480,7 +477,7 @@ def train(model: MultiTaskModel, train_set, val_set, tc: TrainConfig) -> Trained
 
     for epoch in range(tc.max_epochs):
         weighted = []
-        for start, batch in _batches(model, train_set, index, rng.permutation(len(index)),
+        for start, batch in _batches(model, train_set, index, rng.permutation(index[0].size),
                                      tc.batch_size):
             losses, batch_total, grads = model.loss_and_grads(
                 batch, dropout_p=tc.dropout_p, rng=rng, train=True

@@ -132,7 +132,8 @@ class LSTMLayer:
         tc = np.tanh(c)
         return i, f, g, o, c, tc, o * tc
 
-    def forward(self, x: np.ndarray, h0: np.ndarray | None = None, c0: np.ndarray | None = None):
+    def forward(self, x: np.ndarray):
+        """The hidden sequence (batch, time, H) from a zero initial state, and the cache."""
         dtype = self.w_x.dtype
         x = np.asarray(x, dtype=dtype)
         if x.ndim != 3 or x.shape[2] != self.n_in:
@@ -141,9 +142,8 @@ class LSTMLayer:
             raise NumericsError("non-finite input to LSTM")
         batch, time, _ = x.shape
         hsz = self.n_hidden
-        h = np.zeros((batch, hsz), dtype) if h0 is None else np.array(h0, dtype=dtype)
-        c = np.zeros((batch, hsz), dtype) if c0 is None else np.array(c0, dtype=dtype)
-        h_init, c_init = h, c
+        h = np.zeros((batch, hsz), dtype)
+        c = np.zeros((batch, hsz), dtype)
 
         xw = x @ self.w_x.T  # (batch, time, 4H), hoisted out of the loop
         gates = np.empty((batch, time, 4 * hsz), dtype)
@@ -161,14 +161,15 @@ class LSTMLayer:
             cell_tanh[:, t] = tc
             hidden[:, t] = h
         # `hidden` is also the recurrent input of the next step; `backward` shifts it
-        cache = (x, gates, cells, cell_tanh, hidden, h_init, c_init)
+        cache = (x, gates, cells, cell_tanh, hidden)
         return hidden, cache
 
     def backward(self, dh_seq: np.ndarray, cache, input_grad: bool = True):
-        """(dX, parameter gradients, dh0, dc0); dX is None when ``input_grad`` is false."""
-        x, gates, cells, cell_tanh, hidden, h_init, c_init = cache
+        """(dX, parameter gradients); dX is None when ``input_grad`` is false."""
+        x, gates, cells, cell_tanh, hidden = cache
         batch, time, hsz = cells.shape
         dtype = cells.dtype
+        zero_state = np.zeros((batch, hsz), dtype)
         da_all = np.empty((batch, time, 4 * hsz), dtype)
         dh = np.zeros((batch, hsz), dtype)
         dc = np.zeros((batch, hsz), dtype)
@@ -178,7 +179,7 @@ class LSTMLayer:
             g = gates[:, t, 2 * hsz : 3 * hsz]
             o = gates[:, t, 3 * hsz :]
             tc = cell_tanh[:, t]
-            c_before = cells[:, t - 1] if t > 0 else c_init
+            c_before = cells[:, t - 1] if t > 0 else zero_state
             dh = dh + dh_seq[:, t]
             do = dh * tc
             dc = dc + dh * o * (1.0 - tc * tc)
@@ -190,17 +191,18 @@ class LSTMLayer:
             da[:, hsz : 2 * hsz] = df * f * (1.0 - f)
             da[:, 2 * hsz : 3 * hsz] = dg * (1.0 - g * g)
             da[:, 3 * hsz :] = do * o * (1.0 - o)
-            dh = da @ self.w_h
-            dc = dc * f
+            if t > 0:  # the gradients of the zero initial state are never used
+                dh = da @ self.w_h
+                dc = dc * f
         flat_da = da_all.reshape(-1, 4 * hsz)
-        h_prev = np.concatenate([h_init[:, None], hidden[:, :-1]], axis=1)
+        h_prev = np.concatenate([zero_state[:, None], hidden[:, :-1]], axis=1)
         grads = {
             "w_x": flat_da.T @ x.reshape(-1, self.n_in),
             "w_h": flat_da.T @ h_prev.reshape(-1, hsz),
             "b": flat_da.sum(axis=0),
         }
         dx = da_all @ self.w_x if input_grad else None
-        return dx, grads, dh, dc
+        return dx, grads
 
 
 def one_hot(labels: np.ndarray, n_classes: int) -> np.ndarray:

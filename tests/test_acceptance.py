@@ -148,7 +148,7 @@ def test_criterion_03_gradient_suite():
         logits, head_cache = head.forward(h.reshape(-1, 4))
         _, _, dlogits = nn.softmax_xent(logits, ts)
         dh, _ = head.backward(dlogits, head_cache)
-        _, lstm_grads, _, _ = lstm.backward(dh.reshape(2, 7, 4), lstm_cache)
+        _, lstm_grads = lstm.backward(dh.reshape(2, 7, 4), lstm_cache)
         assert nn.grad_check(lstm_loss, lstm.parameters(), lstm_grads,
                              n_samples=40, seed=2).max_rel_err < tol
 

@@ -1,10 +1,8 @@
 from __future__ import annotations
 
-import multiprocessing
 import os
 import subprocess
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict
 from pathlib import Path
 
@@ -17,11 +15,20 @@ from sermtl.mtl import MTLNetworkConfig, TrainConfig
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
+def _env(**variables):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+    for name, value in variables.items():
+        env.pop(name, None)
+        if value is not None:
+            env[name] = value
+    return env
+
+
 def test_cli_loads_no_scipy():
     """numpy's OpenBLAS is the only BLAS in a sermtl process."""
     code = ("import sermtl.cli, sys; "
             "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+    env = _env()
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True)
     assert out.stdout.strip() == "[]"
@@ -41,17 +48,17 @@ def all_cores():
     set_(previous)
 
 
-def _fake_fold(*payload):
+def _fake_fold(*args):
     return blas.threads()
 
 
 def test_folds_run_on_one_blas_thread(all_cores, monkeypatch):
     monkeypatch.setattr(experiment, "_run_fold", _fake_fold)
-    payload = (0, None, None, None, None)
-    assert experiment._fold_worker(payload) == 1
+    task = (0, None, None)
+    assert experiment._fold_worker(None, task) == 1
     assert blas.threads() == all_cores  # the caller's count is restored
-    with ProcessPoolExecutor(2, mp_context=multiprocessing.get_context("fork")) as pool:
-        assert list(pool.map(experiment._fold_worker, [payload] * 4)) == [1] * 4
+    with experiment._Workers(None, jobs=2) as workers:
+        assert workers.map(experiment._fold_worker, [task] * 4) == [1] * 4
     assert blas.threads() == all_cores
 
 
@@ -67,3 +74,19 @@ def test_parallel_matches_serial_on_every_core(all_cores, small_synth):
     serial = run_experiment([manifest], config, jobs=1)
     assert blas.threads() == all_cores
     assert asdict(serial) == asdict(run_experiment([manifest], config, jobs=2))
+
+
+def test_train_does_not_depend_on_the_blas_thread_count(small_synth, tmp_path):
+    """`train` fits on one BLAS thread, as an xval fold does: its checkpoint and
+    history are the same with OPENBLAS_NUM_THREADS=1 and unset (a thread per core)."""
+    _, data, _ = small_synth
+    artifacts = []
+    for threads in ("1", None):
+        out = tmp_path / f"threads-{threads}"
+        subprocess.run([sys.executable, "-m", "sermtl.cli", "train", "--manifest",
+                        str(data / "manifest.csv"), "--out", str(out), "--trunk", "lstm",
+                        "--layer-sizes", "8,8", "--max-epochs", "3", "--patience", "2", "--seed", "2"],
+                       env=_env(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=None),
+                       capture_output=True, text=True, check=True, timeout=300)
+        artifacts.append(((out / "model.ckpt").read_bytes(), (out / "history.csv").read_bytes()))
+    assert artifacts[0] == artifacts[1]

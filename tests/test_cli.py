@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from sermtl import blas
 from sermtl.cli import main
 from sermtl.codec import from_dict
 from sermtl.corpus import (
@@ -23,9 +24,8 @@ from sermtl.experiment import (
     extract_feature_cache,
     fit_fold,
     record_features,
-    record_labels,
 )
-from sermtl.features import FeatureConfig, Standardizer, apply_standardizer, read_feature_file
+from sermtl.features import FeatureConfig, Standardizer, apply_standardizer, load_store
 from sermtl.hlf import compute_hlf, read_hlf_csv
 from sermtl.mtl import MTLNetworkConfig, TrainConfig, load_model, posteriors_in_blocks
 
@@ -94,11 +94,16 @@ class TestFeatures:
         rc = main(["features", "--manifest", str(data / "manifest.csv"), "--out", str(out)])
         assert rc == 0
         index = (out / "features_index.csv").read_text().splitlines()
-        assert index[0] == "utterance_id,feature_path,n_frames"
+        assert index[0] == "utterance_id,offset,n_frames"
         assert len(index) == 49  # header + 48 utterances
-        uid, rel, n_frames = index[1].split(",")
-        matrix = read_feature_file(out / rel)
-        assert matrix.shape == (int(n_frames), 32)
+        store = load_store(out)
+        manifest = load_manifest(data / "manifest.csv")
+        assert store.ids == tuple(r.utterance_id for r in manifest.records)
+        assert store.matrix.shape == (int(store.lengths.sum()), 32)
+        assert np.array_equal(store.starts, np.cumsum(store.lengths) - store.lengths)
+        for i in (0, 47):
+            want = record_features(manifest.records[i], FeatureConfig(), manifest.sample_rate)
+            assert store.rows(i).tobytes() == want.tobytes()
 
 
 class TestTrainAndHlf:
@@ -184,19 +189,22 @@ class TestTrainAndHlf:
         training = from_dict(TrainConfig, saved["training"])
         # the fold `train` fit, refit in memory; every utterance is standardized with its statistics
         fold = stratified_split([manifest], seed=saved["seed"]).folds[0]
-        feats = extract_feature_cache(manifest.records, FeatureConfig(), manifest.sample_rate)
-        labels = {r.utterance_id: record_labels(r) for r in manifest.records}
-        trained, _, fold_data = fit_fold(fold, feats, labels,
-                                         from_dict(MTLNetworkConfig, saved["network"]), training)
+        store = extract_feature_cache(manifest.records, FeatureConfig(), manifest.sample_rate)
+        with blas.one_thread():  # as `train` fits
+            trained, fold_standardizer, fold_data = fit_fold(
+                fold, store, from_dict(MTLNetworkConfig, saved["network"]), training)
         model, _, extras = load_model(run / "model.ckpt")
         standardizer = Standardizer(mean=extras["standardizer.mean"], std=extras["standardizer.std"])
+        assert np.array_equal(standardizer.mean, fold_standardizer.mean)
+        assert np.array_equal(standardizer.std, fold_standardizer.std)
+        # the fold trained on float64 standardization rounded to float32
+        want = apply_standardizer(standardizer, store.matrix).astype(np.float32)
+        assert fold_data.matrix.tobytes() == want.tobytes()
         ids = [r.utterance_id for r in manifest.records]
-        for uid in ids:
-            assert np.array_equal(apply_standardizer(standardizer, feats[uid]), fold_data[uid].features), uid
-        in_memory = list(posteriors_in_blocks(trained.model, (fold_data[uid].features for uid in ids),
-                                              training.batch_size))
-        reloaded = posteriors_in_blocks(model, (apply_standardizer(standardizer, feats[uid]) for uid in ids),
-                                        training.batch_size)
+        size = training.batch_size
+        blocks = [store.select(range(i, min(i + size, len(store)))) for i in range(0, len(store), size)]
+        in_memory = list(posteriors_in_blocks(trained.model, blocks, fold_standardizer))
+        reloaded = posteriors_in_blocks(model, blocks, standardizer)
         for uid, want, got in zip(ids, in_memory, reloaded):
             assert np.array_equal(got, want), uid
         csv_ids, matrix, _ = read_hlf_csv(hlf_csv)

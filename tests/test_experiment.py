@@ -8,17 +8,24 @@ import pytest
 
 from sermtl.codec import from_dict
 from sermtl.experiment import (
+    EXTRACT_CHUNK,
     GRID_CONFIGS,
     ExperimentReport,
     PipelineConfig,
+    _empty_store,
+    _Workers,
     compare_reports,
+    extract_feature_cache,
     grid_config_name,
     grid_networks,
     run_experiment,
+    record_features,
+    record_labels,
     run_grid,
     write_grid_report,
     write_report,
 )
+from sermtl.features import FeatureConfig
 from sermtl.mtl import MTLNetworkConfig, TrainConfig
 
 
@@ -155,3 +162,37 @@ class TestGrid:
             assert network.layer_sizes == (32, 16)
             assert network.context_frames == (25 if network.trunk == "dnn" else 1)
             assert network.subtask_weight == 0.3
+
+
+class TestFeatureStore:
+    def test_serial_store_packs_every_utterance_in_order(self, small_synth):
+        manifest, _, _ = small_synth
+        store = extract_feature_cache(manifest.records, FeatureConfig(), manifest.sample_rate)
+        assert len(manifest.records) > EXTRACT_CHUNK  # several chunks
+        assert store.ids == tuple(r.utterance_id for r in manifest.records)
+        assert store.matrix.dtype == np.float32
+        assert np.array_equal(store.starts, np.cumsum(store.lengths) - store.lengths)
+        assert store.matrix.shape[0] == store.lengths.sum()
+        for i, rec in enumerate(manifest.records):
+            want = record_features(rec, FeatureConfig(), manifest.sample_rate)
+            assert store.rows(i).tobytes() == want.tobytes(), rec.utterance_id
+            assert {task: int(v[i]) for task, v in store.labels.items()} == record_labels(rec)
+
+    @pytest.mark.parametrize("jobs", [2, 3])
+    def test_store_bytes_do_not_depend_on_jobs(self, small_synth, jobs):
+        manifest, _, _ = small_synth
+        args = (manifest.records, FeatureConfig(), manifest.sample_rate)
+        serial = extract_feature_cache(*args)
+        store = _empty_store(*args, shared=True)
+        with _Workers(store, jobs) as workers:
+            assert extract_feature_cache(*args, workers) is store
+        assert store.matrix.tobytes() == serial.matrix.tobytes()
+        assert np.array_equal(store.lengths, serial.lengths)
+
+    def test_parallel_grid_matches_serial(self, small_synth, tmp_path):
+        manifest, _, _ = small_synth
+        config = _tiny_config(max_epochs=2, patience=1)
+        for jobs in (1, 2):
+            write_grid_report(run_grid([manifest], config, jobs=jobs), tmp_path / f"jobs{jobs}")
+        assert ((tmp_path / "jobs1" / "grid_report.json").read_bytes()
+                == (tmp_path / "jobs2" / "grid_report.json").read_bytes())

@@ -1,25 +1,36 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference_features as reference
 from sermtl.corpus import SynthConfig, generate_synthetic, read_wav
 from sermtl.features import _dct_rows
 from sermtl.features import (
     FEATURE_COLUMNS,
     FeatureConfig,
     FeatureError,
+    FeatureStore,
+    Standardizer,
+    Workspace,
     apply_standardizer,
     compute_deltas,
     extract_features,
     fit_standardizer,
-    frame_descriptors,
     frame_signal,
+    load_store,
     mel_filterbank,
     normalize_gain,
-    read_feature_file,
+    save_store,
+    standardized,
     write_feature_csv,
-    write_feature_file,
 )
 
 SR = 16000
@@ -66,9 +77,16 @@ class TestFraming:
             frame_signal(np.zeros(399), SR, CFG)
 
 
+def _one_frame(frame):
+    """The 16 static descriptors of a one-frame (400-sample) signal."""
+    matrix = extract_features(frame, SR, CFG)
+    assert matrix.shape == (1, 32)
+    return matrix[0, :16]
+
+
 class TestFrameDescriptors:
     def test_dc_frame(self):
-        desc = frame_descriptors(np.full(400, 0.3), SR, CFG)
+        desc = _one_frame(np.full(400, 0.3))
         assert desc[2] == 0.0  # zcr: no sign changes
         assert desc[1] == 0.0  # voicing vanishes once the mean is removed
         assert desc[0] == 0.0
@@ -76,13 +94,13 @@ class TestFrameDescriptors:
     def test_pure_100hz_sine(self):
         t = np.arange(400) / SR
         frame = np.sin(2 * np.pi * 100 * t)
-        desc = frame_descriptors(frame, SR, CFG)
+        desc = _one_frame(frame)
         assert abs(desc[0] - 100.0) <= 2.0
         assert desc[1] > 0.9
 
     def test_alternating_signs(self):
         frame = np.tile([1.0, -1.0], 200)
-        desc = frame_descriptors(frame, SR, CFG)
+        desc = _one_frame(frame)
         assert desc[2] == 1.0
 
     def test_tone_f0_within_three_percent(self):
@@ -179,20 +197,33 @@ class TestStandardizer:
             fit_standardizer([])
 
 
+def _random_store(seed=2, lengths=(30, 1, 12)):
+    rng = np.random.default_rng(seed)
+    return FeatureStore.pack([f"u{i}" for i in range(len(lengths))],
+                             [rng.normal(size=(n, 32)).astype(np.float32) for n in lengths])
+
+
 class TestFeatureFiles:
     def test_round_trip_bit_identical(self, tmp_path):
-        rng = np.random.default_rng(2)
-        matrix = rng.normal(size=(30, 32)).astype(np.float32)
-        path = write_feature_file(tmp_path / "x.pmtl", matrix)
-        again = read_feature_file(path)
-        assert again.tobytes() == matrix.tobytes()
-        write_feature_file(tmp_path / "y.pmtl", again)
-        assert (tmp_path / "x.pmtl").read_bytes() == (tmp_path / "y.pmtl").read_bytes()
+        store = _random_store()
+        save_store(tmp_path / "x", store)
+        again = load_store(tmp_path / "x")
+        assert again.ids == store.ids
+        assert again.matrix.tobytes() == store.matrix.tobytes()
+        assert np.array_equal(again.starts, store.starts) and np.array_equal(again.lengths, store.lengths)
+        save_store(tmp_path / "y", again)
+        for name in ("features.npy", "features_index.csv"):
+            assert (tmp_path / "x" / name).read_bytes() == (tmp_path / "y" / name).read_bytes()
+        assert (tmp_path / "x" / "features_index.csv").read_text().splitlines()[:3] == [
+            "utterance_id,offset,n_frames", "u0,0,30", "u1,30,1"]
 
-    def test_magic_check(self, tmp_path):
-        (tmp_path / "bad.pmtl").write_bytes(b"NOPE!" + b"\x00" * 16)
-        with pytest.raises(FeatureError, match="magic"):
-            read_feature_file(tmp_path / "bad.pmtl")
+    def test_index_checked(self, tmp_path):
+        save_store(tmp_path, _random_store(lengths=(30,)))
+        for index, named in [("utterance_id,feature_path,n_frames\nu0,0,30\n", "header"),
+                             ("utterance_id,offset,n_frames\nu0,0,31\n", "does not fit")]:
+            (tmp_path / "features_index.csv").write_text(index)
+            with pytest.raises(FeatureError, match=named):
+                load_store(tmp_path)
 
     def test_csv_header(self, tmp_path):
         matrix = np.zeros((2, 32), dtype=np.float32)
@@ -211,3 +242,100 @@ class TestConstantTables:
         assert build(*args) is table
         with pytest.raises(ValueError, match="read-only"):
             table[0, 0] = 1.0
+
+
+# ---------------------------------------------------------------------------
+# The workspace kernel against the front-end it replaced (tests/reference_features.py)
+# ---------------------------------------------------------------------------
+
+_SHARED_WORKSPACE = Workspace()  # reused across examples, as over the utterances of a chunk
+
+
+@st.composite
+def _signals(draw):
+    kind = draw(st.sampled_from(["silence", "tone", "noise", "tone+noise"]))
+    n = draw(st.one_of(st.just(400), st.integers(8000, 48000)))  # one frame, or 0.5-3 s
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    t = np.arange(n) / SR
+    signal = np.zeros(n)
+    if "tone" in kind:
+        freq = draw(st.floats(50.0, 500.0))
+        signal += draw(st.floats(0.01, 1.0)) * np.sin(2 * np.pi * freq * t + rng.uniform(0, 6.3))
+    if "noise" in kind:
+        signal += draw(st.floats(0.001, 0.5)) * rng.normal(size=n)
+    return signal
+
+
+class TestKernelMatchesReference:
+    @settings(max_examples=40, deadline=None)
+    @given(signal=_signals())
+    def test_byte_identical(self, signal):
+        want = reference.extract_features(signal, SR, CFG)
+        assert extract_features(signal, SR, CFG, workspace=_SHARED_WORKSPACE).tobytes() == want.tobytes()
+        out = np.empty_like(want)
+        assert extract_features(signal, SR, CFG, out=out) is out
+        assert out.tobytes() == want.tobytes()
+
+    def test_generated_corpus_byte_identical(self, small_synth):
+        manifest, _, _ = small_synth
+        workspace = Workspace()
+        for rec in manifest.records:
+            samples, sr = read_wav(rec.audio_path)
+            got = extract_features(samples, sr, CFG, workspace=workspace)
+            assert got.tobytes() == reference.extract_features(samples, sr, CFG).tobytes(), rec.utterance_id
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+    def test_deltas_byte_identical(self, n, seed):
+        static = np.random.default_rng(seed).normal(size=(n, 16))
+        assert compute_deltas(static, CFG).tobytes() == reference.compute_deltas(static, CFG).tobytes()
+
+    def test_wrong_output_rejected(self):
+        with pytest.raises(FeatureError, match="float32"):
+            extract_features(np.zeros(800), SR, CFG, out=np.empty((6, 32)))
+
+
+_FAULTS_PER_UTTERANCE = """
+import resource
+import numpy as np
+from sermtl.features import FeatureConfig, Workspace, extract_features
+
+rng = np.random.default_rng(5)
+t = np.arange(8000) / 16000
+signals = [0.3 * np.sin(2 * np.pi * (90 + 17 * i) * t) + 0.02 * rng.normal(size=t.size)
+           for i in range(21)]
+workspace = Workspace()
+extract_features(signals[0], 16000, FeatureConfig(), workspace)  # sizes the workspace
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for signal in signals[1:]:
+    extract_features(signal, 16000, FeatureConfig(), workspace)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / (len(signals) - 1))
+"""
+
+
+def test_front_end_takes_no_fresh_pages_per_utterance():
+    """Once its workspace is sized, the front-end reuses its memory: fresh pages
+    from the kernel (minor faults) cost about a third of its time when every
+    intermediate was a new array (some 550 faults per 0.5 s utterance)."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", _FAULTS_PER_UTTERANCE], env=env,
+                         capture_output=True, text=True, check=True, timeout=120)
+    assert float(out.stdout) < 20
+
+
+class TestFeatureStore:
+    def test_rows_select_and_gather(self):
+        store = _random_store(lengths=(3, 5, 2))
+        assert len(store) == 3 and store.starts.tolist() == [0, 3, 8]
+        assert store.rows(1).base is not None and np.array_equal(store.rows(1), store.matrix[3:8])
+        subset = store.select(store.positions(["u2", "u0"]))
+        assert subset.ids == ("u2", "u0") and subset.matrix is store.matrix
+        assert np.array_equal(subset.gather(range(2)), np.concatenate([store.rows(2), store.rows(0)]))
+
+    def test_standardized_is_float64_math_rounded(self):
+        store = _random_store(lengths=(7, 9))
+        std = Standardizer(mean=np.linspace(-1, 1, 32), std=np.linspace(0.5, 2, 32))
+        out = standardized(store, std, block_rows=4)
+        assert out.matrix.dtype == np.float32 and out.ids == store.ids
+        assert out.matrix.tobytes() == apply_standardizer(std, store.matrix).astype(np.float32).tobytes()

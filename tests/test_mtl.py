@@ -5,13 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_batches as reference
 from sermtl import nn
+from sermtl.features import FeatureStore
 from sermtl.mtl import (
-    LabeledFeatures,
     MTLNetworkConfig,
     MultiTaskModel,
     TrainConfig,
     TrainingDivergedError,
+    _batches,
+    _sample_index,
     save_model,
     load_model,
     total_loss,
@@ -24,19 +27,23 @@ def _blob_dataset(n_utts=24, n_frames=30, seed=0, scale=2.0):
     """Features whose class structure is trivially separable: each task label
     shifts a disjoint block of feature dimensions."""
     rng = np.random.default_rng(seed)
-    data = []
+    matrices = []
+    labels = {"emotion": [], "gender": [], "naturalness": []}
     for i in range(n_utts):
         emotion, gender, nat = i % 4, (i // 4) % 4, (i // 2) % 2
         mean = np.zeros(32)
         mean[emotion] = scale
         mean[8 + gender] = scale
         mean[16 + nat] = scale
-        feats = rng.normal(0.0, 0.3, (n_frames, 32)) + mean
-        data.append(
-            LabeledFeatures(f"u{i:03d}", feats,
-                            {"emotion": emotion, "gender": gender, "naturalness": nat})
-        )
-    return data
+        matrices.append(rng.normal(0.0, 0.3, (n_frames, 32)) + mean)
+        for task, value in zip(labels, (emotion, gender, nat)):
+            labels[task].append(value)
+    return FeatureStore.pack([f"u{i:03d}" for i in range(n_utts)], matrices, labels)
+
+
+def _split(data, k):
+    """The first ``k`` utterances of ``data`` and the rest."""
+    return data.select(range(k)), data.select(range(k, len(data)))
 
 
 class TestBuildModel:
@@ -255,7 +262,7 @@ class TestTraining:
         outputs = []
         for run in range(2):
             model = MultiTaskModel(cfg, seed=11)
-            trained = train(model, data[:18], data[18:], self._quick_tc(seed=11))
+            trained = train(model, *_split(data, 18), self._quick_tc(seed=11))
             path = save_model(tmp_path / f"m{run}.ckpt", trained)
             hist = write_history_csv(tmp_path / f"h{run}.csv", trained.history, cfg.heads)
             outputs.append((path.read_bytes(), hist.read_text()))
@@ -265,7 +272,7 @@ class TestTraining:
         data = _blob_dataset()
         cfg = MTLNetworkConfig(trunk="lstm", layer_sizes=(8, 8), subtask_mode="all")
         model = MultiTaskModel(cfg, seed=2)
-        trained = train(model, data[:18], data[18:], self._quick_tc(seed=2, max_epochs=6, patience=3))
+        trained = train(model, *_split(data, 18), self._quick_tc(seed=2, max_epochs=6, patience=3))
         vals = [row.val_total for row in trained.history]
         assert trained.best_val_total == min(vals)
         assert vals[trained.best_epoch] == trained.best_val_total
@@ -277,11 +284,11 @@ class TestTraining:
         cfg = MTLNetworkConfig(trunk="lstm", layer_sizes=(32, 32), subtask_mode="all")
         model = MultiTaskModel(cfg, seed=4)
         tc = TrainConfig(batch_size=16, max_epochs=30, patience=29, seed=4, dropout_p=0.2)
-        trained = train(model, data[:24], data[24:], tc)
+        trained = train(model, *_split(data, 24), tc)
         hits = total = 0
-        for item in data[:24]:
-            post = trained.model.emotion_posteriors(item.features)
-            hits += int(np.sum(post.argmax(axis=1) == item.labels["emotion"]))
+        for i in range(24):
+            post = trained.model.emotion_posteriors(data.rows(i))
+            hits += int(np.sum(post.argmax(axis=1) == data.labels["emotion"][i]))
             total += post.shape[0]
         assert hits / total >= 0.95
 
@@ -292,14 +299,14 @@ class TestTraining:
         tc = TrainConfig(batch_size=16, max_epochs=5, patience=2, seed=1,
                          lr=1e150, clip_norm=0.0, dropout_p=0.0)
         with np.errstate(all="ignore"), pytest.raises((TrainingDivergedError, nn.NumericsError)):
-            train(model, data[:18], data[18:], tc)
+            train(model, *_split(data, 18), tc)
 
     def test_empty_sets_rejected(self):
         data = _blob_dataset()
         cfg = MTLNetworkConfig(trunk="lstm", layer_sizes=(4,), subtask_mode="none")
         model = MultiTaskModel(cfg, seed=0)
         with pytest.raises(ValueError):
-            train(model, data, [], self._quick_tc())
+            train(model, data, data.select([]), self._quick_tc())
 
 
 class TestPosteriors:
@@ -402,7 +409,7 @@ class TestModelCheckpoint:
         cfg = MTLNetworkConfig(trunk="lstm", layer_sizes=(6, 6), subtask_mode="gender")
         model = MultiTaskModel(cfg, seed=3)
         tc = TrainConfig(batch_size=8, max_epochs=2, patience=1, seed=3)
-        trained = train(model, data[:9], data[9:], tc)
+        trained = train(model, *_split(data, 9), tc)
         extra = {"standardizer.mean": np.arange(32.0), "standardizer.std": np.ones(32)}
         path = save_model(tmp_path / "m.ckpt", trained, extra_params=extra)
         loaded, header, extras = load_model(path)
@@ -423,7 +430,7 @@ class TestModelCheckpoint:
     ], ids=["lstm", "dnn"])
     def test_reloaded_model_scores_exactly(self, tmp_path, config):
         data = _blob_dataset(n_utts=12, n_frames=10)
-        trained = train(MultiTaskModel(config, seed=3), data[:9], data[9:],
+        trained = train(MultiTaskModel(config, seed=3), *_split(data, 9),
                         TrainConfig(batch_size=8, max_epochs=2, patience=1, seed=3))
         loaded, _, _ = load_model(save_model(tmp_path / "m.ckpt", trained))
         assert loaded.dtype == np.float64
@@ -443,11 +450,75 @@ class TestModelCheckpoint:
     ])
     def test_network_header_keys_checked(self, tmp_path, edit, named):
         model = MultiTaskModel(MTLNetworkConfig(trunk="lstm", layer_sizes=(4,)), seed=1)
-        trained = train(model, _blob_dataset(n_utts=6, n_frames=8)[:4],
-                        _blob_dataset(n_utts=6, n_frames=8)[4:],
+        trained = train(model, *_split(_blob_dataset(n_utts=6, n_frames=8), 4),
                         TrainConfig(batch_size=8, max_epochs=2, patience=1))
         params, header = nn.load_checkpoint(save_model(tmp_path / "m.ckpt", trained))
         edit(header["network"])
         nn.save_checkpoint(tmp_path / "bad.ckpt", params, header)
         with pytest.raises(ValueError, match=named):
             load_model(tmp_path / "bad.ckpt")
+
+
+# ---------------------------------------------------------------------------
+# Gather batching against the per-item batching it replaced (tests/reference_batches.py)
+# ---------------------------------------------------------------------------
+
+@st.composite
+def _batching_case(draw):
+    trunk = draw(st.sampled_from(["dnn", "lstm"]))
+    lengths = draw(st.lists(st.integers(1, 40), min_size=1, max_size=8))
+    context = draw(st.integers(1, 12)) if trunk == "dnn" else 0
+    tc = TrainConfig(batch_size=draw(st.integers(1, 20)), lstm_chunk_frames=draw(st.integers(1, 15)),
+                     dnn_window_stride=draw(st.integers(1, 4)))
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    matrices = [rng.normal(size=(n, 32)) for n in lengths]
+    labels = {"emotion": rng.integers(0, 4, len(lengths)), "gender": rng.integers(0, 4, len(lengths)),
+              "naturalness": rng.integers(0, 2, len(lengths))}
+    store = FeatureStore.pack([f"u{i}" for i in range(len(lengths))], matrices, labels)
+    # a subset in another order, as a fold selects from the whole store
+    positions = draw(st.permutations(range(len(lengths))))
+    items = [reference.LabeledFeatures(f"u{i}", matrices[i], {t: int(v[i]) for t, v in labels.items()})
+             for i in positions]
+    config = MTLNetworkConfig(trunk=trunk, layer_sizes=(4,), context_frames=context, subtask_mode="all")
+    return MultiTaskModel(config, seed=0, dtype=dtype), store.select(positions), items, tc, rng
+
+
+class TestGatherBatching:
+    @settings(max_examples=60, deadline=None)
+    @given(case=_batching_case())
+    def test_batches_equal_the_per_item_batches(self, case):
+        model, dataset, items, tc, rng = case
+        index = _sample_index(model.config, dataset, tc)
+        old_index = reference._sample_index(model.config, items, tc)
+        assert index[0].size == len(old_index)
+        order = rng.permutation(len(old_index))
+        got = list(_batches(model, dataset, index, order, tc.batch_size))
+        want = list(reference._batches(model, items, old_index, order, tc.batch_size))
+        assert len(got) == len(want)
+        for (start, batch), (old_start, old_batch) in zip(got, want):
+            assert start == old_start
+            assert batch.keys() == old_batch.keys()
+            assert batch["x"].dtype == old_batch["x"].dtype == model.dtype
+            assert batch["x"].shape == old_batch["x"].shape
+            assert batch["x"].tobytes() == old_batch["x"].tobytes()
+            if "mask" in batch:
+                assert np.array_equal(batch["mask"], old_batch["mask"])
+            for task, targets in old_batch["targets"].items():
+                assert batch["targets"][task].dtype == targets.dtype
+                assert np.array_equal(batch["targets"][task], targets)
+
+    @settings(max_examples=60, deadline=None)
+    @given(lengths=st.lists(st.integers(1, 700), min_size=1, max_size=6),
+           chunk=st.integers(1, 400))
+    def test_lstm_chunks_cover_every_frame_once(self, lengths, chunk):
+        store = FeatureStore.pack([f"u{i}" for i in range(len(lengths))],
+                                  [np.zeros((n, 32)) for n in lengths])
+        config = MTLNetworkConfig(trunk="lstm", layer_sizes=(4,))
+        utterance, first_row, frames = _sample_index(config, store, TrainConfig(lstm_chunk_frames=chunk))
+        assert np.all((frames >= 1) & (frames <= chunk))
+        covered = np.zeros(store.matrix.shape[0], dtype=np.int64)
+        for u, row, n in zip(utterance, first_row, frames):
+            assert store.starts[u] <= row and row + n <= store.starts[u] + store.lengths[u]
+            covered[row : row + n] += 1
+        assert np.all(covered == 1)
