@@ -320,17 +320,38 @@ class Standardizer:
 def fit_standardizer(matrices) -> Standardizer:
     """Per-column z-statistics over the training-fold frames only.
 
-    The frames are stacked straight into one float64 matrix: no float64 copy of
-    each input is kept beside it."""
+    The mean and std are bit-identical to ``np.mean``/``np.std`` over the frames
+    stacked into one float64 matrix, but only one input matrix at a time is
+    held in float64."""
     matrices = list(matrices)
     if not matrices:
         raise ValueError("empty training set")
-    data = np.concatenate(matrices, axis=0, dtype=np.float64)
-    if data.shape[0] < 2:
+    n = sum(m.shape[0] for m in matrices)
+    if n < 2:
         raise ValueError("need at least 2 training frames")
-    mean = data.mean(axis=0)
-    std = np.maximum(data.std(axis=0), _STD_FLOOR)
-    return Standardizer(mean=mean, std=std)
+    mean = _column_sum(matrices) / n
+    std = np.sqrt(_column_sum(matrices, mean) / n)
+    return Standardizer(mean=mean, std=np.maximum(std, _STD_FLOOR))
+
+
+def _column_sum(matrices, center: np.ndarray | None = None) -> np.ndarray:
+    """The float64 column sums of the rows of ``matrices`` (of their squared
+    deviations from ``center``, if given), added one row after another as an
+    axis-0 reduction over their stack adds them: each matrix is reduced with the
+    running sum as its first row."""
+    total = None
+    for matrix in filter(len, matrices):
+        block = np.empty((matrix.shape[0] + 1, matrix.shape[1]))
+        rows = block[1:]
+        rows[...] = matrix
+        if center is not None:
+            np.square(np.subtract(rows, center, out=rows), out=rows)
+        if total is None:
+            total = rows.sum(axis=0)
+        else:
+            block[0] = total
+            total = block.sum(axis=0)
+    return total
 
 
 def apply_standardizer(standardizer: Standardizer, matrix: np.ndarray) -> np.ndarray:

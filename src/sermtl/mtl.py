@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 from collections.abc import Sequence
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -126,6 +127,12 @@ def total_loss(per_task_losses: dict[str, float], heads: tuple[TaskHead, ...]) -
     return value
 
 
+# DNN posteriors score the windows of consecutive utterances up to this many
+# rows at a time: the few windows of one short utterance (24 of 0.5 s) make
+# GEMMs of about half the throughput
+POSTERIOR_BLOCK_ROWS = 128
+
+
 def _stable_softmax(logits: np.ndarray) -> np.ndarray:
     shifted = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(shifted)
@@ -142,6 +149,9 @@ class MultiTaskModel:
     ``dtype`` is the training dtype: parameters, activations, caches, dropout
     masks, gradients and Adam moments all use it. Losses are computed in
     float64, and `emotion_posteriors` always scores in float64.
+
+    Every parameter is a view into one 1-D vector, ``vector``, in `parameters()`
+    order; gradients and Adam moments are vectors of the same layout.
     """
 
     def __init__(self, config: MTLNetworkConfig, seed: int = 0, dtype=np.float32):
@@ -149,17 +159,19 @@ class MultiTaskModel:
         self.seed = int(seed)
         self.dtype = np.dtype(dtype)
         rng = np.random.default_rng(derive_seed(seed, "init"))
-        self.trunk_layers = []
-        width = config.input_width
-        for size in config.layer_sizes:
-            if config.trunk == "dnn":
-                self.trunk_layers.append(nn.DenseLayer(width, size, "relu", rng, dtype=dtype))
-            else:
-                self.trunk_layers.append(nn.LSTMLayer(width, size, rng, dtype=dtype))
-            width = size
-        self.heads = {}
-        for head in config.heads:
-            self.heads[head.name] = nn.DenseLayer(width, head.n_classes, "linear", rng, dtype=dtype)
+        widths = (config.input_width,) + config.layer_sizes
+        trunk = nn.DenseLayer if config.trunk == "dnn" else nn.LSTMLayer
+        sizes = [trunk.size(n_in, n_out) for n_in, n_out in zip(widths, widths[1:])]
+        sizes += [nn.DenseLayer.size(widths[-1], head.n_classes) for head in config.heads]
+        self.vector = np.zeros(sum(sizes), self.dtype)
+        slices = iter(np.split(self.vector, np.cumsum(sizes)[:-1]))
+        self.trunk_layers = [
+            nn.DenseLayer(n_in, n_out, "relu", rng, dtype, next(slices)) if config.trunk == "dnn"
+            else nn.LSTMLayer(n_in, n_out, rng, dtype=dtype, vector=next(slices))
+            for n_in, n_out in zip(widths, widths[1:])]
+        self.heads = {head.name: nn.DenseLayer(widths[-1], head.n_classes, "linear", rng, dtype, next(slices))
+                      for head in config.heads}
+        self._grad_views = None
 
     def parameters(self) -> dict[str, np.ndarray]:
         params: dict[str, np.ndarray] = {}
@@ -170,6 +182,30 @@ class MultiTaskModel:
             for key, arr in self.heads[head.name].parameters().items():
                 params[f"head.{head.name}.{key}"] = arr
         return params
+
+    def layer_views(self, vector: np.ndarray) -> tuple[list[dict], dict[str, dict]]:
+        """Views into ``vector``, a 1-D array laid out as `vector`, shaped as each
+        layer's parameters: one dict per trunk layer, and one per head by name."""
+        views, start = [], 0
+        for layer in self.trunk_layers + [self.heads[h.name] for h in self.config.heads]:
+            views.append({})
+            for key, arr in layer.parameters().items():
+                views[-1][key] = vector[start : start + arr.size].reshape(arr.shape)
+                start += arr.size
+        n = len(self.trunk_layers)
+        return views[:n], {h.name: v for h, v in zip(self.config.heads, views[n:])}
+
+    @contextmanager
+    def gradient_vector(self):
+        """While open, `loss_and_grads` writes its gradients into the vector this
+        yields, laid out as `vector`; each call overwrites the last one's. (A
+        new vector per training step would take fresh pages at every step.)"""
+        grad = np.empty_like(self.vector)
+        self._grad_views = self.layer_views(grad)
+        try:
+            yield grad
+        finally:
+            self._grad_views = None
 
     # -- forward/backward -------------------------------------------------
 
@@ -183,15 +219,16 @@ class MultiTaskModel:
             caches.append((cache, mask))
         return h, caches
 
-    def _trunk_backward(self, dh, caches) -> dict[str, np.ndarray]:
-        """Trunk parameter gradients; the gradient of the input is never formed."""
+    def _trunk_backward(self, dh, caches, views: list[dict]) -> dict[str, np.ndarray]:
+        """Trunk parameter gradients, written into ``views`` (one dict per layer);
+        the gradient of the input is never formed."""
         grads: dict[str, np.ndarray] = {}
         for i in range(len(self.trunk_layers) - 1, -1, -1):
             layer = self.trunk_layers[i]
             cache, mask = caches[i]
             if mask is not None:
                 dh = dh * mask
-            dh, layer_grads = layer.backward(dh, cache, input_grad=i > 0)
+            dh, layer_grads = layer.backward(dh, cache, i > 0, views[i])
             for key, g in layer_grads.items():
                 grads[f"trunk.{i}.{key}"] = g
         return grads
@@ -204,23 +241,27 @@ class MultiTaskModel:
         LSTM batches: {"x": (B, T, n_features), "mask": (B, T) bool,
         "targets": {task: (B,) ints}} with frame-broadcast chunk labels and
         padding excluded from every per-frame loss mean.
+
+        The gradients are views into a vector laid out as `vector`: a new one, or
+        the open `gradient_vector`. They are keyed like `parameters()` and ordered
+        as they are computed: heads, then the trunk from the top.
         """
+        trunk_views, head_views = self._grad_views or self.layer_views(np.empty_like(self.vector))
         h, caches = self._trunk_forward(batch["x"], dropout_p, rng, train)
         rows, targets = self._scored_rows(h, batch)
-        grads: dict[str, np.ndarray] = {}
-        losses, dh = self._head_pass(rows, targets, grads)
+        losses, dh, grads = self._head_pass(rows, targets, head_views)
         if "mask" in batch:
             # scatter the row gradients back over the padded (B, T, H) trunk output
             dh_rows, dh = dh, np.zeros(h.shape, h.dtype)
             dh[batch["mask"]] = dh_rows
-        grads.update(self._trunk_backward(dh, caches))
+        grads.update(self._trunk_backward(dh, caches, trunk_views))
         return losses, total_loss(losses, self.config.heads), grads
 
     def batch_losses(self, batch: dict) -> dict[str, float]:
         """Per-task losses of one mini-batch in eval mode (no dropout), forward
         only: equal to those of ``loss_and_grads(batch, train=False)``."""
         h, _ = self._trunk_forward(batch["x"], 0.0, None, False)
-        losses, _ = self._head_pass(*self._scored_rows(h, batch))
+        losses, _, _ = self._head_pass(*self._scored_rows(h, batch))
         return losses
 
     def _scored_rows(self, h, batch):
@@ -233,28 +274,31 @@ class MultiTaskModel:
                    for name, t in batch["targets"].items()}
         return h[mask], targets
 
-    def _head_pass(self, h_rows, targets_rows, grads=None):
-        """Per-task losses over trunk output rows. With a ``grads`` dict, also
-        stores the head gradients in it and returns the gradient of ``h_rows``
-        (None otherwise)."""
+    def _head_pass(self, h_rows, targets_rows, views=None):
+        """(per-task losses, dh, gradients) over trunk output rows. With ``views``,
+        the heads' gradient views by name, the head gradients are written into
+        them and returned keyed like `parameters()`, with dh, the gradient of
+        ``h_rows``; without, dh is None and the gradients are empty."""
         losses: dict[str, float] = {}
-        dh = None if grads is None else np.zeros_like(h_rows)
+        grads: dict[str, np.ndarray] = {}
+        dh = None if views is None else np.zeros_like(h_rows)
         for head_spec in self.config.heads:
             head = self.heads[head_spec.name]
             logits, cache = head.forward(h_rows)
             onehot = nn.one_hot(targets_rows[head_spec.name], head_spec.n_classes)
             loss, _, dlogits = nn.softmax_xent(logits, onehot)
             losses[head_spec.name] = loss
-            if grads is None:
+            if views is None:
                 continue
+            head_grads = views[head_spec.name]
             if head_spec.loss_weight != 0.0:
-                dx, head_grads = head.backward(dlogits * head_spec.loss_weight, cache)
-                dh += dx
+                dh += head.backward(dlogits * head_spec.loss_weight, cache, grads=head_grads)[0]
             else:
-                head_grads = {k: np.zeros_like(v) for k, v in head.parameters().items()}
+                for g in head_grads.values():
+                    g[...] = 0.0
             for key, g in head_grads.items():
                 grads[f"head.{head_spec.name}.{key}"] = g
-        return losses, dh
+        return losses, dh, grads
 
     # -- inference ---------------------------------------------------------
 
@@ -278,7 +322,9 @@ class MultiTaskModel:
         trunk = [nn.with_dtype(layer, np.float64) for layer in self.trunk_layers]
         head = nn.with_dtype(self.heads[TASK_EMOTION], np.float64)
         if lengths is None:
-            return self._utterance_posteriors(trunk, head, features)
+            if self.config.trunk == "dnn":
+                return self._dnn_block_posteriors(trunk, head, features, np.array([features.shape[0]]))[0]
+            return self._lstm_utterance_posteriors(trunk, head, features)
         lengths = np.asarray(lengths, dtype=np.int64)
         if lengths.ndim != 1 or lengths.size == 0 or np.any(lengths < 1):
             raise ValueError("lengths must be a non-empty list of positive frame counts")
@@ -286,25 +332,39 @@ class MultiTaskModel:
             raise ValueError(f"lengths sum to {int(lengths.sum())}, features have {features.shape[0]} rows")
         if self.config.trunk == "lstm":
             return self._lstm_block_posteriors(trunk, head, features, lengths)
-        # one window GEMM per utterance: windows of a whole block would be context_frames times its size
-        return [self._utterance_posteriors(trunk, head, u)
-                for u in np.split(features, np.cumsum(lengths)[:-1])]
+        return self._dnn_block_posteriors(trunk, head, features, lengths)
 
-    def _utterance_posteriors(self, trunk, head, features):
-        if self.config.trunk == "dnn":
-            context = self.config.context_frames
-            n = features.shape[0]
-            if n < context:
-                raise ValueError(f"too few frames for DNN context: {n} < {context}")
-            windows = np.lib.stride_tricks.sliding_window_view(features, (context, features.shape[1]))
-            h = windows.reshape(n - context + 1, context * features.shape[1])
-        else:
-            h = features[None, :, :]
+    def _dnn_block_posteriors(self, trunk, head, features, lengths):
+        """DNN pass over stacked utterances, one GEMM chain per block of rows: the
+        context windows of consecutive utterances, up to POSTERIOR_BLOCK_ROWS of
+        them (or one utterance's, if it has more), gathered with one fancy index."""
+        context = self.config.context_frames
+        short = lengths < context
+        if np.any(short):
+            raise ValueError(f"too few frames for DNN context: {lengths[short][0]} < {context}")
+        windows = np.lib.stride_tricks.sliding_window_view(features, (context, features.shape[1]))[:, 0]
+        counts = lengths - context + 1
+        ends = np.cumsum(counts)
+        # window k of the stack starts context - 1 frames later per utterance before its own
+        first_row = np.arange(ends[-1]) + (context - 1) * np.repeat(np.arange(lengths.size), counts)
+        posteriors = []
+        u = 0
+        while u < lengths.size:
+            lo = ends[u] - counts[u]
+            v = max(u + 1, int(np.searchsorted(ends, lo + POSTERIOR_BLOCK_ROWS, side="right")))
+            h = windows[first_row[lo : ends[v - 1]]].reshape(ends[v - 1] - lo, -1)
+            for layer in trunk:
+                h, _ = layer.forward(h)
+            logits, _ = head.forward(h)
+            posteriors.extend(np.split(_stable_softmax(logits), ends[u : v - 1] - lo))
+            u = v
+        return posteriors
+
+    def _lstm_utterance_posteriors(self, trunk, head, features):
+        h = features[None, :, :]
         for layer in trunk:
             h, _ = layer.forward(h)
-        if self.config.trunk == "lstm":
-            h = h[0]
-        logits, _ = head.forward(h)
+        logits, _ = head.forward(h[0])
         return _stable_softmax(logits)
 
     def _lstm_block_posteriors(self, trunk, head, features, lengths):
@@ -353,11 +413,16 @@ def posteriors_in_blocks(model: MultiTaskModel, blocks, standardizer: Standardiz
 
 @dataclass(frozen=True)
 class EpochStats:
+    """One epoch's losses, and the global gradient norm of its training steps
+    before clipping: mean, max, and the fraction of steps that were clipped."""
     epoch: int
     train_losses: dict[str, float]
     train_total: float
     val_losses: dict[str, float]
     val_total: float
+    grad_norm_mean: float
+    grad_norm_max: float
+    clip_frac: float
 
 
 @dataclass
@@ -458,8 +523,6 @@ def train(model: MultiTaskModel, train_set, val_set, tc: TrainConfig) -> Trained
 
     config = model.config
     heads = config.heads
-    params = model.parameters()
-    adam = nn.AdamState.for_params(params, lr=tc.lr)
     rng = np.random.default_rng(derive_seed(tc.seed, "train"))
 
     index = _sample_index(config, train_set, tc)
@@ -472,47 +535,55 @@ def train(model: MultiTaskModel, train_set, val_set, tc: TrainConfig) -> Trained
     history: list[EpochStats] = []
     best_val = np.inf
     best_epoch = -1
-    best_params: dict[str, np.ndarray] | None = None
+    best_vector = np.empty_like(model.vector)
     since_best = 0
 
-    for epoch in range(tc.max_epochs):
-        weighted = []
-        for start, batch in _batches(model, train_set, index, rng.permutation(index[0].size),
-                                     tc.batch_size):
-            losses, batch_total, grads = model.loss_and_grads(
-                batch, dropout_p=tc.dropout_p, rng=rng, train=True
-            )
-            if not np.isfinite(batch_total):
-                raise TrainingDivergedError(
-                    f"non-finite training loss at epoch {epoch}, sample {start}"
+    with model.gradient_vector() as grad:
+        # Adam updates the flat vectors: one-entry dicts, moments laid out as `model.vector`
+        params, grads = {"vector": model.vector}, {"vector": grad}
+        adam = nn.AdamState.for_params(params, lr=tc.lr)
+        for epoch in range(tc.max_epochs):
+            weighted, norms = [], []
+            for start, batch in _batches(model, train_set, index, rng.permutation(index[0].size),
+                                         tc.batch_size):
+                losses, batch_total, step_grads = model.loss_and_grads(
+                    batch, dropout_p=tc.dropout_p, rng=rng, train=True
                 )
-            nn.clip_global_norm(grads, tc.clip_norm)
-            nn.adam_step(adam, params, grads)
-            weighted.append((losses, _batch_weight(batch)))
-        train_losses = _mean_losses(weighted, heads)
-        val_losses, val_total = _dataset_losses(model, val_set, val_index, tc)
-        history.append(
-            EpochStats(
-                epoch=epoch,
-                train_losses=train_losses,
-                train_total=total_loss(train_losses, heads),
-                val_losses=val_losses,
-                val_total=val_total,
+                if not np.isfinite(batch_total):
+                    raise TrainingDivergedError(
+                        f"non-finite training loss at epoch {epoch}, sample {start}"
+                    )
+                norms.append(nn.clip_global_norm(step_grads, tc.clip_norm))
+                nn.adam_step(adam, params, grads)
+                weighted.append((losses, _batch_weight(batch)))
+            train_losses = _mean_losses(weighted, heads)
+            val_losses, val_total = _dataset_losses(model, val_set, val_index, tc)
+            clipped = sum(1 for norm in norms if tc.clip_norm > 0 and norm > tc.clip_norm)
+            history.append(
+                EpochStats(
+                    epoch=epoch,
+                    train_losses=train_losses,
+                    train_total=total_loss(train_losses, heads),
+                    val_losses=val_losses,
+                    val_total=val_total,
+                    grad_norm_mean=sum(norms) / len(norms),
+                    grad_norm_max=max(norms),
+                    clip_frac=clipped / len(norms),
+                )
             )
-        )
-        if val_total < best_val:
-            best_val = val_total
-            best_epoch = epoch
-            best_params = {name: arr.copy() for name, arr in params.items()}
-            since_best = 0
-        else:
-            since_best += 1
-            if since_best >= tc.patience:
-                break
+            if val_total < best_val:
+                best_val = val_total
+                best_epoch = epoch
+                best_vector[...] = model.vector
+                since_best = 0
+            else:
+                since_best += 1
+                if since_best >= tc.patience:
+                    break
 
-    assert best_params is not None
-    for name, arr in params.items():
-        arr[...] = best_params[name]
+    if best_epoch < 0:
+        raise TrainingDivergedError("the validation loss was not finite in any epoch")
+    model.vector[...] = best_vector
     return TrainedModel(
         model=model,
         train_config=tc,
@@ -571,11 +642,13 @@ def write_history_csv(path: str | Path, history: list[EpochStats],
             ["epoch"]
             + [f"train_{n}" for n in names] + ["train_total"]
             + [f"val_{n}" for n in names] + ["val_total"]
+            + ["grad_norm_mean", "grad_norm_max", "clip_frac"]
         )
         for row in history:
             writer.writerow(
                 [row.epoch]
                 + [repr(row.train_losses[n]) for n in names] + [repr(row.train_total)]
                 + [repr(row.val_losses[n]) for n in names] + [repr(row.val_total)]
+                + [repr(row.grad_norm_mean), repr(row.grad_norm_max), repr(row.clip_frac)]
             )
     return path

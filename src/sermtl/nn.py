@@ -1,11 +1,12 @@
 """Minimal trainable neural core: dense and LSTM layers, softmax cross-entropy,
-inverted dropout, Adam, a finite-difference gradient checker, and checkpoint I/O.
+inverted dropout, Adam, gradient clipping, and checkpoint I/O.
 
 Layers compute in the dtype of their parameters (float64 unless built with
 another ``dtype``); the multi-task model trains in float32 and scores in
-float64, see `mtl.MultiTaskModel`. Softmax cross-entropy computes its loss in
-float64 and returns its gradient in the dtype of the logits. Checkpoints
-serialize parameters as float32 LE.
+float64, see `mtl.MultiTaskModel`. A layer's parameters are views into one 1-D
+vector, its own or a slice of its model's. Softmax cross-entropy computes its
+loss in float64 and returns its gradient in the dtype of the logits.
+Checkpoints serialize parameters as float32 LE.
 
 `LSTMLayer.step` is the one home of the LSTM gate math: the training `forward`
 (which caches every step for BPTT) and the cache-free, time-major inference
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -33,13 +35,27 @@ class NumericsError(FloatingPointError):
     """Raised on non-finite inputs or gradients."""
 
 
-def _glorot(shape: tuple[int, int], rng: np.random.Generator | None, dtype) -> np.ndarray:
+def _param_views(vector: np.ndarray | None, shapes, dtype) -> list[np.ndarray]:
+    """Views of consecutive slices of ``vector``, one per shape; a zero vector of
+    the right size is allocated when ``vector`` is None."""
+    sizes = [math.prod(shape) for shape in shapes]
+    if vector is None:
+        vector = np.zeros(sum(sizes), dtype)
+    ends = np.cumsum(sizes)
+    return [vector[end - size : end].reshape(shape) for end, size, shape in zip(ends, sizes, shapes)]
+
+
+def _glorot(out: np.ndarray, rng: np.random.Generator | None) -> None:
+    """Glorot-uniform values written into ``out``; it is left as it is (zeros) without an rng."""
     if rng is None:
-        return np.zeros(shape, dtype)
-    fan_out, fan_in = shape
+        return
+    fan_out, fan_in = out.shape
     limit = np.sqrt(6.0 / (fan_in + fan_out))
-    # the same float64 draws for every dtype, so a float32 layer is the rounded float64 one
-    return rng.uniform(-limit, limit, shape).astype(dtype, copy=False)
+    # the same float64 draws for every dtype, so a float32 layer is the rounded float64 one;
+    # drawn a block of rows at a time (the same stream) to keep the temporary small
+    step = max(1, (1 << 16) // fan_in)
+    for start in range(0, fan_out, step):
+        out[start : start + step] = rng.uniform(-limit, limit, out[start : start + step].shape)
 
 
 def with_dtype(layer, dtype):
@@ -60,14 +76,22 @@ class DenseLayer:
     ACTIVATIONS = ("relu", "sigmoid", "linear")
 
     def __init__(self, n_in: int, n_out: int, activation: str = "linear",
-                 rng: np.random.Generator | None = None, dtype=np.float64):
+                 rng: np.random.Generator | None = None, dtype=np.float64,
+                 vector: np.ndarray | None = None):
+        """``vector``, if given, is the 1-D array of `size` elements that holds the
+        parameters (``w``, then ``b``)."""
         if activation not in self.ACTIVATIONS:
             raise ValueError(f"unknown activation: {activation!r}")
         self.n_in = n_in
         self.n_out = n_out
         self.activation = activation
-        self.w = _glorot((n_out, n_in), rng, dtype)
-        self.b = np.zeros(n_out, dtype)
+        self.w, self.b = _param_views(vector, ((n_out, n_in), (n_out,)), dtype)
+        _glorot(self.w, rng)
+
+    @staticmethod
+    def size(n_in: int, n_out: int) -> int:
+        """The number of parameters of a layer of this shape."""
+        return n_out * (n_in + 1)
 
     def parameters(self) -> dict[str, np.ndarray]:
         return {"w": self.w, "b": self.b}
@@ -85,8 +109,11 @@ class DenseLayer:
             y = z
         return y, (x, z, y)
 
-    def backward(self, dy: np.ndarray, cache, input_grad: bool = True):
-        """(dX, parameter gradients); dX is None when ``input_grad`` is false."""
+    def backward(self, dy: np.ndarray, cache, input_grad: bool = True,
+                 grads: dict[str, np.ndarray] | None = None):
+        """(dX, parameter gradients); dX is None when ``input_grad`` is false.
+        ``grads`` (arrays shaped like the parameters) receives the gradients;
+        without it they are allocated."""
         x, z, y = cache
         if self.activation == "relu":
             dz = dy * (z > 0.0)
@@ -94,7 +121,8 @@ class DenseLayer:
             dz = dy * y * (1.0 - y)
         else:
             dz = dy
-        grads = {"w": dz.T @ x, "b": dz.sum(axis=0)}
+        out = grads or {}
+        grads = {"w": np.matmul(dz.T, x, out=out.get("w")), "b": np.sum(dz, axis=0, out=out.get("b"))}
         return (dz @ self.w if input_grad else None), grads
 
 
@@ -107,13 +135,22 @@ class LSTMLayer:
     """
 
     def __init__(self, n_in: int, n_hidden: int, rng: np.random.Generator | None = None,
-                 forget_bias: float = 1.0, dtype=np.float64):
+                 forget_bias: float = 1.0, dtype=np.float64, vector: np.ndarray | None = None):
+        """``vector``, if given, is the 1-D array of `size` elements that holds the
+        parameters (``w_x``, ``w_h``, then ``b``)."""
         self.n_in = n_in
         self.n_hidden = n_hidden
-        self.w_x = _glorot((4 * n_hidden, n_in), rng, dtype)
-        self.w_h = _glorot((4 * n_hidden, n_hidden), rng, dtype)
-        self.b = np.zeros(4 * n_hidden, dtype)
+        gates = 4 * n_hidden
+        self.w_x, self.w_h, self.b = _param_views(
+            vector, ((gates, n_in), (gates, n_hidden), (gates,)), dtype)
+        _glorot(self.w_x, rng)
+        _glorot(self.w_h, rng)
         self.b[n_hidden : 2 * n_hidden] = forget_bias
+
+    @staticmethod
+    def size(n_in: int, n_hidden: int) -> int:
+        """The number of parameters of a layer of this shape."""
+        return 4 * n_hidden * (n_in + n_hidden + 1)
 
     def parameters(self) -> dict[str, np.ndarray]:
         return {"w_x": self.w_x, "w_h": self.w_h, "b": self.b}
@@ -164,8 +201,11 @@ class LSTMLayer:
         cache = (x, gates, cells, cell_tanh, hidden)
         return hidden, cache
 
-    def backward(self, dh_seq: np.ndarray, cache, input_grad: bool = True):
-        """(dX, parameter gradients); dX is None when ``input_grad`` is false."""
+    def backward(self, dh_seq: np.ndarray, cache, input_grad: bool = True,
+                 grads: dict[str, np.ndarray] | None = None):
+        """(dX, parameter gradients); dX is None when ``input_grad`` is false.
+        ``grads`` (arrays shaped like the parameters) receives the gradients;
+        without it they are allocated."""
         x, gates, cells, cell_tanh, hidden = cache
         batch, time, hsz = cells.shape
         dtype = cells.dtype
@@ -196,10 +236,11 @@ class LSTMLayer:
                 dc = dc * f
         flat_da = da_all.reshape(-1, 4 * hsz)
         h_prev = np.concatenate([zero_state[:, None], hidden[:, :-1]], axis=1)
+        out = grads or {}
         grads = {
-            "w_x": flat_da.T @ x.reshape(-1, self.n_in),
-            "w_h": flat_da.T @ h_prev.reshape(-1, hsz),
-            "b": flat_da.sum(axis=0),
+            "w_x": np.matmul(flat_da.T, x.reshape(-1, self.n_in), out=out.get("w_x")),
+            "w_h": np.matmul(flat_da.T, h_prev.reshape(-1, hsz), out=out.get("w_h")),
+            "b": np.sum(flat_da, axis=0, out=out.get("b")),
         }
         dx = da_all @ self.w_x if input_grad else None
         return dx, grads
@@ -257,6 +298,10 @@ def dropout(x: np.ndarray, p: float, rng: np.random.Generator | None = None):
     return x * mask, mask
 
 
+# Adam updates this many elements at a time, through two chunk-sized temporaries
+ADAM_CHUNK = 1 << 16
+
+
 @dataclass
 class AdamState:
     m: dict[str, np.ndarray]
@@ -277,25 +322,38 @@ class AdamState:
 
 
 def adam_step(state: AdamState, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]):
-    """One bias-corrected Adam update, in place. Returns the params dict."""
+    """One bias-corrected Adam update, in place. Returns the params dict.
+
+    Each parameter is updated ``ADAM_CHUNK`` elements at a time, in the
+    element-wise order of ``m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*g*g;
+    p -= lr*(m/b1c)/(sqrt(v/b2c)+eps)``. A flat model passes one-entry dicts of
+    its parameter and gradient vectors."""
     for name, p in params.items():
         g = grads[name]
         if g.shape != p.shape:
             raise ShapeError(f"gradient shape mismatch for {name!r}")
+        if not (p.flags.c_contiguous and g.flags.c_contiguous):
+            raise ShapeError(f"parameter and gradient {name!r} must be C-contiguous")
         if not np.all(np.isfinite(g)):
             raise NumericsError(f"non-finite gradient for {name!r}")
     state.t += 1
     b1c = 1.0 - state.beta1 ** state.t
     b2c = 1.0 - state.beta2 ** state.t
     for name, p in params.items():
-        g = grads[name]
-        m = state.m[name]
-        v = state.v[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * (g * g)
-        p -= state.lr * (m / b1c) / (np.sqrt(v / b2c) + state.eps)
+        p, g = p.reshape(-1), grads[name].reshape(-1)
+        m, v = state.m[name].reshape(-1), state.v[name].reshape(-1)
+        a_buf, b_buf = (np.empty(min(p.size, ADAM_CHUNK), p.dtype) for _ in range(2))
+        for start in range(0, p.size, ADAM_CHUNK):
+            chunk = slice(start, start + ADAM_CHUNK)
+            gc, mc, vc = g[chunk], m[chunk], v[chunk]
+            a, b = a_buf[: gc.size], b_buf[: gc.size]
+            mc *= state.beta1
+            mc += np.multiply(gc, 1.0 - state.beta1, out=a)
+            vc *= state.beta2
+            vc += np.multiply(np.multiply(gc, gc, out=a), 1.0 - state.beta2, out=a)
+            np.multiply(np.divide(mc, b1c, out=a), state.lr, out=a)
+            np.add(np.sqrt(np.divide(vc, b2c, out=b), out=b), state.eps, out=b)
+            p[chunk] -= np.divide(a, b, out=a)
     return params
 
 
@@ -310,50 +368,6 @@ def clip_global_norm(grads: dict[str, np.ndarray], max_norm: float) -> float:
         for g in grads.values():
             g *= scale
     return norm
-
-
-@dataclass(frozen=True)
-class GradCheckReport:
-    max_rel_err: float
-    worst_param: str
-    worst_index: int
-    n_checked: int
-
-
-def grad_check(loss_fn, params: dict[str, np.ndarray], analytic: dict[str, np.ndarray],
-               n_samples: int = 40, h: float = 1e-5, seed: int = 0) -> GradCheckReport:
-    """Compare analytic gradients to central finite differences on a seeded
-    random subset of parameter coordinates.
-
-    ``loss_fn`` must recompute the scalar loss from the current contents of
-    ``params`` (which are perturbed in place and restored).
-    """
-    names = sorted(params)
-    sizes = np.array([params[n].size for n in names])
-    total = int(sizes.sum())
-    rng = np.random.default_rng(seed)
-    picks = rng.choice(total, size=min(n_samples, total), replace=False)
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
-
-    worst = (0.0, names[0], 0)
-    for flat in sorted(int(i) for i in picks):
-        which = int(np.searchsorted(offsets, flat, side="right") - 1)
-        name = names[which]
-        idx = flat - int(offsets[which])
-        arr = params[name]
-        orig = arr.flat[idx]
-        arr.flat[idx] = orig + h
-        loss_plus = loss_fn()
-        arr.flat[idx] = orig - h
-        loss_minus = loss_fn()
-        arr.flat[idx] = orig
-        fd = (loss_plus - loss_minus) / (2.0 * h)
-        an = analytic[name].flat[idx]
-        rel = abs(fd - an) / max(abs(fd) + abs(an), 1e-12)
-        if rel > worst[0]:
-            worst = (rel, name, idx)
-    return GradCheckReport(max_rel_err=worst[0], worst_param=worst[1],
-                           worst_index=worst[2], n_checked=len(picks))
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from gradcheck import grad_check
 from sermtl import nn
 from sermtl.cli import main as cli_main
 from sermtl.corpus import SynthConfig, generate_synthetic
@@ -130,7 +131,7 @@ def test_criterion_03_gradient_suite():
         y, cache = dense.forward(x)
         _, _, dlogits = nn.softmax_xent(y, t)
         _, dense_grads = dense.backward(dlogits, cache)
-        assert nn.grad_check(dense_loss, dense.parameters(), dense_grads,
+        assert grad_check(dense_loss, dense.parameters(), dense_grads,
                              n_samples=15, seed=1).max_rel_err < tol
 
         # LSTM through time, T = 7
@@ -149,7 +150,7 @@ def test_criterion_03_gradient_suite():
         _, _, dlogits = nn.softmax_xent(logits, ts)
         dh, _ = head.backward(dlogits, head_cache)
         _, lstm_grads = lstm.backward(dh.reshape(2, 7, 4), lstm_cache)
-        assert nn.grad_check(lstm_loss, lstm.parameters(), lstm_grads,
+        assert grad_check(lstm_loss, lstm.parameters(), lstm_grads,
                              n_samples=40, seed=2).max_rel_err < tol
 
         # softmax cross-entropy with respect to its logits
@@ -157,7 +158,7 @@ def test_criterion_03_gradient_suite():
         targets0 = nn.one_hot(rng.integers(0, 4, 6), 4)
         _, _, analytic = nn.softmax_xent(logits0, targets0)
         params = {"logits": logits0}
-        assert nn.grad_check(lambda: nn.softmax_xent(logits0, targets0)[0],
+        assert grad_check(lambda: nn.softmax_xent(logits0, targets0)[0],
                              params, {"logits": analytic},
                              n_samples=20, seed=3).max_rel_err < tol
 
@@ -179,7 +180,7 @@ def test_criterion_03_gradient_suite():
             model = MultiTaskModel(MTLNetworkConfig(trunk=trunk, layer_sizes=(8, 8),
                                                     subtask_mode="all"), seed=4, dtype=np.float64)
             _, _, grads = model.loss_and_grads(batch, train=False)
-            report = nn.grad_check(
+            report = grad_check(
                 lambda: model.loss_and_grads(batch, train=False)[1],
                 model.parameters(), grads, n_samples=60, seed=5,
             )

@@ -196,6 +196,19 @@ class TestStandardizer:
         with pytest.raises(ValueError):
             fit_standardizer([])
 
+    @settings(max_examples=60, deadline=None)
+    @given(lengths=st.lists(st.integers(0, 30), min_size=1, max_size=6).filter(lambda n: sum(n) >= 2),
+           dtype=st.sampled_from([np.float32, np.float64]), seed=st.integers(0, 2**32 - 1))
+    def test_statistics_equal_the_stacked_reduction(self, lengths, dtype, seed):
+        """Reduced one matrix at a time (empty ones included), the statistics are
+        those of one float64 stack, bit for bit."""
+        rng = np.random.default_rng(seed)
+        mats = [rng.normal(rng.uniform(-50, 50), rng.uniform(0.01, 20), (n, 7)).astype(dtype) for n in lengths]
+        data = np.concatenate(mats, dtype=np.float64)
+        got = fit_standardizer(mats)
+        assert got.mean.tobytes() == data.mean(axis=0).tobytes()
+        assert got.std.tobytes() == np.maximum(data.std(axis=0), 1e-8).tobytes()
+
 
 def _random_store(seed=2, lengths=(30, 1, 12)):
     rng = np.random.default_rng(seed)

@@ -9,6 +9,7 @@ import reference_batches as reference
 from sermtl import nn
 from sermtl.features import FeatureStore
 from sermtl.mtl import (
+    POSTERIOR_BLOCK_ROWS,
     MTLNetworkConfig,
     MultiTaskModel,
     TrainConfig,
@@ -355,7 +356,10 @@ _MIN_FRAMES = {"lstm": 1, "dnn": 5}
 
 def _block_lengths(trunk):
     low = _MIN_FRAMES[trunk]
-    return st.lists(st.integers(low, low + 39), min_size=1, max_size=9)
+    lengths = st.integers(low, low + 39)
+    if trunk == "dnn":  # blocks that cross POSTERIOR_BLOCK_ROWS windows, and utterances that alone exceed it
+        lengths |= st.integers(low + POSTERIOR_BLOCK_ROWS - 8, low + POSTERIOR_BLOCK_ROWS + 8)
+    return st.lists(lengths, min_size=1, max_size=9)
 
 
 def _utterances(seed, lengths):
@@ -389,6 +393,19 @@ class TestBlockPosteriors:
                                             [lengths[i] for i in perm])
         for got, i in zip(permuted, perm):
             np.testing.assert_allclose(got, block[i], rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("windows", [
+        [POSTERIOR_BLOCK_ROWS], [POSTERIOR_BLOCK_ROWS + 1], [POSTERIOR_BLOCK_ROWS - 1, 1, 1],
+        [30] * 10, [3, 2 * POSTERIOR_BLOCK_ROWS, 3],
+    ])
+    def test_dnn_blocks_at_the_row_limit(self, windows):
+        model = _BLOCK_MODELS["dnn"]
+        lengths = [w + _MIN_FRAMES["dnn"] - 1 for w in windows]
+        utts = _utterances(len(windows), lengths)
+        block = model.emotion_posteriors(np.concatenate(utts), lengths)
+        assert [len(p) for p in block] == windows
+        for got, utt in zip(block, utts):
+            np.testing.assert_allclose(got, model.emotion_posteriors(utt), rtol=0, atol=1e-12)
 
     def test_dnn_block_with_short_utterance_raises(self):
         utts = _utterances(0, [30, 4, 12])

@@ -5,6 +5,7 @@ import struct
 import numpy as np
 import pytest
 
+from gradcheck import grad_check
 from sermtl import nn
 
 
@@ -39,7 +40,7 @@ class TestDense:
         y, cache = layer.forward(x)
         _, _, dlogits = nn.softmax_xent(y, targets)
         _, grads = layer.backward(dlogits, cache)
-        report = nn.grad_check(loss_fn, layer.parameters(), grads, n_samples=15, seed=1)
+        report = grad_check(loss_fn, layer.parameters(), grads, n_samples=15, seed=1)
         assert report.max_rel_err < 1e-4
 
 
@@ -88,7 +89,7 @@ class TestLSTM:
         _, _, dlogits = nn.softmax_xent(logits, targets)
         dh, _ = head.backward(dlogits, head_cache)
         _, grads = layer.backward(dh.reshape(2, 7, 4), cache)
-        report = nn.grad_check(loss_fn, layer.parameters(), grads, n_samples=40, seed=2)
+        report = grad_check(loss_fn, layer.parameters(), grads, n_samples=40, seed=2)
         assert report.max_rel_err < 1e-4
 
 
@@ -237,7 +238,7 @@ class TestGradCheckHarness:
             return float(np.sum(r * r) / 2.0)
 
         grads = {"w": (x @ w.T - y).T @ x}
-        report = nn.grad_check(loss_fn, params, grads, n_samples=15, seed=3)
+        report = grad_check(loss_fn, params, grads, n_samples=15, seed=3)
         assert report.max_rel_err < 1e-7
 
     def test_detects_injected_sign_error(self):
@@ -252,7 +253,7 @@ class TestGradCheckHarness:
             return float(np.sum(r * r) / 2.0)
 
         bad = {"w": -((x @ w.T - y).T @ x)}  # wrong sign
-        report = nn.grad_check(loss_fn, params, bad, n_samples=6, seed=4)
+        report = grad_check(loss_fn, params, bad, n_samples=6, seed=4)
         assert report.max_rel_err > 1e-1
 
 
