@@ -235,17 +235,16 @@ def cmd_xval(args) -> int:
         for name in grid.config_names:
             mean = grid.mean_ua[name]
             print(f"  {name:18s} mean UA = {'n/a' if mean is None else f'{mean:.4f}'}")
+        failures = [f"{name} {line}" for name, lines in grid.errors.items() for line in lines]
     else:
         report = exp_mod.run_experiment(manifests, config, jobs=args.jobs)
         exp_mod.write_report(report, out_dir)
         mean = "n/a" if report.mean_ua is None else f"{report.mean_ua:.4f}"
         print(f"{config.protocol} protocol, {len(report.folds)} folds, mean UA = {mean} -> {out_dir}")
-        failures = [f for f in report.folds if f.error]
-        for f in failures:
-            print(f"  fold {f.fold} ({f.test_group}) FAILED: {f.error}", file=sys.stderr)
-        if failures:
-            return 1
-    return 0
+        failures = [exp_mod.fold_failure(f) for f in report.folds if f.error]
+    for line in failures:
+        print(f"  FAILED {line}", file=sys.stderr)
+    return 1 if failures else 0
 
 
 def cmd_embed(args) -> int:

@@ -9,7 +9,7 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -134,8 +134,9 @@ class CorpusManifest:
         return table
 
 
-def load_manifest(path: str | Path, check_audio: bool = True) -> CorpusManifest:
-    """Read a manifest CSV. Relative audio paths resolve against the CSV's directory."""
+def load_manifest(path: str | Path) -> CorpusManifest:
+    """Read a manifest CSV. Relative audio paths resolve against the CSV's
+    directory, and every audio file must exist."""
     path = Path(path)
     if not path.exists():
         raise ManifestError(f"manifest not found: {path}")
@@ -163,7 +164,7 @@ def load_manifest(path: str | Path, check_audio: bool = True) -> CorpusManifest:
             audio_path = Path(audio)
             if not audio_path.is_absolute():
                 audio_path = (base / audio_path).resolve()
-            if check_audio and not audio_path.exists():
+            if not audio_path.exists():
                 raise ManifestError(f"line {lineno}: audio file not found: {audio_path}")
             records.append(
                 UtteranceRecord(
@@ -469,10 +470,10 @@ def merge_records(manifests: Sequence[CorpusManifest]) -> list[UtteranceRecord]:
     return records
 
 
-def _carve_validation(pool: list[str], seed: int, fold_index: int,
-                      fraction: float = 0.1) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """Move a seeded uniform sample of the training pool into validation."""
-    n_val = int(round(fraction * len(pool)))
+def _carve_validation(pool: list[str], seed: int,
+                      fold_index: int) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """Move a seeded uniform 10% sample of the training pool into validation."""
+    n_val = int(round(0.1 * len(pool)))
     if len(pool) >= 2:
         n_val = min(max(n_val, 1), len(pool) - 1)
     else:
@@ -485,24 +486,14 @@ def _carve_validation(pool: list[str], seed: int, fold_index: int,
     return train, tuple(sorted(val))
 
 
-def _group_function(group_key) -> Callable[[UtteranceRecord], str]:
-    if group_key is None or group_key == "corpus":
-        return lambda rec: rec.corpus_id
-    if group_key == "corpus_naturalness":
-        return lambda rec: f"{rec.corpus_id}:{rec.naturalness.value}"
-    if callable(group_key):
-        return group_key
-    raise FoldError(f"unknown group_key: {group_key!r}")
-
-
 def make_folds(
     manifests: Sequence[CorpusManifest],
     mode: SplitMode,
-    group_key=None,
+    group_key: str = "corpus",
     seed: int = 0,
-    validation_fraction: float = 0.1,
 ) -> FoldPlan:
-    """Build LOSO or LOCO folds with a seeded 10% validation carve-out per fold."""
+    """Build LOSO or LOCO folds with a seeded 10% validation carve-out per fold.
+    LOCO groups by ``group_key``: ``"corpus"`` or ``"corpus_naturalness"``."""
     records = merge_records(manifests)
     if mode is SplitMode.LOSO:
         if len(manifests) != 1:
@@ -511,8 +502,12 @@ def make_folds(
         if len(corpora) != 1:
             raise FoldError(f"LOSO expects a single corpus, got {sorted(corpora)}")
         group_of = lambda rec: rec.speaker_id
+    elif mode is SplitMode.LOCO and group_key == "corpus":
+        group_of = lambda rec: rec.corpus_id
+    elif mode is SplitMode.LOCO and group_key == "corpus_naturalness":
+        group_of = lambda rec: f"{rec.corpus_id}:{rec.naturalness.value}"
     elif mode is SplitMode.LOCO:
-        group_of = _group_function(group_key)
+        raise FoldError(f"unknown group_key: {group_key!r}")
     else:
         raise FoldError("make_folds handles LOSO and LOCO; use stratified_split for STRATIFIED")
 
@@ -526,7 +521,7 @@ def make_folds(
     for fold_index, group in enumerate(sorted(groups)):
         test_ids = tuple(sorted(groups[group]))
         pool = [r.utterance_id for r in records if group_of(r) != group]
-        train_ids, val_ids = _carve_validation(pool, seed, fold_index, validation_fraction)
+        train_ids, val_ids = _carve_validation(pool, seed, fold_index)
         folds.append(Fold(train_ids=train_ids, validation_ids=val_ids, test_ids=test_ids, test_group=group))
     return FoldPlan(folds=tuple(folds), mode=mode)
 

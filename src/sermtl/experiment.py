@@ -295,6 +295,11 @@ def _run_fold(fold_index: int, fold: Fold, store: FeatureStore, config: Pipeline
     )
 
 
+def fold_failure(result: FoldResult) -> str:
+    """The line that names a failed fold and its error."""
+    return f"fold {result.fold} ({result.test_group}): {result.error}"
+
+
 def _fold_worker(store: FeatureStore, task) -> FoldResult:
     """One fold, on one BLAS thread in a worker process or not: the workers then
     share the cores instead of oversubscribing them, and a fold's results do not
@@ -363,9 +368,9 @@ def run_experiment(manifests, config: PipelineConfig, jobs: int = 1) -> Experime
     return _run_configs(manifests, [config], jobs)[0]
 
 
-def compare_reports(report_a: ExperimentReport, report_b: ExperimentReport,
-                    alpha: float = 0.05) -> dict:
-    """Wilcoxon comparison of per-fold UAs between two runs over the same folds."""
+def compare_reports(report_a: ExperimentReport, report_b: ExperimentReport) -> dict:
+    """Wilcoxon comparison of per-fold UAs between two runs over the same folds;
+    equal UAs on every fold give the ``degenerate`` result."""
     groups_a = [f.test_group for f in report_a.folds]
     groups_b = [f.test_group for f in report_b.folds]
     if groups_a != groups_b:
@@ -374,14 +379,11 @@ def compare_reports(report_a: ExperimentReport, report_b: ExperimentReport,
     ua_b = [f.ua for f in report_b.folds]
     if any(u is None for u in ua_a + ua_b):
         raise ValueError("cannot compare reports with incomplete folds")
-    try:
-        result = metrics.wilcoxon_signed_rank(ua_a, ua_b, alpha=alpha)
-    except ValueError as exc:
-        if "all differences zero" in str(exc):
-            return {"w_plus": 0.0, "w_minus": 0.0, "n": 0, "p_value": 1.0,
-                    "significant": False, "method": "degenerate",
-                    "note": "all differences zero"}
-        raise
+    if ua_a == ua_b:
+        return {"w_plus": 0.0, "w_minus": 0.0, "n": 0, "p_value": 1.0,
+                "significant": False, "method": "degenerate",
+                "note": "all differences zero"}
+    result = metrics.wilcoxon_signed_rank(ua_a, ua_b)
     return {
         "w_plus": result.w_plus,
         "w_minus": result.w_minus,
@@ -469,10 +471,7 @@ def run_grid(manifests, base_config: PipelineConfig, jobs: int = 1) -> GridRepor
                 comparisons[key] = compare_reports(reports[name], baseline)
             except ValueError as exc:
                 comparisons[key] = {"error": str(exc)}
-    errors = {
-        name: [f"fold {f.fold} ({f.test_group}): {f.error}" for f in reports[name].folds if f.error]
-        for name in names
-    }
+    errors = {name: [fold_failure(f) for f in reports[name].folds if f.error] for name in names}
     return GridReport(
         protocol=base_config.protocol,
         seed=base_config.seed,

@@ -302,16 +302,14 @@ class MultiTaskModel:
 
     # -- inference ---------------------------------------------------------
 
-    def emotion_posteriors(self, features: np.ndarray, lengths: Sequence[int] | None = None):
+    def emotion_posteriors(self, features: np.ndarray, lengths: Sequence[int]):
         """Emotion posteriors from standardized features. Subtask heads produce no
         output here.
 
-        Without ``lengths``, ``features`` is one utterance and the result is its
-        posterior sequence: LSTM trunks emit one row per frame, DNN trunks one row
-        per context window. With ``lengths``, ``features`` holds that many
-        utterances stacked along the frame axis and the result is the list of
-        their posterior sequences, equal to scoring each alone up to float
-        rounding.
+        ``features`` holds ``len(lengths)`` utterances of ``lengths`` frames
+        stacked along the frame axis; one utterance is a block of one. The result
+        is the list of their posterior sequences: LSTM trunks emit one row per
+        frame, DNN trunks one row per context window.
 
         Scoring runs in float64 whatever the model's dtype: the trunk and the
         emotion head are upcast once per call (exactly), not at every product.
@@ -321,10 +319,6 @@ class MultiTaskModel:
             raise nn.ShapeError(f"features must be (n, {self.config.n_features})")
         trunk = [nn.with_dtype(layer, np.float64) for layer in self.trunk_layers]
         head = nn.with_dtype(self.heads[TASK_EMOTION], np.float64)
-        if lengths is None:
-            if self.config.trunk == "dnn":
-                return self._dnn_block_posteriors(trunk, head, features, np.array([features.shape[0]]))[0]
-            return self._lstm_utterance_posteriors(trunk, head, features)
         lengths = np.asarray(lengths, dtype=np.int64)
         if lengths.ndim != 1 or lengths.size == 0 or np.any(lengths < 1):
             raise ValueError("lengths must be a non-empty list of positive frame counts")
@@ -359,13 +353,6 @@ class MultiTaskModel:
             posteriors.extend(np.split(_stable_softmax(logits), ends[u : v - 1] - lo))
             u = v
         return posteriors
-
-    def _lstm_utterance_posteriors(self, trunk, head, features):
-        h = features[None, :, :]
-        for layer in trunk:
-            h, _ = layer.forward(h)
-        logits, _ = head.forward(h[0])
-        return _stable_softmax(logits)
 
     def _lstm_block_posteriors(self, trunk, head, features, lengths):
         """Time-major LSTM pass over a block of stacked utterances.
@@ -539,9 +526,7 @@ def train(model: MultiTaskModel, train_set, val_set, tc: TrainConfig) -> Trained
     since_best = 0
 
     with model.gradient_vector() as grad:
-        # Adam updates the flat vectors: one-entry dicts, moments laid out as `model.vector`
-        params, grads = {"vector": model.vector}, {"vector": grad}
-        adam = nn.AdamState.for_params(params, lr=tc.lr)
+        adam = nn.AdamState(np.zeros_like(grad), np.zeros_like(grad), lr=tc.lr)
         for epoch in range(tc.max_epochs):
             weighted, norms = [], []
             for start, batch in _batches(model, train_set, index, rng.permutation(index[0].size),
@@ -554,7 +539,7 @@ def train(model: MultiTaskModel, train_set, val_set, tc: TrainConfig) -> Trained
                         f"non-finite training loss at epoch {epoch}, sample {start}"
                     )
                 norms.append(nn.clip_global_norm(step_grads, tc.clip_norm))
-                nn.adam_step(adam, params, grads)
+                nn.adam_step(adam, model.vector, grad)
                 weighted.append((losses, _batch_weight(batch)))
             train_losses = _mean_losses(weighted, heads)
             val_losses, val_total = _dataset_losses(model, val_set, val_index, tc)

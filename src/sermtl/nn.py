@@ -71,9 +71,9 @@ def with_dtype(layer, dtype):
 
 
 class DenseLayer:
-    """Fully connected layer Y = act(X W^T + b) with relu/sigmoid/linear activations."""
+    """Fully connected layer Y = act(X W^T + b) with a relu or linear activation."""
 
-    ACTIVATIONS = ("relu", "sigmoid", "linear")
+    ACTIVATIONS = ("relu", "linear")
 
     def __init__(self, n_in: int, n_out: int, activation: str = "linear",
                  rng: np.random.Generator | None = None, dtype=np.float64,
@@ -101,26 +101,16 @@ class DenseLayer:
         if x.ndim != 2 or x.shape[1] != self.n_in:
             raise ShapeError(f"expected (batch, {self.n_in}), got {x.shape}")
         z = x @ self.w.T + self.b
-        if self.activation == "relu":
-            y = np.maximum(z, 0.0)
-        elif self.activation == "sigmoid":
-            y = 1.0 / (1.0 + np.exp(-z))
-        else:
-            y = z
-        return y, (x, z, y)
+        y = np.maximum(z, 0.0) if self.activation == "relu" else z
+        return y, (x, z)
 
     def backward(self, dy: np.ndarray, cache, input_grad: bool = True,
                  grads: dict[str, np.ndarray] | None = None):
         """(dX, parameter gradients); dX is None when ``input_grad`` is false.
         ``grads`` (arrays shaped like the parameters) receives the gradients;
         without it they are allocated."""
-        x, z, y = cache
-        if self.activation == "relu":
-            dz = dy * (z > 0.0)
-        elif self.activation == "sigmoid":
-            dz = dy * y * (1.0 - y)
-        else:
-            dz = dy
+        x, z = cache
+        dz = dy * (z > 0.0) if self.activation == "relu" else dy
         out = grads or {}
         grads = {"w": np.matmul(dz.T, x, out=out.get("w")), "b": np.sum(dz, axis=0, out=out.get("b"))}
         return (dz @ self.w if input_grad else None), grads
@@ -135,7 +125,7 @@ class LSTMLayer:
     """
 
     def __init__(self, n_in: int, n_hidden: int, rng: np.random.Generator | None = None,
-                 forget_bias: float = 1.0, dtype=np.float64, vector: np.ndarray | None = None):
+                 dtype=np.float64, vector: np.ndarray | None = None):
         """``vector``, if given, is the 1-D array of `size` elements that holds the
         parameters (``w_x``, ``w_h``, then ``b``)."""
         self.n_in = n_in
@@ -145,7 +135,7 @@ class LSTMLayer:
             vector, ((gates, n_in), (gates, n_hidden), (gates,)), dtype)
         _glorot(self.w_x, rng)
         _glorot(self.w_h, rng)
-        self.b[n_hidden : 2 * n_hidden] = forget_bias
+        self.b[n_hidden : 2 * n_hidden] = 1.0
 
     @staticmethod
     def size(n_in: int, n_hidden: int) -> int:
@@ -304,57 +294,43 @@ ADAM_CHUNK = 1 << 16
 
 @dataclass
 class AdamState:
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
+    """Adam's moments, arrays shaped like the parameter array they update."""
+    m: np.ndarray
+    v: np.ndarray
     t: int = 0
     lr: float = 3e-3
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
 
-    @classmethod
-    def for_params(cls, params: dict[str, np.ndarray], lr: float = 3e-3) -> "AdamState":
-        return cls(
-            m={k: np.zeros_like(p) for k, p in params.items()},
-            v={k: np.zeros_like(p) for k, p in params.items()},
-            lr=lr,
-        )
 
+def adam_step(state: AdamState, p: np.ndarray, g: np.ndarray) -> None:
+    """One bias-corrected Adam update of ``p`` with gradient ``g``, in place.
 
-def adam_step(state: AdamState, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]):
-    """One bias-corrected Adam update, in place. Returns the params dict.
-
-    Each parameter is updated ``ADAM_CHUNK`` elements at a time, in the
-    element-wise order of ``m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*g*g;
-    p -= lr*(m/b1c)/(sqrt(v/b2c)+eps)``. A flat model passes one-entry dicts of
-    its parameter and gradient vectors."""
-    for name, p in params.items():
-        g = grads[name]
-        if g.shape != p.shape:
-            raise ShapeError(f"gradient shape mismatch for {name!r}")
-        if not (p.flags.c_contiguous and g.flags.c_contiguous):
-            raise ShapeError(f"parameter and gradient {name!r} must be C-contiguous")
-        if not np.all(np.isfinite(g)):
-            raise NumericsError(f"non-finite gradient for {name!r}")
+    ``ADAM_CHUNK`` elements are updated at a time, in the element-wise order of
+    ``m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*g*g; p -= lr*(m/b1c)/(sqrt(v/b2c)+eps)``."""
+    if g.shape != p.shape:
+        raise ShapeError(f"gradient shape {g.shape} != parameter shape {p.shape}")
+    if not (p.flags.c_contiguous and g.flags.c_contiguous):
+        raise ShapeError("parameter and gradient must be C-contiguous")
+    if not np.all(np.isfinite(g)):
+        raise NumericsError("non-finite gradient")
     state.t += 1
     b1c = 1.0 - state.beta1 ** state.t
     b2c = 1.0 - state.beta2 ** state.t
-    for name, p in params.items():
-        p, g = p.reshape(-1), grads[name].reshape(-1)
-        m, v = state.m[name].reshape(-1), state.v[name].reshape(-1)
-        a_buf, b_buf = (np.empty(min(p.size, ADAM_CHUNK), p.dtype) for _ in range(2))
-        for start in range(0, p.size, ADAM_CHUNK):
-            chunk = slice(start, start + ADAM_CHUNK)
-            gc, mc, vc = g[chunk], m[chunk], v[chunk]
-            a, b = a_buf[: gc.size], b_buf[: gc.size]
-            mc *= state.beta1
-            mc += np.multiply(gc, 1.0 - state.beta1, out=a)
-            vc *= state.beta2
-            vc += np.multiply(np.multiply(gc, gc, out=a), 1.0 - state.beta2, out=a)
-            np.multiply(np.divide(mc, b1c, out=a), state.lr, out=a)
-            np.add(np.sqrt(np.divide(vc, b2c, out=b), out=b), state.eps, out=b)
-            p[chunk] -= np.divide(a, b, out=a)
-    return params
+    p, g, m, v = (arr.reshape(-1) for arr in (p, g, state.m, state.v))
+    a_buf, b_buf = (np.empty(min(p.size, ADAM_CHUNK), p.dtype) for _ in range(2))
+    for start in range(0, p.size, ADAM_CHUNK):
+        chunk = slice(start, start + ADAM_CHUNK)
+        gc, mc, vc = g[chunk], m[chunk], v[chunk]
+        a, b = a_buf[: gc.size], b_buf[: gc.size]
+        mc *= state.beta1
+        mc += np.multiply(gc, 1.0 - state.beta1, out=a)
+        vc *= state.beta2
+        vc += np.multiply(np.multiply(gc, gc, out=a), 1.0 - state.beta2, out=a)
+        np.multiply(np.divide(mc, b1c, out=a), state.lr, out=a)
+        np.add(np.sqrt(np.divide(vc, b2c, out=b), out=b), state.eps, out=b)
+        p[chunk] -= np.divide(a, b, out=a)
 
 
 def clip_global_norm(grads: dict[str, np.ndarray], max_norm: float) -> float:
@@ -375,9 +351,9 @@ def clip_global_norm(grads: dict[str, np.ndarray], max_norm: float) -> float:
 # in the header's documented parameter order.
 # ---------------------------------------------------------------------------
 
-def save_checkpoint(path: str | Path, params: dict[str, np.ndarray], header: dict | None = None) -> Path:
+def save_checkpoint(path: str | Path, params: dict[str, np.ndarray], header: dict) -> Path:
     entries = [{"name": name, "shape": list(np.asarray(arr).shape)} for name, arr in params.items()]
-    full_header = dict(header or {})
+    full_header = dict(header)
     full_header["format"] = CHECKPOINT_FORMAT
     full_header["dtype"] = "<f4"
     full_header["params"] = entries

@@ -22,6 +22,10 @@ import numpy as np
 from .seeding import derive_seed
 
 _Q_FLOOR = 1e-12
+# Bandwidth search: each row's perplexity is met within this tolerance, in at
+# most this many steps
+_PERPLEXITY_TOL = 1e-4
+_BANDWIDTH_STEPS = 50
 
 
 class TsneError(RuntimeError):
@@ -59,9 +63,9 @@ def _pairwise_sq_dists(x: np.ndarray) -> np.ndarray:
     return d
 
 
-def conditional_affinities(x: np.ndarray, perplexity: float, tol: float = 1e-4,
-                           max_iter: int = 50, min_bandwidth: float = 1e-12) -> np.ndarray:
-    """Row-normalized conditional affinities with per-row perplexity within ``tol``.
+def conditional_affinities(x: np.ndarray, perplexity: float, min_bandwidth: float = 1e-12) -> np.ndarray:
+    """Row-normalized conditional affinities with per-row perplexity within
+    ``_PERPLEXITY_TOL``.
 
     Duplicate points can make a row's perplexity unattainable; the bandwidth
     is then floored at ``min_bandwidth`` and the row kept as-is.
@@ -78,7 +82,7 @@ def conditional_affinities(x: np.ndarray, perplexity: float, tol: float = 1e-4,
         beta = 1.0
         lo, hi = 0.0, np.inf
         p_row = None
-        for _ in range(max_iter):
+        for _ in range(_BANDWIDTH_STEPS):
             w = np.exp(-row * beta)
             s = w.sum()
             if s <= 0.0:
@@ -89,7 +93,7 @@ def conditional_affinities(x: np.ndarray, perplexity: float, tol: float = 1e-4,
             nz = p_row[p_row > 0.0]
             entropy = -np.sum(nz * np.log(nz))
             achieved = np.exp(entropy)
-            if abs(achieved - perplexity) <= tol:
+            if abs(achieved - perplexity) <= _PERPLEXITY_TOL:
                 break
             if achieved > perplexity:  # too flat: widen beta
                 lo = beta
@@ -109,10 +113,9 @@ def conditional_affinities(x: np.ndarray, perplexity: float, tol: float = 1e-4,
     return conditional
 
 
-def compute_affinities(x: np.ndarray, perplexity: float, tol: float = 1e-4,
-                       max_iter: int = 50, min_bandwidth: float = 1e-12) -> np.ndarray:
+def compute_affinities(x: np.ndarray, perplexity: float, min_bandwidth: float = 1e-12) -> np.ndarray:
     """Symmetrized joint affinities: P = (P_cond + P_cond^T) / (2n)."""
-    conditional = conditional_affinities(x, perplexity, tol, max_iter, min_bandwidth)
+    conditional = conditional_affinities(x, perplexity, min_bandwidth)
     n = conditional.shape[0]
     joint = (conditional + conditional.T) / (2.0 * n)
     return np.maximum(joint, 0.0)

@@ -177,7 +177,8 @@ class TestTrainAndHlf:
         assert ids == [r.utterance_id for r in manifest.records]
         for rec, row in zip(manifest.records, matrix):
             feats = apply_standardizer(standardizer, record_features(rec, FeatureConfig(), manifest.sample_rate))
-            np.testing.assert_allclose(row, compute_hlf(model.emotion_posteriors(feats)), rtol=0, atol=1e-12)
+            post = model.emotion_posteriors(feats, [len(feats)])[0]
+            np.testing.assert_allclose(row, compute_hlf(post), rtol=0, atol=1e-12)
 
 
     def test_hlf_scores_like_the_trained_model(self, cli_workspace):
@@ -297,6 +298,18 @@ class TestXval:
         assert rc == 1
         assert "dropout_p must be in [0, 1)" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_diverging_grid_exits_one_and_names_each_failed_fold(self, cli_workspace, tmp_path, capsys):
+        _, data, _, _ = cli_workspace
+        out = tmp_path / "grid"
+        with np.errstate(all="ignore"):
+            rc = main(["xval", "--manifest", str(data / "manifest.csv"), "--out", str(out), "--grid",
+                       "--layer-sizes", "4,4", "--max-epochs", "2", "--patience", "1", "--lr", "1e150"])
+        assert rc == 1
+        errors = json.loads((out / "grid_report.json").read_text())["errors"]
+        failed = [f"{name} {line}" for name, lines in errors.items() for line in lines]
+        assert len(failed) == 16  # every fold of all 8 configurations diverges
+        assert sorted(capsys.readouterr().err.splitlines()) == sorted(f"  FAILED {line}" for line in failed)
 
     def test_within_with_corpus_filter(self, cli_workspace, tmp_path):
         _, data, _, _ = cli_workspace

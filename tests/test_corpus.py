@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sermtl.corpus import (
     MANIFEST_HEADER,
@@ -33,6 +35,38 @@ def _write_rows(path: Path, rows, header=None):
     lines = [",".join(header or MANIFEST_HEADER)]
     lines += [",".join(str(c) for c in row) for row in rows]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+@st.composite
+def _corpora(draw, max_corpora=4):
+    """Manifests of 1 to ``max_corpora`` corpora of 1-4 speakers with 1-6
+    utterances each, every label drawn."""
+    manifests = []
+    for c in range(draw(st.integers(1, max_corpora))):
+        records = [
+            UtteranceRecord(
+                utterance_id=f"c{c}s{s}u{u}", audio_path=Path("/nonexistent.wav"),
+                emotion=draw(st.sampled_from(EmotionLabel)), gender=draw(st.sampled_from(GenderLabel)),
+                naturalness=draw(st.sampled_from(NaturalnessLabel)), speaker_id=f"c{c}s{s}", corpus_id=f"c{c}",
+            )
+            for s in range(draw(st.integers(1, 4))) for u in range(draw(st.integers(1, 6)))
+        ]
+        manifests.append(CorpusManifest(records=tuple(records)))
+    return manifests
+
+
+def _assert_partitions(plan, records):
+    """Each fold's train, validation and test ids partition ``records``, the
+    validation set is the 10% carve-out of the non-test pool, and across the
+    folds every utterance is tested exactly once."""
+    ids = sorted(r.utterance_id for r in records)
+    for fold in plan.folds:
+        parts = fold.train_ids + fold.validation_ids + fold.test_ids
+        assert sorted(parts) == ids
+        pool = len(ids) - len(fold.test_ids)
+        n_val = min(max(round(0.1 * pool), 1), pool - 1) if pool >= 2 else 0
+        assert len(fold.validation_ids) == n_val
+    assert sorted(uid for fold in plan.folds for uid in fold.test_ids) == ids
 
 
 def _touch_wavs(base: Path, names):
@@ -176,27 +210,42 @@ class TestSynthetic:
 
 
 class TestFolds:
-    def test_loso_fold_count_and_coverage(self):
-        manifest = make_manifest(40, speakers=10)
-        plan = make_folds([manifest], SplitMode.LOSO, seed=0)
+    @settings(max_examples=50, deadline=None)
+    @given(manifests=_corpora(max_corpora=1), seed=st.integers(0, 2**32 - 1))
+    def test_loso_fold_count_and_coverage(self, manifests, seed):
+        plan = make_folds(manifests, SplitMode.LOSO, seed=seed)
+        records = manifests[0].records
         assert plan.mode is SplitMode.LOSO
-        assert len(plan.folds) == 10
-        tested = [uid for fold in plan.folds for uid in fold.test_ids]
-        assert sorted(tested) == sorted(r.utterance_id for r in manifest.records)
-        assert len(tested) == len(set(tested))
+        assert [f.test_group for f in plan.folds] == sorted({r.speaker_id for r in records})
+        for fold in plan.folds:
+            assert sorted(fold.test_ids) == sorted(r.utterance_id for r in records
+                                                   if r.speaker_id == fold.test_group)
+        _assert_partitions(plan, records)
 
     def test_fold_disjointness_and_validation_source(self):
         manifest = make_manifest(40, speakers=5)
         plan = make_folds([manifest], SplitMode.LOSO, seed=3)
+        _assert_partitions(plan, manifest.records)
+        assert all(fold.validation_ids for fold in plan.folds)
+
+    @settings(max_examples=50, deadline=None)
+    @given(manifests=_corpora(), seed=st.integers(0, 2**32 - 1),
+           group_key=st.sampled_from(["corpus", "corpus_naturalness"]))
+    def test_loco_never_leaks_the_test_group(self, manifests, seed, group_key):
+        records = [r for m in manifests for r in m.records]
+        group_of = {r.utterance_id: r.corpus_id if group_key == "corpus"
+                    else f"{r.corpus_id}:{r.naturalness.value}" for r in records}
+        groups = sorted(set(group_of.values()))
+        if len(groups) < 2:
+            with pytest.raises(FoldError, match="at least two groups"):
+                make_folds(manifests, SplitMode.LOCO, group_key=group_key, seed=seed)
+            return
+        plan = make_folds(manifests, SplitMode.LOCO, group_key=group_key, seed=seed)
+        assert [f.test_group for f in plan.folds] == groups
         for fold in plan.folds:
-            train, val, test = set(fold.train_ids), set(fold.validation_ids), set(fold.test_ids)
-            assert not (train & test) and not (val & test) and not (train & val)
-            # validation drawn only from the non-test pool
-            speakers_in_test = {uid.split("s")[-1] for uid in fold.test_ids}
-            assert val
-            assert val | train == {
-                r.utterance_id for r in manifest.records if r.utterance_id not in test
-            }
+            assert {group_of[uid] for uid in fold.test_ids} == {fold.test_group}
+            assert fold.test_group not in {group_of[uid] for uid in fold.train_ids + fold.validation_ids}
+        _assert_partitions(plan, records)
 
     def test_loco_six_groups(self):
         # four acted-only corpora plus one mixed corpus that splits by
@@ -223,6 +272,8 @@ class TestFolds:
     def test_loco_single_group_error(self):
         with pytest.raises(FoldError, match="at least two groups"):
             make_folds([make_manifest(10)], SplitMode.LOCO, seed=0)
+        with pytest.raises(FoldError, match="unknown group_key: 'speaker'"):
+            make_folds([make_manifest(10)], SplitMode.LOCO, group_key="speaker", seed=0)
 
     def test_speaker_in_two_corpora_error(self):
         import dataclasses
@@ -242,11 +293,22 @@ class TestFolds:
 
 
 class TestStratifiedSplit:
-    def test_sizes_exact(self):
-        manifest = make_manifest(1000, speakers=20)
-        plan = stratified_split([manifest], seed=0)
-        fold = plan.folds[0]
-        assert (len(fold.train_ids), len(fold.validation_ids), len(fold.test_ids)) == (800, 100, 100)
+    @settings(max_examples=60, deadline=None)
+    @given(emotions=st.lists(st.sampled_from(EmotionLabel), min_size=10, max_size=400),
+           weights=st.tuples(*[st.integers(0, 20)] * 3).filter(any), seed=st.integers(0, 2**32 - 1))
+    @example(emotions=list(EmotionLabel) * 250, weights=(8, 1, 1), seed=0)
+    def test_sizes_exact(self, emotions, weights, seed):
+        """Partition sizes are the largest-remainder rounding of n * fractions:
+        within one of n * fraction each, summing to n, the ids partitioned."""
+        n = len(emotions)
+        fractions = tuple(w / sum(weights) for w in weights)
+        manifest = make_manifest(n, emotions=emotions, speakers=7)
+        fold = stratified_split([manifest], fractions, seed=seed).folds[0]
+        sizes = (len(fold.train_ids), len(fold.validation_ids), len(fold.test_ids))
+        assert sum(sizes) == n
+        assert all(abs(size - n * f) < 1 for size, f in zip(sizes, fractions))
+        assert sorted(fold.train_ids + fold.validation_ids + fold.test_ids) == sorted(
+            r.utterance_id for r in manifest.records)
 
     def test_seeded_determinism(self):
         manifest = make_manifest(200, speakers=10)

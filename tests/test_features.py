@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference_features as reference
@@ -75,6 +75,22 @@ class TestFraming:
     def test_too_short(self):
         with pytest.raises(FeatureError, match="too short"):
             frame_signal(np.zeros(399), SR, CFG)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(0, 48000))
+    @example(n=0)
+    @example(n=559)
+    @example(n=560)
+    def test_rows_for_any_length(self, n):
+        """1 + (N - 400) // 160 rows of 400 samples every 160 for N >= 400, else an error."""
+        samples = np.arange(n, dtype=np.float64)
+        if n < 400:
+            with pytest.raises(FeatureError, match="too short"):
+                frame_signal(samples, SR, CFG)
+            return
+        frames = frame_signal(samples, SR, CFG)
+        assert frames.shape == (1 + (n - 400) // 160, 400)
+        assert np.array_equal(frames, 160.0 * np.arange(len(frames))[:, None] + np.arange(400.0))
 
 
 def _one_frame(frame):

@@ -29,7 +29,7 @@ class TestDense:
 
     def test_jacobian_against_finite_differences(self):
         rng = np.random.default_rng(11)
-        layer = nn.DenseLayer(4, 3, "sigmoid", rng)
+        layer = nn.DenseLayer(4, 3, "relu", rng)
         x = rng.normal(size=(5, 4))
         targets = nn.one_hot(rng.integers(0, 3, 5), 3)
 
@@ -46,7 +46,8 @@ class TestDense:
 
 class TestLSTM:
     def test_all_zero_parameters_give_zero_hidden(self):
-        layer = nn.LSTMLayer(3, 4, rng=None, forget_bias=0.0)
+        layer = nn.LSTMLayer(3, 4, rng=None)
+        layer.b[:] = 0.0
         x = np.random.default_rng(0).normal(size=(2, 5, 3))
         h, _ = layer.forward(x)
         assert np.all(h == 0.0)
@@ -147,18 +148,18 @@ class TestSoftmaxXent:
 
 class TestAdam:
     def test_zero_gradient_no_op(self):
-        params = {"w": np.array([1.0, -2.0])}
-        state = nn.AdamState.for_params(params)
-        nn.adam_step(state, params, {"w": np.zeros(2)})
-        assert np.array_equal(params["w"], [1.0, -2.0])
+        w = np.array([1.0, -2.0])
+        state = nn.AdamState(np.zeros_like(w), np.zeros_like(w))
+        nn.adam_step(state, w, np.zeros(2))
+        assert np.array_equal(w, [1.0, -2.0])
         assert state.t == 1
 
     def test_first_step_is_signed_lr(self):
-        params = {"w": np.zeros(4)}
-        state = nn.AdamState.for_params(params, lr=3e-3)
+        w = np.zeros(4)
+        state = nn.AdamState(np.zeros_like(w), np.zeros_like(w), lr=3e-3)
         grad = np.array([0.5, -0.25, 2.0, -8.0])
-        nn.adam_step(state, params, {"w": grad.copy()})
-        step = -params["w"] / np.sign(grad)
+        nn.adam_step(state, w, grad.copy())
+        step = -w / np.sign(grad)
         assert np.all(step >= 0.999 * 3e-3 - 1e-12) and np.all(step <= 3e-3 + 1e-12)
 
     def test_quadratic_descent_matches_scalar_oracle(self):
@@ -174,12 +175,12 @@ class TestAdam:
                 trail.append(x)
             return trail
 
-        params = {"x": np.array([1.0])}
-        state = nn.AdamState.for_params(params, lr=3e-3)
+        x = np.array([1.0])
+        state = nn.AdamState(np.zeros_like(x), np.zeros_like(x), lr=3e-3)
         seen = []
         for _ in range(200):
-            nn.adam_step(state, params, {"x": 2.0 * params["x"]})
-            seen.append(float(params["x"][0]))
+            nn.adam_step(state, x, 2.0 * x)
+            seen.append(float(x[0]))
         expected = oracle(1.0, 200)
         assert np.allclose(seen, expected, atol=1e-12)
         assert abs(seen[-1]) < 0.6
@@ -187,10 +188,10 @@ class TestAdam:
         assert all(b < a for a, b in zip(tail, tail[1:]))
 
     def test_non_finite_gradient_rejected(self):
-        params = {"w": np.ones(2)}
-        state = nn.AdamState.for_params(params)
+        w = np.ones(2)
+        state = nn.AdamState(np.zeros_like(w), np.zeros_like(w))
         with pytest.raises(nn.NumericsError):
-            nn.adam_step(state, params, {"w": np.array([1.0, np.nan])})
+            nn.adam_step(state, w, np.array([1.0, np.nan]))
 
 
 class TestDropout:

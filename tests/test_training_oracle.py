@@ -69,12 +69,12 @@ def test_steps_equal_the_reference(case):
     old_batches = list(_batches(model, store, index, order, tc.batch_size))
     new_rng, old_rng = np.random.default_rng(tc.seed), np.random.default_rng(tc.seed)
     with model.gradient_vector() as grad:
-        adam = nn.AdamState.for_params({"vector": model.vector}, lr=tc.lr)
+        adam = nn.AdamState(np.zeros_like(grad), np.zeros_like(grad), lr=tc.lr)
         for _, batch in old_batches:
             losses, total, grads = model.loss_and_grads(batch, tc.dropout_p, new_rng, True)
             assert all(g.base is grad for g in grads.values())
             norm = nn.clip_global_norm(grads, tc.clip_norm)
-            nn.adam_step(adam, {"vector": model.vector}, {"vector": grad})
+            nn.adam_step(adam, model.vector, grad)
 
             old_losses, old_total, old_grads = old.loss_and_grads(batch, tc.dropout_p, old_rng, True)
             old_norm = reference.clip_global_norm(old_grads, tc.clip_norm)
@@ -85,8 +85,8 @@ def test_steps_equal_the_reference(case):
             for name, old_grad in old_grads.items():
                 assert grads[name].tobytes() == old_grad.tobytes(), name
             for mine, theirs in ((model.parameters(), old.parameters()),
-                                 (_by_name(model, adam.m["vector"]), old_adam.m),
-                                 (_by_name(model, adam.v["vector"]), old_adam.v)):
+                                 (_by_name(model, adam.m), old_adam.m),
+                                 (_by_name(model, adam.v), old_adam.v)):
                 for name, arr in theirs.items():
                     assert mine[name].tobytes() == arr.tobytes(), name
     assert len(old_batches) == -(-index[0].size // tc.batch_size)

@@ -52,7 +52,7 @@ class TestAffinities:
         rng = np.random.default_rng(3)
         x = rng.normal(size=(90, 8))
         target = 14.0
-        cond = conditional_affinities(x, perplexity=target, tol=1e-4)
+        cond = conditional_affinities(x, perplexity=target)
         for row in cond:
             nz = row[row > 0.0]
             achieved = float(np.exp(-np.sum(nz * np.log(nz))))
