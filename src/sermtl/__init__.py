@@ -24,7 +24,7 @@ from .corpus import (  # noqa: F401
 )
 from .elm import ELMConfig, elm_fit, elm_predict  # noqa: F401
 from .experiment import PipelineConfig, run_experiment, run_grid  # noqa: F401
-from .features import FeatureConfig, FeatureStore, extract_features  # noqa: F401
+from .features import FeatureStore, extract_features  # noqa: F401
 from .hlf import compute_hlf  # noqa: F401
 from .metrics import confusion_matrix, unweighted_accuracy, wilcoxon_signed_rank  # noqa: F401
 from .mtl import MTLNetworkConfig, MultiTaskModel, TrainConfig, train  # noqa: F401

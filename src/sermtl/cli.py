@@ -32,7 +32,7 @@ from .corpus import (
     stratified_split,
 )
 from .elm import ELMConfig, elm_fit, elm_predict, save_elm
-from .features import FeatureConfig, Standardizer, save_store, write_feature_csv
+from .features import Standardizer, save_store, write_feature_csv
 from .mtl import MTLNetworkConfig, TrainConfig
 from .nn import one_hot
 
@@ -116,7 +116,7 @@ def cmd_synth(args) -> int:
 
 def cmd_features(args) -> int:
     manifest = load_manifest(args.manifest)
-    store = exp_mod.extract_feature_cache(manifest.records, FeatureConfig(), manifest.sample_rate)
+    store = exp_mod.extract_feature_cache(manifest.records)
     out_dir = Path(args.out)
     save_store(out_dir, store)
     if args.csv:
@@ -137,7 +137,7 @@ def cmd_train(args) -> int:
     fold = stratified_split([manifest], seed=args.seed).folds[0]
     used = set(fold.train_ids) | set(fold.validation_ids)
     records = [r for r in manifest.records if r.utterance_id in used]
-    store = exp_mod.extract_feature_cache(records, FeatureConfig(), manifest.sample_rate)
+    store = exp_mod.extract_feature_cache(records)
     with blas.one_thread():  # as an xval fold: the model does not depend on the BLAS thread count
         trained, standardizer, _ = exp_mod.fit_fold(fold, store, network, training)
     mtl_mod.save_model(
@@ -169,7 +169,7 @@ def cmd_hlf(args) -> int:
     manifest = load_manifest(args.manifest)
     records, size = manifest.records, header["training"]["batch_size"]
     # extracted and scored in blocks of the training batch size, so the working set stays one block
-    blocks = (exp_mod.extract_feature_cache(records[i : i + size], FeatureConfig(), manifest.sample_rate)
+    blocks = (exp_mod.extract_feature_cache(records[i : i + size])
               for i in range(0, len(records), size))
     posteriors = mtl_mod.posteriors_in_blocks(model, blocks, standardizer)
     rows = [(rec.utterance_id, hlf_mod.compute_hlf(post, args.theta), rec)
@@ -223,7 +223,7 @@ def cmd_xval(args) -> int:
         records = tuple(r for r in merge_records(manifests) if r.corpus_id == args.corpus)
         if not records:
             raise ValueError(f"no records for corpus {args.corpus!r}")
-        manifests = [CorpusManifest(records=records, sample_rate=manifests[0].sample_rate)]
+        manifests = [CorpusManifest(records=records)]
 
     out_dir = Path(args.out)
     _write_config(out_dir, {"command": "xval", "grid": bool(args.grid),

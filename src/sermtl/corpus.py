@@ -99,7 +99,6 @@ class UtteranceRecord:
 @dataclass(frozen=True)
 class CorpusManifest:
     records: tuple[UtteranceRecord, ...]
-    sample_rate: int = SAMPLE_RATE
 
     def __post_init__(self):
         if not self.records:
@@ -118,20 +117,6 @@ class CorpusManifest:
 
     def speakers(self) -> tuple[str, ...]:
         return tuple(sorted({r.speaker_id for r in self.records}))
-
-    def label_counts(self) -> dict[str, dict[str, Counter]]:
-        """Per-corpus counts of emotion/gender/naturalness values and speakers."""
-        table: dict[str, dict[str, Counter]] = {}
-        for rec in self.records:
-            slot = table.setdefault(
-                rec.corpus_id,
-                {"emotion": Counter(), "gender": Counter(), "naturalness": Counter(), "speakers": Counter()},
-            )
-            slot["emotion"][rec.emotion.value] += 1
-            slot["gender"][rec.gender.value] += 1
-            slot["naturalness"][rec.naturalness.value] += 1
-            slot["speakers"][rec.speaker_id] += 1
-        return table
 
 
 def load_manifest(path: str | Path) -> CorpusManifest:
@@ -161,6 +146,10 @@ def load_manifest(path: str | Path) -> CorpusManifest:
             uid, audio, emo, gen, nat, spk, corp = (field.strip() for field in row)
             if not all((uid, audio, emo, gen, nat, spk, corp)):
                 raise ManifestError(f"line {lineno}: empty field")
+            # ids name output files (per-utterance CSVs, per-fold confusions)
+            for column, value in (("utterance_id", uid), ("speaker_id", spk), ("corpus_id", corp)):
+                if value in (".", "..") or "/" in value or "\\" in value:
+                    raise ManifestError(f"line {lineno}: {column} {value!r} is not a file name")
             audio_path = Path(audio)
             if not audio_path.is_absolute():
                 audio_path = (base / audio_path).resolve()
@@ -312,7 +301,6 @@ def synthesize_utterance(
     naturalness: NaturalnessLabel,
     rng: np.random.Generator,
     duration_s: float,
-    sample_rate: int = SAMPLE_RATE,
     speaker_f0_factor: float = 1.0,
     speaker_tilt: float = 0.0,
     channel_tilt: float = 0.0,
@@ -325,8 +313,8 @@ def synthesize_utterance(
     (acted contours are exaggerated and clean, natural ones carry jitter).
     """
     f0_scale, slope, am_rate, am_depth, tilt, vib_depth, attack_s = _EMOTION_PROFILE[emotion]
-    n = int(round(duration_s * sample_rate))
-    t = np.arange(n) / sample_rate
+    n = int(round(duration_s * SAMPLE_RATE))
+    t = np.arange(n) / SAMPLE_RATE
 
     base_hz = _REGISTER_HZ[gender] * speaker_f0_factor * f0_scale
     acted = naturalness is NaturalnessLabel.ACTED
@@ -342,8 +330,8 @@ def synthesize_utterance(
     f0 = np.clip(base_hz * (1.0 + contour_gain * (drift + vibrato)) * np.exp(jitter),
                  _F0_FLOOR_HZ, _F0_CEIL_HZ)
 
-    phase = 2.0 * np.pi * np.cumsum(f0) / sample_rate
-    k_max = max(3, min(10, int(0.45 * sample_rate / float(f0.max()))))
+    phase = 2.0 * np.pi * np.cumsum(f0) / SAMPLE_RATE
+    k_max = max(3, min(10, int(0.45 * SAMPLE_RATE / float(f0.max()))))
     tilt_total = max(0.2, tilt + speaker_tilt + channel_tilt)
     harmonic_phases = rng.uniform(0.0, 2.0 * np.pi, k_max)
     sig = np.zeros(n)

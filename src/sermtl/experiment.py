@@ -14,6 +14,7 @@ import numpy as np
 from . import blas, metrics
 from . import corpus as corpus_mod
 from .corpus import (
+    SAMPLE_RATE,
     CorpusManifest,
     Fold,
     FoldPlan,
@@ -31,7 +32,6 @@ from .corpus import (
 from .elm import ELMConfig, elm_fit, elm_predict
 from .features import (
     N_FEATURES,
-    FeatureConfig,
     FeatureStore,
     Standardizer,
     Workspace,
@@ -78,9 +78,7 @@ class PipelineConfig:
     protocol: str = "cross"
     network: MTLNetworkConfig = field(default_factory=MTLNetworkConfig)
     training: TrainConfig = field(default_factory=TrainConfig)
-    features: FeatureConfig = field(default_factory=FeatureConfig)
     elm: ELMConfig = field(default_factory=ELMConfig)
-    hlf_theta: float = 0.2
     seed: int = 0
     group_key: str = "corpus"
     fractions: tuple[float, float, float] = (0.8, 0.1, 0.1)
@@ -123,18 +121,18 @@ def record_labels(rec: UtteranceRecord) -> dict[str, int]:
     }
 
 
-def _check_rate(rec: UtteranceRecord, sr: int, sample_rate: int) -> None:
-    if sr != sample_rate:
-        raise ValueError(f"{rec.audio_path}: sample rate {sr} != manifest {sample_rate}")
+def _check_rate(rec: UtteranceRecord, sr: int) -> None:
+    if sr != SAMPLE_RATE:
+        raise ValueError(f"{rec.audio_path}: sample rate {sr} != manifest {SAMPLE_RATE}")
 
 
-def record_features(rec: UtteranceRecord, feature_config: FeatureConfig, sample_rate: int,
-                    workspace: Workspace | None = None, out: np.ndarray | None = None) -> np.ndarray:
+def record_features(rec: UtteranceRecord, workspace: Workspace | None = None,
+                    out: np.ndarray | None = None) -> np.ndarray:
     """The 32-dim feature matrix of one utterance (see `extract_features` for
-    ``workspace`` and ``out``); its WAV must be at the manifest's rate."""
+    ``workspace`` and ``out``); its WAV must be at `SAMPLE_RATE`."""
     samples, sr = read_wav(rec.audio_path)
-    _check_rate(rec, sr, sample_rate)
-    return extract_features(samples, sr, feature_config, workspace, out)
+    _check_rate(rec, sr)
+    return extract_features(samples, workspace, out)
 
 
 # Utterances per front-end task. Each utterance is written to its own rows of the
@@ -182,16 +180,15 @@ class _Workers:
             self._pool.shutdown()
 
 
-def _empty_store(records, feature_config: FeatureConfig, sample_rate: int,
-                 shared: bool = False) -> FeatureStore:
+def _empty_store(records, shared: bool = False) -> FeatureStore:
     """A packed store for ``records`` with its labels and row ranges set, sized
     from the WAV headers; the matrix is left for `extract_feature_cache` to fill.
     Forked workers write into and read from a ``shared`` one."""
     lengths = []
     for rec in records:
         n_samples, sr = read_wav_length(rec.audio_path)
-        _check_rate(rec, sr, sample_rate)
-        lengths.append(frame_count(n_samples, sr, feature_config))
+        _check_rate(rec, sr)
+        lengths.append(frame_count(n_samples))
     lengths = np.array(lengths, dtype=np.int64)
     shape = (int(lengths.sum()), N_FEATURES)
     labels = [record_labels(rec) for rec in records]
@@ -208,15 +205,14 @@ def _empty_store(records, feature_config: FeatureConfig, sample_rate: int,
 def _extract_chunk(store: FeatureStore, task) -> None:
     """Write the features of a run of consecutive records into their store rows,
     reusing one workspace (and one BLAS thread, as the folds)."""
-    first, records, feature_config, sample_rate = task
+    first, records = task
     workspace = Workspace()
     with blas.one_thread():
         for position, rec in enumerate(records, first):
-            record_features(rec, feature_config, sample_rate, workspace, out=store.rows(position))
+            record_features(rec, workspace, out=store.rows(position))
 
 
-def extract_feature_cache(records, feature_config: FeatureConfig, sample_rate: int,
-                          workers: _Workers | None = None) -> FeatureStore:
+def extract_feature_cache(records, workers: _Workers | None = None) -> FeatureStore:
     """Extract the 32-dim feature matrix of every record, once, into a packed
     float32 store in record order, `EXTRACT_CHUNK` utterances per task.
 
@@ -224,11 +220,9 @@ def extract_feature_cache(records, feature_config: FeatureConfig, sample_rate: i
     `_empty_store`); otherwise they run here, into a new store."""
     records = list(records)
     if workers is None:
-        workers = _Workers(_empty_store(records, feature_config, sample_rate))
-    workers.map(_extract_chunk, [
-        (first, tuple(records[first : first + EXTRACT_CHUNK]), feature_config, sample_rate)
-        for first in range(0, len(records), EXTRACT_CHUNK)
-    ])
+        workers = _Workers(_empty_store(records))
+    workers.map(_extract_chunk, [(first, tuple(records[first : first + EXTRACT_CHUNK]))
+                                 for first in range(0, len(records), EXTRACT_CHUNK)])
     return workers.store
 
 
@@ -269,7 +263,7 @@ def _run_fold(fold_index: int, fold: Fold, store: FeatureStore, config: Pipeline
         size = config.training.batch_size
         blocks = (store.select(positions[i : i + size]) for i in range(0, len(positions), size))
         posteriors = posteriors_in_blocks(trained.model, blocks, standardizer)
-        return np.stack([compute_hlf(p, config.hlf_theta) for p in posteriors])
+        return np.stack([compute_hlf(p) for p in posteriors])
 
     train_positions = store.positions(fold.train_ids)
     test_positions = store.positions(fold.test_ids)
@@ -326,8 +320,7 @@ def _fold_worker(store: FeatureStore, task) -> FoldResult:
 
 
 def _run_configs(manifests, configs: list[PipelineConfig], jobs: int) -> list[ExperimentReport]:
-    """One report per configuration, all over the same manifests and features
-    (those of ``configs[0].features``).
+    """One report per configuration, all over the same manifests and features.
 
     The features are extracted once, then every fold of every configuration
     runs as one task; with ``jobs > 1`` both run in one pool of forked workers
@@ -340,10 +333,9 @@ def _run_configs(manifests, configs: list[PipelineConfig], jobs: int) -> list[Ex
     plans = [build_fold_plan(manifests, config) for config in configs]
     tasks = [(i, fold, config) for config, plan in zip(configs, plans)
              for i, fold in enumerate(plan.folds)]
-    features, sample_rate = configs[0].features, manifests[0].sample_rate
-    store = _empty_store(records, features, sample_rate, shared=jobs > 1)
+    store = _empty_store(records, shared=jobs > 1)
     with _Workers(store, jobs) as workers:
-        extract_feature_cache(records, features, sample_rate, workers)
+        extract_feature_cache(records, workers)
         results = iter(workers.map(_fold_worker, tasks))
     reports = []
     for config, plan in zip(configs, plans):

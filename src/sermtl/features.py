@@ -4,13 +4,13 @@ Column order of the feature matrix:
     [f0, voice_prob, zcr, log_energy, mfcc01..mfcc12,
      d_f0, d_voice_prob, d_zcr, d_log_energy, d_mfcc01..d_mfcc12]
 
-F0 and voicing come from the normalized autocorrelation peak over the lag
-range implied by the configured F0 band; MFCCs use a 26-filter mel bank over
-0-8 kHz with an orthonormal DCT-II, keeping coefficients 1..12.
+The settings are fixed, those of Han, Yu & Tashev 2014 on 16 kHz audio. F0 and
+voicing come from the normalized autocorrelation peak over the lags of a
+50-500 Hz band; MFCCs use a 26-filter mel bank over 0-8 kHz with an orthonormal
+DCT-II, keeping coefficients 1..12.
 """
 from __future__ import annotations
 
-import functools
 import math
 import mmap
 from dataclasses import dataclass, field, replace
@@ -18,11 +18,30 @@ from pathlib import Path
 
 import numpy as np
 
+from .corpus import SAMPLE_RATE
+
 _LOG_FLOOR = 1e-10
 _STD_FLOOR = 1e-8
 
+# The front-end's settings, at SAMPLE_RATE
+WINDOW = SAMPLE_RATE * 25 // 1000  # samples per frame: 25 ms
+HOP = SAMPLE_RATE * 10 // 1000  # 10 ms
+FFT_SIZE = 512
+N_MEL_FILTERS = 26
+MEL_HIGH_HZ = SAMPLE_RATE / 2.0  # the mel bank spans 0 Hz to the Nyquist frequency
+N_MFCC = 12
+F0_MIN_HZ = 50.0
+F0_MAX_HZ = 500.0
+VOICING_THRESHOLD = 0.3  # frames whose voicing is below it get F0 = 0
+PRE_EMPHASIS = 0.97
+DELTA_WINDOW = 2  # deltas regress over +/- this many frames
+
+# The autocorrelation lags of the F0 band
+_LAG_MIN = math.ceil(SAMPLE_RATE / F0_MAX_HZ)
+_LAG_MAX = min(math.floor(SAMPLE_RATE / F0_MIN_HZ), WINDOW - 1)
+
 _STATIC_COLUMNS = ("f0", "voice_prob", "zcr", "log_energy") + tuple(
-    f"mfcc{i:02d}" for i in range(1, 13)
+    f"mfcc{i:02d}" for i in range(1, N_MFCC + 1)
 )
 FEATURE_COLUMNS = _STATIC_COLUMNS + tuple("d_" + name for name in _STATIC_COLUMNS)
 N_FEATURES = len(FEATURE_COLUMNS)
@@ -30,36 +49,6 @@ N_FEATURES = len(FEATURE_COLUMNS)
 
 class FeatureError(ValueError):
     """Raised when audio cannot be converted to a feature matrix."""
-
-
-@dataclass(frozen=True)
-class FeatureConfig:
-    window_ms: float = 25.0
-    hop_ms: float = 10.0
-    n_mfcc: int = 12
-    n_mel_filters: int = 26
-    fft_size: int = 512
-    pre_emphasis: float = 0.97
-    f0_min_hz: float = 50.0
-    f0_max_hz: float = 500.0
-    delta_window: int = 2
-    voicing_threshold: float = 0.3
-    mel_low_hz: float = 0.0
-    mel_high_hz: float = 8000.0
-
-    def __post_init__(self):
-        if not (self.window_ms > self.hop_ms > 0):
-            raise ValueError("require window_ms > hop_ms > 0")
-        if not (0 < self.f0_min_hz < self.f0_max_hz):
-            raise ValueError("require 0 < f0_min_hz < f0_max_hz")
-        if self.delta_window < 1:
-            raise ValueError("delta_window must be >= 1")
-
-    def window_samples(self, sample_rate: int) -> int:
-        return int(round(self.window_ms * sample_rate / 1000.0))
-
-    def hop_samples(self, sample_rate: int) -> int:
-        return int(round(self.hop_ms * sample_rate / 1000.0))
 
 
 class Workspace:
@@ -98,24 +87,19 @@ def normalize_gain(samples: np.ndarray, out: np.ndarray | None = None) -> np.nda
     return np.divide(x, peak, out=out)
 
 
-def frame_count(n_samples: int, sample_rate: int, config: FeatureConfig) -> int:
-    """Analysis frames in a signal of ``n_samples``: 1 + (n - window) // hop."""
-    win = config.window_samples(sample_rate)
-    if config.fft_size < win:
-        raise FeatureError(f"fft_size {config.fft_size} < window of {win} samples")
-    if n_samples < win:
-        raise FeatureError(f"utterance too short: {n_samples} samples < one {win}-sample window")
-    return 1 + (n_samples - win) // config.hop_samples(sample_rate)
+def frame_count(n_samples: int) -> int:
+    """Analysis frames in a signal of ``n_samples``: 1 + (n - WINDOW) // HOP."""
+    if n_samples < WINDOW:
+        raise FeatureError(f"utterance too short: {n_samples} samples < one {WINDOW}-sample window")
+    return 1 + (n_samples - WINDOW) // HOP
 
 
-def frame_signal(samples: np.ndarray, sample_rate: int, config: FeatureConfig,
-                 out: np.ndarray | None = None) -> np.ndarray:
+def frame_signal(samples: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Slice into overlapping analysis frames; the tail is dropped, never padded.
     The frames are copied into ``out`` when given."""
     x = np.asarray(samples, dtype=np.float64)
-    frame_count(x.size, sample_rate, config)
-    win = config.window_samples(sample_rate)
-    windows = np.lib.stride_tricks.sliding_window_view(x, win)[:: config.hop_samples(sample_rate)]
+    frame_count(x.size)
+    windows = np.lib.stride_tricks.sliding_window_view(x, WINDOW)[::HOP]
     if out is None:
         return np.ascontiguousarray(windows)
     out[...] = windows
@@ -130,57 +114,48 @@ def _hz_from_mel(mel):
     return 700.0 * (10.0 ** (np.asarray(mel, dtype=np.float64) / 2595.0) - 1.0)
 
 
-@functools.lru_cache(maxsize=16)
-def mel_filterbank(config: FeatureConfig, sample_rate: int) -> np.ndarray:
-    """Triangular mel filters on FFT bins, shape (n_mel_filters, fft_size//2 + 1).
+def _read_only(table: np.ndarray) -> np.ndarray:
+    table.flags.writeable = False
+    return table
 
-    Built once per (config, sample rate); the shared array is read-only."""
-    high = min(config.mel_high_hz, sample_rate / 2.0)
-    mels = np.linspace(_mel_from_hz(config.mel_low_hz), _mel_from_hz(high), config.n_mel_filters + 2)
-    bins = np.floor((config.fft_size + 1) * _hz_from_mel(mels) / sample_rate).astype(int)
-    bank = np.zeros((config.n_mel_filters, config.fft_size // 2 + 1))
-    for j in range(config.n_mel_filters):
+
+def _mel_filterbank() -> np.ndarray:
+    """Triangular mel filters on FFT bins, shape (N_MEL_FILTERS, FFT_SIZE//2 + 1)."""
+    mels = np.linspace(_mel_from_hz(0.0), _mel_from_hz(MEL_HIGH_HZ), N_MEL_FILTERS + 2)
+    bins = np.floor((FFT_SIZE + 1) * _hz_from_mel(mels) / SAMPLE_RATE).astype(int)
+    bank = np.zeros((N_MEL_FILTERS, FFT_SIZE // 2 + 1))
+    for j in range(N_MEL_FILTERS):
         left, center, right = bins[j], bins[j + 1], bins[j + 2]
         for i in range(left, center):
             bank[j, i] = (i - left) / max(center - left, 1)
         for i in range(center, right):
             bank[j, i] = (right - i) / max(right - center, 1)
-    bank.flags.writeable = False
     return bank
 
 
-@functools.lru_cache(maxsize=16)
-def _dct_rows(n_mfcc: int, n_filters: int) -> np.ndarray:
-    # Orthonormal DCT-II rows k = 1..n_mfcc (k = 0 is dropped with energy kept separately);
-    # cached and shared, so read-only.
-    k = np.arange(1, n_mfcc + 1)[:, None]
-    m = np.arange(n_filters)[None, :]
-    rows = math.sqrt(2.0 / n_filters) * np.cos(np.pi * k * (2 * m + 1) / (2.0 * n_filters))
-    rows.flags.writeable = False
-    return rows
+def _dct_rows() -> np.ndarray:
+    """Orthonormal DCT-II rows k = 1..N_MFCC over the mel filters (k = 0 is
+    dropped, with the energy kept separately)."""
+    k = np.arange(1, N_MFCC + 1)[:, None]
+    m = np.arange(N_MEL_FILTERS)[None, :]
+    return math.sqrt(2.0 / N_MEL_FILTERS) * np.cos(np.pi * k * (2 * m + 1) / (2.0 * N_MEL_FILTERS))
 
 
-@functools.lru_cache(maxsize=16)
-def _hamming(win: int) -> np.ndarray:
-    window = np.hamming(win)
-    window.flags.writeable = False
-    return window
-
+# Built once and shared, so read-only
+MEL_BANK = _read_only(_mel_filterbank())
+DCT_ROWS = _read_only(_dct_rows())
+HAMMING = _read_only(np.hamming(WINDOW))
 
 # Candidate divisors of the autocorrelation argmax lag when snapping subharmonics.
 _SUBHARMONICS = np.arange(2, 9)
 
 
-def _static_descriptors(frames: np.ndarray, sample_rate: int, config: FeatureConfig,
-                        ws: Workspace, out: np.ndarray) -> None:
+def _static_descriptors(frames: np.ndarray, ws: Workspace, out: np.ndarray) -> None:
     """The 16 static descriptors of each frame into ``out`` (n_frames, 16):
     [f0, voice_prob, zcr, log_energy, mfcc1..12]. Every intermediate the size of
     the frames lives in ``ws``."""
     m, win = frames.shape
-    lag_min = int(math.ceil(sample_rate / config.f0_max_hz))
-    lag_max = min(int(math.floor(sample_rate / config.f0_min_hz)), win - 1)
-    if lag_min > lag_max:
-        raise FeatureError("F0 search band is empty for this window length")
+    lag_min, lag_max = _LAG_MIN, _LAG_MAX
     scratch = ws.array("scratch", (m, win))
 
     # zero-crossing rate: sign changes between neighbouring samples
@@ -190,7 +165,7 @@ def _static_descriptors(frames: np.ndarray, sample_rate: int, config: FeatureCon
     out[:, 3] = np.log(np.maximum(np.sum(np.multiply(frames, frames, out=scratch), axis=1),
                                   _LOG_FLOOR))
 
-    # F0 / voicing via normalized autocorrelation over the configured lag band.
+    # F0 / voicing via normalized autocorrelation over the lags of the F0 band.
     y = np.subtract(frames, frames.mean(axis=1, keepdims=True), out=ws.array("centered", (m, win)))
     nfft = 1 << (2 * win - 1).bit_length()
     spec = np.fft.rfft(y, nfft, axis=1, out=ws.array("spec", (m, nfft // 2 + 1), np.complex128))
@@ -229,29 +204,29 @@ def _static_descriptors(frames: np.ndarray, sample_rate: int, config: FeatureCon
     valid = (cand_lag >= lag_min) & (cand_corr >= (peak - 0.02)[:, None])
     best_lag = np.where(valid, cand_lag, argmax_lag[:, None]).min(axis=1)
     voice_prob = np.where(voiced_rows, peak, 0.0)
-    out[:, 0] = np.where(voice_prob >= config.voicing_threshold, sample_rate / best_lag, 0.0)
+    out[:, 0] = np.where(voice_prob >= VOICING_THRESHOLD, SAMPLE_RATE / best_lag, 0.0)
     out[:, 1] = voice_prob
 
     # MFCC: pre-emphasis -> Hamming -> power spectrum -> mel -> log -> DCT-II (1..12).
     pre = ws.array("centered", (m, win))
     pre[:, 0] = frames[:, 0]
-    np.subtract(frames[:, 1:], np.multiply(frames[:, :-1], config.pre_emphasis, out=pre[:, 1:]),
+    np.subtract(frames[:, 1:], np.multiply(frames[:, :-1], PRE_EMPHASIS, out=pre[:, 1:]),
                 out=pre[:, 1:])
-    np.multiply(pre, _hamming(win), out=pre)
-    spec = np.fft.rfft(pre, config.fft_size, axis=1,
-                       out=ws.array("spec", (m, config.fft_size // 2 + 1), np.complex128))
+    np.multiply(pre, HAMMING, out=pre)
+    spec = np.fft.rfft(pre, FFT_SIZE, axis=1,
+                       out=ws.array("spec", (m, FFT_SIZE // 2 + 1), np.complex128))
     power = np.abs(spec, out=ws.array("mel_power", spec.shape))
     np.square(power, out=power)
-    mel = power @ mel_filterbank(config, sample_rate).T
+    mel = power @ MEL_BANK.T
     log_mel = np.log(np.maximum(mel, _LOG_FLOOR))
-    out[:, 4:] = log_mel @ _dct_rows(config.n_mfcc, config.n_mel_filters).T
+    out[:, 4:] = log_mel @ DCT_ROWS.T
 
 
-def _deltas(padded: np.ndarray, w: int, ws: Workspace, out: np.ndarray) -> None:
-    """Regression deltas over +/- w frames into ``out`` (n, d), from ``padded``
-    (n + 2w, d): the static rows with w copies of the first and last row on
-    either side (edge replication)."""
-    n = out.shape[0]
+def _deltas(padded: np.ndarray, ws: Workspace, out: np.ndarray) -> None:
+    """Regression deltas over +/- w = DELTA_WINDOW frames into ``out`` (n, d),
+    from ``padded`` (n + 2w, d): the static rows with w copies of the first and
+    last row on either side (edge replication)."""
+    n, w = out.shape[0], DELTA_WINDOW
     acc = ws.array("delta", out.shape)
     acc.fill(0.0)
     diff = ws.array("delta_diff", out.shape)
@@ -261,42 +236,39 @@ def _deltas(padded: np.ndarray, w: int, ws: Workspace, out: np.ndarray) -> None:
     np.divide(acc, 2.0 * sum(k * k for k in range(1, w + 1)), out=out)
 
 
-def compute_deltas(static: np.ndarray, config: FeatureConfig) -> np.ndarray:
-    """Regression deltas over +/- delta_window frames with edge replication."""
+def compute_deltas(static: np.ndarray) -> np.ndarray:
+    """Regression deltas over +/- DELTA_WINDOW frames with edge replication."""
     static = np.asarray(static, dtype=np.float64)
     if static.ndim != 2 or static.shape[0] < 1:
         raise FeatureError("need a non-empty 2-D matrix")
-    w = config.delta_window
+    w = DELTA_WINDOW
     padded = np.concatenate([static[:1].repeat(w, 0), static, static[-1:].repeat(w, 0)])
     out = np.empty_like(static)
-    _deltas(padded, w, Workspace(), out)
+    _deltas(padded, Workspace(), out)
     return out
 
 
-def extract_features(samples: np.ndarray, sample_rate: int, config: FeatureConfig | None = None,
-                     workspace: Workspace | None = None, out: np.ndarray | None = None) -> np.ndarray:
+def extract_features(samples: np.ndarray, workspace: Workspace | None = None,
+                     out: np.ndarray | None = None) -> np.ndarray:
     """Full front-end: gain-normalize, frame, describe, append deltas.
 
     Returns a float32 matrix of shape (n_frames, 32) with no NaN/Inf entries,
     written into ``out`` when given. Intermediates live in ``workspace``; pass
     one workspace to every utterance of a group so they are allocated once.
     """
-    if config is None:
-        config = FeatureConfig()
     ws = Workspace() if workspace is None else workspace
     x = np.asarray(samples, dtype=np.float64)
     gained = normalize_gain(x, out=ws.array("signal", x.shape))
-    m = frame_count(x.size, sample_rate, config)
-    frames = frame_signal(gained, sample_rate, config,
-                          out=ws.array("frames", (m, config.window_samples(sample_rate))))
-    w = config.delta_window
+    m = frame_count(x.size)
+    frames = frame_signal(gained, out=ws.array("frames", (m, WINDOW)))
+    w = DELTA_WINDOW
     n_static = N_FEATURES // 2
     # static columns with w edge-replicated rows either side (the deltas' padding), then the deltas
     full = ws.array("full", (m + 2 * w, N_FEATURES))
-    _static_descriptors(frames, sample_rate, config, ws, full[w : w + m, :n_static])
+    _static_descriptors(frames, ws, full[w : w + m, :n_static])
     full[:w, :n_static] = full[w, :n_static]
     full[w + m :, :n_static] = full[w + m - 1, :n_static]
-    _deltas(full[:, :n_static], w, ws, full[w : w + m, n_static:])
+    _deltas(full[:, :n_static], ws, full[w : w + m, n_static:])
     if out is None:
         out = np.empty((m, N_FEATURES), np.float32)
     elif out.shape != (m, N_FEATURES) or out.dtype != np.float32:

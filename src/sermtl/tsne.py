@@ -1,11 +1,12 @@
-"""Exact O(n^2) t-SNE for projecting utterance-level features to 2-D/3-D.
+"""Exact O(n^2) t-SNE for projecting utterance-level features to 2-D.
 
 Per-point Gaussian bandwidths are found by binary search to hit the target
 perplexity; the embedding minimizes KL(P||Q) with a Student-t low-dimensional
-kernel, momentum, and early exaggeration. After the exaggeration phase a
-descent safeguard keeps the recorded KL trace non-increasing: a step that
-would raise the KL is retried with damped plain-gradient steps and rejected
-outright if none of them improves.
+kernel, momentum, and early exaggeration, on the schedule of van der Maaten &
+Hinton 2008. After the exaggeration phase a descent safeguard keeps the
+recorded KL trace non-increasing: a step that would raise the KL is retried
+with damped plain-gradient steps and rejected outright if none of them
+improves.
 
 Each point the optimizer tries costs one O(n^2) kernel evaluation: the KL of a
 step is taken from its Student-t kernel, and an accepted point's kernel is kept
@@ -26,6 +27,14 @@ _Q_FLOOR = 1e-12
 # most this many steps
 _PERPLEXITY_TOL = 1e-4
 _BANDWIDTH_STEPS = 50
+_MIN_BANDWIDTH = 1e-12  # where duplicate points make a row's perplexity unattainable
+# The optimizer (van der Maaten & Hinton 2008)
+_OUT_DIMS = 2
+_INIT_STD = 1e-4  # of the initial points
+_LEARNING_RATE = 200.0
+_EARLY_EXAGGERATION = 12.0  # P's factor during the first `exaggeration_iters` iterations
+_MOMENTUM_EARLY = 0.5  # during those iterations
+_MOMENTUM_LATE = 0.8
 
 
 class TsneError(RuntimeError):
@@ -36,19 +45,10 @@ class TsneError(RuntimeError):
 class TsneConfig:
     perplexity: float = 30.0
     n_iter: int = 1000
-    learning_rate: float = 200.0
-    early_exaggeration: float = 12.0
     exaggeration_iters: int = 250
-    momentum_early: float = 0.5
-    momentum_late: float = 0.8
-    out_dims: int = 2
     seed: int = 0
-    init_std: float = 1e-4
-    min_bandwidth: float = 1e-12
 
     def __post_init__(self):
-        if self.out_dims not in (2, 3):
-            raise ValueError("out_dims must be 2 or 3")
         if self.perplexity <= 1:
             raise ValueError("perplexity must exceed 1")
         if self.n_iter < 1:
@@ -63,19 +63,19 @@ def _pairwise_sq_dists(x: np.ndarray) -> np.ndarray:
     return d
 
 
-def conditional_affinities(x: np.ndarray, perplexity: float, min_bandwidth: float = 1e-12) -> np.ndarray:
+def conditional_affinities(x: np.ndarray, perplexity: float) -> np.ndarray:
     """Row-normalized conditional affinities with per-row perplexity within
     ``_PERPLEXITY_TOL``.
 
     Duplicate points can make a row's perplexity unattainable; the bandwidth
-    is then floored at ``min_bandwidth`` and the row kept as-is.
+    is then floored at ``_MIN_BANDWIDTH`` and the row kept as-is.
     """
     x = np.asarray(x, dtype=np.float64)
     n = x.shape[0]
     if n < 3 * perplexity:
         raise ValueError(f"need at least 3*perplexity={3 * perplexity:.0f} points, got {n}")
     d = _pairwise_sq_dists(x)
-    beta_cap = 1.0 / (2.0 * min_bandwidth)
+    beta_cap = 1.0 / (2.0 * _MIN_BANDWIDTH)
     conditional = np.zeros((n, n))
     for i in range(n):
         row = np.delete(d[i], i)
@@ -113,9 +113,9 @@ def conditional_affinities(x: np.ndarray, perplexity: float, min_bandwidth: floa
     return conditional
 
 
-def compute_affinities(x: np.ndarray, perplexity: float, min_bandwidth: float = 1e-12) -> np.ndarray:
+def compute_affinities(x: np.ndarray, perplexity: float) -> np.ndarray:
     """Symmetrized joint affinities: P = (P_cond + P_cond^T) / (2n)."""
-    conditional = conditional_affinities(x, perplexity, min_bandwidth)
+    conditional = conditional_affinities(x, perplexity)
     n = conditional.shape[0]
     joint = (conditional + conditional.T) / (2.0 * n)
     return np.maximum(joint, 0.0)
@@ -148,12 +148,8 @@ def kl_and_gradient(p: np.ndarray, y: np.ndarray):
     return _kl(p[mask], mask, q), _gradient(p, y, w, q)
 
 
-def kl_divergence(p: np.ndarray, y: np.ndarray) -> float:
-    return kl_and_gradient(p, y)[0]
-
-
 def tsne_embed(x: np.ndarray, config: TsneConfig | None = None):
-    """Embed rows of ``x``. Returns (embedding, per-iteration KL trace).
+    """Embed rows of ``x`` in 2-D. Returns (embedding, per-iteration KL trace).
 
     The trace records KL(P||Q) against the unexaggerated P after every
     iteration; from the end of the exaggeration phase onward it is
@@ -162,12 +158,12 @@ def tsne_embed(x: np.ndarray, config: TsneConfig | None = None):
     if config is None:
         config = TsneConfig()
     x = np.asarray(x, dtype=np.float64)
-    p = compute_affinities(x, config.perplexity, min_bandwidth=config.min_bandwidth)
+    p = compute_affinities(x, config.perplexity)
     n = x.shape[0]
     rng = np.random.default_rng(derive_seed(config.seed, "tsne"))
-    y = rng.normal(0.0, config.init_std, (n, config.out_dims))
+    y = rng.normal(0.0, _INIT_STD, (n, _OUT_DIMS))
     velocity = np.zeros_like(y)
-    p_ex = p * config.early_exaggeration
+    p_ex = p * _EARLY_EXAGGERATION
     mask = p > 0.0
     p_pos = p[mask]
     trace = np.empty(config.n_iter)
@@ -177,8 +173,8 @@ def tsne_embed(x: np.ndarray, config: TsneConfig | None = None):
         exaggerating = it < config.exaggeration_iters
         p_used = p_ex if exaggerating else p
         grad = _gradient(p_used, y, w, q)
-        momentum = config.momentum_early if exaggerating else config.momentum_late
-        velocity = momentum * velocity - config.learning_rate * grad
+        momentum = _MOMENTUM_EARLY if exaggerating else _MOMENTUM_LATE
+        velocity = momentum * velocity - _LEARNING_RATE * grad
         y_next = y + velocity
         y_next = y_next - y_next.mean(axis=0)
         w_next, q_next = _kernel(y_next)
@@ -187,7 +183,7 @@ def tsne_embed(x: np.ndarray, config: TsneConfig | None = None):
         if not exaggerating and it > 0 and kl_next > trace[it - 1]:
             # Descent safeguard: damped plain-gradient retries, else reject.
             for shrink in range(1, 21):
-                candidate = y - (config.learning_rate * 0.5**shrink) * grad
+                candidate = y - (_LEARNING_RATE * 0.5**shrink) * grad
                 candidate = candidate - candidate.mean(axis=0)
                 w_next, q_next = _kernel(candidate)
                 kl_candidate = _kl(p_pos, mask, q_next)

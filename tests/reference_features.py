@@ -1,19 +1,70 @@
 """The feature front-end as it was before its workspace kernel, kept verbatim as
 the oracle that `sermtl.features.extract_features` must match byte for byte
-(see test_features.py). Not a test module itself."""
+(see test_features.py). Not a test module itself.
+
+Its settings and its mel and DCT tables are built here, as they were when the
+front-end took them from a config, so the oracle also checks the constants that
+replaced them."""
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from sermtl.features import (
-    _LOG_FLOOR,
-    FeatureConfig,
-    FeatureError,
-    _dct_rows,
-    mel_filterbank,
-)
+from sermtl.features import _LOG_FLOOR, FeatureError
+
+
+@dataclass(frozen=True)
+class FeatureConfig:
+    window_ms: float = 25.0
+    hop_ms: float = 10.0
+    n_mfcc: int = 12
+    n_mel_filters: int = 26
+    fft_size: int = 512
+    pre_emphasis: float = 0.97
+    f0_min_hz: float = 50.0
+    f0_max_hz: float = 500.0
+    delta_window: int = 2
+    voicing_threshold: float = 0.3
+    mel_low_hz: float = 0.0
+    mel_high_hz: float = 8000.0
+
+    def window_samples(self, sample_rate: int) -> int:
+        return int(round(self.window_ms * sample_rate / 1000.0))
+
+    def hop_samples(self, sample_rate: int) -> int:
+        return int(round(self.hop_ms * sample_rate / 1000.0))
+
+
+def _mel_from_hz(hz):
+    return 2595.0 * np.log10(1.0 + np.asarray(hz, dtype=np.float64) / 700.0)
+
+
+def _hz_from_mel(mel):
+    return 700.0 * (10.0 ** (np.asarray(mel, dtype=np.float64) / 2595.0) - 1.0)
+
+
+def mel_filterbank(config: FeatureConfig, sample_rate: int) -> np.ndarray:
+    """Triangular mel filters on FFT bins, shape (n_mel_filters, fft_size//2 + 1)."""
+    high = min(config.mel_high_hz, sample_rate / 2.0)
+    mels = np.linspace(_mel_from_hz(config.mel_low_hz), _mel_from_hz(high), config.n_mel_filters + 2)
+    bins = np.floor((config.fft_size + 1) * _hz_from_mel(mels) / sample_rate).astype(int)
+    bank = np.zeros((config.n_mel_filters, config.fft_size // 2 + 1))
+    for j in range(config.n_mel_filters):
+        left, center, right = bins[j], bins[j + 1], bins[j + 2]
+        for i in range(left, center):
+            bank[j, i] = (i - left) / max(center - left, 1)
+        for i in range(center, right):
+            bank[j, i] = (right - i) / max(right - center, 1)
+    return bank
+
+
+def _dct_rows(n_mfcc: int, n_filters: int) -> np.ndarray:
+    # Orthonormal DCT-II rows k = 1..n_mfcc (k = 0 is dropped with energy kept separately).
+    k = np.arange(1, n_mfcc + 1)[:, None]
+    m = np.arange(n_filters)[None, :]
+    return math.sqrt(2.0 / n_filters) * np.cos(np.pi * k * (2 * m + 1) / (2.0 * n_filters))
 
 
 def normalize_gain(samples: np.ndarray) -> np.ndarray:

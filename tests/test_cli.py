@@ -25,7 +25,7 @@ from sermtl.experiment import (
     fit_fold,
     record_features,
 )
-from sermtl.features import FeatureConfig, Standardizer, apply_standardizer, load_store
+from sermtl.features import Standardizer, apply_standardizer, load_store
 from sermtl.hlf import compute_hlf, read_hlf_csv
 from sermtl.mtl import MTLNetworkConfig, TrainConfig, load_model, posteriors_in_blocks
 
@@ -102,8 +102,23 @@ class TestFeatures:
         assert store.matrix.shape == (int(store.lengths.sum()), 32)
         assert np.array_equal(store.starts, np.cumsum(store.lengths) - store.lengths)
         for i in (0, 47):
-            want = record_features(manifest.records[i], FeatureConfig(), manifest.sample_rate)
+            want = record_features(manifest.records[i])
             assert store.rows(i).tobytes() == want.tobytes()
+
+
+    def test_ids_cannot_name_files_outside_out(self, cli_workspace, tmp_path, capsys):
+        """An utterance id is a file name under --out (``<id>.csv``): one that
+        climbs out of it is refused before anything is written."""
+        _, data, _, _ = cli_workspace
+        manifest = load_manifest(data / "manifest.csv")
+        records = (replace(manifest.records[0], utterance_id="../../escaped"),) + manifest.records[1:]
+        path = write_manifest(CorpusManifest(records=records), tmp_path / "m" / "manifest.csv")
+        out = tmp_path / "a" / "b" / "out"
+        rc = main(["features", "--manifest", str(path), "--out", str(out), "--csv"])
+        assert rc == 1
+        assert "line 2: utterance_id '../../escaped'" in capsys.readouterr().err
+        written = [p for p in tmp_path.rglob("*") if p.is_file() and p != path]
+        assert all(out in p.parents for p in written), written
 
 
 class TestTrainAndHlf:
@@ -176,7 +191,7 @@ class TestTrainAndHlf:
         standardizer = Standardizer(mean=extras["standardizer.mean"], std=extras["standardizer.std"])
         assert ids == [r.utterance_id for r in manifest.records]
         for rec, row in zip(manifest.records, matrix):
-            feats = apply_standardizer(standardizer, record_features(rec, FeatureConfig(), manifest.sample_rate))
+            feats = apply_standardizer(standardizer, record_features(rec))
             post = model.emotion_posteriors(feats, [len(feats)])[0]
             np.testing.assert_allclose(row, compute_hlf(post), rtol=0, atol=1e-12)
 
@@ -190,7 +205,7 @@ class TestTrainAndHlf:
         training = from_dict(TrainConfig, saved["training"])
         # the fold `train` fit, refit in memory; every utterance is standardized with its statistics
         fold = stratified_split([manifest], seed=saved["seed"]).folds[0]
-        store = extract_feature_cache(manifest.records, FeatureConfig(), manifest.sample_rate)
+        store = extract_feature_cache(manifest.records)
         with blas.one_thread():  # as `train` fits
             trained, fold_standardizer, fold_data = fit_fold(
                 fold, store, from_dict(MTLNetworkConfig, saved["network"]), training)
@@ -270,7 +285,8 @@ class TestXval:
         report = json.loads((out / "report.json").read_text())
         assert report["folds"][0]["n_train"] == 29  # 0.6 of 48 utterances
 
-    @pytest.mark.parametrize("section, key", [(None, "hlf_thetta"), ("network", "context_frame")])
+    @pytest.mark.parametrize("section, key", [(None, "hlf_thetta"), ("network", "context_frame"),
+                                              (None, "features"), (None, "hlf_theta")])
     def test_config_unknown_key_rejected(self, cli_workspace, tmp_path, capsys, section, key):
         _, data, _, _ = cli_workspace
         pipeline = asdict(PipelineConfig())

@@ -91,17 +91,31 @@ class TestManifest:
         _touch_wavs(tmp_path, [r[1] for r in rows])
         _write_rows(tmp_path / "manifest.csv", rows)
         manifest = load_manifest(tmp_path / "manifest.csv")
-        counts = manifest.label_counts()["E"]
+        records = manifest.records
         assert len(manifest) == 293
-        assert counts["emotion"] == {"neutral": 77, "happy": 61, "sad": 58, "angry": 97}
-        assert counts["gender"] == {"female_adult": 160, "male_adult": 133}
-        assert counts["naturalness"] == {"acted": 293}
-        assert len(counts["speakers"]) == 10
+        assert manifest.corpora() == ("E",)
+        assert collections.Counter(r.emotion.value for r in records) == {
+            "neutral": 77, "happy": 61, "sad": 58, "angry": 97}
+        assert collections.Counter(r.gender.value for r in records) == {
+            "female_adult": 160, "male_adult": 133}
+        assert collections.Counter(r.naturalness.value for r in records) == {"acted": 293}
+        assert len(manifest.speakers()) == 10
 
     def test_unknown_emotion_label(self, tmp_path):
         _touch_wavs(tmp_path, ["a.wav"])
         _write_rows(tmp_path / "m.csv", [("u1", "a.wav", "bored", "male_adult", "acted", "s1", "c")])
         with pytest.raises(ManifestError, match="unknown emotion label"):
+            load_manifest(tmp_path / "m.csv")
+
+    @pytest.mark.parametrize("column", [0, 5, 6])  # utterance_id, speaker_id, corpus_id
+    @pytest.mark.parametrize("value", [".", "..", "../x", "a/b", "a\\b"])
+    def test_ids_that_name_paths_rejected(self, tmp_path, column, value):
+        _touch_wavs(tmp_path, ["a.wav", "b.wav"])
+        rows = [["u1", "a.wav", "happy", "male_adult", "acted", "s1", "c"],
+                ["u2", "b.wav", "sad", "male_adult", "acted", "s1", "c"]]
+        rows[1][column] = value
+        _write_rows(tmp_path / "m.csv", rows)
+        with pytest.raises(ManifestError, match=f"line 3: {MANIFEST_HEADER[column]} "):
             load_manifest(tmp_path / "m.csv")
 
     def test_duplicate_utterance_id(self, tmp_path):
@@ -181,8 +195,8 @@ class TestSynthetic:
             manifest = generate_synthetic(config, tmp_path / f"s{seed}")
             per_speaker = collections.defaultdict(dict)
             for rec in manifest.records:
-                samples, sr = read_wav(rec.audio_path)
-                matrix = extract_features(samples, sr)
+                samples, _ = read_wav(rec.audio_path)
+                matrix = extract_features(samples)
                 voiced = matrix[:, 0] > 0
                 per_speaker[rec.speaker_id].setdefault(rec.emotion.value, []).append(
                     float(matrix[voiced, 0].mean())
@@ -197,7 +211,8 @@ class TestSynthetic:
         config = SynthConfig(n_corpora=1, speakers_per_corpus=2, utterances_per_speaker=10,
                              duration_s=0.5, seed=2, class_balance=(0.5, 0.5, 0.0, 0.0))
         manifest = generate_synthetic(config, tmp_path)
-        counts = manifest.label_counts()["c00"]["emotion"]
+        assert manifest.corpora() == ("c00",)
+        counts = collections.Counter(r.emotion.value for r in manifest.records)
         assert counts == {"neutral": 10, "happy": 10}
 
     def test_config_validation(self):

@@ -25,7 +25,6 @@ from sermtl.experiment import (
     write_grid_report,
     write_report,
 )
-from sermtl.features import FeatureConfig
 from sermtl.mtl import MTLNetworkConfig, TrainConfig
 
 
@@ -56,7 +55,7 @@ class TestRunExperiment:
     def test_within_protocol_folds_per_speaker(self, small_synth):
         manifest, _, _ = small_synth
         records = tuple(r for r in manifest.records if r.corpus_id == "c00")
-        single = type(manifest)(records=records, sample_rate=manifest.sample_rate)
+        single = type(manifest)(records=records)
         report = run_experiment([single], _tiny_config(protocol="within"))
         assert len(report.folds) == 3  # one per speaker
         assert {f.test_group for f in report.folds} == {"c00s00", "c00s01", "c00s02"}
@@ -167,25 +166,24 @@ class TestGrid:
 class TestFeatureStore:
     def test_serial_store_packs_every_utterance_in_order(self, small_synth):
         manifest, _, _ = small_synth
-        store = extract_feature_cache(manifest.records, FeatureConfig(), manifest.sample_rate)
+        store = extract_feature_cache(manifest.records)
         assert len(manifest.records) > EXTRACT_CHUNK  # several chunks
         assert store.ids == tuple(r.utterance_id for r in manifest.records)
         assert store.matrix.dtype == np.float32
         assert np.array_equal(store.starts, np.cumsum(store.lengths) - store.lengths)
         assert store.matrix.shape[0] == store.lengths.sum()
         for i, rec in enumerate(manifest.records):
-            want = record_features(rec, FeatureConfig(), manifest.sample_rate)
+            want = record_features(rec)
             assert store.rows(i).tobytes() == want.tobytes(), rec.utterance_id
             assert {task: int(v[i]) for task, v in store.labels.items()} == record_labels(rec)
 
     @pytest.mark.parametrize("jobs", [2, 3])
     def test_store_bytes_do_not_depend_on_jobs(self, small_synth, jobs):
         manifest, _, _ = small_synth
-        args = (manifest.records, FeatureConfig(), manifest.sample_rate)
-        serial = extract_feature_cache(*args)
-        store = _empty_store(*args, shared=True)
+        serial = extract_feature_cache(manifest.records)
+        store = _empty_store(manifest.records, shared=True)
         with _Workers(store, jobs) as workers:
-            assert extract_feature_cache(*args, workers) is store
+            assert extract_feature_cache(manifest.records, workers) is store
         assert store.matrix.tobytes() == serial.matrix.tobytes()
         assert np.array_equal(store.lengths, serial.lengths)
 

@@ -11,11 +11,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference_features as reference
+from sermtl import features
 from sermtl.corpus import SynthConfig, generate_synthetic, read_wav
-from sermtl.features import _dct_rows
 from sermtl.features import (
+    DELTA_WINDOW,
+    F0_MAX_HZ,
+    F0_MIN_HZ,
     FEATURE_COLUMNS,
-    FeatureConfig,
     FeatureError,
     FeatureStore,
     Standardizer,
@@ -26,7 +28,6 @@ from sermtl.features import (
     fit_standardizer,
     frame_signal,
     load_store,
-    mel_filterbank,
     normalize_gain,
     save_store,
     standardized,
@@ -34,7 +35,6 @@ from sermtl.features import (
 )
 
 SR = 16000
-CFG = FeatureConfig()
 
 
 def test_column_layout():
@@ -66,15 +66,15 @@ class TestNormalizeGain:
 
 class TestFraming:
     def test_one_second(self):
-        frames = frame_signal(np.zeros(16000), SR, CFG)
+        frames = frame_signal(np.zeros(16000))
         assert frames.shape == (98, 400)
 
     def test_exactly_one_window(self):
-        assert frame_signal(np.zeros(400), SR, CFG).shape == (1, 400)
+        assert frame_signal(np.zeros(400)).shape == (1, 400)
 
     def test_too_short(self):
         with pytest.raises(FeatureError, match="too short"):
-            frame_signal(np.zeros(399), SR, CFG)
+            frame_signal(np.zeros(399))
 
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(0, 48000))
@@ -86,16 +86,16 @@ class TestFraming:
         samples = np.arange(n, dtype=np.float64)
         if n < 400:
             with pytest.raises(FeatureError, match="too short"):
-                frame_signal(samples, SR, CFG)
+                frame_signal(samples)
             return
-        frames = frame_signal(samples, SR, CFG)
+        frames = frame_signal(samples)
         assert frames.shape == (1 + (n - 400) // 160, 400)
         assert np.array_equal(frames, 160.0 * np.arange(len(frames))[:, None] + np.arange(400.0))
 
 
 def _one_frame(frame):
     """The 16 static descriptors of a one-frame (400-sample) signal."""
-    matrix = extract_features(frame, SR, CFG)
+    matrix = extract_features(frame)
     assert matrix.shape == (1, 32)
     return matrix[0, :16]
 
@@ -122,7 +122,7 @@ class TestFrameDescriptors:
     def test_tone_f0_within_three_percent(self):
         for freq in (80, 150, 220, 333, 400):
             t = np.arange(16000) / SR
-            matrix = extract_features(0.4 * np.sin(2 * np.pi * freq * t), SR, CFG)
+            matrix = extract_features(0.4 * np.sin(2 * np.pi * freq * t))
             voiced = matrix[:, 1] > 0.9
             estimate = np.median(matrix[voiced, 0])
             assert abs(estimate - freq) / freq < 0.03, (freq, estimate)
@@ -130,55 +130,55 @@ class TestFrameDescriptors:
 
 class TestDeltas:
     def test_constant_is_zero(self):
-        deltas = compute_deltas(np.full((10, 16), 3.5), CFG)
+        deltas = compute_deltas(np.full((10, 16), 3.5))
         assert np.all(deltas == 0.0)
 
     def test_linear_ramp_slope(self):
         slope = 0.75
         static = slope * np.arange(20)[:, None] * np.ones((1, 16))
-        deltas = compute_deltas(static, CFG)
-        interior = deltas[CFG.delta_window : -CFG.delta_window]
+        deltas = compute_deltas(static)
+        interior = deltas[DELTA_WINDOW:-DELTA_WINDOW]
         assert np.allclose(interior, slope)
 
     def test_single_frame_zero(self):
-        deltas = compute_deltas(np.ones((1, 16)), CFG)
+        deltas = compute_deltas(np.ones((1, 16)))
         assert np.all(deltas == 0.0)
 
 
 class TestExtractFeatures:
     def test_one_second_shape(self):
         t = np.arange(16000) / SR
-        matrix = extract_features(0.5 * np.sin(2 * np.pi * 150 * t), SR, CFG)
+        matrix = extract_features(0.5 * np.sin(2 * np.pi * 150 * t))
         assert matrix.shape == (98, 32)
         assert matrix.dtype == np.float32
 
     def test_silence_deltas_zero(self):
-        matrix = extract_features(np.zeros(16000), SR, CFG)
+        matrix = extract_features(np.zeros(16000))
         assert np.all(matrix[:, 16:] == 0.0)
 
     def test_generator_outputs_clean(self, small_synth):
         manifest, _, _ = small_synth
         for rec in manifest.records[:6]:
-            samples, sr = read_wav(rec.audio_path)
-            matrix = extract_features(samples, sr, CFG)
+            samples, _ = read_wav(rec.audio_path)
+            matrix = extract_features(samples)
             assert np.all(np.isfinite(matrix))
             assert matrix[:, 1].min() >= 0.0 and matrix[:, 1].max() <= 1.0
             f0 = matrix[:, 0]
             voiced = f0 > 0
-            assert np.all((f0[voiced] >= CFG.f0_min_hz) & (f0[voiced] <= CFG.f0_max_hz))
+            assert np.all((f0[voiced] >= F0_MIN_HZ) & (f0[voiced] <= F0_MAX_HZ))
 
     def test_power_of_two_scaling_is_bit_identical(self):
         rng = np.random.default_rng(3)
         x = rng.normal(0, 0.1, 8000)
-        a = extract_features(x, SR, CFG)
-        b = extract_features(4.0 * x, SR, CFG)
+        a = extract_features(x)
+        b = extract_features(4.0 * x)
         assert a.tobytes() == b.tobytes()
 
     def test_arbitrary_scaling_matches_closely(self):
         rng = np.random.default_rng(4)
         x = rng.normal(0, 0.1, 8000)
-        a = extract_features(x, SR, CFG)
-        b = extract_features(3.0 * x, SR, CFG)
+        a = extract_features(x)
+        b = extract_features(3.0 * x)
         assert np.allclose(a, b, atol=1e-4)
 
 
@@ -262,15 +262,10 @@ class TestFeatureFiles:
 
 
 class TestConstantTables:
-    @pytest.mark.parametrize("build, args", [
-        (mel_filterbank, (FeatureConfig(), SR)),
-        (_dct_rows, (CFG.n_mfcc, CFG.n_mel_filters)),
-    ])
-    def test_built_once_and_read_only(self, build, args):
-        table = build(*args)
-        assert build(*args) is table
+    @pytest.mark.parametrize("name", ["MEL_BANK", "DCT_ROWS", "HAMMING"])
+    def test_read_only(self, name):
         with pytest.raises(ValueError, match="read-only"):
-            table[0, 0] = 1.0
+            getattr(features, name)[0] = 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -299,10 +294,10 @@ class TestKernelMatchesReference:
     @settings(max_examples=40, deadline=None)
     @given(signal=_signals())
     def test_byte_identical(self, signal):
-        want = reference.extract_features(signal, SR, CFG)
-        assert extract_features(signal, SR, CFG, workspace=_SHARED_WORKSPACE).tobytes() == want.tobytes()
+        want = reference.extract_features(signal, SR)
+        assert extract_features(signal, workspace=_SHARED_WORKSPACE).tobytes() == want.tobytes()
         out = np.empty_like(want)
-        assert extract_features(signal, SR, CFG, out=out) is out
+        assert extract_features(signal, out=out) is out
         assert out.tobytes() == want.tobytes()
 
     def test_generated_corpus_byte_identical(self, small_synth):
@@ -310,34 +305,35 @@ class TestKernelMatchesReference:
         workspace = Workspace()
         for rec in manifest.records:
             samples, sr = read_wav(rec.audio_path)
-            got = extract_features(samples, sr, CFG, workspace=workspace)
-            assert got.tobytes() == reference.extract_features(samples, sr, CFG).tobytes(), rec.utterance_id
+            got = extract_features(samples, workspace=workspace)
+            assert got.tobytes() == reference.extract_features(samples, sr).tobytes(), rec.utterance_id
 
     @settings(max_examples=30, deadline=None)
     @given(n=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
     def test_deltas_byte_identical(self, n, seed):
         static = np.random.default_rng(seed).normal(size=(n, 16))
-        assert compute_deltas(static, CFG).tobytes() == reference.compute_deltas(static, CFG).tobytes()
+        want = reference.compute_deltas(static, reference.FeatureConfig())
+        assert compute_deltas(static).tobytes() == want.tobytes()
 
     def test_wrong_output_rejected(self):
         with pytest.raises(FeatureError, match="float32"):
-            extract_features(np.zeros(800), SR, CFG, out=np.empty((6, 32)))
+            extract_features(np.zeros(800), out=np.empty((6, 32)))
 
 
 _FAULTS_PER_UTTERANCE = """
 import resource
 import numpy as np
-from sermtl.features import FeatureConfig, Workspace, extract_features
+from sermtl.features import Workspace, extract_features
 
 rng = np.random.default_rng(5)
 t = np.arange(8000) / 16000
 signals = [0.3 * np.sin(2 * np.pi * (90 + 17 * i) * t) + 0.02 * rng.normal(size=t.size)
            for i in range(21)]
 workspace = Workspace()
-extract_features(signals[0], 16000, FeatureConfig(), workspace)  # sizes the workspace
+extract_features(signals[0], workspace)  # sizes the workspace
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 for signal in signals[1:]:
-    extract_features(signal, 16000, FeatureConfig(), workspace)
+    extract_features(signal, workspace)
 print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / (len(signals) - 1))
 """
 

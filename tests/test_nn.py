@@ -1,9 +1,14 @@
 from __future__ import annotations
 
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from gradcheck import grad_check
 from sermtl import nn
@@ -258,6 +263,22 @@ class TestGradCheckHarness:
         assert report.max_rel_err > 1e-1
 
 
+_CHECKPOINT_PARAMS = st.dictionaries(
+    st.text(max_size=8),
+    st.lists(st.integers(0, 4), max_size=3).flatmap(
+        lambda shape: arrays(np.float32, tuple(shape), elements=st.floats(width=32, allow_nan=False))),
+    max_size=5)
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=8)
+# the keys the checkpoint format uses itself are not a caller's
+_CHECKPOINT_HEADERS = st.dictionaries(
+    st.text(max_size=8).filter(lambda k: k not in ("format", "dtype", "params")), _JSON_VALUES,
+    max_size=4)
+
+
 class TestCheckpoints:
     def test_round_trip_and_determinism(self, tmp_path):
         rng = np.random.default_rng(13)
@@ -272,6 +293,27 @@ class TestCheckpoints:
         assert header["note"] == "x"
         for name in params:
             assert np.array_equal(loaded[name], params[name].astype(np.float32).astype(np.float64))
+
+    @settings(max_examples=60, deadline=None)
+    @given(params=_CHECKPOINT_PARAMS, header=_CHECKPOINT_HEADERS)
+    @example(params={"": np.array(-0.0, np.float32), "empty": np.zeros((0, 3), np.float32),
+                     "edges": np.array([0.0, -0.0, 1e-45, -1e-45, 1.1754942e-38, np.inf, -np.inf,
+                                        3.4028235e38], np.float32)},
+             header={"": [], "nested": {"x": [1.5, -0.0, True, None, "\u00e9"]}})
+    def test_round_trip_is_exact(self, params, header):
+        """Any names, shapes (scalars and empty arrays too) and float32 values
+        (signed zeros, subnormals, infinities) come back bit for bit, with the
+        header as given; saving twice writes the same bytes."""
+        with tempfile.TemporaryDirectory() as tmp:
+            first = nn.save_checkpoint(Path(tmp) / "a.ckpt", params, header)
+            second = nn.save_checkpoint(Path(tmp) / "b.ckpt", params, header)
+            assert first.read_bytes() == second.read_bytes()
+            loaded, loaded_header = nn.load_checkpoint(first)
+        assert loaded_header == header
+        assert list(loaded) == list(params)
+        for name, arr in params.items():
+            assert loaded[name].shape == arr.shape
+            assert loaded[name].astype(np.float32).tobytes() == arr.tobytes()
 
     def _saved(self, tmp_path):
         params = {"w": np.arange(6.0).reshape(2, 3)}

@@ -3,13 +3,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from sermtl import tsne
 from sermtl.seeding import derive_seed
 from sermtl.tsne import (
     TsneConfig,
     compute_affinities,
     conditional_affinities,
     kl_and_gradient,
-    kl_divergence,
     tsne_embed,
     write_embedding_csv,
     write_embedding_svg,
@@ -82,9 +82,9 @@ class TestGradient:
         for i in range(10):
             for j in range(2):
                 y[i, j] += h
-                kl_plus = kl_divergence(p, y)
+                kl_plus = kl_and_gradient(p, y)[0]
                 y[i, j] -= 2 * h
-                kl_minus = kl_divergence(p, y)
+                kl_minus = kl_and_gradient(p, y)[0]
                 y[i, j] += h
                 fd = (kl_plus - kl_minus) / (2 * h)
                 rel = abs(fd - grad[i, j]) / max(abs(fd) + abs(grad[i, j]), 1e-12)
@@ -124,6 +124,7 @@ class TestEmbedding:
         config = TsneConfig(perplexity=6.0, n_iter=120, exaggeration_iters=40, seed=3)
         y1, t1 = tsne_embed(x, config)
         y2, t2 = tsne_embed(x, config)
+        assert y1.shape == (x.shape[0], 2)
         assert np.array_equal(y1, y2)
         assert np.array_equal(t1, t2)
 
@@ -134,27 +135,27 @@ class TestEmbedding:
         bit, safeguard retries included."""
         x = np.random.default_rng(0).normal(size=(30, 4))
         config = TsneConfig(perplexity=5.0, n_iter=150, exaggeration_iters=30, seed=0)
-        p = compute_affinities(x, config.perplexity, min_bandwidth=config.min_bandwidth)
+        p = compute_affinities(x, config.perplexity)
         rng = np.random.default_rng(derive_seed(config.seed, "tsne"))
-        y = rng.normal(0.0, config.init_std, (x.shape[0], config.out_dims))
+        y = rng.normal(0.0, tsne._INIT_STD, (x.shape[0], tsne._OUT_DIMS))
         velocity = np.zeros_like(y)
         trace = np.empty(config.n_iter)
         retries = 0
         for it in range(config.n_iter):
             exaggerating = it < config.exaggeration_iters
-            _, grad = kl_and_gradient(p * config.early_exaggeration if exaggerating else p, y)
-            momentum = config.momentum_early if exaggerating else config.momentum_late
-            velocity = momentum * velocity - config.learning_rate * grad
+            _, grad = kl_and_gradient(p * tsne._EARLY_EXAGGERATION if exaggerating else p, y)
+            momentum = tsne._MOMENTUM_EARLY if exaggerating else tsne._MOMENTUM_LATE
+            velocity = momentum * velocity - tsne._LEARNING_RATE * grad
             y_next = y + velocity
             y_next = y_next - y_next.mean(axis=0)
-            kl_next = kl_divergence(p, y_next)
+            kl_next = kl_and_gradient(p, y_next)[0]
             if not exaggerating and it > 0 and kl_next > trace[it - 1]:
                 retries += 1
                 y_next, kl_next = y, trace[it - 1]
                 for shrink in range(1, 21):
-                    candidate = y - (config.learning_rate * 0.5**shrink) * grad
+                    candidate = y - (tsne._LEARNING_RATE * 0.5**shrink) * grad
                     candidate = candidate - candidate.mean(axis=0)
-                    kl_candidate = kl_divergence(p, candidate)
+                    kl_candidate = kl_and_gradient(p, candidate)[0]
                     if kl_candidate <= trace[it - 1]:
                         y_next, kl_next = candidate, kl_candidate
                         break
@@ -166,9 +167,11 @@ class TestEmbedding:
         assert np.array_equal(got_y, y)
         assert np.array_equal(got_trace, trace)
 
-    def test_out_dims_validation(self):
-        with pytest.raises(ValueError):
-            TsneConfig(out_dims=4)
+    def test_config_validation(self):
+        with pytest.raises(ValueError, match="perplexity"):
+            TsneConfig(perplexity=1.0)
+        with pytest.raises(ValueError, match="n_iter"):
+            TsneConfig(n_iter=0)
 
 
 class TestExports:
