@@ -1,8 +1,10 @@
 """Command-line entry point wiring every pipeline stage into reproducible runs.
 
-Each command writes a resolved ``config.json`` next to its artifacts; re-running
-a command from that file (or with the same flags and seed) reproduces the run
-byte for byte.
+Each command that writes artifacts records its resolved settings: ``synth``,
+``features``, ``train`` and ``xval`` in ``<out>/config.json``, and ``hlf``, ``elm``
+and ``embed``, whose ``--out`` is a file, in ``<out>.config.json``. Re-running a
+command with those settings (or with the same flags and seed) reproduces the
+run byte for byte.
 """
 from __future__ import annotations
 
@@ -32,16 +34,23 @@ from .corpus import (
     stratified_split,
 )
 from .elm import ELMConfig, elm_fit, elm_predict, save_elm
-from .features import Standardizer, save_store, write_feature_csv
+from .features import STORE_INDEX, Standardizer, save_store, write_feature_csv
 from .mtl import MTLNetworkConfig, TrainConfig
 from .nn import one_hot
 
 
-def _write_config(out_dir: Path, payload: dict) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "config.json").write_text(
-        json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+def _write_config(path: Path, payload: dict) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+
+
+def _sidecar(out_path: Path) -> Path:
+    """Where a command whose ``--out`` is a file records its settings."""
+    return out_path.with_name(out_path.name + ".config.json")
+
+
+def _absolute(path: str | None) -> str | None:
+    return None if path is None else str(Path(path).resolve())
 
 
 def _parse_sizes(text: str) -> tuple[int, ...]:
@@ -109,20 +118,24 @@ def cmd_synth(args) -> int:
     )
     out_dir = Path(args.out)
     manifest = generate_synthetic(config, out_dir)
-    _write_config(out_dir, {"command": "synth", **asdict(config)})
+    _write_config(out_dir / "config.json", {"command": "synth", **asdict(config)})
     print(f"wrote {len(manifest)} utterances across {len(manifest.corpora())} corpora to {out_dir}")
     return 0
 
 
 def cmd_features(args) -> int:
     manifest = load_manifest(args.manifest)
+    if args.csv and any(f"{r.utterance_id}.csv" == STORE_INDEX for r in manifest.records):
+        raise ValueError(f"utterance_id {Path(STORE_INDEX).stem!r}: its CSV would overwrite "
+                         f"the store's {STORE_INDEX}")
     store = exp_mod.extract_feature_cache(manifest.records)
     out_dir = Path(args.out)
     save_store(out_dir, store)
     if args.csv:
         for i, uid in enumerate(store.ids):
             write_feature_csv(out_dir / f"{uid}.csv", store.rows(i))
-    _write_config(out_dir, {"command": "features", "manifest": str(Path(args.manifest).resolve())})
+    _write_config(out_dir / "config.json",
+                  {"command": "features", "manifest": _absolute(args.manifest)})
     print(f"extracted features for {len(manifest)} utterances to {out_dir}")
     return 0
 
@@ -146,9 +159,9 @@ def cmd_train(args) -> int:
         extra_params={"standardizer.mean": standardizer.mean, "standardizer.std": standardizer.std},
     )
     mtl_mod.write_history_csv(out_dir / "history.csv", trained.history, network.heads)
-    _write_config(out_dir, {
+    _write_config(out_dir / "config.json", {
         "command": "train",
-        "manifest": str(Path(args.manifest).resolve()),
+        "manifest": _absolute(args.manifest),
         "network": asdict(network),
         "training": asdict(training),
         "seed": args.seed,
@@ -176,6 +189,8 @@ def cmd_hlf(args) -> int:
             for rec, post in zip(manifest.records, posteriors)]
     out_path = Path(args.out)
     hlf_mod.write_hlf_csv(out_path, rows)
+    _write_config(_sidecar(out_path), {"command": "hlf", "model": _absolute(args.model),
+                                       "manifest": _absolute(args.manifest), "theta": args.theta})
     print(f"wrote {len(rows)} high-level feature vectors to {out_path}")
     return 0
 
@@ -187,6 +202,8 @@ def cmd_elm(args) -> int:
     model = elm_fit(x, one_hot(y, 4), config)
     out_path = Path(args.out)
     save_elm(out_path, model)
+    _write_config(_sidecar(out_path), {"command": "elm", "hlf": _absolute(args.hlf),
+                                       "eval": _absolute(args.eval), **asdict(config)})
     print(f"fit ELM ({config.n_hidden} hidden units) on {len(ids)} utterances -> {out_path}")
     if args.eval is not None:
         eval_ids, eval_x, eval_labels = hlf_mod.read_hlf_csv(args.eval)
@@ -226,8 +243,8 @@ def cmd_xval(args) -> int:
         manifests = [CorpusManifest(records=records)]
 
     out_dir = Path(args.out)
-    _write_config(out_dir, {"command": "xval", "grid": bool(args.grid),
-                            "jobs": args.jobs, "pipeline": asdict(config)})
+    _write_config(out_dir / "config.json", {"command": "xval", "grid": bool(args.grid),
+                                            "jobs": args.jobs, "pipeline": asdict(config)})
     if args.grid:
         grid = exp_mod.run_grid(manifests, config, jobs=args.jobs)
         exp_mod.write_grid_report(grid, out_dir)
@@ -259,6 +276,9 @@ def cmd_embed(args) -> int:
     tsne_mod.write_embedding_csv(out_path, ids, embedding, labels)
     if args.svg is not None:
         tsne_mod.write_embedding_svg(args.svg, embedding, labels["emotion"])
+    _write_config(_sidecar(out_path), {"command": "embed", "input": _absolute(args.input),
+                                       "svg": _absolute(args.svg), "perplexity": args.perplexity,
+                                       "iters": args.iters, "seed": args.seed})
     print(f"embedded {len(ids)} points (final KL {trace[-1]:.4f}) -> {out_path}")
     return 0
 

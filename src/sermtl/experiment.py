@@ -4,9 +4,12 @@ eight-configuration trunk/subtask grid."""
 from __future__ import annotations
 
 import json
-import multiprocessing
-from concurrent.futures import ProcessPoolExecutor
+import os
+import pickle
+import select
+import signal
 from dataclasses import asdict, dataclass, field, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -32,13 +35,13 @@ from .corpus import (
 from .elm import ELMConfig, elm_fit, elm_predict
 from .features import (
     N_FEATURES,
+    FeatureError,
     FeatureStore,
     Standardizer,
     Workspace,
     extract_features,
     fit_standardizer,
     frame_count,
-    mapped_array,
     standardized,
 )
 from .hlf import compute_hlf
@@ -135,66 +138,95 @@ def record_features(rec: UtteranceRecord, workspace: Workspace | None = None,
     return extract_features(samples, workspace, out)
 
 
-# Utterances per front-end task. Each utterance is written to its own rows of the
-# store, so neither this nor the job count changes the store's bytes.
-EXTRACT_CHUNK = 16
-
-# The feature store of a fold-pool worker, inherited at fork (see `_Workers`).
-_worker_store: FeatureStore | None = None
+class WorkerDied(RuntimeError):
+    """A forked task child that ended without sending back its result."""
 
 
-def _inherit(store: FeatureStore) -> None:
-    global _worker_store
-    _worker_store = store
+def _run_tasks(fn, tasks, jobs: int, collect) -> None:
+    """Call ``collect(i, fn(tasks[i]))`` here for every task, as its result arrives:
+    in order with ``jobs <= 1``, else each task in a forked child of its own, at
+    most ``jobs`` at a time, that sends its result back pickled down a pipe. A
+    child's exception is raised again here, and a child that dies is collected
+    as a `WorkerDied`. Children still running on return or on any
+    exception, `KeyboardInterrupt` included, are killed and reaped."""
+    if jobs <= 1:
+        for i, task in enumerate(tasks):
+            collect(i, fn(task))
+        return
+    pending = list(enumerate(tasks))[::-1]
+    running = {}  # pipe read end -> (task index, child pid, bytes read so far)
+    try:
+        while pending or running:
+            while pending and len(running) < jobs:
+                i, task = pending.pop()
+                read, write = os.pipe()
+                pid = os.fork()
+                if pid == 0:
+                    _task_child(fn, task, write)
+                os.close(write)
+                running[read] = (i, pid, bytearray())
+            # drain every pipe as it fills: a child blocks on a full one until it is read
+            for fd in select.select(list(running), [], [])[0]:
+                i, pid, data = running[fd]
+                chunk = os.read(fd, 1 << 16)
+                if chunk:
+                    data += chunk
+                    continue
+                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                del running[fd]
+                os.close(fd)
+                if code != 0 or not data:
+                    how = f"signal {-code}" if code < 0 else f"exit status {code}"
+                    collect(i, WorkerDied(f"worker died: {how}"))
+                    continue
+                ok, value = pickle.loads(data)
+                if not ok:
+                    raise value
+                collect(i, value)
+    finally:
+        for fd, (_, pid, _) in running.items():
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            os.close(fd)
 
 
-def _call_with_store(call):
-    fn, task = call
-    return fn(_worker_store, task)
+def _task_child(fn, task, write: int) -> None:
+    """Send ``(True, fn(task))``, or ``(False, exception)``, down the pipe and
+    exit: a child never returns into its parent's stack. An exception that does
+    not survive pickling travels as a `RuntimeError` that names its type."""
+    code = 1
+    try:
+        try:
+            message = (True, fn(task))
+        except Exception as exc:
+            message = (False, exc)
+            try:
+                pickle.loads(pickle.dumps(exc, pickle.HIGHEST_PROTOCOL))
+            except Exception:
+                message = (False, RuntimeError(f"{type(exc).__name__}: {exc}"))
+        with open(write, "wb") as pipe:
+            pickle.dump(message, pipe, pickle.HIGHEST_PROTOCOL)
+        code = 0
+    finally:
+        os._exit(code)
 
 
-class _Workers:
-    """Runs ``fn(store, task)`` over a list of tasks and returns the results in
-    order: in this process with ``jobs <= 1``, else in a pool of ``jobs`` forked
-    workers. The workers inherit the store at fork, never pickled, so only tasks
-    and results cross between processes; a store that workers write into must
-    be shared memory (`_empty_store` with ``shared=True``)."""
-
-    def __init__(self, store: FeatureStore, jobs: int = 1):
-        self.store = store
-        self._pool = None
-        if jobs > 1:
-            self._pool = ProcessPoolExecutor(jobs, mp_context=multiprocessing.get_context("fork"),
-                                             initializer=_inherit, initargs=(store,))
-
-    def map(self, fn, tasks) -> list:
-        if self._pool is None:
-            return [fn(self.store, task) for task in tasks]
-        return list(self._pool.map(_call_with_store, [(fn, task) for task in tasks]))
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        if self._pool is not None:
-            self._pool.shutdown()
-
-
-def _empty_store(records, shared: bool = False) -> FeatureStore:
+def _empty_store(records) -> FeatureStore:
     """A packed store for ``records`` with its labels and row ranges set, sized
-    from the WAV headers; the matrix is left for `extract_feature_cache` to fill.
-    Forked workers write into and read from a ``shared`` one."""
+    from the WAV headers; the matrix is left for `extract_feature_cache` to fill."""
     lengths = []
     for rec in records:
         n_samples, sr = read_wav_length(rec.audio_path)
         _check_rate(rec, sr)
-        lengths.append(frame_count(n_samples))
+        try:
+            lengths.append(frame_count(n_samples))
+        except FeatureError as exc:
+            raise FeatureError(f"{rec.utterance_id} ({rec.audio_path}): {exc}") from None
     lengths = np.array(lengths, dtype=np.int64)
-    shape = (int(lengths.sum()), N_FEATURES)
     labels = [record_labels(rec) for rec in records]
     return FeatureStore(
         ids=tuple(rec.utterance_id for rec in records),
-        matrix=mapped_array(shape, np.float32, shared=True) if shared else np.empty(shape, np.float32),
+        matrix=np.empty((int(lengths.sum()), N_FEATURES), np.float32),
         starts=np.cumsum(lengths) - lengths,
         lengths=lengths,
         labels={task: np.array([lab[task] for lab in labels], dtype=np.int64)
@@ -202,28 +234,37 @@ def _empty_store(records, shared: bool = False) -> FeatureStore:
     )
 
 
-def _extract_chunk(store: FeatureStore, task) -> None:
+def _extract_chunk(store: FeatureStore, task) -> np.ndarray:
     """Write the features of a run of consecutive records into their store rows,
-    reusing one workspace (and one BLAS thread, as the folds)."""
+    reusing one workspace (and one BLAS thread, as the folds); returns those rows."""
     first, records = task
     workspace = Workspace()
     with blas.one_thread():
         for position, rec in enumerate(records, first):
             record_features(rec, workspace, out=store.rows(position))
+    return store.matrix[store.starts[first] : store.starts[position] + store.lengths[position]]
 
 
-def extract_feature_cache(records, workers: _Workers | None = None) -> FeatureStore:
+def extract_feature_cache(records, jobs: int = 1) -> FeatureStore:
     """Extract the 32-dim feature matrix of every record, once, into a packed
-    float32 store in record order, `EXTRACT_CHUNK` utterances per task.
-
-    With ``workers`` the tasks run there and fill ``workers.store`` (from
-    `_empty_store`); otherwise they run here, into a new store."""
+    float32 store in record order, one task per job, each a run of consecutive
+    records written to their own rows, so the split never changes the bytes.
+    With ``jobs > 1`` the tasks run in forked children, whose rows are copied in
+    here; a child that dies raises `WorkerDied` naming its task's first utterance."""
     records = list(records)
-    if workers is None:
-        workers = _Workers(_empty_store(records))
-    workers.map(_extract_chunk, [(first, tuple(records[first : first + EXTRACT_CHUNK]))
-                                 for first in range(0, len(records), EXTRACT_CHUNK)])
-    return workers.store
+    store = _empty_store(records)
+    size = max(1, -(-len(records) // max(jobs, 1)))
+    tasks = [(first, records[first : first + size]) for first in range(0, len(records), size)]
+
+    def collect(i, rows):
+        first, chunk = tasks[i]
+        if isinstance(rows, WorkerDied):
+            raise WorkerDied(f"front-end task from utterance {chunk[0].utterance_id}: {rows}")
+        # run here, the rows are already in place: numpy skips a copy onto itself
+        store.matrix[store.starts[first] : store.starts[first] + len(rows)] = rows
+
+    _run_tasks(partial(_extract_chunk, store), tasks, jobs, collect)
+    return store
 
 
 def build_fold_plan(manifests, config: PipelineConfig) -> FoldPlan:
@@ -294,8 +335,27 @@ def fold_failure(result: FoldResult) -> str:
     return f"fold {result.fold} ({result.test_group}): {result.error}"
 
 
+def _failed_fold(task, error: str) -> FoldResult:
+    """The record of a fold that produced no model; ``error`` says why."""
+    fold_index, fold, _ = task
+    return FoldResult(
+        fold=fold_index,
+        test_group=fold.test_group,
+        n_train=len(fold.train_ids),
+        n_val=len(fold.validation_ids),
+        n_test=len(fold.test_ids),
+        confusion=[[0] * 4 for _ in range(4)],
+        ua=None,
+        per_class_recall=[None] * 4,
+        best_epoch=-1,
+        epochs_run=0,
+        best_val_total=None,
+        error=error,
+    )
+
+
 def _fold_worker(store: FeatureStore, task) -> FoldResult:
-    """One fold, on one BLAS thread in a worker process or not: the workers then
+    """One fold, on one BLAS thread in a forked child or not: the children then
     share the cores instead of oversubscribing them, and a fold's results do not
     depend on the job count or on the caller's BLAS thread count."""
     fold_index, fold, config = task
@@ -303,29 +363,17 @@ def _fold_worker(store: FeatureStore, task) -> FoldResult:
         with blas.one_thread():
             return _run_fold(fold_index, fold, store, config)
     except Exception as exc:  # fold failure is recorded, not fatal
-        return FoldResult(
-            fold=fold_index,
-            test_group=fold.test_group,
-            n_train=len(fold.train_ids),
-            n_val=len(fold.validation_ids),
-            n_test=len(fold.test_ids),
-            confusion=[[0] * 4 for _ in range(4)],
-            ua=None,
-            per_class_recall=[None] * 4,
-            best_epoch=-1,
-            epochs_run=0,
-            best_val_total=None,
-            error=f"{type(exc).__name__}: {exc}",
-        )
+        return _failed_fold(task, f"{type(exc).__name__}: {exc}")
 
 
 def _run_configs(manifests, configs: list[PipelineConfig], jobs: int) -> list[ExperimentReport]:
     """One report per configuration, all over the same manifests and features.
 
     The features are extracted once, then every fold of every configuration
-    runs as one task; with ``jobs > 1`` both run in one pool of forked workers
-    that share the feature store. Every fold runs on one BLAS thread and each
-    report is assembled in fold order, so results do not depend on scheduling.
+    runs as one task; with ``jobs > 1`` each task runs in a forked child that
+    inherits the feature store, and a child that dies fails its fold alone.
+    Every fold runs on one BLAS thread and each report is assembled in fold
+    order, so results do not depend on scheduling.
     """
     if isinstance(manifests, CorpusManifest):
         manifests = [manifests]
@@ -333,10 +381,11 @@ def _run_configs(manifests, configs: list[PipelineConfig], jobs: int) -> list[Ex
     plans = [build_fold_plan(manifests, config) for config in configs]
     tasks = [(i, fold, config) for config, plan in zip(configs, plans)
              for i, fold in enumerate(plan.folds)]
-    store = _empty_store(records, shared=jobs > 1)
-    with _Workers(store, jobs) as workers:
-        extract_feature_cache(records, workers)
-        results = iter(workers.map(_fold_worker, tasks))
+    store = extract_feature_cache(records, jobs)
+    results = [None] * len(tasks)
+    _run_tasks(partial(_fold_worker, store), tasks, jobs, results.__setitem__)
+    results = iter(_failed_fold(task, str(result)) if isinstance(result, WorkerDied) else result
+                   for task, result in zip(tasks, results))
     reports = []
     for config, plan in zip(configs, plans):
         folds = [next(results) for _ in plan.folds]
@@ -354,7 +403,7 @@ def _run_configs(manifests, configs: list[PipelineConfig], jobs: int) -> list[Ex
 def run_experiment(manifests, config: PipelineConfig, jobs: int = 1) -> ExperimentReport:
     """Run the configured protocol over the given manifests.
 
-    Folds are independent; with ``jobs > 1`` they run in worker processes, as
+    Folds are independent; with ``jobs > 1`` they run in forked children, as
     does the feature extraction before them. Results do not depend on ``jobs``.
     """
     return _run_configs(manifests, [config], jobs)[0]
@@ -443,7 +492,7 @@ def grid_networks(base: MTLNetworkConfig) -> dict[str, MTLNetworkConfig]:
 
 def run_grid(manifests, base_config: PipelineConfig, jobs: int = 1) -> GridReport:
     """Run every trunk/subtask configuration over the same folds and features,
-    all folds of all configurations in one pool."""
+    the folds of all configurations as the tasks of one `_run_tasks`."""
     networks = grid_networks(base_config.network)
     configs = [replace(base_config, network=network) for network in networks.values()]
     reports = dict(zip(networks, _run_configs(manifests, configs, jobs)))

@@ -333,17 +333,16 @@ def apply_standardizer(standardizer: Standardizer, matrix: np.ndarray) -> np.nda
     return (matrix - standardizer.mean) / standardizer.std
 
 
-def mapped_array(shape: tuple[int, ...], dtype, shared: bool = False) -> np.ndarray:
-    """A zero-filled array in an anonymous memory mapping of its own, unmapped
-    when the array is freed; a ``shared`` one is shared with processes forked
-    after its creation.
+def mapped_array(shape: tuple[int, ...], dtype) -> np.ndarray:
+    """A zero-filled array in an anonymous private memory mapping of its own,
+    unmapped when the array is freed.
 
     Unlike ``np.empty``, it leaves malloc's adaptive thresholds alone: freeing
     a malloc'd array of up to 32 MiB raises them so far that the heap then
     keeps up to twice that much freed memory resident. For an array made and
     freed once per fold, as `standardized` is, that memory stays resident."""
     nbytes = math.prod(shape) * np.dtype(dtype).itemsize
-    buffer = mmap.mmap(-1, max(nbytes, 1), flags=mmap.MAP_SHARED if shared else mmap.MAP_PRIVATE)
+    buffer = mmap.mmap(-1, max(nbytes, 1), flags=mmap.MAP_PRIVATE)
     return np.frombuffer(buffer, dtype, count=math.prod(shape)).reshape(shape)
 
 

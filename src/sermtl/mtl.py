@@ -603,18 +603,21 @@ def load_model(path: str | Path):
     """Load a model checkpoint. Returns (MultiTaskModel, header, extra_params).
 
     The model is float64: it only scores, and a float64 model needs no upcast
-    copy to do so. Its weights are the checkpoint's float32 values."""
+    copy to do so. Its weights are the checkpoint's float32 values. Raises
+    ValueError naming the parameter and ``path`` when one of the model's
+    parameters is missing or has another shape."""
     params, header = nn.load_checkpoint(path)
     model = MultiTaskModel(from_dict(MTLNetworkConfig, header["network"]), seed=header["model_seed"],
                            dtype=np.float64)
     own = model.parameters()
-    extras: dict[str, np.ndarray] = {}
-    for name, values in params.items():
-        if name in own:
-            own[name][...] = values
-        else:
-            extras[name] = values
-    return model, header, extras
+    for name, target in own.items():
+        if name not in params:
+            raise ValueError(f"checkpoint has no parameter {name!r}: {path}")
+        if params[name].shape != target.shape:
+            raise ValueError(f"checkpoint parameter {name!r} has shape {params[name].shape}, "
+                             f"the model's is {target.shape}: {path}")
+        target[...] = params[name]
+    return model, header, {name: values for name, values in params.items() if name not in own}
 
 
 def write_history_csv(path: str | Path, history: list[EpochStats],

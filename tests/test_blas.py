@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 from dataclasses import asdict
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -57,8 +58,9 @@ def test_folds_run_on_one_blas_thread(all_cores, monkeypatch):
     task = (0, None, None)
     assert experiment._fold_worker(None, task) == 1
     assert blas.threads() == all_cores  # the caller's count is restored
-    with experiment._Workers(None, jobs=2) as workers:
-        assert workers.map(experiment._fold_worker, [task] * 4) == [1] * 4
+    results = [None] * 4
+    experiment._run_tasks(partial(experiment._fold_worker, None), [task] * 4, 2, results.__setitem__)
+    assert results == [1] * 4
     assert blas.threads() == all_cores
 
 

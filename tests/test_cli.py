@@ -1,13 +1,15 @@
 from __future__ import annotations
 
 import json
+import os
+import signal
 from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sermtl import blas
+from sermtl import blas, experiment
 from sermtl.cli import main
 from sermtl.codec import from_dict
 from sermtl.corpus import (
@@ -119,6 +121,19 @@ class TestFeatures:
         assert "line 2: utterance_id '../../escaped'" in capsys.readouterr().err
         written = [p for p in tmp_path.rglob("*") if p.is_file() and p != path]
         assert all(out in p.parents for p in written), written
+
+
+    def test_csv_cannot_overwrite_the_index(self, cli_workspace, tmp_path, capsys):
+        """``features_index.csv`` is the store's index, so no utterance's CSV may take its name."""
+        _, data, _, _ = cli_workspace
+        manifest = load_manifest(data / "manifest.csv")
+        records = (replace(manifest.records[0], utterance_id="features_index"),) + manifest.records[1:]
+        path = write_manifest(CorpusManifest(records=records), tmp_path / "m" / "manifest.csv")
+        out = tmp_path / "out"
+        rc = main(["features", "--manifest", str(path), "--out", str(out), "--csv"])
+        assert rc == 1
+        assert "utterance_id 'features_index'" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestTrainAndHlf:
@@ -381,6 +396,160 @@ class TestEmbedAndReport:
         assert main(["report", "--compare", str(out / "report.json"), str(out / "report.json")]) == 0
         compared = capsys.readouterr().out
         assert "all differences zero" in compared
+
+
+class TestSidecarConfigs:
+    """`hlf`, `elm` and `embed` record their settings in ``<out>.config.json``;
+    a rerun from those settings alone reproduces the output."""
+
+    @staticmethod
+    def _sidecar(out: Path) -> dict:
+        return json.loads(out.with_name(out.name + ".config.json").read_text())
+
+    def test_hlf_and_elm_replay(self, cli_workspace, tmp_path):
+        _, data, run, hlf_csv = cli_workspace
+        saved = self._sidecar(hlf_csv)
+        assert saved == {"command": "hlf", "model": str((run / "model.ckpt").resolve()),
+                         "manifest": str((data / "manifest.csv").resolve()), "theta": 0.2}
+        again = tmp_path / "hlf.csv"
+        assert main(["hlf", "--model", saved["model"], "--manifest", saved["manifest"],
+                     "--theta", str(saved["theta"]), "--out", str(again)]) == 0
+        assert again.read_bytes() == hlf_csv.read_bytes()
+
+        first = tmp_path / "a" / "elm.ckpt"
+        assert main(["elm", "--hlf", str(hlf_csv), "--out", str(first), "--n-hidden", "32",
+                     "--ridge", "0.01", "--seed", "1"]) == 0
+        saved = self._sidecar(first)
+        assert saved["command"] == "elm" and saved["eval"] is None
+        second = tmp_path / "b" / "elm.ckpt"
+        assert main(["elm", "--hlf", saved["hlf"], "--out", str(second), "--n-hidden",
+                     str(saved["n_hidden"]), "--ridge", str(saved["ridge"]),
+                     "--seed", str(saved["seed"])]) == 0
+        assert second.read_bytes() == first.read_bytes()
+
+    def test_embed_replay(self, cli_workspace, tmp_path):
+        _, _, _, hlf_csv = cli_workspace
+        first = tmp_path / "a.csv"
+        assert main(["embed", "--input", str(hlf_csv), "--out", str(first), "--perplexity", "7",
+                     "--iters", "40", "--seed", "2"]) == 0
+        saved = self._sidecar(first)
+        assert saved == {"command": "embed", "input": str(hlf_csv.resolve()), "svg": None,
+                         "perplexity": 7.0, "iters": 40, "seed": 2}
+        second = tmp_path / "b.csv"
+        assert main(["embed", "--input", saved["input"], "--out", str(second),
+                     "--perplexity", str(saved["perplexity"]), "--iters", str(saved["iters"]),
+                     "--seed", str(saved["seed"])]) == 0
+        assert second.read_bytes() == first.read_bytes()
+
+
+def _assert_no_children():
+    """Every child process this test process started has been reaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestDeadWorkers:
+    """A forked child that dies (SIGKILL, as an out-of-memory kill ends it) fails
+    its own task only; no child outlives the run."""
+
+    XVAL = ["--layer-sizes", "4,4", "--max-epochs", "2", "--patience", "1", "--seed", "4",
+            "--jobs", "2"]
+
+    @pytest.fixture()
+    def kill_fold_one(self, monkeypatch):
+        run_fold, parent = experiment._run_fold, os.getpid()
+
+        def run_or_die(fold_index, fold, store, config):
+            if fold_index == 1 and os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return run_fold(fold_index, fold, store, config)
+
+        monkeypatch.setattr(experiment, "_run_fold", run_or_die)
+
+    def _xval(self, data, out, *extra):
+        rc = main(["xval", "--manifest", str(data / "manifest.csv"), "--out", str(out),
+                   *self.XVAL, *extra])
+        _assert_no_children()
+        return rc
+
+    def test_dead_fold_fails_alone(self, cli_workspace, tmp_path, capsys, request):
+        _, data, _, _ = cli_workspace
+        assert self._xval(data, tmp_path / "clean") == 0
+        clean = json.loads((tmp_path / "clean" / "report.json").read_text())["folds"]
+        capsys.readouterr()
+        request.getfixturevalue("kill_fold_one")
+        assert self._xval(data, tmp_path / "killed") == 1
+        folds = json.loads((tmp_path / "killed" / "report.json").read_text())["folds"]
+        assert folds[1]["error"] == "worker died: signal 9" and folds[1]["ua"] is None
+        assert folds[0]["error"] is None and folds[0]["ua"] == clean[0]["ua"]
+        group = folds[1]["test_group"]
+        assert capsys.readouterr().err == f"  FAILED fold 1 ({group}): worker died: signal 9\n"
+
+    def test_dead_grid_folds_fail_alone(self, cli_workspace, tmp_path, capsys, request):
+        _, data, _, _ = cli_workspace
+        assert self._xval(data, tmp_path / "clean", "--grid") == 0
+        clean = json.loads((tmp_path / "clean" / "grid_report.json").read_text())["ua_table"]
+        capsys.readouterr()
+        request.getfixturevalue("kill_fold_one")
+        assert self._xval(data, tmp_path / "killed", "--grid") == 1
+        grid = json.loads((tmp_path / "killed" / "grid_report.json").read_text())
+        group_0, group_1 = grid["test_groups"]
+        for name, uas in grid["ua_table"].items():
+            assert uas == {group_0: clean[name][group_0], group_1: None}, name
+            assert grid["errors"][name] == [f"fold 1 ({group_1}): worker died: signal 9"]
+        assert sorted(capsys.readouterr().err.splitlines()) == sorted(
+            f"  FAILED {name} fold 1 ({group_1}): worker died: signal 9" for name in grid["errors"])
+
+    def test_dead_front_end_task_fails_the_run(self, cli_workspace, tmp_path, capsys, monkeypatch):
+        _, data, _, _ = cli_workspace
+        records = load_manifest(data / "manifest.csv").records
+        half = len(records) // 2  # 48 utterances on 2 jobs: two tasks of 24
+        victim, parent = records[half + 4].utterance_id, os.getpid()
+        record_features = experiment.record_features
+
+        def extract_or_die(rec, *args, **kwargs):
+            if rec.utterance_id == victim and os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return record_features(rec, *args, **kwargs)
+
+        monkeypatch.setattr(experiment, "record_features", extract_or_die)
+        assert self._xval(data, tmp_path / "killed") == 1
+        first = records[half].utterance_id
+        assert (f"error: front-end task from utterance {first}: worker died: signal 9"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "killed" / "report.json").exists()
+
+
+class TestShortUtterance:
+    """An utterance shorter than one analysis window fails the run, and the
+    error names it."""
+
+    @pytest.fixture()
+    def short_manifest(self, cli_workspace, tmp_path):
+        _, data, _, _ = cli_workspace
+        records = list(load_manifest(data / "manifest.csv").records)
+        samples, sr = read_wav(records[5].audio_path)
+        write_wav(tmp_path / "short.wav", samples[:300], sample_rate=sr)
+        records[5] = replace(records[5], audio_path=tmp_path / "short.wav")
+        path = write_manifest(CorpusManifest(records=tuple(records)), tmp_path / "manifest.csv")
+        named = f"{records[5].utterance_id} ({tmp_path / 'short.wav'}): utterance too short: 300 samples"
+        return path, named
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_xval(self, short_manifest, tmp_path, capsys, jobs):
+        path, named = short_manifest
+        rc = main(["xval", "--manifest", str(path), "--out", str(tmp_path / "out"),
+                   "--layer-sizes", "4,4", "--max-epochs", "2", "--patience", "1", "--jobs", jobs])
+        assert rc == 1
+        assert named in capsys.readouterr().err
+
+    def test_hlf(self, cli_workspace, short_manifest, tmp_path, capsys):
+        _, _, run, _ = cli_workspace
+        path, named = short_manifest
+        rc = main(["hlf", "--model", str(run / "model.ckpt"), "--manifest", str(path),
+                   "--out", str(tmp_path / "hlf.csv")])
+        assert rc == 1
+        assert named in capsys.readouterr().err
 
 
 class TestSampleRateCheck:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import asdict
 
 import numpy as np
@@ -8,12 +9,10 @@ import pytest
 
 from sermtl.codec import from_dict
 from sermtl.experiment import (
-    EXTRACT_CHUNK,
     GRID_CONFIGS,
     ExperimentReport,
     PipelineConfig,
-    _empty_store,
-    _Workers,
+    _run_tasks,
     compare_reports,
     extract_feature_cache,
     grid_config_name,
@@ -37,6 +36,43 @@ def _tiny_config(protocol="cross", trunk="lstm", subtask_mode="all", **train_kwa
         training=TrainConfig(**defaults),
         seed=0,
     )
+
+
+class _TwoArgError(Exception):
+    """An exception that pickles but cannot be rebuilt from its args."""
+
+    def __init__(self, code, detail):
+        super().__init__(f"{code}: {detail}")
+
+
+def _fail(task):
+    if task == "decode":
+        b"\xff".decode("utf-8")
+    if task == "key":
+        return {}[task]
+    if task == "two-arg":
+        raise _TwoArgError("code", "detail")
+    return task
+
+
+class TestRunTasks:
+    @pytest.mark.parametrize("task", ["decode", "key"])
+    def test_child_exception_is_raised_as_it_was(self, task):
+        with pytest.raises(Exception) as serial:
+            _run_tasks(_fail, [task], 1, None)
+        with pytest.raises(Exception) as forked:
+            _run_tasks(_fail, ["ok", task], 2, lambda i, result: None)
+        assert type(forked.value) is type(serial.value)
+        assert forked.value.args == serial.value.args
+        assert str(forked.value) == str(serial.value)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_exception_that_cannot_cross_is_named(self):
+        with pytest.raises(RuntimeError, match=r"^_TwoArgError: code: detail$"):
+            _run_tasks(_fail, ["two-arg"], 2, None)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 class TestRunExperiment:
@@ -167,7 +203,6 @@ class TestFeatureStore:
     def test_serial_store_packs_every_utterance_in_order(self, small_synth):
         manifest, _, _ = small_synth
         store = extract_feature_cache(manifest.records)
-        assert len(manifest.records) > EXTRACT_CHUNK  # several chunks
         assert store.ids == tuple(r.utterance_id for r in manifest.records)
         assert store.matrix.dtype == np.float32
         assert np.array_equal(store.starts, np.cumsum(store.lengths) - store.lengths)
@@ -181,9 +216,7 @@ class TestFeatureStore:
     def test_store_bytes_do_not_depend_on_jobs(self, small_synth, jobs):
         manifest, _, _ = small_synth
         serial = extract_feature_cache(manifest.records)
-        store = _empty_store(manifest.records, shared=True)
-        with _Workers(store, jobs) as workers:
-            assert extract_feature_cache(manifest.records, workers) is store
+        store = extract_feature_cache(manifest.records, jobs)
         assert store.matrix.tobytes() == serial.matrix.tobytes()
         assert np.array_equal(store.lengths, serial.lengths)
 

@@ -502,6 +502,25 @@ class TestModelCheckpoint:
         with pytest.raises(ValueError, match=named):
             load_model(tmp_path / "bad.ckpt")
 
+    @pytest.mark.parametrize("edit, named", [
+        (lambda params: params.pop("trunk.1.w_h"), "has no parameter 'trunk.1.w_h'"),
+        (lambda params: params.update({"head.emotion.b": np.zeros(1)}),
+         r"parameter 'head.emotion.b' has shape \(1,\), the model's is \(4,\)"),
+    ], ids=["missing", "shape"])
+    def test_parameters_checked(self, tmp_path, edit, named):
+        """A checkpoint that lacks one of the model's parameters, or holds one
+        of another shape, is rejected: neither an initial value nor a
+        broadcast stands in for it."""
+        model = MultiTaskModel(MTLNetworkConfig(trunk="lstm", layer_sizes=(4, 4)), seed=1)
+        trained = train(model, *_split(_blob_dataset(n_utts=6, n_frames=8), 4),
+                        TrainConfig(batch_size=8, max_epochs=2, patience=1))
+        params, header = nn.load_checkpoint(save_model(tmp_path / "m.ckpt", trained))
+        edit(params)
+        bad = nn.save_checkpoint(tmp_path / "bad.ckpt", params, header)
+        with pytest.raises(ValueError, match=named) as raised:
+            load_model(bad)
+        assert str(bad) in str(raised.value)
+
 
 # ---------------------------------------------------------------------------
 # Gather batching against the per-item batching it replaced (tests/reference_batches.py)
