@@ -235,8 +235,10 @@ def cmd_xval(args) -> int:
         seed=seed,
         **_given(args, protocol="protocol", group_key="group_key"),
     )
+    if args.corpus is not None and config.protocol != "within":
+        raise ValueError(f"--corpus applies to --protocol within only, not {config.protocol!r}")
     manifests = [load_manifest(path) for path in args.manifest]
-    if config.protocol == "within" and args.corpus is not None:
+    if args.corpus is not None:
         records = tuple(r for r in merge_records(manifests) if r.corpus_id == args.corpus)
         if not records:
             raise ValueError(f"no records for corpus {args.corpus!r}")

@@ -104,8 +104,8 @@ def load_elm(path: str | Path) -> ELMModel:
     if header.pop("kind", None) != "elm":
         raise ValueError(f"not an ELM checkpoint: {path}")
     return ELMModel(
-        input_weights=params["input_weights"],
-        input_bias=params["input_bias"],
-        output_weights=params["output_weights"],
+        input_weights=params["input_weights"].astype(np.float64),
+        input_bias=params["input_bias"].astype(np.float64),
+        output_weights=params["output_weights"].astype(np.float64),
         config=from_dict(ELMConfig, header),
     )

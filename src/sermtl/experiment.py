@@ -231,6 +231,7 @@ def _empty_store(records) -> FeatureStore:
         lengths=lengths,
         labels={task: np.array([lab[task] for lab in labels], dtype=np.int64)
                 for task in ("emotion", "gender", "naturalness")},
+        paths=tuple(rec.audio_path for rec in records),
     )
 
 

@@ -376,6 +376,7 @@ class FeatureStore:
     starts: np.ndarray  # (utterances,) int64
     lengths: np.ndarray  # (utterances,) int64
     labels: dict[str, np.ndarray] = field(default_factory=dict)  # task -> (utterances,) int64
+    paths: tuple[Path, ...] = ()  # the WAV of each utterance, for an extracted store
 
     @classmethod
     def pack(cls, ids, matrices, labels: dict | None = None) -> FeatureStore:
@@ -405,7 +406,8 @@ class FeatureStore:
         positions = np.asarray(positions, dtype=np.int64)
         return FeatureStore(tuple(self.ids[i] for i in positions), self.matrix,
                             self.starts[positions], self.lengths[positions],
-                            {task: v[positions] for task, v in self.labels.items()})
+                            {task: v[positions] for task, v in self.labels.items()},
+                            tuple(self.paths[i] for i in positions) if self.paths else ())
 
 
 # On disk: the matrix as a little-endian float32 .npy and a CSV index of row ranges.

@@ -34,6 +34,15 @@ class TrainingDivergedError(RuntimeError):
     """Raised when the training loss becomes non-finite."""
 
 
+class ContextError(ValueError):
+    """Raised when an utterance has fewer frames than the DNN context;
+    ``position`` is its index among the utterances scored."""
+
+    def __init__(self, message: str, position: int | None = None):
+        super().__init__(message)
+        self.position = position
+
+
 @dataclass(frozen=True)
 class TaskHead:
     name: str
@@ -250,7 +259,9 @@ class MultiTaskModel:
         h, caches = self._trunk_forward(batch["x"], dropout_p, rng, train)
         rows, targets = self._scored_rows(h, batch)
         losses, dh, grads = self._head_pass(rows, targets, head_views)
-        if "mask" in batch:
+        if "mask" in batch and batch["mask"].all():  # `_scored_rows` gave a view of h
+            dh = dh.reshape(h.shape)
+        elif "mask" in batch:
             # scatter the row gradients back over the padded (B, T, H) trunk output
             dh_rows, dh = dh, np.zeros(h.shape, h.dtype)
             dh[batch["mask"]] = dh_rows
@@ -266,13 +277,14 @@ class MultiTaskModel:
 
     def _scored_rows(self, h, batch):
         """The trunk output as one row per scored sample, and the matching targets:
-        LSTM chunk labels are broadcast to every valid (unpadded) frame."""
+        LSTM chunk labels are broadcast to every valid (unpadded) frame. When no
+        chunk is padded the rows are a view of ``h``, not a copy."""
         if "mask" not in batch:
             return h, batch["targets"]
         mask = batch["mask"]
         targets = {name: np.repeat(np.asarray(t, dtype=np.int64), mask.shape[1])[mask.reshape(-1)]
                    for name, t in batch["targets"].items()}
-        return h[mask], targets
+        return (h.reshape(-1, h.shape[2]) if mask.all() else h[mask]), targets
 
     def _head_pass(self, h_rows, targets_rows, views=None):
         """(per-task losses, dh, gradients) over trunk output rows. With ``views``,
@@ -333,9 +345,10 @@ class MultiTaskModel:
         context windows of consecutive utterances, up to POSTERIOR_BLOCK_ROWS of
         them (or one utterance's, if it has more), gathered with one fancy index."""
         context = self.config.context_frames
-        short = lengths < context
-        if np.any(short):
-            raise ValueError(f"too few frames for DNN context: {lengths[short][0]} < {context}")
+        short = np.flatnonzero(lengths < context)
+        if short.size:
+            raise ContextError(f"too few frames for DNN context: {lengths[short[0]]} < {context}",
+                               int(short[0]))
         windows = np.lib.stride_tricks.sliding_window_view(features, (context, features.shape[1]))[:, 0]
         counts = lengths - context + 1
         ends = np.cumsum(counts)
@@ -360,13 +373,18 @@ class MultiTaskModel:
         Utterances are ordered by length (descending, stable), so those still
         running at step t are a prefix of that order: each step advances every
         layer, then the emotion head, on that prefix alone. Nothing is padded and
-        no training cache is kept; the state is (block, hidden) per layer.
+        no training cache is kept: each layer's state (h, c) is updated in place,
+        and every `nn.LSTMLayer.step` runs on one gate buffer and one product
+        buffer, allocated once per call.
         """
         if not np.all(np.isfinite(features)):
             raise nn.NumericsError("non-finite input to LSTM")
         order = np.argsort(-lengths, kind="stable")
         starts = (np.cumsum(lengths) - lengths)[order]
         by_length = lengths[order]
+        widest = order.size * max(layer.n_hidden for layer in trunk)
+        gate_buf, product_buf = np.empty(4 * widest), np.empty(4 * widest)
+        cell_tanh = np.empty(widest)
         state = [(np.zeros((order.size, layer.n_hidden)), np.zeros((order.size, layer.n_hidden)))
                  for layer in trunk]
         logits = np.empty((features.shape[0], head.n_out))
@@ -374,10 +392,12 @@ class MultiTaskModel:
             active = int(np.count_nonzero(by_length > t))
             rows = starts[:active] + t
             x = features[rows]
-            for k, layer in enumerate(trunk):
-                h, c = state[k]
-                _, _, _, _, c, _, x = layer.step(x @ layer.w_x.T, h[:active], c[:active])
-                state[k] = (x, c)
+            for layer, (h, c) in zip(trunk, state):
+                a, hw = (buf[: active * 4 * layer.n_hidden].reshape(active, -1)
+                         for buf in (gate_buf, product_buf))
+                np.matmul(x, layer.w_x.T, out=a)
+                x, c = h[:active], c[:active]
+                layer.step(a, x, c, hw, (c, cell_tanh[: c.size].reshape(c.shape), x))
             logits[rows] = x @ head.w.T + head.b
         return np.split(_stable_softmax(logits), np.cumsum(lengths)[:-1])
 
@@ -386,12 +406,19 @@ def posteriors_in_blocks(model: MultiTaskModel, blocks, standardizer: Standardiz
     """Yield the emotion posteriors of every utterance of each store in ``blocks``,
     in order. Each store is standardized in float64 and scored in one
     `emotion_posteriors` call. ``blocks`` may be a generator: it is consumed one
-    store at a time, and a store it alone holds is freed before scoring."""
+    store at a time, and a store it alone holds is freed before scoring. A
+    `ContextError` names the utterance, and its WAV if the store has paths."""
     for block in blocks:
         features = apply_standardizer(standardizer, block.gather(range(len(block))))
-        lengths = block.lengths
+        lengths, ids, paths = block.lengths, block.ids, block.paths
         del block
-        yield from model.emotion_posteriors(features, lengths)
+        try:
+            posteriors = model.emotion_posteriors(features, lengths)
+        except ContextError as exc:
+            k = exc.position
+            raise ContextError(f"{ids[k]} ({paths[k]}): {exc}" if paths else f"{ids[k]}: {exc}",
+                               k) from None
+        yield from posteriors
 
 
 # ---------------------------------------------------------------------------
@@ -603,9 +630,10 @@ def load_model(path: str | Path):
     """Load a model checkpoint. Returns (MultiTaskModel, header, extra_params).
 
     The model is float64: it only scores, and a float64 model needs no upcast
-    copy to do so. Its weights are the checkpoint's float32 values. Raises
-    ValueError naming the parameter and ``path`` when one of the model's
-    parameters is missing or has another shape."""
+    copy to do so. Its weights are the checkpoint's float32 values, copied
+    straight into its vector; the extra parameters are returned in float64.
+    Raises ValueError naming the parameter and ``path`` when one of the
+    model's parameters is missing or has another shape."""
     params, header = nn.load_checkpoint(path)
     model = MultiTaskModel(from_dict(MTLNetworkConfig, header["network"]), seed=header["model_seed"],
                            dtype=np.float64)
@@ -616,8 +644,8 @@ def load_model(path: str | Path):
         if params[name].shape != target.shape:
             raise ValueError(f"checkpoint parameter {name!r} has shape {params[name].shape}, "
                              f"the model's is {target.shape}: {path}")
-        target[...] = params[name]
-    return model, header, {name: values for name, values in params.items() if name not in own}
+        target[...] = params.pop(name)
+    return model, header, {name: values.astype(np.float64) for name, values in params.items()}
 
 
 def write_history_csv(path: str | Path, history: list[EpochStats],

@@ -6,11 +6,12 @@ another ``dtype``); the multi-task model trains in float32 and scores in
 float64, see `mtl.MultiTaskModel`. A layer's parameters are views into one 1-D
 vector, its own or a slice of its model's. Softmax cross-entropy computes its
 loss in float64 and returns its gradient in the dtype of the logits.
-Checkpoints serialize parameters as float32 LE.
+Checkpoints serialize parameters as float32 LE and load them as float32.
 
-`LSTMLayer.step` is the one home of the LSTM gate math: the training `forward`
-(which caches every step for BPTT) and the cache-free, time-major inference
-pass in `mtl.MultiTaskModel.emotion_posteriors` both advance the cell with it.
+`LSTMLayer.step` is the one home of the LSTM gate math, computed in place in a
+gate buffer: the training `forward` (whose buffer is the (batch, time, 4H) gate
+cache that BPTT reads) and the cache-free, time-major inference pass in
+`mtl.MultiTaskModel.emotion_posteriors` both advance the cell with it.
 """
 from __future__ import annotations
 
@@ -145,19 +146,35 @@ class LSTMLayer:
     def parameters(self) -> dict[str, np.ndarray]:
         return {"w_x": self.w_x, "w_h": self.w_h, "b": self.b}
 
-    def step(self, xw_t: np.ndarray, h: np.ndarray, c: np.ndarray):
-        """One cell update for a block of rows: the gate pre-activations from the
-        input projection ``xw_t = x_t @ w_x.T`` (rows, 4H) and the previous state
-        (h, c), then the new state. Returns (i, f, g, o, c, tanh(c), h)."""
+    def step(self, a: np.ndarray, h: np.ndarray, c: np.ndarray, hw: np.ndarray, out) -> None:
+        """One cell update of a block of rows, in place.
+
+        On entry ``a`` (rows, 4H) holds the input projection ``x_t @ w_x.T`` and
+        (``h``, ``c``) the previous state; ``hw`` (rows, 4H) takes ``h @ w_h.T``,
+        then serves as scratch.
+        The recurrent product and the bias are added into ``a``, whose slices
+        then become the gates (i, f, g, o). ``out`` = (c, tanh(c), h) of the new
+        state, arrays (rows, H) written here; the new c may be ``c`` itself and
+        the new h ``h`` itself."""
         hsz = self.n_hidden
-        a = xw_t + h @ self.w_h.T + self.b
-        i = 1.0 / (1.0 + np.exp(-a[:, :hsz]))
-        f = 1.0 / (1.0 + np.exp(-a[:, hsz : 2 * hsz]))
-        g = np.tanh(a[:, 2 * hsz : 3 * hsz])
-        o = 1.0 / (1.0 + np.exp(-a[:, 3 * hsz :]))
-        c = f * c + i * g
-        tc = np.tanh(c)
-        return i, f, g, o, c, tc, o * tc
+        c_new, tc, h_new = out
+        np.matmul(h, self.w_h.T, out=hw)
+        a += hw
+        a += self.b
+        for s in (a[:, : 2 * hsz], a[:, 3 * hsz :]):  # sigmoid: 1 / (1 + exp(-s))
+            # on a contiguous scratch in the spent ``hw``: on the row-strided
+            # gate slices themselves it took about 1.5x as long
+            tmp = hw.reshape(-1)[: s.size].reshape(s.shape)
+            np.negative(s, out=tmp)
+            np.exp(tmp, out=tmp)
+            tmp += 1.0
+            np.divide(1.0, tmp, out=s)
+        i, f, g, o = (a[:, k * hsz : (k + 1) * hsz] for k in range(4))
+        np.tanh(g, out=g)
+        np.multiply(f, c, out=c_new)
+        c_new += i * g
+        np.tanh(c_new, out=tc)
+        np.multiply(o, tc, out=h_new)
 
     def forward(self, x: np.ndarray):
         """The hidden sequence (batch, time, H) from a zero initial state, and the cache."""
@@ -169,45 +186,41 @@ class LSTMLayer:
             raise NumericsError("non-finite input to LSTM")
         batch, time, _ = x.shape
         hsz = self.n_hidden
-        h = np.zeros((batch, hsz), dtype)
-        c = np.zeros((batch, hsz), dtype)
+        zero_state = np.zeros((batch, hsz), dtype)
+        hw = np.empty((batch, 4 * hsz), dtype)
 
-        xw = x @ self.w_x.T  # (batch, time, 4H), hoisted out of the loop
-        gates = np.empty((batch, time, 4 * hsz), dtype)
+        gates = np.matmul(x, self.w_x.T)  # (batch, time, 4H): the input projection, then the gates
         cells = np.empty((batch, time, hsz), dtype)
         cell_tanh = np.empty((batch, time, hsz), dtype)
         hidden = np.empty((batch, time, hsz), dtype)
 
         for t in range(time):
-            i, f, g, o, c, tc, h = self.step(xw[:, t], h, c)
-            gates[:, t, :hsz] = i
-            gates[:, t, hsz : 2 * hsz] = f
-            gates[:, t, 2 * hsz : 3 * hsz] = g
-            gates[:, t, 3 * hsz :] = o
-            cells[:, t] = c
-            cell_tanh[:, t] = tc
-            hidden[:, t] = h
+            h, c = (hidden[:, t - 1], cells[:, t - 1]) if t else (zero_state, zero_state)
+            self.step(gates[:, t], h, c, hw, (cells[:, t], cell_tanh[:, t], hidden[:, t]))
         # `hidden` is also the recurrent input of the next step; `backward` shifts it
-        cache = (x, gates, cells, cell_tanh, hidden)
+        cache = [x, gates, cells, cell_tanh, hidden]
         return hidden, cache
 
     def backward(self, dh_seq: np.ndarray, cache, input_grad: bool = True,
                  grads: dict[str, np.ndarray] | None = None):
         """(dX, parameter gradients); dX is None when ``input_grad`` is false.
         ``grads`` (arrays shaped like the parameters) receives the gradients;
-        without it they are allocated."""
+        without it they are allocated.
+
+        The cache is consumed: it is emptied, each step's gates are overwritten
+        with their gradient once read, and the cell states and the hidden
+        sequence are dropped once read (freed where no one else holds them),
+        so a second backward needs a new `forward`."""
         x, gates, cells, cell_tanh, hidden = cache
+        cache.clear()
         batch, time, hsz = cells.shape
         dtype = cells.dtype
         zero_state = np.zeros((batch, hsz), dtype)
-        da_all = np.empty((batch, time, 4 * hsz), dtype)
         dh = np.zeros((batch, hsz), dtype)
         dc = np.zeros((batch, hsz), dtype)
         for t in range(time - 1, -1, -1):
-            i = gates[:, t, :hsz]
-            f = gates[:, t, hsz : 2 * hsz]
-            g = gates[:, t, 2 * hsz : 3 * hsz]
-            o = gates[:, t, 3 * hsz :]
+            da = gates[:, t]
+            i, f, g, o = (da[:, k * hsz : (k + 1) * hsz] for k in range(4))
             tc = cell_tanh[:, t]
             c_before = cells[:, t - 1] if t > 0 else zero_state
             dh = dh + dh_seq[:, t]
@@ -216,23 +229,26 @@ class LSTMLayer:
             di = dc * g
             df = dc * c_before
             dg = dc * i
-            da = da_all[:, t]
-            da[:, :hsz] = di * i * (1.0 - i)
-            da[:, hsz : 2 * hsz] = df * f * (1.0 - f)
-            da[:, 2 * hsz : 3 * hsz] = dg * (1.0 - g * g)
-            da[:, 3 * hsz :] = do * o * (1.0 - o)
             if t > 0:  # the gradients of the zero initial state are never used
+                dc = dc * f  # before f's slot is overwritten with its gradient
+            i[...] = di * i * (1.0 - i)
+            f[...] = df * f * (1.0 - f)
+            g[...] = dg * (1.0 - g * g)
+            o[...] = do * o * (1.0 - o)
+            if t > 0:
                 dh = da @ self.w_h
-                dc = dc * f
-        flat_da = da_all.reshape(-1, 4 * hsz)
+        del cells, cell_tanh
+        flat_da = gates.reshape(-1, 4 * hsz)
         h_prev = np.concatenate([zero_state[:, None], hidden[:, :-1]], axis=1)
+        del hidden
         out = grads or {}
         grads = {
             "w_x": np.matmul(flat_da.T, x.reshape(-1, self.n_in), out=out.get("w_x")),
             "w_h": np.matmul(flat_da.T, h_prev.reshape(-1, hsz), out=out.get("w_h")),
             "b": np.sum(flat_da, axis=0, out=out.get("b")),
         }
-        dx = da_all @ self.w_x if input_grad else None
+        del h_prev
+        dx = gates @ self.w_x if input_grad else None
         return dx, grads
 
 
@@ -369,7 +385,8 @@ def save_checkpoint(path: str | Path, params: dict[str, np.ndarray], header: dic
 
 
 def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
-    """Returns (params, header), the header as it was given to `save_checkpoint`.
+    """Returns (params, header): the parameters as float32 arrays, and the header
+    as it was given to `save_checkpoint`.
 
     Raises ValueError naming ``path`` for a foreign, truncated or overlong file:
     a header length past the end of the file, or bytes after the parameter blob.
@@ -388,12 +405,10 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
         del header["dtype"]
         params: dict[str, np.ndarray] = {}
         for entry in header.pop("params"):
-            shape = tuple(entry["shape"])
-            count = int(np.prod(shape)) if shape else 1
-            data = np.frombuffer(fh.read(4 * count), dtype="<f4")
-            if data.size != count:
+            data = np.empty(tuple(entry["shape"]), "<f4")
+            if fh.readinto(data.reshape(-1)) != data.nbytes:
                 raise ValueError(f"truncated checkpoint: {path}")
-            params[entry["name"]] = data.reshape(shape).astype(np.float64)
+            params[entry["name"]] = data
         if fh.read(1):
             raise ValueError(f"trailing bytes after the parameter blob: {path}")
     return params, header

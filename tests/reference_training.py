@@ -2,9 +2,11 @@
 gradients and Adam moments in flat vectors: layers with parameter arrays of
 their own, `DenseLayer.forward`/`backward`, `LSTMLayer.step`/`forward`/`backward`,
 `dropout`, `MultiTaskModel.loss_and_grads` with its helpers, `batch_losses`,
-`AdamState`, `adam_step`, `clip_global_norm`, `EpochStats` and `train`. The
-method and function bodies are kept verbatim (``nn.`` prefixes dropped) as the
-oracle for test_training_oracle.py. Not a test module itself."""
+`AdamState`, `adam_step`, `clip_global_norm`, `EpochStats` and `train`; and
+the LSTM scoring loop as it ran before `LSTMLayer.step` updated its gates in
+place, `lstm_block_posteriors`. The method and function bodies are kept
+verbatim (``nn.`` prefixes dropped) as the oracle for test_training_oracle.py.
+Not a test module itself."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -12,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from sermtl.mtl import (TrainConfig, TrainingDivergedError, _batch_weight, _batches, _dataset_losses,
-                        _mean_losses, _sample_index, total_loss)
+                        _mean_losses, _sample_index, _stable_softmax, total_loss)
 from sermtl.nn import NumericsError, ShapeError, one_hot, softmax_xent
 from sermtl.seeding import derive_seed
 
@@ -150,6 +152,29 @@ class LSTMLayer:
         }
         dx = da_all @ self.w_x if input_grad else None
         return dx, grads
+
+
+def lstm_block_posteriors(trunk, head, features, lengths):
+    """`MultiTaskModel._lstm_block_posteriors` over `LSTMLayer`s and a `DenseLayer`
+    head of float64 parameters."""
+    if not np.all(np.isfinite(features)):
+        raise NumericsError("non-finite input to LSTM")
+    order = np.argsort(-lengths, kind="stable")
+    starts = (np.cumsum(lengths) - lengths)[order]
+    by_length = lengths[order]
+    state = [(np.zeros((order.size, layer.n_hidden)), np.zeros((order.size, layer.n_hidden)))
+             for layer in trunk]
+    logits = np.empty((features.shape[0], head.n_out))
+    for t in range(int(by_length[0])):
+        active = int(np.count_nonzero(by_length > t))
+        rows = starts[:active] + t
+        x = features[rows]
+        for k, layer in enumerate(trunk):
+            h, c = state[k]
+            _, _, _, _, c, _, x = layer.step(x @ layer.w_x.T, h[:active], c[:active])
+            state[k] = (x, c)
+        logits[rows] = x @ head.w.T + head.b
+    return np.split(_stable_softmax(logits), np.cumsum(lengths)[:-1])
 
 
 def dropout(x: np.ndarray, p: float, rng: np.random.Generator | None = None):

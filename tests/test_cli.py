@@ -355,6 +355,25 @@ class TestXval:
         report = json.loads((out / "report.json").read_text())
         assert len(report["folds"]) == 3
 
+    @pytest.mark.parametrize("protocol", ["cross", "aggregated", "saved cross"])
+    def test_corpus_outside_within_rejected(self, cli_workspace, tmp_path, capsys, protocol):
+        """--corpus restricts the within protocol only; with another protocol,
+        given by flag or by --config, it is refused by name before anything is
+        written."""
+        _, data, _, _ = cli_workspace
+        if protocol == "saved cross":
+            config_path = tmp_path / "saved.json"
+            config_path.write_text(json.dumps({"pipeline": asdict(PipelineConfig(protocol="cross"))}))
+            args, protocol = ["--config", str(config_path)], "cross"
+        else:
+            args = ["--protocol", protocol]
+        out = tmp_path / "out"
+        rc = main(["xval", "--manifest", str(data / "manifest.csv"), "--out", str(out),
+                   "--corpus", "c00", *args])
+        assert rc == 1
+        assert f"--corpus applies to --protocol within only, not {protocol!r}" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestEmbedAndReport:
     def test_embed_csv_and_svg(self, cli_workspace, tmp_path):
@@ -550,6 +569,44 @@ class TestShortUtterance:
                    "--out", str(tmp_path / "hlf.csv")])
         assert rc == 1
         assert named in capsys.readouterr().err
+
+
+class TestShortForDnnContext:
+    """An utterance of fewer frames than the DNN context (21 < 25) cannot be
+    scored: the error names it and its WAV."""
+
+    @pytest.fixture(scope="class")
+    def dnn_case(self, cli_workspace, tmp_path_factory):
+        _, data, _, _ = cli_workspace
+        root = tmp_path_factory.mktemp("dnn_context")
+        records = list(load_manifest(data / "manifest.csv").records)
+        samples, sr = read_wav(records[5].audio_path)
+        write_wav(root / "short.wav", samples[:3600], sample_rate=sr)
+        records[5] = replace(records[5], audio_path=root / "short.wav")
+        path = write_manifest(CorpusManifest(records=tuple(records)), root / "manifest.csv")
+        run = root / "run"
+        assert main(["train", "--manifest", str(data / "manifest.csv"), "--out", str(run), "--trunk", "dnn",
+                     "--layer-sizes", "4", "--max-epochs", "2", "--patience", "1"]) == 0
+        named = (f"{records[5].utterance_id} ({root / 'short.wav'}): "
+                 "too few frames for DNN context: 21 < 25")
+        return path, run, named
+
+    def test_hlf(self, dnn_case, tmp_path, capsys):
+        path, run, named = dnn_case
+        rc = main(["hlf", "--model", str(run / "model.ckpt"), "--manifest", str(path),
+                   "--out", str(tmp_path / "hlf.csv")])
+        assert rc == 1
+        assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_xval_fold_error(self, dnn_case, tmp_path, jobs):
+        path, _, named = dnn_case
+        out = tmp_path / "out"
+        rc = main(["xval", "--manifest", str(path), "--out", str(out), "--trunk", "dnn",
+                   "--layer-sizes", "4", "--max-epochs", "2", "--patience", "1", "--jobs", jobs])
+        assert rc == 1
+        errors = [fold["error"] for fold in json.loads((out / "report.json").read_text())["folds"]]
+        assert any(named in error for error in errors if error)
 
 
 class TestSampleRateCheck:

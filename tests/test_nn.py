@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import struct
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -78,6 +79,24 @@ class TestLSTM:
         with pytest.raises(nn.NumericsError):
             layer.forward(x)
 
+    def test_forward_backward_peak_memory(self):
+        """At its peak, forward plus backward hold about 7.5 arrays of (batch,
+        time, H) when n_in = H: the cache (gates 4, cells, tanh(cells), hidden)
+        and the step temporaries. An input projection beside the gates and a
+        second gate-sized array for the gate gradients would hold 13.5."""
+        batch, time, hsz = 16, 50, 32
+        rng = np.random.default_rng(0)
+        layer = nn.LSTMLayer(hsz, hsz, rng, dtype=np.float32)
+        x = rng.normal(size=(batch, time, hsz)).astype(np.float32)
+        dh = rng.normal(size=(batch, time, hsz)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            layer.backward(dh, layer.forward(x)[1])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * x.nbytes
+
     def test_bptt_against_finite_differences(self):
         rng = np.random.default_rng(7)
         layer = nn.LSTMLayer(3, 4, rng)
@@ -109,7 +128,7 @@ def test_backward_without_input_gradient(kind):
     y, cache = layer.forward(x)
     dy = rng.normal(size=y.shape).astype(np.float32)
     full = layer.backward(dy, cache)
-    skipped = layer.backward(dy, cache, input_grad=False)
+    skipped = layer.backward(dy, layer.forward(x)[1], input_grad=False)  # an LSTM backward consumes its cache
     assert full[0].shape == x.shape and skipped[0] is None
     assert full[1].keys() == skipped[1].keys()
     for name, grad in full[1].items():

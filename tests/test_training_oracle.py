@@ -125,6 +125,44 @@ def test_train_equals_the_reference(trunk, dtype, monkeypatch):
         assert row.clip_frac == sum(n > tc.clip_norm for n in epoch_norms) / steps
 
 
+@st.composite
+def _scoring_case(draw):
+    """A block of stacked utterances: distinct lengths, equal lengths, a lone
+    longest utterance (the last steps score one row), or a block of one."""
+    kind = draw(st.sampled_from(["distinct", "equal", "lone longest", "one"]))
+    if kind == "distinct":
+        lengths = draw(st.lists(st.integers(1, 24), min_size=2, max_size=7, unique=True))
+    elif kind == "equal":
+        lengths = [draw(st.integers(1, 16))] * draw(st.integers(2, 6))
+    elif kind == "lone longest":
+        lengths = draw(st.permutations(draw(st.lists(st.integers(1, 12), min_size=1, max_size=6))
+                                       + [draw(st.integers(13, 24))]))
+    else:
+        lengths = [draw(st.integers(1, 24))]
+    sizes = draw(st.sampled_from([(6,), (6, 5), (4, 9, 3)]))
+    config = MTLNetworkConfig(trunk="lstm", layer_sizes=sizes, subtask_mode=draw(st.sampled_from(["all", "none"])))
+    model = MultiTaskModel(config, seed=draw(st.integers(0, 2**16)),
+                           dtype=draw(st.sampled_from([np.float32, np.float64])))
+    features = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).normal(size=(sum(lengths), 32))
+    return model, features, np.array(lengths, dtype=np.int64)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_scoring_case())
+def test_lstm_posteriors_equal_the_reference(case):
+    """The in-place scoring pass gives the posteriors of the loop it replaced,
+    bit for bit."""
+    model, features, lengths = case
+    old = reference.MultiTaskModel(model)
+    trunk = [nn.with_dtype(layer, np.float64) for layer in old.trunk_layers]
+    want = reference.lstm_block_posteriors(trunk, nn.with_dtype(old.heads["emotion"], np.float64),
+                                           features, lengths)
+    got = model.emotion_posteriors(features, lengths)
+    assert len(got) == len(want) == lengths.size
+    for mine, theirs in zip(got, want):
+        assert mine.tobytes() == theirs.tobytes()
+
+
 @pytest.mark.parametrize("clip_norm, clip_frac", [(1e-6, 1.0), (1e6, 0.0), (0.0, 0.0)])
 def test_clip_fraction(clip_norm, clip_frac, tmp_path):
     store = _store(np.random.default_rng(2), [10, 12, 9, 11], np.float32)

@@ -1,0 +1,116 @@
+"""Memory and time of paper-size LSTM training, one probe per fresh process.
+
+Run from the root of a source checkout (``PYTHONPATH=src``); point
+``PYTHONPATH`` at another checkout's ``src`` to measure that one. Each probe
+prints one JSON line. Peaks are resident-set sizes from ``getrusage``; "added"
+is the peak minus the resident set just before the measured call. Numpy's
+BLAS runs on one thread, as in training.
+
+    python3 tools/lstm_probe.py step   # one 2x256 `loss_and_grads`, batch 128 x 300 frames, dropout 0.5
+    python3 tools/lstm_probe.py layer  # one 256->256 `LSTMLayer` forward plus backward at (128, 300)
+    python3 tools/lstm_probe.py xval --manifest M --out DIR --jobs N [xval flags...]
+
+``step`` also prints the sha256 of its losses and gradient vector, so two
+checkouts can be compared bit for bit. ``xval`` runs ``sermtl xval`` in this
+process and reports its wall time, this process's peak and the largest peak
+of its forked children, and the sha256 of ``report.json``.
+"""
+from __future__ import annotations
+
+import hashlib
+import json
+import os
+import resource
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+
+from sermtl import blas, cli, nn
+from sermtl.mtl import MTLNetworkConfig, MultiTaskModel
+
+# The paper-size training step: one batch of 128 chunks of 300 frames
+BATCH, FRAMES = 128, 300
+
+
+def _rss_mb() -> float:
+    with open("/proc/self/statm", encoding="ascii") as fh:
+        return int(fh.read().split()[1]) * os.sysconf("SC_PAGE_SIZE") / 2**20
+
+
+def _peak_mb(who=resource.RUSAGE_SELF) -> float:
+    return resource.getrusage(who).ru_maxrss / 1024  # KiB on Linux
+
+
+def _measure(fn) -> dict:
+    """The added peak (MB) and wall time (s) of ``fn()`` on one BLAS thread."""
+    with blas.one_thread():
+        before = _rss_mb()
+        start = time.perf_counter()
+        fn()
+        wall = time.perf_counter() - start
+    return {"added_peak_mb": round(_peak_mb() - before, 1), "wall_s": round(wall, 3)}
+
+
+def probe_step() -> dict:
+    """One `loss_and_grads` of the paper's 2x256 LSTM trunk with every head
+    (`TrainConfig` defaults: dropout 0.5), on one unpadded batch."""
+    model = MultiTaskModel(MTLNetworkConfig(trunk="lstm"), seed=0)
+    rng = np.random.default_rng(0)
+    x = rng.normal(size=(BATCH, FRAMES, model.config.n_features)).astype(np.float32)
+    targets = {h.name: rng.integers(0, h.n_classes, BATCH) for h in model.config.heads}
+    data = {"x": x, "mask": np.ones((BATCH, FRAMES), bool), "targets": targets}
+    out = {}
+    with model.gradient_vector() as grad:
+        def step():
+            out["losses"], out["total"], _ = model.loss_and_grads(
+                data, dropout_p=0.5, rng=np.random.default_rng(1), train=True)
+        result = _measure(step)
+        digest = hashlib.sha256(json.dumps([out["losses"], out["total"]]).encode() + grad.tobytes())
+    return {"probe": "step", "batch": BATCH, "frames": FRAMES, **result,
+            "loss_grad_sha256": digest.hexdigest()}
+
+
+def probe_layer() -> dict:
+    """Forward plus backward of one float32 256->256 `LSTMLayer`."""
+    rng = np.random.default_rng(0)
+    layer = nn.LSTMLayer(256, 256, rng, dtype=np.float32)
+    x = rng.normal(size=(BATCH, FRAMES, 256)).astype(np.float32)
+    dh = rng.normal(size=(BATCH, FRAMES, 256)).astype(np.float32)
+
+    def run():
+        _, cache = layer.forward(x)
+        layer.backward(dh, cache)
+    return {"probe": "layer", "batch": BATCH, "frames": FRAMES, **_measure(run)}
+
+
+def probe_xval(argv: list[str]) -> dict:
+    """``sermtl xval`` with ``argv`` in this process."""
+    out = Path(argv[argv.index("--out") + 1])
+    start = time.perf_counter()
+    code = cli.main(["xval", *argv])
+    wall = time.perf_counter() - start
+    report = out / "report.json"
+    return {"probe": "xval", "argv": argv, "exit": code, "wall_s": round(wall, 2),
+            "peak_rss_mb": round(_peak_mb(), 1),
+            "children_peak_rss_mb": round(_peak_mb(resource.RUSAGE_CHILDREN), 1),
+            "report_sha256": hashlib.sha256(report.read_bytes()).hexdigest() if report.exists() else None}
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    probes = {"step": probe_step, "layer": probe_layer}
+    if argv[:1] == ["xval"]:
+        result = probe_xval(argv[1:])
+    elif len(argv) == 1 and argv[0] in probes:
+        result = probes[argv[0]]()
+    else:
+        print("usage: lstm_probe.py {step | layer | xval XVAL_ARGS...}", file=sys.stderr)
+        return 2
+    print(json.dumps(result, sort_keys=True))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
