@@ -8,7 +8,6 @@ from pathlib import Path
 import numpy as np
 
 from . import nn
-from .codec import from_dict
 from .seeding import derive_seed
 
 
@@ -98,14 +97,3 @@ def save_elm(path: str | Path, model: ELMModel) -> Path:
     }
     return nn.save_checkpoint(path, params, {"kind": "elm", **asdict(model.config)})
 
-
-def load_elm(path: str | Path) -> ELMModel:
-    params, header = nn.load_checkpoint(path)
-    if header.pop("kind", None) != "elm":
-        raise ValueError(f"not an ELM checkpoint: {path}")
-    return ELMModel(
-        input_weights=params["input_weights"].astype(np.float64),
-        input_bias=params["input_bias"].astype(np.float64),
-        output_weights=params["output_weights"].astype(np.float64),
-        config=from_dict(ELMConfig, header),
-    )

@@ -326,11 +326,17 @@ def _column_sum(matrices, center: np.ndarray | None = None) -> np.ndarray:
     return total
 
 
-def apply_standardizer(standardizer: Standardizer, matrix: np.ndarray) -> np.ndarray:
-    matrix = np.asarray(matrix, dtype=np.float64)
+def apply_standardizer(standardizer: Standardizer, matrix: np.ndarray,
+                       out: np.ndarray | None = None) -> np.ndarray:
+    """``(matrix - mean) / std`` per column, computed in float64 element by
+    element, so the rows of the result do not depend on which other rows are
+    standardized with them. Written into ``out`` (float64, ``matrix``'s shape)
+    when given."""
+    matrix = np.asarray(matrix)
     if matrix.shape[1] != standardizer.mean.shape[0]:
         raise ValueError("column count does not match standardizer")
-    return (matrix - standardizer.mean) / standardizer.std
+    out = np.subtract(matrix, standardizer.mean, out=out, dtype=np.float64)
+    return np.divide(out, standardizer.std, out=out)
 
 
 def mapped_array(shape: tuple[int, ...], dtype) -> np.ndarray:
@@ -340,7 +346,9 @@ def mapped_array(shape: tuple[int, ...], dtype) -> np.ndarray:
     Unlike ``np.empty``, it leaves malloc's adaptive thresholds alone: freeing
     a malloc'd array of up to 32 MiB raises them so far that the heap then
     keeps up to twice that much freed memory resident. For an array made and
-    freed once per fold, as `standardized` is, that memory stays resident."""
+    freed once per fold, as `standardized` is, or once per command, as the
+    float64 vector `mtl.load_model` reads a checkpoint into is, that memory
+    would stay resident."""
     nbytes = math.prod(shape) * np.dtype(dtype).itemsize
     buffer = mmap.mmap(-1, max(nbytes, 1), flags=mmap.MAP_PRIVATE)
     return np.frombuffer(buffer, dtype, count=math.prod(shape)).reshape(shape)
@@ -393,7 +401,13 @@ class FeatureStore:
         return self.matrix[self.starts[i] : self.starts[i] + self.lengths[i]]
 
     def gather(self, positions) -> np.ndarray:
-        """The rows of the utterances at ``positions``, stacked in that order (a copy)."""
+        """The rows of the utterances at ``positions``, stacked in that order: a
+        view of the matrix when they follow one another in it (a packed store's
+        utterances in order), else a copy."""
+        positions = np.asarray(positions, dtype=np.int64)
+        starts, ends = self.starts[positions], self.starts[positions] + self.lengths[positions]
+        if positions.size and np.array_equal(starts[1:], ends[:-1]):
+            return self.matrix[starts[0] : ends[-1]]
         return np.concatenate([self.rows(i) for i in positions])
 
     def positions(self, ids) -> np.ndarray:

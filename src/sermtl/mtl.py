@@ -4,7 +4,10 @@ in checkpoints but never used at inference).
 
 A model trains in its dtype (float32 by default) and scores in float64 from
 those same weights, so a model reloaded from its float32 checkpoint scores
-exactly like the model that wrote it.
+exactly like the model that wrote it. `load_model` reads the checkpoint into
+the float64 scoring model's vector in place, and scoring reads raw feature rows
+and standardizes them as it reads them: a time step's rows for the LSTM, a
+block of context windows' frames for the DNN.
 """
 from __future__ import annotations
 
@@ -18,7 +21,7 @@ import numpy as np
 
 from . import nn
 from .codec import from_dict
-from .features import FeatureStore, Standardizer, apply_standardizer
+from .features import FeatureStore, Standardizer, apply_standardizer, mapped_array
 from .seeding import derive_seed
 
 TASK_EMOTION = "emotion"
@@ -142,6 +145,14 @@ def total_loss(per_task_losses: dict[str, float], heads: tuple[TaskHead, ...]) -
 POSTERIOR_BLOCK_ROWS = 128
 
 
+def _layer_sizes(config: MTLNetworkConfig) -> list[int]:
+    """The parameter count of each trunk layer, then of each head."""
+    widths = (config.input_width,) + config.layer_sizes
+    trunk = nn.DenseLayer if config.trunk == "dnn" else nn.LSTMLayer
+    sizes = [trunk.size(n_in, n_out) for n_in, n_out in zip(widths, widths[1:])]
+    return sizes + [nn.DenseLayer.size(widths[-1], head.n_classes) for head in config.heads]
+
+
 def _stable_softmax(logits: np.ndarray) -> np.ndarray:
     shifted = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(shifted)
@@ -163,16 +174,21 @@ class MultiTaskModel:
     order; gradients and Adam moments are vectors of the same layout.
     """
 
-    def __init__(self, config: MTLNetworkConfig, seed: int = 0, dtype=np.float32):
+    def __init__(self, config: MTLNetworkConfig, seed: int = 0, dtype=np.float32,
+                 vector: np.ndarray | None = None):
+        """``vector``, if given, is the 1-D ``dtype`` array that holds the
+        parameters, one element per parameter, for the caller to fill (as
+        `load_model` does): no initial values are drawn into it."""
         self.config = config
         self.seed = int(seed)
         self.dtype = np.dtype(dtype)
-        rng = np.random.default_rng(derive_seed(seed, "init"))
         widths = (config.input_width,) + config.layer_sizes
-        trunk = nn.DenseLayer if config.trunk == "dnn" else nn.LSTMLayer
-        sizes = [trunk.size(n_in, n_out) for n_in, n_out in zip(widths, widths[1:])]
-        sizes += [nn.DenseLayer.size(widths[-1], head.n_classes) for head in config.heads]
-        self.vector = np.zeros(sum(sizes), self.dtype)
+        sizes = _layer_sizes(config)
+        rng = None
+        if vector is None:
+            rng = np.random.default_rng(derive_seed(seed, "init"))
+            vector = np.zeros(sum(sizes), self.dtype)
+        self.vector = vector
         slices = iter(np.split(self.vector, np.cumsum(sizes)[:-1]))
         self.trunk_layers = [
             nn.DenseLayer(n_in, n_out, "relu", rng, dtype, next(slices)) if config.trunk == "dnn"
@@ -219,24 +235,26 @@ class MultiTaskModel:
     # -- forward/backward -------------------------------------------------
 
     def _trunk_forward(self, x, dropout_p: float, rng, train: bool):
+        """The trunk output and one (layer cache, dropout keep mask) per layer."""
         p = dropout_p if train else 0.0
         caches = []
         h = x
         for layer in self.trunk_layers:
             h, cache = layer.forward(h)
-            h, mask = nn.dropout(h, p, rng)
-            caches.append((cache, mask))
+            h, keep = nn.dropout(h, p, rng)
+            caches.append((cache, keep))
         return h, caches
 
-    def _trunk_backward(self, dh, caches, views: list[dict]) -> dict[str, np.ndarray]:
+    def _trunk_backward(self, dh, caches, views: list[dict], dropout_p: float) -> dict[str, np.ndarray]:
         """Trunk parameter gradients, written into ``views`` (one dict per layer);
-        the gradient of the input is never formed."""
+        the gradient of the input is never formed. Each layer's dropout scale is
+        rebuilt from its keep mask as it is needed."""
         grads: dict[str, np.ndarray] = {}
         for i in range(len(self.trunk_layers) - 1, -1, -1):
             layer = self.trunk_layers[i]
-            cache, mask = caches[i]
-            if mask is not None:
-                dh = dh * mask
+            cache, keep = caches[i]
+            if keep is not None:
+                dh = dh * nn.dropout_scale(keep, dropout_p, dh.dtype)
             dh, layer_grads = layer.backward(dh, cache, i > 0, views[i])
             for key, g in layer_grads.items():
                 grads[f"trunk.{i}.{key}"] = g
@@ -265,7 +283,7 @@ class MultiTaskModel:
             # scatter the row gradients back over the padded (B, T, H) trunk output
             dh_rows, dh = dh, np.zeros(h.shape, h.dtype)
             dh[batch["mask"]] = dh_rows
-        grads.update(self._trunk_backward(dh, caches, trunk_views))
+        grads.update(self._trunk_backward(dh, caches, trunk_views, dropout_p))
         return losses, total_loss(losses, self.config.heads), grads
 
     def batch_losses(self, batch: dict) -> dict[str, float]:
@@ -314,19 +332,24 @@ class MultiTaskModel:
 
     # -- inference ---------------------------------------------------------
 
-    def emotion_posteriors(self, features: np.ndarray, lengths: Sequence[int]):
-        """Emotion posteriors from standardized features. Subtask heads produce no
-        output here.
+    def emotion_posteriors(self, features: np.ndarray, lengths: Sequence[int],
+                           standardizer: Standardizer):
+        """Emotion posteriors from raw features and the standardizer that maps them
+        to the model's inputs. Subtask heads produce no output here.
 
         ``features`` holds ``len(lengths)`` utterances of ``lengths`` frames
-        stacked along the frame axis; one utterance is a block of one. The result
-        is the list of their posterior sequences: LSTM trunks emit one row per
-        frame, DNN trunks one row per context window.
+        stacked along the frame axis, in any dtype (a store's float32 rows are
+        read as they are); one utterance is a block of one. The result is the
+        list of their posterior sequences: LSTM trunks emit one row per frame,
+        DNN trunks one row per context window.
 
         Scoring runs in float64 whatever the model's dtype: the trunk and the
         emotion head are upcast once per call (exactly), not at every product.
+        Rows are standardized as they are read, one time step's (LSTM) or one
+        block of windows' frames (DNN) at a time; `apply_standardizer` is
+        element-wise, so no standardized copy of the whole block is needed.
         """
-        features = np.asarray(features, dtype=np.float64)
+        features = np.asarray(features)
         if features.ndim != 2 or features.shape[1] != self.config.n_features:
             raise nn.ShapeError(f"features must be (n, {self.config.n_features})")
         trunk = [nn.with_dtype(layer, np.float64) for layer in self.trunk_layers]
@@ -337,21 +360,22 @@ class MultiTaskModel:
         if int(lengths.sum()) != features.shape[0]:
             raise ValueError(f"lengths sum to {int(lengths.sum())}, features have {features.shape[0]} rows")
         if self.config.trunk == "lstm":
-            return self._lstm_block_posteriors(trunk, head, features, lengths)
-        return self._dnn_block_posteriors(trunk, head, features, lengths)
+            return self._lstm_block_posteriors(trunk, head, features, lengths, standardizer)
+        return self._dnn_block_posteriors(trunk, head, features, lengths, standardizer)
 
-    def _dnn_block_posteriors(self, trunk, head, features, lengths):
+    def _dnn_block_posteriors(self, trunk, head, features, lengths, standardizer):
         """DNN pass over stacked utterances, one GEMM chain per block of rows: the
         context windows of consecutive utterances, up to POSTERIOR_BLOCK_ROWS of
-        them (or one utterance's, if it has more), gathered with one fancy index."""
+        them (or one utterance's, if it has more). The block's frames are
+        standardized once, and its windows gathered from them with one fancy index."""
         context = self.config.context_frames
         short = np.flatnonzero(lengths < context)
         if short.size:
             raise ContextError(f"too few frames for DNN context: {lengths[short[0]]} < {context}",
                                int(short[0]))
-        windows = np.lib.stride_tricks.sliding_window_view(features, (context, features.shape[1]))[:, 0]
         counts = lengths - context + 1
         ends = np.cumsum(counts)
+        frame_ends = np.cumsum(lengths)
         # window k of the stack starts context - 1 frames later per utterance before its own
         first_row = np.arange(ends[-1]) + (context - 1) * np.repeat(np.arange(lengths.size), counts)
         posteriors = []
@@ -359,7 +383,10 @@ class MultiTaskModel:
         while u < lengths.size:
             lo = ends[u] - counts[u]
             v = max(u + 1, int(np.searchsorted(ends, lo + POSTERIOR_BLOCK_ROWS, side="right")))
-            h = windows[first_row[lo : ends[v - 1]]].reshape(ends[v - 1] - lo, -1)
+            first_frame = frame_ends[u] - lengths[u]
+            frames = apply_standardizer(standardizer, features[first_frame : frame_ends[v - 1]])
+            windows = np.lib.stride_tricks.sliding_window_view(frames, (context, frames.shape[1]))[:, 0]
+            h = windows[first_row[lo : ends[v - 1]] - first_frame].reshape(ends[v - 1] - lo, -1)
             for layer in trunk:
                 h, _ = layer.forward(h)
             logits, _ = head.forward(h)
@@ -367,31 +394,33 @@ class MultiTaskModel:
             u = v
         return posteriors
 
-    def _lstm_block_posteriors(self, trunk, head, features, lengths):
+    def _lstm_block_posteriors(self, trunk, head, features, lengths, standardizer):
         """Time-major LSTM pass over a block of stacked utterances.
 
         Utterances are ordered by length (descending, stable), so those still
-        running at step t are a prefix of that order: each step advances every
-        layer, then the emotion head, on that prefix alone. Nothing is padded and
-        no training cache is kept: each layer's state (h, c) is updated in place,
-        and every `nn.LSTMLayer.step` runs on one gate buffer and one product
-        buffer, allocated once per call.
+        running at step t are a prefix of that order: each step standardizes
+        that prefix's rows into one input buffer, then advances every layer and
+        the emotion head on it alone. Nothing is padded and no training cache is
+        kept: each layer's state (h, c) is updated in place, and every
+        `nn.LSTMLayer.step` runs on one gate buffer and one product buffer,
+        allocated once per call.
         """
-        if not np.all(np.isfinite(features)):
-            raise nn.NumericsError("non-finite input to LSTM")
         order = np.argsort(-lengths, kind="stable")
         starts = (np.cumsum(lengths) - lengths)[order]
         by_length = lengths[order]
         widest = order.size * max(layer.n_hidden for layer in trunk)
         gate_buf, product_buf = np.empty(4 * widest), np.empty(4 * widest)
         cell_tanh = np.empty(widest)
+        inputs = np.empty((order.size, features.shape[1]))
         state = [(np.zeros((order.size, layer.n_hidden)), np.zeros((order.size, layer.n_hidden)))
                  for layer in trunk]
         logits = np.empty((features.shape[0], head.n_out))
         for t in range(int(by_length[0])):
             active = int(np.count_nonzero(by_length > t))
             rows = starts[:active] + t
-            x = features[rows]
+            x = apply_standardizer(standardizer, features[rows], out=inputs[:active])
+            if not np.all(np.isfinite(x)):
+                raise nn.NumericsError("non-finite input to LSTM")
             for layer, (h, c) in zip(trunk, state):
                 a, hw = (buf[: active * 4 * layer.n_hidden].reshape(active, -1)
                          for buf in (gate_buf, product_buf))
@@ -404,20 +433,22 @@ class MultiTaskModel:
 
 def posteriors_in_blocks(model: MultiTaskModel, blocks, standardizer: Standardizer):
     """Yield the emotion posteriors of every utterance of each store in ``blocks``,
-    in order. Each store is standardized in float64 and scored in one
-    `emotion_posteriors` call. ``blocks`` may be a generator: it is consumed one
-    store at a time, and a store it alone holds is freed before scoring. A
-    `ContextError` names the utterance, and its WAV if the store has paths."""
+    in order. Each store is scored in one `emotion_posteriors` call on its raw
+    rows, a view of its matrix when the store is packed (`FeatureStore.gather`),
+    which standardizes them as it reads them. ``blocks`` may be a generator: it
+    is consumed one store at a time, and a store it alone holds is freed once
+    scored. A `ContextError` names the utterance, and its WAV if the store has
+    paths."""
     for block in blocks:
-        features = apply_standardizer(standardizer, block.gather(range(len(block))))
-        lengths, ids, paths = block.lengths, block.ids, block.paths
-        del block
         try:
-            posteriors = model.emotion_posteriors(features, lengths)
+            posteriors = model.emotion_posteriors(block.gather(range(len(block))), block.lengths,
+                                                  standardizer)
         except ContextError as exc:
             k = exc.position
-            raise ContextError(f"{ids[k]} ({paths[k]}): {exc}" if paths else f"{ids[k]}: {exc}",
+            uid = block.ids[k]
+            raise ContextError(f"{uid} ({block.paths[k]}): {exc}" if block.paths else f"{uid}: {exc}",
                                k) from None
+        del block
         yield from posteriors
 
 
@@ -630,22 +661,22 @@ def load_model(path: str | Path):
     """Load a model checkpoint. Returns (MultiTaskModel, header, extra_params).
 
     The model is float64: it only scores, and a float64 model needs no upcast
-    copy to do so. Its weights are the checkpoint's float32 values, copied
-    straight into its vector; the extra parameters are returned in float64.
-    Raises ValueError naming the parameter and ``path`` when one of the
-    model's parameters is missing or has another shape."""
-    params, header = nn.load_checkpoint(path)
-    model = MultiTaskModel(from_dict(MTLNetworkConfig, header["network"]), seed=header["model_seed"],
-                           dtype=np.float64)
-    own = model.parameters()
-    for name, target in own.items():
-        if name not in params:
-            raise ValueError(f"checkpoint has no parameter {name!r}: {path}")
-        if params[name].shape != target.shape:
-            raise ValueError(f"checkpoint parameter {name!r} has shape {params[name].shape}, "
-                             f"the model's is {target.shape}: {path}")
-        target[...] = params.pop(name)
-    return model, header, {name: values.astype(np.float64) for name, values in params.items()}
+    copy to do so. Its vector is a mapping of its own (`features.mapped_array`),
+    so freeing it leaves malloc's thresholds alone, and `nn.load_checkpoint`
+    reads the checkpoint's float32 values into it in place, in the file's
+    order; no initial values are drawn. The extra parameters (the standardizer)
+    are returned in float64. Raises ValueError naming the parameter and ``path``
+    when one of the model's parameters is missing or has another shape."""
+    models = []
+
+    def into(header):
+        config = from_dict(MTLNetworkConfig, header["network"])
+        vector = mapped_array((sum(_layer_sizes(config)),), np.float64)
+        models.append(MultiTaskModel(config, header["model_seed"], np.float64, vector))
+        return models[0].parameters()
+
+    extras, header = nn.load_checkpoint(path, into)
+    return models[0], header, extras
 
 
 def write_history_csv(path: str | Path, history: list[EpochStats],

@@ -5,8 +5,13 @@ Layers compute in the dtype of their parameters (float64 unless built with
 another ``dtype``); the multi-task model trains in float32 and scores in
 float64, see `mtl.MultiTaskModel`. A layer's parameters are views into one 1-D
 vector, its own or a slice of its model's. Softmax cross-entropy computes its
-loss in float64 and returns its gradient in the dtype of the logits.
-Checkpoints serialize parameters as float32 LE and load them as float32.
+loss in float64 and returns its gradient in the dtype of the logits. Dropout
+keeps a bool mask of the units it keeps; `dropout_scale` rebuilds the scale
+from it.
+
+Checkpoints serialize parameters as float32 LE. `load_checkpoint` reads the
+blob in the file's order through one small float32 buffer, straight into the
+caller's arrays (a scoring model's float64 vector) or into new float64 arrays.
 
 `LSTMLayer.step` is the one home of the LSTM gate math, computed in place in a
 gate buffer: the training `forward` (whose buffer is the (batch, time, 4H) gate
@@ -290,9 +295,10 @@ def softmax_xent(logits: np.ndarray, targets: np.ndarray):
 
 
 def dropout(x: np.ndarray, p: float, rng: np.random.Generator | None = None):
-    """Inverted dropout with drop probability ``p``. Returns (output, scale_mask),
-    the mask in the dtype of ``x`` (float64 for non-float ``x``); at ``p == 0``
-    (evaluation) the input passes through and the mask is None."""
+    """Inverted dropout with drop probability ``p``. Returns (output, keep): the
+    output is ``x * dropout_scale(keep, p, x.dtype)``, and ``keep`` the bool mask
+    of the units kept. At ``p == 0`` (evaluation) the input passes through and
+    ``keep`` is None."""
     if not 0.0 <= p < 1.0:
         raise ValueError("drop probability must be in [0, 1)")
     if p == 0.0:
@@ -300,8 +306,14 @@ def dropout(x: np.ndarray, p: float, rng: np.random.Generator | None = None):
     if rng is None:
         raise ValueError("dropout needs an rng")
     keep = rng.random(x.shape) >= p
-    mask = keep / np.asarray(1.0 - p, dtype=np.result_type(x.dtype, np.float32))
-    return x * mask, mask
+    return x * dropout_scale(keep, p, x.dtype), keep
+
+
+def dropout_scale(keep: np.ndarray, p: float, dtype) -> np.ndarray:
+    """The scale mask ``keep / (1 - p)`` of `dropout`, in ``dtype`` (float64 for a
+    non-float ``dtype``): 0 where a unit was dropped. Built again for the
+    gradient, it gives the same bits as in the forward pass."""
+    return keep / np.asarray(1.0 - p, dtype=np.result_type(dtype, np.float32))
 
 
 # Adam updates this many elements at a time, through two chunk-sized temporaries
@@ -384,12 +396,25 @@ def save_checkpoint(path: str | Path, params: dict[str, np.ndarray], header: dic
     return path
 
 
-def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
-    """Returns (params, header): the parameters as float32 arrays, and the header
-    as it was given to `save_checkpoint`.
+# The blob is read through a float32 buffer of this many elements (64 KiB): below
+# malloc's default mmap threshold, so freeing it leaves the thresholds alone
+_READ_CHUNK = 1 << 14
 
-    Raises ValueError naming ``path`` for a foreign, truncated or overlong file:
-    a header length past the end of the file, or bytes after the parameter blob.
+
+def load_checkpoint(path: str | Path, into=None) -> tuple[dict[str, np.ndarray], dict]:
+    """Returns (params, header): the parameters as new float64 arrays, and the
+    header as it was given to `save_checkpoint`.
+
+    ``into``, if given, is called with the header and returns C-contiguous
+    arrays keyed by parameter name. Those parameters are read into them in
+    place (the values are exact in any float dtype) and are left out of
+    ``params``. The blob is read in the file's order through one fixed-size
+    float32 buffer, so no float32 copy of it is made.
+
+    Raises ValueError naming ``path`` for a foreign, truncated or overlong file
+    (a header length past the end of the file, a blob shorter than its header
+    says, or bytes after it), and for a parameter of ``into`` that the file
+    lacks or holds in another shape.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -403,12 +428,29 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
         if header.pop("format", None) != CHECKPOINT_FORMAT:
             raise ValueError(f"not a {CHECKPOINT_FORMAT} checkpoint: {path}")
         del header["dtype"]
-        params: dict[str, np.ndarray] = {}
-        for entry in header.pop("params"):
-            data = np.empty(tuple(entry["shape"]), "<f4")
-            if fh.readinto(data.reshape(-1)) != data.nbytes:
-                raise ValueError(f"truncated checkpoint: {path}")
-            params[entry["name"]] = data
-        if fh.read(1):
+        shapes = {entry["name"]: tuple(entry["shape"]) for entry in header.pop("params")}
+        blob_end = 4 + head_len + 4 * sum(math.prod(shape) for shape in shapes.values())
+        if blob_end > size:
+            raise ValueError(f"truncated checkpoint: {path}")
+        if blob_end < size:
             raise ValueError(f"trailing bytes after the parameter blob: {path}")
+        targets = into(header) if into is not None else {}
+        for name, target in targets.items():
+            if name not in shapes:
+                raise ValueError(f"checkpoint has no parameter {name!r}: {path}")
+            if shapes[name] != target.shape:
+                raise ValueError(f"checkpoint parameter {name!r} has shape {shapes[name]}, "
+                                 f"the model's is {target.shape}: {path}")
+        params: dict[str, np.ndarray] = {}
+        buffer = np.empty(_READ_CHUNK, "<f4")
+        for name, shape in shapes.items():
+            out = targets.get(name)
+            if out is None:
+                out = params[name] = np.empty(shape)
+            flat = out.reshape(-1)
+            for start in range(0, flat.size, _READ_CHUNK):
+                chunk = buffer[: min(_READ_CHUNK, flat.size - start)]
+                if fh.readinto(chunk) != chunk.nbytes:
+                    raise ValueError(f"truncated checkpoint: {path}")
+                flat[start : start + chunk.size] = chunk
     return params, header

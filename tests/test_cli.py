@@ -206,8 +206,8 @@ class TestTrainAndHlf:
         standardizer = Standardizer(mean=extras["standardizer.mean"], std=extras["standardizer.std"])
         assert ids == [r.utterance_id for r in manifest.records]
         for rec, row in zip(manifest.records, matrix):
-            feats = apply_standardizer(standardizer, record_features(rec))
-            post = model.emotion_posteriors(feats, [len(feats)])[0]
+            feats = record_features(rec)
+            post = model.emotion_posteriors(feats, [len(feats)], standardizer)[0]
             np.testing.assert_allclose(row, compute_hlf(post), rtol=0, atol=1e-12)
 
 

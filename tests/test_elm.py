@@ -3,7 +3,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from sermtl.elm import ELMConfig, ELMFitError, ELMModel, elm_fit, elm_predict, load_elm, save_elm
+from sermtl import nn
+from sermtl.codec import from_dict
+from sermtl.elm import ELMConfig, ELMFitError, ELMModel, elm_fit, elm_predict, save_elm
 from sermtl.nn import one_hot
 from sermtl.seeding import derive_seed
 
@@ -129,7 +131,10 @@ def test_checkpoint_round_trip(tmp_path):
     y = one_hot(rng.integers(0, 4, 12), 4)
     model = elm_fit(x, y, ELMConfig(n_hidden=16, seed=2))
     path = save_elm(tmp_path / "elm.ckpt", model)
-    loaded = load_elm(path)
+    params, header = nn.load_checkpoint(path)
+    assert header.pop("kind") == "elm"
+    loaded = ELMModel(params["input_weights"], params["input_bias"], params["output_weights"],
+                      from_dict(ELMConfig, header))
     assert loaded.config == model.config
     scores_a, _ = elm_predict(model, x)
     scores_b, _ = elm_predict(loaded, x)

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,17 +10,19 @@ from hypothesis import strategies as st
 
 import reference_batches as reference
 from sermtl import nn
-from sermtl.features import FeatureStore
+from sermtl.features import FeatureStore, Standardizer
 from sermtl.mtl import (
     POSTERIOR_BLOCK_ROWS,
     MTLNetworkConfig,
     MultiTaskModel,
     TrainConfig,
+    TrainedModel,
     TrainingDivergedError,
     _batches,
     _sample_index,
     save_model,
     load_model,
+    posteriors_in_blocks,
     total_loss,
     train,
     write_history_csv,
@@ -47,9 +52,13 @@ def _split(data, k):
     return data.select(range(k)), data.select(range(k, len(data)))
 
 
+# standardizes every value to itself, bit for bit
+_IDENTITY = Standardizer(np.zeros(32), np.ones(32))
+
+
 def _one(model, x):
     """The posteriors of one utterance, scored as a block of one."""
-    return model.emotion_posteriors(x, [len(x)])[0]
+    return model.emotion_posteriors(x, [len(x)], _IDENTITY)[0]
 
 
 def _per_utterance(model, x):
@@ -402,7 +411,7 @@ class TestBlockPosteriors:
         model = _BLOCK_MODELS[trunk]
         lengths = data.draw(_block_lengths(trunk))
         utts = _utterances(seed, lengths)
-        block = model.emotion_posteriors(np.concatenate(utts), lengths)
+        block = model.emotion_posteriors(np.concatenate(utts), lengths, _IDENTITY)
         assert len(block) == len(utts)
         for got, utt in zip(block, utts):
             np.testing.assert_allclose(got, _per_utterance(model, utt), rtol=0, atol=1e-12)
@@ -415,9 +424,9 @@ class TestBlockPosteriors:
         lengths = data.draw(_block_lengths(trunk))
         perm = data.draw(st.permutations(range(len(lengths))))
         utts = _utterances(seed, lengths)
-        block = model.emotion_posteriors(np.concatenate(utts), lengths)
+        block = model.emotion_posteriors(np.concatenate(utts), lengths, _IDENTITY)
         permuted = model.emotion_posteriors(np.concatenate([utts[i] for i in perm]),
-                                            [lengths[i] for i in perm])
+                                            [lengths[i] for i in perm], _IDENTITY)
         for got, i in zip(permuted, perm):
             np.testing.assert_allclose(got, block[i], rtol=0, atol=1e-12)
 
@@ -429,7 +438,7 @@ class TestBlockPosteriors:
         model = _BLOCK_MODELS["dnn"]
         lengths = [w + _MIN_FRAMES["dnn"] - 1 for w in windows]
         utts = _utterances(len(windows), lengths)
-        block = model.emotion_posteriors(np.concatenate(utts), lengths)
+        block = model.emotion_posteriors(np.concatenate(utts), lengths, _IDENTITY)
         assert [len(p) for p in block] == windows
         for got, utt in zip(block, utts):
             np.testing.assert_allclose(got, _per_utterance(model, utt), rtol=0, atol=1e-12)
@@ -437,14 +446,14 @@ class TestBlockPosteriors:
     def test_dnn_block_with_short_utterance_raises(self):
         utts = _utterances(0, [30, 4, 12])
         with pytest.raises(ValueError, match="too few frames for DNN context"):
-            _BLOCK_MODELS["dnn"].emotion_posteriors(np.concatenate(utts), [30, 4, 12])
+            _BLOCK_MODELS["dnn"].emotion_posteriors(np.concatenate(utts), [30, 4, 12], _IDENTITY)
 
     @pytest.mark.parametrize("lengths, named", [
         ([], "non-empty"), ([0, 10], "positive"), ([4, 5], "sum to 9, features have 10 rows"),
     ])
     def test_bad_lengths_rejected(self, lengths, named):
         with pytest.raises(ValueError, match=named):
-            _BLOCK_MODELS["lstm"].emotion_posteriors(np.zeros((10, 32)), lengths)
+            _BLOCK_MODELS["lstm"].emotion_posteriors(np.zeros((10, 32)), lengths, _IDENTITY)
 
 
 class TestModelCheckpoint:
@@ -484,8 +493,8 @@ class TestModelCheckpoint:
             assert np.array_equal(_one(loaded, utt), _one(trained.model, utt))
         lengths = [u.shape[0] for u in utts]
         block = np.concatenate(utts)
-        for got, want in zip(loaded.emotion_posteriors(block, lengths),
-                             trained.model.emotion_posteriors(block, lengths)):
+        for got, want in zip(loaded.emotion_posteriors(block, lengths, _IDENTITY),
+                             trained.model.emotion_posteriors(block, lengths, _IDENTITY)):
             assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("edit, named", [
@@ -520,6 +529,73 @@ class TestModelCheckpoint:
         with pytest.raises(ValueError, match=named) as raised:
             load_model(bad)
         assert str(bad) in str(raised.value)
+
+
+    @staticmethod
+    def _saved(tmp_path, layer_sizes=(6, 5)):
+        """A checkpoint of an untrained LSTM model, with standardizer statistics."""
+        model = MultiTaskModel(MTLNetworkConfig(trunk="lstm", layer_sizes=layer_sizes), seed=2)
+        extra = {"standardizer.mean": np.linspace(-1.0, 1.0, 32), "standardizer.std": np.full(32, 0.5)}
+        return save_model(tmp_path / "m.ckpt", TrainedModel(model, TrainConfig(), [], 0, 0.0), extra)
+
+    def test_parameters_in_another_order_load_alike(self, tmp_path):
+        """The blob is read in the file's order: parameters stored in another
+        order than the model's vector load to the identical vector."""
+        path = self._saved(tmp_path)
+        params, header = nn.load_checkpoint(path)
+        reordered = nn.save_checkpoint(tmp_path / "reversed.ckpt", dict(reversed(params.items())), header)
+        want, _, want_extras = load_model(path)
+        got, _, extras = load_model(reordered)
+        assert got.vector.dtype == np.float64
+        assert got.vector.tobytes() == want.vector.tobytes()
+        assert list(extras) == ["standardizer.std", "standardizer.mean"]
+        for name, values in extras.items():
+            assert values.dtype == np.float64
+            assert values.tobytes() == want_extras[name].tobytes()
+
+    @pytest.mark.parametrize("damage, named", [
+        (lambda data: data[:-4], "truncated checkpoint"),
+        (lambda data: data + b"\x00", "trailing bytes after the parameter blob"),
+        (lambda data: b"\x02\x00\x00\x00{}", "not a PMTL-CKPT-1 checkpoint"),
+        (lambda data: struct.pack("<I", len(data)) + data[4:], "exceeds the file size"),
+    ], ids=["truncated", "overlong", "foreign", "header_past_end"])
+    def test_damaged_file_rejected(self, tmp_path, damage, named):
+        path = self._saved(tmp_path)
+        path.write_bytes(damage(path.read_bytes()))
+        with pytest.raises(ValueError, match=named) as raised:
+            load_model(path)
+        assert str(path) in str(raised.value)
+
+    def test_load_makes_no_float32_copy(self, tmp_path):
+        """The checkpoint is read into the model's vector through a small buffer:
+        the load allocates less than a float32 copy of the parameters."""
+        path = self._saved(tmp_path, layer_sizes=(128, 128))
+        tracemalloc.start()
+        try:
+            model, _, _ = load_model(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * model.vector.size
+
+
+def test_lstm_scoring_makes_no_standardized_copy():
+    """The LSTM pass reads a packed store's float32 rows and standardizes each
+    time step's rows as it reads them: it allocates less than one (frames, 32)
+    float64 copy of the block."""
+    rng = np.random.default_rng(0)
+    model = MultiTaskModel(MTLNetworkConfig(trunk="lstm", layer_sizes=(8,)), seed=0, dtype=np.float64)
+    store = FeatureStore.pack([f"u{i}" for i in range(64)],
+                              [rng.normal(size=(50, 32)).astype(np.float32) for _ in range(64)])
+    standardizer = Standardizer(rng.normal(size=32), rng.uniform(0.5, 2.0, 32))
+    tracemalloc.start()
+    try:
+        posteriors = list(posteriors_in_blocks(model, [store], standardizer))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(posteriors) == 64
+    assert peak < store.matrix.shape[0] * 32 * 8
 
 
 # ---------------------------------------------------------------------------

@@ -244,6 +244,19 @@ class TestDropout:
         assert np.all(np.abs(sampled.mean(axis=0) - col_means) < 3.0 * se + 1e-9)
 
 
+    def test_keep_mask_is_bool_and_the_scale_is_rebuilt_bitwise(self):
+        """`dropout` keeps a bool mask; the scale `dropout_scale` rebuilds from it
+        is the one the output was multiplied by, so every product keeps its bits,
+        the sign of a dropped negative zero included."""
+        x = np.random.default_rng(3).normal(size=(40, 30)).astype(np.float32)
+        y, keep = nn.dropout(x, 0.3, np.random.default_rng(4))
+        assert keep.dtype == np.bool_ and keep.shape == x.shape
+        scale = nn.dropout_scale(keep, 0.3, x.dtype)
+        assert scale.dtype == np.float32
+        assert scale.tobytes() == (keep / np.asarray(1.0 - 0.3, np.float32)).tobytes()
+        assert y.tobytes() == (x * scale).tobytes()
+        assert np.array_equal(np.signbit(y), np.signbit(x))
+
     @pytest.mark.parametrize("p", [1.0, -0.1])
     def test_probability_outside_unit_interval_rejected(self, p):
         with pytest.raises(ValueError, match="drop probability"):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import reference_training as reference
 from sermtl import nn
-from sermtl.features import FeatureStore
+from sermtl.features import FeatureStore, Standardizer
 from sermtl.mtl import (
     MTLNetworkConfig,
     MultiTaskModel,
@@ -157,7 +157,7 @@ def test_lstm_posteriors_equal_the_reference(case):
     trunk = [nn.with_dtype(layer, np.float64) for layer in old.trunk_layers]
     want = reference.lstm_block_posteriors(trunk, nn.with_dtype(old.heads["emotion"], np.float64),
                                            features, lengths)
-    got = model.emotion_posteriors(features, lengths)
+    got = model.emotion_posteriors(features, lengths, Standardizer(np.zeros(32), np.ones(32)))
     assert len(got) == len(want) == lengths.size
     for mine, theirs in zip(got, want):
         assert mine.tobytes() == theirs.tobytes()

@@ -1,4 +1,4 @@
-"""Memory and time of paper-size LSTM training, one probe per fresh process.
+"""Memory and time of paper-size LSTM training and scoring, one probe per fresh process.
 
 Run from the root of a source checkout (``PYTHONPATH=src``); point
 ``PYTHONPATH`` at another checkout's ``src`` to measure that one. Each probe
@@ -8,12 +8,14 @@ BLAS runs on one thread, as in training.
 
     python3 tools/lstm_probe.py step   # one 2x256 `loss_and_grads`, batch 128 x 300 frames, dropout 0.5
     python3 tools/lstm_probe.py layer  # one 256->256 `LSTMLayer` forward plus backward at (128, 300)
+    python3 tools/lstm_probe.py score  # load a saved 2x256 checkpoint, score 128 utterances x 300 frames
     python3 tools/lstm_probe.py xval --manifest M --out DIR --jobs N [xval flags...]
 
-``step`` also prints the sha256 of its losses and gradient vector, so two
-checkouts can be compared bit for bit. ``xval`` runs ``sermtl xval`` in this
-process and reports its wall time, this process's peak and the largest peak
-of its forked children, and the sha256 of ``report.json``.
+``step`` also prints the sha256 of its losses and gradient vector, and
+``score`` that of its posteriors, so two checkouts can be compared bit for
+bit. ``xval`` runs ``sermtl xval`` in this process and reports its wall time,
+this process's peak and the largest peak of its forked children, and the
+sha256 of ``report.json``.
 """
 from __future__ import annotations
 
@@ -22,15 +24,19 @@ import json
 import os
 import resource
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 import numpy as np
 
 from sermtl import blas, cli, nn
-from sermtl.mtl import MTLNetworkConfig, MultiTaskModel
+from sermtl.features import FeatureStore, Standardizer
+from sermtl.mtl import (MTLNetworkConfig, MultiTaskModel, TrainConfig, TrainedModel, load_model,
+                        posteriors_in_blocks, save_model)
 
-# The paper-size training step: one batch of 128 chunks of 300 frames
+# The paper-size training step: one batch of 128 chunks of 300 frames; the
+# scoring probe scores one block of 128 utterances of 300 frames
 BATCH, FRAMES = 128, 300
 
 
@@ -85,6 +91,33 @@ def probe_layer() -> dict:
     return {"probe": "layer", "batch": BATCH, "frames": FRAMES, **_measure(run)}
 
 
+def probe_score() -> dict:
+    """`load_model` of a saved 2x256 LSTM checkpoint (with standardizer
+    statistics), then `posteriors_in_blocks` over one packed float32 store of
+    BATCH utterances of FRAMES frames, as `sermtl hlf` scores a block."""
+    rng = np.random.default_rng(0)
+    model = MultiTaskModel(MTLNetworkConfig(trunk="lstm"), seed=0)
+    n_features = model.config.n_features
+    store = FeatureStore.pack([f"u{i:03d}" for i in range(BATCH)],
+                              [rng.normal(size=(FRAMES, n_features)).astype(np.float32)
+                               for _ in range(BATCH)])
+    extra = {"standardizer.mean": rng.normal(size=n_features).astype(np.float32),
+             "standardizer.std": rng.uniform(0.5, 2.0, n_features).astype(np.float32)}
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = save_model(Path(tmp) / "model.ckpt", TrainedModel(model, TrainConfig(), [], 0, 0.0), extra)
+        del model
+
+        def score():
+            loaded, _, extras = load_model(path)
+            standardizer = Standardizer(extras["standardizer.mean"], extras["standardizer.std"])
+            out["posteriors"] = list(posteriors_in_blocks(loaded, [store], standardizer))
+        result = _measure(score)
+    digest = hashlib.sha256(b"".join(p.tobytes() for p in out["posteriors"]))
+    return {"probe": "score", "batch": BATCH, "frames": FRAMES, **result,
+            "posteriors_sha256": digest.hexdigest()}
+
+
 def probe_xval(argv: list[str]) -> dict:
     """``sermtl xval`` with ``argv`` in this process."""
     out = Path(argv[argv.index("--out") + 1])
@@ -100,13 +133,13 @@ def probe_xval(argv: list[str]) -> dict:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    probes = {"step": probe_step, "layer": probe_layer}
+    probes = {"step": probe_step, "layer": probe_layer, "score": probe_score}
     if argv[:1] == ["xval"]:
         result = probe_xval(argv[1:])
     elif len(argv) == 1 and argv[0] in probes:
         result = probes[argv[0]]()
     else:
-        print("usage: lstm_probe.py {step | layer | xval XVAL_ARGS...}", file=sys.stderr)
+        print("usage: lstm_probe.py {step | layer | score | xval XVAL_ARGS...}", file=sys.stderr)
         return 2
     print(json.dumps(result, sort_keys=True))
     return 0
