@@ -331,6 +331,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="sermtl",
         description="Multi-task speech emotion recognition pipeline",
     )
+    parser.add_argument("--debug", action="store_true",
+                        help="let an error propagate with its traceback")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a seeded synthetic corpus set")
@@ -419,6 +421,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except Exception as exc:
+        if args.debug:
+            raise
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

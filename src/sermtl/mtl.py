@@ -154,9 +154,12 @@ def _layer_sizes(config: MTLNetworkConfig) -> list[int]:
 
 
 def _stable_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    """The row softmax of ``logits``, written over them and returned: each step
+    is the out-of-place formula's ufunc on the same values, so the bits match."""
+    logits -= logits.max(axis=1, keepdims=True)
+    np.exp(logits, out=logits)
+    logits /= logits.sum(axis=1, keepdims=True)
+    return logits
 
 
 class MultiTaskModel:
@@ -428,6 +431,8 @@ class MultiTaskModel:
                 x, c = h[:active], c[:active]
                 layer.step(a, x, c, hw, (c, cell_tanh[: c.size].reshape(c.shape), x))
             logits[rows] = x @ head.w.T + head.b
+        # free the scoring buffers: the softmax needs the logits alone
+        del gate_buf, product_buf, cell_tanh, inputs, state, a, hw, x, h, c
         return np.split(_stable_softmax(logits), np.cumsum(lengths)[:-1])
 
 

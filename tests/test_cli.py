@@ -3,6 +3,8 @@ from __future__ import annotations
 import json
 import os
 import signal
+import subprocess
+import sys
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -14,6 +16,7 @@ from sermtl.cli import main
 from sermtl.codec import from_dict
 from sermtl.corpus import (
     CorpusManifest,
+    ManifestError,
     SynthConfig,
     load_manifest,
     read_wav,
@@ -643,7 +646,34 @@ class TestCliErrors:
         capsys.readouterr()
 
     def test_stage_error_exits_one(self, tmp_path, capsys):
+        """Without ``--debug`` a failing stage prints one ``error:`` line and no traceback."""
         rc = main(["features", "--manifest", str(tmp_path / "missing.csv"),
                    "--out", str(tmp_path / "o")])
         assert rc == 1
-        assert "error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: manifest not found") and err.count("\n") == 1
+
+    def test_debug_reraises_with_traceback(self, tmp_path, capsys):
+        with pytest.raises(ManifestError, match="manifest not found") as raised:
+            main(["--debug", "features", "--manifest", str(tmp_path / "missing.csv"),
+                  "--out", str(tmp_path / "o")])
+        frames = [entry.name for entry in raised.traceback]
+        assert "cmd_features" in frames and frames[-1] == "load_manifest"
+        assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("command", ["hlf", "features"])
+def test_commands_that_draw_nothing_load_no_rng_or_openssl(cli_workspace, tmp_path, command):
+    """`hlf` and `features` draw no random numbers, so a fresh interpreter
+    running either loads neither `numpy.random` nor `hashlib` (whose `_hashlib`
+    maps OpenSSL's libcrypto)."""
+    _, data, run, _ = cli_workspace
+    argv = {"hlf": ["hlf", "--model", str(run / "model.ckpt"), "--out", str(tmp_path / "hlf.csv")],
+            "features": ["features", "--out", str(tmp_path / "feats")]}[command]
+    argv += ["--manifest", str(data / "manifest.csv")]
+    script = ("import json, sys\nfrom sermtl.cli import main\nrc = main(sys.argv[1:])\n"
+              "print(json.dumps([rc, sorted({'hashlib', '_hashlib', 'numpy.random'} & set(sys.modules))]))")
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+    assert json.loads(done.stdout.splitlines()[-1]) == [0, []]

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_batches as reference
-from sermtl import nn
+from sermtl import mtl, nn
 from sermtl.features import FeatureStore, Standardizer
 from sermtl.mtl import (
     POSTERIOR_BLOCK_ROWS,
@@ -596,6 +596,70 @@ def test_lstm_scoring_makes_no_standardized_copy():
         tracemalloc.stop()
     assert len(posteriors) == 64
     assert peak < store.matrix.shape[0] * 32 * 8
+
+
+def _softmax_out_of_place(logits):
+    """The formula `_stable_softmax` computed before it worked in place."""
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=1, keepdims=True)
+
+
+@st.composite
+def _logits(draw):
+    """Finite logits of any magnitude, with some entries tied to their row's maximum."""
+    n, k = draw(st.integers(1, 6)), draw(st.integers(1, 5))
+    scale = draw(st.sampled_from([1.0, 1e3, 1e150, 1e300]))
+    values = draw(st.lists(st.floats(-1.0, 1.0).map(lambda v: v * scale)
+                           | st.floats(allow_nan=False, allow_infinity=False),
+                           min_size=n * k, max_size=n * k))
+    logits = np.array(values, dtype=np.float64).reshape(n, k)
+    for i, j in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, k - 1)), max_size=4)):
+        logits[i, j] = logits[i].max()
+    return logits
+
+
+@settings(max_examples=200, deadline=None)
+@given(logits=_logits())
+def test_in_place_softmax_matches_out_of_place(logits):
+    with np.errstate(over="ignore"):
+        want = _softmax_out_of_place(logits)
+        got = mtl._stable_softmax(logits.copy())
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("trunk", ["lstm", "dnn"])
+@settings(max_examples=15, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_posteriors_match_the_out_of_place_softmax(trunk, data, seed):
+    """Both posterior routes give the bits they gave with the out-of-place softmax."""
+    model = _BLOCK_MODELS[trunk]
+    lengths = data.draw(_block_lengths(trunk))
+    features = np.concatenate(_utterances(seed, lengths))
+    got = model.emotion_posteriors(features, lengths, _IDENTITY)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mtl, "_stable_softmax", _softmax_out_of_place)
+        want = model.emotion_posteriors(features, lengths, _IDENTITY)
+    assert [p.tobytes() for p in got] == [p.tobytes() for p in want]
+
+
+def test_lstm_softmax_makes_no_logits_copies():
+    """The LSTM pass frees its scoring buffers and runs the softmax in place on
+    the logits: at a shape where the (frames, 4) float64 logits outweigh every
+    buffer, one call allocates less than two logits arrays (the out-of-place
+    softmax held four)."""
+    rng = np.random.default_rng(0)
+    model = MultiTaskModel(MTLNetworkConfig(trunk="lstm", layer_sizes=(8,)), seed=0)
+    lengths = [500] * 64
+    features = rng.normal(size=(sum(lengths), 32)).astype(np.float32)
+    tracemalloc.start()
+    try:
+        posteriors = model.emotion_posteriors(features, lengths, _IDENTITY)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(posteriors) == 64
+    assert peak < 2 * features.shape[0] * 4 * 8
 
 
 # ---------------------------------------------------------------------------

@@ -13,25 +13,29 @@ BLAS runs on one thread, as in training.
 
 ``step`` also prints the sha256 of its losses and gradient vector, and
 ``score`` that of its posteriors, so two checkouts can be compared bit for
-bit. ``xval`` runs ``sermtl xval`` in this process and reports its wall time,
-this process's peak and the largest peak of its forked children, and the
-sha256 of ``report.json``.
+bit. ``score`` also prints this process's absolute peak and whether
+``hashlib`` (which maps OpenSSL's libcrypto) and ``numpy.random`` were loaded,
+so the import floor shows beside the added peak: its checkpoint and store are
+made in a forked child, and the digest is taken after the check. ``xval``
+runs ``sermtl xval`` in this process and reports its wall time, this
+process's peak and the largest peak of its forked children, and the sha256 of
+``report.json``.
 """
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import resource
 import sys
 import tempfile
 import time
+import traceback
 from pathlib import Path
 
 import numpy as np
 
 from sermtl import blas, cli, nn
-from sermtl.features import FeatureStore, Standardizer
+from sermtl.features import FeatureStore, Standardizer, load_store, save_store
 from sermtl.mtl import (MTLNetworkConfig, MultiTaskModel, TrainConfig, TrainedModel, load_model,
                         posteriors_in_blocks, save_model)
 
@@ -47,6 +51,29 @@ def _rss_mb() -> float:
 
 def _peak_mb(who=resource.RUSAGE_SELF) -> float:
     return resource.getrusage(who).ru_maxrss / 1024  # KiB on Linux
+
+
+def _sha256(data: bytes) -> str:
+    import hashlib  # here, not at the top: `score` reports whether scoring loaded it
+
+    return hashlib.sha256(data).hexdigest()
+
+
+def _in_child(fn) -> None:
+    """Run ``fn()`` in a forked child, so nothing it loads or allocates stays here."""
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            fn()
+            code = 0
+        except Exception:
+            traceback.print_exc()
+        finally:
+            os._exit(code)
+    _, status = os.waitpid(pid, 0)
+    if status != 0:
+        raise RuntimeError(f"probe child failed: wait status {status}")
 
 
 def _measure(fn) -> dict:
@@ -73,9 +100,8 @@ def probe_step() -> dict:
             out["losses"], out["total"], _ = model.loss_and_grads(
                 data, dropout_p=0.5, rng=np.random.default_rng(1), train=True)
         result = _measure(step)
-        digest = hashlib.sha256(json.dumps([out["losses"], out["total"]]).encode() + grad.tobytes())
-    return {"probe": "step", "batch": BATCH, "frames": FRAMES, **result,
-            "loss_grad_sha256": digest.hexdigest()}
+        digest = _sha256(json.dumps([out["losses"], out["total"]]).encode() + grad.tobytes())
+    return {"probe": "step", "batch": BATCH, "frames": FRAMES, **result, "loss_grad_sha256": digest}
 
 
 def probe_layer() -> dict:
@@ -91,31 +117,39 @@ def probe_layer() -> dict:
     return {"probe": "layer", "batch": BATCH, "frames": FRAMES, **_measure(run)}
 
 
-def probe_score() -> dict:
-    """`load_model` of a saved 2x256 LSTM checkpoint (with standardizer
-    statistics), then `posteriors_in_blocks` over one packed float32 store of
-    BATCH utterances of FRAMES frames, as `sermtl hlf` scores a block."""
+def _score_inputs(directory: Path) -> None:
+    """Save a seeded 2x256 LSTM checkpoint (with standardizer statistics) and a
+    store of BATCH utterances of FRAMES frames under ``directory``."""
     rng = np.random.default_rng(0)
     model = MultiTaskModel(MTLNetworkConfig(trunk="lstm"), seed=0)
     n_features = model.config.n_features
-    store = FeatureStore.pack([f"u{i:03d}" for i in range(BATCH)],
-                              [rng.normal(size=(FRAMES, n_features)).astype(np.float32)
-                               for _ in range(BATCH)])
+    save_store(directory, FeatureStore.pack([f"u{i:03d}" for i in range(BATCH)],
+                                            [rng.normal(size=(FRAMES, n_features)).astype(np.float32)
+                                             for _ in range(BATCH)]))
     extra = {"standardizer.mean": rng.normal(size=n_features).astype(np.float32),
              "standardizer.std": rng.uniform(0.5, 2.0, n_features).astype(np.float32)}
+    save_model(directory / "model.ckpt", TrainedModel(model, TrainConfig(), [], 0, 0.0), extra)
+
+
+def probe_score() -> dict:
+    """`load_model` of a saved 2x256 LSTM checkpoint, then `posteriors_in_blocks`
+    over one packed float32 store of BATCH utterances of FRAMES frames, as
+    `sermtl hlf` scores a block. Both inputs are made in a forked child."""
     out = {}
     with tempfile.TemporaryDirectory() as tmp:
-        path = save_model(Path(tmp) / "model.ckpt", TrainedModel(model, TrainConfig(), [], 0, 0.0), extra)
-        del model
+        tmp = Path(tmp)
+        _in_child(lambda: _score_inputs(tmp))
+        store = load_store(tmp)
 
         def score():
-            loaded, _, extras = load_model(path)
+            loaded, _, extras = load_model(tmp / "model.ckpt")
             standardizer = Standardizer(extras["standardizer.mean"], extras["standardizer.std"])
             out["posteriors"] = list(posteriors_in_blocks(loaded, [store], standardizer))
         result = _measure(score)
-    digest = hashlib.sha256(b"".join(p.tobytes() for p in out["posteriors"]))
+    loaded = {"hashlib_loaded": "hashlib" in sys.modules, "numpy_random_loaded": "numpy.random" in sys.modules}
     return {"probe": "score", "batch": BATCH, "frames": FRAMES, **result,
-            "posteriors_sha256": digest.hexdigest()}
+            "peak_rss_mb": round(_peak_mb(), 1), **loaded,
+            "posteriors_sha256": _sha256(b"".join(p.tobytes() for p in out["posteriors"]))}
 
 
 def probe_xval(argv: list[str]) -> dict:
@@ -128,7 +162,7 @@ def probe_xval(argv: list[str]) -> dict:
     return {"probe": "xval", "argv": argv, "exit": code, "wall_s": round(wall, 2),
             "peak_rss_mb": round(_peak_mb(), 1),
             "children_peak_rss_mb": round(_peak_mb(resource.RUSAGE_CHILDREN), 1),
-            "report_sha256": hashlib.sha256(report.read_bytes()).hexdigest() if report.exists() else None}
+            "report_sha256": _sha256(report.read_bytes()) if report.exists() else None}
 
 
 def main(argv=None) -> int:
