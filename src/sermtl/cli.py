@@ -152,7 +152,7 @@ def cmd_train(args) -> int:
     records = [r for r in manifest.records if r.utterance_id in used]
     store = exp_mod.extract_feature_cache(records)
     with blas.one_thread():  # as an xval fold: the model does not depend on the BLAS thread count
-        trained, standardizer, _ = exp_mod.fit_fold(fold, store, network, training)
+        trained, standardizer = exp_mod.fit_fold(fold, store, network, training)
     mtl_mod.save_model(
         out_dir / "model.ckpt",
         trained,

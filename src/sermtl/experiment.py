@@ -42,6 +42,7 @@ from .features import (
     extract_features,
     fit_standardizer,
     frame_count,
+    mapped_array,
     standardized,
 )
 from .hlf import compute_hlf
@@ -142,17 +143,16 @@ class WorkerDied(RuntimeError):
     """A forked task child that ended without sending back its result."""
 
 
-def _run_tasks(fn, tasks, jobs: int, collect) -> None:
-    """Call ``collect(i, fn(tasks[i]))`` here for every task, as its result arrives:
-    in order with ``jobs <= 1``, else each task in a forked child of its own, at
-    most ``jobs`` at a time, that sends its result back pickled down a pipe. A
-    child's exception is raised again here, and a child that dies is collected
-    as a `WorkerDied`. Children still running on return or on any
-    exception, `KeyboardInterrupt` included, are killed and reaped."""
+def _run_tasks(fn, tasks, jobs: int) -> list:
+    """``[fn(t) for t in tasks]``, in task order: run here with ``jobs <= 1``, else
+    each task in a forked child of its own, at most ``jobs`` at a time, that sends
+    its result back pickled down a pipe. A child's exception is raised again
+    here, and a child that dies leaves a `WorkerDied` as its task's result.
+    Children still running on return or on any exception, `KeyboardInterrupt`
+    included, are killed and reaped."""
     if jobs <= 1:
-        for i, task in enumerate(tasks):
-            collect(i, fn(task))
-        return
+        return [fn(task) for task in tasks]
+    results = [None] * len(tasks)
     pending = list(enumerate(tasks))[::-1]
     running = {}  # pipe read end -> (task index, child pid, bytes read so far)
     try:
@@ -177,17 +177,18 @@ def _run_tasks(fn, tasks, jobs: int, collect) -> None:
                 os.close(fd)
                 if code != 0 or not data:
                     how = f"signal {-code}" if code < 0 else f"exit status {code}"
-                    collect(i, WorkerDied(f"worker died: {how}"))
+                    results[i] = WorkerDied(f"worker died: {how}")
                     continue
                 ok, value = pickle.loads(data)
                 if not ok:
                     raise value
-                collect(i, value)
+                results[i] = value
     finally:
         for fd, (_, pid, _) in running.items():
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
             os.close(fd)
+    return results
 
 
 def _task_child(fn, task, write: int) -> None:
@@ -213,7 +214,8 @@ def _task_child(fn, task, write: int) -> None:
 
 def _empty_store(records) -> FeatureStore:
     """A packed store for ``records`` with its labels and row ranges set, sized
-    from the WAV headers; the matrix is left for `extract_feature_cache` to fill."""
+    from the WAV headers; the matrix, a shared mapping, is left for
+    `extract_feature_cache` to fill."""
     lengths = []
     for rec in records:
         n_samples, sr = read_wav_length(rec.audio_path)
@@ -226,7 +228,7 @@ def _empty_store(records) -> FeatureStore:
     labels = [record_labels(rec) for rec in records]
     return FeatureStore(
         ids=tuple(rec.utterance_id for rec in records),
-        matrix=np.empty((int(lengths.sum()), N_FEATURES), np.float32),
+        matrix=mapped_array((int(lengths.sum()), N_FEATURES), np.float32),
         starts=np.cumsum(lengths) - lengths,
         lengths=lengths,
         labels={task: np.array([lab[task] for lab in labels], dtype=np.int64)
@@ -235,36 +237,31 @@ def _empty_store(records) -> FeatureStore:
     )
 
 
-def _extract_chunk(store: FeatureStore, task) -> np.ndarray:
+def _extract_chunk(store: FeatureStore, task) -> None:
     """Write the features of a run of consecutive records into their store rows,
-    reusing one workspace (and one BLAS thread, as the folds); returns those rows."""
+    reusing one workspace (and one BLAS thread, as the folds). In a forked child
+    the rows land in the parent's store too: its matrix is a shared mapping."""
     first, records = task
     workspace = Workspace()
     with blas.one_thread():
         for position, rec in enumerate(records, first):
             record_features(rec, workspace, out=store.rows(position))
-    return store.matrix[store.starts[first] : store.starts[position] + store.lengths[position]]
 
 
 def extract_feature_cache(records, jobs: int = 1) -> FeatureStore:
     """Extract the 32-dim feature matrix of every record, once, into a packed
     float32 store in record order, one task per job, each a run of consecutive
     records written to their own rows, so the split never changes the bytes.
-    With ``jobs > 1`` the tasks run in forked children, whose rows are copied in
-    here; a child that dies raises `WorkerDied` naming its task's first utterance."""
+    With ``jobs > 1`` the tasks run in forked children, which write their rows
+    into the store's shared mapping and send nothing back; a child that dies
+    raises `WorkerDied` naming its task's first utterance."""
     records = list(records)
     store = _empty_store(records)
     size = max(1, -(-len(records) // max(jobs, 1)))
     tasks = [(first, records[first : first + size]) for first in range(0, len(records), size)]
-
-    def collect(i, rows):
-        first, chunk = tasks[i]
-        if isinstance(rows, WorkerDied):
-            raise WorkerDied(f"front-end task from utterance {chunk[0].utterance_id}: {rows}")
-        # run here, the rows are already in place: numpy skips a copy onto itself
-        store.matrix[store.starts[first] : store.starts[first] + len(rows)] = rows
-
-    _run_tasks(partial(_extract_chunk, store), tasks, jobs, collect)
+    for (_, chunk), result in zip(tasks, _run_tasks(partial(_extract_chunk, store), tasks, jobs)):
+        if isinstance(result, WorkerDied):
+            raise WorkerDied(f"front-end task from utterance {chunk[0].utterance_id}: {result}")
     return store
 
 
@@ -277,11 +274,11 @@ def build_fold_plan(manifests, config: PipelineConfig) -> FoldPlan:
 
 
 def fit_fold(fold: Fold, store: FeatureStore, network: MTLNetworkConfig, training: TrainConfig
-             ) -> tuple[TrainedModel, Standardizer, FeatureStore]:
+             ) -> tuple[TrainedModel, Standardizer]:
     """Fit the standardizer on the fold's training utterances, standardize the
     store once into float32, and train a model seeded with ``training.seed`` on
-    the fold's train/validation split. Returns the model, the standardizer and
-    the standardized store.
+    the fold's train/validation split. Returns the model and the standardizer;
+    the standardized copy is freed on return.
 
     The statistics are rounded to float32 values, which a checkpoint stores
     exactly, so a saved model standardizes as its fold did."""
@@ -293,13 +290,13 @@ def fit_fold(fold: Fold, store: FeatureStore, network: MTLNetworkConfig, trainin
     model = MultiTaskModel(network, seed=training.seed)
     trained = train(model, data.select(train_positions),
                     data.select(store.positions(fold.validation_ids)), training)
-    return trained, standardizer, data
+    return trained, standardizer
 
 
 def _run_fold(fold_index: int, fold: Fold, store: FeatureStore, config: PipelineConfig) -> FoldResult:
     fold_seed = derive_seed(config.seed, "fold", fold_index)
-    trained, standardizer, _ = fit_fold(fold, store, config.network,
-                                        replace(config.training, seed=fold_seed))
+    trained, standardizer = fit_fold(fold, store, config.network,
+                                     replace(config.training, seed=fold_seed))
 
     def hlf_matrix(positions):
         size = config.training.batch_size
@@ -383,8 +380,7 @@ def _run_configs(manifests, configs: list[PipelineConfig], jobs: int) -> list[Ex
     tasks = [(i, fold, config) for config, plan in zip(configs, plans)
              for i, fold in enumerate(plan.folds)]
     store = extract_feature_cache(records, jobs)
-    results = [None] * len(tasks)
-    _run_tasks(partial(_fold_worker, store), tasks, jobs, results.__setitem__)
+    results = _run_tasks(partial(_fold_worker, store), tasks, jobs)
     results = iter(_failed_fold(task, str(result)) if isinstance(result, WorkerDied) else result
                    for task, result in zip(tasks, results))
     reports = []

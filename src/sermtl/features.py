@@ -340,17 +340,19 @@ def apply_standardizer(standardizer: Standardizer, matrix: np.ndarray,
 
 
 def mapped_array(shape: tuple[int, ...], dtype) -> np.ndarray:
-    """A zero-filled array in an anonymous private memory mapping of its own,
+    """A zero-filled array in an anonymous shared memory mapping of its own,
     unmapped when the array is freed.
 
-    Unlike ``np.empty``, it leaves malloc's adaptive thresholds alone: freeing
-    a malloc'd array of up to 32 MiB raises them so far that the heap then
-    keeps up to twice that much freed memory resident. For an array made and
-    freed once per fold, as `standardized` is, or once per command, as the
-    float64 vector `mtl.load_model` reads a checkpoint into is, that memory
-    would stay resident."""
+    A forked child's writes to it land in its parent's array: that is how the
+    front-end children fill `experiment.extract_feature_cache`'s store. The
+    other callers' arrays, `standardized`'s and `mtl.load_model`'s, live within
+    one fold or one command, never across a fork. Unlike ``np.empty``, it
+    leaves malloc's adaptive thresholds alone: freeing a malloc'd array of up
+    to 32 MiB raises them so far that the heap then keeps up to twice that much
+    freed memory resident, as it would for an array made and freed once per
+    fold or once per command."""
     nbytes = math.prod(shape) * np.dtype(dtype).itemsize
-    buffer = mmap.mmap(-1, max(nbytes, 1), flags=mmap.MAP_PRIVATE)
+    buffer = mmap.mmap(-1, max(nbytes, 1), flags=mmap.MAP_SHARED)
     return np.frombuffer(buffer, dtype, count=math.prod(shape)).reshape(shape)
 
 

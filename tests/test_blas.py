@@ -58,8 +58,7 @@ def test_folds_run_on_one_blas_thread(all_cores, monkeypatch):
     task = (0, None, None)
     assert experiment._fold_worker(None, task) == 1
     assert blas.threads() == all_cores  # the caller's count is restored
-    results = [None] * 4
-    experiment._run_tasks(partial(experiment._fold_worker, None), [task] * 4, 2, results.__setitem__)
+    results = experiment._run_tasks(partial(experiment._fold_worker, None), [task] * 4, 2)
     assert results == [1] * 4
     assert blas.threads() == all_cores
 

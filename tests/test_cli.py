@@ -214,19 +214,27 @@ class TestTrainAndHlf:
             np.testing.assert_allclose(row, compute_hlf(post), rtol=0, atol=1e-12)
 
 
-    def test_hlf_scores_like_the_trained_model(self, cli_workspace):
+    def test_hlf_scores_like_the_trained_model(self, cli_workspace, monkeypatch):
         """`hlf` standardizes with the checkpoint's statistics exactly as the fold that
         trained the model did, so its posteriors are the in-memory model's, bit for bit."""
         _, data, run, hlf_csv = cli_workspace
         manifest = load_manifest(data / "manifest.csv")
         saved = json.loads((run / "config.json").read_text())
         training = from_dict(TrainConfig, saved["training"])
+        trained_on, train = [], experiment.train
+
+        def recording_train(model, train_data, *rest):
+            trained_on.append(train_data)  # its matrix is the whole standardized store
+            return train(model, train_data, *rest)
+
+        monkeypatch.setattr(experiment, "train", recording_train)
         # the fold `train` fit, refit in memory; every utterance is standardized with its statistics
         fold = stratified_split([manifest], seed=saved["seed"]).folds[0]
         store = extract_feature_cache(manifest.records)
         with blas.one_thread():  # as `train` fits
-            trained, fold_standardizer, fold_data = fit_fold(
+            trained, fold_standardizer = fit_fold(
                 fold, store, from_dict(MTLNetworkConfig, saved["network"]), training)
+        [fold_data] = trained_on
         model, _, extras = load_model(run / "model.ckpt")
         standardizer = Standardizer(mean=extras["standardizer.mean"], std=extras["standardizer.std"])
         assert np.array_equal(standardizer.mean, fold_standardizer.mean)

@@ -2,19 +2,24 @@ from __future__ import annotations
 
 import json
 import os
+import tracemalloc
+import weakref
 from dataclasses import asdict
 
 import numpy as np
 import pytest
 
+from sermtl import experiment
 from sermtl.codec import from_dict
 from sermtl.experiment import (
     GRID_CONFIGS,
     ExperimentReport,
     PipelineConfig,
     _run_tasks,
+    build_fold_plan,
     compare_reports,
     extract_feature_cache,
+    fit_fold,
     grid_config_name,
     grid_networks,
     run_experiment,
@@ -59,9 +64,9 @@ class TestRunTasks:
     @pytest.mark.parametrize("task", ["decode", "key"])
     def test_child_exception_is_raised_as_it_was(self, task):
         with pytest.raises(Exception) as serial:
-            _run_tasks(_fail, [task], 1, None)
+            _run_tasks(_fail, [task], 1)
         with pytest.raises(Exception) as forked:
-            _run_tasks(_fail, ["ok", task], 2, lambda i, result: None)
+            _run_tasks(_fail, ["ok", task], 2)
         assert type(forked.value) is type(serial.value)
         assert forked.value.args == serial.value.args
         assert str(forked.value) == str(serial.value)
@@ -70,7 +75,7 @@ class TestRunTasks:
 
     def test_exception_that_cannot_cross_is_named(self):
         with pytest.raises(RuntimeError, match=r"^_TwoArgError: code: detail$"):
-            _run_tasks(_fail, ["two-arg"], 2, None)
+            _run_tasks(_fail, ["two-arg"], 2)
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
@@ -219,6 +224,36 @@ class TestFeatureStore:
         store = extract_feature_cache(manifest.records, jobs)
         assert store.matrix.tobytes() == serial.matrix.tobytes()
         assert np.array_equal(store.lengths, serial.lengths)
+
+    def test_parent_holds_no_rows(self, small_synth):
+        """Front-end children write their rows into the store's shared mapping;
+        none come back to be copied in."""
+        manifest, _, _ = small_synth
+        tracemalloc.start()
+        try:
+            store = extract_feature_cache(manifest.records, 2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < store.matrix.nbytes / 2
+
+    def test_fit_fold_frees_the_standardized_copy(self, small_synth, monkeypatch):
+        manifest, _, _ = small_synth
+        config = _tiny_config(max_epochs=1, patience=0)
+        copies, standardized = [], experiment.standardized
+
+        def recording_standardized(*args):
+            data = standardized(*args)
+            copies.append((weakref.ref(data), weakref.ref(data.matrix)))
+            return data
+
+        monkeypatch.setattr(experiment, "standardized", recording_standardized)
+        fold = build_fold_plan([manifest], config).folds[0]
+        # bound to a name, so whatever fit_fold returns is still alive below
+        result = fit_fold(fold, extract_feature_cache(manifest.records), config.network,
+                          config.training)
+        [(data, matrix)] = copies
+        assert data() is None and matrix() is None, result
 
     def test_parallel_grid_matches_serial(self, small_synth, tmp_path):
         manifest, _, _ = small_synth

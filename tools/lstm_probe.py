@@ -1,4 +1,5 @@
-"""Memory and time of paper-size LSTM training and scoring, one probe per fresh process.
+"""Memory and time of paper-size LSTM training and scoring, and of the front-end,
+one probe per fresh process.
 
 Run from the root of a source checkout (``PYTHONPATH=src``); point
 ``PYTHONPATH`` at another checkout's ``src`` to measure that one. Each probe
@@ -10,6 +11,7 @@ BLAS runs on one thread, as in training.
     python3 tools/lstm_probe.py layer  # one 256->256 `LSTMLayer` forward plus backward at (128, 300)
     python3 tools/lstm_probe.py score  # load a saved 2x256 checkpoint, score 128 utterances x 300 frames
     python3 tools/lstm_probe.py xval --manifest M --out DIR --jobs N [xval flags...]
+    python3 tools/lstm_probe.py features --manifest M --jobs N  # the front-end alone
 
 ``step`` also prints the sha256 of its losses and gradient vector, and
 ``score`` that of its posteriors, so two checkouts can be compared bit for
@@ -19,7 +21,9 @@ so the import floor shows beside the added peak: its checkpoint and store are
 made in a forked child, and the digest is taken after the check. ``xval``
 runs ``sermtl xval`` in this process and reports its wall time, this
 process's peak and the largest peak of its forked children, and the sha256 of
-``report.json``.
+``report.json``. ``features`` runs `extract_feature_cache` on the manifest's
+records and reports the same, and the peak it added here, all taken before
+the store is read for its sha256.
 """
 from __future__ import annotations
 
@@ -35,6 +39,8 @@ from pathlib import Path
 import numpy as np
 
 from sermtl import blas, cli, nn
+from sermtl.corpus import load_manifest
+from sermtl.experiment import extract_feature_cache
 from sermtl.features import FeatureStore, Standardizer, load_store, save_store
 from sermtl.mtl import (MTLNetworkConfig, MultiTaskModel, TrainConfig, TrainedModel, load_model,
                         posteriors_in_blocks, save_model)
@@ -165,15 +171,31 @@ def probe_xval(argv: list[str]) -> dict:
             "report_sha256": _sha256(report.read_bytes()) if report.exists() else None}
 
 
+def probe_features(manifest: str, jobs: int) -> dict:
+    """`extract_feature_cache` of the manifest's records on ``jobs`` jobs, in this process."""
+    records = load_manifest(manifest).records
+    out = {}
+    result = _measure(lambda: out.update(store=extract_feature_cache(records, jobs)))
+    # the peaks are read before the digest reads the store's pages into this process
+    return {"probe": "features", "manifest": manifest, "jobs": jobs, "utterances": len(records),
+            "store_mb": round(out["store"].matrix.nbytes / 2**20, 1), **result,
+            "peak_rss_mb": round(_peak_mb(), 1),
+            "children_peak_rss_mb": round(_peak_mb(resource.RUSAGE_CHILDREN), 1),
+            "store_sha256": _sha256(out["store"].matrix.tobytes())}
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     probes = {"step": probe_step, "layer": probe_layer, "score": probe_score}
     if argv[:1] == ["xval"]:
         result = probe_xval(argv[1:])
+    elif len(argv) == 5 and argv[0] == "features" and argv[1] == "--manifest" and argv[3] == "--jobs":
+        result = probe_features(argv[2], int(argv[4]))
     elif len(argv) == 1 and argv[0] in probes:
         result = probes[argv[0]]()
     else:
-        print("usage: lstm_probe.py {step | layer | score | xval XVAL_ARGS...}", file=sys.stderr)
+        print("usage: lstm_probe.py {step | layer | score | xval XVAL_ARGS... "
+              "| features --manifest M --jobs N}", file=sys.stderr)
         return 2
     print(json.dumps(result, sort_keys=True))
     return 0
