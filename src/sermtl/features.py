@@ -330,13 +330,15 @@ def apply_standardizer(standardizer: Standardizer, matrix: np.ndarray,
                        out: np.ndarray | None = None) -> np.ndarray:
     """``(matrix - mean) / std`` per column, computed in float64 element by
     element, so the rows of the result do not depend on which other rows are
-    standardized with them. Written into ``out`` (float64, ``matrix``'s shape)
-    when given."""
+    standardized with them. Written into ``out`` (``matrix``'s shape) when
+    given; a float32 ``out`` takes each float64 value rounded once, as a
+    model's float32 inputs are in training and in scoring."""
     matrix = np.asarray(matrix)
     if matrix.shape[1] != standardizer.mean.shape[0]:
         raise ValueError("column count does not match standardizer")
-    out = np.subtract(matrix, standardizer.mean, out=out, dtype=np.float64)
-    return np.divide(out, standardizer.std, out=out)
+    wide = out if out is not None and out.dtype == np.float64 else None
+    centred = np.subtract(matrix, standardizer.mean, out=wide, dtype=np.float64)
+    return np.divide(centred, standardizer.std, out=centred if out is None else out)
 
 
 def mapped_array(shape: tuple[int, ...], dtype) -> np.ndarray:
@@ -363,8 +365,8 @@ def standardized(store: FeatureStore, standardizer: Standardizer, block_rows: in
     time so no float64 copy of the whole matrix is made."""
     out = mapped_array(store.matrix.shape, np.float32)
     for start in range(0, out.shape[0], block_rows):
-        out[start : start + block_rows] = apply_standardizer(
-            standardizer, store.matrix[start : start + block_rows])
+        block = slice(start, start + block_rows)
+        apply_standardizer(standardizer, store.matrix[block], out=out[block])
     return replace(store, matrix=out)
 
 

@@ -2,12 +2,13 @@
 with early stopping, and emotion posterior extraction (subtask heads are kept
 in checkpoints but never used at inference).
 
-A model trains in its dtype (float32 by default) and scores in float64 from
-those same weights, so a model reloaded from its float32 checkpoint scores
-exactly like the model that wrote it. `load_model` reads the checkpoint into
-the float64 scoring model's vector in place, and scoring reads raw feature rows
-and standardizes them as it reads them: a time step's rows for the LSTM, a
-block of context windows' frames for the DNN.
+A model trains and scores in its dtype (float32 by default), so a model
+reloaded from its float32 checkpoint scores exactly like the model that wrote
+it. `load_model` reads the checkpoint into a float32 model's vector in place,
+and scoring reads raw feature rows and standardizes them into the model's dtype
+as it reads them: a time step's rows for the LSTM, a block of context windows'
+frames for the DNN. Small products are padded, so a row's posteriors do not
+depend on the block it is scored in.
 """
 from __future__ import annotations
 
@@ -145,6 +146,16 @@ def total_loss(per_task_losses: dict[str, float], heads: tuple[TaskHead, ...]) -
 POSTERIOR_BLOCK_ROWS = 128
 
 
+def _product_rows(n_out: int) -> int:
+    """The fewest rows that scoring runs a product ``x @ w.T`` with ``n_out``
+    outputs on. OpenBLAS (0.3.31, AVX-512 x86-64) runs a product of at most 1200
+    outputs, with 32 or more inputs, on a small-matrix kernel, and one row on
+    GEMV; each rounds a row otherwise than a larger product does. From 16 rows
+    and 1201 outputs on, a row's bits do not depend on how many rows share the
+    product or where it sits (tests/test_mtl.py checks every scoring shape)."""
+    return max(16, 1200 // n_out + 1)
+
+
 def _layer_sizes(config: MTLNetworkConfig) -> list[int]:
     """The parameter count of each trunk layer, then of each head."""
     widths = (config.input_width,) + config.layer_sizes
@@ -169,9 +180,9 @@ class MultiTaskModel:
     subtask-free model shares its trunk and emotion-head initialization with
     the multi-task variants built from the same seed.
 
-    ``dtype`` is the training dtype: parameters, activations, caches, dropout
-    masks, gradients and Adam moments all use it. Losses are computed in
-    float64, and `emotion_posteriors` always scores in float64.
+    ``dtype`` is the model's one dtype: parameters, activations, caches,
+    dropout masks, gradients, Adam moments and `emotion_posteriors`' buffers
+    and posteriors all use it. Losses are computed in float64.
 
     Every parameter is a view into one 1-D vector, ``vector``, in `parameters()`
     order; gradients and Adam moments are vectors of the same layout.
@@ -346,31 +357,34 @@ class MultiTaskModel:
         list of their posterior sequences: LSTM trunks emit one row per frame,
         DNN trunks one row per context window.
 
-        Scoring runs in float64 whatever the model's dtype: the trunk and the
-        emotion head are upcast once per call (exactly), not at every product.
-        Rows are standardized as they are read, one time step's (LSTM) or one
-        block of windows' frames (DNN) at a time; `apply_standardizer` is
-        element-wise, so no standardized copy of the whole block is needed.
+        Scoring runs in the model's dtype, on the parameters as they are. Rows
+        are standardized as they are read, one time step's (LSTM) or one block
+        of windows' frames (DNN) at a time, into an input buffer of that dtype:
+        `apply_standardizer`'s float64 values, each rounded once, as training's
+        `features.standardized` copy holds them. Every product runs on at least
+        `_product_rows` rows, so a row's posteriors have the same bits whichever
+        block it is scored in and wherever it sits in it.
         """
         features = np.asarray(features)
         if features.ndim != 2 or features.shape[1] != self.config.n_features:
             raise nn.ShapeError(f"features must be (n, {self.config.n_features})")
-        trunk = [nn.with_dtype(layer, np.float64) for layer in self.trunk_layers]
-        head = nn.with_dtype(self.heads[TASK_EMOTION], np.float64)
         lengths = np.asarray(lengths, dtype=np.int64)
         if lengths.ndim != 1 or lengths.size == 0 or np.any(lengths < 1):
             raise ValueError("lengths must be a non-empty list of positive frame counts")
         if int(lengths.sum()) != features.shape[0]:
             raise ValueError(f"lengths sum to {int(lengths.sum())}, features have {features.shape[0]} rows")
         if self.config.trunk == "lstm":
-            return self._lstm_block_posteriors(trunk, head, features, lengths, standardizer)
-        return self._dnn_block_posteriors(trunk, head, features, lengths, standardizer)
+            return self._lstm_block_posteriors(features, lengths, standardizer)
+        return self._dnn_block_posteriors(features, lengths, standardizer)
 
-    def _dnn_block_posteriors(self, trunk, head, features, lengths, standardizer):
+    def _dnn_block_posteriors(self, features, lengths, standardizer):
         """DNN pass over stacked utterances, one GEMM chain per block of rows: the
         context windows of consecutive utterances, up to POSTERIOR_BLOCK_ROWS of
         them (or one utterance's, if it has more). The block's frames are
-        standardized once, and its windows gathered from them with one fancy index."""
+        standardized once into one frame buffer, allocated once per call, and its
+        windows gathered from them with one fancy index, padded with copies of
+        the last window to the trunk's `_product_rows`."""
+        trunk, head = self.trunk_layers, self.heads[TASK_EMOTION]
         context = self.config.context_frames
         short = np.flatnonzero(lengths < context)
         if short.size:
@@ -381,56 +395,73 @@ class MultiTaskModel:
         frame_ends = np.cumsum(lengths)
         # window k of the stack starts context - 1 frames later per utterance before its own
         first_row = np.arange(ends[-1]) + (context - 1) * np.repeat(np.arange(lengths.size), counts)
+        # a block has one utterance's frames, or at most `context` per window
+        frame_buf = np.empty((min(features.shape[0], max(int(lengths.max()), POSTERIOR_BLOCK_ROWS * context)),
+                              features.shape[1]), self.dtype)
+        trunk_rows = max(_product_rows(layer.n_out) for layer in trunk)
+        head_in = np.zeros((_product_rows(head.n_out), head.n_in), self.dtype)
         posteriors = []
         u = 0
         while u < lengths.size:
             lo = ends[u] - counts[u]
             v = max(u + 1, int(np.searchsorted(ends, lo + POSTERIOR_BLOCK_ROWS, side="right")))
             first_frame = frame_ends[u] - lengths[u]
-            frames = apply_standardizer(standardizer, features[first_frame : frame_ends[v - 1]])
+            frames = apply_standardizer(standardizer, features[first_frame : frame_ends[v - 1]],
+                                        out=frame_buf[: frame_ends[v - 1] - first_frame])
             windows = np.lib.stride_tricks.sliding_window_view(frames, (context, frames.shape[1]))[:, 0]
-            h = windows[first_row[lo : ends[v - 1]] - first_frame].reshape(ends[v - 1] - lo, -1)
+            picks = first_row[lo : ends[v - 1]] - first_frame
+            h = windows[np.pad(picks, (0, max(0, trunk_rows - picks.size)), "edge")].reshape(-1, windows[0].size)
             for layer in trunk:
                 h, _ = layer.forward(h)
+            if h.shape[0] < head_in.shape[0]:
+                head_in[: h.shape[0]] = h
+                h = head_in
             logits, _ = head.forward(h)
-            posteriors.extend(np.split(_stable_softmax(logits), ends[u : v - 1] - lo))
+            posteriors.extend(np.split(_stable_softmax(logits[: picks.size]), ends[u : v - 1] - lo))
             u = v
         return posteriors
 
-    def _lstm_block_posteriors(self, trunk, head, features, lengths, standardizer):
+    def _lstm_block_posteriors(self, features, lengths, standardizer):
         """Time-major LSTM pass over a block of stacked utterances.
 
         Utterances are ordered by length (descending, stable), so those still
         running at step t are a prefix of that order: each step standardizes
         that prefix's rows into one input buffer, then advances every layer and
-        the emotion head on it alone. Nothing is padded and no training cache is
-        kept: each layer's state (h, c) is updated in place, and every
-        `nn.LSTMLayer.step` runs on one gate buffer and one product buffer,
-        allocated once per call.
+        the emotion head on it. No training cache is kept: each layer's state
+        (h, c) is updated in place, and every `nn.LSTMLayer.step` runs on one
+        gate buffer and one product buffer, allocated once per call.
+
+        A product of fewer than `_product_rows` rows runs on that many: the rows
+        past the running ones are those of finished utterances, or zeros past
+        the block, and only the running rows are kept.
         """
+        trunk, head = self.trunk_layers, self.heads[TASK_EMOTION]
         order = np.argsort(-lengths, kind="stable")
         starts = (np.cumsum(lengths) - lengths)[order]
         by_length = lengths[order]
-        widest = order.size * max(layer.n_hidden for layer in trunk)
-        gate_buf, product_buf = np.empty(4 * widest), np.empty(4 * widest)
-        cell_tanh = np.empty(widest)
-        inputs = np.empty((order.size, features.shape[1]))
-        state = [(np.zeros((order.size, layer.n_hidden)), np.zeros((order.size, layer.n_hidden)))
+        trunk_rows = max(_product_rows(4 * layer.n_hidden) for layer in trunk)
+        head_rows = _product_rows(head.n_out)
+        size = max(order.size, trunk_rows, head_rows)
+        widest = size * max(layer.n_hidden for layer in trunk)
+        gate_buf, product_buf = np.empty(4 * widest, self.dtype), np.empty(4 * widest, self.dtype)
+        cell_tanh = np.empty(widest, self.dtype)
+        inputs = np.zeros((size, features.shape[1]), self.dtype)
+        state = [(np.zeros((size, layer.n_hidden), self.dtype), np.zeros((size, layer.n_hidden), self.dtype))
                  for layer in trunk]
-        logits = np.empty((features.shape[0], head.n_out))
+        logits = np.empty((features.shape[0], head.n_out), self.dtype)
         for t in range(int(by_length[0])):
             active = int(np.count_nonzero(by_length > t))
             rows = starts[:active] + t
-            x = apply_standardizer(standardizer, features[rows], out=inputs[:active])
-            if not np.all(np.isfinite(x)):
+            if not np.all(np.isfinite(apply_standardizer(standardizer, features[rows], out=inputs[:active]))):
                 raise nn.NumericsError("non-finite input to LSTM")
+            m = max(active, trunk_rows)
+            x = inputs[:m]
             for layer, (h, c) in zip(trunk, state):
-                a, hw = (buf[: active * 4 * layer.n_hidden].reshape(active, -1)
-                         for buf in (gate_buf, product_buf))
+                a, hw = (buf[: m * 4 * layer.n_hidden].reshape(m, -1) for buf in (gate_buf, product_buf))
                 np.matmul(x, layer.w_x.T, out=a)
-                x, c = h[:active], c[:active]
+                x, c = h[:m], c[:m]
                 layer.step(a, x, c, hw, (c, cell_tanh[: c.size].reshape(c.shape), x))
-            logits[rows] = x @ head.w.T + head.b
+            logits[rows] = head.forward(h[: max(active, head_rows)])[0][:active]
         # free the scoring buffers: the softmax needs the logits alone
         del gate_buf, product_buf, cell_tanh, inputs, state, a, hw, x, h, c
         return np.split(_stable_softmax(logits), np.cumsum(lengths)[:-1])
@@ -665,19 +696,20 @@ def save_model(path: str | Path, trained: TrainedModel,
 def load_model(path: str | Path):
     """Load a model checkpoint. Returns (MultiTaskModel, header, extra_params).
 
-    The model is float64: it only scores, and a float64 model needs no upcast
-    copy to do so. Its vector is a mapping of its own (`features.mapped_array`),
-    so freeing it leaves malloc's thresholds alone, and `nn.load_checkpoint`
-    reads the checkpoint's float32 values into it in place, in the file's
-    order; no initial values are drawn. The extra parameters (the standardizer)
-    are returned in float64. Raises ValueError naming the parameter and ``path``
-    when one of the model's parameters is missing or has another shape."""
+    The model is float32, as it trained, and scores as the model that wrote
+    the checkpoint does. Its vector is a mapping of its own
+    (`features.mapped_array`), so freeing it leaves malloc's thresholds alone,
+    and `nn.load_checkpoint` reads the checkpoint's float32 values into it in
+    place, in the file's order; no initial values are drawn. The extra
+    parameters (the standardizer) are returned in float64. Raises ValueError
+    naming the parameter and ``path`` when one of the model's parameters is
+    missing or has another shape."""
     models = []
 
     def into(header):
         config = from_dict(MTLNetworkConfig, header["network"])
-        vector = mapped_array((sum(_layer_sizes(config)),), np.float64)
-        models.append(MultiTaskModel(config, header["model_seed"], np.float64, vector))
+        vector = mapped_array((sum(_layer_sizes(config)),), np.float32)
+        models.append(MultiTaskModel(config, header["model_seed"], np.float32, vector))
         return models[0].parameters()
 
     extras, header = nn.load_checkpoint(path, into)

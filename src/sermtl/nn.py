@@ -2,16 +2,15 @@
 inverted dropout, Adam, gradient clipping, and checkpoint I/O.
 
 Layers compute in the dtype of their parameters (float64 unless built with
-another ``dtype``); the multi-task model trains in float32 and scores in
-float64, see `mtl.MultiTaskModel`. A layer's parameters are views into one 1-D
-vector, its own or a slice of its model's. Softmax cross-entropy computes its
-loss in float64 and returns its gradient in the dtype of the logits. Dropout
-keeps a bool mask of the units it keeps; `dropout_scale` rebuilds the scale
-from it.
+another ``dtype``); the multi-task model trains and scores in float32, see
+`mtl.MultiTaskModel`. A layer's parameters are views into one 1-D vector, its
+own or a slice of its model's. Softmax cross-entropy computes its loss in
+float64 and returns its gradient in the dtype of the logits. Dropout keeps a
+bool mask of the units it keeps; `dropout_scale` rebuilds the scale from it.
 
 Checkpoints serialize parameters as float32 LE. `load_checkpoint` reads the
 blob in the file's order through one small float32 buffer, straight into the
-caller's arrays (a scoring model's float64 vector) or into new float64 arrays.
+caller's arrays (a loaded model's float32 vector) or into new float64 arrays.
 
 `LSTMLayer.step` is the one home of the LSTM gate math, computed in place in a
 gate buffer: the training `forward` (whose buffer is the (batch, time, 4H) gate
@@ -20,7 +19,6 @@ cache that BPTT reads) and the cache-free, time-major inference pass in
 """
 from __future__ import annotations
 
-import copy
 import json
 import math
 import os
@@ -62,18 +60,6 @@ def _glorot(out: np.ndarray, rng: np.random.Generator | None) -> None:
     step = max(1, (1 << 16) // fan_in)
     for start in range(0, fan_out, step):
         out[start : start + step] = rng.uniform(-limit, limit, out[start : start + step].shape)
-
-
-def with_dtype(layer, dtype):
-    """``layer`` itself if its parameters are already ``dtype``, else a shallow
-    copy whose parameters are cast to ``dtype``."""
-    params = layer.parameters()
-    if all(arr.dtype == dtype for arr in params.values()):
-        return layer
-    out = copy.copy(layer)
-    for name, arr in params.items():
-        setattr(out, name, arr.astype(dtype))
-    return out
 
 
 class DenseLayer:
@@ -406,10 +392,11 @@ def load_checkpoint(path: str | Path, into=None) -> tuple[dict[str, np.ndarray],
     header as it was given to `save_checkpoint`.
 
     ``into``, if given, is called with the header and returns C-contiguous
-    arrays keyed by parameter name. Those parameters are read into them in
-    place (the values are exact in any float dtype) and are left out of
-    ``params``. The blob is read in the file's order through one fixed-size
-    float32 buffer, so no float32 copy of it is made.
+    arrays keyed by parameter name (`mtl.load_model`'s are views of a float32
+    vector). Those parameters are read into them in place (the values are
+    exact in any float dtype) and are left out of ``params``. The blob is read
+    in the file's order through one fixed-size float32 buffer, so no float32
+    copy of it is made.
 
     Raises ValueError naming ``path`` for a foreign, truncated or overlong file
     (a header length past the end of the file, a blob shorter than its header

@@ -4,8 +4,9 @@ their own, `DenseLayer.forward`/`backward`, `LSTMLayer.step`/`forward`/`backward
 `dropout`, `MultiTaskModel.loss_and_grads` with its helpers, `batch_losses`,
 `AdamState`, `adam_step`, `clip_global_norm`, `EpochStats` and `train`; and
 the LSTM scoring loop as it ran before `LSTMLayer.step` updated its gates in
-place, `lstm_block_posteriors`. The method and function bodies are kept
-verbatim (``nn.`` prefixes dropped) as the oracle for test_training_oracle.py.
+place, `lstm_block_posteriors`, now in the model's dtype with its small
+products padded. The other method and function bodies are kept verbatim
+(``nn.`` prefixes dropped) as the oracle for test_training_oracle.py.
 Not a test module itself."""
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from sermtl.mtl import (TrainConfig, TrainingDivergedError, _batch_weight, _batches, _dataset_losses,
-                        _mean_losses, _sample_index, _stable_softmax, total_loss)
+                        _mean_losses, _product_rows, _sample_index, _stable_softmax, total_loss)
 from sermtl.nn import NumericsError, ShapeError, one_hot, softmax_xent
 from sermtl.seeding import derive_seed
 
@@ -156,25 +157,37 @@ class LSTMLayer:
 
 def lstm_block_posteriors(trunk, head, features, lengths):
     """`MultiTaskModel._lstm_block_posteriors` over `LSTMLayer`s and a `DenseLayer`
-    head of float64 parameters."""
+    head, in the dtype of their parameters, on ``features`` rounded once to it.
+    Each product is padded with copies of its last row to `_product_rows` rows,
+    and only the running rows are kept."""
     if not np.all(np.isfinite(features)):
         raise NumericsError("non-finite input to LSTM")
+    dtype = head.w.dtype
+    features = features.astype(dtype)
     order = np.argsort(-lengths, kind="stable")
     starts = (np.cumsum(lengths) - lengths)[order]
     by_length = lengths[order]
-    state = [(np.zeros((order.size, layer.n_hidden)), np.zeros((order.size, layer.n_hidden)))
+    state = [(np.zeros((order.size, layer.n_hidden), dtype), np.zeros((order.size, layer.n_hidden), dtype))
              for layer in trunk]
-    logits = np.empty((features.shape[0], head.n_out))
+    logits = np.empty((features.shape[0], head.n_out), dtype)
     for t in range(int(by_length[0])):
         active = int(np.count_nonzero(by_length > t))
         rows = starts[:active] + t
         x = features[rows]
         for k, layer in enumerate(trunk):
             h, c = state[k]
-            _, _, _, _, c, _, x = layer.step(x @ layer.w_x.T, h[:active], c[:active])
+            m = _product_rows(4 * layer.n_hidden)
+            _, _, _, _, c, _, x = layer.step(_padded(x, m) @ layer.w_x.T, _padded(h[:active], m),
+                                             _padded(c[:active], m))
+            x, c = x[:active], c[:active]
             state[k] = (x, c)
-        logits[rows] = x @ head.w.T + head.b
+        logits[rows] = (_padded(x, _product_rows(head.n_out)) @ head.w.T)[:active] + head.b
     return np.split(_stable_softmax(logits), np.cumsum(lengths)[:-1])
+
+
+def _padded(x, rows):
+    """``x`` followed by copies of its last row, up to ``rows`` rows."""
+    return np.concatenate([x, np.repeat(x[-1:], max(0, rows - len(x)), axis=0)])
 
 
 def dropout(x: np.ndarray, p: float, rng: np.random.Generator | None = None):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import reference_batches as reference
 from sermtl import mtl, nn
-from sermtl.features import FeatureStore, Standardizer
+from sermtl.features import FeatureStore, Standardizer, standardized
 from sermtl.mtl import (
     POSTERIOR_BLOCK_ROWS,
     MTLNetworkConfig,
@@ -61,23 +61,43 @@ def _one(model, x):
     return model.emotion_posteriors(x, [len(x)], _IDENTITY)[0]
 
 
+def _padded(x, rows):
+    """``x`` followed by copies of its last row, up to ``rows`` rows."""
+    return np.concatenate([x, np.repeat(x[-1:], max(0, rows - len(x)), axis=0)])
+
+
 def _per_utterance(model, x):
-    """Reference posteriors of one utterance from the layers' own forward passes in
-    float64: the LSTM trunk over it as one (1, T, n) sequence, the DNN trunk over
-    all its context windows at once, then the emotion head and a softmax."""
-    trunk = [nn.with_dtype(layer, np.float64) for layer in model.trunk_layers]
-    head = nn.with_dtype(model.heads["emotion"], np.float64)
+    """Reference posteriors of one utterance in the model's dtype, from inputs
+    rounded once to it (the identity standardizer's values). Every product is
+    padded with copies of its last row to the rows scoring pads it to: the
+    LSTM trunk advances one time step at a time, each row a copy of the
+    utterance's, through `nn.LSTMLayer.step` on states of its own; the DNN
+    trunk runs over all the context windows at once; then the emotion head
+    and a softmax."""
+    x = x.astype(model.dtype)
+    trunk, head = model.trunk_layers, model.heads["emotion"]
     if model.config.trunk == "lstm":
-        h = x[None]
-        for layer in trunk:
-            h, _ = layer.forward(h)
-        h = h[0]
+        rows = max(mtl._product_rows(4 * layer.n_hidden) for layer in trunk)
+        state = [(np.zeros((rows, layer.n_hidden), model.dtype), np.zeros((rows, layer.n_hidden), model.dtype))
+                 for layer in trunk]
+        h = np.empty((len(x), trunk[-1].n_hidden), model.dtype)
+        for t in range(len(x)):
+            ht = _padded(x[t : t + 1], rows)
+            for layer, (hs, cs) in zip(trunk, state):
+                a = ht @ layer.w_x.T
+                layer.step(a, hs, cs, np.empty_like(a), (cs, np.empty_like(cs), hs))
+                ht = hs
+            h[t] = ht[0]
     else:
         h = np.lib.stride_tricks.sliding_window_view(x, (model.config.context_frames, x.shape[1]))
         h = h[:, 0].reshape(-1, model.config.input_width)
+        n = len(h)
+        h = _padded(h, max(mtl._product_rows(layer.n_out) for layer in trunk))
         for layer in trunk:
             h, _ = layer.forward(h)
-    logits, _ = head.forward(h)
+        h = h[:n]
+    logits, _ = head.forward(_padded(h, mtl._product_rows(head.n_out)))
+    logits = logits[: len(h)]
     e = np.exp(logits - logits.max(axis=1, keepdims=True))
     return e / e.sum(axis=1, keepdims=True)
 
@@ -251,17 +271,17 @@ class TestDtypes:
             assert np.max(np.abs(got[name] - grad)) / scale < 1e-4, name
 
     @pytest.mark.parametrize("trunk", ["lstm", "dnn"])
-    def test_float32_model_scores_in_float64(self, trunk):
+    def test_model_scores_in_its_own_dtype(self, trunk):
+        """A float32 model scores in float32 and a float64 one in float64, each
+        on its own parameters, bit for bit as the padded reference does."""
         config = MTLNetworkConfig(trunk=trunk, layer_sizes=(8,), context_frames=0 if trunk == "lstm" else 5)
-        model = MultiTaskModel(config, seed=4)
-        wide = MultiTaskModel(config, seed=4, dtype=np.float64)
-        for name, arr in wide.parameters().items():
-            arr[...] = model.parameters()[name]
         feats = np.random.default_rng(11).normal(size=(12, 32))
-        got = _one(model, feats)
-        assert got.dtype == np.float64
-        assert np.array_equal(got, _one(wide, feats))
-        assert all(arr.dtype == np.float32 for arr in model.parameters().values())
+        for dtype in (np.float32, np.float64):
+            model = MultiTaskModel(config, seed=4, dtype=dtype)
+            got = _one(model, feats)
+            assert got.dtype == dtype
+            assert np.array_equal(got, _per_utterance(model, feats))
+            assert all(arr.dtype == dtype for arr in model.parameters().values())
 
 
 class TestBatchLosses:
@@ -414,7 +434,7 @@ class TestBlockPosteriors:
         block = model.emotion_posteriors(np.concatenate(utts), lengths, _IDENTITY)
         assert len(block) == len(utts)
         for got, utt in zip(block, utts):
-            np.testing.assert_allclose(got, _per_utterance(model, utt), rtol=0, atol=1e-12)
+            assert np.array_equal(got, _per_utterance(model, utt))
 
     @pytest.mark.parametrize("trunk", ["lstm", "dnn"])
     @settings(max_examples=25, deadline=None)
@@ -428,7 +448,7 @@ class TestBlockPosteriors:
         permuted = model.emotion_posteriors(np.concatenate([utts[i] for i in perm]),
                                             [lengths[i] for i in perm], _IDENTITY)
         for got, i in zip(permuted, perm):
-            np.testing.assert_allclose(got, block[i], rtol=0, atol=1e-12)
+            assert got.tobytes() == block[i].tobytes()
 
     @pytest.mark.parametrize("windows", [
         [POSTERIOR_BLOCK_ROWS], [POSTERIOR_BLOCK_ROWS + 1], [POSTERIOR_BLOCK_ROWS - 1, 1, 1],
@@ -441,7 +461,7 @@ class TestBlockPosteriors:
         block = model.emotion_posteriors(np.concatenate(utts), lengths, _IDENTITY)
         assert [len(p) for p in block] == windows
         for got, utt in zip(block, utts):
-            np.testing.assert_allclose(got, _per_utterance(model, utt), rtol=0, atol=1e-12)
+            assert np.array_equal(got, _per_utterance(model, utt))
 
     def test_dnn_block_with_short_utterance_raises(self):
         utts = _utterances(0, [30, 4, 12])
@@ -454,6 +474,68 @@ class TestBlockPosteriors:
     def test_bad_lengths_rejected(self, lengths, named):
         with pytest.raises(ValueError, match=named):
             _BLOCK_MODELS["lstm"].emotion_posteriors(np.zeros((10, 32)), lengths, _IDENTITY)
+
+
+@pytest.mark.parametrize("trunk, lengths", [
+    ("lstm", [40, 6, 40, 5]),  # from step 6 on, two utterances run alone
+    ("lstm", [3]),
+    ("dnn", [8, 10]),  # one block of 10 windows
+    ("dnn", [130, 10]),  # a block of 126 windows, then one of 6
+])
+def test_scoring_standardizes_as_training_does(trunk, lengths):
+    """Scoring a store's raw float32 rows with a standardizer gives the bits of
+    scoring training's standardized copy of them with the identity."""
+    model = _BLOCK_MODELS[trunk]
+    rng = np.random.default_rng(len(lengths))
+    store = FeatureStore.pack([f"u{i}" for i in range(len(lengths))],
+                              [rng.normal(1.0, 3.0, size=(n, 32)).astype(np.float32) for n in lengths])
+    standardizer = Standardizer(rng.normal(size=32), rng.uniform(0.5, 2.0, 32))
+    got = model.emotion_posteriors(store.matrix, store.lengths, standardizer)
+    want = model.emotion_posteriors(standardized(store, standardizer).matrix, store.lengths, _IDENTITY)
+    assert [p.tobytes() for p in got] == [p.tobytes() for p in want]
+
+
+def _scoring_products(config):
+    """(inputs, outputs) of every product that scoring runs for ``config``."""
+    widths = (config.input_width,) + config.layer_sizes
+    if config.trunk == "lstm":
+        trunk = [(n_in, 4 * n) for n_in, n in zip(widths, widths[1:])] + [(n, 4 * n) for n in widths[1:]]
+    else:
+        trunk = list(zip(widths, widths[1:]))
+    return trunk + [(widths[-1], 4)]
+
+
+# the scoring shapes of the models these tests and test_training_oracle.py build,
+# and of the paper's 2x256 LSTM and 3x256 DNN
+_SCORING_SHAPES = sorted({shape for config in [
+    MTLNetworkConfig(trunk="lstm", layer_sizes=sizes) for sizes in [(8,), (6,), (8, 6), (6, 5), (6, 6), (8, 8),
+                                                                    (4, 9, 3), (4, 4), (256, 256)]
+] + [
+    MTLNetworkConfig(trunk="dnn", layer_sizes=sizes, context_frames=context)
+    for sizes, context in [((8,), 5), ((8, 8), 5), ((8,), 3), ((8, 6), 3), ((8,), 11), ((256, 256, 256), 25)]
+] for shape in _scoring_products(config)})
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("n_in, n_out", _SCORING_SHAPES)
+def test_padded_products_keep_row_bits(n_in, n_out, dtype):
+    """The premise of scoring's padding, on this BLAS: a product padded with
+    copies of real rows to `mtl._product_rows` rows gives each real row, at any
+    block size from 1 row up and at any position, the bits that row gets in
+    a product of 1024 rows."""
+    rng = np.random.default_rng(n_in * 1000 + n_out)
+    w = rng.normal(size=(n_out, n_in)).astype(dtype)
+    x = rng.normal(size=(1024, n_in)).astype(dtype)
+    want = x @ w.T
+    rows = mtl._product_rows(n_out)
+    for m in list(range(1, 17)) + [rows - 1, rows, 256]:
+        for first in (0, 5, 1024 - m):
+            real = x[first : first + m]
+            for at in {0, (max(m, rows) - m) // 2, max(m, rows) - m}:
+                block = np.repeat(real[:1], max(m, rows), axis=0)
+                block[at : at + m] = real
+                got = (block @ w.T)[at : at + m]
+                assert got.tobytes() == want[first : first + m].tobytes(), (m, first, at)
 
 
 class TestModelCheckpoint:
@@ -486,7 +568,7 @@ class TestModelCheckpoint:
         trained = train(MultiTaskModel(config, seed=3), *_split(data, 9),
                         TrainConfig(batch_size=8, max_epochs=2, patience=1, seed=3))
         loaded, _, _ = load_model(save_model(tmp_path / "m.ckpt", trained))
-        assert loaded.dtype == np.float64
+        assert loaded.dtype == loaded.vector.dtype == np.float32
         rng = np.random.default_rng(1)
         utts = [rng.normal(size=(n, 32)) for n in (15, 9, 12)]
         for utt in utts:
@@ -546,7 +628,7 @@ class TestModelCheckpoint:
         reordered = nn.save_checkpoint(tmp_path / "reversed.ckpt", dict(reversed(params.items())), header)
         want, _, want_extras = load_model(path)
         got, _, extras = load_model(reordered)
-        assert got.vector.dtype == np.float64
+        assert got.vector.dtype == np.float32
         assert got.vector.tobytes() == want.vector.tobytes()
         assert list(extras) == ["standardizer.std", "standardizer.mean"]
         for name, values in extras.items():
@@ -645,7 +727,7 @@ def test_posteriors_match_the_out_of_place_softmax(trunk, data, seed):
 
 def test_lstm_softmax_makes_no_logits_copies():
     """The LSTM pass frees its scoring buffers and runs the softmax in place on
-    the logits: at a shape where the (frames, 4) float64 logits outweigh every
+    the logits: at a shape where the (frames, 4) float32 logits outweigh every
     buffer, one call allocates less than two logits arrays (the out-of-place
     softmax held four)."""
     rng = np.random.default_rng(0)
@@ -659,7 +741,7 @@ def test_lstm_softmax_makes_no_logits_copies():
     finally:
         tracemalloc.stop()
     assert len(posteriors) == 64
-    assert peak < 2 * features.shape[0] * 4 * 8
+    assert peak < 2 * features.shape[0] * 4 * model.dtype.itemsize
 
 
 # ---------------------------------------------------------------------------

@@ -154,9 +154,7 @@ def test_lstm_posteriors_equal_the_reference(case):
     bit for bit."""
     model, features, lengths = case
     old = reference.MultiTaskModel(model)
-    trunk = [nn.with_dtype(layer, np.float64) for layer in old.trunk_layers]
-    want = reference.lstm_block_posteriors(trunk, nn.with_dtype(old.heads["emotion"], np.float64),
-                                           features, lengths)
+    want = reference.lstm_block_posteriors(old.trunk_layers, old.heads["emotion"], features, lengths)
     got = model.emotion_posteriors(features, lengths, Standardizer(np.zeros(32), np.ones(32)))
     assert len(got) == len(want) == lengths.size
     for mine, theirs in zip(got, want):
@@ -196,8 +194,8 @@ def test_parameters_are_views_of_one_vector(trunk, tmp_path):
     trained = train(MultiTaskModel(config, seed=3), store.select([0, 1]), store.select([2]),
                     TrainConfig(batch_size=4, max_epochs=2, patience=1))
     loaded, _, _ = load_model(save_model(tmp_path / "m.ckpt", trained))
-    assert loaded.vector.dtype == np.float64
-    assert np.array_equal(loaded.vector, trained.model.vector.astype(np.float64))
+    assert loaded.vector.dtype == np.float32
+    assert loaded.vector.tobytes() == trained.model.vector.tobytes()
     for name, arr in loaded.parameters().items():
         assert np.shares_memory(arr, loaded.vector), name
 
