@@ -199,7 +199,8 @@ def cmd_elm(args) -> int:
     ids, x, labels = hlf_mod.read_hlf_csv(args.hlf)
     y = np.array([emotion_index(EmotionLabel(v)) for v in labels["emotion"]], dtype=np.int64)
     config = ELMConfig(n_hidden=args.n_hidden, ridge=args.ridge, seed=args.seed)
-    model = elm_fit(x, one_hot(y, 4), config)
+    with blas.one_thread():  # as in train: the ELM does not depend on the BLAS thread count
+        model = elm_fit(x, one_hot(y, 4), config)
     out_path = Path(args.out)
     save_elm(out_path, model)
     _write_config(_sidecar(out_path), {"command": "elm", "hlf": _absolute(args.hlf),
@@ -208,7 +209,8 @@ def cmd_elm(args) -> int:
     if args.eval is not None:
         eval_ids, eval_x, eval_labels = hlf_mod.read_hlf_csv(args.eval)
         eval_y = np.array([emotion_index(EmotionLabel(v)) for v in eval_labels["emotion"]], dtype=np.int64)
-        _, predictions = elm_predict(model, eval_x)
+        with blas.one_thread():
+            _, predictions = elm_predict(model, eval_x)
         cm = metrics_mod.confusion_matrix(eval_y, predictions)
         ua = metrics_mod.unweighted_accuracy(cm)
         print(f"eval UA over {len(eval_ids)} utterances: {ua:.4f}")
@@ -273,7 +275,8 @@ def cmd_embed(args) -> int:
         n_iter=args.iters,
         seed=args.seed,
     )
-    embedding, trace = tsne_mod.tsne_embed(x, config)
+    with blas.one_thread():  # as in train: the embedding does not depend on the BLAS thread count
+        embedding, trace = tsne_mod.tsne_embed(x, config)
     out_path = Path(args.out)
     tsne_mod.write_embedding_csv(out_path, ids, embedding, labels)
     if args.svg is not None:

@@ -1,16 +1,16 @@
 """Exact O(n^2) t-SNE for projecting utterance-level features to 2-D.
 
 Per-point Gaussian bandwidths are found by binary search to hit the target
-perplexity; the embedding minimizes KL(P||Q) with a Student-t low-dimensional
-kernel, momentum, and early exaggeration, on the schedule of van der Maaten &
-Hinton 2008. After the exaggeration phase a descent safeguard keeps the
-recorded KL trace non-increasing: a step that would raise the KL is retried
-with damped plain-gradient steps and rejected outright if none of them
-improves.
+perplexity, a block of rows at a time in lockstep; the embedding minimizes
+KL(P||Q) with a Student-t low-dimensional kernel, momentum, and early
+exaggeration, on the schedule of van der Maaten & Hinton 2008. After the
+exaggeration phase a descent safeguard keeps the recorded KL trace
+non-increasing: a step that would raise the KL is retried with damped
+plain-gradient steps and rejected outright if none of them improves.
 
-Each point the optimizer tries costs one O(n^2) kernel evaluation: the KL of a
-step is taken from its Student-t kernel, and an accepted point's kernel is kept
-for the next gradient.
+Each point the optimizer tries costs one `kl_and_gradient` call on n x n
+buffers allocated once: the KL of the point and the gradient there, which
+serves the next iteration if the point is accepted.
 """
 from __future__ import annotations
 
@@ -28,6 +28,7 @@ _Q_FLOOR = 1e-12
 _PERPLEXITY_TOL = 1e-4
 _BANDWIDTH_STEPS = 50
 _MIN_BANDWIDTH = 1e-12  # where duplicate points make a row's perplexity unattainable
+_SEARCH_BLOCK = 1 << 16  # elements of one block of rows searched in lockstep
 # The optimizer (van der Maaten & Hinton 2008)
 _OUT_DIMS = 2
 _INIT_STD = 1e-4  # of the initial points
@@ -63,53 +64,123 @@ def _pairwise_sq_dists(x: np.ndarray) -> np.ndarray:
     return d
 
 
+def _row_entropies(p: np.ndarray) -> np.ndarray:
+    """-sum(nz * log(nz)) over the positive entries nz of each row of ``p``,
+    rounded as `np.sum` rounds it over that row alone.
+
+    Rows with zeros (underflowed weights) are summed as one `np.add.reduceat`
+    segment each, over their positive entries after a 0.0 term
+    (1.0 * log(1.0)); such a segment rounds as `np.sum` of the entries does.
+    """
+    entropy = np.empty(p.shape[0])
+    whole = p.min(axis=1) > 0.0
+    dense = p if whole.all() else p[whole]
+    terms = np.log(dense)
+    terms *= dense
+    entropy[whole] = -terms.sum(axis=1)
+    part = p[~whole]
+    if part.size:
+        rows, m = part.shape
+        keep = np.empty((rows, m + 1), dtype=bool)
+        keep[:, 0] = True
+        np.greater(part, 0.0, out=keep[:, 1:])
+        padded = np.empty((rows, m + 1))
+        padded[:, 0] = 1.0
+        padded[:, 1:] = part
+        nz = padded[keep]
+        starts = np.zeros(rows, dtype=np.intp)
+        np.cumsum(keep.sum(axis=1)[:-1], out=starts[1:])
+        entropy[~whole] = -np.add.reduceat(nz * np.log(nz), starts)
+    return entropy
+
+
+def _row_affinities(d: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """exp(-d * beta) over its row sums, or uniform rows where every weight
+    underflows."""
+    w = d * -beta[:, None]
+    np.exp(w, out=w)
+    s = w.sum(axis=1)[:, None]
+    np.divide(w, s, out=w, where=s > 0.0)
+    w[s[:, 0] <= 0.0] = 1.0 / d.shape[1]
+    return w
+
+
+def _bandwidth_search(d: np.ndarray, perplexity: float) -> np.ndarray:
+    """Conditional affinities of rows ``d`` of squared distances to every other
+    point, all rows bisecting their Gaussian precision beta in lockstep.
+
+    Each row takes the steps it would take alone, so its result is the same
+    bit for bit: up to ``_BANDWIDTH_STEPS`` steps, each ending at the target
+    perplexity, at the precision cap ``1 / (2 * _MIN_BANDWIDTH)``, or with a new
+    beta. A row that runs out of steps keeps the affinities of the last beta
+    whose weights did not all underflow, or uniform ones if there was none.
+    """
+    rows, m = d.shape
+    out = np.full((rows, m), 1.0 / m)
+    beta, lo, hi = np.ones(rows), np.zeros(rows), np.full(rows, np.inf)
+    last = np.full(rows, np.nan)  # the last beta whose weights did not all underflow
+    beta_cap = 1.0 / (2.0 * _MIN_BANDWIDTH)
+    searching = np.ones(rows, dtype=bool)
+    for _ in range(_BANDWIDTH_STEPS):
+        active = np.flatnonzero(searching)
+        if active.size == 0:
+            break
+        w = d[active] if active.size < rows else d.copy()
+        w *= -beta[active, None]
+        np.exp(w, out=w)
+        s = w.sum(axis=1)
+        positive = s > 0.0
+        empty = active[~positive]  # every weight underflowed: a smaller beta
+        hi[empty] = beta[empty]
+        beta[empty] = (lo[empty] + hi[empty]) / 2.0
+
+        rows_ok = active[positive]
+        p = w if positive.all() else w[positive]
+        p /= s[positive, None]
+        last[rows_ok] = beta[rows_ok]
+        achieved = np.exp(_row_entropies(p))
+        met = np.abs(achieved - perplexity) <= _PERPLEXITY_TOL
+        out[rows_ok[met]] = p[met]
+        searching[rows_ok[met]] = False
+        wide = achieved > perplexity
+        flat = rows_ok[~met & wide]  # too flat: widen beta
+        lo[flat] = beta[flat]
+        beta[flat] = np.where(np.isinf(hi[flat]), beta[flat] * 2.0, (lo[flat] + hi[flat]) / 2.0)
+        steep = rows_ok[~met & ~wide]
+        hi[steep] = beta[steep]
+        beta[steep] = (lo[steep] + hi[steep]) / 2.0
+
+        capped = rows_ok[~met & (beta[rows_ok] >= beta_cap)]
+        beta[capped] = beta_cap
+        out[capped] = _row_affinities(d[capped], beta[capped])
+        searching[capped] = False
+    spent = np.flatnonzero(searching & ~np.isnan(last))
+    out[spent] = _row_affinities(d[spent], last[spent])
+    return out
+
+
 def conditional_affinities(x: np.ndarray, perplexity: float) -> np.ndarray:
     """Row-normalized conditional affinities with per-row perplexity within
     ``_PERPLEXITY_TOL``.
 
     Duplicate points can make a row's perplexity unattainable; the bandwidth
-    is then floored at ``_MIN_BANDWIDTH`` and the row kept as-is.
+    is then floored at ``_MIN_BANDWIDTH`` and the row kept as-is. Rows are
+    searched in blocks of about ``_SEARCH_BLOCK`` distances, so the search's
+    temporaries are O(block * n).
     """
     x = np.asarray(x, dtype=np.float64)
     n = x.shape[0]
     if n < 3 * perplexity:
         raise ValueError(f"need at least 3*perplexity={3 * perplexity:.0f} points, got {n}")
     d = _pairwise_sq_dists(x)
-    beta_cap = 1.0 / (2.0 * _MIN_BANDWIDTH)
     conditional = np.zeros((n, n))
-    for i in range(n):
-        row = np.delete(d[i], i)
-        beta = 1.0
-        lo, hi = 0.0, np.inf
-        p_row = None
-        for _ in range(_BANDWIDTH_STEPS):
-            w = np.exp(-row * beta)
-            s = w.sum()
-            if s <= 0.0:
-                hi = beta
-                beta = (lo + hi) / 2.0
-                continue
-            p_row = w / s
-            nz = p_row[p_row > 0.0]
-            entropy = -np.sum(nz * np.log(nz))
-            achieved = np.exp(entropy)
-            if abs(achieved - perplexity) <= _PERPLEXITY_TOL:
-                break
-            if achieved > perplexity:  # too flat: widen beta
-                lo = beta
-                beta = beta * 2.0 if not np.isfinite(hi) else (lo + hi) / 2.0
-            else:
-                hi = beta
-                beta = (lo + hi) / 2.0
-            if beta >= beta_cap:
-                beta = beta_cap
-                w = np.exp(-row * beta)
-                s = w.sum()
-                p_row = w / s if s > 0 else np.full(n - 1, 1.0 / (n - 1))
-                break
-        if p_row is None:
-            p_row = np.full(n - 1, 1.0 / (n - 1))
-        conditional[i, np.arange(n) != i] = p_row
+    block = max(1, _SEARCH_BLOCK // n)
+    for start in range(0, n, block):
+        rows = min(block, n - start)
+        off_diagonal = np.ones((rows, n), dtype=bool)
+        off_diagonal[np.arange(rows), start + np.arange(rows)] = False
+        d_rows = d[start:start + rows][off_diagonal].reshape(rows, n - 1)
+        conditional[start:start + rows][off_diagonal] = _bandwidth_search(d_rows, perplexity).ravel()
     return conditional
 
 
@@ -121,31 +192,63 @@ def compute_affinities(x: np.ndarray, perplexity: float) -> np.ndarray:
     return np.maximum(joint, 0.0)
 
 
-def _kernel(y: np.ndarray):
-    """Student-t kernel ``w`` (zero diagonal) of embedding ``y`` and the floored
-    joint ``q = max(w / sum(w), floor)``."""
-    d = _pairwise_sq_dists(y)
-    w = 1.0 / (1.0 + d)
+class KlWorkspace:
+    """What repeated `kl_and_gradient` calls against one P reuse: three n x n
+    buffers, and P's constant term of the KL, the sum of p log p over p > 0.
+
+    After a call, ``w`` holds the Student-t kernel 1 / (1 + |y_i - y_j|^2) of
+    its embedding (zero diagonal) and ``q`` the floored joint
+    max(w / sum(w), 1e-12).
+    """
+
+    def __init__(self, p: np.ndarray):
+        n = p.shape[0]
+        self.p = p
+        self.scratch = np.zeros((n, n))
+        np.log(p, out=self.scratch, where=p > 0.0)
+        self.p_log_p = float(np.dot(p.ravel(), self.scratch.ravel()))
+        self.w = np.empty((n, n))
+        self.q = np.empty((n, n))
+
+
+def kl_and_gradient(p: np.ndarray, y: np.ndarray, workspace: KlWorkspace | None = None,
+                    p_grad: np.ndarray | None = None):
+    """KL(P||Q) of embedding ``y``, and the gradient with respect to its rows
+    of KL(P_grad||Q), where P_grad is ``p_grad`` (the exaggerated P early in
+    the optimization) or else P.
+
+    ``workspace`` (made for this ``p``) holds the n x n buffers; without one,
+    the call makes its own. Each term is one numpy pass over them: the squared
+    distances by one GEMM, the KL as sum(p log p) - sum(p log q) over the whole
+    matrix, and the gradient's row sums with m @ y in one product, where
+    m = (P_grad - Q) * w.
+    """
+    ws = KlWorkspace(p) if workspace is None else workspace
+    if ws.p is not p:
+        raise ValueError("the workspace was made for another P")
+    w, q, scratch = ws.w, ws.q, ws.scratch
+    # 1 + |y_i - y_j|^2 = [-2 y, 1 + |y|^2, 1] @ [y, 1, |y|^2]^T
+    n, dims = y.shape
+    left, right = np.empty((n, dims + 2)), np.empty((n, dims + 2))
+    np.multiply(y, -2.0, out=left[:, :dims])
+    right[:, :dims] = y
+    right[:, dims] = 1.0
+    sq = right[:, dims + 1]
+    np.einsum("ij,ij->i", y, y, out=sq)
+    np.add(sq, 1.0, out=left[:, dims])
+    left[:, dims + 1] = 1.0
+    np.matmul(left, right.T, out=w)
+    np.maximum(w, 1.0, out=w)  # cancellation can take a squared distance below 0
+    np.reciprocal(w, out=w)
     np.fill_diagonal(w, 0.0)
-    z = w.sum()
-    return w, np.maximum(w / z, _Q_FLOOR)
-
-
-def _kl(p_pos: np.ndarray, mask: np.ndarray, q: np.ndarray) -> float:
-    """KL(P||Q) from ``mask = p > 0`` and ``p_pos = p[mask]``."""
-    return float(np.sum(p_pos * np.log(p_pos / q[mask])))
-
-
-def _gradient(p: np.ndarray, y: np.ndarray, w: np.ndarray, q: np.ndarray) -> np.ndarray:
-    m = (p - q) * w
-    return 4.0 * (m.sum(axis=1)[:, None] * y - m @ y)
-
-
-def kl_and_gradient(p: np.ndarray, y: np.ndarray):
-    """KL(P||Q) and its gradient with respect to the embedding rows."""
-    w, q = _kernel(y)
-    mask = p > 0.0
-    return _kl(p[mask], mask, q), _gradient(p, y, w, q)
+    np.multiply(w, 1.0 / w.sum(), out=q)
+    np.maximum(q, _Q_FLOOR, out=q)
+    np.log(q, out=scratch)
+    kl = ws.p_log_p - float(np.dot(p.ravel(), scratch.ravel()))
+    np.subtract(p if p_grad is None else p_grad, q, out=scratch)
+    scratch *= w
+    m_y = scratch @ right[:, :dims + 1]  # m @ y, then m's row sums
+    return kl, 4.0 * (m_y[:, -1:] * y - m_y[:, :-1])
 
 
 def tsne_embed(x: np.ndarray, config: TsneConfig | None = None):
@@ -164,39 +267,38 @@ def tsne_embed(x: np.ndarray, config: TsneConfig | None = None):
     y = rng.normal(0.0, _INIT_STD, (n, _OUT_DIMS))
     velocity = np.zeros_like(y)
     p_ex = p * _EARLY_EXAGGERATION
-    mask = p > 0.0
-    p_pos = p[mask]
-    trace = np.empty(config.n_iter)
-    w, q = _kernel(y)  # kernel of the current point, kept until a step is accepted
+    workspace = KlWorkspace(p)
 
+    def p_grad(it):  # the P of iteration ``it``'s gradient
+        return p_ex if it < config.exaggeration_iters else p
+
+    trace = np.empty(config.n_iter)
+    _, grad = kl_and_gradient(p, y, workspace, p_grad(0))  # kept until a step is accepted
     for it in range(config.n_iter):
         exaggerating = it < config.exaggeration_iters
-        p_used = p_ex if exaggerating else p
-        grad = _gradient(p_used, y, w, q)
         momentum = _MOMENTUM_EARLY if exaggerating else _MOMENTUM_LATE
         velocity = momentum * velocity - _LEARNING_RATE * grad
         y_next = y + velocity
         y_next = y_next - y_next.mean(axis=0)
-        w_next, q_next = _kernel(y_next)
-        kl_next = _kl(p_pos, mask, q_next)
+        p_next = p_grad(it + 1)
+        kl_next, grad_next = kl_and_gradient(p, y_next, workspace, p_next)
 
         if not exaggerating and it > 0 and kl_next > trace[it - 1]:
             # Descent safeguard: damped plain-gradient retries, else reject.
             for shrink in range(1, 21):
                 candidate = y - (_LEARNING_RATE * 0.5**shrink) * grad
                 candidate = candidate - candidate.mean(axis=0)
-                w_next, q_next = _kernel(candidate)
-                kl_candidate = _kl(p_pos, mask, q_next)
+                kl_candidate, grad_candidate = kl_and_gradient(p, candidate, workspace, p_next)
                 if kl_candidate <= trace[it - 1]:
-                    y_next, kl_next = candidate, kl_candidate
+                    y_next, kl_next, grad_next = candidate, kl_candidate, grad_candidate
                     break
             else:
-                y_next, kl_next, w_next, q_next = y, trace[it - 1], w, q
+                y_next, kl_next, grad_next = y, trace[it - 1], grad
             velocity = np.zeros_like(y)
 
         if not np.isfinite(kl_next):
             raise TsneError(f"non-finite KL at iteration {it}")
-        y, w, q = y_next, w_next, q_next
+        y, grad = y_next, grad_next
         trace[it] = kl_next
     return y, trace
 

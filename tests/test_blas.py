@@ -7,11 +7,15 @@ from dataclasses import asdict
 from functools import partial
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from sermtl import blas, experiment
 from sermtl.experiment import PipelineConfig, run_experiment
+from sermtl.hlf import HLF_DIM, write_hlf_csv
 from sermtl.mtl import MTLNetworkConfig, TrainConfig
+
+from conftest import make_records
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -91,3 +95,35 @@ def test_train_does_not_depend_on_the_blas_thread_count(small_synth, tmp_path):
                        capture_output=True, text=True, check=True, timeout=300)
         artifacts.append(((out / "model.ckpt").read_bytes(), (out / "history.csv").read_bytes()))
     assert artifacts[0] == artifacts[1]
+
+
+@pytest.fixture(scope="module")
+def large_hlf_table(tmp_path_factory):
+    """An HLF table of 1200 utterances: with 1000 hidden units, enough for the
+    ELM's float32 checkpoint and t-SNE's embedding to differ between one BLAS
+    thread and two when nothing pins the count."""
+    records = make_records(1200)
+    rng = np.random.default_rng(18)
+    vectors = rng.normal(size=(len(records), HLF_DIM)) + np.arange(len(records))[:, None] % 4
+    path = tmp_path_factory.mktemp("hlf_large") / "hlf.csv"
+    return write_hlf_csv(path, ((r.utterance_id, v, r) for r, v in zip(records, vectors)))
+
+
+@pytest.mark.parametrize("command, output", [
+    (["elm", "--n-hidden", "1000"], "elm.ckpt"),
+    (["embed", "--iters", "60"], "embedding.csv"),
+], ids=["elm", "embed"])
+def test_elm_and_embed_do_not_depend_on_the_blas_thread_count(large_hlf_table, tmp_path,
+                                                              command, output):
+    """`elm` and `embed` run on one BLAS thread, as `train` does: their outputs are
+    the same with OPENBLAS_NUM_THREADS=1 and unset (a thread per core)."""
+    flag = "--hlf" if command[0] == "elm" else "--input"
+    outputs = []
+    for threads in ("1", None):
+        out = tmp_path / f"threads-{threads}" / output
+        subprocess.run([sys.executable, "-m", "sermtl.cli", command[0], flag, str(large_hlf_table),
+                        "--out", str(out), *command[1:]],
+                       env=_env(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=None),
+                       capture_output=True, text=True, check=True, timeout=300)
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]

@@ -1,5 +1,5 @@
-"""Memory and time of paper-size LSTM training and scoring, and of the front-end,
-one probe per fresh process.
+"""Memory and time of paper-size LSTM training and scoring, of the front-end, and
+of t-SNE, one probe per fresh process.
 
 Run from the root of a source checkout (``PYTHONPATH=src``); point
 ``PYTHONPATH`` at another checkout's ``src`` to measure that one. Each probe
@@ -12,6 +12,7 @@ BLAS runs on one thread, as in training.
     python3 tools/lstm_probe.py score  # load a saved 2x256 checkpoint, score 128 utterances x 300 frames
     python3 tools/lstm_probe.py xval --manifest M --out DIR --jobs N [xval flags...]
     python3 tools/lstm_probe.py features --manifest M --jobs N  # the front-end alone
+    python3 tools/lstm_probe.py embed N ITERS  # `tsne_embed` of N random 16-d points, ITERS iterations
 
 ``step`` also prints the sha256 of its losses and gradient vector, and
 ``score`` that of its posteriors, so two checkouts can be compared bit for
@@ -23,7 +24,11 @@ runs ``sermtl xval`` in this process and reports its wall time, this
 process's peak and the largest peak of its forked children, and the sha256 of
 ``report.json``. ``features`` runs `extract_feature_cache` on the manifest's
 records and reports the same, and the peak it added here, all taken before
-the store is read for its sha256.
+the store is read for its sha256. ``embed`` reports the seconds per
+evaluation (one call of the function `tsne_embed` calls once per point it
+tries: `kl_and_gradient`, or `_kernel` in older versions) after the
+affinities, the peak `tsne_embed` added, its final KL and the sha256 of the
+embedding.
 """
 from __future__ import annotations
 
@@ -38,7 +43,7 @@ from pathlib import Path
 
 import numpy as np
 
-from sermtl import blas, cli, nn
+from sermtl import blas, cli, nn, tsne
 from sermtl.corpus import load_manifest
 from sermtl.experiment import extract_feature_cache
 from sermtl.features import FeatureStore, Standardizer, load_store, save_store
@@ -184,6 +189,37 @@ def probe_features(manifest: str, jobs: int) -> dict:
             "store_sha256": _sha256(out["store"].matrix.tobytes())}
 
 
+def probe_embed(n: int, iters: int) -> dict:
+    """`tsne_embed` (perplexity 30) of ``n`` seeded standard-normal 16-d points."""
+    x = np.random.default_rng(0).normal(size=(n, 16))
+    config = tsne.TsneConfig(n_iter=iters, exaggeration_iters=min(250, iters // 4))
+    name = "_kernel" if hasattr(tsne, "_kernel") else "kl_and_gradient"
+    evaluate, affinities = getattr(tsne, name), tsne.compute_affinities
+    calls, marks = [], {}
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return evaluate(*args, **kwargs)
+
+    def timed(*args, **kwargs):
+        result = affinities(*args, **kwargs)
+        marks["affinities"] = time.perf_counter()
+        return result
+
+    out = {}
+    setattr(tsne, name, counted)
+    tsne.compute_affinities = timed
+    try:
+        result = _measure(lambda: out.update(zip(("y", "trace"), tsne.tsne_embed(x, config))))
+        loop_s = time.perf_counter() - marks["affinities"]
+    finally:
+        setattr(tsne, name, evaluate)
+        tsne.compute_affinities = affinities
+    return {"probe": "embed", "n": n, "iters": iters, **result, "evaluations": len(calls),
+            "s_per_evaluation": round(loop_s / len(calls), 5), "final_kl": float(out["trace"][-1]),
+            "embedding_sha256": _sha256(out["y"].tobytes())}
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     probes = {"step": probe_step, "layer": probe_layer, "score": probe_score}
@@ -191,11 +227,13 @@ def main(argv=None) -> int:
         result = probe_xval(argv[1:])
     elif len(argv) == 5 and argv[0] == "features" and argv[1] == "--manifest" and argv[3] == "--jobs":
         result = probe_features(argv[2], int(argv[4]))
+    elif len(argv) == 3 and argv[0] == "embed":
+        result = probe_embed(int(argv[1]), int(argv[2]))
     elif len(argv) == 1 and argv[0] in probes:
         result = probes[argv[0]]()
     else:
         print("usage: lstm_probe.py {step | layer | score | xval XVAL_ARGS... "
-              "| features --manifest M --jobs N}", file=sys.stderr)
+              "| features --manifest M --jobs N | embed N ITERS}", file=sys.stderr)
         return 2
     print(json.dumps(result, sort_keys=True))
     return 0
