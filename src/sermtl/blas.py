@@ -1,6 +1,6 @@
 """The thread count of the OpenBLAS that numpy loaded, read and set through its
-C API: every fold of an experiment runs on one thread (see
-`experiment._fold_worker`).
+C API: every command runs on one thread (see `cli.main`), and so do the
+library's front-end tasks and experiment folds (`experiment._fold_worker`).
 
 numpy's wheels export that API with a ``scipy_`` prefix and a ``64_`` suffix
 (``scipy_openblas_set_num_threads64_``); system builds export the plain names.

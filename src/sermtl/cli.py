@@ -1,5 +1,9 @@
 """Command-line entry point wiring every pipeline stage into reproducible runs.
 
+A flag that sets a config field is stored under the field's name and has no
+default of its own: a command's settings are its config dataclasses' defaults
+with the given flags applied. Every command runs on one BLAS thread.
+
 Each command that writes artifacts records its resolved settings: ``synth``,
 ``features``, ``train`` and ``xval`` in ``<out>/config.json``, and ``hlf``, ``elm``
 and ``embed``, whose ``--out`` is a file, in ``<out>.config.json``. Re-running a
@@ -11,7 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -63,45 +67,40 @@ def _parse_sizes(text: str) -> tuple[int, ...]:
     return sizes
 
 
-def _given(args, **flags) -> dict:
-    """Config field -> flag value, for each flag that was given on the command line."""
-    return {name: getattr(args, flag) for name, flag in flags.items()
-            if getattr(args, flag, None) is not None}
+def _config(args, base, **fixed):
+    """``base`` with ``fixed``, then with each of its fields whose flag was given."""
+    given = {f.name: getattr(args, f.name) for f in fields(base)
+             if getattr(args, f.name, None) is not None}
+    return replace(base, **{**fixed, **given})
 
 
 def _network_config(args, base: MTLNetworkConfig) -> MTLNetworkConfig:
-    overrides = _given(args, trunk="trunk", layer_sizes="layer_sizes",
-                       subtask_mode="subtasks", subtask_weight="subtask_weight")
-    if overrides.get("trunk", base.trunk) != base.trunk:
-        # re-derive the context width and, unless given, the layer sizes for the new trunk
-        overrides["context_frames"] = 0
-        overrides.setdefault("layer_sizes", ())
-    return replace(base, **overrides)
+    # a new trunk re-derives the context width and, unless given, the layer sizes
+    fixed = {} if args.trunk in (None, base.trunk) else {"context_frames": 0, "layer_sizes": ()}
+    return _config(args, base, **fixed)
 
 
-def _train_config(args, base: TrainConfig, seed: int) -> TrainConfig:
-    return replace(base, seed=seed, **_given(
-        args, batch_size="batch_size", lr="lr", dropout_p="dropout", max_epochs="max_epochs",
-        patience="patience", lstm_chunk_frames="chunk_frames", dnn_window_stride="window_stride",
-    ))
+def _decode(cls, path):
+    return from_dict(cls, json.loads(Path(path).read_text(encoding="utf-8")))
 
 
 def _add_network_flags(sub):
-    sub.add_argument("--trunk", choices=("dnn", "lstm"), default=None)
-    sub.add_argument("--subtasks", choices=("all", "gender", "naturalness", "none"), default=None)
-    sub.add_argument("--layer-sizes", type=_parse_sizes, dest="layer_sizes", default=None,
-                     metavar="N,N[,N]", help="trunk layer widths, e.g. 256,256")
-    sub.add_argument("--subtask-weight", type=float, dest="subtask_weight", default=None)
+    sub.add_argument("--trunk", choices=("dnn", "lstm"))
+    sub.add_argument("--subtasks", choices=("all", "gender", "naturalness", "none"),
+                     dest="subtask_mode")
+    sub.add_argument("--layer-sizes", type=_parse_sizes, metavar="N,N[,N]",
+                     help="trunk layer widths, e.g. 256,256")
+    sub.add_argument("--subtask-weight", type=float)
 
 
 def _add_training_flags(sub):
-    sub.add_argument("--batch-size", type=int, dest="batch_size", default=None)
-    sub.add_argument("--lr", type=float, default=None)
-    sub.add_argument("--dropout", type=float, default=None)
-    sub.add_argument("--max-epochs", type=int, dest="max_epochs", default=None)
-    sub.add_argument("--patience", type=int, default=None)
-    sub.add_argument("--chunk-frames", type=int, dest="chunk_frames", default=None)
-    sub.add_argument("--window-stride", type=int, dest="window_stride", default=None)
+    sub.add_argument("--batch-size", type=int)
+    sub.add_argument("--lr", type=float)
+    sub.add_argument("--dropout", type=float, dest="dropout_p")
+    sub.add_argument("--max-epochs", type=int)
+    sub.add_argument("--patience", type=int)
+    sub.add_argument("--chunk-frames", type=int, dest="lstm_chunk_frames")
+    sub.add_argument("--window-stride", type=int, dest="dnn_window_stride")
 
 
 # ---------------------------------------------------------------------------
@@ -109,13 +108,7 @@ def _add_training_flags(sub):
 # ---------------------------------------------------------------------------
 
 def cmd_synth(args) -> int:
-    config = SynthConfig(
-        n_corpora=args.corpora,
-        speakers_per_corpus=args.speakers,
-        utterances_per_speaker=args.utts,
-        duration_s=args.duration,
-        seed=args.seed,
-    )
+    config = _config(args, SynthConfig())
     out_dir = Path(args.out)
     manifest = generate_synthetic(config, out_dir)
     _write_config(out_dir / "config.json", {"command": "synth", **asdict(config)})
@@ -144,15 +137,14 @@ def cmd_train(args) -> int:
     manifest = load_manifest(args.manifest)
     out_dir = Path(args.out)
     network = _network_config(args, MTLNetworkConfig())
-    training = _train_config(args, TrainConfig(), args.seed)
+    training = _config(args, TrainConfig())
 
     # features for the train/validation utterances only; the test split is just counted
-    fold = stratified_split([manifest], seed=args.seed).folds[0]
+    fold = stratified_split([manifest], seed=training.seed).folds[0]
     used = set(fold.train_ids) | set(fold.validation_ids)
     records = [r for r in manifest.records if r.utterance_id in used]
     store = exp_mod.extract_feature_cache(records)
-    with blas.one_thread():  # as an xval fold: the model does not depend on the BLAS thread count
-        trained, standardizer = exp_mod.fit_fold(fold, store, network, training)
+    trained, standardizer = exp_mod.fit_fold(fold, store, network, training)
     mtl_mod.save_model(
         out_dir / "model.ckpt",
         trained,
@@ -164,7 +156,7 @@ def cmd_train(args) -> int:
         "manifest": _absolute(args.manifest),
         "network": asdict(network),
         "training": asdict(training),
-        "seed": args.seed,
+        "seed": training.seed,
         "split": {"train": len(fold.train_ids), "val": len(fold.validation_ids),
                   "test": len(fold.test_ids)},
     })
@@ -198,9 +190,8 @@ def cmd_hlf(args) -> int:
 def cmd_elm(args) -> int:
     ids, x, labels = hlf_mod.read_hlf_csv(args.hlf)
     y = np.array([emotion_index(EmotionLabel(v)) for v in labels["emotion"]], dtype=np.int64)
-    config = ELMConfig(n_hidden=args.n_hidden, ridge=args.ridge, seed=args.seed)
-    with blas.one_thread():  # as in train: the ELM does not depend on the BLAS thread count
-        model = elm_fit(x, one_hot(y, 4), config)
+    config = _config(args, ELMConfig())
+    model = elm_fit(x, one_hot(y, 4), config)
     out_path = Path(args.out)
     save_elm(out_path, model)
     _write_config(_sidecar(out_path), {"command": "elm", "hlf": _absolute(args.hlf),
@@ -209,8 +200,7 @@ def cmd_elm(args) -> int:
     if args.eval is not None:
         eval_ids, eval_x, eval_labels = hlf_mod.read_hlf_csv(args.eval)
         eval_y = np.array([emotion_index(EmotionLabel(v)) for v in eval_labels["emotion"]], dtype=np.int64)
-        with blas.one_thread():
-            _, predictions = elm_predict(model, eval_x)
+        _, predictions = elm_predict(model, eval_x)
         cm = metrics_mod.confusion_matrix(eval_y, predictions)
         ua = metrics_mod.unweighted_accuracy(cm)
         print(f"eval UA over {len(eval_ids)} utterances: {ua:.4f}")
@@ -229,14 +219,9 @@ def cmd_xval(args) -> int:
         base = from_dict(exp_mod.PipelineConfig, saved["pipeline"])
     else:
         base = exp_mod.PipelineConfig()
-    seed = args.seed if args.seed is not None else base.seed
-    config = replace(
-        base,
-        network=_network_config(args, base.network),
-        training=_train_config(args, base.training, seed),
-        seed=seed,
-        **_given(args, protocol="protocol", group_key="group_key"),
-    )
+    config = _config(args, base)  # protocol, seed and group_key
+    config = replace(config, network=_network_config(args, config.network),
+                     training=_config(args, config.training, seed=config.seed))
     if args.corpus is not None and config.protocol != "within":
         raise ValueError(f"--corpus applies to --protocol within only, not {config.protocol!r}")
     manifests = [load_manifest(path) for path in args.manifest]
@@ -270,30 +255,22 @@ def cmd_xval(args) -> int:
 
 def cmd_embed(args) -> int:
     ids, x, labels = hlf_mod.read_hlf_csv(args.input)
-    config = tsne_mod.TsneConfig(
-        perplexity=args.perplexity,
-        n_iter=args.iters,
-        seed=args.seed,
-    )
-    with blas.one_thread():  # as in train: the embedding does not depend on the BLAS thread count
-        embedding, trace = tsne_mod.tsne_embed(x, config)
+    config = _config(args, tsne_mod.TsneConfig())
+    embedding, trace = tsne_mod.tsne_embed(x, config)
     out_path = Path(args.out)
     tsne_mod.write_embedding_csv(out_path, ids, embedding, labels)
     if args.svg is not None:
         tsne_mod.write_embedding_svg(args.svg, embedding, labels["emotion"])
     _write_config(_sidecar(out_path), {"command": "embed", "input": _absolute(args.input),
-                                       "svg": _absolute(args.svg), "perplexity": args.perplexity,
-                                       "iters": args.iters, "seed": args.seed})
+                                       "svg": _absolute(args.svg), "perplexity": config.perplexity,
+                                       "iters": config.n_iter, "seed": config.seed})
     print(f"embedded {len(ids)} points (final KL {trace[-1]:.4f}) -> {out_path}")
     return 0
 
 
 def cmd_report(args) -> int:
     if args.compare is not None:
-        report_a, report_b = (
-            from_dict(exp_mod.ExperimentReport, json.loads(Path(path).read_text(encoding="utf-8")))
-            for path in args.compare
-        )
+        report_a, report_b = (_decode(exp_mod.ExperimentReport, path) for path in args.compare)
         result = exp_mod.compare_reports(report_a, report_b)
         print(json.dumps(result, sort_keys=True, indent=2))
         return 0
@@ -301,27 +278,27 @@ def cmd_report(args) -> int:
     grid_path = run_dir / "grid_report.json"
     report_path = run_dir / "report.json"
     if grid_path.exists():
-        data = json.loads(grid_path.read_text(encoding="utf-8"))
-        names = data["config_names"]
+        grid = _decode(exp_mod.GridReport, grid_path)
+        names = grid.config_names
         print("test_group " + " ".join(f"{n:>18s}" for n in names))
-        for group in data["test_groups"]:
+        for group in grid.test_groups:
             cells = []
             for name in names:
-                ua = data["ua_table"][name].get(group)
+                ua = grid.ua_table[name].get(group)
                 cells.append("     n/a" if ua is None else f"{ua:8.4f}")
             print(f"{group:10s} " + " ".join(f"{c:>18s}" for c in cells))
-        means = ["     n/a" if data["mean_ua"][n] is None else f"{data['mean_ua'][n]:8.4f}" for n in names]
+        means = ["     n/a" if grid.mean_ua[n] is None else f"{grid.mean_ua[n]:8.4f}" for n in names]
         print(f"{'mean':10s} " + " ".join(f"{c:>18s}" for c in means))
-        for key, cmp_result in sorted(data.get("comparisons", {}).items()):
+        for key, cmp_result in sorted(grid.comparisons.items()):
             print(f"{key}: {json.dumps(cmp_result, sort_keys=True)}")
         return 0
     if report_path.exists():
-        data = json.loads(report_path.read_text(encoding="utf-8"))
-        print(f"protocol: {data['protocol']}  seed: {data['seed']}")
-        for fold in data["folds"]:
-            ua = "  FAILED" if fold["ua"] is None else f"{fold['ua']:8.4f}"
-            print(f"fold {fold['fold']:2d} test={fold['test_group']:12s} n={fold['n_test']:4d} UA={ua}")
-        mean = data["mean_ua"]
+        report = _decode(exp_mod.ExperimentReport, report_path)
+        print(f"protocol: {report.protocol}  seed: {report.seed}")
+        for fold in report.folds:
+            ua = "  FAILED" if fold.ua is None else f"{fold.ua:8.4f}"
+            print(f"fold {fold.fold:2d} test={fold.test_group:12s} n={fold.n_test:4d} UA={ua}")
+        mean = report.mean_ua
         print(f"mean UA: {'n/a' if mean is None else f'{mean:.4f}'}")
         return 0
     raise FileNotFoundError(f"no report.json or grid_report.json under {run_dir}")
@@ -340,11 +317,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a seeded synthetic corpus set")
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--corpora", type=int, default=2)
-    p.add_argument("--speakers", type=int, default=4)
-    p.add_argument("--utts", type=int, default=8)
-    p.add_argument("--duration", type=float, default=1.0)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--corpora", type=int, dest="n_corpora")
+    p.add_argument("--speakers", type=int, dest="speakers_per_corpus")
+    p.add_argument("--utts", type=int, dest="utterances_per_speaker")
+    p.add_argument("--duration", type=float, dest="duration_s")
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("features", help="extract a manifest's frame features into a feature store")
@@ -356,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train one model on a stratified split")
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int)
     _add_network_flags(p)
     _add_training_flags(p)
     p.set_defaults(func=cmd_train)
@@ -365,31 +342,30 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--theta", type=float, default=0.2)
+    p.add_argument("--theta", type=float, default=hlf_mod.THETA)
     p.set_defaults(func=cmd_hlf)
 
     p = sub.add_parser("elm", help="fit (and optionally evaluate) the ELM back-end")
     p.add_argument("--hlf", required=True, help="training HLF table (CSV)")
     p.add_argument("--out", required=True)
-    p.add_argument("--eval", default=None, help="held-out HLF table to score")
-    p.add_argument("--n-hidden", type=int, dest="n_hidden", default=120)
-    p.add_argument("--ridge", type=float, default=1e-3)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--eval", help="held-out HLF table to score")
+    p.add_argument("--n-hidden", type=int)
+    p.add_argument("--ridge", type=float)
+    p.add_argument("--seed", type=int)
     p.set_defaults(func=cmd_elm)
 
     p = sub.add_parser("xval", help="run a within/cross/aggregated experiment")
     p.add_argument("--manifest", action="append", required=True,
                    help="manifest CSV (repeat for multiple groups)")
     p.add_argument("--out", required=True)
-    p.add_argument("--protocol", choices=exp_mod.PROTOCOLS, default=None)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--protocol", choices=exp_mod.PROTOCOLS)
+    p.add_argument("--seed", type=int)
     p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--group-key", choices=("corpus", "corpus_naturalness"),
-                   dest="group_key", default=None)
-    p.add_argument("--corpus", default=None, help="restrict the within protocol to one corpus id")
+    p.add_argument("--group-key", choices=("corpus", "corpus_naturalness"))
+    p.add_argument("--corpus", help="restrict the within protocol to one corpus id")
     p.add_argument("--grid", action="store_true",
                    help="run all trunk x subtask configurations over the same folds")
-    p.add_argument("--config", default=None, help="config.json from a previous run")
+    p.add_argument("--config", help="config.json from a previous run")
     _add_network_flags(p)
     _add_training_flags(p)
     p.set_defaults(func=cmd_xval)
@@ -397,15 +373,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("embed", help="t-SNE projection of an HLF table")
     p.add_argument("--input", required=True, help="HLF table (CSV)")
     p.add_argument("--out", required=True, help="output embedding CSV")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--perplexity", type=float, default=30.0)
-    p.add_argument("--iters", type=int, default=1000)
-    p.add_argument("--svg", default=None, help="also write a static SVG scatter")
+    p.add_argument("--seed", type=int)
+    p.add_argument("--perplexity", type=float)
+    p.add_argument("--iters", type=int, dest="n_iter")
+    p.add_argument("--svg", help="also write a static SVG scatter")
     p.set_defaults(func=cmd_embed)
 
     p = sub.add_parser("report", help="render a run's report")
-    p.add_argument("--run", default=None, help="run directory containing report.json")
-    p.add_argument("--compare", nargs=2, metavar=("A", "B"), default=None,
+    p.add_argument("--run", help="run directory containing report.json")
+    p.add_argument("--compare", nargs=2, metavar=("A", "B"),
                    help="compare two report.json files (Wilcoxon over per-fold UAs)")
     p.set_defaults(func=cmd_report)
 
@@ -422,7 +398,9 @@ def main(argv=None) -> int:
         print("error: report needs --run or --compare", file=sys.stderr)
         return 2
     try:
-        return args.func(args)
+        # the results of a GEMM with a long inner dimension can depend on the thread count
+        with blas.one_thread():
+            return args.func(args)
     except Exception as exc:
         if args.debug:
             raise

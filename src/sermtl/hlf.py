@@ -10,6 +10,7 @@ from .corpus import EMOTION_CLASSES, UtteranceRecord
 
 HLF_DIM = 16
 FUNCTIONALS = ("min", "max", "mean", "frac")
+THETA = 0.2  # the "frac" functional counts the steps whose posterior exceeds this
 
 HLF_FEATURE_NAMES = tuple(
     f"{label.value}_{func}" for label in EMOTION_CLASSES for func in FUNCTIONALS
@@ -18,7 +19,7 @@ HLF_FEATURE_NAMES = tuple(
 _LABEL_COLUMNS = ("emotion", "gender", "naturalness", "speaker_id", "corpus_id")
 
 
-def compute_hlf(posteriors: np.ndarray, theta: float = 0.2) -> np.ndarray:
+def compute_hlf(posteriors: np.ndarray, theta: float = THETA) -> np.ndarray:
     """Collapse an (n, 4) posterior sequence to 16 values.
 
     Per class, in order: min, max, mean, and the fraction of steps whose

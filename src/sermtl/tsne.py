@@ -6,7 +6,9 @@ KL(P||Q) with a Student-t low-dimensional kernel, momentum, and early
 exaggeration, on the schedule of van der Maaten & Hinton 2008. After the
 exaggeration phase a descent safeguard keeps the recorded KL trace
 non-increasing: a step that would raise the KL is retried with damped
-plain-gradient steps and rejected outright if none of them improves.
+plain-gradient steps and rejected outright if none of them improves. A second
+rejection in a row leaves the embedding frozen, as every later iteration would
+retry the same points: the loop stops there and the trace repeats its last KL.
 
 Each point the optimizer tries costs one `kl_and_gradient` call on n x n
 buffers allocated once: the KL of the point and the gradient there, which
@@ -274,6 +276,7 @@ def tsne_embed(x: np.ndarray, config: TsneConfig | None = None):
 
     trace = np.empty(config.n_iter)
     _, grad = kl_and_gradient(p, y, workspace, p_grad(0))  # kept until a step is accepted
+    rejected = False  # whether the previous iteration rejected its step
     for it in range(config.n_iter):
         exaggerating = it < config.exaggeration_iters
         momentum = _MOMENTUM_EARLY if exaggerating else _MOMENTUM_LATE
@@ -295,6 +298,10 @@ def tsne_embed(x: np.ndarray, config: TsneConfig | None = None):
             else:
                 y_next, kl_next, grad_next = y, trace[it - 1], grad
             velocity = np.zeros_like(y)
+        if y_next is y and rejected:  # frozen: y, grad and velocity are as one iteration ago
+            trace[it:] = trace[it - 1]
+            break
+        rejected = y_next is y
 
         if not np.isfinite(kl_next):
             raise TsneError(f"non-finite KL at iteration {it}")

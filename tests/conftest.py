@@ -15,6 +15,18 @@ from sermtl.corpus import (
     generate_synthetic,
 )
 
+# each CLI command's required flags, with placeholder values
+COMMAND_REQUIRED_FLAGS = {
+    "synth": ["--out", "o"],
+    "features": ["--manifest", "m", "--out", "o"],
+    "train": ["--manifest", "m", "--out", "o"],
+    "hlf": ["--model", "c", "--manifest", "m", "--out", "o"],
+    "elm": ["--hlf", "h", "--out", "o"],
+    "xval": ["--manifest", "m", "--out", "o"],
+    "embed": ["--input", "h", "--out", "o"],
+    "report": ["--run", "r"],
+}
+
 EMOTIONS = list(EmotionLabel)
 GENDERS = list(GenderLabel)
 NATURALNESS = list(NaturalnessLabel)

@@ -10,12 +10,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sermtl import blas, experiment
+from sermtl import blas, cli, experiment
 from sermtl.experiment import PipelineConfig, run_experiment
 from sermtl.hlf import HLF_DIM, write_hlf_csv
 from sermtl.mtl import MTLNetworkConfig, TrainConfig
 
-from conftest import make_records
+from conftest import COMMAND_REQUIRED_FLAGS, make_records
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -65,6 +65,13 @@ def test_folds_run_on_one_blas_thread(all_cores, monkeypatch):
     results = experiment._run_tasks(partial(experiment._fold_worker, None), [task] * 4, 2)
     assert results == [1] * 4
     assert blas.threads() == all_cores
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_REQUIRED_FLAGS))
+def test_every_command_runs_on_one_blas_thread(all_cores, monkeypatch, command):
+    monkeypatch.setattr(cli, f"cmd_{command}", lambda args: blas.threads())
+    assert cli.main([command, *COMMAND_REQUIRED_FLAGS[command]]) == 1
+    assert blas.threads() == all_cores  # the caller's count is restored
 
 
 def test_parallel_matches_serial_on_every_core(all_cores, small_synth):

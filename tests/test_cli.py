@@ -1,18 +1,19 @@
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import signal
 import subprocess
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from sermtl import blas, experiment
-from sermtl.cli import main
+from sermtl.cli import build_parser, main
 from sermtl.codec import from_dict
 from sermtl.corpus import (
     CorpusManifest,
@@ -24,7 +25,10 @@ from sermtl.corpus import (
     write_manifest,
     write_wav,
 )
+from sermtl.elm import ELMConfig
 from sermtl.experiment import (
+    ExperimentReport,
+    FoldResult,
     PipelineConfig,
     extract_feature_cache,
     fit_fold,
@@ -33,6 +37,9 @@ from sermtl.experiment import (
 from sermtl.features import Standardizer, apply_standardizer, load_store
 from sermtl.hlf import compute_hlf, read_hlf_csv
 from sermtl.mtl import MTLNetworkConfig, TrainConfig, load_model, posteriors_in_blocks
+from sermtl.tsne import TsneConfig
+
+from conftest import COMMAND_REQUIRED_FLAGS
 
 
 def _tree_bytes(root: Path) -> dict[str, bytes]:
@@ -642,6 +649,58 @@ class TestSampleRateCheck:
                    "--out", str(tmp_path / "hlf.csv")])
         assert rc == 1
         assert "sample rate 8000 != manifest 16000" in capsys.readouterr().err
+
+
+_NETWORK_FLAGS = {"trunk", "layer_sizes", "subtask_mode", "subtask_weight"}
+_TRAINING_FLAGS = {"batch_size", "lr", "dropout_p", "max_epochs", "patience",
+                   "lstm_chunk_frames", "dnn_window_stride"}
+# command -> (the configs it builds, the fields its flags set)
+_CONFIG_FLAGS = {
+    "synth": ((SynthConfig,), {"seed", "n_corpora", "speakers_per_corpus",
+                               "utterances_per_speaker", "duration_s"}),
+    "features": ((), set()),
+    "train": ((MTLNetworkConfig, TrainConfig), {"seed"} | _NETWORK_FLAGS | _TRAINING_FLAGS),
+    "hlf": ((), set()),
+    "elm": ((ELMConfig,), {"n_hidden", "ridge", "seed"}),
+    "xval": ((PipelineConfig, MTLNetworkConfig, TrainConfig),
+             {"protocol", "seed", "group_key"} | _NETWORK_FLAGS | _TRAINING_FLAGS),
+    "embed": ((TsneConfig,), {"perplexity", "n_iter", "seed"}),
+    "report": ((), set()),
+}
+
+
+def test_every_command_is_covered():
+    commands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(commands.choices) == set(COMMAND_REQUIRED_FLAGS) == set(_CONFIG_FLAGS)
+
+
+@pytest.mark.parametrize("command", sorted(_CONFIG_FLAGS))
+def test_the_parser_holds_no_config_defaults(command):
+    """A flag that sets a config field is stored under the field's name and is
+    None unless given, so the config dataclass's default is the only one."""
+    configs, expected = _CONFIG_FLAGS[command]
+    args = build_parser().parse_args([command, *COMMAND_REQUIRED_FLAGS[command]])
+    names = {f.name for cls in configs for f in fields(cls)}
+    assert {k: v for k, v in vars(args).items() if k in names} == dict.fromkeys(expected)
+
+
+@pytest.mark.parametrize("old, new", [("mean_ua", "mean_UA"), ("n_test", "n_tests")])
+def test_report_run_names_a_misspelled_key(tmp_path, capsys, old, new):
+    fold = FoldResult(fold=0, test_group="a", n_train=8, n_val=2, n_test=2,
+                      confusion=[[1, 0, 0, 0], [0, 1, 0, 0], [0] * 4, [0] * 4], ua=1.0,
+                      per_class_recall=[1.0, 1.0, None, None], best_epoch=1, epochs_run=2,
+                      best_val_total=0.5)
+    report = ExperimentReport(protocol="cross", seed=0, config=PipelineConfig(), folds=[fold],
+                              mean_ua=1.0)
+    path = experiment.write_report(report, tmp_path)
+    assert main(["report", "--run", str(tmp_path)]) == 0
+    capsys.readouterr()
+    data = json.loads(path.read_text(encoding="utf-8"))
+    owner = data if old in data else data["folds"][0]
+    owner[new] = owner.pop(old)
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["report", "--run", str(tmp_path)]) == 1
+    assert f"unknown key {new!r}, missing key {old!r}" in capsys.readouterr().err
 
 
 class TestCliErrors:

@@ -120,3 +120,39 @@ def test_row_entropies_round_as_each_row_alone():
     for row, entropy in zip(p, got):
         nz = row[row > 0.0]
         assert entropy == -np.sum(nz * np.log(nz))
+
+
+@pytest.mark.parametrize("poisoned_iterations", [1, 2])
+def test_loop_stops_at_the_second_rejection_in_a_row(monkeypatch, poisoned_iterations):
+    """From the first iteration after exaggeration, every point tried reports a
+    higher KL for ``poisoned_iterations`` iterations (one main step and 20
+    retries each). One rejection leaves the loop running; a second in a row
+    freezes the embedding, so the loop stops evaluating and the rest of the
+    trace repeats the last accepted KL."""
+    x = np.random.default_rng(24).normal(size=(30, 5))
+    config = TsneConfig(perplexity=5.0, n_iter=60, exaggeration_iters=20, seed=4)
+    honest = 1 + config.exaggeration_iters  # the first evaluation and one per iteration
+    poisoned = 21 * poisoned_iterations
+    evaluate = tsne.kl_and_gradient
+    calls, last_accepted = [], {}
+
+    def spy(p, y, workspace, p_grad=None):
+        kl, grad = evaluate(p, y, workspace, p_grad)
+        calls.append(kl)
+        if len(calls) <= honest:
+            last_accepted.update(y=y.copy(), kl=kl)
+        elif len(calls) <= honest + poisoned:
+            kl += 1.0
+        return kl, grad
+
+    monkeypatch.setattr(tsne, "kl_and_gradient", spy)
+    y, trace = tsne_embed(x, config)
+    start = config.exaggeration_iters
+    if poisoned_iterations == 1:
+        assert len(calls) > honest + poisoned + 1  # the loop went on
+        assert trace[start] == last_accepted["kl"]
+        assert not np.array_equal(y, last_accepted["y"])
+    else:
+        assert len(calls) == honest + poisoned
+        assert np.all(trace[start - 1:] == last_accepted["kl"])
+        assert np.array_equal(y, last_accepted["y"])
