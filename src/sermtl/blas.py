@@ -1,6 +1,15 @@
 """The thread count of the OpenBLAS that numpy loaded, read and set through its
-C API: every command runs on one thread (see `cli.main`), and so do the
-library's front-end tasks and experiment folds (`experiment._fold_worker`).
+C API.
+
+Every command runs on one thread (see `cli.main`), and so do the library's
+front-end tasks (`experiment._extract_chunk`) and experiment folds
+(`experiment._fold_worker`). A GEMM with a long inner dimension can round
+differently on one thread and on several: training's weight gradients sum over
+batch x time, and the ELM's and t-SNE's products change too. Folds get their
+cores from ``--jobs`` instead, and the front-end's products are small.
+`sermtl hlf`'s scoring pass alone runs on `all_cores`: every product that
+scoring runs gives the same bits on 1, 2 and 4 threads (tests/test_blas.py
+checks each shape), so its posteriors do not depend on the count.
 
 numpy's wheels export that API with a ``scipy_`` prefix and a ``64_`` suffix
 (``scipy_openblas_set_num_threads64_``); system builds export the plain names.
@@ -57,6 +66,22 @@ def threads() -> int | None:
 
 
 @contextlib.contextmanager
+def running_on(count: int):
+    """Run the block on ``count`` OpenBLAS threads, then restore the caller's
+    count, whether the block returns or raises."""
+    api = _openblas()
+    if api is None:
+        yield
+        return
+    get, set_ = api
+    previous = get()
+    set_(count)
+    try:
+        yield
+    finally:
+        set_(previous)
+
+
 def one_thread():
     """Run the block on one OpenBLAS thread, then restore the previous count.
 
@@ -64,14 +89,12 @@ def one_thread():
     differently on one thread and on several, so pinning the count makes the
     block's results independent of it.
     """
-    api = _openblas()
-    if api is None:
-        yield
-        return
-    get, set_ = api
-    previous = get()
-    set_(1)
-    try:
-        yield
-    finally:
-        set_(previous)
+    return running_on(1)
+
+
+def all_cores():
+    """Run the block on one OpenBLAS thread per CPU this process may run on
+    (``os.sched_getaffinity``), whatever ``OPENBLAS_NUM_THREADS`` says, then
+    restore the previous count. Only for products whose bits do not depend on
+    the thread count."""
+    return running_on(len(os.sched_getaffinity(0)))

@@ -2,7 +2,8 @@
 
 A flag that sets a config field is stored under the field's name and has no
 default of its own: a command's settings are its config dataclasses' defaults
-with the given flags applied. Every command runs on one BLAS thread.
+with the given flags applied. Every command runs on one BLAS thread, except
+`hlf`'s scoring pass, which runs on every core (see `blas`).
 
 Each command that writes artifacts records its resolved settings: ``synth``,
 ``features``, ``train`` and ``xval`` in ``<out>/config.json``, and ``hlf``, ``elm``
@@ -177,8 +178,11 @@ def cmd_hlf(args) -> int:
     blocks = (exp_mod.extract_feature_cache(records[i : i + size])
               for i in range(0, len(records), size))
     posteriors = mtl_mod.posteriors_in_blocks(model, blocks, standardizer)
-    rows = [(rec.utterance_id, hlf_mod.compute_hlf(post, args.theta), rec)
-            for rec, post in zip(manifest.records, posteriors)]
+    # scoring's products give the same bits on any thread count; each block's
+    # front-end, pulled in here, still runs on one (`experiment._extract_chunk`)
+    with blas.all_cores():
+        rows = [(rec.utterance_id, hlf_mod.compute_hlf(post, args.theta), rec)
+                for rec, post in zip(manifest.records, posteriors)]
     out_path = Path(args.out)
     hlf_mod.write_hlf_csv(out_path, rows)
     _write_config(_sidecar(out_path), {"command": "hlf", "model": _absolute(args.model),
@@ -398,7 +402,9 @@ def main(argv=None) -> int:
         print("error: report needs --run or --compare", file=sys.stderr)
         return 2
     try:
-        # the results of a GEMM with a long inner dimension can depend on the thread count
+        # a GEMM with a long inner dimension (training's weight gradients, the ELM's,
+        # t-SNE's) can round differently on one thread and on several, so every
+        # command runs on one; `hlf` raises the count for its scoring pass alone
         with blas.one_thread():
             return args.func(args)
     except Exception as exc:

@@ -173,7 +173,9 @@ def conditional_affinities(x: np.ndarray, perplexity: float) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     n = x.shape[0]
     if n < 3 * perplexity:
-        raise ValueError(f"need at least 3*perplexity={3 * perplexity:.0f} points, got {n}")
+        hint = (f"a perplexity of at most {n // 3} fits them" if n // 3 > 1
+                else "no perplexity above 1 fits fewer than 6")
+        raise ValueError(f"need at least 3*perplexity={3 * perplexity:.0f} points, got {n}; {hint}")
     d = _pairwise_sq_dists(x)
     conditional = np.zeros((n, n))
     block = max(1, _SEARCH_BLOCK // n)

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -10,12 +12,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sermtl import blas, cli, experiment
+from sermtl import blas, cli, experiment, mtl
 from sermtl.experiment import PipelineConfig, run_experiment
+from sermtl.features import fit_standardizer
 from sermtl.hlf import HLF_DIM, write_hlf_csv
-from sermtl.mtl import MTLNetworkConfig, TrainConfig
+from sermtl.mtl import MTLNetworkConfig, MultiTaskModel, TrainConfig, TrainedModel, save_model
 
 from conftest import COMMAND_REQUIRED_FLAGS, make_records
+from test_mtl import _SCORING_SHAPES
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -134,3 +138,169 @@ def test_elm_and_embed_do_not_depend_on_the_blas_thread_count(large_hlf_table, t
                        capture_output=True, text=True, check=True, timeout=300)
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1]
+
+
+# Row counts of scoring's products: every count from 16 up to 48, then blocks up
+# to past the default 128 utterances or DNN windows, and longer utterances' windows
+_ROWS = (*range(16, 48), 64, 96, 127, 128, 129, 160, 192, 255, 256, 257, 300, 301, 302, 384, 512,
+         1000, 1024, 2048, 4096)
+
+
+def _row_counts(n_out: int) -> list[int]:
+    """The row counts of `_ROWS` that scoring runs a product of ``n_out`` outputs on,
+    and the first 8 from `mtl._product_rows`, its padded size."""
+    padded = mtl._product_rows(n_out)
+    return sorted({m for m in _ROWS if m >= padded} | set(range(padded, padded + 8)))
+
+
+# ((inputs, outputs), row counts) of every product `emotion_posteriors` runs for the
+# test models and the paper's 2x256 LSTM and 3x256 DNN
+_PRODUCTS = [(shape, _row_counts(shape[1])) for shape in _SCORING_SHAPES]
+
+
+def _product_digests(count: int) -> dict:
+    """The blake2b digest of each float32 product of `_PRODUCTS` on ``count`` threads."""
+    digests = {}
+    with blas.running_on(count):
+        assert blas.threads() == count
+        for (n_in, n_out), rows in _PRODUCTS:
+            rng = np.random.default_rng(n_in * 1000 + n_out)
+            w = rng.normal(size=(n_out, n_in)).astype(np.float32)
+            x = rng.normal(size=(max(rows), n_in)).astype(np.float32)
+            for m in rows:
+                digests[m, n_in, n_out] = hashlib.blake2b((x[:m] @ w.T).tobytes()).digest()
+    return digests
+
+
+def test_scoring_products_have_the_same_bits_on_any_thread_count():
+    """The premise of `hlf` scoring on every core: on this BLAS, every product
+    that scoring runs gives the same bytes on 1, 2 and 4 OpenBLAS threads. (A
+    training weight gradient, (1024 x 3696) @ (3696 x 256), does not.)"""
+    if blas.threads() is None:
+        pytest.skip("no OpenBLAS symbol found")
+    one, two, four = (_product_digests(count) for count in (1, 2, 4))
+    assert [shape for shape in one if not one[shape] == two[shape] == four[shape]] == []
+
+
+@pytest.fixture(scope="module")
+def saved_model(small_synth, tmp_path_factory):
+    """A function that saves a seeded, untrained network with the corpus's
+    float32 standardizer statistics, as `train` saves a model, and returns its path."""
+    manifest, _, _ = small_synth
+    with blas.one_thread():
+        store = experiment.extract_feature_cache(manifest.records)
+    statistics = fit_standardizer([store.matrix])
+    extra = {"standardizer.mean": statistics.mean.astype(np.float32),
+             "standardizer.std": statistics.std.astype(np.float32)}
+    directory = tmp_path_factory.mktemp("models")
+
+    def save(network: MTLNetworkConfig) -> Path:
+        trained = TrainedModel(MultiTaskModel(network, seed=0), TrainConfig(), [], 0, 0.0)
+        return save_model(directory / f"{network.trunk}-{len(network.layer_sizes)}x{network.layer_sizes[0]}.ckpt",
+                          trained, extra)
+    return save
+
+
+@pytest.fixture(scope="module")
+def small_model(saved_model):
+    return saved_model(MTLNetworkConfig(trunk="lstm", layer_sizes=(8, 8)))
+
+
+# `sermtl hlf` in a fresh interpreter on one OpenBLAS thread at start and an
+# affinity of 4 CPUs; prints the thread counts seen by the front-end, by scoring
+# (with the process's OS threads) and by the table's writer after the pass
+_HLF_THREADS = """
+import json, os, sys
+from sermtl import blas, cli, experiment, hlf, mtl
+
+def tasks():
+    return len(os.listdir("/proc/self/task"))
+
+os.sched_getaffinity = lambda pid: set(range(4))
+seen = {"start": [blas.threads(), tasks()], "front_end": [], "scoring": [], "writer": []}
+
+def recording(name, fn, *extra):
+    def call(*args, **kwargs):
+        seen[name].append([blas.threads(), *(f() for f in extra)])
+        return fn(*args, **kwargs)
+    return call
+
+experiment.record_features = recording("front_end", experiment.record_features)
+mtl.MultiTaskModel.emotion_posteriors = recording("scoring", mtl.MultiTaskModel.emotion_posteriors, tasks)
+hlf.write_hlf_csv = recording("writer", hlf.write_hlf_csv)
+seen["rc"] = cli.main(sys.argv[1:])
+print(json.dumps(seen))
+"""
+
+
+def test_hlf_scores_on_every_allowed_cpu(small_synth, small_model, tmp_path):
+    """With 4 CPUs allowed, `hlf` scores on 4 OpenBLAS threads, the caller and
+    the 3 it starts, and no more, although OPENBLAS_NUM_THREADS=1; the front-end
+    blocks scoring pulls in run on one thread, and so does the rest of the command."""
+    _, data, _ = small_synth
+    argv = ["hlf", "--model", str(small_model), "--manifest", str(data / "manifest.csv"),
+            "--out", str(tmp_path / "hlf.csv")]
+    done = subprocess.run([sys.executable, "-c", _HLF_THREADS, *argv], capture_output=True, text=True,
+                          env=_env(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS=None), check=True,
+                          timeout=300)
+    seen = json.loads(done.stdout.splitlines()[-1])
+    if seen["start"][0] is None:
+        pytest.skip("no OpenBLAS symbol found")
+    assert seen["rc"] == 0
+    blas_threads, os_threads = seen["start"]
+    assert blas_threads == 1
+    assert len(seen["front_end"]) == 48 and {n for n, in seen["front_end"]} == {1}
+    assert seen["scoring"] and {tuple(s) for s in seen["scoring"]} == {(4, os_threads + 3)}
+    assert seen["writer"] == [[1]]
+
+
+@pytest.mark.parametrize("fails", [False, True], ids=["returns", "raises"])
+def test_hlf_restores_the_callers_thread_count(small_synth, small_model, tmp_path, monkeypatch, fails):
+    """`hlf` leaves the caller's thread count as it found it, after a scoring
+    error too."""
+    if blas.threads() is None:
+        pytest.skip("no OpenBLAS symbol found")
+    _, data, _ = small_synth
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    if fails:
+        def failing(*args):
+            raise mtl.ContextError("scoring failed", 0)
+        monkeypatch.setattr(mtl.MultiTaskModel, "emotion_posteriors", failing)
+    args = cli.build_parser().parse_args(["hlf", "--model", str(small_model), "--manifest",
+                                          str(data / "manifest.csv"), "--out", str(tmp_path / "hlf.csv")])
+    with blas.running_on(3):
+        if fails:
+            with pytest.raises(mtl.ContextError, match="scoring failed"):
+                cli.cmd_hlf(args)
+        else:
+            assert cli.cmd_hlf(args) == 0
+        assert blas.threads() == 3
+
+
+@pytest.mark.parametrize("network", [MTLNetworkConfig(trunk="lstm"), MTLNetworkConfig(trunk="dnn")],
+                         ids=["lstm-2x256", "dnn-3x256"])
+def test_hlf_tables_do_not_depend_on_the_scoring_thread_count(small_synth, saved_model, tmp_path,
+                                                              monkeypatch, network):
+    """A paper-size model's HLF table is the same bytes scored on one thread and
+    on every core (at least two)."""
+    if blas.threads() is None:
+        pytest.skip("no OpenBLAS symbol found")
+    _, data, _ = small_synth
+    model = saved_model(network)
+    cores = max(2, len(os.sched_getaffinity(0)))
+    scored_on, score = [], mtl.MultiTaskModel.emotion_posteriors
+
+    def recording(*args):
+        scored_on.append(blas.threads())
+        return score(*args)
+
+    monkeypatch.setattr(mtl.MultiTaskModel, "emotion_posteriors", recording)
+    tables = []
+    for count in (1, cores):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, count=count: set(range(count)))
+        out = tmp_path / f"hlf-{count}.csv"
+        assert cli.main(["hlf", "--model", str(model), "--manifest", str(data / "manifest.csv"),
+                         "--out", str(out)]) == 0
+        tables.append(out.read_bytes())
+    assert scored_on == [1, cores]
+    assert tables[0] == tables[1]

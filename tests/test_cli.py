@@ -35,11 +35,11 @@ from sermtl.experiment import (
     record_features,
 )
 from sermtl.features import Standardizer, apply_standardizer, load_store
-from sermtl.hlf import compute_hlf, read_hlf_csv
+from sermtl.hlf import HLF_DIM, compute_hlf, read_hlf_csv, write_hlf_csv
 from sermtl.mtl import MTLNetworkConfig, TrainConfig, load_model, posteriors_in_blocks
 from sermtl.tsne import TsneConfig
 
-from conftest import COMMAND_REQUIRED_FLAGS
+from conftest import COMMAND_REQUIRED_FLAGS, make_records
 
 
 def _tree_bytes(root: Path) -> dict[str, bytes]:
@@ -417,6 +417,18 @@ class TestEmbedAndReport:
             assert rc == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+    def test_too_few_points_names_the_largest_perplexity(self, tmp_path, capsys):
+        """`synth`'s default corpus (64 utterances) is too small for `embed`'s
+        default perplexity (30); the refusal names the largest that fits, which works."""
+        records = make_records(64)
+        vectors = np.random.default_rng(0).normal(size=(len(records), HLF_DIM))
+        table = write_hlf_csv(tmp_path / "hlf.csv", ((r.utterance_id, v, r) for r, v in zip(records, vectors)))
+        assert main(["embed", "--input", str(table), "--out", str(tmp_path / "e.csv")]) == 1
+        assert capsys.readouterr().err == ("error: need at least 3*perplexity=90 points, got 64; "
+                                           "a perplexity of at most 21 fits them\n")
+        assert main(["embed", "--input", str(table), "--out", str(tmp_path / "e.csv"),
+                     "--perplexity", "21", "--iters", "50"]) == 0
 
     def test_report_rendering(self, cli_workspace, tmp_path, capsys):
         _, data, _, _ = cli_workspace

@@ -69,6 +69,10 @@ class TestAffinities:
         with pytest.raises(ValueError, match="3\\*perplexity"):
             compute_affinities(np.zeros((10, 3)), perplexity=10.0)
 
+    def test_too_few_points_for_any_perplexity(self):
+        with pytest.raises(ValueError, match="got 5; no perplexity above 1 fits fewer than 6$"):
+            compute_affinities(np.zeros((5, 3)), perplexity=2.0)
+
 
 class TestGradient:
     def test_matches_finite_differences(self):

@@ -5,18 +5,21 @@ Run from the root of a source checkout (``PYTHONPATH=src``); point
 ``PYTHONPATH`` at another checkout's ``src`` to measure that one. Each probe
 prints one JSON line. Peaks are resident-set sizes from ``getrusage``; "added"
 is the peak minus the resident set just before the measured call. Numpy's
-BLAS runs on one thread, as in training.
+BLAS runs on one thread, as in training, except in ``score``'s second pass.
 
     python3 tools/lstm_probe.py step   # one 2x256 `loss_and_grads`, batch 128 x 300 frames, dropout 0.5
     python3 tools/lstm_probe.py layer  # one 256->256 `LSTMLayer` forward plus backward at (128, 300)
-    python3 tools/lstm_probe.py score  # load a saved 2x256 checkpoint, score 128 utterances x 300 frames
+    python3 tools/lstm_probe.py score  # load a saved 2x256 checkpoint, score 128 utterances x 300 frames, twice
     python3 tools/lstm_probe.py xval --manifest M --out DIR --jobs N [xval flags...]
     python3 tools/lstm_probe.py features --manifest M --jobs N  # the front-end alone
     python3 tools/lstm_probe.py embed N ITERS  # `tsne_embed` of N random 16-d points, ITERS iterations
 
 ``step`` also prints the sha256 of its losses and gradient vector, and
 ``score`` that of its posteriors, so two checkouts can be compared bit for
-bit. ``score`` also prints this process's absolute peak and whether
+bit. ``score`` scores the block twice: pinned to one BLAS thread, then on
+every core as `sermtl hlf` does (`blas.all_cores`); it prints both wall times
+and both posterior sha256, which must be equal. It also prints this process's
+absolute peak, the peak the pinned pass added, and whether
 ``hashlib`` (which maps OpenSSL's libcrypto) and ``numpy.random`` were loaded,
 so the import floor shows beside the added peak: its checkpoint and store are
 made in a forked child, and the digest is taken after the check. ``xval``
@@ -87,9 +90,10 @@ def _in_child(fn) -> None:
         raise RuntimeError(f"probe child failed: wait status {status}")
 
 
-def _measure(fn) -> dict:
-    """The added peak (MB) and wall time (s) of ``fn()`` on one BLAS thread."""
-    with blas.one_thread():
+def _measure(fn, threads=blas.one_thread) -> dict:
+    """The added peak (MB) and wall time (s) of ``fn()`` under ``threads()``, by
+    default on one BLAS thread."""
+    with threads():
         before = _rss_mb()
         start = time.perf_counter()
         fn()
@@ -145,22 +149,26 @@ def _score_inputs(directory: Path) -> None:
 def probe_score() -> dict:
     """`load_model` of a saved 2x256 LSTM checkpoint, then `posteriors_in_blocks`
     over one packed float32 store of BATCH utterances of FRAMES frames, as
-    `sermtl hlf` scores a block. Both inputs are made in a forked child."""
+    `sermtl hlf` scores a block: once on one BLAS thread, then once on every
+    core. Both inputs are made in a forked child."""
     out = {}
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         _in_child(lambda: _score_inputs(tmp))
         store = load_store(tmp)
 
-        def score():
+        def score(name):
             loaded, _, extras = load_model(tmp / "model.ckpt")
             standardizer = Standardizer(extras["standardizer.mean"], extras["standardizer.std"])
-            out["posteriors"] = list(posteriors_in_blocks(loaded, [store], standardizer))
-        result = _measure(score)
+            out[name] = list(posteriors_in_blocks(loaded, [store], standardizer))
+        pinned = _measure(lambda: score("pinned"))
+        all_cores = _measure(lambda: score("all_cores"), blas.all_cores)
     loaded = {"hashlib_loaded": "hashlib" in sys.modules, "numpy_random_loaded": "numpy.random" in sys.modules}
-    return {"probe": "score", "batch": BATCH, "frames": FRAMES, **result,
+    digests = {name: _sha256(b"".join(p.tobytes() for p in posteriors)) for name, posteriors in out.items()}
+    return {"probe": "score", "batch": BATCH, "frames": FRAMES, **pinned,
+            "all_cores_threads": len(os.sched_getaffinity(0)), "all_cores_wall_s": all_cores["wall_s"],
             "peak_rss_mb": round(_peak_mb(), 1), **loaded,
-            "posteriors_sha256": _sha256(b"".join(p.tobytes() for p in out["posteriors"]))}
+            "posteriors_sha256": digests["pinned"], "all_cores_posteriors_sha256": digests["all_cores"]}
 
 
 def probe_xval(argv: list[str]) -> dict:
