@@ -279,16 +279,23 @@ _F0_FLOOR_HZ = 70.0
 _F0_CEIL_HZ = 460.0
 
 
+def _largest_remainder(n: int, ideal: Sequence[float]) -> list[int]:
+    """``n`` apportioned by largest remainder: each share is the floor of its
+    ``ideal`` value, and the units left go one each to the largest fractional
+    parts, ties to the lower index."""
+    shares = [int(math.floor(x)) for x in ideal]
+    order = sorted(range(len(ideal)), key=lambda k: (-(ideal[k] - shares[k]), k))
+    for k in order[: n - sum(shares)]:
+        shares[k] += 1
+    return shares
+
+
 def _emotion_sequence(n: int, balance: tuple[float, ...] | None) -> list[EmotionLabel]:
     """Deterministic per-speaker emotion assignment honoring the requested balance."""
     if balance is None:
         return [EMOTION_CLASSES[i % 4] for i in range(n)]
     total = sum(balance)
-    ideal = [n * p / total for p in balance]
-    counts = [int(math.floor(x)) for x in ideal]
-    remainders = sorted(range(4), key=lambda k: (-(ideal[k] - counts[k]), k))
-    for k in remainders[: n - sum(counts)]:
-        counts[k] += 1
+    counts = _largest_remainder(n, [n * p / total for p in balance])
     seq: list[EmotionLabel] = []
     for label, count in zip(EMOTION_CLASSES, counts):
         seq.extend([label] * count)
@@ -532,11 +539,7 @@ def stratified_split(
     if n < 10:
         raise FoldError(f"need at least 10 utterances to split, got {n}")
 
-    ideal = [n * f for f in fractions]
-    sizes = [int(math.floor(x)) for x in ideal]
-    order = sorted(range(3), key=lambda k: (-(ideal[k] - sizes[k]), k))
-    for k in order[: n - sum(sizes)]:
-        sizes[k] += 1
+    sizes = _largest_remainder(n, [n * f for f in fractions])
 
     rng = np.random.default_rng(derive_seed(seed, "stratified"))
     by_class: dict[EmotionLabel, list[str]] = {}
@@ -549,12 +552,7 @@ def stratified_split(
         if not ids:
             continue
         ids = [ids[int(i)] for i in rng.permutation(len(ids))]
-        n_c = len(ids)
-        ideal_c = [n_c * f for f in fractions]
-        quota = [int(math.floor(x)) for x in ideal_c]
-        order_c = sorted(range(3), key=lambda k: (-(ideal_c[k] - quota[k]), k))
-        for k in order_c[: n_c - sum(quota)]:
-            quota[k] += 1
+        quota = _largest_remainder(len(ids), [len(ids) * f for f in fractions])
         start = 0
         for part, q in zip(parts, quota):
             part.extend(ids[start:start + q])

@@ -18,7 +18,6 @@ class ELMFitError(RuntimeError):
 @dataclass(frozen=True)
 class ELMConfig:
     n_hidden: int = 120
-    activation: str = "sigmoid"
     ridge: float = 1e-3
     seed: int = 0
 
@@ -27,8 +26,6 @@ class ELMConfig:
             raise ValueError("n_hidden must be >= 1")
         if self.ridge < 0:
             raise ValueError("ridge must be non-negative")
-        if self.activation != "sigmoid":
-            raise ValueError("only the sigmoid activation is supported")
 
 
 @dataclass

@@ -94,18 +94,27 @@ class PipelineConfig:
 
 @dataclass
 class FoldResult:
+    """One fold's record: the fields that come from the fold, then its test
+    scores and training summary. A fold that produced no model keeps the
+    defaults, and ``error`` says why."""
     fold: int
     test_group: str
     n_train: int
     n_val: int
     n_test: int
-    confusion: list[list[int]]
-    ua: float | None
-    per_class_recall: list[float | None]
-    best_epoch: int
-    epochs_run: int
-    best_val_total: float | None
+    confusion: list[list[int]] = field(default_factory=lambda: [[0] * 4 for _ in range(4)])
+    ua: float | None = None
+    per_class_recall: list[float | None] = field(default_factory=lambda: [None] * 4)
+    best_epoch: int = -1
+    epochs_run: int = 0
+    best_val_total: float | None = None
     error: str | None = None
+
+    @classmethod
+    def of(cls, fold_index: int, fold: Fold, **outcome) -> FoldResult:
+        """The record of ``fold``, the plan's fold ``fold_index``, with ``outcome``'s fields."""
+        return cls(fold_index, fold.test_group, len(fold.train_ids), len(fold.validation_ids),
+                   len(fold.test_ids), **outcome)
 
 
 @dataclass
@@ -313,12 +322,8 @@ def _run_fold(fold_index: int, fold: Fold, store: FeatureStore, config: Pipeline
     _, predictions = elm_predict(elm_model, hlf_matrix(test_positions))
 
     cm = metrics.confusion_matrix(y_test, predictions)
-    return FoldResult(
-        fold=fold_index,
-        test_group=fold.test_group,
-        n_train=len(fold.train_ids),
-        n_val=len(fold.validation_ids),
-        n_test=len(fold.test_ids),
+    return FoldResult.of(
+        fold_index, fold,
         confusion=cm.tolist(),
         ua=metrics.unweighted_accuracy(cm),
         per_class_recall=metrics.per_class_recall(cm),
@@ -333,25 +338,6 @@ def fold_failure(result: FoldResult) -> str:
     return f"fold {result.fold} ({result.test_group}): {result.error}"
 
 
-def _failed_fold(task, error: str) -> FoldResult:
-    """The record of a fold that produced no model; ``error`` says why."""
-    fold_index, fold, _ = task
-    return FoldResult(
-        fold=fold_index,
-        test_group=fold.test_group,
-        n_train=len(fold.train_ids),
-        n_val=len(fold.validation_ids),
-        n_test=len(fold.test_ids),
-        confusion=[[0] * 4 for _ in range(4)],
-        ua=None,
-        per_class_recall=[None] * 4,
-        best_epoch=-1,
-        epochs_run=0,
-        best_val_total=None,
-        error=error,
-    )
-
-
 def _fold_worker(store: FeatureStore, task) -> FoldResult:
     """One fold, on one BLAS thread in a forked child or not: the children then
     share the cores instead of oversubscribing them, and a fold's results do not
@@ -361,7 +347,7 @@ def _fold_worker(store: FeatureStore, task) -> FoldResult:
         with blas.one_thread():
             return _run_fold(fold_index, fold, store, config)
     except Exception as exc:  # fold failure is recorded, not fatal
-        return _failed_fold(task, f"{type(exc).__name__}: {exc}")
+        return FoldResult.of(fold_index, fold, error=f"{type(exc).__name__}: {exc}")
 
 
 def _run_configs(manifests, configs: list[PipelineConfig], jobs: int) -> list[ExperimentReport]:
@@ -381,7 +367,7 @@ def _run_configs(manifests, configs: list[PipelineConfig], jobs: int) -> list[Ex
              for i, fold in enumerate(plan.folds)]
     store = extract_feature_cache(records, jobs)
     results = _run_tasks(partial(_fold_worker, store), tasks, jobs)
-    results = iter(_failed_fold(task, str(result)) if isinstance(result, WorkerDied) else result
+    results = iter(FoldResult.of(*task[:2], error=str(result)) if isinstance(result, WorkerDied) else result
                    for task, result in zip(tasks, results))
     reports = []
     for config, plan in zip(configs, plans):

@@ -6,15 +6,14 @@ A model trains and scores in its dtype (float32 by default), so a model
 reloaded from its float32 checkpoint scores exactly like the model that wrote
 it. `load_model` reads the checkpoint into a float32 model's vector in place,
 and scoring reads raw feature rows and standardizes them into the model's dtype
-as it reads them: a time step's rows for the LSTM, a block of context windows'
-frames for the DNN. Small products are padded, so a row's posteriors do not
-depend on the block it is scored in.
+as it reads them: a time step's rows for the LSTM, the frames of a fixed-size
+chunk of context windows for the DNN. Small products are padded, so a row's
+posteriors do not depend on the block or chunk it is scored in.
 """
 from __future__ import annotations
 
 import csv
 from collections.abc import Sequence
-from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -140,9 +139,9 @@ def total_loss(per_task_losses: dict[str, float], heads: tuple[TaskHead, ...]) -
     return value
 
 
-# DNN posteriors score the windows of consecutive utterances up to this many
-# rows at a time: the few windows of one short utterance (24 of 0.5 s) make
-# GEMMs of about half the throughput
+# DNN posteriors score the windows of consecutive utterances this many rows at
+# a time, across utterance boundaries: the few windows of one short utterance
+# (24 of 0.5 s) make GEMMs of about half the throughput
 POSTERIOR_BLOCK_ROWS = 128
 
 
@@ -210,7 +209,6 @@ class MultiTaskModel:
             for n_in, n_out in zip(widths, widths[1:])]
         self.heads = {head.name: nn.DenseLayer(widths[-1], head.n_classes, "linear", rng, dtype, next(slices))
                       for head in config.heads}
-        self._grad_views = None
 
     def parameters(self) -> dict[str, np.ndarray]:
         params: dict[str, np.ndarray] = {}
@@ -233,18 +231,6 @@ class MultiTaskModel:
                 start += arr.size
         n = len(self.trunk_layers)
         return views[:n], {h.name: v for h, v in zip(self.config.heads, views[n:])}
-
-    @contextmanager
-    def gradient_vector(self):
-        """While open, `loss_and_grads` writes its gradients into the vector this
-        yields, laid out as `vector`; each call overwrites the last one's. (A
-        new vector per training step would take fresh pages at every step.)"""
-        grad = np.empty_like(self.vector)
-        self._grad_views = self.layer_views(grad)
-        try:
-            yield grad
-        finally:
-            self._grad_views = None
 
     # -- forward/backward -------------------------------------------------
 
@@ -275,7 +261,8 @@ class MultiTaskModel:
         return grads
 
     def loss_and_grads(self, batch: dict, dropout_p: float = 0.0,
-                       rng: np.random.Generator | None = None, train: bool = True):
+                       rng: np.random.Generator | None = None, train: bool = True,
+                       grad: np.ndarray | None = None):
         """Per-task losses, the weighted total, and gradients for one mini-batch.
 
         DNN batches: {"x": (B, input_width), "targets": {task: (B,) ints}}.
@@ -283,11 +270,13 @@ class MultiTaskModel:
         "targets": {task: (B,) ints}} with frame-broadcast chunk labels and
         padding excluded from every per-frame loss mean.
 
-        The gradients are views into a vector laid out as `vector`: a new one, or
-        the open `gradient_vector`. They are keyed like `parameters()` and ordered
-        as they are computed: heads, then the trunk from the top.
+        The gradients are views into ``grad``, a 1-D array laid out as `vector`,
+        which they overwrite, or into a new such vector if ``grad`` is None (as
+        numpy's ``out=``; `train` passes one vector to every step, so a step
+        takes no fresh pages). They are keyed like `parameters()` and ordered as
+        they are computed: heads, then the trunk from the top.
         """
-        trunk_views, head_views = self._grad_views or self.layer_views(np.empty_like(self.vector))
+        trunk_views, head_views = self.layer_views(np.empty_like(self.vector) if grad is None else grad)
         h, caches = self._trunk_forward(batch["x"], dropout_p, rng, train)
         rows, targets = self._scored_rows(h, batch)
         losses, dh, grads = self._head_pass(rows, targets, head_views)
@@ -358,12 +347,14 @@ class MultiTaskModel:
         DNN trunks one row per context window.
 
         Scoring runs in the model's dtype, on the parameters as they are. Rows
-        are standardized as they are read, one time step's (LSTM) or one block
+        are standardized as they are read, one time step's (LSTM) or one chunk
         of windows' frames (DNN) at a time, into an input buffer of that dtype:
         `apply_standardizer`'s float64 values, each rounded once, as training's
         `features.standardized` copy holds them. Every product runs on at least
         `_product_rows` rows, so a row's posteriors have the same bits whichever
-        block it is scored in and wherever it sits in it.
+        block or chunk it is scored in and wherever it sits in it. Either trunk
+        fills one logits array for the whole block, which one in-place softmax
+        turns into the posteriors.
         """
         features = np.asarray(features)
         if features.ndim != 2 or features.shape[1] != self.config.n_features:
@@ -373,63 +364,59 @@ class MultiTaskModel:
             raise ValueError("lengths must be a non-empty list of positive frame counts")
         if int(lengths.sum()) != features.shape[0]:
             raise ValueError(f"lengths sum to {int(lengths.sum())}, features have {features.shape[0]} rows")
-        if self.config.trunk == "lstm":
-            return self._lstm_block_posteriors(features, lengths, standardizer)
-        return self._dnn_block_posteriors(features, lengths, standardizer)
-
-    def _dnn_block_posteriors(self, features, lengths, standardizer):
-        """DNN pass over stacked utterances, one GEMM chain per block of rows: the
-        context windows of consecutive utterances, up to POSTERIOR_BLOCK_ROWS of
-        them (or one utterance's, if it has more). The block's frames are
-        standardized once into one frame buffer, allocated once per call, and its
-        windows gathered from them with one fancy index, padded with copies of
-        the last window to the trunk's `_product_rows`."""
-        trunk, head = self.trunk_layers, self.heads[TASK_EMOTION]
-        context = self.config.context_frames
+        context = self.config.context_frames  # 1 for an LSTM trunk
         short = np.flatnonzero(lengths < context)
         if short.size:
             raise ContextError(f"too few frames for DNN context: {lengths[short[0]]} < {context}",
                                int(short[0]))
         counts = lengths - context + 1
-        ends = np.cumsum(counts)
-        frame_ends = np.cumsum(lengths)
+        logits = np.empty((int(counts.sum()), self.heads[TASK_EMOTION].n_out), self.dtype)
+        if self.config.trunk == "lstm":
+            self._lstm_block_posteriors(features, lengths, standardizer, logits)
+        else:
+            self._dnn_block_posteriors(features, counts, standardizer, logits)
+        return np.split(_stable_softmax(logits), np.cumsum(counts)[:-1])
+
+    def _dnn_block_posteriors(self, features, counts, standardizer, logits):
+        """DNN pass over the context windows of stacked utterances, ``counts`` of
+        them per utterance, into ``logits``: one GEMM chain per chunk of
+        POSTERIOR_BLOCK_ROWS consecutive windows, across utterances. A chunk's
+        frames are standardized once into one frame buffer, allocated once per
+        call, and its windows gathered from them with one fancy index, padded
+        with copies of the last window to the trunk's `_product_rows`."""
+        trunk, head = self.trunk_layers, self.heads[TASK_EMOTION]
+        context = self.config.context_frames
         # window k of the stack starts context - 1 frames later per utterance before its own
-        first_row = np.arange(ends[-1]) + (context - 1) * np.repeat(np.arange(lengths.size), counts)
-        # a block has one utterance's frames, or at most `context` per window
-        frame_buf = np.empty((min(features.shape[0], max(int(lengths.max()), POSTERIOR_BLOCK_ROWS * context)),
-                              features.shape[1]), self.dtype)
+        first_row = np.arange(logits.shape[0]) + (context - 1) * np.repeat(np.arange(counts.size), counts)
+        # a chunk's windows span at most `context` frames each
+        frame_buf = np.empty((min(features.shape[0], POSTERIOR_BLOCK_ROWS * context), features.shape[1]),
+                             self.dtype)
         trunk_rows = max(_product_rows(layer.n_out) for layer in trunk)
         head_in = np.zeros((_product_rows(head.n_out), head.n_in), self.dtype)
-        posteriors = []
-        u = 0
-        while u < lengths.size:
-            lo = ends[u] - counts[u]
-            v = max(u + 1, int(np.searchsorted(ends, lo + POSTERIOR_BLOCK_ROWS, side="right")))
-            first_frame = frame_ends[u] - lengths[u]
-            frames = apply_standardizer(standardizer, features[first_frame : frame_ends[v - 1]],
-                                        out=frame_buf[: frame_ends[v - 1] - first_frame])
+        for lo in range(0, logits.shape[0], POSTERIOR_BLOCK_ROWS):
+            picks = first_row[lo : lo + POSTERIOR_BLOCK_ROWS] - first_row[lo]
+            span = picks[-1] + context
+            frames = apply_standardizer(standardizer, features[first_row[lo] : first_row[lo] + span],
+                                        out=frame_buf[:span])
             windows = np.lib.stride_tricks.sliding_window_view(frames, (context, frames.shape[1]))[:, 0]
-            picks = first_row[lo : ends[v - 1]] - first_frame
             h = windows[np.pad(picks, (0, max(0, trunk_rows - picks.size)), "edge")].reshape(-1, windows[0].size)
             for layer in trunk:
                 h, _ = layer.forward(h)
             if h.shape[0] < head_in.shape[0]:
                 head_in[: h.shape[0]] = h
                 h = head_in
-            logits, _ = head.forward(h)
-            posteriors.extend(np.split(_stable_softmax(logits[: picks.size]), ends[u : v - 1] - lo))
-            u = v
-        return posteriors
+            logits[lo : lo + picks.size] = head.forward(h)[0][: picks.size]
 
-    def _lstm_block_posteriors(self, features, lengths, standardizer):
-        """Time-major LSTM pass over a block of stacked utterances.
+    def _lstm_block_posteriors(self, features, lengths, standardizer, logits):
+        """Time-major LSTM pass over a block of stacked utterances, into ``logits``.
 
         Utterances are ordered by length (descending, stable), so those still
         running at step t are a prefix of that order: each step standardizes
         that prefix's rows into one input buffer, then advances every layer and
         the emotion head on it. No training cache is kept: each layer's state
         (h, c) is updated in place, and every `nn.LSTMLayer.step` runs on one
-        gate buffer and one product buffer, allocated once per call.
+        gate buffer and one product buffer, allocated once per call and freed
+        on return.
 
         A product of fewer than `_product_rows` rows runs on that many: the rows
         past the running ones are those of finished utterances, or zeros past
@@ -448,7 +435,6 @@ class MultiTaskModel:
         inputs = np.zeros((size, features.shape[1]), self.dtype)
         state = [(np.zeros((size, layer.n_hidden), self.dtype), np.zeros((size, layer.n_hidden), self.dtype))
                  for layer in trunk]
-        logits = np.empty((features.shape[0], head.n_out), self.dtype)
         for t in range(int(by_length[0])):
             active = int(np.count_nonzero(by_length > t))
             rows = starts[:active] + t
@@ -462,9 +448,6 @@ class MultiTaskModel:
                 x, c = h[:m], c[:m]
                 layer.step(a, x, c, hw, (c, cell_tanh[: c.size].reshape(c.shape), x))
             logits[rows] = head.forward(h[: max(active, head_rows)])[0][:active]
-        # free the scoring buffers: the softmax needs the logits alone
-        del gate_buf, product_buf, cell_tanh, inputs, state, a, hw, x, h, c
-        return np.split(_stable_softmax(logits), np.cumsum(lengths)[:-1])
 
 
 def posteriors_in_blocks(model: MultiTaskModel, blocks, standardizer: Standardizer):
@@ -619,46 +602,46 @@ def train(model: MultiTaskModel, train_set, val_set, tc: TrainConfig) -> Trained
     best_vector = np.empty_like(model.vector)
     since_best = 0
 
-    with model.gradient_vector() as grad:
-        adam = nn.AdamState(np.zeros_like(grad), np.zeros_like(grad), lr=tc.lr)
-        for epoch in range(tc.max_epochs):
-            weighted, norms = [], []
-            for start, batch in _batches(model, train_set, index, rng.permutation(index[0].size),
-                                         tc.batch_size):
-                losses, batch_total, step_grads = model.loss_and_grads(
-                    batch, dropout_p=tc.dropout_p, rng=rng, train=True
-                )
-                if not np.isfinite(batch_total):
-                    raise TrainingDivergedError(
-                        f"non-finite training loss at epoch {epoch}, sample {start}"
-                    )
-                norms.append(nn.clip_global_norm(step_grads, tc.clip_norm))
-                nn.adam_step(adam, model.vector, grad)
-                weighted.append((losses, _batch_weight(batch)))
-            train_losses = _mean_losses(weighted, heads)
-            val_losses, val_total = _dataset_losses(model, val_set, val_index, tc)
-            clipped = sum(1 for norm in norms if tc.clip_norm > 0 and norm > tc.clip_norm)
-            history.append(
-                EpochStats(
-                    epoch=epoch,
-                    train_losses=train_losses,
-                    train_total=total_loss(train_losses, heads),
-                    val_losses=val_losses,
-                    val_total=val_total,
-                    grad_norm_mean=sum(norms) / len(norms),
-                    grad_norm_max=max(norms),
-                    clip_frac=clipped / len(norms),
-                )
+    grad = np.empty_like(model.vector)
+    adam = nn.AdamState(np.zeros_like(grad), np.zeros_like(grad), lr=tc.lr)
+    for epoch in range(tc.max_epochs):
+        weighted, norms = [], []
+        for start, batch in _batches(model, train_set, index, rng.permutation(index[0].size),
+                                     tc.batch_size):
+            losses, batch_total, step_grads = model.loss_and_grads(
+                batch, dropout_p=tc.dropout_p, rng=rng, train=True, grad=grad
             )
-            if val_total < best_val:
-                best_val = val_total
-                best_epoch = epoch
-                best_vector[...] = model.vector
-                since_best = 0
-            else:
-                since_best += 1
-                if since_best >= tc.patience:
-                    break
+            if not np.isfinite(batch_total):
+                raise TrainingDivergedError(
+                    f"non-finite training loss at epoch {epoch}, sample {start}"
+                )
+            norms.append(nn.clip_global_norm(step_grads, tc.clip_norm))
+            nn.adam_step(adam, model.vector, grad)
+            weighted.append((losses, _batch_weight(batch)))
+        train_losses = _mean_losses(weighted, heads)
+        val_losses, val_total = _dataset_losses(model, val_set, val_index, tc)
+        clipped = sum(1 for norm in norms if tc.clip_norm > 0 and norm > tc.clip_norm)
+        history.append(
+            EpochStats(
+                epoch=epoch,
+                train_losses=train_losses,
+                train_total=total_loss(train_losses, heads),
+                val_losses=val_losses,
+                val_total=val_total,
+                grad_norm_mean=sum(norms) / len(norms),
+                grad_norm_max=max(norms),
+                clip_frac=clipped / len(norms),
+            )
+        )
+        if val_total < best_val:
+            best_val = val_total
+            best_epoch = epoch
+            best_vector[...] = model.vector
+            since_best = 0
+        else:
+            since_best += 1
+            if since_best >= tc.patience:
+                break
 
     if best_epoch < 0:
         raise TrainingDivergedError("the validation loss was not finite in any epoch")

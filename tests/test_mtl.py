@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import reference_batches as reference
 from sermtl import mtl, nn
-from sermtl.features import FeatureStore, Standardizer, standardized
+from sermtl.features import FeatureStore, Standardizer, apply_standardizer, standardized
 from sermtl.mtl import (
     POSTERIOR_BLOCK_ROWS,
     MTLNetworkConfig,
@@ -240,14 +240,14 @@ class TestDtypes:
         assert all(arr.dtype == np.float32 for arr in params.values())
         batch = _mini_batch(trunk, np.random.default_rng(7))
         batch["x"] = batch["x"].astype(np.float32)
-        with model.gradient_vector() as grad:
-            _, _, grads = model.loss_and_grads(batch, dropout_p=0.5, rng=np.random.default_rng(8))
-            assert set(grads) == set(params)
-            for name, g in grads.items():
-                assert g.dtype == np.float32, name
-            adam = nn.AdamState(np.zeros_like(grad), np.zeros_like(grad))
-            nn.clip_global_norm(grads, 1e-3)
-            nn.adam_step(adam, model.vector, grad)
+        grad = np.empty_like(model.vector)
+        _, _, grads = model.loss_and_grads(batch, dropout_p=0.5, rng=np.random.default_rng(8), grad=grad)
+        assert set(grads) == set(params)
+        for name, g in grads.items():
+            assert g.dtype == np.float32, name
+        adam = nn.AdamState(np.zeros_like(grad), np.zeros_like(grad))
+        nn.clip_global_norm(grads, 1e-3)
+        nn.adam_step(adam, model.vector, grad)
         assert model.vector.dtype == adam.m.dtype == adam.v.dtype == np.float32
         for name, arr in model.parameters().items():
             assert arr.dtype == np.float32, name
@@ -453,6 +453,7 @@ class TestBlockPosteriors:
     @pytest.mark.parametrize("windows", [
         [POSTERIOR_BLOCK_ROWS], [POSTERIOR_BLOCK_ROWS + 1], [POSTERIOR_BLOCK_ROWS - 1, 1, 1],
         [30] * 10, [3, 2 * POSTERIOR_BLOCK_ROWS, 3],
+        [100, 100], [POSTERIOR_BLOCK_ROWS - 1, 2, POSTERIOR_BLOCK_ROWS - 1],  # a chunk edge inside an utterance
     ])
     def test_dnn_blocks_at_the_row_limit(self, windows):
         model = _BLOCK_MODELS["dnn"]
@@ -462,6 +463,23 @@ class TestBlockPosteriors:
         assert [len(p) for p in block] == windows
         for got, utt in zip(block, utts):
             assert np.array_equal(got, _per_utterance(model, utt))
+
+    def test_dnn_standardizes_one_chunk_of_frames_at_a_time(self, monkeypatch):
+        """A long utterance is scored in chunks of POSTERIOR_BLOCK_ROWS windows:
+        no call standardizes more than the frames such a chunk spans."""
+        model = _BLOCK_MODELS["dnn"]
+        rows = []
+
+        def recording(standardizer, x, out=None):
+            result = apply_standardizer(standardizer, x, out=out)
+            rows.append(result.shape[0])
+            return result
+
+        monkeypatch.setattr(mtl, "apply_standardizer", recording)
+        utt = _utterances(0, [1000])[0]
+        got = model.emotion_posteriors(utt, [1000], _IDENTITY)[0]
+        assert sum(rows) >= 1000 and max(rows) <= POSTERIOR_BLOCK_ROWS * _MIN_FRAMES["dnn"]
+        assert np.array_equal(got, _per_utterance(model, utt))
 
     def test_dnn_block_with_short_utterance_raises(self):
         utts = _utterances(0, [30, 4, 12])
