@@ -8,8 +8,9 @@ with the given flags applied. Every command runs on one BLAS thread, except
 Each command that writes artifacts records its resolved settings: ``synth``,
 ``features``, ``train`` and ``xval`` in ``<out>/config.json``, and ``hlf``, ``elm``
 and ``embed``, whose ``--out`` is a file, in ``<out>.config.json``. Re-running a
-command with those settings (or with the same flags and seed) reproduces the
-run byte for byte.
+command with those settings (or with the same flags and seed) on the same inputs
+reproduces the run byte for byte; ``xval`` records no manifest paths, so its
+replay passes the same ``--manifest`` flags.
 """
 from __future__ import annotations
 
@@ -39,7 +40,7 @@ from .corpus import (
     stratified_split,
 )
 from .elm import ELMConfig, elm_fit, elm_predict, save_elm
-from .features import STORE_INDEX, Standardizer, save_store, write_feature_csv
+from .features import Standardizer, save_store
 from .mtl import MTLNetworkConfig, TrainConfig
 from .nn import one_hot
 
@@ -119,15 +120,9 @@ def cmd_synth(args) -> int:
 
 def cmd_features(args) -> int:
     manifest = load_manifest(args.manifest)
-    if args.csv and any(f"{r.utterance_id}.csv" == STORE_INDEX for r in manifest.records):
-        raise ValueError(f"utterance_id {Path(STORE_INDEX).stem!r}: its CSV would overwrite "
-                         f"the store's {STORE_INDEX}")
     store = exp_mod.extract_feature_cache(manifest.records)
     out_dir = Path(args.out)
     save_store(out_dir, store)
-    if args.csv:
-        for i, uid in enumerate(store.ids):
-            write_feature_csv(out_dir / f"{uid}.csv", store.rows(i))
     _write_config(out_dir / "config.json",
                   {"command": "features", "manifest": _absolute(args.manifest)})
     print(f"extracted features for {len(manifest)} utterances to {out_dir}")
@@ -177,16 +172,15 @@ def cmd_hlf(args) -> int:
     # extracted and scored in blocks of the training batch size, so the working set stays one block
     blocks = (exp_mod.extract_feature_cache(records[i : i + size])
               for i in range(0, len(records), size))
-    posteriors = mtl_mod.posteriors_in_blocks(model, blocks, standardizer)
     # scoring's products give the same bits on any thread count; each block's
     # front-end, pulled in here, still runs on one (`experiment._extract_chunk`)
     with blas.all_cores():
-        rows = [(rec.utterance_id, hlf_mod.compute_hlf(post, args.theta), rec)
-                for rec, post in zip(manifest.records, posteriors)]
+        table = exp_mod.hlf_matrix(model, blocks, standardizer)
+    rows = [(rec.utterance_id, vector, rec) for rec, vector in zip(records, table)]
     out_path = Path(args.out)
     hlf_mod.write_hlf_csv(out_path, rows)
     _write_config(_sidecar(out_path), {"command": "hlf", "model": _absolute(args.model),
-                                       "manifest": _absolute(args.manifest), "theta": args.theta})
+                                       "manifest": _absolute(args.manifest)})
     print(f"wrote {len(rows)} high-level feature vectors to {out_path}")
     return 0
 
@@ -331,7 +325,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("features", help="extract a manifest's frame features into a feature store")
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--csv", action="store_true", help="also write per-utterance CSVs")
     p.set_defaults(func=cmd_features)
 
     p = sub.add_parser("train", help="train one model on a stratified split")
@@ -346,7 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--theta", type=float, default=hlf_mod.THETA)
     p.set_defaults(func=cmd_hlf)
 
     p = sub.add_parser("elm", help="fit (and optionally evaluate) the ELM back-end")

@@ -146,7 +146,8 @@ def load_manifest(path: str | Path) -> CorpusManifest:
             uid, audio, emo, gen, nat, spk, corp = (field.strip() for field in row)
             if not all((uid, audio, emo, gen, nat, spk, corp)):
                 raise ManifestError(f"line {lineno}: empty field")
-            # ids name output files (per-utterance CSVs, per-fold confusions)
+            # a speaker or corpus id names a fold's confusion CSV; an utterance id is
+            # held to the same rule, so no id from a manifest can be a path
             for column, value in (("utterance_id", uid), ("speaker_id", spk), ("corpus_id", corp)):
                 if value in (".", "..") or "/" in value or "\\" in value:
                     raise ManifestError(f"line {lineno}: {column} {value!r} is not a file name")

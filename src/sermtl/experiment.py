@@ -302,24 +302,30 @@ def fit_fold(fold: Fold, store: FeatureStore, network: MTLNetworkConfig, trainin
     return trained, standardizer
 
 
+def hlf_matrix(model: MultiTaskModel, blocks, standardizer: Standardizer) -> np.ndarray:
+    """The (utterances, 16) HLF table of every utterance of each store in
+    ``blocks``, in order: each block is scored by `posteriors_in_blocks`, and
+    each utterance's posteriors are reduced by `compute_hlf`."""
+    return np.stack([compute_hlf(p) for p in posteriors_in_blocks(model, blocks, standardizer)])
+
+
 def _run_fold(fold_index: int, fold: Fold, store: FeatureStore, config: PipelineConfig) -> FoldResult:
     fold_seed = derive_seed(config.seed, "fold", fold_index)
     trained, standardizer = fit_fold(fold, store, config.network,
                                      replace(config.training, seed=fold_seed))
 
-    def hlf_matrix(positions):
+    def fold_hlf(positions):
         size = config.training.batch_size
         blocks = (store.select(positions[i : i + size]) for i in range(0, len(positions), size))
-        posteriors = posteriors_in_blocks(trained.model, blocks, standardizer)
-        return np.stack([compute_hlf(p) for p in posteriors])
+        return hlf_matrix(trained.model, blocks, standardizer)
 
     train_positions = store.positions(fold.train_ids)
     test_positions = store.positions(fold.test_ids)
     y_train = store.labels["emotion"][train_positions]
     y_test = store.labels["emotion"][test_positions]
     elm_cfg = replace(config.elm, seed=derive_seed(fold_seed, "elm"))
-    elm_model = elm_fit(hlf_matrix(train_positions), one_hot(y_train, 4), elm_cfg)
-    _, predictions = elm_predict(elm_model, hlf_matrix(test_positions))
+    elm_model = elm_fit(fold_hlf(train_positions), one_hot(y_train, 4), elm_cfg)
+    _, predictions = elm_predict(elm_model, fold_hlf(test_positions))
 
     cm = metrics.confusion_matrix(y_test, predictions)
     return FoldResult.of(

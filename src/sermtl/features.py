@@ -464,15 +464,3 @@ def load_store(directory: str | Path) -> FeatureStore:
             or np.any(starts < 0) or np.any(lengths < 1) or np.any(starts + lengths > matrix.shape[0])):
         raise FeatureError(f"{directory}: index does not fit a 2-D float32 feature matrix")
     return FeatureStore(tuple(ids), matrix, starts, lengths)
-
-
-def write_feature_csv(path: str | Path, matrix: np.ndarray) -> Path:
-    matrix = np.asarray(matrix)
-    if matrix.shape[1] != N_FEATURES:
-        raise FeatureError(f"expected {N_FEATURES} columns")
-    path = Path(path)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(FEATURE_COLUMNS) + "\n")
-        for row in matrix:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
-    return path

@@ -105,6 +105,8 @@ class TestFeatures:
         out = tmp_path / "feats"
         rc = main(["features", "--manifest", str(data / "manifest.csv"), "--out", str(out)])
         assert rc == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "config.json", "features.npy", "features_index.csv"]
         index = (out / "features_index.csv").read_text().splitlines()
         assert index[0] == "utterance_id,offset,n_frames"
         assert len(index) == 49  # header + 48 utterances
@@ -119,31 +121,17 @@ class TestFeatures:
 
 
     def test_ids_cannot_name_files_outside_out(self, cli_workspace, tmp_path, capsys):
-        """An utterance id is a file name under --out (``<id>.csv``): one that
-        climbs out of it is refused before anything is written."""
+        """An utterance id that climbs out of --out is refused before anything is written."""
         _, data, _, _ = cli_workspace
         manifest = load_manifest(data / "manifest.csv")
         records = (replace(manifest.records[0], utterance_id="../../escaped"),) + manifest.records[1:]
         path = write_manifest(CorpusManifest(records=records), tmp_path / "m" / "manifest.csv")
         out = tmp_path / "a" / "b" / "out"
-        rc = main(["features", "--manifest", str(path), "--out", str(out), "--csv"])
+        rc = main(["features", "--manifest", str(path), "--out", str(out)])
         assert rc == 1
         assert "line 2: utterance_id '../../escaped'" in capsys.readouterr().err
         written = [p for p in tmp_path.rglob("*") if p.is_file() and p != path]
         assert all(out in p.parents for p in written), written
-
-
-    def test_csv_cannot_overwrite_the_index(self, cli_workspace, tmp_path, capsys):
-        """``features_index.csv`` is the store's index, so no utterance's CSV may take its name."""
-        _, data, _, _ = cli_workspace
-        manifest = load_manifest(data / "manifest.csv")
-        records = (replace(manifest.records[0], utterance_id="features_index"),) + manifest.records[1:]
-        path = write_manifest(CorpusManifest(records=records), tmp_path / "m" / "manifest.csv")
-        out = tmp_path / "out"
-        rc = main(["features", "--manifest", str(path), "--out", str(out), "--csv"])
-        assert rc == 1
-        assert "utterance_id 'features_index'" in capsys.readouterr().err
-        assert not out.exists()
 
 
 class TestTrainAndHlf:
@@ -459,10 +447,10 @@ class TestSidecarConfigs:
         _, data, run, hlf_csv = cli_workspace
         saved = self._sidecar(hlf_csv)
         assert saved == {"command": "hlf", "model": str((run / "model.ckpt").resolve()),
-                         "manifest": str((data / "manifest.csv").resolve()), "theta": 0.2}
+                         "manifest": str((data / "manifest.csv").resolve())}
         again = tmp_path / "hlf.csv"
         assert main(["hlf", "--model", saved["model"], "--manifest", saved["manifest"],
-                     "--theta", str(saved["theta"]), "--out", str(again)]) == 0
+                     "--out", str(again)]) == 0
         assert again.read_bytes() == hlf_csv.read_bytes()
 
         first = tmp_path / "a" / "elm.ckpt"
@@ -696,6 +684,22 @@ def test_the_parser_holds_no_config_defaults(command):
     assert {k: v for k, v in vars(args).items() if k in names} == dict.fromkeys(expected)
 
 
+# the only options that are not None when not given
+_SET_WITHOUT_FLAG = {"debug": False, "grid": False, "jobs": 1}
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_REQUIRED_FLAGS))
+def test_no_option_has_a_default_but_the_switches_and_jobs(command):
+    """Parsed with its required flags only, every other option of a command is
+    None, except the ``store_true`` switches (False) and ``xval --jobs`` (1)."""
+    args = vars(build_parser().parse_args([command, *COMMAND_REQUIRED_FLAGS[command]]))
+    given = {"command", "func"} | {flag[2:] for flag in COMMAND_REQUIRED_FLAGS[command]
+                                   if flag.startswith("--")}
+    unset = {k: v for k, v in args.items() if k not in given}
+    assert unset == {k: _SET_WITHOUT_FLAG.get(k) for k in unset}
+    assert ("jobs" in unset or "grid" in unset) == (command == "xval")
+
+
 @pytest.mark.parametrize("old, new", [("mean_ua", "mean_UA"), ("n_test", "n_tests")])
 def test_report_run_names_a_misspelled_key(tmp_path, capsys, old, new):
     fold = FoldResult(fold=0, test_group="a", n_train=8, n_val=2, n_test=2,
@@ -723,6 +727,13 @@ class TestCliErrors:
     def test_unknown_flag_exits_two(self, capsys):
         assert main(["synth", "--out", "x", "--bogus"]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("argv", [["features", "--csv"], ["hlf", "--theta", "0.3"]])
+    def test_removed_flags_exit_two(self, capsys, argv):
+        """``features`` writes only its store, and ``hlf`` uses the paper's threshold."""
+        command, *flags = argv
+        assert main([command, *COMMAND_REQUIRED_FLAGS[command], *flags]) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_stage_error_exits_one(self, tmp_path, capsys):
         """Without ``--debug`` a failing stage prints one ``error:`` line and no traceback."""

@@ -31,7 +31,6 @@ from sermtl.features import (
     normalize_gain,
     save_store,
     standardized,
-    write_feature_csv,
 )
 
 SR = 16000
@@ -253,12 +252,6 @@ class TestFeatureFiles:
             (tmp_path / "features_index.csv").write_text(index)
             with pytest.raises(FeatureError, match=named):
                 load_store(tmp_path)
-
-    def test_csv_header(self, tmp_path):
-        matrix = np.zeros((2, 32), dtype=np.float32)
-        path = write_feature_csv(tmp_path / "x.csv", matrix)
-        header = path.read_text().splitlines()[0]
-        assert header == ",".join(FEATURE_COLUMNS)
 
 
 class TestConstantTables:
