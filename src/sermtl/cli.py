@@ -40,7 +40,7 @@ from .corpus import (
     stratified_split,
 )
 from .elm import ELMConfig, elm_fit, elm_predict, save_elm
-from .features import Standardizer, save_store
+from .features import save_store
 from .mtl import MTLNetworkConfig, TrainConfig
 from .nn import one_hot
 
@@ -141,11 +141,7 @@ def cmd_train(args) -> int:
     records = [r for r in manifest.records if r.utterance_id in used]
     store = exp_mod.extract_feature_cache(records)
     trained, standardizer = exp_mod.fit_fold(fold, store, network, training)
-    mtl_mod.save_model(
-        out_dir / "model.ckpt",
-        trained,
-        extra_params={"standardizer.mean": standardizer.mean, "standardizer.std": standardizer.std},
-    )
+    mtl_mod.save_model(out_dir / "model.ckpt", trained, standardizer)
     mtl_mod.write_history_csv(out_dir / "history.csv", trained.history, network.heads)
     _write_config(out_dir / "config.json", {
         "command": "train",
@@ -162,14 +158,11 @@ def cmd_train(args) -> int:
 
 
 def cmd_hlf(args) -> int:
-    path = Path(args.model)
-    model, header, extras = mtl_mod.load_model(path)
-    if "standardizer.mean" not in extras or "standardizer.std" not in extras:
-        raise ValueError(f"checkpoint {path} carries no standardizer statistics")
-    standardizer = Standardizer(mean=extras["standardizer.mean"], std=extras["standardizer.std"])
+    model, training, standardizer = mtl_mod.load_model(args.model)
     manifest = load_manifest(args.manifest)
-    records, size = manifest.records, header["training"]["batch_size"]
-    # extracted and scored in blocks of the training batch size, so the working set stays one block
+    records, size = manifest.records, training.batch_size
+    # extracted and scored in blocks of the batch size the model trained with, so the
+    # working set stays one block
     blocks = (exp_mod.extract_feature_cache(records[i : i + size])
               for i in range(0, len(records), size))
     # scoring's products give the same bits on any thread count; each block's

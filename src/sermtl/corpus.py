@@ -115,9 +115,6 @@ class CorpusManifest:
     def corpora(self) -> tuple[str, ...]:
         return tuple(sorted({r.corpus_id for r in self.records}))
 
-    def speakers(self) -> tuple[str, ...]:
-        return tuple(sorted({r.speaker_id for r in self.records}))
-
 
 def load_manifest(path: str | Path) -> CorpusManifest:
     """Read a manifest CSV. Relative audio paths resolve against the CSV's
@@ -445,7 +442,6 @@ class Fold:
 @dataclass(frozen=True)
 class FoldPlan:
     folds: tuple[Fold, ...]
-    mode: SplitMode
 
 
 def merge_records(manifests: Sequence[CorpusManifest]) -> list[UtteranceRecord]:
@@ -519,7 +515,7 @@ def make_folds(
         pool = [r.utterance_id for r in records if group_of(r) != group]
         train_ids, val_ids = _carve_validation(pool, seed, fold_index)
         folds.append(Fold(train_ids=train_ids, validation_ids=val_ids, test_ids=test_ids, test_group=group))
-    return FoldPlan(folds=tuple(folds), mode=mode)
+    return FoldPlan(folds=tuple(folds))
 
 
 def stratified_split(
@@ -582,4 +578,4 @@ def stratified_split(
         test_ids=tuple(parts[2]),
         test_group="aggregated",
     )
-    return FoldPlan(folds=(fold,), mode=SplitMode.STRATIFIED)
+    return FoldPlan(folds=(fold,))

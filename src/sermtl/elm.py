@@ -39,10 +39,6 @@ class ELMModel:
     def n_in(self) -> int:
         return self.input_weights.shape[1]
 
-    @property
-    def n_classes(self) -> int:
-        return self.output_weights.shape[0]
-
 
 def _hidden(model_or_weights, bias, x):
     z = x @ model_or_weights.T + bias

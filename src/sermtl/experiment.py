@@ -413,15 +413,7 @@ def compare_reports(report_a: ExperimentReport, report_b: ExperimentReport) -> d
         return {"w_plus": 0.0, "w_minus": 0.0, "n": 0, "p_value": 1.0,
                 "significant": False, "method": "degenerate",
                 "note": "all differences zero"}
-    result = metrics.wilcoxon_signed_rank(ua_a, ua_b)
-    return {
-        "w_plus": result.w_plus,
-        "w_minus": result.w_minus,
-        "n": result.n,
-        "p_value": result.p_value,
-        "significant": result.significant,
-        "method": result.method,
-    }
+    return asdict(metrics.wilcoxon_signed_rank(ua_a, ua_b))
 
 
 def write_report(report: ExperimentReport, out_dir: str | Path) -> Path:

@@ -81,13 +81,18 @@ def read_hlf_csv(path: str | Path):
         header = tuple(next(reader))
         if header != expected:
             raise ValueError(f"unexpected HLF header in {path}")
-        for row in reader:
+        for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
+            if len(row) != len(expected):
+                raise ValueError(f"{path}, line {lineno}: expected {len(expected)} fields, got {len(row)}")
+            try:
+                vectors.append([float(v) for v in row[1 : 1 + HLF_DIM]])
+            except ValueError as exc:
+                raise ValueError(f"{path}, line {lineno}: {exc}") from None
             ids.append(row[0])
-            vectors.append([float(v) for v in row[1 : 1 + HLF_DIM]])
-            for j, name in enumerate(_LABEL_COLUMNS):
-                labels[name].append(row[1 + HLF_DIM + j])
+            for name, value in zip(_LABEL_COLUMNS, row[1 + HLF_DIM :]):
+                labels[name].append(value)
     if not ids:
         raise ValueError(f"empty HLF table: {path}")
     return ids, np.array(vectors), labels

@@ -659,11 +659,13 @@ def train(model: MultiTaskModel, train_set, val_set, tc: TrainConfig) -> Trained
 # Run-directory artifacts
 # ---------------------------------------------------------------------------
 
-def save_model(path: str | Path, trained: TrainedModel,
-               extra_params: dict[str, np.ndarray] | None = None) -> Path:
+def save_model(path: str | Path, trained: TrainedModel, standardizer: Standardizer) -> Path:
+    """Write ``model.ckpt``: the model's parameters, then the statistics its
+    inputs are standardized with (``standardizer.mean``, ``standardizer.std``),
+    all as float32, under a header holding the network and training configs."""
     params = dict(trained.model.parameters())
-    if extra_params:
-        params.update(extra_params)
+    params["standardizer.mean"] = standardizer.mean
+    params["standardizer.std"] = standardizer.std
     config = trained.model.config
     header = {
         "network": asdict(config),
@@ -676,27 +678,32 @@ def save_model(path: str | Path, trained: TrainedModel,
     return nn.save_checkpoint(path, params, header)
 
 
-def load_model(path: str | Path):
-    """Load a model checkpoint. Returns (MultiTaskModel, header, extra_params).
+def load_model(path: str | Path) -> tuple[MultiTaskModel, TrainConfig, Standardizer]:
+    """Load a `save_model` checkpoint. Returns (model, training config, standardizer).
 
     The model is float32, as it trained, and scores as the model that wrote
     the checkpoint does. Its vector is a mapping of its own
     (`features.mapped_array`), so freeing it leaves malloc's thresholds alone,
     and `nn.load_checkpoint` reads the checkpoint's float32 values into it in
-    place, in the file's order; no initial values are drawn. The extra
-    parameters (the standardizer) are returned in float64. Raises ValueError
-    naming the parameter and ``path`` when one of the model's parameters is
-    missing or has another shape."""
-    models = []
+    place, in the file's order; no initial values are drawn. The standardizer's
+    statistics are read in the same pass into new float64 arrays, exactly.
+    The header's ``network`` and ``training`` are decoded with `from_dict`.
+    Raises ValueError naming the parameter and ``path`` when one of the model's
+    parameters or statistics is missing or has another shape."""
+    loaded = []
 
     def into(header):
         config = from_dict(MTLNetworkConfig, header["network"])
+        training = from_dict(TrainConfig, header["training"])
         vector = mapped_array((sum(_layer_sizes(config)),), np.float32)
-        models.append(MultiTaskModel(config, header["model_seed"], np.float32, vector))
-        return models[0].parameters()
+        model = MultiTaskModel(config, header["model_seed"], np.float32, vector)
+        mean, std = np.empty(config.n_features), np.empty(config.n_features)
+        loaded.extend((model, training, mean, std))
+        return {**model.parameters(), "standardizer.mean": mean, "standardizer.std": std}
 
-    extras, header = nn.load_checkpoint(path, into)
-    return models[0], header, extras
+    nn.load_checkpoint(path, into)
+    model, training, mean, std = loaded
+    return model, training, Standardizer(mean=mean, std=std)
 
 
 def write_history_csv(path: str | Path, history: list[EpochStats],

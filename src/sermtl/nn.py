@@ -393,10 +393,10 @@ def load_checkpoint(path: str | Path, into=None) -> tuple[dict[str, np.ndarray],
 
     ``into``, if given, is called with the header and returns C-contiguous
     arrays keyed by parameter name (`mtl.load_model`'s are views of a float32
-    vector). Those parameters are read into them in place (the values are
-    exact in any float dtype) and are left out of ``params``. The blob is read
-    in the file's order through one fixed-size float32 buffer, so no float32
-    copy of it is made.
+    vector and two float64 arrays). Those parameters are read into them in
+    place (the values are exact in any float dtype) and are left out of
+    ``params``. The blob is read in the file's order through one fixed-size
+    float32 buffer, so no float32 copy of it is made.
 
     Raises ValueError naming ``path`` for a foreign, truncated or overlong file
     (a header length past the end of the file, a blob shorter than its header

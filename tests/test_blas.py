@@ -14,7 +14,7 @@ import pytest
 
 from sermtl import blas, cli, experiment, mtl
 from sermtl.experiment import PipelineConfig, run_experiment
-from sermtl.features import fit_standardizer
+from sermtl.features import Standardizer, fit_standardizer
 from sermtl.hlf import HLF_DIM, write_hlf_csv
 from sermtl.mtl import MTLNetworkConfig, MultiTaskModel, TrainConfig, TrainedModel, save_model
 
@@ -190,14 +190,13 @@ def saved_model(small_synth, tmp_path_factory):
     with blas.one_thread():
         store = experiment.extract_feature_cache(manifest.records)
     statistics = fit_standardizer([store.matrix])
-    extra = {"standardizer.mean": statistics.mean.astype(np.float32),
-             "standardizer.std": statistics.std.astype(np.float32)}
+    standardizer = Standardizer(statistics.mean.astype(np.float32), statistics.std.astype(np.float32))
     directory = tmp_path_factory.mktemp("models")
 
     def save(network: MTLNetworkConfig) -> Path:
         trained = TrainedModel(MultiTaskModel(network, seed=0), TrainConfig(), [], 0, 0.0)
         return save_model(directory / f"{network.trunk}-{len(network.layer_sizes)}x{network.layer_sizes[0]}.ckpt",
-                          trained, extra)
+                          trained, standardizer)
     return save
 
 

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sermtl import blas, experiment
+from sermtl import blas, experiment, nn
 from sermtl.cli import build_parser, main
 from sermtl.codec import from_dict
 from sermtl.corpus import (
@@ -34,7 +34,7 @@ from sermtl.experiment import (
     fit_fold,
     record_features,
 )
-from sermtl.features import Standardizer, apply_standardizer, load_store
+from sermtl.features import apply_standardizer, load_store
 from sermtl.hlf import HLF_DIM, compute_hlf, read_hlf_csv, write_hlf_csv
 from sermtl.mtl import MTLNetworkConfig, TrainConfig, load_model, posteriors_in_blocks
 from sermtl.tsne import TsneConfig
@@ -200,8 +200,7 @@ class TestTrainAndHlf:
                    "--out", str(tmp_path / "hlf.csv")])  # blocks of 4, 4 and 2 utterances
         assert rc == 0
         ids, matrix, _ = read_hlf_csv(tmp_path / "hlf.csv")
-        model, _, extras = load_model(run / "model.ckpt")
-        standardizer = Standardizer(mean=extras["standardizer.mean"], std=extras["standardizer.std"])
+        model, _, standardizer = load_model(run / "model.ckpt")
         assert ids == [r.utterance_id for r in manifest.records]
         for rec, row in zip(manifest.records, matrix):
             feats = record_features(rec)
@@ -230,8 +229,8 @@ class TestTrainAndHlf:
             trained, fold_standardizer = fit_fold(
                 fold, store, from_dict(MTLNetworkConfig, saved["network"]), training)
         [fold_data] = trained_on
-        model, _, extras = load_model(run / "model.ckpt")
-        standardizer = Standardizer(mean=extras["standardizer.mean"], std=extras["standardizer.std"])
+        model, training_read, standardizer = load_model(run / "model.ckpt")
+        assert training_read == training
         assert np.array_equal(standardizer.mean, fold_standardizer.mean)
         assert np.array_equal(standardizer.std, fold_standardizer.std)
         # the fold trained on float64 standardization rounded to float32
@@ -742,6 +741,35 @@ class TestCliErrors:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error: manifest not found") and err.count("\n") == 1
+
+    def test_hlf_refuses_a_checkpoint_without_statistics(self, cli_workspace, tmp_path, capsys):
+        """A model scores standardized features: `hlf` refuses a checkpoint
+        that lacks the statistics, naming the file, and writes nothing."""
+        _, data, run, _ = cli_workspace
+        params, header = nn.load_checkpoint(run / "model.ckpt")
+        del params["standardizer.mean"], params["standardizer.std"]
+        bad = nn.save_checkpoint(tmp_path / "bad.ckpt", params, header)
+        out = tmp_path / "hlf.csv"
+        assert main(["hlf", "--model", str(bad), "--manifest", str(data / "manifest.csv"),
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: checkpoint has no parameter 'standardizer.mean': {bad}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, flag", [("elm", "--hlf"), ("embed", "--input")])
+    @pytest.mark.parametrize("damage, named", [
+        (lambda cells: cells[:-1], "expected 22 fields, got 21"),
+        (lambda cells: cells[:3] + ["high"] + cells[4:], "could not convert string to float: 'high'"),
+    ], ids=["short_row", "non_numeric"])
+    def test_malformed_hlf_table_names_the_line(self, cli_workspace, tmp_path, capsys,
+                                                command, flag, damage, named):
+        """A bad row of an HLF table is refused with the file and the line that hold it."""
+        _, _, _, hlf_csv = cli_workspace
+        lines = hlf_csv.read_text().splitlines()
+        lines[3] = ",".join(damage(lines[3].split(",")))
+        table = tmp_path / "bad.csv"
+        table.write_text("\n".join(lines) + "\n")
+        assert main([command, flag, str(table), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"error: {table}, line 4: {named}\n"
 
     def test_debug_reraises_with_traceback(self, tmp_path, capsys):
         with pytest.raises(ManifestError, match="manifest not found") as raised:

@@ -29,6 +29,7 @@ from sermtl.experiment import (
     write_grid_report,
     write_report,
 )
+from sermtl.metrics import wilcoxon_signed_rank
 from sermtl.mtl import MTLNetworkConfig, TrainConfig
 
 
@@ -161,7 +162,10 @@ class TestCompare:
         a = run_experiment([manifest], _tiny_config(subtask_mode="all"))
         b = run_experiment([manifest], _tiny_config(subtask_mode="none"))
         result = compare_reports(a, b)
-        assert set(result) >= {"w_plus", "w_minus", "n", "p_value", "significant", "method"}
+        assert set(result) == {"w_plus", "w_minus", "n", "p_value", "significant", "method"}
+        direct = wilcoxon_signed_rank([f.ua for f in a.folds], [f.ua for f in b.folds])
+        assert result == asdict(direct)
+        assert type(result["n"]) is int
 
 
 class TestGrid:

@@ -320,7 +320,7 @@ class TestTraining:
         for run in range(2):
             model = MultiTaskModel(cfg, seed=11)
             trained = train(model, *_split(data, 18), self._quick_tc(seed=11))
-            path = save_model(tmp_path / f"m{run}.ckpt", trained)
+            path = save_model(tmp_path / f"m{run}.ckpt", trained, _IDENTITY)
             hist = write_history_csv(tmp_path / f"h{run}.csv", trained.history, cfg.heads)
             outputs.append((path.read_bytes(), hist.read_text()))
         assert outputs[0] == outputs[1]
@@ -563,12 +563,15 @@ class TestModelCheckpoint:
         model = MultiTaskModel(cfg, seed=3)
         tc = TrainConfig(batch_size=8, max_epochs=2, patience=1, seed=3)
         trained = train(model, *_split(data, 9), tc)
-        extra = {"standardizer.mean": np.arange(32.0), "standardizer.std": np.ones(32)}
-        path = save_model(tmp_path / "m.ckpt", trained, extra_params=extra)
-        loaded, header, extras = load_model(path)
-        assert header["network"]["trunk"] == "lstm"
-        assert header["best_epoch"] == trained.best_epoch
-        assert set(extras) == {"standardizer.mean", "standardizer.std"}
+        saved = Standardizer(np.arange(32.0), np.ones(32))
+        path = save_model(tmp_path / "m.ckpt", trained, saved)
+        loaded, training, standardizer = load_model(path)
+        assert loaded.config == cfg
+        assert training == tc
+        assert nn.load_checkpoint(path)[1]["best_epoch"] == trained.best_epoch
+        assert standardizer.mean.dtype == standardizer.std.dtype == np.float64
+        assert standardizer.mean.tobytes() == saved.mean.tobytes()
+        assert standardizer.std.tobytes() == saved.std.tobytes()
         for name, arr in trained.model.parameters().items():
             assert np.array_equal(loaded.parameters()[name], arr.astype(np.float32))
         # float32 round trip keeps posteriors close
@@ -585,7 +588,7 @@ class TestModelCheckpoint:
         data = _blob_dataset(n_utts=12, n_frames=10)
         trained = train(MultiTaskModel(config, seed=3), *_split(data, 9),
                         TrainConfig(batch_size=8, max_epochs=2, patience=1, seed=3))
-        loaded, _, _ = load_model(save_model(tmp_path / "m.ckpt", trained))
+        loaded, _, _ = load_model(save_model(tmp_path / "m.ckpt", trained, _IDENTITY))
         assert loaded.dtype == loaded.vector.dtype == np.float32
         rng = np.random.default_rng(1)
         utts = [rng.normal(size=(n, 32)) for n in (15, 9, 12)]
@@ -598,15 +601,17 @@ class TestModelCheckpoint:
             assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("edit, named", [
-        (lambda net: net.update(context_frame=11), "unknown key 'context_frame'"),
-        (lambda net: net.pop("n_features"), "missing key 'n_features'"),
+        (lambda header: header["network"].update(context_frame=11), "unknown key 'context_frame'"),
+        (lambda header: header["network"].pop("n_features"), "missing key 'n_features'"),
+        (lambda header: header["training"].update(batch=8), "unknown key 'batch'"),
+        (lambda header: header["training"].pop("batch_size"), "missing key 'batch_size'"),
     ])
     def test_network_header_keys_checked(self, tmp_path, edit, named):
         model = MultiTaskModel(MTLNetworkConfig(trunk="lstm", layer_sizes=(4,)), seed=1)
         trained = train(model, *_split(_blob_dataset(n_utts=6, n_frames=8), 4),
                         TrainConfig(batch_size=8, max_epochs=2, patience=1))
-        params, header = nn.load_checkpoint(save_model(tmp_path / "m.ckpt", trained))
-        edit(header["network"])
+        params, header = nn.load_checkpoint(save_model(tmp_path / "m.ckpt", trained, _IDENTITY))
+        edit(header)
         nn.save_checkpoint(tmp_path / "bad.ckpt", params, header)
         with pytest.raises(ValueError, match=named):
             load_model(tmp_path / "bad.ckpt")
@@ -615,43 +620,47 @@ class TestModelCheckpoint:
         (lambda params: params.pop("trunk.1.w_h"), "has no parameter 'trunk.1.w_h'"),
         (lambda params: params.update({"head.emotion.b": np.zeros(1)}),
          r"parameter 'head.emotion.b' has shape \(1,\), the model's is \(4,\)"),
-    ], ids=["missing", "shape"])
+        (lambda params: [params.pop(name) for name in ("standardizer.mean", "standardizer.std")],
+         "has no parameter 'standardizer.mean'"),
+    ], ids=["missing", "shape", "no_statistics"])
     def test_parameters_checked(self, tmp_path, edit, named):
-        """A checkpoint that lacks one of the model's parameters, or holds one
-        of another shape, is rejected: neither an initial value nor a
-        broadcast stands in for it."""
+        """A checkpoint that lacks one of the model's parameters or standardizer
+        statistics, or holds one of another shape, is rejected: neither an
+        initial value nor a broadcast stands in for it."""
         model = MultiTaskModel(MTLNetworkConfig(trunk="lstm", layer_sizes=(4, 4)), seed=1)
         trained = train(model, *_split(_blob_dataset(n_utts=6, n_frames=8), 4),
                         TrainConfig(batch_size=8, max_epochs=2, patience=1))
-        params, header = nn.load_checkpoint(save_model(tmp_path / "m.ckpt", trained))
+        params, header = nn.load_checkpoint(save_model(tmp_path / "m.ckpt", trained, _IDENTITY))
         edit(params)
         bad = nn.save_checkpoint(tmp_path / "bad.ckpt", params, header)
         with pytest.raises(ValueError, match=named) as raised:
             load_model(bad)
         assert str(bad) in str(raised.value)
 
-
     @staticmethod
     def _saved(tmp_path, layer_sizes=(6, 5)):
         """A checkpoint of an untrained LSTM model, with standardizer statistics."""
         model = MultiTaskModel(MTLNetworkConfig(trunk="lstm", layer_sizes=layer_sizes), seed=2)
-        extra = {"standardizer.mean": np.linspace(-1.0, 1.0, 32), "standardizer.std": np.full(32, 0.5)}
-        return save_model(tmp_path / "m.ckpt", TrainedModel(model, TrainConfig(), [], 0, 0.0), extra)
+        standardizer = Standardizer(np.linspace(-1.0, 1.0, 32), np.full(32, 0.5))
+        return save_model(tmp_path / "m.ckpt", TrainedModel(model, TrainConfig(), [], 0, 0.0), standardizer)
 
     def test_parameters_in_another_order_load_alike(self, tmp_path):
         """The blob is read in the file's order: parameters stored in another
         order than the model's vector load to the identical vector."""
         path = self._saved(tmp_path)
         params, header = nn.load_checkpoint(path)
+        assert list(params)[-2:] == ["standardizer.mean", "standardizer.std"]
         reordered = nn.save_checkpoint(tmp_path / "reversed.ckpt", dict(reversed(params.items())), header)
-        want, _, want_extras = load_model(path)
-        got, _, extras = load_model(reordered)
+        assert list(nn.load_checkpoint(reordered)[0])[:2] == ["standardizer.std", "standardizer.mean"]
+        want, want_training, want_standardizer = load_model(path)
+        got, training, standardizer = load_model(reordered)
         assert got.vector.dtype == np.float32
         assert got.vector.tobytes() == want.vector.tobytes()
-        assert list(extras) == ["standardizer.std", "standardizer.mean"]
-        for name, values in extras.items():
+        assert training == want_training
+        for values, wanted in ((standardizer.mean, want_standardizer.mean),
+                               (standardizer.std, want_standardizer.std)):
             assert values.dtype == np.float64
-            assert values.tobytes() == want_extras[name].tobytes()
+            assert values.tobytes() == wanted.tobytes()
 
     @pytest.mark.parametrize("damage, named", [
         (lambda data: data[:-4], "truncated checkpoint"),

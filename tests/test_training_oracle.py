@@ -193,7 +193,8 @@ def test_parameters_are_views_of_one_vector(trunk, tmp_path):
     store = _store(np.random.default_rng(0), [8, 9, 7], np.float32)
     trained = train(MultiTaskModel(config, seed=3), store.select([0, 1]), store.select([2]),
                     TrainConfig(batch_size=4, max_epochs=2, patience=1))
-    loaded, _, _ = load_model(save_model(tmp_path / "m.ckpt", trained))
+    identity = Standardizer(np.zeros(32), np.ones(32))
+    loaded, _, _ = load_model(save_model(tmp_path / "m.ckpt", trained, identity))
     assert loaded.vector.dtype == np.float32
     assert loaded.vector.tobytes() == trained.model.vector.tobytes()
     for name, arr in loaded.parameters().items():

@@ -142,9 +142,9 @@ def _score_inputs(directory: Path) -> None:
     save_store(directory, FeatureStore.pack([f"u{i:03d}" for i in range(BATCH)],
                                             [rng.normal(size=(FRAMES, n_features)).astype(np.float32)
                                              for _ in range(BATCH)]))
-    extra = {"standardizer.mean": rng.normal(size=n_features).astype(np.float32),
-             "standardizer.std": rng.uniform(0.5, 2.0, n_features).astype(np.float32)}
-    save_model(directory / "model.ckpt", TrainedModel(model, TrainConfig(), [], 0, 0.0), extra)
+    standardizer = Standardizer(rng.normal(size=n_features).astype(np.float32),
+                                rng.uniform(0.5, 2.0, n_features).astype(np.float32))
+    save_model(directory / "model.ckpt", TrainedModel(model, TrainConfig(), [], 0, 0.0), standardizer)
 
 
 def probe_score() -> dict:
@@ -159,8 +159,7 @@ def probe_score() -> dict:
         store = load_store(tmp)
 
         def score(name):
-            loaded, _, extras = load_model(tmp / "model.ckpt")
-            standardizer = Standardizer(extras["standardizer.mean"], extras["standardizer.std"])
+            loaded, _, standardizer = load_model(tmp / "model.ckpt")
             out[name] = list(posteriors_in_blocks(loaded, [store], standardizer))
         pinned = _measure(lambda: score("pinned"))
         all_cores = _measure(lambda: score("all_cores"), blas.all_cores)
