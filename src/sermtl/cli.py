@@ -30,13 +30,14 @@ from . import mtl as mtl_mod
 from . import tsne as tsne_mod
 from .codec import from_dict
 from .corpus import (
+    EMOTION_CLASSES,
+    PROTOCOLS,
     CorpusManifest,
-    EmotionLabel,
     SynthConfig,
-    emotion_index,
     generate_synthetic,
     load_manifest,
     merge_records,
+    parse_label,
     stratified_split,
 )
 from .elm import ELMConfig, elm_fit, elm_predict, save_elm
@@ -80,6 +81,12 @@ def _network_config(args, base: MTLNetworkConfig) -> MTLNetworkConfig:
     # a new trunk re-derives the context width and, unless given, the layer sizes
     fixed = {} if args.trunk in (None, base.trunk) else {"context_frames": 0, "layer_sizes": ()}
     return _config(args, base, **fixed)
+
+
+def _emotion_targets(labels) -> np.ndarray:
+    """The emotion class index of each row of an HLF table's labels."""
+    return np.array([EMOTION_CLASSES.index(parse_label("emotion", v)) for v in labels["emotion"]],
+                    dtype=np.int64)
 
 
 def _decode(cls, path):
@@ -136,7 +143,7 @@ def cmd_train(args) -> int:
     training = _config(args, TrainConfig())
 
     # features for the train/validation utterances only; the test split is just counted
-    fold = stratified_split([manifest], seed=training.seed).folds[0]
+    (fold,) = stratified_split([manifest], seed=training.seed)
     used = set(fold.train_ids) | set(fold.validation_ids)
     records = [r for r in manifest.records if r.utterance_id in used]
     store = exp_mod.extract_feature_cache(records)
@@ -180,9 +187,8 @@ def cmd_hlf(args) -> int:
 
 def cmd_elm(args) -> int:
     ids, x, labels = hlf_mod.read_hlf_csv(args.hlf)
-    y = np.array([emotion_index(EmotionLabel(v)) for v in labels["emotion"]], dtype=np.int64)
     config = _config(args, ELMConfig())
-    model = elm_fit(x, one_hot(y, 4), config)
+    model = elm_fit(x, one_hot(_emotion_targets(labels), len(EMOTION_CLASSES)), config)
     out_path = Path(args.out)
     save_elm(out_path, model)
     _write_config(_sidecar(out_path), {"command": "elm", "hlf": _absolute(args.hlf),
@@ -190,9 +196,8 @@ def cmd_elm(args) -> int:
     print(f"fit ELM ({config.n_hidden} hidden units) on {len(ids)} utterances -> {out_path}")
     if args.eval is not None:
         eval_ids, eval_x, eval_labels = hlf_mod.read_hlf_csv(args.eval)
-        eval_y = np.array([emotion_index(EmotionLabel(v)) for v in eval_labels["emotion"]], dtype=np.int64)
         _, predictions = elm_predict(model, eval_x)
-        cm = metrics_mod.confusion_matrix(eval_y, predictions)
+        cm = metrics_mod.confusion_matrix(_emotion_targets(eval_labels), predictions)
         ua = metrics_mod.unweighted_accuracy(cm)
         print(f"eval UA over {len(eval_ids)} utterances: {ua:.4f}")
         print("confusion (rows true, cols predicted):")
@@ -253,8 +258,7 @@ def cmd_embed(args) -> int:
     if args.svg is not None:
         tsne_mod.write_embedding_svg(args.svg, embedding, labels["emotion"])
     _write_config(_sidecar(out_path), {"command": "embed", "input": _absolute(args.input),
-                                       "svg": _absolute(args.svg), "perplexity": config.perplexity,
-                                       "iters": config.n_iter, "seed": config.seed})
+                                       "svg": _absolute(args.svg), **asdict(config)})
     print(f"embedded {len(ids)} points (final KL {trace[-1]:.4f}) -> {out_path}")
     return 0
 
@@ -347,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", action="append", required=True,
                    help="manifest CSV (repeat for multiple groups)")
     p.add_argument("--out", required=True)
-    p.add_argument("--protocol", choices=exp_mod.PROTOCOLS)
+    p.add_argument("--protocol", choices=PROTOCOLS)
     p.add_argument("--seed", type=int)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--group-key", choices=("corpus", "corpus_naturalness"))

@@ -1,4 +1,4 @@
-"""Corpus data model: labels, manifests, synthetic audio generation, and fold plans."""
+"""Corpus data model: tasks and their labels, manifests, synthetic audio generation, and folds."""
 from __future__ import annotations
 
 import csv
@@ -59,28 +59,21 @@ EMOTION_CLASSES = tuple(EmotionLabel)
 GENDER_CLASSES = tuple(GenderLabel)
 NATURALNESS_CLASSES = tuple(NaturalnessLabel)
 
-_EMOTION_INDEX = {label: i for i, label in enumerate(EMOTION_CLASSES)}
-_GENDER_INDEX = {label: i for i, label in enumerate(GENDER_CLASSES)}
-_NATURALNESS_INDEX = {label: i for i, label in enumerate(NATURALNESS_CLASSES)}
+# Each task's classes in class-index order, keyed by the record field that holds
+# its label: emotion is the main task, gender and naturalness the auxiliary ones.
+TASK_CLASSES = {
+    "emotion": EMOTION_CLASSES,
+    "gender": GENDER_CLASSES,
+    "naturalness": NATURALNESS_CLASSES,
+}
 
 
-def emotion_index(label: EmotionLabel) -> int:
-    return _EMOTION_INDEX[label]
-
-
-def gender_index(label: GenderLabel) -> int:
-    return _GENDER_INDEX[label]
-
-
-def naturalness_index(label: NaturalnessLabel) -> int:
-    return _NATURALNESS_INDEX[label]
-
-
-def _parse_label(enum_cls, token: str, kind: str):
-    try:
-        return enum_cls(token)
-    except ValueError:
-        raise ManifestError(f"unknown {kind} label: {token!r}") from None
+def parse_label(task: str, token: str):
+    """The class of ``task`` whose value is ``token``."""
+    for label in TASK_CLASSES[task]:
+        if label.value == token:
+            return label
+    raise ManifestError(f"unknown {task} label: {token!r}")
 
 
 @dataclass(frozen=True)
@@ -94,6 +87,11 @@ class UtteranceRecord:
     naturalness: NaturalnessLabel
     speaker_id: str
     corpus_id: str
+
+
+def record_labels(rec: UtteranceRecord) -> dict[str, int]:
+    """The class index of each task's label of ``rec``."""
+    return {task: classes.index(getattr(rec, task)) for task, classes in TASK_CLASSES.items()}
 
 
 @dataclass(frozen=True)
@@ -157,9 +155,9 @@ def load_manifest(path: str | Path) -> CorpusManifest:
                 UtteranceRecord(
                     utterance_id=uid,
                     audio_path=audio_path,
-                    emotion=_parse_label(EmotionLabel, emo, "emotion"),
-                    gender=_parse_label(GenderLabel, gen, "gender"),
-                    naturalness=_parse_label(NaturalnessLabel, nat, "naturalness"),
+                    emotion=parse_label("emotion", emo),
+                    gender=parse_label("gender", gen),
+                    naturalness=parse_label("naturalness", nat),
                     speaker_id=spk,
                     corpus_id=corp,
                 )
@@ -251,8 +249,8 @@ class SynthConfig:
             raise ValueError("duration_s must be >= 0.5")
         if self.class_balance is not None:
             props = tuple(float(p) for p in self.class_balance)
-            if len(props) != 4 or any(p < 0 for p in props) or sum(props) <= 0:
-                raise ValueError("class_balance must be 4 non-negative proportions")
+            if len(props) != len(EMOTION_CLASSES) or any(p < 0 for p in props) or sum(props) <= 0:
+                raise ValueError(f"class_balance must be {len(EMOTION_CLASSES)} non-negative proportions")
             object.__setattr__(self, "class_balance", props)
 
 
@@ -291,7 +289,7 @@ def _largest_remainder(n: int, ideal: Sequence[float]) -> list[int]:
 def _emotion_sequence(n: int, balance: tuple[float, ...] | None) -> list[EmotionLabel]:
     """Deterministic per-speaker emotion assignment honoring the requested balance."""
     if balance is None:
-        return [EMOTION_CLASSES[i % 4] for i in range(n)]
+        return [EMOTION_CLASSES[i % len(EMOTION_CLASSES)] for i in range(n)]
     total = sum(balance)
     counts = _largest_remainder(n, [n * p / total for p in balance])
     seq: list[EmotionLabel] = []
@@ -378,7 +376,7 @@ def generate_synthetic(config: SynthConfig, out_dir: str | Path) -> CorpusManife
         corpus_nat = NATURALNESS_CLASSES[ci % 2]
         for si in range(config.speakers_per_corpus):
             speaker_id = f"{corpus_id}s{si:02d}"
-            gender = GENDER_CLASSES[si % 4]
+            gender = GENDER_CLASSES[si % len(GENDER_CLASSES)]
             voice_rng = np.random.default_rng(derive_seed(config.seed, "speaker", corpus_id, speaker_id))
             f0_factor = float(2.0 ** voice_rng.uniform(-0.12, 0.12))
             speaker_tilt = float(voice_rng.uniform(-0.15, 0.15))
@@ -420,10 +418,10 @@ def generate_synthetic(config: SynthConfig, out_dir: str | Path) -> CorpusManife
 # Fold construction
 # ---------------------------------------------------------------------------
 
-class SplitMode(Enum):
-    LOSO = "LOSO"
-    LOCO = "LOCO"
-    STRATIFIED = "STRATIFIED"
+# within-corpus (leave one speaker out), cross-corpus (leave one corpus out), and
+# one aggregated split of every corpus into train/validation/test by these fractions
+PROTOCOLS = ("within", "cross", "aggregated")
+AGGREGATED_FRACTIONS = (0.8, 0.1, 0.1)
 
 
 @dataclass(frozen=True)
@@ -437,11 +435,6 @@ class Fold:
         tr, va, te = set(self.train_ids), set(self.validation_ids), set(self.test_ids)
         if tr & va or tr & te or va & te:
             raise FoldError("fold id sets overlap")
-
-
-@dataclass(frozen=True)
-class FoldPlan:
-    folds: tuple[Fold, ...]
 
 
 def merge_records(manifests: Sequence[CorpusManifest]) -> list[UtteranceRecord]:
@@ -480,33 +473,38 @@ def _carve_validation(pool: list[str], seed: int,
 
 def make_folds(
     manifests: Sequence[CorpusManifest],
-    mode: SplitMode,
+    protocol: str,
     group_key: str = "corpus",
     seed: int = 0,
-) -> FoldPlan:
-    """Build LOSO or LOCO folds with a seeded 10% validation carve-out per fold.
-    LOCO groups by ``group_key``: ``"corpus"`` or ``"corpus_naturalness"``."""
+) -> tuple[Fold, ...]:
+    """The folds of ``protocol``, one of `PROTOCOLS`. ``within`` leaves one
+    speaker of a single corpus out per fold (LOSO), ``cross`` one group by
+    ``group_key``, ``"corpus"`` or ``"corpus_naturalness"`` (LOCO), each with a
+    seeded 10% validation carve-out; ``aggregated`` is `stratified_split`'s one
+    fold."""
+    if protocol == "aggregated":
+        return stratified_split(manifests, seed=seed)
+    if protocol not in PROTOCOLS:
+        raise FoldError(f"unknown protocol: {protocol!r}")
     records = merge_records(manifests)
-    if mode is SplitMode.LOSO:
+    if protocol == "within":
         if len(manifests) != 1:
             raise FoldError("LOSO takes exactly one manifest")
         corpora = {r.corpus_id for r in records}
         if len(corpora) != 1:
             raise FoldError(f"LOSO expects a single corpus, got {sorted(corpora)}")
         group_of = lambda rec: rec.speaker_id
-    elif mode is SplitMode.LOCO and group_key == "corpus":
+    elif group_key == "corpus":
         group_of = lambda rec: rec.corpus_id
-    elif mode is SplitMode.LOCO and group_key == "corpus_naturalness":
+    elif group_key == "corpus_naturalness":
         group_of = lambda rec: f"{rec.corpus_id}:{rec.naturalness.value}"
-    elif mode is SplitMode.LOCO:
-        raise FoldError(f"unknown group_key: {group_key!r}")
     else:
-        raise FoldError("make_folds handles LOSO and LOCO; use stratified_split for STRATIFIED")
+        raise FoldError(f"unknown group_key: {group_key!r}")
 
     groups: dict[str, list[str]] = {}
     for rec in records:
         groups.setdefault(group_of(rec), []).append(rec.utterance_id)
-    if mode is SplitMode.LOCO and len(groups) < 2:
+    if protocol == "cross" and len(groups) < 2:
         raise FoldError(f"LOCO needs at least two groups, got {len(groups)}")
 
     folds = []
@@ -515,15 +513,15 @@ def make_folds(
         pool = [r.utterance_id for r in records if group_of(r) != group]
         train_ids, val_ids = _carve_validation(pool, seed, fold_index)
         folds.append(Fold(train_ids=train_ids, validation_ids=val_ids, test_ids=test_ids, test_group=group))
-    return FoldPlan(folds=tuple(folds))
+    return tuple(folds)
 
 
 def stratified_split(
     manifests: Sequence[CorpusManifest],
-    fractions: tuple[float, float, float] = (0.8, 0.1, 0.1),
+    fractions: tuple[float, float, float] = AGGREGATED_FRACTIONS,
     seed: int = 0,
-) -> FoldPlan:
-    """Single aggregated train/validation/test split, stratified by emotion.
+) -> tuple[Fold]:
+    """The single aggregated train/validation/test fold, stratified by emotion.
 
     Partition sizes follow the fractions exactly (largest-remainder rounding);
     per-emotion proportions in each partition stay within 2 percentage points
@@ -578,4 +576,4 @@ def stratified_split(
         test_ids=tuple(parts[2]),
         test_group="aggregated",
     )
-    return FoldPlan(folds=(fold,))
+    return (fold,)

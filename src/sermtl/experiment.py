@@ -15,22 +15,19 @@ from pathlib import Path
 import numpy as np
 
 from . import blas, metrics
-from . import corpus as corpus_mod
 from .corpus import (
+    EMOTION_CLASSES,
+    PROTOCOLS,
     SAMPLE_RATE,
+    TASK_CLASSES,
     CorpusManifest,
     Fold,
-    FoldPlan,
-    SplitMode,
     UtteranceRecord,
-    emotion_index,
-    gender_index,
     make_folds,
     merge_records,
-    naturalness_index,
     read_wav,
     read_wav_length,
-    stratified_split,
+    record_labels,
 )
 from .elm import ELMConfig, elm_fit, elm_predict
 from .features import (
@@ -58,8 +55,6 @@ from .mtl import (
 from .nn import one_hot
 from .seeding import derive_seed
 
-PROTOCOLS = ("within", "cross", "aggregated")
-
 # Table-shaped grid: STL baselines first, then the subtask variants.
 GRID_CONFIGS = (
     ("dnn", "none"),
@@ -85,7 +80,6 @@ class PipelineConfig:
     elm: ELMConfig = field(default_factory=ELMConfig)
     seed: int = 0
     group_key: str = "corpus"
-    fractions: tuple[float, float, float] = (0.8, 0.1, 0.1)
 
     def __post_init__(self):
         if self.protocol not in PROTOCOLS:
@@ -102,9 +96,9 @@ class FoldResult:
     n_train: int
     n_val: int
     n_test: int
-    confusion: list[list[int]] = field(default_factory=lambda: [[0] * 4 for _ in range(4)])
+    confusion: list[list[int]] = field(default_factory=lambda: [[0] * len(EMOTION_CLASSES) for _ in EMOTION_CLASSES])
     ua: float | None = None
-    per_class_recall: list[float | None] = field(default_factory=lambda: [None] * 4)
+    per_class_recall: list[float | None] = field(default_factory=lambda: [None] * len(EMOTION_CLASSES))
     best_epoch: int = -1
     epochs_run: int = 0
     best_val_total: float | None = None
@@ -112,7 +106,7 @@ class FoldResult:
 
     @classmethod
     def of(cls, fold_index: int, fold: Fold, **outcome) -> FoldResult:
-        """The record of ``fold``, the plan's fold ``fold_index``, with ``outcome``'s fields."""
+        """The record of ``fold``, fold ``fold_index`` of its protocol, with ``outcome``'s fields."""
         return cls(fold_index, fold.test_group, len(fold.train_ids), len(fold.validation_ids),
                    len(fold.test_ids), **outcome)
 
@@ -124,14 +118,6 @@ class ExperimentReport:
     config: PipelineConfig
     folds: list[FoldResult]
     mean_ua: float | None
-
-
-def record_labels(rec: UtteranceRecord) -> dict[str, int]:
-    return {
-        "emotion": emotion_index(rec.emotion),
-        "gender": gender_index(rec.gender),
-        "naturalness": naturalness_index(rec.naturalness),
-    }
 
 
 def _check_rate(rec: UtteranceRecord, sr: int) -> None:
@@ -241,7 +227,7 @@ def _empty_store(records) -> FeatureStore:
         starts=np.cumsum(lengths) - lengths,
         lengths=lengths,
         labels={task: np.array([lab[task] for lab in labels], dtype=np.int64)
-                for task in ("emotion", "gender", "naturalness")},
+                for task in TASK_CLASSES},
         paths=tuple(rec.audio_path for rec in records),
     )
 
@@ -272,14 +258,6 @@ def extract_feature_cache(records, jobs: int = 1) -> FeatureStore:
         if isinstance(result, WorkerDied):
             raise WorkerDied(f"front-end task from utterance {chunk[0].utterance_id}: {result}")
     return store
-
-
-def build_fold_plan(manifests, config: PipelineConfig) -> FoldPlan:
-    if config.protocol == "within":
-        return make_folds(manifests, SplitMode.LOSO, seed=config.seed)
-    if config.protocol == "cross":
-        return make_folds(manifests, SplitMode.LOCO, group_key=config.group_key, seed=config.seed)
-    return stratified_split(manifests, config.fractions, seed=config.seed)
 
 
 def fit_fold(fold: Fold, store: FeatureStore, network: MTLNetworkConfig, training: TrainConfig
@@ -324,7 +302,7 @@ def _run_fold(fold_index: int, fold: Fold, store: FeatureStore, config: Pipeline
     y_train = store.labels["emotion"][train_positions]
     y_test = store.labels["emotion"][test_positions]
     elm_cfg = replace(config.elm, seed=derive_seed(fold_seed, "elm"))
-    elm_model = elm_fit(fold_hlf(train_positions), one_hot(y_train, 4), elm_cfg)
+    elm_model = elm_fit(fold_hlf(train_positions), one_hot(y_train, len(EMOTION_CLASSES)), elm_cfg)
     _, predictions = elm_predict(elm_model, fold_hlf(test_positions))
 
     cm = metrics.confusion_matrix(y_test, predictions)
@@ -368,16 +346,17 @@ def _run_configs(manifests, configs: list[PipelineConfig], jobs: int) -> list[Ex
     if isinstance(manifests, CorpusManifest):
         manifests = [manifests]
     records = merge_records(manifests)
-    plans = [build_fold_plan(manifests, config) for config in configs]
-    tasks = [(i, fold, config) for config, plan in zip(configs, plans)
-             for i, fold in enumerate(plan.folds)]
+    fold_sets = [make_folds(manifests, config.protocol, config.group_key, config.seed)
+                 for config in configs]
+    tasks = [(i, fold, config) for config, folds in zip(configs, fold_sets)
+             for i, fold in enumerate(folds)]
     store = extract_feature_cache(records, jobs)
     results = _run_tasks(partial(_fold_worker, store), tasks, jobs)
     results = iter(FoldResult.of(*task[:2], error=str(result)) if isinstance(result, WorkerDied) else result
                    for task, result in zip(tasks, results))
     reports = []
-    for config, plan in zip(configs, plans):
-        folds = [next(results) for _ in plan.folds]
+    for config, config_folds in zip(configs, fold_sets):
+        folds = [next(results) for _ in config_folds]
         uas = [r.ua for r in folds if r.ua is not None]
         reports.append(ExperimentReport(
             protocol=config.protocol,
@@ -423,7 +402,7 @@ def write_report(report: ExperimentReport, out_dir: str | Path) -> Path:
     (out_dir / "report.json").write_text(
         json.dumps(asdict(report), sort_keys=True, indent=2) + "\n", encoding="utf-8"
     )
-    emotion_names = [label.value for label in corpus_mod.EMOTION_CLASSES]
+    emotion_names = [label.value for label in EMOTION_CLASSES]
     lines = ["fold,test_group,n_test,ua," + ",".join(f"recall_{n}" for n in emotion_names)]
     for f in report.folds:
         recalls = ["" if r is None else repr(r) for r in f.per_class_recall]

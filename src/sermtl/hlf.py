@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import EMOTION_CLASSES, UtteranceRecord
+from .corpus import EMOTION_CLASSES, TASK_CLASSES, UtteranceRecord, parse_label
 
 HLF_DIM = 16
 FUNCTIONALS = ("min", "max", "mean", "frac")
@@ -16,18 +16,16 @@ HLF_FEATURE_NAMES = tuple(
     f"{label.value}_{func}" for label in EMOTION_CLASSES for func in FUNCTIONALS
 )
 
-_LABEL_COLUMNS = ("emotion", "gender", "naturalness", "speaker_id", "corpus_id")
+_LABEL_COLUMNS = tuple(TASK_CLASSES) + ("speaker_id", "corpus_id")
 
 
-def compute_hlf(posteriors: np.ndarray, theta: float = THETA) -> np.ndarray:
+def compute_hlf(posteriors: np.ndarray) -> np.ndarray:
     """Collapse an (n, 4) posterior sequence to 16 values.
 
     Per class, in order: min, max, mean, and the fraction of steps whose
-    posterior exceeds ``theta``. The result is invariant to the time order
+    posterior exceeds `THETA`. The result is invariant to the time order
     of the rows.
     """
-    if not (0.0 < theta < 1.0):
-        raise ValueError("theta must lie in (0, 1)")
     post = np.asarray(posteriors, dtype=np.float64)
     if post.ndim != 2 or post.shape[0] < 1:
         raise ValueError("empty posterior sequence")
@@ -42,7 +40,7 @@ def compute_hlf(posteriors: np.ndarray, theta: float = THETA) -> np.ndarray:
             channel.min(),
             channel.max(),
             channel.mean(),
-            float(np.count_nonzero(channel > theta)) / channel.size,
+            float(np.count_nonzero(channel > THETA)) / channel.size,
         )
     return out
 
@@ -64,34 +62,43 @@ def write_hlf_csv(path: str | Path, rows) -> Path:
             writer.writerow(
                 [uid]
                 + [repr(float(v)) for v in vector]
-                + [rec.emotion.value, rec.gender.value, rec.naturalness.value,
-                   rec.speaker_id, rec.corpus_id]
+                + [getattr(rec, task).value for task in TASK_CLASSES]
+                + [rec.speaker_id, rec.corpus_id]
             )
     return path
 
 
 def read_hlf_csv(path: str | Path):
-    """Read an HLF table back as (ids, matrix, labels dict of column lists)."""
+    """Read an HLF table back as (ids, matrix, labels dict of column lists).
+
+    Raises ValueError naming ``path`` for an empty table or another header,
+    and naming the line too for a row of another length, a feature that is not
+    a number, or a task label that is not one of its `TASK_CLASSES`."""
     expected = ("utterance_id",) + HLF_FEATURE_NAMES + _LABEL_COLUMNS
     ids: list[str] = []
     vectors: list[list[float]] = []
     labels: dict[str, list[str]] = {name: [] for name in _LABEL_COLUMNS}
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = tuple(next(reader))
-        if header != expected:
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"empty HLF table: {path}")
+        if tuple(header) != expected:
             raise ValueError(f"unexpected HLF header in {path}")
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
             if len(row) != len(expected):
                 raise ValueError(f"{path}, line {lineno}: expected {len(expected)} fields, got {len(row)}")
+            values = dict(zip(_LABEL_COLUMNS, row[1 + HLF_DIM :]))
             try:
                 vectors.append([float(v) for v in row[1 : 1 + HLF_DIM]])
+                for task in TASK_CLASSES:
+                    parse_label(task, values[task])
             except ValueError as exc:
                 raise ValueError(f"{path}, line {lineno}: {exc}") from None
             ids.append(row[0])
-            for name, value in zip(_LABEL_COLUMNS, row[1 + HLF_DIM :]):
+            for name, value in values.items():
                 labels[name].append(value)
     if not ids:
         raise ValueError(f"empty HLF table: {path}")

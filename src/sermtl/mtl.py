@@ -21,14 +21,11 @@ import numpy as np
 
 from . import nn
 from .codec import from_dict
-from .features import FeatureStore, Standardizer, apply_standardizer, mapped_array
+from .corpus import TASK_CLASSES
+from .features import N_FEATURES, FeatureStore, Standardizer, apply_standardizer, mapped_array
 from .seeding import derive_seed
 
 TASK_EMOTION = "emotion"
-TASK_GENDER = "gender"
-TASK_NATURALNESS = "naturalness"
-
-_TASK_CLASSES = {TASK_EMOTION: 4, TASK_GENDER: 4, TASK_NATURALNESS: 2}
 
 SUBTASK_MODES = ("all", "gender", "naturalness", "none")
 
@@ -69,7 +66,6 @@ class MTLNetworkConfig:
     context_frames: int = 0
     subtask_mode: str = "all"
     subtask_weight: float = 0.1
-    n_features: int = 32
 
     def __post_init__(self):
         if self.trunk not in ("dnn", "lstm"):
@@ -87,18 +83,15 @@ class MTLNetworkConfig:
 
     @property
     def input_width(self) -> int:
-        if self.trunk == "dnn":
-            return self.context_frames * self.n_features
-        return self.n_features
+        return self.context_frames * N_FEATURES  # context_frames is 1 for an LSTM
 
     @property
     def heads(self) -> tuple[TaskHead, ...]:
-        heads = [TaskHead(TASK_EMOTION, _TASK_CLASSES[TASK_EMOTION], 1.0)]
-        if self.subtask_mode in ("all", "gender"):
-            heads.append(TaskHead(TASK_GENDER, _TASK_CLASSES[TASK_GENDER], self.subtask_weight))
-        if self.subtask_mode in ("all", "naturalness"):
-            heads.append(TaskHead(TASK_NATURALNESS, _TASK_CLASSES[TASK_NATURALNESS], self.subtask_weight))
-        return tuple(heads)
+        """The emotion head, then each subtask head that ``subtask_mode`` keeps,
+        in `corpus.TASK_CLASSES` order."""
+        return tuple(TaskHead(task, len(classes), 1.0 if task == TASK_EMOTION else self.subtask_weight)
+                     for task, classes in TASK_CLASSES.items()
+                     if task == TASK_EMOTION or self.subtask_mode in ("all", task))
 
 
 @dataclass(frozen=True)
@@ -266,7 +259,7 @@ class MultiTaskModel:
         """Per-task losses, the weighted total, and gradients for one mini-batch.
 
         DNN batches: {"x": (B, input_width), "targets": {task: (B,) ints}}.
-        LSTM batches: {"x": (B, T, n_features), "mask": (B, T) bool,
+        LSTM batches: {"x": (B, T, N_FEATURES), "mask": (B, T) bool,
         "targets": {task: (B,) ints}} with frame-broadcast chunk labels and
         padding excluded from every per-frame loss mean.
 
@@ -357,8 +350,8 @@ class MultiTaskModel:
         turns into the posteriors.
         """
         features = np.asarray(features)
-        if features.ndim != 2 or features.shape[1] != self.config.n_features:
-            raise nn.ShapeError(f"features must be (n, {self.config.n_features})")
+        if features.ndim != 2 or features.shape[1] != N_FEATURES:
+            raise nn.ShapeError(f"features must be (n, {N_FEATURES})")
         lengths = np.asarray(lengths, dtype=np.int64)
         if lengths.ndim != 1 or lengths.size == 0 or np.any(lengths < 1):
             raise ValueError("lengths must be a non-empty list of positive frame counts")
@@ -535,12 +528,12 @@ def _batches(model: MultiTaskModel, dataset: FeatureStore, index, order, batch_s
         rows = first_row[samples]
         if config.trunk == "dnn":
             windows = np.lib.stride_tricks.sliding_window_view(
-                dataset.matrix, (config.context_frames, config.n_features))[:, 0]
+                dataset.matrix, (config.context_frames, N_FEATURES))[:, 0]
             batch["x"] = windows[rows].reshape(rows.size, -1).astype(model.dtype, copy=False)
         else:
             steps = np.arange(frames[samples].max())
             mask = steps < frames[samples][:, None]
-            x = np.zeros(mask.shape + (config.n_features,), model.dtype)
+            x = np.zeros(mask.shape + (N_FEATURES,), model.dtype)
             x[mask] = dataset.matrix[(rows[:, None] + steps)[mask]]
             batch["x"], batch["mask"] = x, mask
         yield start, batch
@@ -689,7 +682,8 @@ def load_model(path: str | Path) -> tuple[MultiTaskModel, TrainConfig, Standardi
     statistics are read in the same pass into new float64 arrays, exactly.
     The header's ``network`` and ``training`` are decoded with `from_dict`.
     Raises ValueError naming the parameter and ``path`` when one of the model's
-    parameters or statistics is missing or has another shape."""
+    parameters or statistics is missing or has another shape, or when the file
+    holds a parameter that is neither."""
     loaded = []
 
     def into(header):
@@ -697,7 +691,7 @@ def load_model(path: str | Path) -> tuple[MultiTaskModel, TrainConfig, Standardi
         training = from_dict(TrainConfig, header["training"])
         vector = mapped_array((sum(_layer_sizes(config)),), np.float32)
         model = MultiTaskModel(config, header["model_seed"], np.float32, vector)
-        mean, std = np.empty(config.n_features), np.empty(config.n_features)
+        mean, std = np.empty(N_FEATURES), np.empty(N_FEATURES)
         loaded.extend((model, training, mean, std))
         return {**model.parameters(), "standardizer.mean": mean, "standardizer.std": std}
 

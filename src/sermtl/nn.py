@@ -393,15 +393,16 @@ def load_checkpoint(path: str | Path, into=None) -> tuple[dict[str, np.ndarray],
 
     ``into``, if given, is called with the header and returns C-contiguous
     arrays keyed by parameter name (`mtl.load_model`'s are views of a float32
-    vector and two float64 arrays). Those parameters are read into them in
-    place (the values are exact in any float dtype) and are left out of
-    ``params``. The blob is read in the file's order through one fixed-size
-    float32 buffer, so no float32 copy of it is made.
+    vector and two float64 arrays), one for each of the file's parameters.
+    They are read into them in place (the values are exact in any float dtype),
+    and ``params`` is empty. The blob is read in the file's order through one
+    fixed-size float32 buffer, so no float32 copy of it is made.
 
     Raises ValueError naming ``path`` for a foreign, truncated or overlong file
     (a header length past the end of the file, a blob shorter than its header
-    says, or bytes after it), and for a parameter of ``into`` that the file
-    lacks or holds in another shape.
+    says, or bytes after it), for a parameter of ``into`` that the file lacks
+    or holds in another shape, and for a parameter of the file that ``into``
+    lacks.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -428,6 +429,9 @@ def load_checkpoint(path: str | Path, into=None) -> tuple[dict[str, np.ndarray],
             if shapes[name] != target.shape:
                 raise ValueError(f"checkpoint parameter {name!r} has shape {shapes[name]}, "
                                  f"the model's is {target.shape}: {path}")
+        stray = [name for name in shapes if name not in targets]
+        if into is not None and stray:
+            raise ValueError(f"checkpoint parameter {stray[0]!r} is not the model's: {path}")
         params: dict[str, np.ndarray] = {}
         buffer = np.empty(_READ_CHUNK, "<f4")
         for name, shape in shapes.items():

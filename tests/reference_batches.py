@@ -8,6 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from sermtl.features import N_FEATURES
 from sermtl.mtl import MTLNetworkConfig, MultiTaskModel, TrainConfig
 
 
@@ -54,7 +55,7 @@ def _batches(model: MultiTaskModel, dataset, index, order, batch_size: int):
             batch["x"] = np.stack([dataset[u].features[s : s + n].reshape(-1) for u, s, n in items],
                                   dtype=model.dtype)
         else:
-            x = np.zeros((len(items), max(n for _, _, n in items), config.n_features), model.dtype)
+            x = np.zeros((len(items), max(n for _, _, n in items), N_FEATURES), model.dtype)
             mask = np.zeros(x.shape[:2], dtype=bool)
             for row, (u, s, n) in enumerate(items):
                 x[row, :n] = dataset[u].features[s : s + n]

@@ -160,7 +160,7 @@ class TestTrainAndHlf:
     def test_reads_no_test_split_audio(self, cli_workspace, tmp_path):
         _, data, run, _ = cli_workspace
         manifest = load_manifest(data / "manifest.csv")
-        test_ids = set(stratified_split([manifest], seed=3).folds[0].test_ids)
+        test_ids = set(stratified_split([manifest], seed=3)[0].test_ids)
         samples, sr = read_wav(manifest.records[0].audio_path)
         write_wav(tmp_path / "slow.wav", samples[::2], sample_rate=sr // 2)  # fails the rate check
         records = tuple(replace(r, audio_path=tmp_path / "slow.wav") if r.utterance_id in test_ids
@@ -223,7 +223,7 @@ class TestTrainAndHlf:
 
         monkeypatch.setattr(experiment, "train", recording_train)
         # the fold `train` fit, refit in memory; every utterance is standardized with its statistics
-        fold = stratified_split([manifest], seed=saved["seed"]).folds[0]
+        (fold,) = stratified_split([manifest], seed=saved["seed"])
         store = extract_feature_cache(manifest.records)
         with blas.one_thread():  # as `train` fits
             trained, fold_standardizer = fit_fold(
@@ -288,7 +288,6 @@ class TestXval:
             protocol="aggregated",
             network=MTLNetworkConfig(trunk="dnn", layer_sizes=(8,), context_frames=11),
             training=TrainConfig(max_epochs=2, patience=1, dnn_window_stride=4),
-            fractions=(0.6, 0.2, 0.2),
         )
         config_path = tmp_path / "saved.json"
         config_path.write_text(json.dumps({"pipeline": asdict(saved)}))
@@ -297,16 +296,17 @@ class TestXval:
                    "--seed", "5", "--out", str(out)])
         assert rc == 0
         pipeline = json.loads((out / "config.json").read_text())["pipeline"]
+        assert pipeline["protocol"] == "aggregated"
         assert pipeline["network"]["context_frames"] == 11
-        assert pipeline["fractions"] == [0.6, 0.2, 0.2]
         # a given flag overrides its field alone
         assert pipeline["seed"] == 5 and pipeline["training"]["seed"] == 5
         assert pipeline["training"]["dnn_window_stride"] == 4
         report = json.loads((out / "report.json").read_text())
-        assert report["folds"][0]["n_train"] == 29  # 0.6 of 48 utterances
+        assert report["folds"][0]["n_train"] == 38  # 0.8 of 48 utterances
 
     @pytest.mark.parametrize("section, key", [(None, "hlf_thetta"), ("network", "context_frame"),
-                                              (None, "features"), (None, "hlf_theta")])
+                                              (None, "features"), (None, "hlf_theta"),
+                                              (None, "fractions"), ("network", "n_features")])
     def test_config_unknown_key_rejected(self, cli_workspace, tmp_path, capsys, section, key):
         _, data, _, _ = cli_workspace
         pipeline = asdict(PipelineConfig())
@@ -470,10 +470,10 @@ class TestSidecarConfigs:
                      "--iters", "40", "--seed", "2"]) == 0
         saved = self._sidecar(first)
         assert saved == {"command": "embed", "input": str(hlf_csv.resolve()), "svg": None,
-                         "perplexity": 7.0, "iters": 40, "seed": 2}
+                         **asdict(TsneConfig(perplexity=7.0, n_iter=40, seed=2))}
         second = tmp_path / "b.csv"
         assert main(["embed", "--input", saved["input"], "--out", str(second),
-                     "--perplexity", str(saved["perplexity"]), "--iters", str(saved["iters"]),
+                     "--perplexity", str(saved["perplexity"]), "--iters", str(saved["n_iter"]),
                      "--seed", str(saved["seed"])]) == 0
         assert second.read_bytes() == first.read_bytes()
 
@@ -757,19 +757,27 @@ class TestCliErrors:
 
     @pytest.mark.parametrize("command, flag", [("elm", "--hlf"), ("embed", "--input")])
     @pytest.mark.parametrize("damage, named", [
-        (lambda cells: cells[:-1], "expected 22 fields, got 21"),
-        (lambda cells: cells[:3] + ["high"] + cells[4:], "could not convert string to float: 'high'"),
-    ], ids=["short_row", "non_numeric"])
+        (lambda cells: cells[:-1], "{table}, line 4: expected 22 fields, got 21"),
+        (lambda cells: cells[:3] + ["high"] + cells[4:],
+         "{table}, line 4: could not convert string to float: 'high'"),
+        (lambda cells: cells[:17] + ["bored"] + cells[18:], "{table}, line 4: unknown emotion label: 'bored'"),
+        (None, "empty HLF table: {table}"),
+    ], ids=["short_row", "non_numeric", "unknown_label", "empty"])
     def test_malformed_hlf_table_names_the_line(self, cli_workspace, tmp_path, capsys,
                                                 command, flag, damage, named):
-        """A bad row of an HLF table is refused with the file and the line that hold it."""
+        """A bad row of an HLF table is refused with the file and the line that
+        hold it, and an empty file by its path. ``damage`` edits the cells of
+        line 4, or is None for an empty file."""
         _, _, _, hlf_csv = cli_workspace
         lines = hlf_csv.read_text().splitlines()
-        lines[3] = ",".join(damage(lines[3].split(",")))
         table = tmp_path / "bad.csv"
-        table.write_text("\n".join(lines) + "\n")
+        if damage is None:
+            table.write_text("")
+        else:
+            lines[3] = ",".join(damage(lines[3].split(",")))
+            table.write_text("\n".join(lines) + "\n")
         assert main([command, flag, str(table), "--out", str(tmp_path / "out")]) == 1
-        assert capsys.readouterr().err == f"error: {table}, line 4: {named}\n"
+        assert capsys.readouterr().err == f"error: {named.format(table=table)}\n"
 
     def test_debug_reraises_with_traceback(self, tmp_path, capsys):
         with pytest.raises(ManifestError, match="manifest not found") as raised:

@@ -32,7 +32,7 @@ def test_round_trip_through_json_rebuilds_nested_and_tuples():
 
 def test_pipeline_config_round_trip():
     config = PipelineConfig(network=MTLNetworkConfig(trunk="dnn", context_frames=11),
-                            fractions=(0.6, 0.2, 0.2))
+                            group_key="corpus_naturalness")
     assert from_dict(PipelineConfig, json.loads(json.dumps(asdict(config)))) == config
 
 

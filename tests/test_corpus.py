@@ -16,7 +16,6 @@ from sermtl.corpus import (
     GenderLabel,
     ManifestError,
     NaturalnessLabel,
-    SplitMode,
     SynthConfig,
     UtteranceRecord,
     generate_synthetic,
@@ -55,18 +54,18 @@ def _corpora(draw, max_corpora=4):
     return manifests
 
 
-def _assert_partitions(plan, records):
+def _assert_partitions(folds, records):
     """Each fold's train, validation and test ids partition ``records``, the
     validation set is the 10% carve-out of the non-test pool, and across the
     folds every utterance is tested exactly once."""
     ids = sorted(r.utterance_id for r in records)
-    for fold in plan.folds:
+    for fold in folds:
         parts = fold.train_ids + fold.validation_ids + fold.test_ids
         assert sorted(parts) == ids
         pool = len(ids) - len(fold.test_ids)
         n_val = min(max(round(0.1 * pool), 1), pool - 1) if pool >= 2 else 0
         assert len(fold.validation_ids) == n_val
-    assert sorted(uid for fold in plan.folds for uid in fold.test_ids) == ids
+    assert sorted(uid for fold in folds for uid in fold.test_ids) == ids
 
 
 def _touch_wavs(base: Path, names):
@@ -228,19 +227,19 @@ class TestFolds:
     @settings(max_examples=50, deadline=None)
     @given(manifests=_corpora(max_corpora=1), seed=st.integers(0, 2**32 - 1))
     def test_loso_fold_count_and_coverage(self, manifests, seed):
-        plan = make_folds(manifests, SplitMode.LOSO, seed=seed)
+        folds = make_folds(manifests, "within", seed=seed)
         records = manifests[0].records
-        assert [f.test_group for f in plan.folds] == sorted({r.speaker_id for r in records})
-        for fold in plan.folds:
+        assert [f.test_group for f in folds] == sorted({r.speaker_id for r in records})
+        for fold in folds:
             assert sorted(fold.test_ids) == sorted(r.utterance_id for r in records
                                                    if r.speaker_id == fold.test_group)
-        _assert_partitions(plan, records)
+        _assert_partitions(folds, records)
 
     def test_fold_disjointness_and_validation_source(self):
         manifest = make_manifest(40, speakers=5)
-        plan = make_folds([manifest], SplitMode.LOSO, seed=3)
-        _assert_partitions(plan, manifest.records)
-        assert all(fold.validation_ids for fold in plan.folds)
+        folds = make_folds([manifest], "within", seed=3)
+        _assert_partitions(folds, manifest.records)
+        assert all(fold.validation_ids for fold in folds)
 
     @settings(max_examples=50, deadline=None)
     @given(manifests=_corpora(), seed=st.integers(0, 2**32 - 1),
@@ -252,14 +251,14 @@ class TestFolds:
         groups = sorted(set(group_of.values()))
         if len(groups) < 2:
             with pytest.raises(FoldError, match="at least two groups"):
-                make_folds(manifests, SplitMode.LOCO, group_key=group_key, seed=seed)
+                make_folds(manifests, "cross", group_key=group_key, seed=seed)
             return
-        plan = make_folds(manifests, SplitMode.LOCO, group_key=group_key, seed=seed)
-        assert [f.test_group for f in plan.folds] == groups
-        for fold in plan.folds:
+        folds = make_folds(manifests, "cross", group_key=group_key, seed=seed)
+        assert [f.test_group for f in folds] == groups
+        for fold in folds:
             assert {group_of[uid] for uid in fold.test_ids} == {fold.test_group}
             assert fold.test_group not in {group_of[uid] for uid in fold.train_ids + fold.validation_ids}
-        _assert_partitions(plan, records)
+        _assert_partitions(folds, records)
 
     def test_loco_six_groups(self):
         # four acted-only corpora plus one mixed corpus that splits by
@@ -271,23 +270,29 @@ class TestFolds:
         ]
         nat = [NaturalnessLabel.NATURAL] * 6 + [NaturalnessLabel.ACTED] * 6
         manifests.append(make_manifest(12, corpus_id="I", prefix="I_", naturalness=nat))
-        plan = make_folds(manifests, SplitMode.LOCO, group_key="corpus_naturalness", seed=0)
-        groups = {fold.test_group for fold in plan.folds}
-        assert len(plan.folds) == 6
+        folds = make_folds(manifests, "cross", group_key="corpus_naturalness", seed=0)
+        groups = {fold.test_group for fold in folds}
+        assert len(folds) == 6
         assert groups == {"A:acted", "E:acted", "F:acted", "L:acted", "I:natural", "I:acted"}
 
     def test_loco_plain_corpus_groups(self):
         manifests = [make_manifest(10, corpus_id=c, prefix=f"{c}_") for c in ("A", "B", "C")]
-        plan = make_folds(manifests, SplitMode.LOCO, seed=0)
-        assert [f.test_group for f in plan.folds] == ["A", "B", "C"]
-        union = sorted(uid for f in plan.folds for uid in f.test_ids)
+        folds = make_folds(manifests, "cross", seed=0)
+        assert [f.test_group for f in folds] == ["A", "B", "C"]
+        union = sorted(uid for f in folds for uid in f.test_ids)
         assert union == sorted(r.utterance_id for m in manifests for r in m.records)
 
     def test_loco_single_group_error(self):
         with pytest.raises(FoldError, match="at least two groups"):
-            make_folds([make_manifest(10)], SplitMode.LOCO, seed=0)
+            make_folds([make_manifest(10)], "cross", seed=0)
         with pytest.raises(FoldError, match="unknown group_key: 'speaker'"):
-            make_folds([make_manifest(10)], SplitMode.LOCO, group_key="speaker", seed=0)
+            make_folds([make_manifest(10)], "cross", group_key="speaker", seed=0)
+
+    def test_protocols(self):
+        manifest = make_manifest(40, speakers=5)
+        assert make_folds([manifest], "aggregated", seed=4) == stratified_split([manifest], seed=4)
+        with pytest.raises(FoldError, match="unknown protocol: 'loso'"):
+            make_folds([manifest], "loso", seed=0)
 
     def test_speaker_in_two_corpora_error(self):
         import dataclasses
@@ -298,12 +303,12 @@ class TestFolds:
         manifest_a = CorpusManifest(records=tuple(a))
         manifest_b = CorpusManifest(records=(shared,) + tuple(b[1:]))
         with pytest.raises(FoldError, match="appears in corpora"):
-            make_folds([manifest_a, manifest_b], SplitMode.LOCO, seed=0)
+            make_folds([manifest_a, manifest_b], "cross", seed=0)
 
     def test_loso_requires_single_manifest(self):
         manifests = [make_manifest(8, corpus_id="A", prefix="a"), make_manifest(8, corpus_id="B", prefix="b")]
         with pytest.raises(FoldError, match="exactly one manifest"):
-            make_folds(manifests, SplitMode.LOSO, seed=0)
+            make_folds(manifests, "within", seed=0)
 
 
 class TestStratifiedSplit:
@@ -317,7 +322,7 @@ class TestStratifiedSplit:
         n = len(emotions)
         fractions = tuple(w / sum(weights) for w in weights)
         manifest = make_manifest(n, emotions=emotions, speakers=7)
-        fold = stratified_split([manifest], fractions, seed=seed).folds[0]
+        fold = stratified_split([manifest], fractions, seed=seed)[0]
         sizes = (len(fold.train_ids), len(fold.validation_ids), len(fold.test_ids))
         assert sum(sizes) == n
         assert all(abs(size - n * f) < 1 for size, f in zip(sizes, fractions))
@@ -326,10 +331,10 @@ class TestStratifiedSplit:
 
     def test_seeded_determinism(self):
         manifest = make_manifest(200, speakers=10)
-        a = stratified_split([manifest], seed=5).folds[0]
-        b = stratified_split([manifest], seed=5).folds[0]
+        a = stratified_split([manifest], seed=5)[0]
+        b = stratified_split([manifest], seed=5)[0]
         assert a == b
-        c = stratified_split([manifest], seed=6).folds[0]
+        c = stratified_split([manifest], seed=6)[0]
         assert a != c
 
     def test_emotion_histogram_within_two_points(self):
@@ -341,7 +346,7 @@ class TestStratifiedSplit:
         manifest = make_manifest(1000, emotions=emotions, speakers=25)
         by_id = {r.utterance_id: r.emotion for r in manifest.records}
         global_hist = np.array([430, 260, 190, 120]) / 1000.0
-        fold = stratified_split([manifest], seed=9).folds[0]
+        fold = stratified_split([manifest], seed=9)[0]
         for ids in (fold.train_ids, fold.validation_ids, fold.test_ids):
             counts = collections.Counter(by_id[u] for u in ids)
             hist = np.array([counts[e] for e in EmotionLabel]) / len(ids)

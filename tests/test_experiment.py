@@ -11,12 +11,12 @@ import pytest
 
 from sermtl import experiment
 from sermtl.codec import from_dict
+from sermtl.corpus import make_folds, record_labels
 from sermtl.experiment import (
     GRID_CONFIGS,
     ExperimentReport,
     PipelineConfig,
     _run_tasks,
-    build_fold_plan,
     compare_reports,
     extract_feature_cache,
     fit_fold,
@@ -24,7 +24,6 @@ from sermtl.experiment import (
     grid_networks,
     run_experiment,
     record_features,
-    record_labels,
     run_grid,
     write_grid_report,
     write_report,
@@ -252,7 +251,7 @@ class TestFeatureStore:
             return data
 
         monkeypatch.setattr(experiment, "standardized", recording_standardized)
-        fold = build_fold_plan([manifest], config).folds[0]
+        fold = make_folds([manifest], config.protocol, config.group_key, config.seed)[0]
         # bound to a name, so whatever fit_fold returns is still alive below
         result = fit_fold(fold, extract_feature_cache(manifest.records), config.network,
                           config.training)

@@ -5,21 +5,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sermtl.hlf import HLF_DIM, HLF_FEATURE_NAMES, compute_hlf, read_hlf_csv, write_hlf_csv
+from sermtl.hlf import HLF_DIM, HLF_FEATURE_NAMES, THETA, compute_hlf, read_hlf_csv, write_hlf_csv
 
 from conftest import make_records
 
 
 def test_constant_rows():
     post = np.tile([0.7, 0.1, 0.1, 0.1], (8, 1))
-    vec = compute_hlf(post, theta=0.2)
+    vec = compute_hlf(post)
     assert np.allclose(vec[0:4], [0.7, 0.7, 0.7, 1.0])
     assert np.allclose(vec[4:8], [0.1, 0.1, 0.1, 0.0])
 
 
 def test_two_row_arithmetic():
     post = np.array([[0.7, 0.1, 0.1, 0.1], [0.1, 0.7, 0.1, 0.1]])
-    vec = compute_hlf(post, theta=0.2)
+    vec = compute_hlf(post)
     assert np.allclose(vec[0:4], [0.1, 0.7, 0.4, 0.5])
     assert np.allclose(vec[4:8], [0.1, 0.7, 0.4, 0.5])
 
@@ -45,21 +45,15 @@ def test_permutation_invariance(data, n, seed):
     np.testing.assert_allclose(vec[mean], shuffled[mean], rtol=0, atol=1e-12)
 
 
-def test_min_mean_max_ordering_and_frac_monotone_in_theta():
+def test_min_mean_max_ordering_and_frac_above_theta():
     rng = np.random.default_rng(2)
     raw = rng.random((25, 4)) + 1e-3
     post = raw / raw.sum(axis=1, keepdims=True)
-    vec = compute_hlf(post, theta=0.3)
+    vec = compute_hlf(post)
     for k in range(4):
         lo, hi, mean, frac = vec[4 * k : 4 * k + 4]
         assert lo <= mean <= hi
-        assert 0.0 <= frac <= 1.0
-    previous = None
-    for theta in (0.1, 0.2, 0.4, 0.8):
-        fracs = compute_hlf(post, theta=theta)[3::4]
-        if previous is not None:
-            assert np.all(fracs <= previous + 1e-12)
-        previous = fracs
+        assert frac == np.count_nonzero(post[:, k] > THETA) / len(post)
 
 
 def test_errors():
@@ -67,8 +61,6 @@ def test_errors():
         compute_hlf(np.zeros((0, 4)))
     with pytest.raises(ValueError, match="malformed"):
         compute_hlf(np.array([[0.5, 0.5, 0.5, 0.5]]))
-    with pytest.raises(ValueError, match="theta"):
-        compute_hlf(np.full((2, 4), 0.25), theta=1.5)
 
 
 def test_csv_round_trip(tmp_path):

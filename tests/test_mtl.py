@@ -602,7 +602,7 @@ class TestModelCheckpoint:
 
     @pytest.mark.parametrize("edit, named", [
         (lambda header: header["network"].update(context_frame=11), "unknown key 'context_frame'"),
-        (lambda header: header["network"].pop("n_features"), "missing key 'n_features'"),
+        (lambda header: header["network"].update(n_features=32), "unknown key 'n_features'"),
         (lambda header: header["training"].update(batch=8), "unknown key 'batch'"),
         (lambda header: header["training"].pop("batch_size"), "missing key 'batch_size'"),
     ])
@@ -622,11 +622,14 @@ class TestModelCheckpoint:
          r"parameter 'head.emotion.b' has shape \(1,\), the model's is \(4,\)"),
         (lambda params: [params.pop(name) for name in ("standardizer.mean", "standardizer.std")],
          "has no parameter 'standardizer.mean'"),
-    ], ids=["missing", "shape", "no_statistics"])
+        (lambda params: params.update({"stray.w": np.zeros((1000, 100))}),
+         "parameter 'stray.w' is not the model's"),
+    ], ids=["missing", "shape", "no_statistics", "stray"])
     def test_parameters_checked(self, tmp_path, edit, named):
         """A checkpoint that lacks one of the model's parameters or standardizer
-        statistics, or holds one of another shape, is rejected: neither an
-        initial value nor a broadcast stands in for it."""
+        statistics, holds one of another shape, or holds a parameter that is
+        neither, is rejected: neither an initial value nor a broadcast stands in
+        for a parameter, and none is dropped."""
         model = MultiTaskModel(MTLNetworkConfig(trunk="lstm", layer_sizes=(4, 4)), seed=1)
         trained = train(model, *_split(_blob_dataset(n_utts=6, n_frames=8), 4),
                         TrainConfig(batch_size=8, max_epochs=2, patience=1))

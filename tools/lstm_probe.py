@@ -49,7 +49,7 @@ import numpy as np
 from sermtl import blas, cli, nn, tsne
 from sermtl.corpus import load_manifest
 from sermtl.experiment import extract_feature_cache
-from sermtl.features import FeatureStore, Standardizer, load_store, save_store
+from sermtl.features import N_FEATURES, FeatureStore, Standardizer, load_store, save_store
 from sermtl.mtl import (MTLNetworkConfig, MultiTaskModel, TrainConfig, TrainedModel, load_model,
                         posteriors_in_blocks, save_model)
 
@@ -106,7 +106,7 @@ def probe_step() -> dict:
     (`TrainConfig` defaults: dropout 0.5), on one unpadded batch."""
     model = MultiTaskModel(MTLNetworkConfig(trunk="lstm"), seed=0)
     rng = np.random.default_rng(0)
-    x = rng.normal(size=(BATCH, FRAMES, model.config.n_features)).astype(np.float32)
+    x = rng.normal(size=(BATCH, FRAMES, N_FEATURES)).astype(np.float32)
     targets = {h.name: rng.integers(0, h.n_classes, BATCH) for h in model.config.heads}
     data = {"x": x, "mask": np.ones((BATCH, FRAMES), bool), "targets": targets}
     out = {}
@@ -138,12 +138,11 @@ def _score_inputs(directory: Path) -> None:
     store of BATCH utterances of FRAMES frames under ``directory``."""
     rng = np.random.default_rng(0)
     model = MultiTaskModel(MTLNetworkConfig(trunk="lstm"), seed=0)
-    n_features = model.config.n_features
     save_store(directory, FeatureStore.pack([f"u{i:03d}" for i in range(BATCH)],
-                                            [rng.normal(size=(FRAMES, n_features)).astype(np.float32)
+                                            [rng.normal(size=(FRAMES, N_FEATURES)).astype(np.float32)
                                              for _ in range(BATCH)]))
-    standardizer = Standardizer(rng.normal(size=n_features).astype(np.float32),
-                                rng.uniform(0.5, 2.0, n_features).astype(np.float32))
+    standardizer = Standardizer(rng.normal(size=N_FEATURES).astype(np.float32),
+                                rng.uniform(0.5, 2.0, N_FEATURES).astype(np.float32))
     save_model(directory / "model.ckpt", TrainedModel(model, TrainConfig(), [], 0, 0.0), standardizer)
 
 
