@@ -28,7 +28,7 @@ from . import hlf as hlf_mod
 from . import metrics as metrics_mod
 from . import mtl as mtl_mod
 from . import tsne as tsne_mod
-from .codec import from_dict
+from .codec import from_file_dict
 from .corpus import (
     EMOTION_CLASSES,
     PROTOCOLS,
@@ -41,7 +41,7 @@ from .corpus import (
     stratified_split,
 )
 from .elm import ELMConfig, elm_fit, elm_predict, save_elm
-from .features import save_store
+from .features import STORE_MATRIX, load_store, save_store
 from .mtl import MTLNetworkConfig, TrainConfig
 from .nn import one_hot
 
@@ -90,7 +90,7 @@ def _emotion_targets(labels) -> np.ndarray:
 
 
 def _decode(cls, path):
-    return from_dict(cls, json.loads(Path(path).read_text(encoding="utf-8")))
+    return from_file_dict(cls, json.loads(Path(path).read_text(encoding="utf-8")), path)
 
 
 def _add_network_flags(sub):
@@ -149,6 +149,7 @@ def cmd_train(args) -> int:
     store = exp_mod.extract_feature_cache(records)
     trained, standardizer = exp_mod.fit_fold(fold, store, network, training)
     mtl_mod.save_model(out_dir / "model.ckpt", trained, standardizer)
+    save_store(out_dir, store)  # for `hlf` to take rows from
     mtl_mod.write_history_csv(out_dir / "history.csv", trained.history, network.heads)
     _write_config(out_dir / "config.json", {
         "command": "train",
@@ -167,10 +168,14 @@ def cmd_train(args) -> int:
 def cmd_hlf(args) -> int:
     model, training, standardizer = mtl_mod.load_model(args.model)
     manifest = load_manifest(args.manifest)
+    # the store `train` wrote beside the model: an utterance it holds with the same WAV
+    # is copied from it, not extracted again
+    saved_path = Path(args.model).parent / STORE_MATRIX
+    saved = exp_mod.SavedRows(load_store(saved_path.parent)) if saved_path.exists() else None
     records, size = manifest.records, training.batch_size
     # extracted and scored in blocks of the batch size the model trained with, so the
     # working set stays one block
-    blocks = (exp_mod.extract_feature_cache(records[i : i + size])
+    blocks = (exp_mod.extract_feature_cache(records[i : i + size], saved=saved)
               for i in range(0, len(records), size))
     # scoring's products give the same bits on any thread count; each block's
     # front-end, pulled in here, still runs on one (`experiment._extract_chunk`)
@@ -182,6 +187,8 @@ def cmd_hlf(args) -> int:
     _write_config(_sidecar(out_path), {"command": "hlf", "model": _absolute(args.model),
                                        "manifest": _absolute(args.manifest)})
     print(f"wrote {len(rows)} high-level feature vectors to {out_path}")
+    if saved is not None:
+        print(f"took the feature rows of {saved.taken} of {len(rows)} utterances from {saved_path}")
     return 0
 
 
@@ -212,7 +219,7 @@ def cmd_xval(args) -> int:
         if "pipeline" not in saved:
             raise ValueError(f"{args.config} has no 'pipeline' section; "
                              "xval --config takes the config.json of an xval run")
-        base = from_dict(exp_mod.PipelineConfig, saved["pipeline"])
+        base = from_file_dict(exp_mod.PipelineConfig, saved["pipeline"], args.config)
     else:
         base = exp_mod.PipelineConfig()
     config = _config(args, base)  # protocol, seed and group_key

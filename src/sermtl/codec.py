@@ -34,3 +34,11 @@ def _decode(hint, value):
     if origin is list and is_dataclass(typing.get_args(hint)[0]):
         return [from_dict(typing.get_args(hint)[0], item) for item in value]
     return value
+
+
+def from_file_dict(cls, data, path):
+    """`from_dict` of ``data``, read from the file at ``path``; its error names the file."""
+    try:
+        return from_dict(cls, data)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from None

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import csv
+import io
 import math
 import os
 import wave
@@ -11,11 +12,15 @@ from enum import Enum
 from pathlib import Path
 from typing import Sequence
 
+# hashlib's blake2b is this builtin; importing hashlib would also map OpenSSL's libcrypto
+from _blake2 import blake2b
+
 import numpy as np
 
 from .seeding import derive_seed
 
 SAMPLE_RATE = 16000
+WAV_DIGEST_BYTES = 32  # of a WAV's blake2b digest (`WavFile.digest`)
 
 MANIFEST_HEADER = (
     "utterance_id",
@@ -193,27 +198,60 @@ def write_manifest(manifest: CorpusManifest, path: str | Path) -> Path:
     return path
 
 
-def _open_pcm16(path: str | Path) -> wave.Wave_read:
-    wf = wave.open(str(path), "rb")
+def _open_pcm16(path: Path, data: bytes) -> tuple[wave.Wave_read, int]:
+    """``data``, the bytes of the WAV at ``path``, opened as mono PCM16, and the
+    offset of its first sample. Raises `ManifestError` naming ``path`` when it
+    is not such a WAV or its data chunk holds fewer samples than its header says."""
+    stream = io.BytesIO(data)
+    try:
+        wf = wave.open(stream, "rb")
+    except (wave.Error, EOFError) as exc:
+        raise ManifestError(f"not a readable WAV ({str(exc) or 'file ends early'}): {path}") from None
     if wf.getnchannels() != 1 or wf.getsampwidth() != 2:
         wf.close()
         raise ManifestError(f"expected mono PCM16 WAV: {path}")
-    return wf
+    start = stream.tell()  # `wave` leaves the stream at the data chunk's first sample
+    held = (len(data) - start) // 2
+    if held < wf.getnframes():
+        wf.close()
+        raise ManifestError(f"data chunk holds {held} of the {wf.getnframes()} samples "
+                            f"its header gives: {path}")
+    return wf, start
 
 
-def read_wav_length(path: str | Path) -> tuple[int, int]:
-    """(sample count, sample rate) of a mono PCM16 WAV, from its header alone."""
-    with _open_pcm16(path) as wf:
-        return wf.getnframes(), wf.getframerate()
+@dataclass(frozen=True, eq=False)
+class WavFile:
+    """A mono PCM16 WAV read whole, once: its bytes, sample rate and samples."""
+
+    path: Path
+    data: bytes
+    rate: int
+    n_samples: int
+    start: int  # byte offset of the first sample
+
+    def samples(self) -> np.ndarray:
+        """The samples as float64 in [-1, 1)."""
+        pcm = np.frombuffer(self.data, dtype="<i2", count=self.n_samples, offset=self.start)
+        return pcm.astype(np.float64) / 32768.0
+
+    def digest(self) -> str:
+        """The blake2b digest of the file's bytes, in hex."""
+        return blake2b(self.data, digest_size=WAV_DIGEST_BYTES).hexdigest()
+
+
+def read_wav_file(path: str | Path) -> WavFile:
+    """Read the mono PCM16 WAV at ``path`` (see `_open_pcm16` for its checks)."""
+    path = Path(path)
+    data = path.read_bytes()
+    wf, start = _open_pcm16(path, data)
+    with wf:
+        return WavFile(path, data, wf.getframerate(), wf.getnframes(), start)
 
 
 def read_wav(path: str | Path) -> tuple[np.ndarray, int]:
     """Read a mono PCM16 WAV into float64 samples in [-1, 1)."""
-    with _open_pcm16(path) as wf:
-        sr = wf.getframerate()
-        raw = wf.readframes(wf.getnframes())
-    samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
-    return samples, sr
+    wav = read_wav_file(path)
+    return wav.samples(), wav.rate
 
 
 def write_wav(path: str | Path, samples: np.ndarray, sample_rate: int = SAMPLE_RATE) -> None:

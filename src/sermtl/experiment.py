@@ -23,15 +23,16 @@ from .corpus import (
     CorpusManifest,
     Fold,
     UtteranceRecord,
+    WavFile,
     make_folds,
     merge_records,
-    read_wav,
-    read_wav_length,
+    read_wav_file,
     record_labels,
 )
 from .elm import ELMConfig, elm_fit, elm_predict
 from .features import (
     N_FEATURES,
+    WINDOW,
     FeatureError,
     FeatureStore,
     Standardizer,
@@ -120,18 +121,40 @@ class ExperimentReport:
     mean_ua: float | None
 
 
-def _check_rate(rec: UtteranceRecord, sr: int) -> None:
-    if sr != SAMPLE_RATE:
-        raise ValueError(f"{rec.audio_path}: sample rate {sr} != manifest {SAMPLE_RATE}")
+def _read_record(rec: UtteranceRecord) -> WavFile:
+    """The WAV of ``rec``, read once; it must be at `SAMPLE_RATE`."""
+    wav = read_wav_file(rec.audio_path)
+    if wav.rate != SAMPLE_RATE:
+        raise ValueError(f"{rec.audio_path}: sample rate {wav.rate} != manifest {SAMPLE_RATE}")
+    return wav
 
 
 def record_features(rec: UtteranceRecord, workspace: Workspace | None = None,
-                    out: np.ndarray | None = None) -> np.ndarray:
+                    out: np.ndarray | None = None, wav: WavFile | None = None) -> np.ndarray:
     """The 32-dim feature matrix of one utterance (see `extract_features` for
-    ``workspace`` and ``out``); its WAV must be at `SAMPLE_RATE`."""
-    samples, sr = read_wav(rec.audio_path)
-    _check_rate(rec, sr)
-    return extract_features(samples, workspace, out)
+    ``workspace`` and ``out``), from ``wav``, its WAV as `_read_record` returns
+    it, or else read here."""
+    wav = _read_record(rec) if wav is None else wav
+    return extract_features(wav.samples(), workspace, out)
+
+
+class SavedRows:
+    """A saved feature store (`features.load_store`) whose rows
+    `extract_feature_cache` copies in place of extracting. An utterance's rows
+    are taken when the store holds its id with the same WAV (byte count and
+    digest) and the same frame count; any other utterance is extracted.
+    ``taken`` counts the utterances taken."""
+
+    def __init__(self, store: FeatureStore):
+        self.store = store
+        self.taken = 0
+        self._entries = {uid: (i, wav, n) for i, (uid, wav, n)
+                         in enumerate(zip(store.ids, store.wavs, store.lengths.tolist()))}
+
+    def rows(self, uid: str, wav: tuple[int, str], n_frames: int) -> np.ndarray | None:
+        """The saved rows of ``uid`` if its WAV and frame count match, else None."""
+        i, saved_wav, n = self._entries.get(uid, (None, None, None))
+        return self.store.rows(i) if (saved_wav, n) == (wav, n_frames) else None
 
 
 class WorkerDied(RuntimeError):
@@ -207,57 +230,85 @@ def _task_child(fn, task, write: int) -> None:
         os._exit(code)
 
 
-def _empty_store(records) -> FeatureStore:
-    """A packed store for ``records`` with its labels and row ranges set, sized
-    from the WAV headers; the matrix, a shared mapping, is left for
-    `extract_feature_cache` to fill."""
-    lengths = []
-    for rec in records:
-        n_samples, sr = read_wav_length(rec.audio_path)
-        _check_rate(rec, sr)
-        try:
-            lengths.append(frame_count(n_samples))
-        except FeatureError as exc:
-            raise FeatureError(f"{rec.utterance_id} ({rec.audio_path}): {exc}") from None
-    lengths = np.array(lengths, dtype=np.int64)
+def _row_bound(rec: UtteranceRecord) -> int:
+    """The most frames the WAV of ``rec`` can give, from its size alone: a PCM
+    WAV's header takes at least 44 bytes, and each sample 2 more."""
+    n_samples = (os.stat(rec.audio_path).st_size - 44) // 2
+    return frame_count(n_samples) if n_samples >= WINDOW else 0
+
+
+def _extract_chunk(matrix: np.ndarray, saved: SavedRows | None, task) -> list:
+    """Write the features of a run of consecutive records into ``matrix``, one
+    after another from row ``first``, reusing one workspace (and one BLAS
+    thread, as the folds). Each WAV is read once; an utterance whose rows
+    ``saved`` holds is copied from them, any other extracted. Returns, for each
+    record, its frame count, its WAV as (byte count, digest) and whether it was
+    copied. In a forked child the rows land in the parent's matrix too: it is a
+    shared mapping."""
+    first, records = task
+    workspace, row, done = Workspace(), first, []
+    with blas.one_thread():
+        for rec in records:
+            wav = _read_record(rec)
+            try:
+                n = frame_count(wav.n_samples)
+            except FeatureError as exc:
+                raise FeatureError(f"{rec.utterance_id} ({rec.audio_path}): {exc}") from None
+            key = (len(wav.data), wav.digest())
+            rows = None if saved is None else saved.rows(rec.utterance_id, key, n)
+            if rows is None:
+                record_features(rec, workspace, out=matrix[row : row + n], wav=wav)
+            else:
+                matrix[row : row + n] = rows
+            done.append((n, key, rows is not None))
+            row += n
+    return done
+
+
+def extract_feature_cache(records, jobs: int = 1, saved: SavedRows | None = None) -> FeatureStore:
+    """The 32-dim feature matrix of every record, in a packed float32 store in
+    record order, each WAV read once. An utterance whose rows ``saved`` holds
+    (see `SavedRows`) is copied from them, any other extracted.
+
+    The records are split into one task per job, each a run of consecutive
+    records written to rows reserved for it from the WAVs' sizes, so the split
+    never changes the bytes. With ``jobs > 1`` the tasks run in forked
+    children, which write their rows into the reserved shared mapping and send
+    back only each record's frame count and WAV; a child that dies raises
+    `WorkerDied` naming its task's first utterance."""
+    records = list(records)
+    bounds = np.array([_row_bound(rec) for rec in records], dtype=np.int64)
+    reserved = mapped_array((int(bounds.sum()), N_FEATURES), np.float32)
+    size = max(1, -(-len(records) // max(jobs, 1)))
+    tasks = [(int(bounds[:first].sum()), records[first : first + size])
+             for first in range(0, len(records), size)]
+    runs, done = [], []
+    for (first, chunk), result in zip(tasks, _run_tasks(partial(_extract_chunk, reserved, saved), tasks, jobs)):
+        if isinstance(result, WorkerDied):
+            raise WorkerDied(f"front-end task from utterance {chunk[0].utterance_id}: {result}")
+        runs.append((first, sum(n for n, _, _ in result)))
+        done += result
+    lengths = np.array([n for n, _, _ in done], dtype=np.int64)
+    packed = np.cumsum([0] + [n for _, n in runs])  # where each task's rows go when packed
+    matrix = reserved[: packed[-1]]
+    if any(first != at for (first, _), at in zip(runs, packed)):
+        # a WAV header longer than 44 bytes left a gap after a task's rows
+        matrix = mapped_array(matrix.shape, np.float32)
+        for (first, n), at in zip(runs, packed):
+            matrix[at : at + n] = reserved[first : first + n]
+    if saved is not None:
+        saved.taken += sum(taken for _, _, taken in done)
     labels = [record_labels(rec) for rec in records]
     return FeatureStore(
         ids=tuple(rec.utterance_id for rec in records),
-        matrix=mapped_array((int(lengths.sum()), N_FEATURES), np.float32),
+        matrix=matrix,
         starts=np.cumsum(lengths) - lengths,
         lengths=lengths,
         labels={task: np.array([lab[task] for lab in labels], dtype=np.int64)
                 for task in TASK_CLASSES},
         paths=tuple(rec.audio_path for rec in records),
+        wavs=tuple(key for _, key, _ in done),
     )
-
-
-def _extract_chunk(store: FeatureStore, task) -> None:
-    """Write the features of a run of consecutive records into their store rows,
-    reusing one workspace (and one BLAS thread, as the folds). In a forked child
-    the rows land in the parent's store too: its matrix is a shared mapping."""
-    first, records = task
-    workspace = Workspace()
-    with blas.one_thread():
-        for position, rec in enumerate(records, first):
-            record_features(rec, workspace, out=store.rows(position))
-
-
-def extract_feature_cache(records, jobs: int = 1) -> FeatureStore:
-    """Extract the 32-dim feature matrix of every record, once, into a packed
-    float32 store in record order, one task per job, each a run of consecutive
-    records written to their own rows, so the split never changes the bytes.
-    With ``jobs > 1`` the tasks run in forked children, which write their rows
-    into the store's shared mapping and send nothing back; a child that dies
-    raises `WorkerDied` naming its task's first utterance."""
-    records = list(records)
-    store = _empty_store(records)
-    size = max(1, -(-len(records) // max(jobs, 1)))
-    tasks = [(first, records[first : first + size]) for first in range(0, len(records), size)]
-    for (_, chunk), result in zip(tasks, _run_tasks(partial(_extract_chunk, store), tasks, jobs)):
-        if isinstance(result, WorkerDied):
-            raise WorkerDied(f"front-end task from utterance {chunk[0].utterance_id}: {result}")
-    return store
 
 
 def fit_fold(fold: Fold, store: FeatureStore, network: MTLNetworkConfig, training: TrainConfig

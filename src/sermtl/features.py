@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import SAMPLE_RATE
+from .corpus import SAMPLE_RATE, WAV_DIGEST_BYTES
 
 _LOG_FLOOR = 1e-10
 _STD_FLOOR = 1e-8
@@ -389,13 +389,16 @@ class FeatureStore:
     lengths: np.ndarray  # (utterances,) int64
     labels: dict[str, np.ndarray] = field(default_factory=dict)  # task -> (utterances,) int64
     paths: tuple[Path, ...] = ()  # the WAV of each utterance, for an extracted store
+    # each utterance's WAV as (byte count, blake2b hex digest), for an extracted or saved store
+    wavs: tuple[tuple[int, str], ...] = ()
 
     @classmethod
-    def pack(cls, ids, matrices, labels: dict | None = None) -> FeatureStore:
+    def pack(cls, ids, matrices, labels: dict | None = None, wavs=()) -> FeatureStore:
         """A packed store of ``matrices`` in order; ``labels`` maps each task to one index per matrix."""
         lengths = np.array([m.shape[0] for m in matrices], dtype=np.int64)
         return cls(tuple(ids), np.concatenate(matrices), np.cumsum(lengths) - lengths, lengths,
-                   {task: np.asarray(v, dtype=np.int64) for task, v in (labels or {}).items()})
+                   {task: np.asarray(v, dtype=np.int64) for task, v in (labels or {}).items()},
+                   wavs=tuple(wavs))
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -425,42 +428,69 @@ class FeatureStore:
         return FeatureStore(tuple(self.ids[i] for i in positions), self.matrix,
                             self.starts[positions], self.lengths[positions],
                             {task: v[positions] for task, v in self.labels.items()},
-                            tuple(self.paths[i] for i in positions) if self.paths else ())
+                            tuple(self.paths[i] for i in positions) if self.paths else (),
+                            tuple(self.wavs[i] for i in positions) if self.wavs else ())
 
 
-# On disk: the matrix as a little-endian float32 .npy and a CSV index of row ranges.
+# On disk: the matrix as a little-endian float32 .npy and a CSV index of each
+# utterance's row range and WAV
 STORE_MATRIX = "features.npy"
 STORE_INDEX = "features_index.csv"
-_INDEX_HEADER = "utterance_id,offset,n_frames"
+_INDEX_HEADER = "utterance_id,offset,n_frames,wav_bytes,wav_blake2b"
+_DIGEST_CHARS = 2 * WAV_DIGEST_BYTES
+_HEX_DIGITS = set("0123456789abcdef")
 
 
 def save_store(directory: str | Path, store: FeatureStore) -> Path:
-    """Write ``features.npy`` and ``features_index.csv`` (utterance_id,offset,n_frames)."""
+    """Write ``features.npy`` and ``features_index.csv`` (utterance_id, offset,
+    n_frames, and the byte count and blake2b digest of the utterance's WAV)."""
+    if len(store.wavs) != len(store):
+        raise ValueError("a store is saved with the WAV of each utterance")
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     np.save(directory / STORE_MATRIX, np.ascontiguousarray(store.matrix, dtype="<f4"))
-    lines = [_INDEX_HEADER] + [f"{uid},{start},{n}" for uid, start, n
-                               in zip(store.ids, store.starts.tolist(), store.lengths.tolist())]
+    lines = [_INDEX_HEADER] + [f"{uid},{start},{n},{size},{digest}" for uid, start, n, (size, digest)
+                               in zip(store.ids, store.starts.tolist(), store.lengths.tolist(), store.wavs)]
     (directory / STORE_INDEX).write_text("\n".join(lines) + "\n", encoding="utf-8")
     return directory / STORE_MATRIX
 
 
 def load_store(directory: str | Path) -> FeatureStore:
-    """Read a store written by `save_store` (without labels)."""
+    """Map a store written by `save_store` read-only (without labels). Raises
+    `FeatureError` naming the file, and the index line, of what is malformed."""
     directory = Path(directory)
-    matrix = np.load(directory / STORE_MATRIX, allow_pickle=False)
-    lines = (directory / STORE_INDEX).read_text(encoding="utf-8").splitlines()
+    matrix_path, index_path = directory / STORE_MATRIX, directory / STORE_INDEX
+    try:
+        matrix = np.load(matrix_path, mmap_mode="r", allow_pickle=False)
+    except (OSError, ValueError) as exc:
+        raise FeatureError(f"unreadable feature matrix ({exc}): {matrix_path}") from None
+    try:
+        lines = index_path.read_text(encoding="utf-8").splitlines()
+    except (OSError, ValueError) as exc:
+        raise FeatureError(f"unreadable feature index ({exc}): {index_path}") from None
+    if matrix.ndim != 2 or matrix.dtype != np.float32 or matrix.shape[1] != N_FEATURES:
+        raise FeatureError(f"{matrix_path}: expected a float32 (frames, {N_FEATURES}) matrix, "
+                           f"got {matrix.dtype} {matrix.shape}")
     if not lines or lines[0] != _INDEX_HEADER:
-        raise FeatureError(f"{directory / STORE_INDEX}: header must be {_INDEX_HEADER!r}")
-    ids, starts, lengths = [], [], []
-    for line in lines[1:]:
-        uid, start, n = line.rsplit(",", 2)
+        raise FeatureError(f"{index_path}: header must be {_INDEX_HEADER!r}")
+    ids, starts, lengths, wavs = [], [], [], []
+    for lineno, line in enumerate(lines[1:], start=2):
+        fields = line.rsplit(",", 4)
+        if (len(fields) != 5 or not fields[0] or not all(f.isascii() and f.isdigit() for f in fields[1:4])
+                or len(fields[4]) != _DIGEST_CHARS or not set(fields[4]) <= _HEX_DIGITS):
+            raise FeatureError(f"{index_path}, line {lineno}: expected {_INDEX_HEADER}, "
+                               f"with a {_DIGEST_CHARS}-digit hex digest, got {line!r}")
+        uid, start, n, size, digest = fields
+        start, n = int(start), int(n)
+        if n < 1 or start + n > matrix.shape[0]:
+            raise FeatureError(f"{index_path}, line {lineno}: row range {start}..{start + n} does "
+                               f"not fit the {matrix.shape[0]}-row matrix of {matrix_path.name}")
         ids.append(uid)
-        starts.append(int(start))
-        lengths.append(int(n))
+        starts.append(start)
+        lengths.append(n)
+        wavs.append((int(size), digest))
+    if len(set(ids)) != len(ids):
+        raise FeatureError(f"{index_path}: an utterance_id appears twice")
     starts = np.array(starts, dtype=np.int64)
     lengths = np.array(lengths, dtype=np.int64)
-    if (matrix.ndim != 2 or matrix.dtype != np.float32
-            or np.any(starts < 0) or np.any(lengths < 1) or np.any(starts + lengths > matrix.shape[0])):
-        raise FeatureError(f"{directory}: index does not fit a 2-D float32 feature matrix")
-    return FeatureStore(tuple(ids), matrix, starts, lengths)
+    return FeatureStore(tuple(ids), matrix, starts, lengths, wavs=tuple(wavs))

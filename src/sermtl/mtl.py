@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import nn
-from .codec import from_dict
+from .codec import from_file_dict
 from .corpus import TASK_CLASSES
 from .features import N_FEATURES, FeatureStore, Standardizer, apply_standardizer, mapped_array
 from .seeding import derive_seed
@@ -680,15 +680,15 @@ def load_model(path: str | Path) -> tuple[MultiTaskModel, TrainConfig, Standardi
     and `nn.load_checkpoint` reads the checkpoint's float32 values into it in
     place, in the file's order; no initial values are drawn. The standardizer's
     statistics are read in the same pass into new float64 arrays, exactly.
-    The header's ``network`` and ``training`` are decoded with `from_dict`.
+    The header's ``network`` and ``training`` are decoded with `from_file_dict`.
     Raises ValueError naming the parameter and ``path`` when one of the model's
     parameters or statistics is missing or has another shape, or when the file
     holds a parameter that is neither."""
     loaded = []
 
     def into(header):
-        config = from_dict(MTLNetworkConfig, header["network"])
-        training = from_dict(TrainConfig, header["training"])
+        config = from_file_dict(MTLNetworkConfig, header["network"], path)
+        training = from_file_dict(TrainConfig, header["training"], path)
         vector = mapped_array((sum(_layer_sizes(config)),), np.float32)
         model = MultiTaskModel(config, header["model_seed"], np.float32, vector)
         mean, std = np.empty(N_FEATURES), np.empty(N_FEATURES)

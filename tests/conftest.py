@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -53,6 +54,13 @@ def make_records(n, emotions=None, genders=None, naturalness=None, speakers=4,
 
 def make_manifest(n=40, **kwargs) -> CorpusManifest:
     return CorpusManifest(records=tuple(make_records(n, **kwargs)))
+
+
+def with_list_chunk(wav: bytes, size: int) -> bytes:
+    """A canonical 44-byte-header WAV's bytes with a ``size``-byte LIST chunk
+    (``size`` even) between its fmt and data chunks, and the RIFF size updated."""
+    body = wav[12:36] + b"LIST" + struct.pack("<I", size) + bytes(size) + wav[36:]
+    return b"RIFF" + struct.pack("<I", 4 + len(body)) + b"WAVE" + body
 
 
 @pytest.fixture(scope="session")

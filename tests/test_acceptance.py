@@ -381,8 +381,9 @@ def test_criterion_10_determinism(tmp_path):
                       "--seed", "7"]
         for name in ("t1", "t2"):
             assert cli_main(["train", "--out", str(tmp_path / name)] + train_args) == 0
-        assert (tmp_path / "t1" / "model.ckpt").read_bytes() == (tmp_path / "t2" / "model.ckpt").read_bytes()
-        assert (tmp_path / "t1" / "history.csv").read_bytes() == (tmp_path / "t2" / "history.csv").read_bytes()
+        assert sorted(_tree_bytes(tmp_path / "t1")) == [
+            "config.json", "features.npy", "features_index.csv", "history.csv", "model.ckpt"]
+        assert _tree_bytes(tmp_path / "t1") == _tree_bytes(tmp_path / "t2")
 
         xval_args = ["--manifest", manifest, "--protocol", "cross", "--trunk", "lstm",
                      "--subtasks", "all", "--layer-sizes", "8,8", "--max-epochs", "2",

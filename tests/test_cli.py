@@ -1,8 +1,10 @@
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -108,13 +110,15 @@ class TestFeatures:
         assert sorted(p.name for p in out.iterdir()) == [
             "config.json", "features.npy", "features_index.csv"]
         index = (out / "features_index.csv").read_text().splitlines()
-        assert index[0] == "utterance_id,offset,n_frames"
+        assert index[0] == "utterance_id,offset,n_frames,wav_bytes,wav_blake2b"
         assert len(index) == 49  # header + 48 utterances
         store = load_store(out)
         manifest = load_manifest(data / "manifest.csv")
         assert store.ids == tuple(r.utterance_id for r in manifest.records)
         assert store.matrix.shape == (int(store.lengths.sum()), 32)
         assert np.array_equal(store.starts, np.cumsum(store.lengths) - store.lengths)
+        wavs = [r.audio_path.read_bytes() for r in manifest.records]
+        assert store.wavs == tuple((len(b), hashlib.blake2b(b, digest_size=32).hexdigest()) for b in wavs)
         for i in (0, 47):
             want = record_features(manifest.records[i])
             assert store.rows(i).tobytes() == want.tobytes()
@@ -248,6 +252,104 @@ class TestTrainAndHlf:
         assert np.array_equal(matrix, np.stack([compute_hlf(p) for p in in_memory]))
 
 
+class TestStoreBesideTheModel:
+    """`train` writes the store it trained from beside its model, and `hlf`
+    copies from it the rows of every utterance whose WAV is unchanged, so its
+    table is the one it writes without the store."""
+
+    @pytest.fixture(scope="class", params=["lstm", "dnn"])
+    def trained(self, request, cli_workspace, tmp_path_factory):
+        """A copy of the corpus, a model trained on it with its store, and a
+        directory holding the model alone."""
+        _, data, _, _ = cli_workspace
+        root = tmp_path_factory.mktemp(f"store_{request.param}")
+        shutil.copytree(data, root / "data")
+        manifest, run, bare = root / "data" / "manifest.csv", root / "run", root / "bare"
+        assert main(["train", "--manifest", str(manifest), "--out", str(run), "--trunk", request.param,
+                     "--layer-sizes", "8,8", "--max-epochs", "2", "--patience", "1", "--seed", "3"]) == 0
+        bare.mkdir()
+        shutil.copy(run / "model.ckpt", bare / "model.ckpt")
+        return manifest, run, bare
+
+    @staticmethod
+    def _hlf(model, manifest, out, monkeypatch) -> list[str]:
+        """Run `hlf` and return the ids of the utterances it extracted."""
+        extracted, record_features = [], experiment.record_features
+
+        def counting(rec, *args, **kwargs):
+            extracted.append(rec.utterance_id)
+            return record_features(rec, *args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(experiment, "record_features", counting)
+            assert main(["hlf", "--model", str(model), "--manifest", str(manifest), "--out", str(out)]) == 0
+        return extracted
+
+    def test_train_writes_the_store_it_trained_from(self, trained):
+        manifest, run, _ = trained
+        (fold,) = stratified_split([load_manifest(manifest)], seed=3)
+        records = [r for r in load_manifest(manifest).records
+                   if r.utterance_id in set(fold.train_ids) | set(fold.validation_ids)]
+        saved = load_store(run)
+        store = extract_feature_cache(records)
+        assert saved.ids == store.ids and saved.wavs == store.wavs
+        assert saved.matrix.tobytes() == store.matrix.tobytes()
+
+    def test_hlf_takes_the_rows_of_unchanged_wavs(self, trained, tmp_path, capsys, monkeypatch):
+        manifest, run, bare = trained
+        test_ids = stratified_split([load_manifest(manifest)], seed=3)[0].test_ids
+        with_store = self._hlf(run / "model.ckpt", manifest, tmp_path / "with.csv", monkeypatch)
+        assert (f"took the feature rows of {48 - len(test_ids)} of 48 utterances from "
+                f"{run / 'features.npy'}") in capsys.readouterr().out
+        without = self._hlf(bare / "model.ckpt", manifest, tmp_path / "without.csv", monkeypatch)
+        assert "took" not in capsys.readouterr().out
+        assert sorted(with_store) == sorted(test_ids)  # the test split is extracted
+        assert len(without) == 48
+        assert (tmp_path / "with.csv").read_bytes() == (tmp_path / "without.csv").read_bytes()
+
+    def test_a_wav_rewritten_after_train_is_extracted_again(self, trained, tmp_path, monkeypatch):
+        """One training WAV keeps its length and changes its samples, another
+        loses its last 0.1 s: both are extracted again."""
+        manifest, run, bare = trained
+        shutil.copytree(manifest.parent, tmp_path / "data")
+        records = load_manifest(tmp_path / "data" / "manifest.csv").records
+        train_ids = stratified_split([load_manifest(manifest)], seed=3)[0].train_ids
+        same_size, shorter = (r for r in records if r.utterance_id in train_ids[:2])
+        samples, sr = read_wav(same_size.audio_path)
+        write_wav(same_size.audio_path, samples * 0.5, sample_rate=sr)
+        samples, sr = read_wav(shorter.audio_path)
+        write_wav(shorter.audio_path, samples[:-1600], sample_rate=sr)
+        path = tmp_path / "data" / "manifest.csv"
+        extracted = self._hlf(run / "model.ckpt", path, tmp_path / "with.csv", monkeypatch)
+        test_ids = stratified_split([load_manifest(manifest)], seed=3)[0].test_ids
+        assert sorted(extracted) == sorted([*test_ids, same_size.utterance_id, shorter.utterance_id])
+        self._hlf(bare / "model.ckpt", path, tmp_path / "without.csv", monkeypatch)
+        assert (tmp_path / "with.csv").read_bytes() == (tmp_path / "without.csv").read_bytes()
+
+    @pytest.mark.parametrize("damage", ["truncated_matrix", "bad_index_line", "no_index"])
+    def test_a_malformed_store_is_refused_by_name(self, trained, tmp_path, capsys, damage):
+        manifest, run, _ = trained
+        shutil.copytree(run, tmp_path / "run")
+        matrix, index = tmp_path / "run" / "features.npy", tmp_path / "run" / "features_index.csv"
+        if damage == "truncated_matrix":
+            matrix.write_bytes(matrix.read_bytes()[:-1000])
+            named = matrix
+        elif damage == "bad_index_line":
+            lines = index.read_text().splitlines()
+            lines[3] = lines[3].rsplit(",", 1)[0]
+            index.write_text("\n".join(lines) + "\n")
+            named = f"{index}, line 4"
+        else:
+            index.unlink()
+            named = index
+        out = tmp_path / "hlf.csv"
+        assert main(["hlf", "--model", str(tmp_path / "run" / "model.ckpt"), "--manifest", str(manifest),
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and str(named) in err
+        assert not out.exists()
+
+
 class TestElm:
     def test_fit_and_eval(self, cli_workspace, tmp_path, capsys):
         _, _, _, hlf_csv = cli_workspace
@@ -316,7 +418,8 @@ class TestXval:
         rc = main(["xval", "--manifest", str(data / "manifest.csv"), "--config", str(config_path),
                    "--out", str(tmp_path / "out")])
         assert rc == 1
-        assert f"unknown key {key!r}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {config_path}: ") and f"unknown key {key!r}" in err
 
     def test_config_without_pipeline_named(self, cli_workspace, tmp_path, capsys):
         _, data, run, _ = cli_workspace
@@ -715,7 +818,11 @@ def test_report_run_names_a_misspelled_key(tmp_path, capsys, old, new):
     owner[new] = owner.pop(old)
     path.write_text(json.dumps(data), encoding="utf-8")
     assert main(["report", "--run", str(tmp_path)]) == 1
-    assert f"unknown key {new!r}, missing key {old!r}" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and f"unknown key {new!r}, missing key {old!r}" in err
+    (tmp_path / "other.json").write_text(json.dumps(asdict(report)), encoding="utf-8")
+    assert main(["report", "--compare", str(tmp_path / "other.json"), str(path)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {path}: ")
 
 
 class TestCliErrors:
@@ -778,6 +885,27 @@ class TestCliErrors:
             table.write_text("\n".join(lines) + "\n")
         assert main([command, flag, str(table), "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err == f"error: {named.format(table=table)}\n"
+
+    @pytest.mark.parametrize("command", ["hlf", "xval"])
+    @pytest.mark.parametrize("damage, named", [
+        (lambda wav: b"ID3" + wav[3:], "not a readable WAV (file does not start with RIFF id)"),
+        (lambda wav: wav[:30], "not a readable WAV (file ends early)"),
+        (lambda wav: wav[: len(wav) // 2], "data chunk holds 6389 of the 12800 samples its header gives"),
+    ], ids=["not_riff", "cut_header", "cut_data"])
+    def test_malformed_wav_names_the_file(self, cli_workspace, tmp_path, capsys, command, damage, named):
+        """A WAV that is not RIFF, that ends inside its header, or whose data
+        chunk was cut short with its header unchanged, is refused by its path."""
+        _, data, run, _ = cli_workspace
+        records = list(load_manifest(data / "manifest.csv").records)
+        bad = tmp_path / "bad.wav"
+        bad.write_bytes(damage(records[5].audio_path.read_bytes()))
+        records[5] = replace(records[5], audio_path=bad)
+        manifest = write_manifest(CorpusManifest(records=tuple(records)), tmp_path / "manifest.csv")
+        argv = {"hlf": ["hlf", "--model", str(run / "model.ckpt"), "--out", str(tmp_path / "hlf.csv")],
+                "xval": ["xval", "--out", str(tmp_path / "x"), "--layer-sizes", "4,4", "--max-epochs", "2",
+                         "--patience", "1", "--jobs", "2"]}[command]
+        assert main([*argv, "--manifest", str(manifest)]) == 1
+        assert capsys.readouterr().err == f"error: {named}: {bad}\n"
 
     def test_debug_reraises_with_traceback(self, tmp_path, capsys):
         with pytest.raises(ManifestError, match="manifest not found") as raised:

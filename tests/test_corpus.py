@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import collections
+import hashlib
 from pathlib import Path
 
 import numpy as np
@@ -22,12 +23,14 @@ from sermtl.corpus import (
     load_manifest,
     make_folds,
     read_wav,
+    read_wav_file,
     stratified_split,
     write_manifest,
+    write_wav,
 )
 from sermtl.features import extract_features
 
-from conftest import make_manifest, make_records
+from conftest import make_manifest, make_records, with_list_chunk
 
 
 def _write_rows(path: Path, rows, header=None):
@@ -359,3 +362,39 @@ class TestStratifiedSplit:
     def test_bad_fractions(self):
         with pytest.raises(FoldError, match="sum to 1"):
             stratified_split([make_manifest(100)], fractions=(0.5, 0.2, 0.2), seed=0)
+
+
+class TestWavFile:
+    @pytest.fixture()
+    def wav(self, tmp_path):
+        samples = np.sin(np.arange(1000) / 7.0) * 0.5
+        write_wav(tmp_path / "a.wav", samples)
+        return tmp_path / "a.wav"
+
+    def test_samples_and_digest_come_from_the_bytes(self, wav):
+        data = wav.read_bytes()
+        read = read_wav_file(wav)
+        assert (read.data, read.rate, read.n_samples, read.start) == (data, 16000, 1000, 44)
+        assert read.digest() == hashlib.blake2b(data, digest_size=32).hexdigest()
+        samples, _ = read_wav(wav)
+        assert read.samples().tobytes() == samples.tobytes()
+        assert samples.tobytes() == (np.frombuffer(data[44:], "<i2") / 32768.0).tobytes()
+
+    def test_a_chunk_before_the_data_moves_the_samples(self, wav, tmp_path):
+        (tmp_path / "b.wav").write_bytes(with_list_chunk(wav.read_bytes(), 10))
+        read = read_wav_file(tmp_path / "b.wav")
+        assert (read.n_samples, read.start) == (1000, 62)
+        assert read.samples().tobytes() == read_wav_file(wav).samples().tobytes()
+
+    @pytest.mark.parametrize("damage, named", [
+        (lambda data: b"RIFX" + data[4:], "not a readable WAV (file does not start with RIFF id)"),
+        (lambda data: data[:20], "not a readable WAV (file ends early)"),
+        (lambda data: b"", "not a readable WAV (file ends early)"),
+        (lambda data: data[:-2], "data chunk holds 999 of the 1000 samples its header gives"),
+        (lambda data: data[:22] + b"\x02" + data[23:], "expected mono PCM16 WAV"),
+    ], ids=["not_riff", "cut_header", "empty", "cut_data", "stereo"])
+    def test_refused_by_path(self, wav, damage, named):
+        wav.write_bytes(damage(wav.read_bytes()))
+        with pytest.raises(ManifestError) as refused:
+            read_wav_file(wav)
+        assert str(refused.value) == f"{named}: {wav}"

@@ -4,7 +4,7 @@ import json
 import os
 import tracemalloc
 import weakref
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -30,6 +30,8 @@ from sermtl.experiment import (
 )
 from sermtl.metrics import wilcoxon_signed_rank
 from sermtl.mtl import MTLNetworkConfig, TrainConfig
+
+from conftest import with_list_chunk
 
 
 def _tiny_config(protocol="cross", trunk="lstm", subtask_mode="all", **train_kwargs):
@@ -227,6 +229,23 @@ class TestFeatureStore:
         store = extract_feature_cache(manifest.records, jobs)
         assert store.matrix.tobytes() == serial.matrix.tobytes()
         assert np.array_equal(store.lengths, serial.lengths)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_longer_wav_headers_leave_no_gap(self, small_synth, tmp_path, jobs):
+        """Rows are reserved from each WAV's size as if its header took 44
+        bytes; WAVs whose headers are longer still give a packed store."""
+        manifest, _, _ = small_synth
+        records = list(manifest.records[:8])
+        for i in (1, 2, 6):
+            path = tmp_path / f"{i}.wav"
+            path.write_bytes(with_list_chunk(records[i].audio_path.read_bytes(), 2000))
+            records[i] = replace(records[i], audio_path=path)
+        store = extract_feature_cache(records, jobs)
+        assert store.matrix.shape[0] == store.lengths.sum()
+        assert np.array_equal(store.starts, np.cumsum(store.lengths) - store.lengths)
+        for i, rec in enumerate(records):
+            assert store.rows(i).tobytes() == record_features(rec).tobytes(), rec.utterance_id
+        assert store.matrix.tobytes() == extract_feature_cache(manifest.records[:8]).matrix.tobytes()
 
     def test_parent_holds_no_rows(self, small_synth):
         """Front-end children write their rows into the store's shared mapping;

@@ -228,7 +228,8 @@ class TestStandardizer:
 def _random_store(seed=2, lengths=(30, 1, 12)):
     rng = np.random.default_rng(seed)
     return FeatureStore.pack([f"u{i}" for i in range(len(lengths))],
-                             [rng.normal(size=(n, 32)).astype(np.float32) for n in lengths])
+                             [rng.normal(size=(n, 32)).astype(np.float32) for n in lengths],
+                             wavs=[(1000 + i, f"{i:x}" * 64) for i in range(len(lengths))])
 
 
 class TestFeatureFiles:
@@ -239,19 +240,50 @@ class TestFeatureFiles:
         assert again.ids == store.ids
         assert again.matrix.tobytes() == store.matrix.tobytes()
         assert np.array_equal(again.starts, store.starts) and np.array_equal(again.lengths, store.lengths)
+        assert again.wavs == store.wavs
+        assert not again.matrix.flags.writeable  # mapped read-only
         save_store(tmp_path / "y", again)
         for name in ("features.npy", "features_index.csv"):
             assert (tmp_path / "x" / name).read_bytes() == (tmp_path / "y" / name).read_bytes()
         assert (tmp_path / "x" / "features_index.csv").read_text().splitlines()[:3] == [
-            "utterance_id,offset,n_frames", "u0,0,30", "u1,30,1"]
+            "utterance_id,offset,n_frames,wav_bytes,wav_blake2b",
+            "u0,0,30,1000," + "0" * 64, "u1,30,1,1001," + "1" * 64]
 
     def test_index_checked(self, tmp_path):
         save_store(tmp_path, _random_store(lengths=(30,)))
-        for index, named in [("utterance_id,feature_path,n_frames\nu0,0,30\n", "header"),
-                             ("utterance_id,offset,n_frames\nu0,0,31\n", "does not fit")]:
-            (tmp_path / "features_index.csv").write_text(index)
-            with pytest.raises(FeatureError, match=named):
+        digest = "0" * 64
+        index = tmp_path / "features_index.csv"
+        for text, named in [
+            (f"utterance_id,feature_path,n_frames\nu0,0,30,1000,{digest}\n", "header"),
+            (f"utterance_id,offset,n_frames,wav_bytes,wav_blake2b\nu0,0,31,1000,{digest}\n",
+             "line 2: row range 0..31 does not fit the 30-row matrix"),
+            ("utterance_id,offset,n_frames,wav_bytes,wav_blake2b\nu0,0,30,1000\n", "line 2: expected"),
+            (f"utterance_id,offset,n_frames,wav_bytes,wav_blake2b\nu0,0,30,-1,{digest}\n", "line 2: expected"),
+            ("utterance_id,offset,n_frames,wav_bytes,wav_blake2b\nu0,0,30,1000,0abc\n", "line 2: expected"),
+            (f"utterance_id,offset,n_frames,wav_bytes,wav_blake2b\nu0,0,10,1000,{digest}\n"
+             f"u0,10,20,1000,{digest}\n", "appears twice"),
+        ]:
+            index.write_text(text)
+            with pytest.raises(FeatureError, match=named) as refused:
                 load_store(tmp_path)
+            assert str(index) in str(refused.value)
+
+    def test_malformed_matrix_names_the_file(self, tmp_path):
+        save_store(tmp_path, _random_store(lengths=(30,)))
+        matrix = tmp_path / "features.npy"
+        data = matrix.read_bytes()
+        for bad in (data[: len(data) // 2], b"not a numpy file"):
+            matrix.write_bytes(bad)
+            with pytest.raises(FeatureError, match=f"unreadable feature matrix .*: {matrix}$"):
+                load_store(tmp_path)
+        np.save(matrix, np.zeros((30, 7), np.float32))
+        with pytest.raises(FeatureError, match=f"^{matrix}: expected a float32 \\(frames, 32\\) matrix"):
+            load_store(tmp_path)
+
+    def test_a_store_is_saved_with_its_wavs(self, tmp_path):
+        store = _random_store()
+        with pytest.raises(ValueError, match="with the WAV of each utterance"):
+            save_store(tmp_path, FeatureStore(store.ids, store.matrix, store.starts, store.lengths))
 
 
 class TestConstantTables:

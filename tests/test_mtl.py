@@ -613,8 +613,9 @@ class TestModelCheckpoint:
         params, header = nn.load_checkpoint(save_model(tmp_path / "m.ckpt", trained, _IDENTITY))
         edit(header)
         nn.save_checkpoint(tmp_path / "bad.ckpt", params, header)
-        with pytest.raises(ValueError, match=named):
+        with pytest.raises(ValueError, match=named) as raised:
             load_model(tmp_path / "bad.ckpt")
+        assert str(raised.value).startswith(f"{tmp_path / 'bad.ckpt'}: ")
 
     @pytest.mark.parametrize("edit, named", [
         (lambda params: params.pop("trunk.1.w_h"), "has no parameter 'trunk.1.w_h'"),

@@ -42,6 +42,7 @@ import sys
 import tempfile
 import time
 import traceback
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -138,9 +139,11 @@ def _score_inputs(directory: Path) -> None:
     store of BATCH utterances of FRAMES frames under ``directory``."""
     rng = np.random.default_rng(0)
     model = MultiTaskModel(MTLNetworkConfig(trunk="lstm"), seed=0)
+    # the utterances have no WAVs: each index entry holds a placeholder size and digest
     save_store(directory, FeatureStore.pack([f"u{i:03d}" for i in range(BATCH)],
                                             [rng.normal(size=(FRAMES, N_FEATURES)).astype(np.float32)
-                                             for _ in range(BATCH)]))
+                                             for _ in range(BATCH)],
+                                            wavs=[(0, "0" * 64)] * BATCH))
     standardizer = Standardizer(rng.normal(size=N_FEATURES).astype(np.float32),
                                 rng.uniform(0.5, 2.0, N_FEATURES).astype(np.float32))
     save_model(directory / "model.ckpt", TrainedModel(model, TrainConfig(), [], 0, 0.0), standardizer)
@@ -156,6 +159,8 @@ def probe_score() -> dict:
         tmp = Path(tmp)
         _in_child(lambda: _score_inputs(tmp))
         store = load_store(tmp)
+        # read into memory before the passes, as a `load_store` that does not map the file does
+        store = replace(store, matrix=np.array(store.matrix))
 
         def score(name):
             loaded, _, standardizer = load_model(tmp / "model.ckpt")
