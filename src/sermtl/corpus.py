@@ -198,32 +198,10 @@ def write_manifest(manifest: CorpusManifest, path: str | Path) -> Path:
     return path
 
 
-def _open_pcm16(path: Path, data: bytes) -> tuple[wave.Wave_read, int]:
-    """``data``, the bytes of the WAV at ``path``, opened as mono PCM16, and the
-    offset of its first sample. Raises `ManifestError` naming ``path`` when it
-    is not such a WAV or its data chunk holds fewer samples than its header says."""
-    stream = io.BytesIO(data)
-    try:
-        wf = wave.open(stream, "rb")
-    except (wave.Error, EOFError) as exc:
-        raise ManifestError(f"not a readable WAV ({str(exc) or 'file ends early'}): {path}") from None
-    if wf.getnchannels() != 1 or wf.getsampwidth() != 2:
-        wf.close()
-        raise ManifestError(f"expected mono PCM16 WAV: {path}")
-    start = stream.tell()  # `wave` leaves the stream at the data chunk's first sample
-    held = (len(data) - start) // 2
-    if held < wf.getnframes():
-        wf.close()
-        raise ManifestError(f"data chunk holds {held} of the {wf.getnframes()} samples "
-                            f"its header gives: {path}")
-    return wf, start
-
-
 @dataclass(frozen=True, eq=False)
 class WavFile:
     """A mono PCM16 WAV read whole, once: its bytes, sample rate and samples."""
 
-    path: Path
     data: bytes
     rate: int
     n_samples: int
@@ -240,12 +218,25 @@ class WavFile:
 
 
 def read_wav_file(path: str | Path) -> WavFile:
-    """Read the mono PCM16 WAV at ``path`` (see `_open_pcm16` for its checks)."""
-    path = Path(path)
-    data = path.read_bytes()
-    wf, start = _open_pcm16(path, data)
+    """Read the WAV at ``path`` in one read; its header check and samples come
+    from those bytes. Raises `ManifestError` naming ``path`` when it is not a
+    mono PCM16 WAV or its data chunk holds fewer samples than its header gives."""
+    data = Path(path).read_bytes()
+    stream = io.BytesIO(data)
+    try:
+        wf = wave.open(stream, "rb")
+    except (wave.Error, EOFError) as exc:
+        raise ManifestError(f"not a readable WAV ({str(exc) or 'file ends early'}): {path}") from None
     with wf:
-        return WavFile(path, data, wf.getframerate(), wf.getnframes(), start)
+        if wf.getnchannels() != 1 or wf.getsampwidth() != 2:
+            raise ManifestError(f"expected mono PCM16 WAV: {path}")
+        wav = WavFile(data, wf.getframerate(), wf.getnframes(),
+                      stream.tell())  # `wave` leaves the stream at the first sample
+    held = (len(data) - wav.start) // 2
+    if held < wav.n_samples:
+        raise ManifestError(f"data chunk holds {held} of the {wav.n_samples} samples "
+                            f"its header gives: {path}")
+    return wav
 
 
 def read_wav(path: str | Path) -> tuple[np.ndarray, int]:
