@@ -389,7 +389,8 @@ class FeatureStore:
     lengths: np.ndarray  # (utterances,) int64
     labels: dict[str, np.ndarray] = field(default_factory=dict)  # task -> (utterances,) int64
     paths: tuple[Path, ...] = ()  # the WAV of each utterance, for an extracted store
-    # each utterance's WAV as (byte count, blake2b hex digest), for an extracted or saved store
+    # each utterance's WAV as (byte count, blake2b hex digest), for an extracted or a
+    # saved store; a `select`ed one has none
     wavs: tuple[tuple[int, str], ...] = ()
 
     @classmethod
@@ -428,8 +429,7 @@ class FeatureStore:
         return FeatureStore(tuple(self.ids[i] for i in positions), self.matrix,
                             self.starts[positions], self.lengths[positions],
                             {task: v[positions] for task, v in self.labels.items()},
-                            tuple(self.paths[i] for i in positions) if self.paths else (),
-                            tuple(self.wavs[i] for i in positions) if self.wavs else ())
+                            tuple(self.paths[i] for i in positions) if self.paths else ())
 
 
 # On disk: the matrix as a little-endian float32 .npy and a CSV index of each
