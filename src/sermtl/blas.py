@@ -1,15 +1,25 @@
 """The thread count of the OpenBLAS that numpy loaded, read and set through its
-C API.
+C API, and the thread policy: the count each pass runs on.
 
-Every command runs on one thread (see `cli.main`), and so do the library's
-front-end tasks (`experiment._extract_chunk`) and experiment folds
-(`experiment._fold_worker`). A GEMM with a long inner dimension can round
-differently on one thread and on several: training's weight gradients sum over
-batch x time, and the ELM's and t-SNE's products change too. Folds get their
-cores from ``--jobs`` instead, and the front-end's products are small.
-`sermtl hlf`'s scoring pass alone runs on `all_cores`: every product that
-scoring runs gives the same bits on 1, 2 and 4 threads (tests/test_blas.py
-checks each shape), so its posteriors do not depend on the count.
+A GEMM whose inner dimension is long can round differently on one thread and
+on several. Training's three weight-gradient products (`nn.LSTMLayer`'s
+``w_x`` and ``w_h``, `nn.DenseLayer`'s ``w``), which sum over batch x time, do,
+and so do the ELM's and t-SNE's products. Every other product that training
+and scoring run gives the same bits on 1, 2 and 4 threads (tests/test_blas.py
+checks each shape). So:
+
+- a command runs on one thread (`command`, entered by `cli.main`), and so
+  does all that no pass below raises: the ELM, t-SNE, and an ``xval`` fold
+  outside its fit;
+- `sermtl train`'s fit runs on every core, and an ``xval`` fold's fit on its
+  share of them, ``max(1, cores // jobs)`` (`fit`, `fits_at_once`);
+- the weight-gradient products run on one thread wherever they are computed
+  (`weight_gradients`);
+- a front-end task runs on one thread (`front_end`): its products are small;
+- `sermtl hlf`'s scoring pass runs on every core (`scoring`).
+
+"Every core" is one thread per CPU this process may run on
+(``os.sched_getaffinity``), whatever ``OPENBLAS_NUM_THREADS`` says.
 
 numpy's wheels export that API with a ``scipy_`` prefix and a ``64_`` suffix
 (``scipy_openblas_set_num_threads64_``); system builds export the plain names.
@@ -19,6 +29,7 @@ has an effect.
 from __future__ import annotations
 
 import contextlib
+import contextvars
 import ctypes
 import functools
 import os
@@ -68,13 +79,14 @@ def threads() -> int | None:
 @contextlib.contextmanager
 def running_on(count: int):
     """Run the block on ``count`` OpenBLAS threads, then restore the caller's
-    count, whether the block returns or raises."""
+    count, whether the block returns or raises. Where the count already is
+    ``count``, OpenBLAS's setter is not called."""
     api = _openblas()
-    if api is None:
+    previous = None if api is None else api[0]()
+    if previous in (None, count):
         yield
         return
-    get, set_ = api
-    previous = get()
+    set_ = api[1]
     set_(count)
     try:
         yield
@@ -82,19 +94,46 @@ def running_on(count: int):
         set_(previous)
 
 
-def one_thread():
-    """Run the block on one OpenBLAS thread, then restore the previous count.
+def cores() -> int:
+    """The number of CPUs this process may run on."""
+    return len(os.sched_getaffinity(0))
 
-    A GEMM with a long inner dimension (a few hundred and up) can round
-    differently on one thread and on several, so pinning the count makes the
-    block's results independent of it.
-    """
+
+def one_thread():
+    """Run the block on one OpenBLAS thread, then restore the previous count."""
     return running_on(1)
 
 
 def all_cores():
-    """Run the block on one OpenBLAS thread per CPU this process may run on
-    (``os.sched_getaffinity``), whatever ``OPENBLAS_NUM_THREADS`` says, then
-    restore the previous count. Only for products whose bits do not depend on
-    the thread count."""
-    return running_on(len(os.sched_getaffinity(0)))
+    """Run the block on one OpenBLAS thread per CPU this process may run on,
+    then restore the previous count. Only for products whose bits do not depend
+    on the thread count."""
+    return running_on(cores())
+
+
+# The policy: each pass and its count (see the module docstring)
+command = one_thread
+front_end = one_thread
+weight_gradients = one_thread
+scoring = all_cores
+
+
+# how many fits share the cores (`fits_at_once`); forked children inherit it
+_FITS = contextvars.ContextVar("fits", default=1)
+
+
+@contextlib.contextmanager
+def fits_at_once(jobs: int):
+    """Within the block, up to ``jobs`` fits run at once, each on its share of
+    the cores (`fit`)."""
+    token = _FITS.set(max(1, jobs))
+    try:
+        yield
+    finally:
+        _FITS.reset(token)
+
+
+def fit():
+    """Fit a model on its share of the cores: ``max(1, cores() // jobs)``
+    threads, with ``jobs`` from `fits_at_once` (one fit by default)."""
+    return running_on(max(1, cores() // _FITS.get()))

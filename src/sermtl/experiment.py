@@ -240,14 +240,14 @@ def _row_bound(rec: UtteranceRecord) -> int:
 def _extract_chunk(matrix: np.ndarray, saved: SavedRows | None, task) -> list:
     """Write the features of a run of consecutive records into ``matrix``, one
     after another from row ``first``, reusing one workspace (and one BLAS
-    thread, as the folds). Each WAV is read once; an utterance whose rows
+    thread: `blas.front_end`). Each WAV is read once; an utterance whose rows
     ``saved`` holds is copied from them, any other extracted. Returns, for each
     record, its frame count, its WAV as (byte count, digest) and whether it was
     copied. In a forked child the rows land in the parent's matrix too: it is a
     shared mapping."""
     first, records = task
     workspace, row, done = Workspace(), first, []
-    with blas.one_thread():
+    with blas.front_end():
         for rec in records:
             wav = _read_record(rec)
             try:
@@ -315,8 +315,9 @@ def fit_fold(fold: Fold, store: FeatureStore, network: MTLNetworkConfig, trainin
              ) -> tuple[TrainedModel, Standardizer]:
     """Fit the standardizer on the fold's training utterances, standardize the
     store once into float32, and train a model seeded with ``training.seed`` on
-    the fold's train/validation split. Returns the model and the standardizer;
-    the standardized copy is freed on return.
+    the fold's train/validation split, on this fit's share of the cores
+    (`blas.fit`). Returns the model and the standardizer; the standardized
+    copy is freed on return.
 
     The statistics are rounded to float32 values, which a checkpoint stores
     exactly, so a saved model standardizes as its fold did."""
@@ -326,8 +327,9 @@ def fit_fold(fold: Fold, store: FeatureStore, network: MTLNetworkConfig, trainin
                                   for s in (fitted.mean, fitted.std)))
     data = standardized(store, standardizer)
     model = MultiTaskModel(network, seed=training.seed)
-    trained = train(model, data.select(train_positions),
-                    data.select(store.positions(fold.validation_ids)), training)
+    with blas.fit():
+        trained = train(model, data.select(train_positions),
+                        data.select(store.positions(fold.validation_ids)), training)
     return trained, standardizer
 
 
@@ -374,12 +376,14 @@ def fold_failure(result: FoldResult) -> str:
 
 
 def _fold_worker(store: FeatureStore, task) -> FoldResult:
-    """One fold, on one BLAS thread in a forked child or not: the children then
-    share the cores instead of oversubscribing them, and a fold's results do not
-    depend on the job count or on the caller's BLAS thread count."""
+    """One fold, in a forked child or not. It runs on one BLAS thread, as a
+    command does, and fits on its share of the cores (`blas.fit`): the
+    children then share the cores instead of oversubscribing them, and a
+    fold's results do not depend on the job count or on the caller's BLAS
+    thread count."""
     fold_index, fold, config = task
     try:
-        with blas.one_thread():
+        with blas.command():
             return _run_fold(fold_index, fold, store, config)
     except Exception as exc:  # fold failure is recorded, not fatal
         return FoldResult.of(fold_index, fold, error=f"{type(exc).__name__}: {exc}")
@@ -391,8 +395,9 @@ def _run_configs(manifests, configs: list[PipelineConfig], jobs: int) -> list[Ex
     The features are extracted once, then every fold of every configuration
     runs as one task; with ``jobs > 1`` each task runs in a forked child that
     inherits the feature store, and a child that dies fails its fold alone.
-    Every fold runs on one BLAS thread and each report is assembled in fold
-    order, so results do not depend on scheduling.
+    A fold's results do not depend on its BLAS thread count (`_fold_worker`)
+    and each report is assembled in fold order, so results do not depend on
+    scheduling.
     """
     if isinstance(manifests, CorpusManifest):
         manifests = [manifests]
@@ -402,7 +407,8 @@ def _run_configs(manifests, configs: list[PipelineConfig], jobs: int) -> list[Ex
     tasks = [(i, fold, config) for config, folds in zip(configs, fold_sets)
              for i, fold in enumerate(folds)]
     store = extract_feature_cache(records, jobs)
-    results = _run_tasks(partial(_fold_worker, store), tasks, jobs)
+    with blas.fits_at_once(min(jobs, len(tasks))):
+        results = _run_tasks(partial(_fold_worker, store), tasks, jobs)
     results = iter(FoldResult.of(*task[:2], error=str(result)) if isinstance(result, WorkerDied) else result
                    for task, result in zip(tasks, results))
     reports = []

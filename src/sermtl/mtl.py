@@ -273,7 +273,7 @@ class MultiTaskModel:
         h, caches = self._trunk_forward(batch["x"], dropout_p, rng, train)
         rows, targets = self._scored_rows(h, batch)
         losses, dh, grads = self._head_pass(rows, targets, head_views)
-        if "mask" in batch and batch["mask"].all():  # `_scored_rows` gave a view of h
+        if "mask" in batch and batch["mask"].all():  # `_scored_rows` gave h's rows in order
             dh = dh.reshape(h.shape)
         elif "mask" in batch:
             # scatter the row gradients back over the padded (B, T, H) trunk output
@@ -292,7 +292,8 @@ class MultiTaskModel:
     def _scored_rows(self, h, batch):
         """The trunk output as one row per scored sample, and the matching targets:
         LSTM chunk labels are broadcast to every valid (unpadded) frame. When no
-        chunk is padded the rows are a view of ``h``, not a copy."""
+        chunk is padded the rows are a view of ``h``, not a copy, unless ``h``
+        is an LSTM layer's time-major output that no dropout copied."""
         if "mask" not in batch:
             return h, batch["targets"]
         mask = batch["mask"]

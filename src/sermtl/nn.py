@@ -13,9 +13,14 @@ blob in the file's order through one small float32 buffer, straight into the
 caller's arrays (a loaded model's float32 vector) or into new float64 arrays.
 
 `LSTMLayer.step` is the one home of the LSTM gate math, computed in place in a
-gate buffer: the training `forward` (whose buffer is the (batch, time, 4H) gate
-cache that BPTT reads) and the cache-free, time-major inference pass in
-`mtl.MultiTaskModel.emotion_posteriors` both advance the cell with it.
+gate buffer: the training `forward` (which copies each step's gates from and
+back into the (batch, time, 4H) gate cache that BPTT reads) and the cache-free,
+time-major inference pass in `mtl.MultiTaskModel.emotion_posteriors` both
+advance the cell with it.
+
+The weight-gradient products, whose inner dimension is batch x time, run on one
+BLAS thread wherever they are computed (`blas.weight_gradients`), so a model
+trains to the same bits on any thread count.
 """
 from __future__ import annotations
 
@@ -27,6 +32,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+
+from . import blas
 
 CHECKPOINT_FORMAT = "PMTL-CKPT-1"
 
@@ -104,7 +111,9 @@ class DenseLayer:
         x, z = cache
         dz = dy * (z > 0.0) if self.activation == "relu" else dy
         out = grads or {}
-        grads = {"w": np.matmul(dz.T, x, out=out.get("w")), "b": np.sum(dz, axis=0, out=out.get("b"))}
+        with blas.weight_gradients():
+            grads = {"w": np.matmul(dz.T, x, out=out.get("w"))}
+        grads["b"] = np.sum(dz, axis=0, out=out.get("b"))
         return (dz @ self.w if input_grad else None), grads
 
 
@@ -168,7 +177,13 @@ class LSTMLayer:
         np.multiply(o, tc, out=h_new)
 
     def forward(self, x: np.ndarray):
-        """The hidden sequence (batch, time, H) from a zero initial state, and the cache."""
+        """The hidden sequence (batch, time, H) from a zero initial state, and the cache.
+
+        The sequence is a view of the time-major hidden cache (time, batch, H),
+        whose step rows are contiguous, as are the cell cache's. The gate cache
+        stays batch-major (batch, time, 4H), the row order in which the weight
+        gradients sum: each step's gates are computed in one contiguous
+        (batch, 4H) buffer and copied back."""
         dtype = self.w_x.dtype
         x = np.asarray(x, dtype=dtype)
         if x.ndim != 3 or x.shape[2] != self.n_in:
@@ -178,19 +193,23 @@ class LSTMLayer:
         batch, time, _ = x.shape
         hsz = self.n_hidden
         zero_state = np.zeros((batch, hsz), dtype)
-        hw = np.empty((batch, 4 * hsz), dtype)
+        a, hw = (np.empty((batch, 4 * hsz), dtype) for _ in range(2))
+        cell_tanh = np.empty((batch, hsz), dtype)  # not cached: `backward` recomputes it
 
-        gates = np.matmul(x, self.w_x.T)  # (batch, time, 4H): the input projection, then the gates
-        cells = np.empty((batch, time, hsz), dtype)
-        cell_tanh = np.empty((batch, time, hsz), dtype)
-        hidden = np.empty((batch, time, hsz), dtype)
+        # the input projection, then the gates; one product per sequence, as one
+        # over batch x time rows would round some small shapes' rows otherwise
+        gates = np.matmul(x, self.w_x.T)
+        cells = np.empty((time, batch, hsz), dtype)
+        hidden = np.empty((time, batch, hsz), dtype)
 
         for t in range(time):
-            h, c = (hidden[:, t - 1], cells[:, t - 1]) if t else (zero_state, zero_state)
-            self.step(gates[:, t], h, c, hw, (cells[:, t], cell_tanh[:, t], hidden[:, t]))
+            h, c = (hidden[t - 1], cells[t - 1]) if t else (zero_state, zero_state)
+            a[...] = gates[:, t]
+            self.step(a, h, c, hw, (cells[t], cell_tanh, hidden[t]))
+            gates[:, t] = a
         # `hidden` is also the recurrent input of the next step; `backward` shifts it
-        cache = [x, gates, cells, cell_tanh, hidden]
-        return hidden, cache
+        cache = [x, gates, cells, hidden]
+        return hidden.transpose(1, 0, 2), cache
 
     def backward(self, dh_seq: np.ndarray, cache, input_grad: bool = True,
                  grads: dict[str, np.ndarray] | None = None):
@@ -202,18 +221,20 @@ class LSTMLayer:
         with their gradient once read, and the cell states and the hidden
         sequence are dropped once read (freed where no one else holds them),
         so a second backward needs a new `forward`."""
-        x, gates, cells, cell_tanh, hidden = cache
+        x, gates, cells, hidden = cache
         cache.clear()
-        batch, time, hsz = cells.shape
+        time, batch, hsz = cells.shape
         dtype = cells.dtype
         zero_state = np.zeros((batch, hsz), dtype)
+        da = np.empty((batch, 4 * hsz), dtype)
+        tc = np.empty((batch, hsz), dtype)
+        i, f, g, o = (da[:, k * hsz : (k + 1) * hsz] for k in range(4))
         dh = np.zeros((batch, hsz), dtype)
         dc = np.zeros((batch, hsz), dtype)
         for t in range(time - 1, -1, -1):
-            da = gates[:, t]
-            i, f, g, o = (da[:, k * hsz : (k + 1) * hsz] for k in range(4))
-            tc = cell_tanh[:, t]
-            c_before = cells[:, t - 1] if t > 0 else zero_state
+            da[...] = gates[:, t]
+            np.tanh(cells[t], out=tc)  # the bits `step` computed
+            c_before = cells[t - 1] if t > 0 else zero_state
             dh = dh + dh_seq[:, t]
             do = dh * tc
             dc = dc + dh * o * (1.0 - tc * tc)
@@ -226,18 +247,21 @@ class LSTMLayer:
             f[...] = df * f * (1.0 - f)
             g[...] = dg * (1.0 - g * g)
             o[...] = do * o * (1.0 - o)
+            gates[:, t] = da
             if t > 0:
                 dh = da @ self.w_h
-        del cells, cell_tanh
+        del cells
         flat_da = gates.reshape(-1, 4 * hsz)
-        h_prev = np.concatenate([zero_state[:, None], hidden[:, :-1]], axis=1)
+        # batch-major, as the gates
+        h_prev = np.concatenate([zero_state[:, None], hidden[:-1].transpose(1, 0, 2)], axis=1)
         del hidden
         out = grads or {}
-        grads = {
-            "w_x": np.matmul(flat_da.T, x.reshape(-1, self.n_in), out=out.get("w_x")),
-            "w_h": np.matmul(flat_da.T, h_prev.reshape(-1, hsz), out=out.get("w_h")),
-            "b": np.sum(flat_da, axis=0, out=out.get("b")),
-        }
+        with blas.weight_gradients():
+            grads = {
+                "w_x": np.matmul(flat_da.T, x.reshape(-1, self.n_in), out=out.get("w_x")),
+                "w_h": np.matmul(flat_da.T, h_prev.reshape(-1, hsz), out=out.get("w_h")),
+            }
+        grads["b"] = np.sum(flat_da, axis=0, out=out.get("b"))
         del h_prev
         dx = gates @ self.w_x if input_grad else None
         return dx, grads

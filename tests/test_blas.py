@@ -12,14 +12,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sermtl import blas, cli, experiment, mtl
+from sermtl import blas, cli, experiment, mtl, nn
 from sermtl.experiment import PipelineConfig, run_experiment
 from sermtl.features import Standardizer, fit_standardizer
 from sermtl.hlf import HLF_DIM, write_hlf_csv
 from sermtl.mtl import MTLNetworkConfig, MultiTaskModel, TrainConfig, TrainedModel, save_model
 
 from conftest import COMMAND_REQUIRED_FLAGS, make_records
-from test_mtl import _SCORING_SHAPES
+from test_mtl import _SCORING_SHAPES, _TEST_MODELS
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -71,6 +71,62 @@ def test_folds_run_on_one_blas_thread(all_cores, monkeypatch):
     assert blas.threads() == all_cores
 
 
+def test_each_pass_runs_on_its_thread_count(all_cores, monkeypatch):
+    """The thread policy with 4 CPUs allowed: one thread for a command, a
+    front-end task and the weight-gradient products, every core for scoring,
+    and ``max(1, cores // jobs)`` for each of ``jobs`` fits at once."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    passes = {"command": blas.command, "front_end": blas.front_end,
+              "weight_gradients": blas.weight_gradients, "scoring": blas.scoring,
+              "fit": blas.fit}
+    counts = {}
+    for name, count in passes.items():
+        with count():
+            counts[name] = blas.threads()
+    for jobs in (0, 1, 2, 3, 4, 8):
+        with blas.fits_at_once(jobs), blas.fit():
+            counts[f"fit of {jobs}"] = blas.threads()
+    assert counts == {"command": 1, "front_end": 1, "weight_gradients": 1, "scoring": 4, "fit": 4,
+                      "fit of 0": 4, "fit of 1": 4, "fit of 2": 2, "fit of 3": 1, "fit of 4": 1,
+                      "fit of 8": 1}
+    assert blas.threads() == all_cores
+
+
+def test_running_on_calls_the_setter_only_to_change_the_count(monkeypatch):
+    """A pass already on its count (a pinned product inside a one-thread fold)
+    costs OpenBLAS no setter call; one on another count sets it and restores it."""
+    count, calls = [1], []
+
+    def set_(n):
+        calls.append(n)
+        count[0] = n
+    monkeypatch.setattr(blas, "_openblas", lambda: (lambda: count[0], set_))
+    with blas.one_thread():
+        with blas.weight_gradients():
+            pass
+    assert calls == []
+    with blas.running_on(2):
+        with blas.weight_gradients():
+            assert count == [1]
+    assert calls == [2, 1, 2, 1] and count == [1]
+
+
+@pytest.mark.parametrize("jobs, threads", [(1, 4), (2, 2), (4, 2)])
+def test_a_fold_fits_on_its_share_of_the_cores(all_cores, small_synth, monkeypatch, jobs, threads):
+    """With 4 CPUs allowed, each of the folds running at once (at most one per
+    fold: 2 here) fits on ``4 // folds`` threads, in a forked child or not."""
+    manifest, _, _ = small_synth
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+
+    def fit_on(*args):
+        raise RuntimeError(f"fit on {blas.threads()} threads")
+
+    monkeypatch.setattr(experiment, "train", fit_on)
+    report = run_experiment([manifest], PipelineConfig(protocol="cross"), jobs=jobs)
+    assert [f.error for f in report.folds] == [f"RuntimeError: fit on {threads} threads"] * 2
+    assert blas.threads() == all_cores
+
+
 @pytest.mark.parametrize("command", sorted(COMMAND_REQUIRED_FLAGS))
 def test_every_command_runs_on_one_blas_thread(all_cores, monkeypatch, command):
     monkeypatch.setattr(cli, f"cmd_{command}", lambda args: blas.threads())
@@ -93,8 +149,8 @@ def test_parallel_matches_serial_on_every_core(all_cores, small_synth):
 
 
 def test_train_does_not_depend_on_the_blas_thread_count(small_synth, tmp_path):
-    """`train` fits on one BLAS thread, as an xval fold does: its checkpoint and
-    history are the same with OPENBLAS_NUM_THREADS=1 and unset (a thread per core)."""
+    """`train`'s checkpoint and history are the same with OPENBLAS_NUM_THREADS=1
+    and unset (a thread per core)."""
     _, data, _ = small_synth
     artifacts = []
     for threads in ("1", None):
@@ -106,6 +162,95 @@ def test_train_does_not_depend_on_the_blas_thread_count(small_synth, tmp_path):
                        capture_output=True, text=True, check=True, timeout=300)
         artifacts.append(((out / "model.ckpt").read_bytes(), (out / "history.csv").read_bytes()))
     assert artifacts[0] == artifacts[1]
+
+
+def _train(data: Path, out: Path, one_cpu: bool, *flags) -> tuple[bytes, bytes]:
+    """`sermtl train` on ``data``'s manifest in a fresh interpreter, with
+    OPENBLAS_NUM_THREADS=1 and one CPU allowed, or with it unset and every CPU
+    allowed; the bytes of its checkpoint and history."""
+    cpu = min(os.sched_getaffinity(0))
+    subprocess.run([sys.executable, "-m", "sermtl.cli", "train", "--manifest", str(data / "manifest.csv"),
+                    "--out", str(out), "--seed", "2", *flags],
+                   env=_env(OPENBLAS_NUM_THREADS="1" if one_cpu else None, OMP_NUM_THREADS=None),
+                   preexec_fn=(lambda: os.sched_setaffinity(0, {cpu})) if one_cpu else None,
+                   capture_output=True, text=True, check=True, timeout=300)
+    return (out / "model.ckpt").read_bytes(), (out / "history.csv").read_bytes()
+
+
+@pytest.mark.parametrize("flags", [
+    ["--trunk", "lstm", "--layer-sizes", "256", "--max-epochs", "3", "--patience", "2"],
+    ["--trunk", "dnn", "--max-epochs", "2", "--patience", "1"],
+], ids=["lstm-256", "dnn-3x256"])
+def test_train_on_every_core_writes_what_one_thread_writes(small_synth, tmp_path, flags):
+    """`train` fits on every allowed CPU, yet its checkpoint and history are
+    the bytes of a fit on one CPU and one thread. A 256-unit LSTM's
+    weight-gradient products (its ``w_x`` and ``w_h``, and each head's ``w``)
+    round differently on several threads unless pinned; the DNN's sum over a
+    batch of 128 windows only."""
+    if len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("one CPU allowed: every fit runs on one thread")
+    _, data, _ = small_synth
+    assert _train(data, tmp_path / "one", True, *flags) == _train(data, tmp_path / "every", False, *flags)
+
+
+# `sermtl train` in a fresh interpreter on one OpenBLAS thread at start and an
+# affinity of 4 CPUs; prints the thread counts seen by its training loop (with
+# the process's OS threads), by the LSTM steps, inside the weight-gradient pin,
+# and by the checkpoint's writer
+_TRAIN_THREADS = """
+import json, os, sys
+from sermtl import blas, cli, mtl, nn
+
+def tasks():
+    return len(os.listdir("/proc/self/task"))
+
+os.sched_getaffinity = lambda pid: set(range(4))
+seen = {"start": [blas.threads(), tasks()], "train": [], "step": [], "weight_gradients": [],
+        "writer": []}
+
+def recording(name, fn, *extra):
+    def call(*args, **kwargs):
+        seen[name].append([blas.threads(), *(f() for f in extra)])
+        return fn(*args, **kwargs)
+    return call
+
+pin = blas.weight_gradients
+
+def recording_pin():
+    with pin():
+        seen["weight_gradients"].append([blas.threads()])
+        yield
+
+mtl.train = cli.exp_mod.train = recording("train", mtl.train, tasks)
+nn.LSTMLayer.step = recording("step", nn.LSTMLayer.step)
+blas.weight_gradients = blas.contextlib.contextmanager(recording_pin)
+mtl.save_model = recording("writer", mtl.save_model)
+seen["rc"] = cli.main(sys.argv[1:])
+print(json.dumps(seen))
+"""
+
+
+def test_train_fits_on_every_allowed_cpu(small_synth, tmp_path):
+    """With 4 CPUs allowed, `train`'s loop and its LSTM steps run on 4 OpenBLAS
+    threads, the caller and the 3 it starts, although OPENBLAS_NUM_THREADS=1;
+    its weight-gradient products run on one, and so does the rest of the command."""
+    _, data, _ = small_synth
+    argv = ["train", "--manifest", str(data / "manifest.csv"), "--out", str(tmp_path / "model"),
+            "--trunk", "lstm", "--layer-sizes", "8,8", "--max-epochs", "2", "--patience", "1"]
+    done = subprocess.run([sys.executable, "-c", _TRAIN_THREADS, *argv], capture_output=True, text=True,
+                          env=_env(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS=None), check=True,
+                          timeout=300)
+    seen = json.loads(done.stdout.splitlines()[-1])
+    if seen["start"][0] is None:
+        pytest.skip("no OpenBLAS symbol found")
+    assert seen["rc"] == 0
+    blas_threads, os_threads = seen["start"]
+    assert blas_threads == 1
+    assert seen["train"] == [[4, os_threads + 3]]
+    assert seen["step"] and {n for n, in seen["step"]} == {4}
+    # per step: both LSTM layers' (w_x, w_h) and every head's w
+    assert seen["weight_gradients"] and {n for n, in seen["weight_gradients"]} == {1}
+    assert seen["writer"] == [[1]]
 
 
 @pytest.fixture(scope="module")
@@ -126,7 +271,7 @@ def large_hlf_table(tmp_path_factory):
 ], ids=["elm", "embed"])
 def test_elm_and_embed_do_not_depend_on_the_blas_thread_count(large_hlf_table, tmp_path,
                                                               command, output):
-    """`elm` and `embed` run on one BLAS thread, as `train` does: their outputs are
+    """`elm` and `embed` run on one BLAS thread, as every command does: their outputs are
     the same with OPENBLAS_NUM_THREADS=1 and unset (a thread per core)."""
     flag = "--hlf" if command[0] == "elm" else "--input"
     outputs = []
@@ -180,6 +325,68 @@ def test_scoring_products_have_the_same_bits_on_any_thread_count():
         pytest.skip("no OpenBLAS symbol found")
     one, two, four = (_product_digests(count) for count in (1, 2, 4))
     assert [shape for shape in one if not one[shape] == two[shape] == four[shape]] == []
+
+
+def _training_products(config: MTLNetworkConfig) -> list[tuple[str, int, int]]:
+    """(layout, inputs, outputs) of every product one training step of ``config``
+    runs, but the weight gradients: ``x @ w.T`` ("forward", w (outputs, inputs))
+    for a layer's input, an LSTM's recurrent step and each head, and ``d @ w``
+    ("backward", w (inputs, outputs)) for the gradient of each layer's input
+    but the first and of an LSTM's previous hidden state. Evaluation runs the
+    forward products alone."""
+    widths = (config.input_width,) + config.layer_sizes
+    products = []
+    for i, (n_in, n) in enumerate(zip(widths, widths[1:])):
+        gates = 4 * n if config.trunk == "lstm" else n
+        products.append(("forward", n_in, gates))
+        if i:
+            products.append(("backward", gates, n_in))
+        if config.trunk == "lstm":
+            products += [("forward", n, gates), ("backward", gates, n)]
+    for head in config.heads:
+        products += [("forward", widths[-1], head.n_classes), ("backward", head.n_classes, widths[-1])]
+    return products
+
+
+# The models that train on several threads in these tests and the acceptance
+# criteria, the test models, and the paper's models
+_TRAINING_PRODUCTS = sorted({product for config in _TEST_MODELS + [
+    MTLNetworkConfig(trunk="lstm", layer_sizes=sizes) for sizes in [(256,), (32, 32), (16, 16)]
+] for product in _training_products(config)})
+
+# Row counts of training's products: a batch of chunks or windows (every count
+# up to 48, 77 for `infer-embed`'s 2x256 LSTM, 128 by default) and its chunks'
+# frames, up to `infer-embed`'s 77 x 48 and criterion 7's 128 x 78
+_TRAINING_ROWS = (*range(1, 49), 64, 77, 96, 127, 128, 129, 256, 300, 512, 1000, 1024, 2048, 3696, 4096,
+                  9984)
+
+
+def _training_digests(layout: str, n_in: int, n_out: int) -> list[list[bytes]]:
+    """The blake2b digest of the float32 product at each of `_TRAINING_ROWS`, on
+    1, 2 and 4 threads."""
+    rng = np.random.default_rng(n_in * 1000 + n_out)
+    w = rng.normal(size=(n_out, n_in)).astype(np.float32)
+    w = w.T if layout == "forward" else np.ascontiguousarray(w.T)
+    x = rng.normal(size=(max(_TRAINING_ROWS), n_in)).astype(np.float32)
+    digests = []
+    for count in (1, 2, 4):
+        with blas.running_on(count):
+            assert blas.threads() == count
+            digests.append([hashlib.blake2b((x[:m] @ w).tobytes()).digest() for m in _TRAINING_ROWS])
+    return digests
+
+
+def test_training_products_have_the_same_bits_on_any_thread_count():
+    """The premise of training on every core: on this BLAS, every product of a
+    training step but the weight gradients (which `nn` pins to one thread)
+    gives the same bytes on 1, 2 and 4 OpenBLAS threads."""
+    if blas.threads() is None:
+        pytest.skip("no OpenBLAS symbol found")
+    differ = []
+    for product in _TRAINING_PRODUCTS:
+        one, two, four = _training_digests(*product)
+        differ += [(m, *product) for m, a, b, c in zip(_TRAINING_ROWS, one, two, four) if not a == b == c]
+    assert differ == []
 
 
 @pytest.fixture(scope="module")

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sermtl import blas, experiment, nn
+from sermtl import experiment, nn
 from sermtl.cli import build_parser, main
 from sermtl.codec import from_dict
 from sermtl.corpus import (
@@ -229,9 +229,8 @@ class TestTrainAndHlf:
         # the fold `train` fit, refit in memory; every utterance is standardized with its statistics
         (fold,) = stratified_split([manifest], seed=saved["seed"])
         store = extract_feature_cache(manifest.records)
-        with blas.one_thread():  # as `train` fits
-            trained, fold_standardizer = fit_fold(
-                fold, store, from_dict(MTLNetworkConfig, saved["network"]), training)
+        trained, fold_standardizer = fit_fold(fold, store, from_dict(MTLNetworkConfig, saved["network"]),
+                                              training)
         [fold_data] = trained_on
         model, training_read, standardizer = load_model(run / "model.ckpt")
         assert training_read == training

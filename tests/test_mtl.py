@@ -523,15 +523,16 @@ def _scoring_products(config):
     return trunk + [(widths[-1], 4)]
 
 
-# the scoring shapes of the models these tests and test_training_oracle.py build,
-# and of the paper's 2x256 LSTM and 3x256 DNN
-_SCORING_SHAPES = sorted({shape for config in [
+# the models these tests and test_training_oracle.py build, and the paper's 2x256
+# LSTM and 3x256 DNN
+_TEST_MODELS = [
     MTLNetworkConfig(trunk="lstm", layer_sizes=sizes) for sizes in [(8,), (6,), (8, 6), (6, 5), (6, 6), (8, 8),
                                                                     (4, 9, 3), (4, 4), (256, 256)]
 ] + [
     MTLNetworkConfig(trunk="dnn", layer_sizes=sizes, context_frames=context)
     for sizes, context in [((8,), 5), ((8, 8), 5), ((8,), 3), ((8, 6), 3), ((8,), 11), ((256, 256, 256), 25)]
-] for shape in _scoring_products(config)})
+]
+_SCORING_SHAPES = sorted({shape for config in _TEST_MODELS for shape in _scoring_products(config)})
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])

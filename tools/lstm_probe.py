@@ -5,9 +5,9 @@ Run from the root of a source checkout (``PYTHONPATH=src``); point
 ``PYTHONPATH`` at another checkout's ``src`` to measure that one. Each probe
 prints one JSON line. Peaks are resident-set sizes from ``getrusage``; "added"
 is the peak minus the resident set just before the measured call. Numpy's
-BLAS runs on one thread, as in training, except in ``score``'s second pass.
+BLAS runs on one thread, except in the second pass of ``step`` and of ``score``.
 
-    python3 tools/lstm_probe.py step   # one 2x256 `loss_and_grads`, batch 128 x 300 frames, dropout 0.5
+    python3 tools/lstm_probe.py step   # one 2x256 `loss_and_grads`, batch 128 x 300 frames, dropout 0.5, twice
     python3 tools/lstm_probe.py layer  # one 256->256 `LSTMLayer` forward plus backward at (128, 300)
     python3 tools/lstm_probe.py score  # load a saved 2x256 checkpoint, score 128 utterances x 300 frames, twice
     python3 tools/lstm_probe.py xval --manifest M --out DIR --jobs N [xval flags...]
@@ -16,7 +16,12 @@ BLAS runs on one thread, as in training, except in ``score``'s second pass.
 
 ``step`` also prints the sha256 of its losses and gradient vector, and
 ``score`` that of its posteriors, so two checkouts can be compared bit for
-bit. ``score`` scores the block twice: pinned to one BLAS thread, then on
+bit. ``step`` runs the step twice, each in a forked child of its own so that
+each added peak is its own: pinned to one BLAS thread, then under `train`'s
+fit policy (`blas.fit`: every core, the weight-gradient products on one
+thread; `blas.all_cores` in a checkout without that policy). It prints both
+wall times, both added peaks and both sha256, which must be equal. ``score``
+scores the block twice: pinned to one BLAS thread, then on
 every core as `sermtl hlf` does (`blas.all_cores`); it prints both wall times
 and both posterior sha256, which must be equal. It also prints this process's
 absolute peak, the peak the pinned pass added, and whether
@@ -74,21 +79,29 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _in_child(fn) -> None:
-    """Run ``fn()`` in a forked child, so nothing it loads or allocates stays here."""
+def _in_child(fn):
+    """``fn()``, run in a forked child so nothing it loads or allocates stays
+    here; its result travels back as JSON."""
+    read, write = os.pipe()
     pid = os.fork()
     if pid == 0:
         code = 1
         try:
-            fn()
+            os.close(read)
+            with open(write, "w", encoding="utf-8") as pipe:
+                json.dump(fn(), pipe)
             code = 0
         except Exception:
             traceback.print_exc()
         finally:
             os._exit(code)
+    os.close(write)
+    with open(read, encoding="utf-8") as pipe:
+        result = pipe.read()
     _, status = os.waitpid(pid, 0)
     if status != 0:
         raise RuntimeError(f"probe child failed: wait status {status}")
+    return json.loads(result)
 
 
 def _measure(fn, threads=blas.one_thread) -> dict:
@@ -102,9 +115,9 @@ def _measure(fn, threads=blas.one_thread) -> dict:
     return {"added_peak_mb": round(_peak_mb() - before, 1), "wall_s": round(wall, 3)}
 
 
-def probe_step() -> dict:
+def _step(threads) -> dict:
     """One `loss_and_grads` of the paper's 2x256 LSTM trunk with every head
-    (`TrainConfig` defaults: dropout 0.5), on one unpadded batch."""
+    (`TrainConfig` defaults: dropout 0.5), on one unpadded batch, under ``threads()``."""
     model = MultiTaskModel(MTLNetworkConfig(trunk="lstm"), seed=0)
     rng = np.random.default_rng(0)
     x = rng.normal(size=(BATCH, FRAMES, N_FEATURES)).astype(np.float32)
@@ -116,9 +129,18 @@ def probe_step() -> dict:
     def step():
         out["losses"], out["total"], _ = model.loss_and_grads(
             data, dropout_p=0.5, rng=np.random.default_rng(1), train=True, grad=grad)
-    result = _measure(step)
+    result = _measure(step, threads)
     digest = _sha256(json.dumps([out["losses"], out["total"]]).encode() + grad.tobytes())
-    return {"probe": "step", "batch": BATCH, "frames": FRAMES, **result, "loss_grad_sha256": digest}
+    return {**result, "loss_grad_sha256": digest}
+
+
+def probe_step() -> dict:
+    """`_step` pinned to one thread, then under `train`'s fit policy, each in a forked child."""
+    pinned = _in_child(lambda: _step(blas.one_thread))
+    fit = _in_child(lambda: _step(getattr(blas, "fit", blas.all_cores)))
+    return {"probe": "step", "batch": BATCH, "frames": FRAMES, **pinned,
+            "fit_threads": len(os.sched_getaffinity(0)), "fit_wall_s": fit["wall_s"],
+            "fit_added_peak_mb": fit["added_peak_mb"], "fit_loss_grad_sha256": fit["loss_grad_sha256"]}
 
 
 def probe_layer() -> dict:
