@@ -198,8 +198,8 @@ def test_train_on_every_core_writes_what_one_thread_writes(small_synth, tmp_path
 # the process's OS threads), by the LSTM steps, inside the weight-gradient pin,
 # and by the checkpoint's writer
 _TRAIN_THREADS = """
-import json, os, sys
-from sermtl import blas, cli, mtl, nn
+import contextlib, json, os, sys
+from sermtl import blas, cli, experiment, mtl, nn
 
 def tasks():
     return len(os.listdir("/proc/self/task"))
@@ -216,14 +216,15 @@ def recording(name, fn, *extra):
 
 pin = blas.weight_gradients
 
+@contextlib.contextmanager
 def recording_pin():
     with pin():
         seen["weight_gradients"].append([blas.threads()])
         yield
 
-mtl.train = cli.exp_mod.train = recording("train", mtl.train, tasks)
+experiment.train = recording("train", experiment.train, tasks)
 nn.LSTMLayer.step = recording("step", nn.LSTMLayer.step)
-blas.weight_gradients = blas.contextlib.contextmanager(recording_pin)
+blas.weight_gradients = recording_pin
 mtl.save_model = recording("writer", mtl.save_model)
 seen["rc"] = cli.main(sys.argv[1:])
 print(json.dumps(seen))
@@ -248,7 +249,6 @@ def test_train_fits_on_every_allowed_cpu(small_synth, tmp_path):
     assert blas_threads == 1
     assert seen["train"] == [[4, os_threads + 3]]
     assert seen["step"] and {n for n, in seen["step"]} == {4}
-    # per step: both LSTM layers' (w_x, w_h) and every head's w
     assert seen["weight_gradients"] and {n for n, in seen["weight_gradients"]} == {1}
     assert seen["writer"] == [[1]]
 
