@@ -5,18 +5,21 @@ A GEMM whose inner dimension is long can round differently on one thread and
 on several. Training's three weight-gradient products (`nn.LSTMLayer`'s
 ``w_x`` and ``w_h``, `nn.DenseLayer`'s ``w``), which sum over batch x time, do,
 and so do the ELM's and t-SNE's products. Every other product that training
-and scoring run gives the same bits on 1, 2 and 4 threads (tests/test_blas.py
-checks each shape). So:
+runs at the default batch size and chunk length, and every product that
+scoring runs, gives the same bits on 1, 2 and 4 threads (tests/test_blas.py
+checks each shape and row count). So:
 
-- a command runs on one thread (`command`, entered by `cli.main`), and so
+- a command runs on one thread (`one_thread`, entered by `cli.main`), and so
   does all that no pass below raises: the ELM, t-SNE, and an ``xval`` fold
   outside its fit;
-- `sermtl train`'s fit runs on every core, and an ``xval`` fold's fit on its
-  share of them, ``max(1, cores // jobs)`` (`fit`, `fits_at_once`);
-- the weight-gradient products run on one thread wherever they are computed
-  (`weight_gradients`);
-- a front-end task runs on one thread (`front_end`): its products are small;
-- `sermtl hlf`'s scoring pass runs on every core (`scoring`).
+- an LSTM fit runs on its share of the cores, ``max(1, cores // fits)`` with
+  ``fits`` the fits that run at once: every core for `sermtl train` and a
+  serial ``xval`` (`fit`);
+- a DNN fit runs on one thread: its products are small, and it was no
+  faster on two CPUs;
+- the weight-gradient products run on one thread wherever they are computed;
+- a front-end task runs on one thread: its products are small;
+- `sermtl hlf`'s scoring pass runs on every core (`all_cores`).
 
 "Every core" is one thread per CPU this process may run on
 (``os.sched_getaffinity``), whatever ``OPENBLAS_NUM_THREADS`` says.
@@ -29,7 +32,6 @@ has an effect.
 from __future__ import annotations
 
 import contextlib
-import contextvars
 import ctypes
 import functools
 import os
@@ -111,29 +113,7 @@ def all_cores():
     return running_on(cores())
 
 
-# The policy: each pass and its count (see the module docstring)
-command = one_thread
-front_end = one_thread
-weight_gradients = one_thread
-scoring = all_cores
-
-
-# how many fits share the cores (`fits_at_once`); forked children inherit it
-_FITS = contextvars.ContextVar("fits", default=1)
-
-
-@contextlib.contextmanager
-def fits_at_once(jobs: int):
-    """Within the block, up to ``jobs`` fits run at once, each on its share of
-    the cores (`fit`)."""
-    token = _FITS.set(max(1, jobs))
-    try:
-        yield
-    finally:
-        _FITS.reset(token)
-
-
-def fit():
-    """Fit a model on its share of the cores: ``max(1, cores() // jobs)``
-    threads, with ``jobs`` from `fits_at_once` (one fit by default)."""
-    return running_on(max(1, cores() // _FITS.get()))
+def fit(trunk: str, fits: int = 1):
+    """Fit a model with a ``trunk`` trunk while ``fits`` fits run at once: an
+    LSTM on ``max(1, cores() // fits)`` threads, a DNN on one."""
+    return running_on(max(1, cores() // fits) if trunk == "lstm" else 1)

@@ -2,8 +2,9 @@
 
 A flag that sets a config field is stored under the field's name and has no
 default of its own: a command's settings are its config dataclasses' defaults
-with the given flags applied. Every command runs on one BLAS thread, except
-`train`'s fit and `hlf`'s scoring pass, which run on every core (see `blas`).
+with the given flags applied. Every command runs on one BLAS thread, except an
+LSTM's fit (in `train` and a serial `xval`) and `hlf`'s scoring pass, which
+run on every core (see `blas`).
 
 Each command that writes artifacts records its resolved settings: ``synth``,
 ``features``, ``train`` and ``xval`` in ``<out>/config.json``, and ``hlf``, ``elm``
@@ -179,7 +180,7 @@ def cmd_hlf(args) -> int:
               for i in range(0, len(records), size))
     # scoring's products give the same bits on any thread count; each block's
     # front-end, pulled in here, still runs on one (`experiment._extract_chunk`)
-    with blas.scoring():
+    with blas.all_cores():
         table = exp_mod.hlf_matrix(model, blocks, standardizer)
     rows = [(rec.utterance_id, vector, rec) for rec, vector in zip(records, table)]
     out_path = Path(args.out)
@@ -400,9 +401,9 @@ def main(argv=None) -> int:
     try:
         # a GEMM with a long inner dimension (training's weight gradients, the ELM's,
         # t-SNE's) can round differently on one thread and on several, so every
-        # command runs on one; `train`'s fit and `hlf`'s scoring raise the count,
+        # command runs on one; an LSTM's fit and `hlf`'s scoring raise the count,
         # and the fit's weight gradients stay on one where they are computed
-        with blas.command():
+        with blas.one_thread():
             return args.func(args)
     except Exception as exc:
         if args.debug:

@@ -240,14 +240,14 @@ def _row_bound(rec: UtteranceRecord) -> int:
 def _extract_chunk(matrix: np.ndarray, saved: SavedRows | None, task) -> list:
     """Write the features of a run of consecutive records into ``matrix``, one
     after another from row ``first``, reusing one workspace (and one BLAS
-    thread: `blas.front_end`). Each WAV is read once; an utterance whose rows
+    thread, as the folds). Each WAV is read once; an utterance whose rows
     ``saved`` holds is copied from them, any other extracted. Returns, for each
     record, its frame count, its WAV as (byte count, digest) and whether it was
     copied. In a forked child the rows land in the parent's matrix too: it is a
     shared mapping."""
     first, records = task
     workspace, row, done = Workspace(), first, []
-    with blas.front_end():
+    with blas.one_thread():
         for rec in records:
             wav = _read_record(rec)
             try:
@@ -311,13 +311,13 @@ def extract_feature_cache(records, jobs: int = 1, saved: SavedRows | None = None
     )
 
 
-def fit_fold(fold: Fold, store: FeatureStore, network: MTLNetworkConfig, training: TrainConfig
-             ) -> tuple[TrainedModel, Standardizer]:
+def fit_fold(fold: Fold, store: FeatureStore, network: MTLNetworkConfig, training: TrainConfig,
+             fits: int = 1) -> tuple[TrainedModel, Standardizer]:
     """Fit the standardizer on the fold's training utterances, standardize the
     store once into float32, and train a model seeded with ``training.seed`` on
-    the fold's train/validation split, on this fit's share of the cores
-    (`blas.fit`). Returns the model and the standardizer; the standardized
-    copy is freed on return.
+    the fold's train/validation split, on the thread count `blas.fit` gives
+    one of ``fits`` fits that run at once. Returns the model and the
+    standardizer; the standardized copy is freed on return.
 
     The statistics are rounded to float32 values, which a checkpoint stores
     exactly, so a saved model standardizes as its fold did."""
@@ -327,7 +327,7 @@ def fit_fold(fold: Fold, store: FeatureStore, network: MTLNetworkConfig, trainin
                                   for s in (fitted.mean, fitted.std)))
     data = standardized(store, standardizer)
     model = MultiTaskModel(network, seed=training.seed)
-    with blas.fit():
+    with blas.fit(network.trunk, fits):
         trained = train(model, data.select(train_positions),
                         data.select(store.positions(fold.validation_ids)), training)
     return trained, standardizer
@@ -340,10 +340,11 @@ def hlf_matrix(model: MultiTaskModel, blocks, standardizer: Standardizer) -> np.
     return np.stack([compute_hlf(p) for p in posteriors_in_blocks(model, blocks, standardizer)])
 
 
-def _run_fold(fold_index: int, fold: Fold, store: FeatureStore, config: PipelineConfig) -> FoldResult:
+def _run_fold(fold_index: int, fold: Fold, store: FeatureStore, config: PipelineConfig,
+              fits: int = 1) -> FoldResult:
     fold_seed = derive_seed(config.seed, "fold", fold_index)
     trained, standardizer = fit_fold(fold, store, config.network,
-                                     replace(config.training, seed=fold_seed))
+                                     replace(config.training, seed=fold_seed), fits)
 
     def fold_hlf(positions):
         size = config.training.batch_size
@@ -375,16 +376,16 @@ def fold_failure(result: FoldResult) -> str:
     return f"fold {result.fold} ({result.test_group}): {result.error}"
 
 
-def _fold_worker(store: FeatureStore, task) -> FoldResult:
-    """One fold, in a forked child or not. It runs on one BLAS thread, as a
-    command does, and fits on its share of the cores (`blas.fit`): the
-    children then share the cores instead of oversubscribing them, and a
-    fold's results do not depend on the job count or on the caller's BLAS
-    thread count."""
+def _fold_worker(store: FeatureStore, task, fits: int = 1) -> FoldResult:
+    """One fold of ``fits`` that run at once, in a forked child or not. It runs
+    on one BLAS thread, as a command does, and fits on its share of the cores
+    (`blas.fit`): the children then share the cores instead of oversubscribing
+    them, and a fold's results do not depend on the job count or on the
+    caller's BLAS thread count."""
     fold_index, fold, config = task
     try:
-        with blas.command():
-            return _run_fold(fold_index, fold, store, config)
+        with blas.one_thread():
+            return _run_fold(fold_index, fold, store, config, fits)
     except Exception as exc:  # fold failure is recorded, not fatal
         return FoldResult.of(fold_index, fold, error=f"{type(exc).__name__}: {exc}")
 
@@ -407,8 +408,7 @@ def _run_configs(manifests, configs: list[PipelineConfig], jobs: int) -> list[Ex
     tasks = [(i, fold, config) for config, folds in zip(configs, fold_sets)
              for i, fold in enumerate(folds)]
     store = extract_feature_cache(records, jobs)
-    with blas.fits_at_once(min(jobs, len(tasks))):
-        results = _run_tasks(partial(_fold_worker, store), tasks, jobs)
+    results = _run_tasks(partial(_fold_worker, store, fits=min(jobs, len(tasks))), tasks, jobs)
     results = iter(FoldResult.of(*task[:2], error=str(result)) if isinstance(result, WorkerDied) else result
                    for task, result in zip(tasks, results))
     reports = []

@@ -19,8 +19,8 @@ time-major inference pass in `mtl.MultiTaskModel.emotion_posteriors` both
 advance the cell with it.
 
 The weight-gradient products, whose inner dimension is batch x time, run on one
-BLAS thread wherever they are computed (`blas.weight_gradients`), so a model
-trains to the same bits on any thread count.
+BLAS thread wherever they are computed (`blas.one_thread`), so a model trains
+to the same bits on any thread count.
 """
 from __future__ import annotations
 
@@ -111,7 +111,7 @@ class DenseLayer:
         x, z = cache
         dz = dy * (z > 0.0) if self.activation == "relu" else dy
         out = grads or {}
-        with blas.weight_gradients():
+        with blas.one_thread():
             grads = {"w": np.matmul(dz.T, x, out=out.get("w"))}
         grads["b"] = np.sum(dz, axis=0, out=out.get("b"))
         return (dz @ self.w if input_grad else None), grads
@@ -256,7 +256,7 @@ class LSTMLayer:
         h_prev = np.concatenate([zero_state[:, None], hidden[:-1].transpose(1, 0, 2)], axis=1)
         del hidden
         out = grads or {}
-        with blas.weight_gradients():
+        with blas.one_thread():
             grads = {
                 "w_x": np.matmul(flat_da.T, x.reshape(-1, self.n_in), out=out.get("w_x")),
                 "w_h": np.matmul(flat_da.T, h_prev.reshape(-1, hsz), out=out.get("w_h")),

@@ -72,23 +72,25 @@ def test_folds_run_on_one_blas_thread(all_cores, monkeypatch):
 
 
 def test_each_pass_runs_on_its_thread_count(all_cores, monkeypatch):
-    """The thread policy with 4 CPUs allowed: one thread for a command, a
-    front-end task and the weight-gradient products, every core for scoring,
-    and ``max(1, cores // jobs)`` for each of ``jobs`` fits at once."""
+    """The thread policy with 4 CPUs allowed: one thread for `one_thread`
+    (a command, a front-end task, the weight-gradient products), every core for
+    `all_cores` (scoring), ``max(1, cores // fits)`` for each of ``fits`` LSTM
+    fits at once, and one for a DNN fit."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
-    passes = {"command": blas.command, "front_end": blas.front_end,
-              "weight_gradients": blas.weight_gradients, "scoring": blas.scoring,
-              "fit": blas.fit}
     counts = {}
-    for name, count in passes.items():
+    for name, count in {"one_thread": blas.one_thread, "all_cores": blas.all_cores}.items():
         with count():
             counts[name] = blas.threads()
-    for jobs in (0, 1, 2, 3, 4, 8):
-        with blas.fits_at_once(jobs), blas.fit():
-            counts[f"fit of {jobs}"] = blas.threads()
-    assert counts == {"command": 1, "front_end": 1, "weight_gradients": 1, "scoring": 4, "fit": 4,
-                      "fit of 0": 4, "fit of 1": 4, "fit of 2": 2, "fit of 3": 1, "fit of 4": 1,
-                      "fit of 8": 1}
+    for trunk in ("lstm", "dnn"):
+        with blas.fit(trunk):
+            counts[trunk] = blas.threads()
+        for fits in (1, 2, 3, 4, 8):
+            with blas.fit(trunk, fits):
+                counts[f"{trunk} of {fits}"] = blas.threads()
+    assert counts == {"one_thread": 1, "all_cores": 4,
+                      "lstm": 4, "lstm of 1": 4, "lstm of 2": 2, "lstm of 3": 1, "lstm of 4": 1,
+                      "lstm of 8": 1,
+                      "dnn": 1, "dnn of 1": 1, "dnn of 2": 1, "dnn of 3": 1, "dnn of 4": 1, "dnn of 8": 1}
     assert blas.threads() == all_cores
 
 
@@ -102,19 +104,21 @@ def test_running_on_calls_the_setter_only_to_change_the_count(monkeypatch):
         count[0] = n
     monkeypatch.setattr(blas, "_openblas", lambda: (lambda: count[0], set_))
     with blas.one_thread():
-        with blas.weight_gradients():
+        with blas.one_thread():
             pass
     assert calls == []
     with blas.running_on(2):
-        with blas.weight_gradients():
+        with blas.one_thread():
             assert count == [1]
     assert calls == [2, 1, 2, 1] and count == [1]
 
 
-@pytest.mark.parametrize("jobs, threads", [(1, 4), (2, 2), (4, 2)])
-def test_a_fold_fits_on_its_share_of_the_cores(all_cores, small_synth, monkeypatch, jobs, threads):
-    """With 4 CPUs allowed, each of the folds running at once (at most one per
-    fold: 2 here) fits on ``4 // folds`` threads, in a forked child or not."""
+@pytest.mark.parametrize("trunk, jobs, threads", [("lstm", 1, 4), ("lstm", 2, 2), ("lstm", 4, 2),
+                                                   ("dnn", 1, 1), ("dnn", 2, 1)])
+def test_a_fold_fits_on_its_share_of_the_cores(all_cores, small_synth, monkeypatch, trunk, jobs, threads):
+    """With 4 CPUs allowed, each of the LSTM folds running at once (at most one
+    per fold: 2 here) fits on ``4 // folds`` threads, in a forked child or not;
+    a DNN fold fits on one."""
     manifest, _, _ = small_synth
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
 
@@ -122,7 +126,8 @@ def test_a_fold_fits_on_its_share_of_the_cores(all_cores, small_synth, monkeypat
         raise RuntimeError(f"fit on {blas.threads()} threads")
 
     monkeypatch.setattr(experiment, "train", fit_on)
-    report = run_experiment([manifest], PipelineConfig(protocol="cross"), jobs=jobs)
+    config = PipelineConfig(protocol="cross", network=MTLNetworkConfig(trunk=trunk))
+    report = run_experiment([manifest], config, jobs=jobs)
     assert [f.error for f in report.folds] == [f"RuntimeError: fit on {threads} threads"] * 2
     assert blas.threads() == all_cores
 
@@ -182,11 +187,11 @@ def _train(data: Path, out: Path, one_cpu: bool, *flags) -> tuple[bytes, bytes]:
     ["--trunk", "dnn", "--max-epochs", "2", "--patience", "1"],
 ], ids=["lstm-256", "dnn-3x256"])
 def test_train_on_every_core_writes_what_one_thread_writes(small_synth, tmp_path, flags):
-    """`train` fits on every allowed CPU, yet its checkpoint and history are
-    the bytes of a fit on one CPU and one thread. A 256-unit LSTM's
+    """`train` fits an LSTM on every allowed CPU, yet its checkpoint and
+    history are the bytes of a fit on one CPU and one thread: a 256-unit LSTM's
     weight-gradient products (its ``w_x`` and ``w_h``, and each head's ``w``)
-    round differently on several threads unless pinned; the DNN's sum over a
-    batch of 128 windows only."""
+    round differently on several threads unless pinned. A DNN fits on one
+    thread whatever the CPUs."""
     if len(os.sched_getaffinity(0)) < 2:
         pytest.skip("one CPU allowed: every fit runs on one thread")
     _, data, _ = small_synth
@@ -195,8 +200,8 @@ def test_train_on_every_core_writes_what_one_thread_writes(small_synth, tmp_path
 
 # `sermtl train` in a fresh interpreter on one OpenBLAS thread at start and an
 # affinity of 4 CPUs; prints the thread counts seen by its training loop (with
-# the process's OS threads), by the LSTM steps, inside the weight-gradient pin,
-# and by the checkpoint's writer
+# the process's OS threads), by the LSTM steps, inside the pins `nn` enters for
+# the weight-gradient products, and by the checkpoint's writer
 _TRAIN_THREADS = """
 import contextlib, json, os, sys
 from sermtl import blas, cli, experiment, mtl, nn
@@ -214,30 +219,35 @@ def recording(name, fn, *extra):
         return fn(*args, **kwargs)
     return call
 
-pin = blas.weight_gradients
+pin = blas.one_thread
 
 @contextlib.contextmanager
-def recording_pin():
+def weight_gradient_pin():
     with pin():
         seen["weight_gradients"].append([blas.threads()])
         yield
 
+def recording_pin():
+    return weight_gradient_pin() if sys._getframe(1).f_globals["__name__"] == "sermtl.nn" else pin()
+
 experiment.train = recording("train", experiment.train, tasks)
 nn.LSTMLayer.step = recording("step", nn.LSTMLayer.step)
-blas.weight_gradients = recording_pin
+blas.one_thread = recording_pin
 mtl.save_model = recording("writer", mtl.save_model)
 seen["rc"] = cli.main(sys.argv[1:])
 print(json.dumps(seen))
 """
 
 
-def test_train_fits_on_every_allowed_cpu(small_synth, tmp_path):
+@pytest.mark.parametrize("trunk, threads", [("lstm", 4), ("dnn", 1)])
+def test_train_fits_on_every_allowed_cpu(small_synth, tmp_path, trunk, threads):
     """With 4 CPUs allowed, `train`'s loop and its LSTM steps run on 4 OpenBLAS
-    threads, the caller and the 3 it starts, although OPENBLAS_NUM_THREADS=1;
-    its weight-gradient products run on one, and so does the rest of the command."""
+    threads, the caller and the 3 it starts, although OPENBLAS_NUM_THREADS=1; a
+    DNN's loop runs on one. The weight-gradient products run on one, and so
+    does the rest of the command."""
     _, data, _ = small_synth
     argv = ["train", "--manifest", str(data / "manifest.csv"), "--out", str(tmp_path / "model"),
-            "--trunk", "lstm", "--layer-sizes", "8,8", "--max-epochs", "2", "--patience", "1"]
+            "--trunk", trunk, "--layer-sizes", "8,8", "--max-epochs", "2", "--patience", "1"]
     done = subprocess.run([sys.executable, "-c", _TRAIN_THREADS, *argv], capture_output=True, text=True,
                           env=_env(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS=None), check=True,
                           timeout=300)
@@ -247,8 +257,8 @@ def test_train_fits_on_every_allowed_cpu(small_synth, tmp_path):
     assert seen["rc"] == 0
     blas_threads, os_threads = seen["start"]
     assert blas_threads == 1
-    assert seen["train"] == [[4, os_threads + 3]]
-    assert seen["step"] and {n for n, in seen["step"]} == {4}
+    assert seen["train"] == [[threads, os_threads + threads - 1]]
+    assert {n for n, in seen["step"]} == ({4} if trunk == "lstm" else set())
     assert seen["weight_gradients"] and {n for n, in seen["weight_gradients"]} == {1}
     assert seen["writer"] == [[1]]
 
@@ -327,24 +337,33 @@ def test_scoring_products_have_the_same_bits_on_any_thread_count():
     assert [shape for shape in one if not one[shape] == two[shape] == four[shape]] == []
 
 
-def _training_products(config: MTLNetworkConfig) -> list[tuple[str, int, int]]:
-    """(layout, inputs, outputs) of every product one training step of ``config``
-    runs, but the weight gradients: ``x @ w.T`` ("forward", w (outputs, inputs))
-    for a layer's input, an LSTM's recurrent step and each head, and ``d @ w``
-    ("backward", w (inputs, outputs)) for the gradient of each layer's input
-    but the first and of an LSTM's previous hidden state. Evaluation runs the
+def _training_products(config: MTLNetworkConfig) -> list[tuple[str, str, int, int]]:
+    """(rows, layout, inputs, outputs) of every product one training step of
+    ``config`` runs, but the weight gradients: ``x @ w.T`` ("forward", w
+    (outputs, inputs)) for a layer's input, an LSTM's recurrent step and each
+    head, and ``d @ w`` ("backward", w (inputs, outputs)) for the gradient of
+    each layer's input but the first and of an LSTM's previous hidden state.
+    ``rows`` names the row counts of `_TRAINING_ROWS` it runs on: an LSTM
+    layer's input and its gradient run one product per chunk ("frames"), its
+    recurrent products one per time step over the batch's chunks ("batch"),
+    and its heads one over the batch's unpadded frames ("scored"); a DNN's
+    products run over the batch's windows ("batch"). Evaluation runs the
     forward products alone."""
+    lstm = config.trunk == "lstm"
     widths = (config.input_width,) + config.layer_sizes
     products = []
     for i, (n_in, n) in enumerate(zip(widths, widths[1:])):
-        gates = 4 * n if config.trunk == "lstm" else n
-        products.append(("forward", n_in, gates))
+        gates = 4 * n if lstm else n
+        rows = "frames" if lstm else "batch"
+        products.append((rows, "forward", n_in, gates))
         if i:
-            products.append(("backward", gates, n_in))
-        if config.trunk == "lstm":
-            products += [("forward", n, gates), ("backward", gates, n)]
+            products.append((rows, "backward", gates, n_in))
+        if lstm:
+            products += [("batch", "forward", n, gates), ("batch", "backward", gates, n)]
+    rows = "scored" if lstm else "batch"
     for head in config.heads:
-        products += [("forward", widths[-1], head.n_classes), ("backward", head.n_classes, widths[-1])]
+        products += [(rows, "forward", widths[-1], head.n_classes),
+                     (rows, "backward", head.n_classes, widths[-1])]
     return products
 
 
@@ -354,38 +373,47 @@ _TRAINING_PRODUCTS = sorted({product for config in _TEST_MODELS + [
     MTLNetworkConfig(trunk="lstm", layer_sizes=sizes) for sizes in [(256,), (32, 32), (16, 16)]
 ] for product in _training_products(config)})
 
-# Row counts of training's products: a batch of chunks or windows (every count
-# up to 48, 77 for `infer-embed`'s 2x256 LSTM, 128 by default) and its chunks'
-# frames, up to `infer-embed`'s 77 x 48 and criterion 7's 128 x 78
-_TRAINING_ROWS = (*range(1, 49), 64, 77, 96, 127, 128, 129, 256, 300, 512, 1000, 1024, 2048, 3696, 4096,
-                  9984)
+# Row counts of training's products at the default batch size and chunk length:
+# every chunk length (a batch pads its chunks to the longest) and every batch
+# size, the last batch of an epoch being any size. An LSTM batch's unpadded
+# frames can be any count up to 128 x 300: every count up to 1024, then a spread
+# with `infer-embed`'s 77 x 48 and criterion 7's 128 x 78
+_TRAINING_ROWS = {
+    "frames": range(1, TrainConfig().lstm_chunk_frames + 1),
+    "batch": range(1, TrainConfig().batch_size + 1),
+    "scored": (*range(1, 1025), 1536, 2047, 2048, 2049, 3696, 4096, 6000, 8191, 8192, 9984, 16384,
+               25000, 32768, TrainConfig().batch_size * TrainConfig().lstm_chunk_frames),
+}
 
 
-def _training_digests(layout: str, n_in: int, n_out: int) -> list[list[bytes]]:
-    """The blake2b digest of the float32 product at each of `_TRAINING_ROWS`, on
+def _training_digests(rows: str, layout: str, n_in: int, n_out: int) -> list[list[bytes]]:
+    """The blake2b digest of the float32 product at each of its row counts, on
     1, 2 and 4 threads."""
+    counts = _TRAINING_ROWS[rows]
     rng = np.random.default_rng(n_in * 1000 + n_out)
     w = rng.normal(size=(n_out, n_in)).astype(np.float32)
     w = w.T if layout == "forward" else np.ascontiguousarray(w.T)
-    x = rng.normal(size=(max(_TRAINING_ROWS), n_in)).astype(np.float32)
+    x = rng.normal(size=(max(counts), n_in)).astype(np.float32)
     digests = []
     for count in (1, 2, 4):
         with blas.running_on(count):
             assert blas.threads() == count
-            digests.append([hashlib.blake2b((x[:m] @ w).tobytes()).digest() for m in _TRAINING_ROWS])
+            digests.append([hashlib.blake2b((x[:m] @ w).tobytes()).digest() for m in counts])
     return digests
 
 
 def test_training_products_have_the_same_bits_on_any_thread_count():
     """The premise of training on every core: on this BLAS, every product of a
     training step but the weight gradients (which `nn` pins to one thread)
-    gives the same bytes on 1, 2 and 4 OpenBLAS threads."""
+    gives the same bytes on 1, 2 and 4 OpenBLAS threads, at every row count it
+    runs on."""
     if blas.threads() is None:
         pytest.skip("no OpenBLAS symbol found")
     differ = []
     for product in _TRAINING_PRODUCTS:
         one, two, four = _training_digests(*product)
-        differ += [(m, *product) for m, a, b, c in zip(_TRAINING_ROWS, one, two, four) if not a == b == c]
+        differ += [(m, *product) for m, a, b, c in zip(_TRAINING_ROWS[product[0]], one, two, four)
+                   if not a == b == c]
     assert differ == []
 
 

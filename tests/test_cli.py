@@ -597,10 +597,10 @@ class TestDeadWorkers:
     def kill_fold_one(self, monkeypatch):
         run_fold, parent = experiment._run_fold, os.getpid()
 
-        def run_or_die(fold_index, fold, store, config):
+        def run_or_die(fold_index, *args):
             if fold_index == 1 and os.getpid() != parent:
                 os.kill(os.getpid(), signal.SIGKILL)
-            return run_fold(fold_index, fold, store, config)
+            return run_fold(fold_index, *args)
 
         monkeypatch.setattr(experiment, "_run_fold", run_or_die)
 

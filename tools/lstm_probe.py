@@ -18,8 +18,8 @@ BLAS runs on one thread, except in the second pass of ``step`` and of ``score``.
 ``score`` that of its posteriors, so two checkouts can be compared bit for
 bit. ``step`` runs the step twice, each in a forked child of its own so that
 each added peak is its own: pinned to one BLAS thread, then under `train`'s
-fit policy (`blas.fit`: every core, the weight-gradient products on one
-thread; `blas.all_cores` in a checkout without that policy). It prints both
+fit policy for an LSTM (`blas.fit`: every core, the weight-gradient products
+on one thread; `blas.all_cores` in a checkout without that policy). It prints both
 wall times, both added peaks and both sha256, which must be equal. ``score``
 scores the block twice: pinned to one BLAS thread, then on
 every core as `sermtl hlf` does (`blas.all_cores`); it prints both wall times
@@ -137,7 +137,8 @@ def _step(threads) -> dict:
 def probe_step() -> dict:
     """`_step` pinned to one thread, then under `train`'s fit policy, each in a forked child."""
     pinned = _in_child(lambda: _step(blas.one_thread))
-    fit = _in_child(lambda: _step(getattr(blas, "fit", blas.all_cores)))
+    policy = getattr(blas, "fit", None)
+    fit = _in_child(lambda: _step(blas.all_cores if policy is None else lambda: policy("lstm")))
     return {"probe": "step", "batch": BATCH, "frames": FRAMES, **pinned,
             "fit_threads": len(os.sched_getaffinity(0)), "fit_wall_s": fit["wall_s"],
             "fit_added_peak_mb": fit["added_peak_mb"], "fit_loss_grad_sha256": fit["loss_grad_sha256"]}
