@@ -268,7 +268,6 @@ class SynthConfig:
     utterances_per_speaker: int = 8
     duration_s: float = 1.0
     seed: int = 0
-    class_balance: tuple[float, float, float, float] | None = None
 
     def __post_init__(self):
         for name in ("n_corpora", "speakers_per_corpus", "utterances_per_speaker"):
@@ -276,11 +275,6 @@ class SynthConfig:
                 raise ValueError(f"{name} must be >= 1")
         if self.duration_s < 0.5:
             raise ValueError("duration_s must be >= 0.5")
-        if self.class_balance is not None:
-            props = tuple(float(p) for p in self.class_balance)
-            if len(props) != len(EMOTION_CLASSES) or any(p < 0 for p in props) or sum(props) <= 0:
-                raise ValueError(f"class_balance must be {len(EMOTION_CLASSES)} non-negative proportions")
-            object.__setattr__(self, "class_balance", props)
 
 
 # Voice registers by gender (Hz); children sit above the adult registers.
@@ -313,18 +307,6 @@ def _largest_remainder(n: int, ideal: Sequence[float]) -> list[int]:
     for k in order[: n - sum(shares)]:
         shares[k] += 1
     return shares
-
-
-def _emotion_sequence(n: int, balance: tuple[float, ...] | None) -> list[EmotionLabel]:
-    """Deterministic per-speaker emotion assignment honoring the requested balance."""
-    if balance is None:
-        return [EMOTION_CLASSES[i % len(EMOTION_CLASSES)] for i in range(n)]
-    total = sum(balance)
-    counts = _largest_remainder(n, [n * p / total for p in balance])
-    seq: list[EmotionLabel] = []
-    for label, count in zip(EMOTION_CLASSES, counts):
-        seq.extend([label] * count)
-    return seq
 
 
 def synthesize_utterance(
@@ -387,7 +369,8 @@ def generate_synthetic(config: SynthConfig, out_dir: str | Path) -> CorpusManife
     """Write a seeded synthetic corpus set (WAVs + manifest.csv) under ``out_dir``.
 
     The whole tree is a pure function of ``config``: rerunning with the same
-    config produces byte-identical files.
+    config produces byte-identical files. Utterance ids carry the seed, so the
+    manifests of sets made with different seeds can be merged.
     """
     out_dir = Path(out_dir)
     try:
@@ -409,9 +392,8 @@ def generate_synthetic(config: SynthConfig, out_dir: str | Path) -> CorpusManife
             voice_rng = np.random.default_rng(derive_seed(config.seed, "speaker", corpus_id, speaker_id))
             f0_factor = float(2.0 ** voice_rng.uniform(-0.12, 0.12))
             speaker_tilt = float(voice_rng.uniform(-0.15, 0.15))
-            emotions = _emotion_sequence(config.utterances_per_speaker, config.class_balance)
             for ui in range(config.utterances_per_speaker):
-                emotion = emotions[ui]
+                emotion = EMOTION_CLASSES[ui % len(EMOTION_CLASSES)]
                 naturalness = NATURALNESS_CLASSES[(ui // 4 + ci) % 2] if config.utterances_per_speaker >= 8 else corpus_nat
                 utt_rng = np.random.default_rng(derive_seed(config.seed, "utt", corpus_id, speaker_id, ui))
                 samples = synthesize_utterance(
@@ -429,7 +411,7 @@ def generate_synthetic(config: SynthConfig, out_dir: str | Path) -> CorpusManife
                 write_wav(out_dir / rel, samples)
                 records.append(
                     UtteranceRecord(
-                        utterance_id=f"{corpus_id}_{speaker_id}_u{ui:03d}",
+                        utterance_id=f"seed{config.seed}_{corpus_id}_{speaker_id}_u{ui:03d}",
                         audio_path=(out_dir / rel).resolve(),
                         emotion=emotion,
                         gender=gender,
@@ -545,25 +527,19 @@ def make_folds(
     return tuple(folds)
 
 
-def stratified_split(
-    manifests: Sequence[CorpusManifest],
-    fractions: tuple[float, float, float] = AGGREGATED_FRACTIONS,
-    seed: int = 0,
-) -> tuple[Fold]:
+def stratified_split(manifests: Sequence[CorpusManifest], seed: int = 0) -> tuple[Fold]:
     """The single aggregated train/validation/test fold, stratified by emotion.
 
-    Partition sizes follow the fractions exactly (largest-remainder rounding);
-    per-emotion proportions in each partition stay within 2 percentage points
-    of the global proportions for any non-degenerate corpus.
+    Partition sizes follow `AGGREGATED_FRACTIONS` exactly (largest-remainder
+    rounding); per-emotion proportions in each partition stay within 2
+    percentage points of the global proportions for any non-degenerate corpus.
     """
-    if abs(sum(fractions) - 1.0) > 1e-9:
-        raise FoldError("fractions must sum to 1")
     records = merge_records(manifests)
     n = len(records)
     if n < 10:
         raise FoldError(f"need at least 10 utterances to split, got {n}")
 
-    sizes = _largest_remainder(n, [n * f for f in fractions])
+    sizes = _largest_remainder(n, [n * f for f in AGGREGATED_FRACTIONS])
 
     rng = np.random.default_rng(derive_seed(seed, "stratified"))
     by_class: dict[EmotionLabel, list[str]] = {}
@@ -576,7 +552,7 @@ def stratified_split(
         if not ids:
             continue
         ids = [ids[int(i)] for i in rng.permutation(len(ids))]
-        quota = _largest_remainder(len(ids), [len(ids) * f for f in fractions])
+        quota = _largest_remainder(len(ids), [len(ids) * f for f in AGGREGATED_FRACTIONS])
         start = 0
         for part, q in zip(parts, quota):
             part.extend(ids[start:start + q])

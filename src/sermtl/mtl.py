@@ -94,6 +94,10 @@ class MTLNetworkConfig:
                      if task == TASK_EMOTION or self.subtask_mode in ("all", task))
 
 
+# `train` scales each step's gradients to at most this global L2 norm
+CLIP_NORM = 5.0
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     batch_size: int = 128
@@ -104,7 +108,6 @@ class TrainConfig:
     seed: int = 0
     lstm_chunk_frames: int = 300
     dnn_window_stride: int = 1
-    clip_norm: float = 5.0
 
     def __post_init__(self):
         if self.batch_size < 1:
@@ -609,12 +612,12 @@ def train(model: MultiTaskModel, train_set, val_set, tc: TrainConfig) -> Trained
                 raise TrainingDivergedError(
                     f"non-finite training loss at epoch {epoch}, sample {start}"
                 )
-            norms.append(nn.clip_global_norm(step_grads, tc.clip_norm))
+            norms.append(nn.clip_global_norm(step_grads, CLIP_NORM))
             nn.adam_step(adam, model.vector, grad)
             weighted.append((losses, _batch_weight(batch)))
         train_losses = _mean_losses(weighted, heads)
         val_losses, val_total = _dataset_losses(model, val_set, val_index, tc)
-        clipped = sum(1 for norm in norms if tc.clip_norm > 0 and norm > tc.clip_norm)
+        clipped = sum(1 for norm in norms if 0 < CLIP_NORM < norm)  # as `clip_global_norm` scales
         history.append(
             EpochStats(
                 epoch=epoch,

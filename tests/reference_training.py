@@ -6,7 +6,9 @@ their own, `DenseLayer.forward`/`backward`, `LSTMLayer.step`/`forward`/`backward
 the LSTM scoring loop as it ran before `LSTMLayer.step` updated its gates in
 place, `lstm_block_posteriors`, now in the model's dtype with its small
 products padded. The other method and function bodies are kept verbatim
-(``nn.`` prefixes dropped) as the oracle for test_training_oracle.py.
+(``nn.`` prefixes dropped; `train` clips to ``mtl.CLIP_NORM``, read at each
+step so a test can patch it, where it read ``TrainConfig.clip_norm``) as the
+oracle for test_training_oracle.py.
 Not a test module itself."""
 from __future__ import annotations
 
@@ -14,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from sermtl import mtl
 from sermtl.mtl import (TrainConfig, TrainingDivergedError, _batch_weight, _batches, _dataset_losses,
                         _mean_losses, _product_rows, _sample_index, _stable_softmax, total_loss)
 from sermtl.nn import NumericsError, ShapeError, one_hot, softmax_xent
@@ -431,7 +434,7 @@ def train(model: MultiTaskModel, train_set, val_set, tc: TrainConfig) -> Trained
                 raise TrainingDivergedError(
                     f"non-finite training loss at epoch {epoch}, sample {start}"
                 )
-            clip_global_norm(grads, tc.clip_norm)
+            clip_global_norm(grads, mtl.CLIP_NORM)
             adam_step(adam, params, grads)
             weighted.append((losses, _batch_weight(batch)))
         train_losses = _mean_losses(weighted, heads)

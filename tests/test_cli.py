@@ -96,7 +96,6 @@ class TestSynth:
                      "--speakers", "1", "--utts", "1", "--duration", "0.5"]) == 0
         payload = json.loads((tmp_path / "config.json").read_text())
         assert payload.pop("command") == "synth"
-        assert payload["class_balance"] is None
         assert from_dict(SynthConfig, payload) == SynthConfig(
             n_corpora=1, speakers_per_corpus=1, utterances_per_speaker=1, duration_s=0.5, seed=3)
 
@@ -383,6 +382,20 @@ class TestXval:
         assert rc == 0
         assert (out2 / "report.json").read_bytes() == (out1 / "report.json").read_bytes()
 
+    def test_two_seeds_sets_run_together(self, tmp_path):
+        """A training set and a held-out set made with different seeds (as
+        for `hlf` on held-out data) run as one `xval` over both manifests."""
+        synth = ["--corpora", "2", "--speakers", "2", "--utts", "4", "--duration", "0.5"]
+        for name, seed in (("train", "1"), ("heldout", "2")):
+            assert main(["synth", "--out", str(tmp_path / name), "--seed", seed, *synth]) == 0
+        out = tmp_path / "xval"
+        assert main(["xval", "--manifest", str(tmp_path / "train" / "manifest.csv"),
+                     "--manifest", str(tmp_path / "heldout" / "manifest.csv"), "--out", str(out),
+                     "--protocol", "cross", "--trunk", "dnn", "--layer-sizes", "8", "--subtasks", "none",
+                     "--max-epochs", "2", "--patience", "1", "--window-stride", "3"]) == 0
+        folds = json.loads((out / "report.json").read_text())["folds"]
+        assert [(f["test_group"], f["n_test"], f["error"]) for f in folds] == [("c00", 16, None), ("c01", 16, None)]
+
     def test_config_replay_keeps_every_field(self, cli_workspace, tmp_path):
         _, data, _, _ = cli_workspace
         saved = PipelineConfig(
@@ -407,7 +420,8 @@ class TestXval:
 
     @pytest.mark.parametrize("section, key", [(None, "hlf_thetta"), ("network", "context_frame"),
                                               (None, "features"), (None, "hlf_theta"),
-                                              (None, "fractions"), ("network", "n_features")])
+                                              (None, "fractions"), ("network", "n_features"),
+                                              ("training", "clip_norm")])
     def test_config_unknown_key_rejected(self, cli_workspace, tmp_path, capsys, section, key):
         _, data, _, _ = cli_workspace
         pipeline = asdict(PipelineConfig())
@@ -822,6 +836,18 @@ def test_report_run_names_a_misspelled_key(tmp_path, capsys, old, new):
     (tmp_path / "other.json").write_text(json.dumps(asdict(report)), encoding="utf-8")
     assert main(["report", "--compare", str(tmp_path / "other.json"), str(path)]) == 1
     assert capsys.readouterr().err.startswith(f"error: {path}: ")
+
+
+def test_report_with_a_retired_key_is_refused_by_name(tmp_path, capsys):
+    """A report written when `TrainConfig` still had ``clip_norm`` is refused
+    on one line naming the file and the key."""
+    report = asdict(ExperimentReport("cross", 0, PipelineConfig(), [FoldResult(0, "c00", 1, 1, 1)], None))
+    report["config"]["training"]["clip_norm"] = 5.0
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(report), encoding="utf-8")
+    for argv in (["report", "--run", str(tmp_path)], ["report", "--compare", str(path), str(path)]):
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {path}: TrainConfig: unknown key 'clip_norm'\n"
 
 
 class TestCliErrors:

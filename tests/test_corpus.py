@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import collections
 import hashlib
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sermtl.corpus import (
+    AGGREGATED_FRACTIONS,
+    EMOTION_CLASSES,
     MANIFEST_HEADER,
     CorpusManifest,
     EmotionLabel,
@@ -22,6 +25,7 @@ from sermtl.corpus import (
     generate_synthetic,
     load_manifest,
     make_folds,
+    merge_records,
     read_wav,
     read_wav_file,
     stratified_split,
@@ -181,6 +185,21 @@ class TestSynthetic:
         text_b = (tmp_path / "b" / "manifest.csv").read_text()
         assert text_a == text_b
 
+    def test_two_seeds_merge(self, tmp_path):
+        """Utterance ids carry the seed, so two seeds' sets merge; corpus and
+        speaker ids do not, and ids within a set stay in generation order."""
+        config = SynthConfig(n_corpora=2, speakers_per_corpus=2, utterances_per_speaker=2,
+                             duration_s=0.5, seed=7)
+        sets = [generate_synthetic(replace(config, seed=seed), tmp_path / str(seed)) for seed in (7, 8)]
+        merged = merge_records(sets)
+        assert len({r.utterance_id for r in merged}) == 16
+        for manifest in sets:
+            ids = [r.utterance_id for r in manifest.records]
+            assert ids == sorted(ids)
+        assert sets[0].records[0].utterance_id == "seed7_c00_c00s00_u000"
+        assert [(r.corpus_id, r.speaker_id) for r in sets[0].records] == [
+            (r.corpus_id, r.speaker_id) for r in sets[1].records]
+
     def test_counting(self, tmp_path):
         config = SynthConfig(n_corpora=2, speakers_per_corpus=5, utterances_per_speaker=10,
                              duration_s=0.5, seed=1)
@@ -188,6 +207,10 @@ class TestSynthetic:
         assert len(manifest) == 100
         assert len(manifest.corpora()) == 2
         assert len({r.speaker_id for r in manifest.records}) == 10
+        # each speaker's emotions go round-robin
+        for speaker in {r.speaker_id for r in manifest.records}:
+            emotions = [r.emotion for r in manifest.records if r.speaker_id == speaker]
+            assert emotions == [EMOTION_CLASSES[i % 4] for i in range(10)]
 
     def test_f0_ordering_oracle(self, tmp_path):
         # extracted F0 of happy+angry exceeds neutral+sad within each speaker
@@ -209,21 +232,11 @@ class TestSynthetic:
                 low = (mean["neutral"] + mean["sad"]) / 2
                 assert high > low, (seed, speaker, mean)
 
-    def test_class_balance(self, tmp_path):
-        config = SynthConfig(n_corpora=1, speakers_per_corpus=2, utterances_per_speaker=10,
-                             duration_s=0.5, seed=2, class_balance=(0.5, 0.5, 0.0, 0.0))
-        manifest = generate_synthetic(config, tmp_path)
-        assert manifest.corpora() == ("c00",)
-        counts = collections.Counter(r.emotion.value for r in manifest.records)
-        assert counts == {"neutral": 10, "happy": 10}
-
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SynthConfig(n_corpora=0)
         with pytest.raises(ValueError):
             SynthConfig(duration_s=0.4)
-        with pytest.raises(ValueError):
-            SynthConfig(class_balance=(1.0, 0.0, 0.0))
 
 
 class TestFolds:
@@ -317,18 +330,18 @@ class TestFolds:
 class TestStratifiedSplit:
     @settings(max_examples=60, deadline=None)
     @given(emotions=st.lists(st.sampled_from(EmotionLabel), min_size=10, max_size=400),
-           weights=st.tuples(*[st.integers(0, 20)] * 3).filter(any), seed=st.integers(0, 2**32 - 1))
-    @example(emotions=list(EmotionLabel) * 250, weights=(8, 1, 1), seed=0)
-    def test_sizes_exact(self, emotions, weights, seed):
-        """Partition sizes are the largest-remainder rounding of n * fractions:
-        within one of n * fraction each, summing to n, the ids partitioned."""
+           seed=st.integers(0, 2**32 - 1))
+    @example(emotions=list(EmotionLabel) * 250, seed=0)
+    def test_sizes_exact(self, emotions, seed):
+        """Partition sizes are the largest-remainder rounding of n *
+        `AGGREGATED_FRACTIONS`: within one of n * fraction each, summing to n,
+        the ids partitioned."""
         n = len(emotions)
-        fractions = tuple(w / sum(weights) for w in weights)
         manifest = make_manifest(n, emotions=emotions, speakers=7)
-        fold = stratified_split([manifest], fractions, seed=seed)[0]
+        fold = stratified_split([manifest], seed=seed)[0]
         sizes = (len(fold.train_ids), len(fold.validation_ids), len(fold.test_ids))
         assert sum(sizes) == n
-        assert all(abs(size - n * f) < 1 for size, f in zip(sizes, fractions))
+        assert all(abs(size - n * f) < 1 for size, f in zip(sizes, AGGREGATED_FRACTIONS))
         assert sorted(fold.train_ids + fold.validation_ids + fold.test_ids) == sorted(
             r.utterance_id for r in manifest.records)
 
@@ -358,10 +371,6 @@ class TestStratifiedSplit:
     def test_too_few_utterances(self):
         with pytest.raises(FoldError, match="at least 10"):
             stratified_split([make_manifest(9)], seed=0)
-
-    def test_bad_fractions(self):
-        with pytest.raises(FoldError, match="sum to 1"):
-            stratified_split([make_manifest(100)], fractions=(0.5, 0.2, 0.2), seed=0)
 
 
 class TestWavFile:

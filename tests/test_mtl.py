@@ -349,12 +349,12 @@ class TestTraining:
             total += post.shape[0]
         assert hits / total >= 0.95
 
-    def test_divergence_aborts_with_diagnostic(self):
+    def test_divergence_aborts_with_diagnostic(self, monkeypatch):
+        monkeypatch.setattr(mtl, "CLIP_NORM", 0.0)  # no clipping
         data = _blob_dataset()
         cfg = MTLNetworkConfig(trunk="dnn", layer_sizes=(8, 8), subtask_mode="none", context_frames=5)
         model = MultiTaskModel(cfg, seed=1)
-        tc = TrainConfig(batch_size=16, max_epochs=5, patience=2, seed=1,
-                         lr=1e150, clip_norm=0.0, dropout_p=0.0)
+        tc = TrainConfig(batch_size=16, max_epochs=5, patience=2, seed=1, lr=1e150, dropout_p=0.0)
         with np.errstate(all="ignore"), pytest.raises((TrainingDivergedError, nn.NumericsError)):
             train(model, *_split(data, 18), tc)
 
@@ -605,6 +605,7 @@ class TestModelCheckpoint:
         (lambda header: header["network"].update(context_frame=11), "unknown key 'context_frame'"),
         (lambda header: header["network"].update(n_features=32), "unknown key 'n_features'"),
         (lambda header: header["training"].update(batch=8), "unknown key 'batch'"),
+        (lambda header: header["training"].update(clip_norm=5.0), "unknown key 'clip_norm'"),
         (lambda header: header["training"].pop("batch_size"), "missing key 'batch_size'"),
     ])
     def test_network_header_keys_checked(self, tmp_path, edit, named):

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_training as reference
-from sermtl import nn
+from sermtl import mtl, nn
 from sermtl.features import FeatureStore, Standardizer
 from sermtl.mtl import (
     MTLNetworkConfig,
@@ -47,13 +47,13 @@ def _training_case(draw):
     sizes = (12, 10) if trunk == "dnn" else (6, 5)
     config = MTLNetworkConfig(trunk=trunk, layer_sizes=sizes, context_frames=3 if trunk == "dnn" else 0,
                               subtask_mode=draw(st.sampled_from(["all", "none"])))
-    # clip_norm 0 never clips, 0.01 clips every step, 1.0 some steps
     tc = TrainConfig(batch_size=draw(st.integers(2, 9)), dropout_p=draw(st.sampled_from([0.0, 0.5])),
-                     clip_norm=draw(st.sampled_from([0.0, 0.01, 1.0])), lstm_chunk_frames=5,
-                     max_epochs=3, patience=2, seed=draw(st.integers(0, 2**16)))
+                     lstm_chunk_frames=5, max_epochs=3, patience=2, seed=draw(st.integers(0, 2**16)))
+    # a clip norm of 0 never clips, 0.01 clips every step, 1.0 some steps
+    clip_norm = draw(st.sampled_from([0.0, 0.01, 1.0]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     store = _store(rng, draw(st.lists(st.integers(3, 14), min_size=2, max_size=5)), dtype)
-    return MultiTaskModel(config, seed=draw(st.integers(0, 2**16)), dtype=dtype), store, tc, rng
+    return MultiTaskModel(config, seed=draw(st.integers(0, 2**16)), dtype=dtype), store, tc, clip_norm, rng
 
 
 @settings(max_examples=40, deadline=None)
@@ -61,7 +61,7 @@ def _training_case(draw):
 def test_steps_equal_the_reference(case):
     """Each step of `train`'s loop (`loss_and_grads` into the gradient vector,
     clip, Adam on the flat vectors) leaves what the old step left."""
-    model, store, tc, rng = case
+    model, store, tc, clip_norm, rng = case
     old = reference.MultiTaskModel(model)
     old_adam = reference.AdamState.for_params(old.parameters(), lr=tc.lr)
     index = _sample_index(model.config, store, tc)
@@ -73,11 +73,11 @@ def test_steps_equal_the_reference(case):
     for _, batch in old_batches:
         losses, total, grads = model.loss_and_grads(batch, tc.dropout_p, new_rng, True, grad=grad)
         assert all(g.base is grad for g in grads.values())
-        norm = nn.clip_global_norm(grads, tc.clip_norm)
+        norm = nn.clip_global_norm(grads, clip_norm)
         nn.adam_step(adam, model.vector, grad)
 
         old_losses, old_total, old_grads = old.loss_and_grads(batch, tc.dropout_p, old_rng, True)
-        old_norm = reference.clip_global_norm(old_grads, tc.clip_norm)
+        old_norm = reference.clip_global_norm(old_grads, clip_norm)
         reference.adam_step(old_adam, old.parameters(), old_grads)
 
         assert (losses, total, norm) == (old_losses, old_total, old_norm)
@@ -101,7 +101,8 @@ def test_train_equals_the_reference(trunk, dtype, monkeypatch):
     store = _store(rng, [9, 14, 7, 12, 11, 8, 13, 10], dtype)
     config = MTLNetworkConfig(trunk=trunk, layer_sizes=(12, 10) if trunk == "dnn" else (6, 5),
                               context_frames=3 if trunk == "dnn" else 0)
-    tc = TrainConfig(batch_size=7, max_epochs=4, patience=3, seed=9, lstm_chunk_frames=5, clip_norm=1.0)
+    tc = TrainConfig(batch_size=7, max_epochs=4, patience=3, seed=9, lstm_chunk_frames=5)
+    monkeypatch.setattr(mtl, "CLIP_NORM", 1.0)  # clips some steps
     train_set, val_set = store.select(range(6)), store.select([6, 7])
     model = MultiTaskModel(config, seed=4, dtype=dtype)
     old = reference.MultiTaskModel(model)
@@ -122,7 +123,7 @@ def test_train_equals_the_reference(trunk, dtype, monkeypatch):
         epoch_norms = norms[epoch * steps : (epoch + 1) * steps]
         assert row.grad_norm_mean == sum(epoch_norms) / steps
         assert row.grad_norm_max == max(epoch_norms)
-        assert row.clip_frac == sum(n > tc.clip_norm for n in epoch_norms) / steps
+        assert row.clip_frac == sum(n > mtl.CLIP_NORM for n in epoch_norms) / steps
 
 
 @st.composite
@@ -162,10 +163,11 @@ def test_lstm_posteriors_equal_the_reference(case):
 
 
 @pytest.mark.parametrize("clip_norm, clip_frac", [(1e-6, 1.0), (1e6, 0.0), (0.0, 0.0)])
-def test_clip_fraction(clip_norm, clip_frac, tmp_path):
+def test_clip_fraction(clip_norm, clip_frac, tmp_path, monkeypatch):
+    monkeypatch.setattr(mtl, "CLIP_NORM", clip_norm)
     store = _store(np.random.default_rng(2), [10, 12, 9, 11], np.float32)
     model = MultiTaskModel(MTLNetworkConfig(trunk="dnn", layer_sizes=(8,), context_frames=3), seed=1)
-    tc = TrainConfig(batch_size=8, max_epochs=2, patience=1, clip_norm=clip_norm)
+    tc = TrainConfig(batch_size=8, max_epochs=2, patience=1)
     trained = train(model, store.select([0, 1, 2]), store.select([3]), tc)
     for row in trained.history:
         assert row.clip_frac == clip_frac

@@ -19,8 +19,8 @@ BLAS runs on one thread, except in the second pass of ``step`` and of ``score``.
 bit. ``step`` runs the step twice, each in a forked child of its own so that
 each added peak is its own: pinned to one BLAS thread, then under `train`'s
 fit policy for an LSTM (`blas.fit`: every core, the weight-gradient products
-on one thread; `blas.all_cores` in a checkout without that policy). It prints both
-wall times, both added peaks and both sha256, which must be equal. ``score``
+on one thread). It prints both wall times, both added peaks and both sha256,
+which must be equal. ``score``
 scores the block twice: pinned to one BLAS thread, then on
 every core as `sermtl hlf` does (`blas.all_cores`); it prints both wall times
 and both posterior sha256, which must be equal. It also prints this process's
@@ -33,10 +33,9 @@ process's peak and the largest peak of its forked children, and the sha256 of
 ``report.json``. ``features`` runs `extract_feature_cache` on the manifest's
 records and reports the same, and the peak it added here, all taken before
 the store is read for its sha256. ``embed`` reports the seconds per
-evaluation (one call of the function `tsne_embed` calls once per point it
-tries: `kl_and_gradient`, or `_kernel` in older versions) after the
-affinities, the peak `tsne_embed` added, its final KL and the sha256 of the
-embedding.
+evaluation (one call of `kl_and_gradient`, which `tsne_embed` calls once
+per point it tries) after the affinities, the peak `tsne_embed` added, its
+final KL and the sha256 of the embedding.
 """
 from __future__ import annotations
 
@@ -137,8 +136,7 @@ def _step(threads) -> dict:
 def probe_step() -> dict:
     """`_step` pinned to one thread, then under `train`'s fit policy, each in a forked child."""
     pinned = _in_child(lambda: _step(blas.one_thread))
-    policy = getattr(blas, "fit", None)
-    fit = _in_child(lambda: _step(blas.all_cores if policy is None else lambda: policy("lstm")))
+    fit = _in_child(lambda: _step(lambda: blas.fit("lstm")))
     return {"probe": "step", "batch": BATCH, "frames": FRAMES, **pinned,
             "fit_threads": len(os.sched_getaffinity(0)), "fit_wall_s": fit["wall_s"],
             "fit_added_peak_mb": fit["added_peak_mb"], "fit_loss_grad_sha256": fit["loss_grad_sha256"]}
@@ -228,8 +226,7 @@ def probe_embed(n: int, iters: int) -> dict:
     """`tsne_embed` (perplexity 30) of ``n`` seeded standard-normal 16-d points."""
     x = np.random.default_rng(0).normal(size=(n, 16))
     config = tsne.TsneConfig(n_iter=iters, exaggeration_iters=min(250, iters // 4))
-    name = "_kernel" if hasattr(tsne, "_kernel") else "kl_and_gradient"
-    evaluate, affinities = getattr(tsne, name), tsne.compute_affinities
+    evaluate, affinities = tsne.kl_and_gradient, tsne.compute_affinities
     calls, marks = [], {}
 
     def counted(*args, **kwargs):
@@ -242,14 +239,12 @@ def probe_embed(n: int, iters: int) -> dict:
         return result
 
     out = {}
-    setattr(tsne, name, counted)
-    tsne.compute_affinities = timed
+    tsne.kl_and_gradient, tsne.compute_affinities = counted, timed
     try:
         result = _measure(lambda: out.update(zip(("y", "trace"), tsne.tsne_embed(x, config))))
         loop_s = time.perf_counter() - marks["affinities"]
     finally:
-        setattr(tsne, name, evaluate)
-        tsne.compute_affinities = affinities
+        tsne.kl_and_gradient, tsne.compute_affinities = evaluate, affinities
     return {"probe": "embed", "n": n, "iters": iters, **result, "evaluations": len(calls),
             "s_per_evaluation": round(loop_s / len(calls), 5), "final_kl": float(out["trace"][-1]),
             "embedding_sha256": _sha256(out["y"].tobytes())}
