@@ -7,8 +7,8 @@ LSTM's fit (in `train` and a serial `xval`) and `hlf`'s scoring pass, which
 run on every core (see `blas`).
 
 Each command that writes artifacts records its resolved settings: ``synth``,
-``features``, ``train`` and ``xval`` in ``<out>/config.json``, and ``hlf``, ``elm``
-and ``embed``, whose ``--out`` is a file, in ``<out>.config.json``. Re-running a
+``train`` and ``xval`` in ``<out>/config.json``, and ``hlf``, ``elm`` and
+``embed``, whose ``--out`` is a file, in ``<out>.config.json``. Re-running a
 command with those settings (or with the same flags and seed) on the same inputs
 reproduces the run byte for byte; ``xval`` records no manifest paths, so its
 replay passes the same ``--manifest`` flags.
@@ -79,9 +79,7 @@ def _config(args, base, **fixed):
 
 
 def _network_config(args, base: MTLNetworkConfig) -> MTLNetworkConfig:
-    # a new trunk re-derives the context width and, unless given, the layer sizes
-    fixed = {} if args.trunk in (None, base.trunk) else {"context_frames": 0, "layer_sizes": ()}
-    return _config(args, base, **fixed)
+    return _config(args, base if args.trunk is None else base.with_trunk(args.trunk))
 
 
 def _emotion_targets(labels) -> np.ndarray:
@@ -123,17 +121,6 @@ def cmd_synth(args) -> int:
     manifest = generate_synthetic(config, out_dir)
     _write_config(out_dir / "config.json", {"command": "synth", **asdict(config)})
     print(f"wrote {len(manifest)} utterances across {len(manifest.corpora())} corpora to {out_dir}")
-    return 0
-
-
-def cmd_features(args) -> int:
-    manifest = load_manifest(args.manifest)
-    store = exp_mod.extract_feature_cache(manifest.records)
-    out_dir = Path(args.out)
-    save_store(out_dir, store)
-    _write_config(out_dir / "config.json",
-                  {"command": "features", "manifest": _absolute(args.manifest)})
-    print(f"extracted features for {len(manifest)} utterances to {out_dir}")
     return 0
 
 
@@ -326,11 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--utts", type=int, dest="utterances_per_speaker")
     p.add_argument("--duration", type=float, dest="duration_s")
     p.set_defaults(func=cmd_synth)
-
-    p = sub.add_parser("features", help="extract a manifest's frame features into a feature store")
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_features)
 
     p = sub.add_parser("train", help="train one model on a stratified split")
     p.add_argument("--manifest", required=True)

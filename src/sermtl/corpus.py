@@ -121,53 +121,57 @@ class CorpusManifest:
 
 def load_manifest(path: str | Path) -> CorpusManifest:
     """Read a manifest CSV. Relative audio paths resolve against the CSV's
-    directory, and every audio file must exist."""
+    directory, and every audio file must exist. A malformed manifest is
+    refused by its path, and by the line of the fault where there is one."""
     path = Path(path)
     if not path.exists():
         raise ManifestError(f"manifest not found: {path}")
-    base = path.parent
     records = []
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+        reader, first, seen = csv.reader(fh), 1, set()  # `first`: the line a row starts on
         try:
-            header = tuple(next(reader))
-        except StopIteration:
-            raise ManifestError("empty manifest file") from None
-        if header != MANIFEST_HEADER:
-            missing = set(MANIFEST_HEADER) - set(header)
-            if missing:
-                raise ManifestError(f"missing column(s): {sorted(missing)}")
-            raise ManifestError(f"bad manifest header: {header}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(MANIFEST_HEADER):
-                raise ManifestError(f"line {lineno}: expected {len(MANIFEST_HEADER)} fields, got {len(row)}")
-            uid, audio, emo, gen, nat, spk, corp = (field.strip() for field in row)
-            if not all((uid, audio, emo, gen, nat, spk, corp)):
-                raise ManifestError(f"line {lineno}: empty field")
-            # a speaker or corpus id names a fold's confusion CSV; an utterance id is
-            # held to the same rule, so no id from a manifest can be a path
-            for column, value in (("utterance_id", uid), ("speaker_id", spk), ("corpus_id", corp)):
-                if value in (".", "..") or "/" in value or "\\" in value:
-                    raise ManifestError(f"line {lineno}: {column} {value!r} is not a file name")
-            audio_path = Path(audio)
-            if not audio_path.is_absolute():
-                audio_path = (base / audio_path).resolve()
-            if not audio_path.exists():
-                raise ManifestError(f"line {lineno}: audio file not found: {audio_path}")
-            records.append(
-                UtteranceRecord(
-                    utterance_id=uid,
-                    audio_path=audio_path,
-                    emotion=parse_label("emotion", emo),
-                    gender=parse_label("gender", gen),
-                    naturalness=parse_label("naturalness", nat),
-                    speaker_id=spk,
-                    corpus_id=corp,
-                )
-            )
-    return CorpusManifest(records=tuple(records))
+            header = tuple(next(reader, ()))
+            if header != MANIFEST_HEADER:
+                missing = sorted(set(MANIFEST_HEADER) - set(header))
+                raise ManifestError("empty manifest file" if not header else
+                                    f"missing column(s): {missing}" if missing else
+                                    f"bad manifest header: {header}")
+            first = reader.line_num + 1
+            for row in reader:
+                if row:
+                    records.append(_manifest_record(row, path.parent))
+                    if records[-1].utterance_id in seen:
+                        raise ManifestError(f"duplicate utterance_id: {records[-1].utterance_id!r}")
+                    seen.add(records[-1].utterance_id)
+                first = reader.line_num + 1
+        except (ManifestError, csv.Error, UnicodeDecodeError) as exc:
+            line = f", line {first}" if reader.line_num else ""
+            raise ManifestError(f"{path}{line}: {exc}") from None
+    try:
+        return CorpusManifest(records=tuple(records))
+    except ManifestError as exc:
+        raise ManifestError(f"{path}: {exc}") from None
+
+
+def _manifest_record(row: list[str], base: Path) -> UtteranceRecord:
+    """The record of one manifest row; relative audio paths resolve against ``base``."""
+    if len(row) != len(MANIFEST_HEADER):
+        raise ManifestError(f"expected {len(MANIFEST_HEADER)} fields, got {len(row)}")
+    uid, audio, emo, gen, nat, spk, corp = (field.strip() for field in row)
+    if not all((uid, audio, emo, gen, nat, spk, corp)):
+        raise ManifestError("empty field")
+    # a speaker or corpus id names a fold's confusion CSV; an utterance id is
+    # held to the same rule, so no id from a manifest can be a path
+    for column, value in (("utterance_id", uid), ("speaker_id", spk), ("corpus_id", corp)):
+        if value in (".", "..") or "/" in value or "\\" in value:
+            raise ManifestError(f"{column} {value!r} is not a file name")
+    audio_path = Path(audio)
+    if not audio_path.is_absolute():
+        audio_path = (base / audio_path).resolve()
+    if not audio_path.exists():
+        raise ManifestError(f"audio file not found: {audio_path}")
+    return UtteranceRecord(uid, audio_path, parse_label("emotion", emo), parse_label("gender", gen),
+                           parse_label("naturalness", nat), spk, corp)
 
 
 def write_manifest(manifest: CorpusManifest, path: str | Path) -> Path:

@@ -49,7 +49,6 @@ from .mtl import (
     MultiTaskModel,
     TrainConfig,
     TrainedModel,
-    default_layer_sizes,
     posteriors_in_blocks,
     train,
 )
@@ -493,16 +492,11 @@ class GridReport:
 
 
 def grid_networks(base: MTLNetworkConfig) -> dict[str, MTLNetworkConfig]:
-    """The network of each grid configuration, by name.
-
-    Each trunk gets its own context width and, while ``base`` has its trunk's
-    default layer sizes, its own default sizes (DNN 3x256, LSTM 2x256). Other
-    sizes in ``base`` (``xval --grid --layer-sizes 32,32``) go to both trunks.
-    """
-    sizes = () if base.layer_sizes == default_layer_sizes(base.trunk) else base.layer_sizes
+    """The network of each grid configuration, by name: ``base`` on each trunk
+    (`MTLNetworkConfig.with_trunk`), so non-default sizes in ``base``
+    (``xval --grid --layer-sizes 32,32``) go to both trunks."""
     return {
-        grid_config_name(trunk, mode): replace(base, trunk=trunk, subtask_mode=mode,
-                                               context_frames=0, layer_sizes=sizes)
+        grid_config_name(trunk, mode): replace(base.with_trunk(trunk), subtask_mode=mode)
         for trunk, mode in GRID_CONFIGS
     }
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import mmap
+import tokenize
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -330,14 +331,13 @@ def apply_standardizer(standardizer: Standardizer, matrix: np.ndarray,
                        out: np.ndarray | None = None) -> np.ndarray:
     """``(matrix - mean) / std`` per column, computed in float64 element by
     element, so the rows of the result do not depend on which other rows are
-    standardized with them. Written into ``out`` (``matrix``'s shape) when
-    given; a float32 ``out`` takes each float64 value rounded once, as a
-    model's float32 inputs are in training and in scoring."""
+    standardized with them. Written into a float32 ``out`` (``matrix``'s shape)
+    when given, each float64 value rounded once, as a model's float32 inputs
+    are in training and in scoring."""
     matrix = np.asarray(matrix)
     if matrix.shape[1] != standardizer.mean.shape[0]:
         raise ValueError("column count does not match standardizer")
-    wide = out if out is not None and out.dtype == np.float64 else None
-    centred = np.subtract(matrix, standardizer.mean, out=wide, dtype=np.float64)
+    centred = np.subtract(matrix, standardizer.mean, dtype=np.float64)
     return np.divide(centred, standardizer.std, out=centred if out is None else out)
 
 
@@ -462,18 +462,19 @@ def load_store(directory: str | Path) -> FeatureStore:
     matrix_path, index_path = directory / STORE_MATRIX, directory / STORE_INDEX
     try:
         matrix = np.load(matrix_path, mmap_mode="r", allow_pickle=False)
-    except (OSError, ValueError) as exc:
+    except (EOFError, OSError, TypeError, ValueError, tokenize.TokenError) as exc:  # numpy's header parser
         raise FeatureError(f"unreadable feature matrix ({exc}): {matrix_path}") from None
     try:
         lines = index_path.read_text(encoding="utf-8").splitlines()
     except (OSError, ValueError) as exc:
         raise FeatureError(f"unreadable feature index ({exc}): {index_path}") from None
-    if matrix.ndim != 2 or matrix.dtype != np.float32 or matrix.shape[1] != N_FEATURES:
-        raise FeatureError(f"{matrix_path}: expected a float32 (frames, {N_FEATURES}) matrix, "
+    if (matrix.ndim != 2 or matrix.dtype != np.float32 or matrix.shape[1] != N_FEATURES
+            or not matrix.flags.c_contiguous):
+        raise FeatureError(f"{matrix_path}: expected a float32 (frames, {N_FEATURES}) matrix in C order, "
                            f"got {matrix.dtype} {matrix.shape}")
     if not lines or lines[0] != _INDEX_HEADER:
-        raise FeatureError(f"{index_path}: header must be {_INDEX_HEADER!r}")
-    ids, starts, lengths, wavs = [], [], [], []
+        raise FeatureError(f"{index_path}, line 1: header must be {_INDEX_HEADER!r}")
+    ids, starts, lengths, wavs, seen = [], [], [], [], set()
     for lineno, line in enumerate(lines[1:], start=2):
         fields = line.rsplit(",", 4)
         if (len(fields) != 5 or not fields[0] or not all(f.isascii() and f.isdigit() for f in fields[1:4])
@@ -485,12 +486,13 @@ def load_store(directory: str | Path) -> FeatureStore:
         if n < 1 or start + n > matrix.shape[0]:
             raise FeatureError(f"{index_path}, line {lineno}: row range {start}..{start + n} does "
                                f"not fit the {matrix.shape[0]}-row matrix of {matrix_path.name}")
+        if uid in seen:
+            raise FeatureError(f"{index_path}, line {lineno}: utterance_id {uid!r} appears twice")
+        seen.add(uid)
         ids.append(uid)
         starts.append(start)
         lengths.append(n)
         wavs.append((int(size), digest))
-    if len(set(ids)) != len(ids):
-        raise FeatureError(f"{index_path}: an utterance_id appears twice")
     starts = np.array(starts, dtype=np.int64)
     lengths = np.array(lengths, dtype=np.int64)
     return FeatureStore(tuple(ids), matrix, starts, lengths, wavs=tuple(wavs))

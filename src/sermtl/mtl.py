@@ -14,13 +14,13 @@ from __future__ import annotations
 
 import csv
 from collections.abc import Sequence
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import nn
-from .codec import from_file_dict
+from .codec import from_dict
 from .corpus import TASK_CLASSES
 from .features import N_FEATURES, FeatureStore, Standardizer, apply_standardizer, mapped_array
 from .seeding import derive_seed
@@ -80,6 +80,14 @@ class MTLNetworkConfig:
             object.__setattr__(self, "context_frames", 25 if self.trunk == "dnn" else 1)
         if self.trunk == "lstm" and self.context_frames != 1:
             raise ValueError("LSTM trunk uses context_frames = 1")
+
+    def with_trunk(self, trunk: str) -> MTLNetworkConfig:
+        """This network on ``trunk``: another trunk gets its own context width, and its
+        own default sizes in place of the old trunk's (``replace(trunk=)`` keeps both)."""
+        if trunk == self.trunk:
+            return self
+        sizes = () if self.layer_sizes == default_layer_sizes(self.trunk) else self.layer_sizes
+        return replace(self, trunk=trunk, layer_sizes=sizes, context_frames=0)
 
     @property
     def input_width(self) -> int:
@@ -684,15 +692,16 @@ def load_model(path: str | Path) -> tuple[MultiTaskModel, TrainConfig, Standardi
     and `nn.load_checkpoint` reads the checkpoint's float32 values into it in
     place, in the file's order; no initial values are drawn. The standardizer's
     statistics are read in the same pass into new float64 arrays, exactly.
-    The header's ``network`` and ``training`` are decoded with `from_file_dict`.
-    Raises ValueError naming the parameter and ``path`` when one of the model's
-    parameters or statistics is missing or has another shape, or when the file
-    holds a parameter that is neither."""
+    The header's ``network`` and ``training`` are decoded with `from_dict`.
+    Raises ValueError naming ``path`` (as `nn.load_checkpoint` does) for a
+    header it cannot decode, and naming the parameter as well when one of the
+    model's parameters or statistics is missing or has another shape, or when
+    the file holds a parameter that is neither."""
     loaded = []
 
     def into(header):
-        config = from_file_dict(MTLNetworkConfig, header["network"], path)
-        training = from_file_dict(TrainConfig, header["training"], path)
+        config = from_dict(MTLNetworkConfig, header["network"])
+        training = from_dict(TrainConfig, header["training"])
         vector = mapped_array((sum(_layer_sizes(config)),), np.float32)
         model = MultiTaskModel(config, header["model_seed"], np.float32, vector)
         mean, std = np.empty(N_FEATURES), np.empty(N_FEATURES)

@@ -423,10 +423,11 @@ def load_checkpoint(path: str | Path, into=None) -> tuple[dict[str, np.ndarray],
     fixed-size float32 buffer, so no float32 copy of it is made.
 
     Raises ValueError naming ``path`` for a foreign, truncated or overlong file
-    (a header length past the end of the file, a blob shorter than its header
-    says, or bytes after it), for a parameter of ``into`` that the file lacks
-    or holds in another shape, and for a parameter of the file that ``into``
-    lacks.
+    (a header length past the end of the file, a header that is not the JSON
+    object `save_checkpoint` writes or that ``into`` cannot take, a blob
+    shorter than its header says, or bytes after it), for a parameter of
+    ``into`` that the file lacks or holds in another shape, and for a
+    parameter of the file that ``into`` lacks.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -436,17 +437,20 @@ def load_checkpoint(path: str | Path, into=None) -> tuple[dict[str, np.ndarray],
         (head_len,) = struct.unpack("<I", raw)
         if 4 + head_len > size:
             raise ValueError(f"checkpoint header length {head_len} exceeds the file size {size}: {path}")
-        header = json.loads(fh.read(head_len).decode("utf-8"))
-        if header.pop("format", None) != CHECKPOINT_FORMAT:
-            raise ValueError(f"not a {CHECKPOINT_FORMAT} checkpoint: {path}")
-        del header["dtype"]
-        shapes = {entry["name"]: tuple(entry["shape"]) for entry in header.pop("params")}
+        try:
+            header = json.loads(fh.read(head_len).decode("utf-8"))
+            if header.pop("format", None) != CHECKPOINT_FORMAT:
+                raise ValueError(f"not a {CHECKPOINT_FORMAT} checkpoint")
+            del header["dtype"]
+            shapes = {entry["name"]: tuple(int(n) for n in entry["shape"]) for entry in header.pop("params")}
+            targets = into(header) if into is not None else {}
+        except (AttributeError, LookupError, TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: {f'no key {exc}' if isinstance(exc, KeyError) else exc}") from None
         blob_end = 4 + head_len + 4 * sum(math.prod(shape) for shape in shapes.values())
         if blob_end > size:
             raise ValueError(f"truncated checkpoint: {path}")
         if blob_end < size:
             raise ValueError(f"trailing bytes after the parameter blob: {path}")
-        targets = into(header) if into is not None else {}
         for name, target in targets.items():
             if name not in shapes:
                 raise ValueError(f"checkpoint has no parameter {name!r}: {path}")

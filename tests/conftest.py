@@ -19,7 +19,6 @@ from sermtl.corpus import (
 # each CLI command's required flags, with placeholder values
 COMMAND_REQUIRED_FLAGS = {
     "synth": ["--out", "o"],
-    "features": ["--manifest", "m", "--out", "o"],
     "train": ["--manifest", "m", "--out", "o"],
     "hlf": ["--model", "c", "--manifest", "m", "--out", "o"],
     "elm": ["--hlf", "h", "--out", "o"],

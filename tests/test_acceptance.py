@@ -392,11 +392,6 @@ def test_criterion_10_determinism(tmp_path):
             assert cli_main(["xval", "--out", str(tmp_path / name)] + xval_args) == 0
         assert _tree_bytes(tmp_path / "x1") == _tree_bytes(tmp_path / "x2")
 
-        for name in ("f1", "f2"):
-            assert cli_main(["features", "--manifest", manifest,
-                             "--out", str(tmp_path / name)]) == 0
-        assert _tree_bytes(tmp_path / "f1") == _tree_bytes(tmp_path / "f2")
-
         for name in ("h1.csv", "h2.csv"):
             assert cli_main(["hlf", "--model", str(tmp_path / "t1" / "model.ckpt"),
                              "--manifest", manifest, "--out", str(tmp_path / name)]) == 0

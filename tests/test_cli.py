@@ -101,27 +101,28 @@ class TestSynth:
 
 
 class TestFeatures:
-    def test_extracts_and_indexes(self, cli_workspace, tmp_path):
-        _, data, _, _ = cli_workspace
-        out = tmp_path / "feats"
-        rc = main(["features", "--manifest", str(data / "manifest.csv"), "--out", str(out)])
-        assert rc == 0
-        assert sorted(p.name for p in out.iterdir()) == [
-            "config.json", "features.npy", "features_index.csv"]
-        index = (out / "features_index.csv").read_text().splitlines()
-        assert index[0] == "utterance_id,offset,n_frames,wav_bytes,wav_blake2b"
-        assert len(index) == 49  # header + 48 utterances
-        store = load_store(out)
+    """The feature store `train --out` writes, the one writer of the format."""
+
+    def test_extracts_and_indexes(self, cli_workspace):
+        _, data, run, _ = cli_workspace
+        assert sorted(p.name for p in run.iterdir()) == [
+            "config.json", "features.npy", "features_index.csv", "history.csv", "model.ckpt"]
         manifest = load_manifest(data / "manifest.csv")
-        assert store.ids == tuple(r.utterance_id for r in manifest.records)
+        (fold,) = stratified_split([manifest], seed=3)
+        used = set(fold.train_ids) | set(fold.validation_ids)
+        records = [r for r in manifest.records if r.utterance_id in used]
+        index = (run / "features_index.csv").read_text().splitlines()
+        assert index[0] == "utterance_id,offset,n_frames,wav_bytes,wav_blake2b"
+        assert len(index) == 1 + len(records) == 44  # header + the 43 training and validation utterances
+        store = load_store(run)
+        assert store.ids == tuple(r.utterance_id for r in records)
         assert store.matrix.shape == (int(store.lengths.sum()), 32)
         assert np.array_equal(store.starts, np.cumsum(store.lengths) - store.lengths)
-        wavs = [r.audio_path.read_bytes() for r in manifest.records]
+        wavs = [r.audio_path.read_bytes() for r in records]
         assert store.wavs == tuple((len(b), hashlib.blake2b(b, digest_size=32).hexdigest()) for b in wavs)
-        for i in (0, 47):
-            want = record_features(manifest.records[i])
+        for i in (0, len(records) - 1):
+            want = record_features(records[i])
             assert store.rows(i).tobytes() == want.tobytes()
-
 
     def test_ids_cannot_name_files_outside_out(self, cli_workspace, tmp_path, capsys):
         """An utterance id that climbs out of --out is refused before anything is written."""
@@ -130,7 +131,8 @@ class TestFeatures:
         records = (replace(manifest.records[0], utterance_id="../../escaped"),) + manifest.records[1:]
         path = write_manifest(CorpusManifest(records=records), tmp_path / "m" / "manifest.csv")
         out = tmp_path / "a" / "b" / "out"
-        rc = main(["features", "--manifest", str(path), "--out", str(out)])
+        rc = main(["train", "--manifest", str(path), "--out", str(out), "--layer-sizes", "4,4",
+                   "--max-epochs", "2", "--patience", "1"])
         assert rc == 1
         assert "line 2: utterance_id '../../escaped'" in capsys.readouterr().err
         written = [p for p in tmp_path.rglob("*") if p.is_file() and p != path]
@@ -358,6 +360,39 @@ class TestElm:
         assert out.exists()
         captured = capsys.readouterr().out
         assert "eval UA over 48 utterances" in captured
+
+
+class TestTrunkSwitch:
+    """`xval --config` with another `--trunk`, `xval --grid` and
+    `MTLNetworkConfig.with_trunk` switch a network's trunk by one rule: the
+    new trunk's context width, and its default sizes only in place of the old
+    trunk's defaults."""
+
+    @pytest.mark.parametrize("sizes, want", [((), {"dnn": (256, 256, 256), "lstm": (256, 256)}),
+                                             ((32, 32), {"dnn": (32, 32), "lstm": (32, 32)})],
+                             ids=["default", "custom"])
+    @pytest.mark.parametrize("trunk", ["dnn", "lstm"])
+    def test_every_route_gives_the_same_network(self, cli_workspace, tmp_path, monkeypatch,
+                                                sizes, want, trunk):
+        _, data, _, _ = cli_workspace
+        base = MTLNetworkConfig(trunk="lstm", layer_sizes=sizes)
+        config_path = tmp_path / "run" / "config.json"
+        config_path.parent.mkdir()
+        config_path.write_text(json.dumps({"pipeline": asdict(PipelineConfig(network=base))}))
+
+        def stop(*args, **kwargs):
+            raise RuntimeError("stopped before training")
+
+        monkeypatch.setattr(experiment, "run_experiment", stop)
+        out = tmp_path / "replayed"
+        assert main(["xval", "--manifest", str(data / "manifest.csv"), "--config", str(config_path),
+                     "--trunk", trunk, "--out", str(out)]) == 1
+        replayed = from_dict(MTLNetworkConfig, json.loads((out / "config.json").read_text())["pipeline"]["network"])
+        in_grid = experiment.grid_networks(base)[experiment.grid_config_name(trunk, base.subtask_mode)]
+        assert replayed == in_grid == base.with_trunk(trunk)
+        assert replayed.layer_sizes == want[trunk]
+        assert replayed.context_frames == (25 if trunk == "dnn" else 1)
+        assert (base.with_trunk(trunk) is base) == (trunk == base.trunk)
 
 
 class TestXval:
@@ -753,8 +788,9 @@ class TestSampleRateCheck:
         records[0] = replace(records[0], audio_path=tmp_path / "slow.wav")
         return write_manifest(CorpusManifest(records=tuple(records)), tmp_path / "manifest.csv")
 
-    def test_features_rejects_mismatch(self, mixed_rate_manifest, tmp_path, capsys):
-        rc = main(["features", "--manifest", str(mixed_rate_manifest), "--out", str(tmp_path / "f")])
+    def test_xval_rejects_mismatch(self, mixed_rate_manifest, tmp_path, capsys):
+        rc = main(["xval", "--manifest", str(mixed_rate_manifest), "--out", str(tmp_path / "x"),
+                   "--protocol", "within", "--layer-sizes", "4,4", "--max-epochs", "2", "--patience", "1"])
         assert rc == 1
         assert "sample rate 8000 != manifest 16000" in capsys.readouterr().err
 
@@ -773,7 +809,6 @@ _TRAINING_FLAGS = {"batch_size", "lr", "dropout_p", "max_epochs", "patience",
 _CONFIG_FLAGS = {
     "synth": ((SynthConfig,), {"seed", "n_corpora", "speakers_per_corpus",
                                "utterances_per_speaker", "duration_s"}),
-    "features": ((), set()),
     "train": ((MTLNetworkConfig, TrainConfig), {"seed"} | _NETWORK_FLAGS | _TRAINING_FLAGS),
     "hlf": ((), set()),
     "elm": ((ELMConfig,), {"n_hidden", "ridge", "seed"}),
@@ -859,16 +894,17 @@ class TestCliErrors:
         assert main(["synth", "--out", "x", "--bogus"]) == 2
         capsys.readouterr()
 
-    @pytest.mark.parametrize("argv", [["features", "--csv"], ["hlf", "--theta", "0.3"]])
+    @pytest.mark.parametrize("argv", [["features", "--manifest", "m", "--out", "o"],
+                                      ["hlf", *COMMAND_REQUIRED_FLAGS["hlf"], "--theta", "0.3"]])
     def test_removed_flags_exit_two(self, capsys, argv):
-        """``features`` writes only its store, and ``hlf`` uses the paper's threshold."""
-        command, *flags = argv
-        assert main([command, *COMMAND_REQUIRED_FLAGS[command], *flags]) == 2
-        assert "unrecognized arguments" in capsys.readouterr().err
+        """``train --out`` writes the feature store, and ``hlf`` uses the paper's threshold."""
+        assert main(argv) == 2
+        refused = {"features": "invalid choice: 'features'", "hlf": "unrecognized arguments: --theta 0.3"}
+        assert refused[argv[0]] in capsys.readouterr().err
 
     def test_stage_error_exits_one(self, tmp_path, capsys):
         """Without ``--debug`` a failing stage prints one ``error:`` line and no traceback."""
-        rc = main(["features", "--manifest", str(tmp_path / "missing.csv"),
+        rc = main(["train", "--manifest", str(tmp_path / "missing.csv"),
                    "--out", str(tmp_path / "o")])
         assert rc == 1
         err = capsys.readouterr().err
@@ -934,22 +970,21 @@ class TestCliErrors:
 
     def test_debug_reraises_with_traceback(self, tmp_path, capsys):
         with pytest.raises(ManifestError, match="manifest not found") as raised:
-            main(["--debug", "features", "--manifest", str(tmp_path / "missing.csv"),
+            main(["--debug", "train", "--manifest", str(tmp_path / "missing.csv"),
                   "--out", str(tmp_path / "o")])
         frames = [entry.name for entry in raised.traceback]
-        assert "cmd_features" in frames and frames[-1] == "load_manifest"
+        assert "cmd_train" in frames and frames[-1] == "load_manifest"
         assert capsys.readouterr().err == ""
 
 
-@pytest.mark.parametrize("command", ["hlf", "features"])
+@pytest.mark.parametrize("command", ["hlf"])
 def test_commands_that_draw_nothing_load_no_rng_or_openssl(cli_workspace, tmp_path, command):
-    """`hlf` and `features` draw no random numbers, so a fresh interpreter
-    running either loads neither `numpy.random` nor `hashlib` (whose `_hashlib`
-    maps OpenSSL's libcrypto)."""
+    """`hlf` draws no random numbers, so a fresh interpreter running it loads
+    neither `numpy.random` nor `hashlib` (whose `_hashlib` maps OpenSSL's
+    libcrypto), though it reads the store beside the model and digests WAVs."""
     _, data, run, _ = cli_workspace
-    argv = {"hlf": ["hlf", "--model", str(run / "model.ckpt"), "--out", str(tmp_path / "hlf.csv")],
-            "features": ["features", "--out", str(tmp_path / "feats")]}[command]
-    argv += ["--manifest", str(data / "manifest.csv")]
+    argv = [command, "--model", str(run / "model.ckpt"), "--out", str(tmp_path / "hlf.csv"),
+            "--manifest", str(data / "manifest.csv")]
     script = ("import json, sys\nfrom sermtl.cli import main\nrc = main(sys.argv[1:])\n"
               "print(json.dumps([rc, sorted({'hashlib', '_hashlib', 'numpy.random'} & set(sys.modules))]))")
     src = Path(__file__).resolve().parents[1] / "src"

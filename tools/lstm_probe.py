@@ -13,6 +13,7 @@ BLAS runs on one thread, except in the second pass of ``step`` and of ``score``.
     python3 tools/lstm_probe.py xval --manifest M --out DIR --jobs N [xval flags...]
     python3 tools/lstm_probe.py features --manifest M --jobs N  # the front-end alone
     python3 tools/lstm_probe.py embed N ITERS  # `tsne_embed` of N random 16-d points, ITERS iterations
+    python3 tools/lstm_probe.py fold --manifest M --trunk {lstm,dnn} [--max-epochs N] [--patience N]
 
 ``step`` also prints the sha256 of its losses and gradient vector, and
 ``score`` that of its posteriors, so two checkouts can be compared bit for
@@ -36,6 +37,17 @@ the store is read for its sha256. ``embed`` reports the seconds per
 evaluation (one call of `kl_and_gradient`, which `tsne_embed` calls once
 per point it tries) after the affinities, the peak `tsne_embed` added, its
 final KL and the sha256 of the embedding.
+
+``fold`` runs fold 0 of the cross-corpus protocol over the manifest as a
+serial ``sermtl xval`` runs it (seed 0, the paper's layer sizes for
+``--trunk``), then `tsne_embed` of the fold's HLF table (its training rows,
+then its test rows) at `TsneConfig`'s defaults. It reports each stage's wall
+time and the largest resident set this process reached in it (sampled every
+5 ms on a thread of its own): the front-end, the standardizer's fit and the
+standardized copy, each epoch's training and validation, the posteriors, the
+HLF reduction, the ELM's fit and prediction, and ``embed``. It also prints
+each stage's share of the fold (``embed`` excluded) and the sha256 of the fold
+record, which two runs on one machine must repeat.
 """
 from __future__ import annotations
 
@@ -44,16 +56,17 @@ import os
 import resource
 import sys
 import tempfile
+import threading
 import time
 import traceback
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
 
-from sermtl import blas, cli, nn, tsne
-from sermtl.corpus import load_manifest
-from sermtl.experiment import extract_feature_cache
+from sermtl import blas, cli, experiment, mtl, nn, tsne
+from sermtl.corpus import load_manifest, make_folds
+from sermtl.experiment import PipelineConfig, extract_feature_cache
 from sermtl.features import N_FEATURES, FeatureStore, Standardizer, load_store, save_store
 from sermtl.mtl import (MTLNetworkConfig, MultiTaskModel, TrainConfig, TrainedModel, load_model,
                         posteriors_in_blocks, save_model)
@@ -250,6 +263,128 @@ def probe_embed(n: int, iters: int) -> dict:
             "embedding_sha256": _sha256(out["y"].tobytes())}
 
 
+class _Peaks:
+    """This process's resident set, sampled every ``interval`` seconds on a
+    thread of its own, so a stage can report the largest it reached."""
+
+    def __init__(self, interval: float = 0.005):
+        self._high, self._stop, self._lock = _rss_mb(), threading.Event(), threading.Lock()
+        self._thread = threading.Thread(target=self._sample, args=(interval,), daemon=True)
+        self._thread.start()
+
+    def _sample(self, interval: float) -> None:
+        while not self._stop.wait(interval):
+            with self._lock:  # so a `reset` is never overwritten by an older high
+                self._high = max(self._high, _rss_mb())
+
+    def reset(self) -> None:
+        with self._lock:
+            self._high = _rss_mb()
+
+    def high(self) -> float:
+        return max(self._high, _rss_mb())
+
+    def stop(self) -> None:
+        self._stop.set()
+        self._thread.join()
+
+
+def probe_fold(manifest: str, trunk: str, max_epochs: int, patience: int) -> dict:
+    """Fold 0 of a cross-corpus `xval` over ``manifest``, stage by stage, then `embed` of its HLF table."""
+    peaks, stages, tables = _Peaks(), [], []
+    hlf_busy = [0.0]
+    mark = [0.0]  # where the current epoch's training began
+
+    def stage(name, start, **extra):
+        stages.append({"stage": name, "wall_s": round(time.perf_counter() - start, 3),
+                       "peak_rss_mb": round(peaks.high(), 1), **extra})
+        peaks.reset()
+
+    def timed(module, name, label):
+        original = getattr(module, name)
+
+        def run(*args, **kwargs):
+            peaks.reset()
+            start = time.perf_counter()
+            result = original(*args, **kwargs)
+            stage(label, start)
+            return result
+        return module, name, run
+
+    def training(*args, **kwargs):
+        peaks.reset()
+        mark[0] = time.perf_counter()
+        return train(*args, **kwargs)
+
+    def validation(*args, **kwargs):
+        epoch = sum(s["stage"] == "validation" for s in stages)
+        stage("train", mark[0], epoch=epoch)
+        start = time.perf_counter()
+        result = dataset_losses(*args, **kwargs)
+        stage("validation", start, epoch=epoch)
+        mark[0] = time.perf_counter()
+        return result
+
+    def hlf_table(*args, **kwargs):
+        # the posterior pass and the HLF reduction are interleaved: the HLF's time is summed apart
+        peaks.reset()
+        busy, start = hlf_busy[0], time.perf_counter()
+        table = hlf_matrix(*args, **kwargs)
+        hlf_s = hlf_busy[0] - busy
+        stages.append({"stage": "posteriors", "wall_s": round(time.perf_counter() - start - hlf_s, 3),
+                       "peak_rss_mb": round(peaks.high(), 1), "utterances": len(table)})
+        stages.append({"stage": "hlf", "wall_s": round(hlf_s, 3), "utterances": len(table)})
+        tables.append(table)
+        return table
+
+    def reduce(posteriors):
+        start = time.perf_counter()
+        result = compute_hlf(posteriors)
+        hlf_busy[0] += time.perf_counter() - start
+        return result
+
+    train, dataset_losses = experiment.train, mtl._dataset_losses
+    hlf_matrix, compute_hlf = experiment.hlf_matrix, experiment.compute_hlf
+    patches = [timed(experiment, "fit_standardizer", "standardize_fit"),
+               timed(experiment, "standardized", "standardize_apply"),
+               timed(experiment, "elm_fit", "elm_fit"), timed(experiment, "elm_predict", "elm_predict"),
+               (experiment, "train", training), (mtl, "_dataset_losses", validation),
+               (experiment, "hlf_matrix", hlf_table), (experiment, "compute_hlf", reduce)]
+    originals = [(module, name, getattr(module, name)) for module, name, _ in patches]
+    manifests = [load_manifest(manifest)]
+    config = PipelineConfig(protocol="cross", network=MTLNetworkConfig(trunk=trunk),
+                            training=TrainConfig(max_epochs=max_epochs, patience=patience))
+    fold = make_folds(manifests, config.protocol, config.group_key, config.seed)[0]
+    try:
+        for module, name, wrapper in patches:
+            setattr(module, name, wrapper)
+        start = time.perf_counter()
+        store = extract_feature_cache(manifests[0].records)  # a serial `xval` extracts in-process
+        stage("front_end", start, utterances=len(store), frames=int(store.lengths.sum()))
+        with blas.one_thread():  # as `cli.main` and `experiment._fold_worker` run a serial fold
+            result = experiment._run_fold(0, fold, store, config)
+    finally:
+        for module, name, original in originals:
+            setattr(module, name, original)
+    fold_s = sum(s["wall_s"] for s in stages)
+    table = np.concatenate(tables)  # the training utterances' rows, then the test utterances'
+    peaks.reset()
+    start = time.perf_counter()
+    with blas.one_thread():
+        embedding, trace = tsne.tsne_embed(table, tsne.TsneConfig())
+    stage("embed", start, utterances=len(table))
+    peaks.stop()
+    for s in stages[:-1]:
+        s["share"] = round(s["wall_s"] / fold_s, 4)
+    record = json.dumps(asdict(result), sort_keys=True).encode()
+    return {"probe": "fold", "manifest": manifest, "trunk": trunk, "layer_sizes": config.network.layer_sizes,
+            "max_epochs": max_epochs, "patience": patience, "test_group": fold.test_group,
+            "n_train": len(fold.train_ids), "n_val": len(fold.validation_ids), "n_test": len(fold.test_ids),
+            "epochs_run": result.epochs_run, "ua": result.ua, "fold_s": round(fold_s, 2),
+            "peak_rss_mb": round(_peak_mb(), 1), "stages": stages, "fold_record_sha256": _sha256(record),
+            "embed_final_kl": float(trace[-1]), "embedding_sha256": _sha256(embedding.tobytes())}
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     probes = {"step": probe_step, "layer": probe_layer, "score": probe_score}
@@ -259,11 +394,16 @@ def main(argv=None) -> int:
         result = probe_features(argv[2], int(argv[4]))
     elif len(argv) == 3 and argv[0] == "embed":
         result = probe_embed(int(argv[1]), int(argv[2]))
+    elif argv[:1] == ["fold"] and len(argv) % 2 and {"--manifest", "--trunk"} <= set(argv[1::2]):
+        flags = dict(zip(argv[1::2], argv[2::2]))
+        result = probe_fold(flags["--manifest"], flags["--trunk"], int(flags.get("--max-epochs", 3)),
+                            int(flags.get("--patience", 2)))
     elif len(argv) == 1 and argv[0] in probes:
         result = probes[argv[0]]()
     else:
         print("usage: lstm_probe.py {step | layer | score | xval XVAL_ARGS... "
-              "| features --manifest M --jobs N | embed N ITERS}", file=sys.stderr)
+              "| features --manifest M --jobs N | embed N ITERS "
+              "| fold --manifest M --trunk T [--max-epochs N] [--patience N]}", file=sys.stderr)
         return 2
     print(json.dumps(result, sort_keys=True))
     return 0
