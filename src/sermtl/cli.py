@@ -88,8 +88,18 @@ def _emotion_targets(labels) -> np.ndarray:
                     dtype=np.int64)
 
 
-def _decode(cls, path):
-    return from_file_dict(cls, json.loads(Path(path).read_text(encoding="utf-8")), path)
+def _decode(cls, path, section: str | None = None):
+    """The ``cls`` that the JSON file at ``path`` holds, or holds under the key
+    ``section``; every refusal names the file."""
+    try:
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    if section is not None:
+        if not isinstance(data, dict) or section not in data:
+            raise ValueError(f"{path} has no {section!r} section")
+        data = data[section]
+    return from_file_dict(cls, data, path)
 
 
 def _add_network_flags(sub):
@@ -182,15 +192,20 @@ def cmd_hlf(args) -> int:
 
 def cmd_elm(args) -> int:
     ids, x, labels = hlf_mod.read_hlf_csv(args.hlf)
+    # read before the fit, so a bad eval table leaves no model behind
+    evaluated = None if args.eval is None else hlf_mod.read_hlf_csv(args.eval)
     config = _config(args, ELMConfig())
-    model = elm_fit(x, one_hot(_emotion_targets(labels), len(EMOTION_CLASSES)), config)
+    try:
+        model = elm_fit(x, one_hot(_emotion_targets(labels), len(EMOTION_CLASSES)), config)
+    except ValueError as exc:  # too few rows
+        raise ValueError(f"{args.hlf}: {exc}") from None
     out_path = Path(args.out)
     save_elm(out_path, model)
     _write_config(_sidecar(out_path), {"command": "elm", "hlf": _absolute(args.hlf),
                                        "eval": _absolute(args.eval), **asdict(config)})
     print(f"fit ELM ({config.n_hidden} hidden units) on {len(ids)} utterances -> {out_path}")
-    if args.eval is not None:
-        eval_ids, eval_x, eval_labels = hlf_mod.read_hlf_csv(args.eval)
+    if evaluated is not None:
+        eval_ids, eval_x, eval_labels = evaluated
         _, predictions = elm_predict(model, eval_x)
         cm = metrics_mod.confusion_matrix(_emotion_targets(eval_labels), predictions)
         ua = metrics_mod.unweighted_accuracy(cm)
@@ -203,11 +218,7 @@ def cmd_elm(args) -> int:
 
 def cmd_xval(args) -> int:
     if args.config is not None:
-        saved = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        if "pipeline" not in saved:
-            raise ValueError(f"{args.config} has no 'pipeline' section; "
-                             "xval --config takes the config.json of an xval run")
-        base = from_file_dict(exp_mod.PipelineConfig, saved["pipeline"], args.config)
+        base = _decode(exp_mod.PipelineConfig, args.config, section="pipeline")
     else:
         base = exp_mod.PipelineConfig()
     config = _config(args, base)  # protocol, seed and group_key
@@ -247,7 +258,10 @@ def cmd_xval(args) -> int:
 def cmd_embed(args) -> int:
     ids, x, labels = hlf_mod.read_hlf_csv(args.input)
     config = _config(args, tsne_mod.TsneConfig())
-    embedding, trace = tsne_mod.tsne_embed(x, config)
+    try:
+        embedding, trace = tsne_mod.tsne_embed(x, config)
+    except ValueError as exc:  # too few rows for the perplexity
+        raise ValueError(f"{args.input}: {exc}") from None
     out_path = Path(args.out)
     tsne_mod.write_embedding_csv(out_path, ids, embedding, labels)
     if args.svg is not None:
@@ -261,7 +275,10 @@ def cmd_embed(args) -> int:
 def cmd_report(args) -> int:
     if args.compare is not None:
         report_a, report_b = (_decode(exp_mod.ExperimentReport, path) for path in args.compare)
-        result = exp_mod.compare_reports(report_a, report_b)
+        try:
+            result = exp_mod.compare_reports(report_a, report_b)
+        except ValueError as exc:
+            raise ValueError(f"{args.compare[0]}, {args.compare[1]}: {exc}") from None
         print(json.dumps(result, sort_keys=True, indent=2))
         return 0
     run_dir = Path(args.run)
@@ -270,6 +287,9 @@ def cmd_report(args) -> int:
     if grid_path.exists():
         grid = _decode(exp_mod.GridReport, grid_path)
         names = grid.config_names
+        for name in names:
+            if name not in grid.ua_table or name not in grid.mean_ua:
+                raise ValueError(f"{grid_path}: no UA table or mean UA for {name!r}")
         print("test_group " + " ".join(f"{n:>18s}" for n in names))
         for group in grid.test_groups:
             cells = []

@@ -434,8 +434,7 @@ def run_experiment(manifests, config: PipelineConfig, jobs: int = 1) -> Experime
 
 
 def compare_reports(report_a: ExperimentReport, report_b: ExperimentReport) -> dict:
-    """Wilcoxon comparison of per-fold UAs between two runs over the same folds;
-    equal UAs on every fold give the ``degenerate`` result."""
+    """Wilcoxon comparison of per-fold UAs between two runs over the same folds."""
     groups_a = [f.test_group for f in report_a.folds]
     groups_b = [f.test_group for f in report_b.folds]
     if groups_a != groups_b:
@@ -444,10 +443,6 @@ def compare_reports(report_a: ExperimentReport, report_b: ExperimentReport) -> d
     ua_b = [f.ua for f in report_b.folds]
     if any(u is None for u in ua_a + ua_b):
         raise ValueError("cannot compare reports with incomplete folds")
-    if ua_a == ua_b:
-        return {"w_plus": 0.0, "w_minus": 0.0, "n": 0, "p_value": 1.0,
-                "significant": False, "method": "degenerate",
-                "note": "all differences zero"}
     return asdict(metrics.wilcoxon_signed_rank(ua_a, ua_b))
 
 

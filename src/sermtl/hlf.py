@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import csv
+import io
 from pathlib import Path
 
 import numpy as np
@@ -71,35 +72,45 @@ def write_hlf_csv(path: str | Path, rows) -> Path:
 def read_hlf_csv(path: str | Path):
     """Read an HLF table back as (ids, matrix, labels dict of column lists).
 
-    Raises ValueError naming ``path`` for an empty table or another header,
-    and naming the line too for a row of another length, a feature that is not
-    a number, or a task label that is not one of its `TASK_CLASSES`."""
+    Raises ValueError naming ``path`` for an empty table, and naming the line
+    too for another header, bytes that are not UTF-8 or text that is not CSV,
+    a row of another length, a feature that is not a number, or a task label
+    that is not one of its `TASK_CLASSES`."""
     expected = ("utterance_id",) + HLF_FEATURE_NAMES + _LABEL_COLUMNS
     ids: list[str] = []
     vectors: list[list[float]] = []
     labels: dict[str, list[str]] = {name: [] for name in _LABEL_COLUMNS}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"{path}, line {line}: {exc}") from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
         header = next(reader, None)
         if header is None:
             raise ValueError(f"empty HLF table: {path}")
         if tuple(header) != expected:
-            raise ValueError(f"unexpected HLF header in {path}")
-        for lineno, row in enumerate(reader, start=2):
+            raise ValueError(f"{path}, line 1: unexpected HLF header")
+        for row in reader:
             if not row:
                 continue
             if len(row) != len(expected):
-                raise ValueError(f"{path}, line {lineno}: expected {len(expected)} fields, got {len(row)}")
+                raise ValueError(f"{path}, line {reader.line_num}: "
+                                 f"expected {len(expected)} fields, got {len(row)}")
             values = dict(zip(_LABEL_COLUMNS, row[1 + HLF_DIM :]))
             try:
                 vectors.append([float(v) for v in row[1 : 1 + HLF_DIM]])
                 for task in TASK_CLASSES:
                     parse_label(task, values[task])
             except ValueError as exc:
-                raise ValueError(f"{path}, line {lineno}: {exc}") from None
+                raise ValueError(f"{path}, line {reader.line_num}: {exc}") from None
             ids.append(row[0])
             for name, value in values.items():
                 labels[name].append(value)
+    except csv.Error as exc:
+        raise ValueError(f"{path}, line {reader.line_num}: {exc}") from None
     if not ids:
         raise ValueError(f"empty HLF table: {path}")
     return ids, np.array(vectors), labels

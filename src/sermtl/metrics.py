@@ -1,14 +1,12 @@
 """Evaluation metrics: confusion matrices, unweighted accuracy, and the
-Wilcoxon signed-rank paired test (exact for small n, normal approximation
-with continuity correction otherwise)."""
+Wilcoxon signed-rank paired test with an exact p-value for every n."""
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-EXACT_WILCOXON_MAX_N = 20
+ALPHA = 0.05  # the significance level of `wilcoxon_signed_rank`
 
 
 def confusion_matrix(true_labels, predicted_labels, n_classes: int = 4) -> np.ndarray:
@@ -49,7 +47,6 @@ class WilcoxonResult:
     n: int
     p_value: float
     significant: bool
-    method: str
 
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:
@@ -66,34 +63,15 @@ def _average_ranks(values: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def _exact_two_sided_p(ranks: np.ndarray, w_plus: float) -> float:
-    """Exact two-sided p over all 2^n sign assignments of the observed ranks.
-
-    Computed by dynamic programming over doubled ranks (ties give half-integer
-    ranks, so doubling keeps everything integral); the resulting distribution
-    is identical to full enumeration.
-    """
-    doubled = np.rint(2.0 * ranks).astype(np.int64)
-    total = int(doubled.sum())
-    counts = np.zeros(total + 1, dtype=np.float64)
-    counts[0] = 1.0
-    for r in doubled:
-        r = int(r)
-        counts[r:] += counts[: total + 1 - r].copy()
-    observed = int(round(2.0 * w_plus))
-    deviation = abs(2 * observed - total)
-    sums = np.arange(total + 1)
-    tail = counts[np.abs(2 * sums - total) >= deviation].sum()
-    return float(tail / 2.0 ** len(ranks))
-
-
-def wilcoxon_signed_rank(scores_a, scores_b, alpha: float = 0.05) -> WilcoxonResult:
-    """Two-sided Wilcoxon signed-rank test on paired scores.
+def wilcoxon_signed_rank(scores_a, scores_b) -> WilcoxonResult:
+    """Two-sided Wilcoxon signed-rank test on paired scores, significant below `ALPHA`.
 
     Zero differences are dropped and tied absolute differences receive
-    averaged ranks. For n <= 20 the p-value is exact over all sign
-    assignments; beyond that a normal approximation with continuity
-    correction (and the usual tie correction) is used.
+    averaged ranks. The p-value is exact over all 2^n sign assignments of the
+    ranks: dynamic programming over doubled ranks (ties give half-integer
+    ranks, so doubling keeps everything integral) gives the distribution of
+    full enumeration. Halving it after each rank is exact (a power of two) and
+    cannot overflow; no rank (equal scores throughout) leaves p = 1.
     """
     a = np.asarray(scores_a, dtype=np.float64)
     b = np.asarray(scores_b, dtype=np.float64)
@@ -101,33 +79,16 @@ def wilcoxon_signed_rank(scores_a, scores_b, alpha: float = 0.05) -> WilcoxonRes
         raise ValueError("paired score vectors must be 1-D and of equal length")
     diffs = a - b
     diffs = diffs[diffs != 0.0]
-    n = diffs.size
-    if n == 0:
-        raise ValueError("all differences zero")
-    abs_diffs = np.abs(diffs)
-    ranks = _average_ranks(abs_diffs)
+    ranks = _average_ranks(np.abs(diffs))
+    doubled = np.rint(2.0 * ranks).astype(np.int64)
+    total = int(doubled.sum())
+    probs = np.zeros(total + 1)
+    probs[0] = 1.0
+    for r in doubled:
+        probs[r:] += probs[: total + 1 - r].copy()
+        probs *= 0.5
     w_plus = float(ranks[diffs > 0].sum())
-    w_minus = float(ranks[diffs < 0].sum())
-
-    if n <= EXACT_WILCOXON_MAX_N:
-        p = _exact_two_sided_p(ranks, w_plus)
-        method = "exact"
-    else:
-        mu = n * (n + 1) / 4.0
-        var = n * (n + 1) * (2 * n + 1) / 24.0
-        _, tie_counts = np.unique(abs_diffs, return_counts=True)
-        var -= float(np.sum(tie_counts**3 - tie_counts)) / 48.0
-        if var <= 0:
-            raise ValueError("degenerate rank variance")
-        dev = w_plus - mu
-        z = (dev - 0.5 * np.sign(dev)) / math.sqrt(var)
-        p = min(1.0, math.erfc(abs(z) / math.sqrt(2.0)))
-        method = "normal"
-    return WilcoxonResult(
-        w_plus=w_plus,
-        w_minus=w_minus,
-        n=n,
-        p_value=p,
-        significant=bool(p < alpha),
-        method=method,
-    )
+    deviation = abs(2 * int(round(2.0 * w_plus)) - total)
+    p = float(probs[np.abs(2 * np.arange(total + 1) - total) >= deviation].sum())
+    return WilcoxonResult(w_plus=w_plus, w_minus=float(ranks[diffs < 0].sum()), n=diffs.size,
+                          p_value=p, significant=bool(p < ALPHA))

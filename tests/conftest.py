@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from sermtl.corpus import (
     CorpusManifest,
@@ -60,6 +61,42 @@ def with_list_chunk(wav: bytes, size: int) -> bytes:
     (``size`` even) between its fmt and data chunks, and the RIFF size updated."""
     body = wav[12:36] + b"LIST" + struct.pack("<I", size) + bytes(size) + wav[36:]
     return b"RIFF" + struct.pack("<I", 4 + len(body)) + b"WAVE" + body
+
+
+TEXT_DAMAGE = ("truncate", "drop_line", "add_line", "drop_field", "add_field", "edit_header")
+
+
+def damage_text(draw, data: bytes, kinds=TEXT_DAMAGE) -> tuple[bytes, int | None]:
+    """The ASCII text ``data`` damaged by one of ``kinds``, and the line (1-based)
+    whose contents it changed, if one: cut short, a line dropped or repeated
+    elsewhere, a comma-separated field of a line dropped or repeated, a byte of
+    the first line replaced, or (``non_utf8``) a byte that is not UTF-8 inserted."""
+    kind = draw(st.sampled_from(kinds))
+    if kind == "truncate":
+        return data[: draw(st.integers(0, len(data) - 1))], None
+    if kind == "non_utf8":
+        at = draw(st.integers(0, len(data)))
+        return data[:at] + bytes([draw(st.integers(0x80, 0xFF))]) + data[at:], data.count(b"\n", 0, at) + 1
+    lines = data.decode("utf-8").splitlines()
+    i = draw(st.integers(0, len(lines) - 1))
+    if kind == "drop_line":
+        del lines[i]
+    elif kind == "add_line":
+        lines.insert(draw(st.integers(0, len(lines))), lines[i])
+    elif kind == "edit_header":
+        at = draw(st.integers(0, len(lines[0]) - 1))
+        lines[0] = lines[0][:at] + draw(st.characters(min_codepoint=32, max_codepoint=126)) + lines[0][at + 1 :]
+        i = 0
+    else:
+        fields = lines[i].split(",")
+        k = draw(st.integers(0, len(fields) - 1))
+        if kind == "drop_field":
+            del fields[k]
+        else:
+            fields.insert(k, fields[k])
+        lines[i] = ",".join(fields)
+    changed = i + 1 if kind in ("drop_field", "add_field", "edit_header") else None
+    return ("\n".join(lines) + "\n").encode("utf-8"), changed
 
 
 @pytest.fixture(scope="session")

@@ -563,7 +563,7 @@ class TestEmbedAndReport:
         vectors = np.random.default_rng(0).normal(size=(len(records), HLF_DIM))
         table = write_hlf_csv(tmp_path / "hlf.csv", ((r.utterance_id, v, r) for r, v in zip(records, vectors)))
         assert main(["embed", "--input", str(table), "--out", str(tmp_path / "e.csv")]) == 1
-        assert capsys.readouterr().err == ("error: need at least 3*perplexity=90 points, got 64; "
+        assert capsys.readouterr().err == (f"error: {table}: need at least 3*perplexity=90 points, got 64; "
                                            "a perplexity of at most 21 fits them\n")
         assert main(["embed", "--input", str(table), "--out", str(tmp_path / "e.csv"),
                      "--perplexity", "21", "--iters", "50"]) == 0
@@ -581,8 +581,8 @@ class TestEmbedAndReport:
         rendered = capsys.readouterr().out
         assert "mean UA" in rendered
         assert main(["report", "--compare", str(out / "report.json"), str(out / "report.json")]) == 0
-        compared = capsys.readouterr().out
-        assert "all differences zero" in compared
+        compared = json.loads(capsys.readouterr().out)
+        assert compared == {"w_plus": 0.0, "w_minus": 0.0, "n": 0, "p_value": 1.0, "significant": False}
 
 
 class TestSidecarConfigs:

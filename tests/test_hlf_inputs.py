@@ -23,12 +23,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import damage_text
 from sermtl.cli import main
 from sermtl.features import STORE_INDEX, STORE_MATRIX
 
 # the damaged file of each target, by its name in the run directory or beside the WAVs
 _FILES = {"manifest": "manifest.csv", "model": "model.ckpt", "index": STORE_INDEX, "matrix": STORE_MATRIX}
-_TEXT_DAMAGE = ("truncate", "drop_line", "add_line", "drop_field", "add_field", "edit_header")
 
 
 @pytest.fixture(scope="module")
@@ -64,29 +64,7 @@ def _damage(draw, target: str, data: bytes) -> tuple[bytes, int | None]:
         at = draw(st.integers(0, _header_end(target, data) - 1))
         byte = draw(st.integers(0, 255).filter(lambda b: b != data[at]))
         return data[:at] + bytes([byte]) + data[at + 1 :], None
-    kind = draw(st.sampled_from(_TEXT_DAMAGE))
-    if kind == "truncate":
-        return data[: draw(st.integers(0, len(data) - 1))], None
-    lines = data.decode("utf-8").splitlines()
-    i = draw(st.integers(0, len(lines) - 1))
-    if kind == "drop_line":
-        del lines[i]
-    elif kind == "add_line":
-        lines.insert(draw(st.integers(0, len(lines))), lines[i])
-    elif kind == "edit_header":
-        at = draw(st.integers(0, len(lines[0]) - 1))
-        lines[0] = lines[0][:at] + draw(st.characters(min_codepoint=32, max_codepoint=126)) + lines[0][at + 1 :]
-        i = 0
-    else:
-        fields = lines[i].split(",")
-        k = draw(st.integers(0, len(fields) - 1))
-        if kind == "drop_field":
-            del fields[k]
-        else:
-            fields.insert(k, fields[k])
-        lines[i] = ",".join(fields)
-    changed = i + 1 if kind in ("drop_field", "add_field", "edit_header") else None
-    return ("\n".join(lines) + "\n").encode("utf-8"), changed
+    return damage_text(draw, data)
 
 
 def _hlf(model: Path, manifest: Path, out: Path) -> tuple[int, str]:

@@ -109,7 +109,6 @@ class TestWilcoxon:
         assert result.w_plus == 15
         assert result.p_value == 2.0 / 32.0
         assert not result.significant
-        assert result.method == "exact"
 
     def test_antisymmetric_differences(self):
         result = wilcoxon_signed_rank([0, 0, 1, 2], [2, 1, 0, 0])
@@ -134,9 +133,13 @@ class TestWilcoxon:
             base = rng.normal(size=18)
             shifted = base + rng.normal(0.3, 0.5, 18)
             exact = wilcoxon_signed_rank(shifted, base)
-            assert exact.method == "exact"
             approx = _normal_branch_p(shifted - base)
             assert abs(exact.p_value - approx) < 0.02
+        base = rng.normal(size=100)
+        shifted = base + rng.normal(0.03, 0.5, 100)
+        exact = wilcoxon_signed_rank(shifted, base)
+        assert exact.n == 100 and 0.001 < exact.p_value < 0.999
+        assert abs(exact.p_value - _normal_branch_p(shifted - base)) < 0.01
 
     def test_swap_symmetry(self):
         rng = np.random.default_rng(4)
@@ -147,17 +150,30 @@ class TestWilcoxon:
         assert r1.p_value == pytest.approx(r2.p_value, abs=1e-12)
         assert r1.w_plus == r2.w_minus
 
-    def test_normal_branch_used_beyond_twenty(self):
-        rng = np.random.default_rng(5)
-        a = rng.normal(size=40)
-        b = a + rng.normal(0.5, 0.3, 40)
-        result = wilcoxon_signed_rank(a, b)
-        assert result.method == "normal"
-        assert result.significant
+    @pytest.mark.parametrize("n", [21, 22])
+    def test_exact_beyond_twenty_matches_enumeration(self, n):
+        """Tied ranks and dropped zeros at n = 21 and 22, against the sums of
+        all 2^n sign patterns (pattern i gives rank k a plus sign if bit k of i
+        is set)."""
+        rng = np.random.default_rng(n)
+        nonzero = rng.integers(1, 7, n) * rng.choice([-1.0, 1.0], n)
+        diffs = np.insert(nonzero, [0, n // 2, n], 0.0)
+        ranks = _average_ranks(np.abs(nonzero))
+        doubled = np.rint(2.0 * ranks).astype(np.int64)
+        sums = np.zeros(1, dtype=np.int64)
+        for r in doubled:
+            sums = np.concatenate([sums, sums + r])
+        observed = int(doubled[nonzero > 0].sum())
+        total = int(doubled.sum())
+        hits = np.count_nonzero(np.abs(2 * sums - total) >= abs(2 * observed - total))
+        got = wilcoxon_signed_rank(diffs, np.zeros(diffs.size))
+        assert got.n == n and len(np.unique(np.abs(nonzero))) < n
+        assert got.w_plus == observed / 2.0
+        assert got.p_value == hits / 2.0**n
 
     def test_all_zero_differences(self):
-        with pytest.raises(ValueError, match="all differences zero"):
-            wilcoxon_signed_rank([1.0, 2.0], [1.0, 2.0])
+        result = wilcoxon_signed_rank([1.0, 2.0], [1.0, 2.0])
+        assert result == WilcoxonResult(w_plus=0.0, w_minus=0.0, n=0, p_value=1.0, significant=False)
 
     def test_zeros_dropped(self):
         result = wilcoxon_signed_rank([1, 2, 3, 0, 0], [0, 0, 0, 0, 0])

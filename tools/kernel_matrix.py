@@ -14,7 +14,10 @@ Zen, Sandybridge, Nehalem and Prescott), with
 the kernel asked for, the core name the library reports
 (``scipy_openblas_get_corename64_`` in numpy's wheels, ``openblas_get_corename``
 in system builds) and the counts of passed and failed tests. The children run
-one after another.
+one after another. Each child's hypothesis example database starts empty in a
+directory of its own, and its seed is fixed, so the counts repeat from run to
+run and from checkout to checkout, and the checkout's ``.hypothesis`` is left
+as it was.
 """
 from __future__ import annotations
 
@@ -22,6 +25,7 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -57,8 +61,11 @@ def run_kernel(kernel: str) -> tuple[str, int, int]:
     env = _env(kernel)
     core = subprocess.run([sys.executable, "-c", _CORENAME], env=env, capture_output=True,
                           text=True, check=True).stdout.strip()
-    out = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *SELECTION],
-                         cwd=ROOT, env=env, capture_output=True, text=True).stdout
+    with tempfile.TemporaryDirectory() as storage:
+        out = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                              "--hypothesis-seed", "0", *SELECTION],
+                             cwd=ROOT, env=dict(env, HYPOTHESIS_STORAGE_DIRECTORY=storage),
+                             capture_output=True, text=True).stdout
     counts = dict((word, int(n)) for n, word in re.findall(r"(\d+) (passed|failed|error)", out.splitlines()[-1]))
     return core, counts.get("passed", 0), counts.get("failed", 0) + counts.get("error", 0)
 
