@@ -7,8 +7,9 @@ LSTM's fit (in `train` and a serial `xval`) and `hlf`'s scoring pass, which
 run on every core (see `blas`).
 
 Each command that writes artifacts records its resolved settings: ``synth``,
-``train`` and ``xval`` in ``<out>/config.json``, and ``hlf``, ``elm`` and
-``embed``, whose ``--out`` is a file, in ``<out>.config.json``. Re-running a
+``train`` and ``xval`` in ``<out>/config.json``, ``hlf`` and ``embed``, whose
+``--out`` is a file, in ``<out>.config.json``, and ``elm`` in its ``--out``, the
+one JSON record of its settings and scores (it saves no model). Re-running a
 command with those settings (or with the same flags and seed) on the same inputs
 reproduces the run byte for byte; ``xval`` records no manifest paths, so its
 replay passes the same ``--manifest`` flags.
@@ -41,7 +42,7 @@ from .corpus import (
     parse_label,
     stratified_split,
 )
-from .elm import ELMConfig, elm_fit, elm_predict, save_elm
+from .elm import ELMConfig, elm_fit, elm_predict
 from .features import STORE_MATRIX, load_store, save_store
 from .mtl import MTLNetworkConfig, TrainConfig
 from .nn import one_hot
@@ -192,27 +193,24 @@ def cmd_hlf(args) -> int:
 
 def cmd_elm(args) -> int:
     ids, x, labels = hlf_mod.read_hlf_csv(args.hlf)
-    # read before the fit, so a bad eval table leaves no model behind
-    evaluated = None if args.eval is None else hlf_mod.read_hlf_csv(args.eval)
+    eval_ids, eval_x, eval_labels = hlf_mod.read_hlf_csv(args.eval)  # both read before the fit
     config = _config(args, ELMConfig())
     try:
         model = elm_fit(x, one_hot(_emotion_targets(labels), len(EMOTION_CLASSES)), config)
     except ValueError as exc:  # too few rows
         raise ValueError(f"{args.hlf}: {exc}") from None
+    _, predictions = elm_predict(model, eval_x)
+    cm = metrics_mod.confusion_matrix(_emotion_targets(eval_labels), predictions)
+    ua = metrics_mod.unweighted_accuracy(cm)
     out_path = Path(args.out)
-    save_elm(out_path, model)
-    _write_config(_sidecar(out_path), {"command": "elm", "hlf": _absolute(args.hlf),
-                                       "eval": _absolute(args.eval), **asdict(config)})
+    _write_config(out_path, {"command": "elm", "hlf": _absolute(args.hlf), "eval": _absolute(args.eval),
+                             **asdict(config), "n_eval": len(eval_ids), "ua": ua,
+                             "confusion": cm.tolist()})
     print(f"fit ELM ({config.n_hidden} hidden units) on {len(ids)} utterances -> {out_path}")
-    if evaluated is not None:
-        eval_ids, eval_x, eval_labels = evaluated
-        _, predictions = elm_predict(model, eval_x)
-        cm = metrics_mod.confusion_matrix(_emotion_targets(eval_labels), predictions)
-        ua = metrics_mod.unweighted_accuracy(cm)
-        print(f"eval UA over {len(eval_ids)} utterances: {ua:.4f}")
-        print("confusion (rows true, cols predicted):")
-        for row in cm:
-            print("  " + " ".join(f"{v:5d}" for v in row))
+    print(f"eval UA over {len(eval_ids)} utterances: {ua:.4f}")
+    print("confusion (rows true, cols predicted):")
+    for row in cm:
+        print("  " + " ".join(f"{v:5d}" for v in row))
     return 0
 
 
@@ -348,10 +346,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_hlf)
 
-    p = sub.add_parser("elm", help="fit (and optionally evaluate) the ELM back-end")
+    p = sub.add_parser("elm", help="fit the ELM back-end and score a held-out table")
     p.add_argument("--hlf", required=True, help="training HLF table (CSV)")
-    p.add_argument("--out", required=True)
-    p.add_argument("--eval", help="held-out HLF table to score")
+    p.add_argument("--eval", required=True, help="held-out HLF table to score")
+    p.add_argument("--out", required=True, help="the run's settings, UA and confusion (JSON)")
     p.add_argument("--n-hidden", type=int)
     p.add_argument("--ridge", type=float)
     p.add_argument("--seed", type=int)

@@ -126,27 +126,33 @@ def load_manifest(path: str | Path) -> CorpusManifest:
     path = Path(path)
     if not path.exists():
         raise ManifestError(f"manifest not found: {path}")
+    data = path.read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ManifestError(f"{path}, line {line}: {exc}") from None
     records = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader, first, seen = csv.reader(fh), 1, set()  # `first`: the line a row starts on
-        try:
-            header = tuple(next(reader, ()))
-            if header != MANIFEST_HEADER:
-                missing = sorted(set(MANIFEST_HEADER) - set(header))
-                raise ManifestError("empty manifest file" if not header else
-                                    f"missing column(s): {missing}" if missing else
-                                    f"bad manifest header: {header}")
+    # `first`: the line a row starts on
+    reader, first, seen = csv.reader(io.StringIO(text, newline="")), 1, set()
+    try:
+        header = tuple(next(reader, ()))
+        if header != MANIFEST_HEADER:
+            missing = sorted(set(MANIFEST_HEADER) - set(header))
+            raise ManifestError("empty manifest file" if not header else
+                                f"missing column(s): {missing}" if missing else
+                                f"bad manifest header: {header}")
+        first = reader.line_num + 1
+        for row in reader:
+            if row:
+                records.append(_manifest_record(row, path.parent))
+                if records[-1].utterance_id in seen:
+                    raise ManifestError(f"duplicate utterance_id: {records[-1].utterance_id!r}")
+                seen.add(records[-1].utterance_id)
             first = reader.line_num + 1
-            for row in reader:
-                if row:
-                    records.append(_manifest_record(row, path.parent))
-                    if records[-1].utterance_id in seen:
-                        raise ManifestError(f"duplicate utterance_id: {records[-1].utterance_id!r}")
-                    seen.add(records[-1].utterance_id)
-                first = reader.line_num + 1
-        except (ManifestError, csv.Error, UnicodeDecodeError) as exc:
-            line = f", line {first}" if reader.line_num else ""
-            raise ManifestError(f"{path}{line}: {exc}") from None
+    except (ManifestError, csv.Error) as exc:
+        line = f", line {first}" if reader.line_num else ""
+        raise ManifestError(f"{path}{line}: {exc}") from None
     try:
         return CorpusManifest(records=tuple(records))
     except ManifestError as exc:

@@ -1,13 +1,12 @@
 """Extreme learning machine over utterance-level features: a frozen random
-sigmoid hidden layer plus ridge-regularized least-squares output weights."""
+sigmoid hidden layer plus ridge-regularized least-squares output weights.
+A model is fitted and scored in one run, and is never saved."""
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
-from pathlib import Path
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import nn
 from .seeding import derive_seed
 
 
@@ -80,13 +79,3 @@ def elm_predict(model: ELMModel, x: np.ndarray):
         raise ValueError(f"expected (m, {model.n_in}) inputs, got {x.shape}")
     scores = _hidden(model.input_weights, model.input_bias, x) @ model.output_weights.T
     return scores, np.argmax(scores, axis=1)
-
-
-def save_elm(path: str | Path, model: ELMModel) -> Path:
-    params = {
-        "input_weights": model.input_weights,
-        "input_bias": model.input_bias,
-        "output_weights": model.output_weights,
-    }
-    return nn.save_checkpoint(path, params, {"kind": "elm", **asdict(model.config)})
-

@@ -237,18 +237,6 @@ def _deltas(padded: np.ndarray, ws: Workspace, out: np.ndarray) -> None:
     np.divide(acc, 2.0 * sum(k * k for k in range(1, w + 1)), out=out)
 
 
-def compute_deltas(static: np.ndarray) -> np.ndarray:
-    """Regression deltas over +/- DELTA_WINDOW frames with edge replication."""
-    static = np.asarray(static, dtype=np.float64)
-    if static.ndim != 2 or static.shape[0] < 1:
-        raise FeatureError("need a non-empty 2-D matrix")
-    w = DELTA_WINDOW
-    padded = np.concatenate([static[:1].repeat(w, 0), static, static[-1:].repeat(w, 0)])
-    out = np.empty_like(static)
-    _deltas(padded, Workspace(), out)
-    return out
-
-
 def extract_features(samples: np.ndarray, workspace: Workspace | None = None,
                      out: np.ndarray | None = None) -> np.ndarray:
     """Full front-end: gain-normalize, frame, describe, append deltas.

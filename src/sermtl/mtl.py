@@ -692,7 +692,8 @@ def load_model(path: str | Path) -> tuple[MultiTaskModel, TrainConfig, Standardi
     and `nn.load_checkpoint` reads the checkpoint's float32 values into it in
     place, in the file's order; no initial values are drawn. The standardizer's
     statistics are read in the same pass into new float64 arrays, exactly.
-    The header's ``network`` and ``training`` are decoded with `from_dict`.
+    It is the program's one reader of a checkpoint. The header's ``network``
+    and ``training`` are decoded with `from_dict`.
     Raises ValueError naming ``path`` (as `nn.load_checkpoint` does) for a
     header it cannot decode, and naming the parameter as well when one of the
     model's parameters or statistics is missing or has another shape, or when

@@ -10,7 +10,8 @@ bool mask of the units it keeps; `dropout_scale` rebuilds the scale from it.
 
 Checkpoints serialize parameters as float32 LE. `load_checkpoint` reads the
 blob in the file's order through one small float32 buffer, straight into the
-caller's arrays (a loaded model's float32 vector) or into new float64 arrays.
+arrays its caller gives (a loaded model's float32 vector and its
+standardizer's statistics).
 
 `LSTMLayer.step` is the one home of the LSTM gate math, computed in place in a
 gate buffer: the training `forward` (which copies each step's gates from and
@@ -411,16 +412,15 @@ def save_checkpoint(path: str | Path, params: dict[str, np.ndarray], header: dic
 _READ_CHUNK = 1 << 14
 
 
-def load_checkpoint(path: str | Path, into=None) -> tuple[dict[str, np.ndarray], dict]:
-    """Returns (params, header): the parameters as new float64 arrays, and the
-    header as it was given to `save_checkpoint`.
+def load_checkpoint(path: str | Path, into) -> None:
+    """Read the checkpoint at ``path`` into the arrays that ``into`` gives.
 
-    ``into``, if given, is called with the header and returns C-contiguous
-    arrays keyed by parameter name (`mtl.load_model`'s are views of a float32
-    vector and two float64 arrays), one for each of the file's parameters.
-    They are read into them in place (the values are exact in any float dtype),
-    and ``params`` is empty. The blob is read in the file's order through one
-    fixed-size float32 buffer, so no float32 copy of it is made.
+    ``into`` is called with the header as it was given to `save_checkpoint`
+    and returns C-contiguous arrays keyed by parameter name (`mtl.load_model`'s
+    are views of a float32 vector and two float64 arrays), one for each of the
+    file's parameters. The blob is read into them in place, in the file's
+    order, through one fixed-size float32 buffer, so no float32 copy of it is
+    made; its values are exact in any float dtype.
 
     Raises ValueError naming ``path`` for a foreign, truncated or overlong file
     (a header length past the end of the file, a header that is not the JSON
@@ -443,7 +443,7 @@ def load_checkpoint(path: str | Path, into=None) -> tuple[dict[str, np.ndarray],
                 raise ValueError(f"not a {CHECKPOINT_FORMAT} checkpoint")
             del header["dtype"]
             shapes = {entry["name"]: tuple(int(n) for n in entry["shape"]) for entry in header.pop("params")}
-            targets = into(header) if into is not None else {}
+            targets = into(header)
         except (AttributeError, LookupError, TypeError, ValueError) as exc:
             raise ValueError(f"{path}: {f'no key {exc}' if isinstance(exc, KeyError) else exc}") from None
         blob_end = 4 + head_len + 4 * sum(math.prod(shape) for shape in shapes.values())
@@ -458,18 +458,13 @@ def load_checkpoint(path: str | Path, into=None) -> tuple[dict[str, np.ndarray],
                 raise ValueError(f"checkpoint parameter {name!r} has shape {shapes[name]}, "
                                  f"the model's is {target.shape}: {path}")
         stray = [name for name in shapes if name not in targets]
-        if into is not None and stray:
+        if stray:
             raise ValueError(f"checkpoint parameter {stray[0]!r} is not the model's: {path}")
-        params: dict[str, np.ndarray] = {}
         buffer = np.empty(_READ_CHUNK, "<f4")
-        for name, shape in shapes.items():
-            out = targets.get(name)
-            if out is None:
-                out = params[name] = np.empty(shape)
-            flat = out.reshape(-1)
+        for name in shapes:
+            flat = targets[name].reshape(-1)
             for start in range(0, flat.size, _READ_CHUNK):
                 chunk = buffer[: min(_READ_CHUNK, flat.size - start)]
                 if fh.readinto(chunk) != chunk.nbytes:
                     raise ValueError(f"truncated checkpoint: {path}")
                 flat[start : start + chunk.size] = chunk
-    return params, header

@@ -22,7 +22,7 @@ COMMAND_REQUIRED_FLAGS = {
     "synth": ["--out", "o"],
     "train": ["--manifest", "m", "--out", "o"],
     "hlf": ["--model", "c", "--manifest", "m", "--out", "o"],
-    "elm": ["--hlf", "h", "--out", "o"],
+    "elm": ["--hlf", "h", "--eval", "e", "--out", "o"],
     "xval": ["--manifest", "m", "--out", "o"],
     "embed": ["--input", "h", "--out", "o"],
     "report": ["--run", "r"],

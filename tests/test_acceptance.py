@@ -398,10 +398,10 @@ def test_criterion_10_determinism(tmp_path):
         assert (tmp_path / "h1.csv").read_bytes() == (tmp_path / "h2.csv").read_bytes()
 
         hlf_csv = tmp_path / "h1.csv"
-        for name in ("elm1.ckpt", "elm2.ckpt"):
-            assert cli_main(["elm", "--hlf", str(hlf_csv), "--out", str(tmp_path / name),
-                             "--seed", "4"]) == 0
-        assert (tmp_path / "elm1.ckpt").read_bytes() == (tmp_path / "elm2.ckpt").read_bytes()
+        for name in ("elm1.json", "elm2.json"):
+            assert cli_main(["elm", "--hlf", str(hlf_csv), "--eval", str(tmp_path / "h2.csv"),
+                             "--out", str(tmp_path / name), "--seed", "4"]) == 0
+        assert (tmp_path / "elm1.json").read_bytes() == (tmp_path / "elm2.json").read_bytes()
 
         for name in ("e1.csv", "e2.csv"):
             assert cli_main(["embed", "--input", str(hlf_csv), "--out", str(tmp_path / name),

@@ -261,7 +261,7 @@ def test_train_fits_on_every_allowed_cpu(small_synth, tmp_path, trunk, threads):
 @pytest.fixture(scope="module")
 def large_hlf_table(tmp_path_factory):
     """An HLF table of 1200 utterances: with 1000 hidden units, enough for the
-    ELM's float32 checkpoint and t-SNE's embedding to differ between one BLAS
+    ELM's output weights and t-SNE's embedding to differ between one BLAS
     thread and two when nothing pins the count."""
     records = make_records(1200)
     rng = np.random.default_rng(18)
@@ -270,24 +270,42 @@ def large_hlf_table(tmp_path_factory):
     return write_hlf_csv(path, ((r.utterance_id, v, r) for r, v in zip(records, vectors)))
 
 
+# `sermtl.cli.main` with `cli.elm_fit` wrapped to print the blake2b digest of
+# the output weights it fits, bit for bit
+_WITH_WEIGHT_DIGEST = """
+import hashlib, sys
+from sermtl import cli
+fit = cli.elm_fit
+def elm_fit(*args):
+    model = fit(*args)
+    print("output weights", hashlib.blake2b(model.output_weights.tobytes()).hexdigest())
+    return model
+cli.elm_fit = elm_fit
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
 @pytest.mark.parametrize("command, output", [
-    (["elm", "--n-hidden", "1000"], "elm.ckpt"),
+    (["elm", "--n-hidden", "1000"], "elm.json"),
     (["embed", "--iters", "60"], "embedding.csv"),
 ], ids=["elm", "embed"])
 def test_elm_and_embed_do_not_depend_on_the_blas_thread_count(large_hlf_table, tmp_path,
                                                               command, output):
-    """`elm` and `embed` run on one BLAS thread, as every command does: their outputs are
-    the same with OPENBLAS_NUM_THREADS=1 and unset (a thread per core)."""
-    flag = "--hlf" if command[0] == "elm" else "--input"
-    outputs = []
+    """`elm` and `embed` run on one BLAS thread, as every command does: their outputs,
+    and the ELM's fitted output weights, are the same with OPENBLAS_NUM_THREADS=1 and
+    unset (a thread per core)."""
+    flag = ["--hlf", str(large_hlf_table), "--eval"] if command[0] == "elm" else ["--input"]
+    outputs, digests = [], []
     for threads in ("1", None):
         out = tmp_path / f"threads-{threads}" / output
-        subprocess.run([sys.executable, "-m", "sermtl.cli", command[0], flag, str(large_hlf_table),
-                        "--out", str(out), *command[1:]],
-                       env=_env(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=None),
-                       capture_output=True, text=True, check=True, timeout=300)
+        done = subprocess.run([sys.executable, "-c", _WITH_WEIGHT_DIGEST, command[0], *flag,
+                               str(large_hlf_table), "--out", str(out), *command[1:]],
+                              env=_env(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=None),
+                              capture_output=True, text=True, check=True, timeout=300)
         outputs.append(out.read_bytes())
+        digests.append([line for line in done.stdout.splitlines() if line.startswith("output weights ")])
     assert outputs[0] == outputs[1]
+    assert digests[0] == digests[1] and len(digests[0]) == (command[0] == "elm")
 
 
 # Row counts of scoring's products: every count from 16 up to 48, then blocks up

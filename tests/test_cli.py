@@ -41,6 +41,7 @@ from sermtl.hlf import HLF_DIM, compute_hlf, read_hlf_csv, write_hlf_csv
 from sermtl.mtl import MTLNetworkConfig, TrainConfig, load_model, posteriors_in_blocks
 from sermtl.tsne import TsneConfig
 
+from checkpoint_file import read_checkpoint
 from conftest import COMMAND_REQUIRED_FLAGS, make_records
 
 
@@ -352,14 +353,39 @@ class TestStoreBesideTheModel:
 
 class TestElm:
     def test_fit_and_eval(self, cli_workspace, tmp_path, capsys):
+        """`elm` fits on ``--hlf``, scores ``--eval`` and writes one JSON record
+        of its settings and scores to ``--out``, and no other file."""
         _, _, _, hlf_csv = cli_workspace
-        out = tmp_path / "elm.ckpt"
+        out = tmp_path / "elm.json"
         rc = main(["elm", "--hlf", str(hlf_csv), "--out", str(out),
                    "--eval", str(hlf_csv), "--n-hidden", "32", "--seed", "1"])
         assert rc == 0
-        assert out.exists()
         captured = capsys.readouterr().out
-        assert "eval UA over 48 utterances" in captured
+        record = json.loads(out.read_text())
+        assert record == {"command": "elm", "hlf": str(hlf_csv.resolve()), "eval": str(hlf_csv.resolve()),
+                          **asdict(ELMConfig(n_hidden=32, seed=1)), "n_eval": 48, "ua": record["ua"],
+                          "confusion": record["confusion"]}
+        assert captured.splitlines()[1:] == [
+            f"eval UA over 48 utterances: {record['ua']:.4f}", "confusion (rows true, cols predicted):",
+            *("  " + " ".join(f"{v:5d}" for v in row) for row in record["confusion"])]
+        assert sum(map(sum, record["confusion"])) == 48
+        assert list(tmp_path.iterdir()) == [out]
+
+    def test_needs_an_eval_table(self, cli_workspace, tmp_path, capsys):
+        _, _, _, hlf_csv = cli_workspace
+        out = tmp_path / "elm.json"
+        assert main(["elm", "--hlf", str(hlf_csv), "--out", str(out)]) == 2
+        assert "the following arguments are required: --eval" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_refused_fit_leaves_no_out(self, cli_workspace, tmp_path, capsys):
+        _, _, _, hlf_csv = cli_workspace
+        table = tmp_path / "three.csv"
+        table.write_text("".join(hlf_csv.read_text().splitlines(keepends=True)[:4]))
+        out = tmp_path / "elm.json"
+        assert main(["elm", "--hlf", str(table), "--eval", str(hlf_csv), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {table}: need at least 4 training rows, got 3\n"
+        assert not out.exists()
 
 
 class TestTrunkSwitch:
@@ -586,8 +612,9 @@ class TestEmbedAndReport:
 
 
 class TestSidecarConfigs:
-    """`hlf`, `elm` and `embed` record their settings in ``<out>.config.json``;
-    a rerun from those settings alone reproduces the output."""
+    """`hlf` and `embed` record their settings in ``<out>.config.json``, and
+    `elm` in its ``--out`` record; a rerun from those settings alone
+    reproduces the output."""
 
     @staticmethod
     def _sidecar(out: Path) -> dict:
@@ -603,14 +630,15 @@ class TestSidecarConfigs:
                      "--out", str(again)]) == 0
         assert again.read_bytes() == hlf_csv.read_bytes()
 
-        first = tmp_path / "a" / "elm.ckpt"
-        assert main(["elm", "--hlf", str(hlf_csv), "--out", str(first), "--n-hidden", "32",
-                     "--ridge", "0.01", "--seed", "1"]) == 0
-        saved = self._sidecar(first)
-        assert saved["command"] == "elm" and saved["eval"] is None
-        second = tmp_path / "b" / "elm.ckpt"
-        assert main(["elm", "--hlf", saved["hlf"], "--out", str(second), "--n-hidden",
-                     str(saved["n_hidden"]), "--ridge", str(saved["ridge"]),
+        first = tmp_path / "a" / "elm.json"
+        assert main(["elm", "--hlf", str(hlf_csv), "--eval", str(hlf_csv), "--out", str(first),
+                     "--n-hidden", "32", "--ridge", "0.01", "--seed", "1"]) == 0
+        saved = json.loads(first.read_text())
+        assert saved["command"] == "elm" and saved["eval"] == str(hlf_csv.resolve())
+        assert list(first.parent.iterdir()) == [first]  # the record is its own settings file
+        second = tmp_path / "b" / "elm.json"
+        assert main(["elm", "--hlf", saved["hlf"], "--eval", saved["eval"], "--out", str(second),
+                     "--n-hidden", str(saved["n_hidden"]), "--ridge", str(saved["ridge"]),
                      "--seed", str(saved["seed"])]) == 0
         assert second.read_bytes() == first.read_bytes()
 
@@ -873,6 +901,20 @@ def test_report_run_names_a_misspelled_key(tmp_path, capsys, old, new):
     assert capsys.readouterr().err.startswith(f"error: {path}: ")
 
 
+def test_report_run_names_a_retyped_value(tmp_path, capsys):
+    """A value of another JSON type than its field's is refused by the file,
+    the class and the key, before anything is printed."""
+    fold = FoldResult(fold=0, test_group="a", n_train=8, n_val=2, n_test=12)
+    report = ExperimentReport(protocol="cross", seed=0, config=PipelineConfig(), folds=[fold],
+                              mean_ua=None)
+    path = experiment.write_report(report, tmp_path)
+    data = json.loads(path.read_text(encoding="utf-8"))
+    data["folds"][0]["n_test"] = 12.0
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["report", "--run", str(tmp_path)]) == 1
+    assert capsys.readouterr() == ("", f"error: {path}: FoldResult: key 'n_test': expected int, got float\n")
+
+
 def test_report_with_a_retired_key_is_refused_by_name(tmp_path, capsys):
     """A report written when `TrainConfig` still had ``clip_norm`` is refused
     on one line naming the file and the key."""
@@ -914,7 +956,7 @@ class TestCliErrors:
         """A model scores standardized features: `hlf` refuses a checkpoint
         that lacks the statistics, naming the file, and writes nothing."""
         _, data, run, _ = cli_workspace
-        params, header = nn.load_checkpoint(run / "model.ckpt")
+        params, header = read_checkpoint(run / "model.ckpt")
         del params["standardizer.mean"], params["standardizer.std"]
         bad = nn.save_checkpoint(tmp_path / "bad.ckpt", params, header)
         out = tmp_path / "hlf.csv"
@@ -944,7 +986,8 @@ class TestCliErrors:
         else:
             lines[3] = ",".join(damage(lines[3].split(",")))
             table.write_text("\n".join(lines) + "\n")
-        assert main([command, flag, str(table), "--out", str(tmp_path / "out")]) == 1
+        other = ["--eval", str(hlf_csv)] if command == "elm" else []
+        assert main([command, flag, str(table), *other, "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err == f"error: {named.format(table=table)}\n"
 
     @pytest.mark.parametrize("command", ["hlf", "xval"])

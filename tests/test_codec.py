@@ -51,3 +51,56 @@ def test_nested_unknown_key_named():
 def test_non_object_rejected():
     with pytest.raises(ValueError, match="expected an object"):
         from_dict(_Inner, [1, 2])
+
+
+@dataclass(frozen=True)
+class _Typed:
+    count: int
+    rate: float
+    name: str
+    maybe: float | None
+    grid: list[list[int]]
+    table: dict[str, float | None]
+    free: dict
+
+
+_TYPED = {"count": 3, "rate": 0.5, "name": "a", "maybe": None, "grid": [[1, 2]],
+          "table": {"x": 1.5, "y": None}, "free": {"any": [True, "b"]}}
+
+
+def test_values_of_their_annotated_types_decode():
+    assert from_dict(_Typed, _TYPED) == _Typed(3, 0.5, "a", None, [[1, 2]], {"x": 1.5, "y": None},
+                                               {"any": [True, "b"]})
+    # a float takes an integer, and X | None takes an X
+    again = from_dict(_Typed, {**_TYPED, "rate": 2, "maybe": 1, "table": {"x": 0}})
+    assert (again.rate, again.maybe, again.table) == (2, 1, {"x": 0})
+
+
+@pytest.mark.parametrize("key, value, named", [
+    ("count", 3.0, "key 'count': expected int, got float"),
+    ("count", True, "key 'count': expected int, got bool"),
+    ("count", "3", "key 'count': expected int, got str"),
+    ("rate", "0.5", "key 'rate': expected float, got str"),
+    ("rate", False, "key 'rate': expected float, got bool"),
+    ("rate", None, "key 'rate': expected float, got NoneType"),
+    ("name", 1, "key 'name': expected str, got int"),
+    ("maybe", [], "key 'maybe': expected float, got list"),
+    ("grid", [[1, 2.5]], "key 'grid': expected int, got float"),
+    ("grid", [1], "key 'grid': expected list, got int"),
+    ("grid", {}, "key 'grid': expected list, got dict"),
+    ("table", {"x": "1"}, "key 'table': expected float, got str"),
+    ("table", [], "key 'table': expected dict, got list"),
+    ("free", [], "key 'free': expected dict, got list"),
+])
+def test_a_value_of_another_type_is_named_by_class_and_key(key, value, named):
+    with pytest.raises(ValueError) as raised:
+        from_dict(_Typed, {**_TYPED, key: value})
+    assert str(raised.value) == f"_Typed: {named}"
+
+
+def test_nested_value_of_another_type_named_by_its_class():
+    data = asdict(PipelineConfig())
+    data["network"]["layer_sizes"] = [4, 4.0]
+    with pytest.raises(ValueError) as raised:
+        from_dict(PipelineConfig, data)
+    assert str(raised.value) == "MTLNetworkConfig: key 'layer_sizes': expected int, got float"

@@ -153,6 +153,24 @@ class TestManifest:
         with pytest.raises(ManifestError):
             load_manifest(tmp_path / "m.csv")
 
+    @pytest.mark.parametrize("n_rows, line", [(5, 3), (300, 180)], ids=["under_8kb", "over_8kb"])
+    def test_byte_that_is_not_utf8_named_by_its_line(self, tmp_path, n_rows, line):
+        """A byte that is not UTF-8 is refused by the path and the line that
+        holds it, in a manifest shorter than a text reader's 8 KB chunk and
+        past the first chunk of a longer one."""
+        rows = [(f"u{i:03d}", f"wav/u{i:03d}.wav", "happy", "male_adult", "acted", "s1", "c")
+                for i in range(n_rows)]
+        _touch_wavs(tmp_path, [r[1] for r in rows])
+        path = tmp_path / "m.csv"
+        _write_rows(path, rows)
+        lines = path.read_bytes().split(b"\n")
+        lines[line - 1] = lines[line - 1][:5] + b"\xff" + lines[line - 1][5:]
+        path.write_bytes(b"\n".join(lines))
+        assert (path.read_bytes().index(b"\xff") > 8192) == (n_rows == 300)
+        with pytest.raises(ManifestError) as raised:
+            load_manifest(path)
+        assert str(raised.value).startswith(f"{path}, line {line}: 'utf-8' codec can't decode byte 0xff")
+
     def test_write_then_load_is_identity(self, tmp_path):
         _touch_wavs(tmp_path, [f"w{i}.wav" for i in range(8)])
         records = [

@@ -3,9 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from sermtl import nn
-from sermtl.codec import from_dict
-from sermtl.elm import ELMConfig, ELMFitError, ELMModel, elm_fit, elm_predict, save_elm
+from sermtl.elm import ELMConfig, ELMFitError, ELMModel, elm_fit, elm_predict
 from sermtl.nn import one_hot
 from sermtl.seeding import derive_seed
 
@@ -123,19 +121,3 @@ def test_degenerate_solve_reported():
     y = one_hot(rng.integers(0, 4, 8), 4)
     with pytest.raises(ELMFitError):
         elm_fit(x, y, ELMConfig(n_hidden=32, ridge=0.0, seed=1))
-
-
-def test_checkpoint_round_trip(tmp_path):
-    rng = np.random.default_rng(9)
-    x = rng.normal(size=(12, 16))
-    y = one_hot(rng.integers(0, 4, 12), 4)
-    model = elm_fit(x, y, ELMConfig(n_hidden=16, seed=2))
-    path = save_elm(tmp_path / "elm.ckpt", model)
-    params, header = nn.load_checkpoint(path)
-    assert header.pop("kind") == "elm"
-    loaded = ELMModel(params["input_weights"], params["input_bias"], params["output_weights"],
-                      from_dict(ELMConfig, header))
-    assert loaded.config == model.config
-    scores_a, _ = elm_predict(model, x)
-    scores_b, _ = elm_predict(loaded, x)
-    assert np.allclose(scores_a, scores_b, atol=1e-5)

@@ -23,7 +23,6 @@ from sermtl.features import (
     Standardizer,
     Workspace,
     apply_standardizer,
-    compute_deltas,
     extract_features,
     fit_standardizer,
     frame_signal,
@@ -128,19 +127,26 @@ class TestFrameDescriptors:
 
 
 class TestDeltas:
+    """The regression deltas of the reference front-end, which
+    `TestKernelMatchesReference` ties to `extract_features` bit for bit."""
+
+    @staticmethod
+    def _deltas(static):
+        return reference.compute_deltas(static, reference.FeatureConfig())
+
     def test_constant_is_zero(self):
-        deltas = compute_deltas(np.full((10, 16), 3.5))
+        deltas = self._deltas(np.full((10, 16), 3.5))
         assert np.all(deltas == 0.0)
 
     def test_linear_ramp_slope(self):
         slope = 0.75
         static = slope * np.arange(20)[:, None] * np.ones((1, 16))
-        deltas = compute_deltas(static)
+        deltas = self._deltas(static)
         interior = deltas[DELTA_WINDOW:-DELTA_WINDOW]
         assert np.allclose(interior, slope)
 
     def test_single_frame_zero(self):
-        deltas = compute_deltas(np.ones((1, 16)))
+        deltas = self._deltas(np.ones((1, 16)))
         assert np.all(deltas == 0.0)
 
 
@@ -303,7 +309,8 @@ _SHARED_WORKSPACE = Workspace()  # reused across examples, as over the utterance
 @st.composite
 def _signals(draw):
     kind = draw(st.sampled_from(["silence", "tone", "noise", "tone+noise"]))
-    n = draw(st.one_of(st.just(400), st.integers(8000, 48000)))  # one frame, or 0.5-3 s
+    # one frame, 1-12 frames (where the deltas' edge padding reaches every row), or 0.5-3 s
+    n = draw(st.one_of(st.just(400), st.integers(400, 2160), st.integers(8000, 48000)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     t = np.arange(n) / SR
     signal = np.zeros(n)
@@ -316,7 +323,7 @@ def _signals(draw):
 
 
 class TestKernelMatchesReference:
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=60, deadline=None)
     @given(signal=_signals())
     def test_byte_identical(self, signal):
         want = reference.extract_features(signal, SR)
@@ -332,13 +339,6 @@ class TestKernelMatchesReference:
             samples, sr = read_wav(rec.audio_path)
             got = extract_features(samples, workspace=workspace)
             assert got.tobytes() == reference.extract_features(samples, sr).tobytes(), rec.utterance_id
-
-    @settings(max_examples=30, deadline=None)
-    @given(n=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
-    def test_deltas_byte_identical(self, n, seed):
-        static = np.random.default_rng(seed).normal(size=(n, 16))
-        want = reference.compute_deltas(static, reference.FeatureConfig())
-        assert compute_deltas(static).tobytes() == want.tobytes()
 
     def test_wrong_output_rejected(self):
         with pytest.raises(FeatureError, match="float32"):

@@ -2,11 +2,12 @@
 feature store beside it (`features_index.csv` and the header of
 `features.npy`).
 
-Each case truncates a file, drops or adds a line or a field, or edits one byte
-of a header, then runs `hlf` with the store and, if that succeeds, without it.
-It either exits 0 with the table `hlf` writes without the store, or exits 1
-with one ``error:`` line that names the damaged file, and the line within it
-where the damage is one line. Flipped bytes in the float payloads of
+Each case truncates a file, drops or adds a line or a field, edits one byte
+of a header, or inserts a byte that is not UTF-8 into the manifest, then runs
+`hlf` with the store and, if that succeeds, without it. It either exits 0
+with the table `hlf` writes without the store, or exits 1 with one ``error:``
+line that names the damaged file, and the line within it where the damage is
+one line. Flipped bytes in the float payloads of
 `features.npy` and `model.ckpt` are out of scope: neither file is checksummed.
 """
 from __future__ import annotations
@@ -23,7 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import damage_text
+from conftest import TEXT_DAMAGE, damage_text
 from sermtl.cli import main
 from sermtl.features import STORE_INDEX, STORE_MATRIX
 
@@ -64,7 +65,7 @@ def _damage(draw, target: str, data: bytes) -> tuple[bytes, int | None]:
         at = draw(st.integers(0, _header_end(target, data) - 1))
         byte = draw(st.integers(0, 255).filter(lambda b: b != data[at]))
         return data[:at] + bytes([byte]) + data[at + 1 :], None
-    return damage_text(draw, data)
+    return damage_text(draw, data, TEXT_DAMAGE + ("non_utf8",) if target == "manifest" else TEXT_DAMAGE)
 
 
 def _hlf(model: Path, manifest: Path, out: Path) -> tuple[int, str]:

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_batches as reference
+from checkpoint_file import read_checkpoint
 from sermtl import mtl, nn
 from sermtl.features import FeatureStore, Standardizer, apply_standardizer, standardized
 from sermtl.mtl import (
@@ -569,7 +570,7 @@ class TestModelCheckpoint:
         loaded, training, standardizer = load_model(path)
         assert loaded.config == cfg
         assert training == tc
-        assert nn.load_checkpoint(path)[1]["best_epoch"] == trained.best_epoch
+        assert read_checkpoint(path)[1]["best_epoch"] == trained.best_epoch
         assert standardizer.mean.dtype == standardizer.std.dtype == np.float64
         assert standardizer.mean.tobytes() == saved.mean.tobytes()
         assert standardizer.std.tobytes() == saved.std.tobytes()
@@ -612,7 +613,7 @@ class TestModelCheckpoint:
         model = MultiTaskModel(MTLNetworkConfig(trunk="lstm", layer_sizes=(4,)), seed=1)
         trained = train(model, *_split(_blob_dataset(n_utts=6, n_frames=8), 4),
                         TrainConfig(batch_size=8, max_epochs=2, patience=1))
-        params, header = nn.load_checkpoint(save_model(tmp_path / "m.ckpt", trained, _IDENTITY))
+        params, header = read_checkpoint(save_model(tmp_path / "m.ckpt", trained, _IDENTITY))
         edit(header)
         nn.save_checkpoint(tmp_path / "bad.ckpt", params, header)
         with pytest.raises(ValueError, match=named) as raised:
@@ -636,7 +637,7 @@ class TestModelCheckpoint:
         model = MultiTaskModel(MTLNetworkConfig(trunk="lstm", layer_sizes=(4, 4)), seed=1)
         trained = train(model, *_split(_blob_dataset(n_utts=6, n_frames=8), 4),
                         TrainConfig(batch_size=8, max_epochs=2, patience=1))
-        params, header = nn.load_checkpoint(save_model(tmp_path / "m.ckpt", trained, _IDENTITY))
+        params, header = read_checkpoint(save_model(tmp_path / "m.ckpt", trained, _IDENTITY))
         edit(params)
         bad = nn.save_checkpoint(tmp_path / "bad.ckpt", params, header)
         with pytest.raises(ValueError, match=named) as raised:
@@ -654,10 +655,10 @@ class TestModelCheckpoint:
         """The blob is read in the file's order: parameters stored in another
         order than the model's vector load to the identical vector."""
         path = self._saved(tmp_path)
-        params, header = nn.load_checkpoint(path)
+        params, header = read_checkpoint(path)
         assert list(params)[-2:] == ["standardizer.mean", "standardizer.std"]
         reordered = nn.save_checkpoint(tmp_path / "reversed.ckpt", dict(reversed(params.items())), header)
-        assert list(nn.load_checkpoint(reordered)[0])[:2] == ["standardizer.std", "standardizer.mean"]
+        assert list(read_checkpoint(reordered)[0])[:2] == ["standardizer.std", "standardizer.mean"]
         want, want_training, want_standardizer = load_model(path)
         got, training, standardizer = load_model(reordered)
         assert got.vector.dtype == np.float32

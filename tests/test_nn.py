@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from checkpoint_file import read_checkpoint
 from gradcheck import grad_check
 from sermtl import nn
 
@@ -312,6 +313,21 @@ _CHECKPOINT_HEADERS = st.dictionaries(
     max_size=4)
 
 
+def _load(path, params: dict, dtype) -> tuple[dict[str, np.ndarray], dict]:
+    """`nn.load_checkpoint` of ``path`` into new ``dtype`` arrays shaped like
+    ``params`` (handed over in reverse order), and the header ``into`` got."""
+    targets = {name: np.empty(np.shape(arr), dtype) for name, arr in reversed(params.items())}
+    headers = []
+
+    def into(header):
+        headers.append(header)
+        return targets
+
+    assert nn.load_checkpoint(path, into) is None
+    (header,) = headers
+    return targets, header
+
+
 class TestCheckpoints:
     def test_round_trip_and_determinism(self, tmp_path):
         rng = np.random.default_rng(13)
@@ -322,8 +338,8 @@ class TestCheckpoints:
         p1 = nn.save_checkpoint(tmp_path / "a.ckpt", params, {"note": "x"})
         p2 = nn.save_checkpoint(tmp_path / "b.ckpt", params, {"note": "x"})
         assert p1.read_bytes() == p2.read_bytes()
-        loaded, header = nn.load_checkpoint(p1)
-        assert header["note"] == "x"
+        loaded, header = _load(p1, params, np.float64)
+        assert header == {"note": "x"}
         for name in params:
             assert np.array_equal(loaded[name], params[name].astype(np.float32).astype(np.float64))
 
@@ -335,28 +351,29 @@ class TestCheckpoints:
              header={"": [], "nested": {"x": [1.5, -0.0, True, None, "\u00e9"]}})
     def test_round_trip_is_exact(self, params, header):
         """Any names, shapes (scalars and empty arrays too) and float32 values
-        (signed zeros, subnormals, infinities) come back bit for bit, with the
-        header as given; saving twice writes the same bytes."""
+        (signed zeros, subnormals, infinities) come back bit for bit, in the
+        file's order, with the header as given; saving twice writes the same
+        bytes."""
         with tempfile.TemporaryDirectory() as tmp:
             first = nn.save_checkpoint(Path(tmp) / "a.ckpt", params, header)
             second = nn.save_checkpoint(Path(tmp) / "b.ckpt", params, header)
             assert first.read_bytes() == second.read_bytes()
-            loaded, loaded_header = nn.load_checkpoint(first)
+            assert list(read_checkpoint(first)[0]) == list(params)
+            loaded, loaded_header = _load(first, params, np.float32)
         assert loaded_header == header
-        assert list(loaded) == list(params)
         for name, arr in params.items():
-            assert loaded[name].shape == arr.shape
-            assert loaded[name].astype(np.float32).tobytes() == arr.tobytes()
+            assert loaded[name].tobytes() == arr.tobytes()
+
+    _PARAMS = {"w": np.arange(6.0).reshape(2, 3)}
 
     def _saved(self, tmp_path):
-        params = {"w": np.arange(6.0).reshape(2, 3)}
-        return nn.save_checkpoint(tmp_path / "m.ckpt", params, {"note": "x"})
+        return nn.save_checkpoint(tmp_path / "m.ckpt", self._PARAMS, {"note": "x"})
 
     def test_rejects_trailing_bytes(self, tmp_path):
         path = self._saved(tmp_path)
         path.write_bytes(path.read_bytes() + b"\x00")
         with pytest.raises(ValueError, match="trailing bytes") as err:
-            nn.load_checkpoint(path)
+            _load(path, self._PARAMS, np.float64)
         assert str(path) in str(err.value)
 
     def test_rejects_header_length_past_end_of_file(self, tmp_path):
@@ -364,10 +381,10 @@ class TestCheckpoints:
         data = path.read_bytes()
         path.write_bytes(struct.pack("<I", len(data)) + data[4:])
         with pytest.raises(ValueError, match="exceeds the file size") as err:
-            nn.load_checkpoint(path)
+            _load(path, self._PARAMS, np.float64)
         assert str(path) in str(err.value)
 
     def test_rejects_foreign_file(self, tmp_path):
         (tmp_path / "x.ckpt").write_bytes(b"\x02\x00\x00\x00{}")
         with pytest.raises(ValueError):
-            nn.load_checkpoint(tmp_path / "x.ckpt")
+            _load(tmp_path / "x.ckpt", self._PARAMS, np.float64)
